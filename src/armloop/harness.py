@@ -61,15 +61,18 @@ def failure_severity(log: TrialLog, program: Program) -> float:
     return 1.0 - (failure.subgoal_index - 1) / n
 
 
-def _signature(log: TrialLog) -> list[str]:
-    return [ev.signature() for ev in log.events]
+def _signature(log: TrialLog) -> tuple[str, ...]:
+    return tuple(ev.signature() for ev in log.events)
 
 
 def majority_signature(batch: list[TrialLog]) -> list[str]:
     """Per-position mode over the batch's event signatures. Shorter traces
     are padded with a sentinel; a real signature beats the sentinel on count
     ties, remaining ties go to the lexicographically smallest."""
-    signatures = [_signature(log) for log in batch]
+    return _majority([_signature(log) for log in batch])
+
+
+def _majority(signatures: list[tuple[str, ...]]) -> list[str]:
     longest = max((len(s) for s in signatures), default=0)
     majority = []
     for pos in range(longest):
@@ -100,15 +103,17 @@ def levenshtein(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def trace_divergence(log: TrialLog, batch: list[TrialLog]) -> float:
-    """Normalized edit distance between this trial's event signature
-    sequence and the batch majority sequence, in [0, 1]."""
-    majority = majority_signature(batch)
-    mine = _signature(log)
+def _divergence(mine: tuple[str, ...], majority: list[str]) -> float:
     denom = max(len(mine), len(majority))
     if denom == 0:
         return 0.0
     return levenshtein(mine, majority) / denom
+
+
+def trace_divergence(log: TrialLog, batch: list[TrialLog]) -> float:
+    """Normalized edit distance between this trial's event signature
+    sequence and the batch majority sequence, in [0, 1]."""
+    return _divergence(_signature(log), majority_signature(batch))
 
 
 def _minmax(values: list[float]) -> list[float]:
@@ -130,7 +135,12 @@ def select_trial(
         raise ValueError("empty batch")
     w_s, w_d = weights
     raw_severity = [failure_severity(log, program) for log in batch]
-    raw_divergence = [trace_divergence(log, batch) for log in batch]
+    # trace_divergence per trial, with the majority computed once and the
+    # distance once per distinct trace.
+    signatures = [_signature(log) for log in batch]
+    majority = _majority(signatures)
+    by_trace = {sig: _divergence(sig, majority) for sig in set(signatures)}
+    raw_divergence = [by_trace[sig] for sig in signatures]
     severity = _minmax(raw_severity)
     divergence = _minmax(raw_divergence)
     scores = [

@@ -77,81 +77,140 @@ def program_tree(program: Program) -> LabeledTree:
 # --- Zhang-Shasha ordered tree edit distance ---------------------------------
 
 
-def _postorder(root: LabeledTree):
-    """Postorder nodes and the leftmost-leaf-descendant index per node."""
-    nodes: list[LabeledTree] = []
-    lmds: list[int] = []
+@dataclass(frozen=True)
+class FlatTree:
+    """A labeled tree indexed for TED, in postorder. The subtree rooted at
+    node i spans indices lmd[i]..i; parent is -1 for the root; keyroots
+    lists the keyroots that are not leaves, ascending."""
+
+    labels: list
+    lmd: list
+    parent: list
+    keyroots: list
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def flatten(root: LabeledTree) -> FlatTree:
+    labels: list = []
+    lmd: list[int] = []
+    parent: list[int] = []
 
     def visit(node: LabeledTree) -> int:
-        first_leaf = None
-        for child in node.children:
-            leaf = visit(child)
-            if first_leaf is None:
-                first_leaf = leaf
-        nodes.append(node)
-        index = len(nodes) - 1
-        lmd = first_leaf if first_leaf is not None else index
-        lmds.append(lmd)
-        return lmd
+        kids = [visit(child) for child in node.children]
+        index = len(labels)
+        labels.append(node.label)
+        lmd.append(lmd[kids[0]] if kids else index)
+        parent.append(-1)
+        for kid in kids:
+            parent[kid] = index
+        return index
 
     visit(root)
-    return nodes, lmds
+    # A keyroot is the root or a node with a left sibling.
+    keyroots = [
+        i for i, p in enumerate(parent)
+        if lmd[i] != i and (p < 0 or lmd[p] != lmd[i])
+    ]
+    return FlatTree(labels, lmd, parent, keyroots)
 
 
-def _keyroots(lmds: list[int]) -> list[int]:
-    seen = {}
-    for i, lmd in enumerate(lmds):
-        seen[lmd] = i  # the last (highest) node per leftmost leaf
-    return sorted(seen.values())
+def _label_sets(ids: list[int], parent: list[int]) -> list[int]:
+    """Per node, the label ids of its subtree as a bitmask."""
+    masks = [1 << c for c in ids]
+    for node in range(len(ids) - 1):  # children precede parents in postorder
+        masks[parent[node]] |= masks[node]
+    return masks
+
+
+def _ted(a: FlatTree, b: FlatTree) -> int:
+    """Zhang-Shasha over flattened trees. A one-node tree against any tree T
+    has TED |T| - [its label occurs in T], so every td entry with a leaf on
+    either side is filled in closed form and the forest DP runs only over
+    pairs of non-leaf keyroots."""
+    ids: dict = {}
+    la = [ids.setdefault(label, len(ids)) for label in a.labels]
+    lb = [ids.setdefault(label, len(ids)) for label in b.labels]
+    if la == lb and a.lmd == b.lmd:
+        return 0
+    al, bl = a.lmd, b.lmd
+    na, nb = len(la), len(lb)
+    size_a = [x - al[x] + 1 for x in range(na)]
+    size_b = [y - bl[y] + 1 for y in range(nb)]
+    masks_a = _label_sets(la, a.parent)
+    masks_b = _label_sets(lb, b.parent)
+    leaves_b = [y for y in range(nb) if bl[y] == y]
+
+    td = []
+    for x in range(na):
+        if al[x] == x:
+            c = la[x]
+            td.append([s - (m >> c & 1) for s, m in zip(size_b, masks_b)])
+        else:
+            row = [0] * nb
+            s, m = size_a[x], masks_a[x]
+            for y in leaves_b:
+                row[y] = s - (m >> lb[y] & 1)
+            td.append(row)
+
+    for j in b.keyroots:
+        lj = bl[j]
+        cols = range(lj, j + 1)
+        qs = [bl[y] - lj for y in cols]
+        labels_j = lb[lj:j + 1]
+        first = list(range(j - lj + 2))
+        for i in a.keyroots:
+            li = al[i]
+            fd = [first]
+            prev = first
+            for x in range(li, i + 1):
+                p = al[x] - li
+                tdrow = td[x]
+                left = x - li + 1
+                row = [left]
+                if p == 0:
+                    c = la[x]
+                    for y, q, cb, diag, up, t in zip(
+                        cols, qs, labels_j, prev, prev[1:], tdrow[lj:j + 1]
+                    ):
+                        v = diag + (c != cb) if q == 0 else q + t
+                        if up < v - 1:
+                            v = up + 1
+                        if left < v - 1:
+                            v = left + 1
+                        if q == 0:
+                            tdrow[y] = v
+                        row.append(v)
+                        left = v
+                else:
+                    fp = fd[p]
+                    for q, up, t in zip(qs, prev[1:], tdrow[lj:j + 1]):
+                        v = fp[q] + t
+                        if up < v - 1:
+                            v = up + 1
+                        if left < v - 1:
+                            v = left + 1
+                        row.append(v)
+                        left = v
+                fd.append(row)
+                prev = row
+    return td[-1][-1]
 
 
 def tree_edit_distance(a: LabeledTree, b: LabeledTree) -> int:
     """Unit-cost ordered TED (insert=delete=1, relabel=1 if labels differ)."""
-    an, al = _postorder(a)
-    bn, bl = _postorder(b)
-    td = [[0] * len(bn) for _ in range(len(an))]
-
-    def relabel(x: LabeledTree, y: LabeledTree) -> int:
-        return 0 if x.label == y.label else 1
-
-    for i in _keyroots(al):
-        for j in _keyroots(bl):
-            m = i - al[i] + 2
-            n = j - bl[j] + 2
-            fd = [[0] * n for _ in range(m)]
-            ioff = al[i] - 1
-            joff = bl[j] - 1
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + 1
-            for y in range(1, n):
-                fd[0][y] = fd[0][y - 1] + 1
-            for x in range(1, m):
-                for y in range(1, n):
-                    if al[i] == al[x + ioff] and bl[j] == bl[y + joff]:
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[x - 1][y - 1] + relabel(an[x + ioff], bn[y + joff]),
-                        )
-                        td[x + ioff][y + joff] = fd[x][y]
-                    else:
-                        p = al[x + ioff] - 1 - ioff
-                        q = bl[y + joff] - 1 - joff
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[p][q] + td[x + ioff][y + joff],
-                        )
-    return td[-1][-1]
+    return _ted(flatten(a), flatten(b))
 
 
-def ast_similarity(a: Program, b: Program) -> float:
-    ta = program_tree(a)
-    tb = program_tree(b)
-    denom = max(ta.size(), tb.size())
-    if denom == 0:
-        return 1.0
-    sim = 1.0 - tree_edit_distance(ta, tb) / denom
+def ast_similarity(a: Program | FlatTree, b: Program | FlatTree) -> float:
+    """1 - TED / max(nodes). Either side may come already flattened, so that
+    a fixed reference program is indexed once."""
+    if isinstance(a, Program):
+        a = flatten(program_tree(a))
+    if isinstance(b, Program):
+        b = flatten(program_tree(b))
+    sim = 1.0 - _ted(a, b) / max(len(a), len(b))
     return min(1.0, max(0.0, sim))
 
 
@@ -222,7 +281,7 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
         key=lambda rc: (-rc[0], rc[1]),
     )
     top = rates[:5]
-    expert_program = parse(expert_text) if expert_text else None
+    expert_tree = flatten(program_tree(parse(expert_text))) if expert_text else None
 
     per_candidate = []
     token_lens = []
@@ -247,8 +306,8 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
             row["node_count"] = count_nodes(program)
             token_lens.append(row["token_len"])
             node_counts.append(row["node_count"])
-            if expert_program is not None:
-                row["ast_similarity_vs_expert"] = ast_similarity(program, expert_program)
+            if expert_tree is not None:
+                row["ast_similarity_vs_expert"] = ast_similarity(program, expert_tree)
                 similarities.append(row["ast_similarity_vs_expert"])
         per_candidate.append(row)
 

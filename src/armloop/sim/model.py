@@ -8,7 +8,6 @@ produce identical files.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -206,7 +205,7 @@ def load_trials(path) -> list[TrialLog]:
                         stmt_id=rec["stmt_id"],
                         subgoal_index=rec["subgoal_index"],
                         t=rec["t"],
-                        scene=copy.deepcopy(rec["scene"]),
+                        scene=rec["scene"],
                         program_context=rec["program_context"],
                     )
                 )

@@ -241,3 +241,53 @@ def test_collect_observations_requires_snapshots(place_shoe_spec):
     log = execute(program, place_shoe_spec, SimConfig(seed=0))
     with pytest.raises(NoSnapshotsError):
         collect_observations(log, program)
+
+
+def test_select_trial_large_batch_matches_per_trial_oracle():
+    """Every score and the selection on batches of a few hundred divergent
+    trials, with empty traces and psi ties, against the per-trial
+    definition (trace_divergence recomputes the majority for each trial)."""
+    ops = ["grasp_actor:success:none", "place_actor:success:none",
+           "grasp_actor:failure:grasp_slip", "place_actor:failure:placement_miss",
+           "move_by_displacement:failure:unreachable"]
+    rng = random.Random(97)
+    program = _program(3)
+    for n, weights in ((320, (1.0, 1.0)), (300, (0.7, 1.9))):
+        batch = []
+        for i in range(n):
+            if rng.random() < 0.05:
+                sigs = []
+            else:
+                sigs = [rng.choice(ops) for _ in range(rng.randint(1, 8))]
+                cut = next((k for k, s in enumerate(sigs) if ":failure:" in s), None)
+                if cut is not None:
+                    sigs = sigs[: cut + 1]
+            log = _trace_log(i, sigs, goal_met=":failure:" not in "".join(sigs) and rng.random() < 0.8)
+            for ev in log.events:
+                ev.subgoal_index = rng.randint(1, 3)
+            batch.append(log)
+        # Trial indices in shuffled order, so the tie break (lowest trial
+        # index) differs from the lowest position in the batch.
+        indices = list(range(n))
+        rng.shuffle(indices)
+        for log, index in zip(batch, indices):
+            log.trial_index = index
+        result = select_trial(batch, program, weights)
+
+        raw_s = [failure_severity(log, program) for log in batch]
+        raw_d = [trace_divergence(log, batch) for log in batch]
+
+        def norm(values):
+            lo, hi = min(values), max(values)
+            return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
+
+        sev, div = norm(raw_s), norm(raw_d)
+        psis = [weights[0] * s + weights[1] * d for s, d in zip(sev, div)]
+        best = max(range(n), key=lambda i: (psis[i], -batch[i].trial_index))
+        assert sum(1 for p in psis if p == psis[best]) > 1  # a real tie
+        assert any(not log.events for log in batch)
+        assert result.index == best
+        for i, score in enumerate(result.scores):
+            assert score.trial_index == batch[i].trial_index
+            assert (score.severity, score.divergence, score.psi) == (sev[i], div[i], psis[i])
+            assert score.selected == (i == best)
