@@ -4,16 +4,17 @@ Two backends share one surface. The remote backend sends the assembled
 prompt to a chat endpoint and parses the fenced code block out of the
 reply. The mock backend replays a playbook: an ordered list of .prog
 fixtures standing in for successive generations. The playbook cursor
-advances only when the incoming prompt carries actionable repair feedback
-(a prioritized fault line), so a repair round that localized nothing hands
-back the same program - which is exactly how the no-perception ablation
-gets stuck on silent failures.
+advances only when the round's repair signal localizes at least one fault,
+so a repair round that localized nothing hands back the same program -
+which is exactly how the no-perception ablation gets stuck on silent
+failures.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..dsl import parse, validate
 from ..dsl.ast import Program
@@ -22,11 +23,10 @@ from ..scene import TaskSpec
 from .config import AgentConfig
 from .remote import ChatBackend
 
-_CODE_BLOCK_RE = re.compile(r"```(?:[a-zA-Z0-9_+-]*\n)?(.*?)```", re.DOTALL)
+if TYPE_CHECKING:
+    from ..loop import RepairSignal
 
-# A repair prompt is "actionable" when the rendered signal lists at least
-# one prioritized fault. Keep in sync with loop.render_signal().
-FAULT_LINE_MARKER = "- [subgoal "
+_CODE_BLOCK_RE = re.compile(r"```(?:[a-zA-Z0-9_+-]*\n)?(.*?)```", re.DOTALL)
 
 
 def extract_code_block(reply: str) -> str:
@@ -79,7 +79,6 @@ class Synthesizer:
         else:
             self.playbook = None
             self.backend = ChatBackend(config, transport=transport)
-        self._calls = 0
 
     # -- decomposition ------------------------------------------------------
 
@@ -100,18 +99,19 @@ class Synthesizer:
 
     # -- synthesis ----------------------------------------------------------
 
-    def _mock_reply(self, prompt: str) -> str:
+    def _mock_reply(self, signal: RepairSignal | None) -> str:
         if self.playbook is None:
             raise MalformedReplyError("mock synthesizer has no playbook configured")
-        if self._calls > 0 and FAULT_LINE_MARKER in prompt:
+        if signal is not None and signal.faults:
             self.playbook.advance()
-        self._calls += 1
         return f"```\n{self.playbook.current()}```"
 
-    def synthesize(self, prompt: str, spec: TaskSpec) -> Program:
-        """Produce a parsed, statically valid program for the prompt."""
+    def synthesize(self, prompt: str, spec: TaskSpec, signal: RepairSignal | None = None) -> Program:
+        """Produce a parsed, statically valid program for the prompt.
+        ``signal`` is the repair signal the prompt was rendered from (None
+        on the first round); only the mock backend reads it."""
         if self.config.backend == "mock":
-            reply = self._mock_reply(prompt)
+            reply = self._mock_reply(signal)
         else:
             reply = self.backend.complete(
                 [

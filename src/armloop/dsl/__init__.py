@@ -8,7 +8,6 @@ from .ast import (
     PoseLit,
     Program,
     SubgoalBlock,
-    count_nodes,
     renumber,
     strip_observes,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "PoseLit",
     "Program",
     "SubgoalBlock",
-    "count_nodes",
     "count_tokens",
     "lex",
     "parse",

@@ -156,21 +156,6 @@ def renumber(program: Program) -> Program:
     return program
 
 
-def count_nodes(program: Program) -> int:
-    """Total AST nodes: program, subgoals, descriptions, statements, args."""
-
-    def stmt_nodes(stmt) -> int:
-        if isinstance(stmt, ParallelStmt):
-            return 1 + sum(stmt_nodes(c) for c in stmt.left + stmt.right)
-        return 1 + len(stmt.args)
-
-    total = 1  # program
-    for sg in program.subgoals:
-        total += 2  # subgoal + description
-        total += sum(stmt_nodes(s) for s in sg.statements)
-    return total
-
-
 def strip_observes(program: Program) -> Program:
     """Copy of the program with every observe statement removed (also inside
     parallel branches). Ids are not renumbered; callers that need dense ids

@@ -51,6 +51,7 @@ _TOKEN_RE = re.compile(
   | (?P<RBRACE>\})
   | (?P<COMMA>,)
   | (?P<EQUALS>=)
+  | (?P<COMMENT>\#.*)
     """,
     re.VERBOSE,
 )
@@ -65,10 +66,10 @@ class Token:
 
 
 def lex(text: str) -> list[Token]:
-    """Tokenize; emits NEWLINE tokens (collapsed blank/comment lines)."""
+    """Tokenize; emits NEWLINE tokens (collapsed blank/comment lines). A
+    ``#`` outside a string starts a comment that runs to the end of the line."""
     tokens: list[Token] = []
-    for lineno, raw_line in enumerate(text.split("\n"), start=1):
-        line = raw_line.split("#", 1)[0]
+    for lineno, line in enumerate(text.split("\n"), start=1):
         pos = 0
         emitted = False
         while pos < len(line):
@@ -80,11 +81,13 @@ def lex(text: str) -> list[Token]:
                 raise DslSyntaxError(
                     f"unexpected character {line[pos]!r}", lineno, pos + 1
                 )
+            if m.lastgroup == "COMMENT":
+                break
             tokens.append(Token(str(m.lastgroup), m.group(), lineno, pos + 1))
             emitted = True
             pos = m.end()
         if emitted:
-            tokens.append(Token("NEWLINE", "", lineno, len(raw_line) + 1))
+            tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
     tokens.append(Token("EOF", "", text.count("\n") + 1, 1))
     return tokens
 

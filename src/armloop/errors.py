@@ -27,6 +27,16 @@ class TaskSchemaError(ArmloopError):
         self.field = field
 
 
+class ConfigError(ArmloopError):
+    """Campaign config file unreadable or malformed; names the offending field."""
+
+    code = "config_error"
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+
+
 class UnknownActorError(ArmloopError):
     code = "unknown_actor"
 

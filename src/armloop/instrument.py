@@ -11,13 +11,12 @@ dropping lowest-priority, latest-position hooks first.
 
 from __future__ import annotations
 
-import copy
-
 from .dsl.ast import CallStmt, ParallelStmt, Program, renumber, strip_observes
 from .errors import CapTooSmallError
 
 INITIAL_STEP = "initial_scene_state"
 FINAL_STEP = "final_scene_state"
+MIN_OBSERVATION_CAP = 3
 
 # Lower value = more important to keep when thinning.
 _PRIORITY = {
@@ -67,10 +66,10 @@ def insert_observations(program: Program, cap: int = 10) -> Program:
     observes in total, and the input's non-observe statements verbatim and
     in order.
     """
-    if cap < 3:
-        raise CapTooSmallError(f"observation cap {cap} below minimum of 3")
+    if cap < MIN_OBSERVATION_CAP:
+        raise CapTooSmallError(f"observation cap {cap} below minimum of {MIN_OBSERVATION_CAP}")
 
-    out = strip_observes(copy.deepcopy(program))
+    out = strip_observes(program)
 
     # Candidate interior hooks: (subgoal idx, position in subgoal, priority).
     candidates = []

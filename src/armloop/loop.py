@@ -27,6 +27,7 @@ from .dsl.printer import to_text
 from .errors import (
     AgentFailureError,
     BackendError,
+    ConfigError,
     DslSyntaxError,
     InvalidProgramError,
     MalformedReplyError,
@@ -34,7 +35,7 @@ from .errors import (
     NothingToFuseError,
 )
 from .harness import SelectionResult, collect_observations, scores_report, select_trial
-from .instrument import insert_observations
+from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .scene import TaskSpec
 from .sim.executor import run_trials
 from .sim.model import TrialLog, dump_trials
@@ -79,9 +80,8 @@ class RepairSignal:
         return [f.stmt_id for f in self.faults]
 
     def render_feedback(self) -> str:
-        """Observation-feedback text for the repair prompt. Each prioritized
-        fault renders as one '- [subgoal i] ...' line, the marker the mock
-        synthesizer keys on."""
+        """Observation-feedback text for the repair prompt: the diagnosis,
+        then one '- [subgoal i] ...' line per prioritized fault."""
         lines = [self.observation_feedback, "", "Prioritized faults:"]
         if not self.faults:
             lines.append("none localized")
@@ -300,14 +300,15 @@ def run_loop(
         raise AgentFailureError(f"decomposition failed: {exc}") from exc
 
     iterations: list[IterationRecord] = []
-    feedback = None
+    signal = None
     current: Program | None = None
     converged = False
 
     for k in range(1, cfg.max_iterations + 1):
+        feedback = (signal.last_error, signal.render_feedback()) if signal is not None else None
         prompt = build_synthesis_prompt(spec, subgoals, current=current, feedback=feedback)
         try:
-            program = synthesizer.synthesize(prompt, spec)
+            program = synthesizer.synthesize(prompt, spec, signal)
         except _SYNTHESIS_ERRORS as exc:
             raise AgentFailureError(f"synthesis failed: {exc}") from exc
         instrumented = insert_observations(program, cfg.observation_cap)
@@ -357,8 +358,6 @@ def run_loop(
         record.diagnosis = diagnosis
         record.signal = signal
         _persist_iteration(out_dir, record)
-
-        feedback = (signal.last_error, signal.render_feedback())
         current = instrumented
 
     result = LoopResult(
@@ -407,10 +406,6 @@ class CandidateResult:
         return self.result.final_iteration.n_trials if self.result else 0
 
     @property
-    def success_rate(self) -> float:
-        return self.success_count / self.n_trials if self.n_trials else 0.0
-
-    @property
     def cr_iter(self) -> int:
         return self.result.cr_iter if self.result else 0
 
@@ -422,9 +417,6 @@ class CampaignResult:
     success_threshold: float
     max_iterations: int
     candidates: list = field(default_factory=list)
-
-    def succeeded_candidates(self) -> list:
-        return [c for c in self.candidates if c.result is not None]
 
     @property
     def had_agent_failure(self) -> bool:
@@ -508,21 +500,51 @@ def _expand_env(value):
     return value
 
 
-def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path) -> list[str]:
+def _read_json(path: Path, where: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(where, f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(where, f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
+
+
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _config_number(value, where: str, kind=float, minimum=None):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from None
+    if minimum is not None and not number >= minimum:
+        raise ConfigError(where, f"must be at least {minimum}")
+    return number
+
+
+def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) -> str:
+    for path in (programs_dir / _expect(entry, str, where), config_dir / entry):
+        if path.is_file():
+            return str(path)
+    raise ConfigError(where, f"no program file {entry!r}")
+
+
+def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where: str) -> list[str]:
     if isinstance(raw_playbook, str):
         # A playbook file: JSON array of .prog paths.
-        pb_path = Path(raw_playbook)
-        if not pb_path.is_absolute():
-            pb_path = config_dir / pb_path
-        raw_playbook = json.loads(pb_path.read_text(encoding="utf-8"))
-    resolved = []
-    for entry in raw_playbook:
-        p = Path(entry)
-        if not p.is_absolute():
-            candidate = programs_dir / p
-            p = candidate if candidate.exists() else (config_dir / p)
-        resolved.append(str(p))
-    return resolved
+        raw_playbook = _read_json(config_dir / raw_playbook, where)
+    return [_resolve_program(entry, programs_dir, config_dir, where)
+            for entry in _expect(raw_playbook, list, where)]
+
+
+def _agent_config(raw: dict, key: str) -> AgentConfig:
+    try:
+        return AgentConfig.from_json(_expand_env(_expect(raw.get(key, {}), dict, key)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConfig:
@@ -531,28 +553,33 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     Bare playbook filenames resolve against <task dir>/<task name>/ so one
     config file drives every bundled task; other relative paths resolve
     against the config file's directory. ${VAR} in agent fields expands from
-    the environment.
+    the environment. A malformed field raises ConfigError naming it.
     """
     config_path = Path(config_path)
-    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    raw = _expect(_read_json(config_path, "config"), dict, "config")
     config_dir = config_path.parent
     programs_dir = Path(task_file).parent / spec.name
 
     mode = raw.get("mode", "hybrid")
     if mode not in ("hybrid", "symbolic", "one_shot"):
-        raise AgentFailureError(f"unknown mode {mode!r}")
+        raise ConfigError("mode", f"unknown mode {mode!r}")
+    weights = _expect(raw.get("weights", [1.0, 1.0]), list, "weights")
+    if len(weights) != 2:
+        raise ConfigError("weights", f"expected two numbers, got {weights!r}")
 
     loop_cfg = LoopConfig(
-        synthesis=AgentConfig.from_json(_expand_env(raw.get("synthesis", {}))),
-        verifier=AgentConfig.from_json(_expand_env(raw.get("verifier", {}))),
-        n_trials=int(raw.get("n_trials", 10)),
-        success_threshold=float(raw.get("success_threshold", 0.5)),
-        max_iterations=int(raw.get("max_iterations", 5)),
-        base_seed=int(raw.get("base_seed", 0)),
-        weights=tuple(raw.get("weights", (1.0, 1.0))),
-        noise_scale=float(raw.get("noise_scale", 0.0)),
-        max_steps=int(raw.get("max_steps", 200)),
-        observation_cap=int(raw.get("observation_cap", 10)),
+        synthesis=_agent_config(raw, "synthesis"),
+        verifier=_agent_config(raw, "verifier"),
+        n_trials=_config_number(raw.get("n_trials", 10), "n_trials", int, 1),
+        success_threshold=_config_number(raw.get("success_threshold", 0.5), "success_threshold",
+                                         minimum=0),
+        max_iterations=_config_number(raw.get("max_iterations", 5), "max_iterations", int, 1),
+        base_seed=_config_number(raw.get("base_seed", 0), "base_seed", int, 0),
+        weights=tuple(_config_number(w, "weights") for w in weights),
+        noise_scale=_config_number(raw.get("noise_scale", 0.0), "noise_scale", minimum=0),
+        max_steps=_config_number(raw.get("max_steps", 200), "max_steps", int),
+        observation_cap=_config_number(raw.get("observation_cap", 10), "observation_cap", int,
+                                       MIN_OBSERVATION_CAP),
         perception=(mode == "hybrid"),
     )
     if mode == "one_shot":
@@ -560,24 +587,24 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
 
     seed_stride = loop_cfg.max_iterations * loop_cfg.n_trials
     candidates = []
-    for i, entry in enumerate(raw.get("candidates", [])):
+    for i, entry in enumerate(_expect(raw.get("candidates", []), list, "candidates")):
+        where = f"candidates[{i}]"
+        _expect(entry, dict, where)
         candidates.append(
             CandidateSpec(
-                candidate_id=int(entry.get("candidate_id", i)),
-                base_seed=int(entry.get("base_seed", loop_cfg.base_seed + i * seed_stride)),
-                playbook=_resolve_playbook(entry.get("playbook", []), programs_dir, config_dir),
+                candidate_id=_config_number(entry.get("candidate_id", i), f"{where}.candidate_id", int),
+                base_seed=_config_number(entry.get("base_seed", loop_cfg.base_seed + i * seed_stride),
+                                         f"{where}.base_seed", int, 0),
+                playbook=_resolve_playbook(entry.get("playbook", []), programs_dir, config_dir,
+                                           f"{where}.playbook"),
             )
         )
     if loop_cfg.synthesis.playbook:
         loop_cfg.synthesis.playbook = _resolve_playbook(
-            loop_cfg.synthesis.playbook, programs_dir, config_dir
+            loop_cfg.synthesis.playbook, programs_dir, config_dir, "synthesis.playbook"
         )
 
     expert = raw.get("expert_program")
     if expert is not None:
-        p = Path(expert)
-        if not p.is_absolute():
-            in_programs = programs_dir / p
-            p = in_programs if in_programs.exists() else config_dir / p
-        expert = str(p)
+        expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
     return CampaignConfig(loop=loop_cfg, candidates=candidates, expert_program=expert)

@@ -34,9 +34,6 @@ class LabeledTree:
     label: tuple
     children: list = field(default_factory=list)
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
 
 def _value_label(name: str, value) -> tuple:
     if isinstance(value, bool):
@@ -214,37 +211,6 @@ def ast_similarity(a: Program | FlatTree, b: Program | FlatTree) -> float:
     return min(1.0, max(0.0, sim))
 
 
-# --- campaign metrics ---------------------------------------------------------
-
-
-def _scored(campaign: CampaignResult) -> list:
-    scored = [c for c in campaign.candidates if c.result is not None and c.n_trials > 0]
-    if not scored:
-        raise EmptyCampaignError("campaign has no candidates with executed trials")
-    return scored
-
-
-def asr(campaign: CampaignResult) -> float:
-    """Goal-met trials over all trials in the candidates' final iterations."""
-    scored = _scored(campaign)
-    return sum(c.success_count for c in scored) / sum(c.n_trials for c in scored)
-
-
-def top5_asr(campaign: CampaignResult) -> float:
-    """Mean success rate of the five best candidates (all when fewer),
-    ties broken by candidate id."""
-    scored = _scored(campaign)
-    ranked = sorted(scored, key=lambda c: (-c.success_rate, c.candidate_id))[:5]
-    return sum(c.success_rate for c in ranked) / len(ranked)
-
-
-def cr_iter(campaign: CampaignResult) -> float:
-    """Mean iterations to exceed the success threshold; non-converged
-    candidates contribute the iteration cap."""
-    scored = _scored(campaign)
-    return sum(c.cr_iter for c in scored) / len(scored)
-
-
 # --- metrics.json -------------------------------------------------------------
 
 
@@ -268,8 +234,8 @@ def _candidate_entries(campaign: CampaignResult) -> list[dict]:
 
 def metrics_payload(task: str, entries: list[dict], threshold: float,
                     max_iterations: int, expert_text: str | None) -> dict:
-    from .dsl.ast import count_nodes
-
+    """ASR, Top5-ASR, CR-Iter and the code-structure metrics over one entry
+    row per candidate, as built from a live campaign or from artifacts."""
     scored = [e for e in entries if e["error"] is None and e["n_trials"] > 0]
     if not scored:
         raise EmptyCampaignError("campaign has no candidates with executed trials")
@@ -301,13 +267,13 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
             "ast_similarity_vs_expert": None,
         }
         if e["final_program_text"]:
-            program = parse(e["final_program_text"])
+            tree = flatten(program_tree(parse(e["final_program_text"])))
             row["token_len"] = count_tokens(e["final_program_text"])
-            row["node_count"] = count_nodes(program)
+            row["node_count"] = len(tree)
             token_lens.append(row["token_len"])
             node_counts.append(row["node_count"])
             if expert_tree is not None:
-                row["ast_similarity_vs_expert"] = ast_similarity(program, expert_tree)
+                row["ast_similarity_vs_expert"] = ast_similarity(tree, expert_tree)
                 similarities.append(row["ast_similarity_vs_expert"])
         per_candidate.append(row)
 

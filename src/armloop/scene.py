@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,9 +101,6 @@ class Actor:
 
     def top_z(self) -> float:
         return float(self.pose.p[2] + self.extent[2])
-
-    def bottom_z(self) -> float:
-        return float(self.pose.p[2] - self.extent[2])
 
 
 @dataclass(eq=False)
@@ -289,18 +287,54 @@ def eval_predicate(pred: Predicate, scene: Scene) -> bool:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def select_arm(scene: Scene, actor: str) -> str:
-    """Left arm iff the actor sits in the left half-plane (world x < 0)."""
-    return "left" if float(scene.actor(actor).pose.p[0]) < 0.0 else "right"
-
-
 # --- task file loading ----------------------------------------------------
 
 
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise TaskSchemaError(where, f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _typed(obj, dict, where):
         raise TaskSchemaError(f"{where}.{key}", "missing required field")
     return obj[key]
+
+
+def _string(obj: dict, key: str, where: str) -> str:
+    return _typed(_require(obj, key, where), str, f"{where}.{key}")
+
+
+def _number(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise TaskSchemaError(where, f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise TaskSchemaError(where, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _non_negative(value, where: str) -> float:
+    number = _number(value, where)
+    if number < 0:
+        raise TaskSchemaError(where, "must be non-negative")
+    return number
+
+
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if number <= 0:
+        raise TaskSchemaError(where, "must be positive")
+    return number
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TaskSchemaError(where, f"expected an integer, got {value!r}") from None
 
 
 def _load_pose(values, where: str) -> Pose:
@@ -315,8 +349,8 @@ def _load_vec3(values, where: str) -> np.ndarray:
         v = np.asarray([float(x) for x in values], dtype=float)
     except (TypeError, ValueError):
         raise TaskSchemaError(where, "expected 3 numbers") from None
-    if v.shape != (3,):
-        raise TaskSchemaError(where, "expected 3 numbers")
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise TaskSchemaError(where, "expected 3 finite numbers")
     return v
 
 
@@ -330,8 +364,8 @@ def _load_axis(values, where: str) -> np.ndarray:
 def _load_points(raw, where: str) -> list[LocalPoint]:
     pts = []
     seen = set()
-    for i, entry in enumerate(raw or []):
-        pid = int(_require(entry, "id", f"{where}[{i}]"))
+    for i, entry in enumerate(_typed(raw or [], list, where)):
+        pid = _int(_require(entry, "id", f"{where}[{i}]"), f"{where}[{i}].id")
         if pid in seen:
             raise TaskSchemaError(f"{where}[{i}].id", f"duplicate point id {pid}")
         seen.add(pid)
@@ -341,7 +375,7 @@ def _load_points(raw, where: str) -> list[LocalPoint]:
 
 def _load_actor(raw: dict, idx: int) -> Actor:
     where = f"actors[{idx}]"
-    name = _require(raw, "name", where)
+    name = _string(raw, "name", where)
     actor = Actor(
         name=name,
         pose=_load_pose(_require(raw, "pose", where), f"{where}.pose"),
@@ -351,6 +385,8 @@ def _load_actor(raw: dict, idx: int) -> Actor:
         functional_points=_load_points(raw.get("functional_points"), f"{where}.functional_points"),
         utility_points=_load_points(raw.get("utility_points"), f"{where}.utility_points"),
     )
+    if (actor.extent < 0).any():
+        raise TaskSchemaError(f"{where}.extent", "must be non-negative")
     for key in ("grasp_axis", "place_axis", "util_axis"):
         if key in raw:
             setattr(actor, key, _load_axis(raw[key], f"{where}.{key}"))
@@ -368,11 +404,12 @@ def _parse_point_ref(raw, where: str) -> PointRef:
         parts = raw.split(".")
         if len(parts) != 3 or parts[1] not in POINT_CATEGORIES:
             raise TaskSchemaError(where, f"bad point ref {raw!r}")
-        return PointRef(parts[0], parts[1], int(parts[2]))
+        return PointRef(parts[0], parts[1], _int(parts[2], where))
     cat = _require(raw, "category", where)
     if cat not in POINT_CATEGORIES:
         raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return PointRef(_require(raw, "actor", where), cat, int(_require(raw, "id", where)))
+    return PointRef(_string(raw, "actor", where), cat,
+                    _int(_require(raw, "id", where), f"{where}.id"))
 
 
 def _parse_axis_ref(raw, where: str) -> AxisRef:
@@ -384,62 +421,36 @@ def _parse_axis_ref(raw, where: str) -> AxisRef:
     cat = _require(raw, "category", where)
     if cat not in AXIS_CATEGORIES:
         raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return AxisRef(_require(raw, "actor", where), cat)
+    return AxisRef(_string(raw, "actor", where), cat)
 
 
 def parse_predicate(raw: dict, where: str = "goal") -> Predicate:
-    op = _require(raw, "op", where).lower()
+    op = _string(raw, "op", where).lower()
     if op in ("all", "any"):
         children = tuple(
             parse_predicate(c, f"{where}.children[{i}]")
-            for i, c in enumerate(_require(raw, "children", where))
+            for i, c in enumerate(_typed(_require(raw, "children", where), list, f"{where}.children"))
         )
         return All(children) if op == "all" else Any_(children)
     if op == "near":
-        tol = float(_require(raw, "tol", where))
-        if tol <= 0:
-            raise TaskSchemaError(f"{where}.tol", "tolerance must be positive")
+        tol = _positive(_require(raw, "tol", where), f"{where}.tol")
         return Near(_parse_point_ref(_require(raw, "a", where), f"{where}.a"),
                     _parse_point_ref(_require(raw, "b", where), f"{where}.b"), tol)
     if op == "aligned":
-        tol = float(_require(raw, "tol", where))
-        if tol <= 0:
-            raise TaskSchemaError(f"{where}.tol", "tolerance must be positive")
+        tol = _positive(_require(raw, "tol", where), f"{where}.tol")
         return Aligned(_parse_axis_ref(_require(raw, "a", where), f"{where}.a"),
                        _parse_axis_ref(_require(raw, "b", where), f"{where}.b"), tol)
     if op == "held":
         arm = _require(raw, "arm", where)
         if arm not in ARM_TAGS:
             raise TaskSchemaError(f"{where}.arm", f"bad arm {arm!r}")
-        return Held(_require(raw, "actor", where), arm)
+        return Held(_string(raw, "actor", where), arm)
     if op == "free":
-        return Free(_require(raw, "actor", where))
+        return Free(_string(raw, "actor", where))
     if op == "above":
-        dz = float(_require(raw, "min_dz", where))
-        if dz <= 0:
-            raise TaskSchemaError(f"{where}.min_dz", "min_dz must be positive")
-        return Above(_require(raw, "a", where), _require(raw, "b", where), dz)
+        dz = _positive(_require(raw, "min_dz", where), f"{where}.min_dz")
+        return Above(_string(raw, "a", where), _string(raw, "b", where), dz)
     raise TaskSchemaError(f"{where}.op", f"unknown predicate op {op!r}")
-
-
-def predicate_to_json(pred: Predicate) -> dict:
-    if isinstance(pred, All):
-        return {"op": "all", "children": [predicate_to_json(c) for c in pred.children]}
-    if isinstance(pred, Any_):
-        return {"op": "any", "children": [predicate_to_json(c) for c in pred.children]}
-    if isinstance(pred, Near):
-        return {"op": "near", "a": f"{pred.a.actor}.{pred.a.category}.{pred.a.id}",
-                "b": f"{pred.b.actor}.{pred.b.category}.{pred.b.id}", "tol": pred.tol}
-    if isinstance(pred, Aligned):
-        return {"op": "aligned", "a": f"{pred.a.actor}.{pred.a.category}",
-                "b": f"{pred.b.actor}.{pred.b.category}", "tol": pred.tol}
-    if isinstance(pred, Held):
-        return {"op": "held", "actor": pred.actor, "arm": pred.arm}
-    if isinstance(pred, Free):
-        return {"op": "free", "actor": pred.actor}
-    if isinstance(pred, Above):
-        return {"op": "above", "a": pred.a, "b": pred.b, "min_dz": pred.min_dz}
-    raise TypeError(f"not a predicate: {pred!r}")
 
 
 # Subgoal annotation, e.g. "grasp the shoe [HELD(shoe)]". HELD without an
@@ -462,11 +473,12 @@ def _parse_annotation(kind: str, args_text: str, where: str) -> Predicate:
     if kind == "NEAR":
         if len(args) != 3:
             raise TaskSchemaError(where, f"bad NEAR annotation args {args_text!r}")
-        return Near(_parse_point_ref(args[0], where), _parse_point_ref(args[1], where), float(args[2]))
+        return Near(_parse_point_ref(args[0], where), _parse_point_ref(args[1], where),
+                    _positive(args[2], where))
     if kind == "ABOVE":
         if len(args) != 3:
             raise TaskSchemaError(where, f"bad ABOVE annotation args {args_text!r}")
-        return Above(args[0], args[1], float(args[2]))
+        return Above(args[0], args[1], _positive(args[2], where))
     raise TaskSchemaError(where, f"unknown annotation {kind!r}")
 
 
@@ -478,7 +490,7 @@ def _load_subgoal(raw, idx: int) -> SubgoalTemplate:
             checkpoint = _parse_annotation(m.group(1), m.group(2), where)
             return SubgoalTemplate(raw[: m.start()].rstrip(), checkpoint)
         return SubgoalTemplate(raw)
-    text = _require(raw, "text", where)
+    text = _string(raw, "text", where)
     checkpoint = None
     if raw.get("checkpoint") is not None:
         checkpoint = parse_predicate(raw["checkpoint"], f"{where}.checkpoint")
@@ -531,15 +543,16 @@ def load_task_spec(path) -> TaskSpec:
     if not isinstance(raw, dict):
         raise TaskParseError(f"{path}: top level must be an object")
 
-    name = _require(raw, "name", "task")
-    instruction = _require(raw, "instruction", "task")
-    actors = [_load_actor(a, i) for i, a in enumerate(_require(raw, "actors", "task"))]
+    name = _string(raw, "name", "task")
+    instruction = _string(raw, "instruction", "task")
+    raw_actors = _typed(_require(raw, "actors", "task"), list, "actors")
+    actors = [_load_actor(a, i) for i, a in enumerate(raw_actors)]
     names = [a.name for a in actors]
     if len(set(names)) != len(names):
         raise TaskSchemaError("actors", "duplicate actor names")
     actor_map = {a.name: a for a in actors}
 
-    raw_subgoals = _require(raw, "subgoals", "task")
+    raw_subgoals = _typed(_require(raw, "subgoals", "task"), list, "subgoals")
     if not raw_subgoals:
         raise TaskSchemaError("subgoals", "at least one subgoal template required")
     subgoals = [_load_subgoal(s, i) for i, s in enumerate(raw_subgoals)]
@@ -547,15 +560,11 @@ def load_task_spec(path) -> TaskSpec:
     goal = parse_predicate(_require(raw, "goal", "task"), "goal")
     _check_predicate_refs(goal, actor_map, "goal")
 
-    raw_noise = raw.get("noise", {})
-    noise = NoiseSpec(
-        pos_sigma=float(raw_noise.get("pos_sigma", 0.0)),
-        rot_sigma=float(raw_noise.get("rot_sigma", 0.0)),
-        slip_base=float(raw_noise.get("slip_base", 0.0)),
-    )
-    for fld in ("pos_sigma", "rot_sigma", "slip_base"):
-        if getattr(noise, fld) < 0:
-            raise TaskSchemaError(f"noise.{fld}", "must be non-negative")
+    raw_noise = _typed(raw.get("noise", {}), dict, "noise")
+    noise = NoiseSpec(**{
+        fld: _non_negative(raw_noise.get(fld, 0.0), f"noise.{fld}")
+        for fld in ("pos_sigma", "rot_sigma", "slip_base")
+    })
 
     spec = TaskSpec(
         name=name,
@@ -564,19 +573,26 @@ def load_task_spec(path) -> TaskSpec:
         subgoals=subgoals,
         goal=goal,
         noise=noise,
-        place_tolerance=float(raw.get("place_tolerance", DEFAULT_PLACE_TOLERANCE)),
+        place_tolerance=_non_negative(
+            raw.get("place_tolerance", DEFAULT_PLACE_TOLERANCE), "place_tolerance"
+        ),
     )
     if "workspaces" in raw:
-        for tag, box in raw["workspaces"].items():
+        for tag, box in _typed(raw["workspaces"], dict, "workspaces").items():
             if tag not in ARM_TAGS:
                 raise TaskSchemaError(f"workspaces.{tag}", "arm must be left or right")
             for axis_name in "xyz":
-                lo, hi = box[axis_name]
-                spec.workspaces[tag][axis_name] = (float(lo), float(hi))
+                where = f"workspaces.{tag}.{axis_name}"
+                raw_bounds = _typed(_require(box, axis_name, f"workspaces.{tag}"), list, where)
+                bounds = tuple(_number(b, where) for b in raw_bounds)
+                if len(bounds) != 2 or bounds[0] > bounds[1]:
+                    raise TaskSchemaError(where, "expected [lo, hi] with lo <= hi")
+                spec.workspaces[tag][axis_name] = bounds
     if "arm_home" in raw:
-        for tag, vals in raw["arm_home"].items():
+        for tag, vals in _typed(raw["arm_home"], dict, "arm_home").items():
             if tag not in ARM_TAGS:
                 raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
+            _load_pose(vals, f"arm_home.{tag}")
             spec.homes[tag] = [float(v) for v in vals]
 
     # Checkpoints: explicit entries override; the final subgoal defaults to

@@ -21,11 +21,11 @@ import numpy as np
 
 from ..dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from ..dsl.printer import render_args, render_call
+from ..errors import UnknownActorError, UnknownPointError
 from ..geometry import Pose, quat_between, quat_from_axis_angle, quat_mul
+from ..instrument import FINAL_STEP
 from ..scene import Actor, Scene, TaskSpec, eval_predicate
 from .model import Snapshot, SimConfig, SymbolicEvent, TrialLog, scene_state
-
-FINAL_STEP = "final_scene_state"
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
@@ -40,7 +40,6 @@ class _Failure(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
-        self.message = message
 
 
 def _penetration(point: np.ndarray, actor: Actor) -> float:
@@ -155,12 +154,6 @@ class _Executor:
 
     # -- statement handlers --------------------------------------------------
 
-    def _runtime_actor(self, name: str) -> Actor:
-        actor = self.scene.actors.get(name)
-        if actor is None:
-            raise _Failure("invalid_call", f"unknown actor {name!r}")
-        return actor
-
     def _require_pos_range(self, value: float, name: str):
         if value < 0.0 or value > 1.0:
             raise _Failure("invalid_call", f"{name}={value} outside [0, 1]")
@@ -191,7 +184,7 @@ class _Executor:
 
     def _op_grasp_actor(self, args):
         tag = args["arm"]
-        actor = self._runtime_actor(args["actor"])
+        actor = self.scene.actor(args["actor"])
         if actor.static:
             raise _Failure("invalid_call", f"actor {actor.name!r} is static and cannot be grasped")
         if tag in self.holding:
@@ -205,10 +198,7 @@ class _Executor:
                 key=lambda pt: (float(np.linalg.norm(actor.pose.compose(pt.pose).p - tcp_p)), pt.id),
             )
         else:
-            matches = [pt for pt in actor.contact_points if pt.id == cid]
-            if not matches:
-                raise _Failure("invalid_call", f"actor {actor.name!r} has no contact point {cid}")
-            contact = matches[0]
+            contact = actor.point("contact", cid)
 
         contact_world = actor.pose.compose(contact.pose)
         approach = actor.world_axis("grasp")
@@ -245,20 +235,16 @@ class _Executor:
 
     def _op_place_actor(self, args):
         tag = args["arm"]
-        actor = self._runtime_actor(args["actor"])
+        actor = self.scene.actor(args["actor"])
         if actor.held_by != tag:
             raise _Failure("not_held", f"actor {actor.name!r} is not held by the {tag} arm")
 
         target = args["target"]
         if isinstance(target, FpRef):
-            target_actor = self._runtime_actor(target.actor)
-            matches = [pt for pt in target_actor.functional_points if pt.id == target.point_id]
-            if not matches:
-                raise _Failure(
-                    "invalid_call",
-                    f"actor {target.actor!r} has no functional point {target.point_id}",
-                )
-            target_pose = target_actor.pose.compose(matches[0].pose)
+            target_actor = self.scene.actor(target.actor)
+            target_pose = target_actor.pose.compose(
+                target_actor.point("functional", target.point_id).pose
+            )
         elif isinstance(target, PoseLit):
             target_pose = Pose.from_list(list(target.values))
         else:
@@ -268,10 +254,7 @@ class _Executor:
         if fid == "none":
             fp_local = Pose()
         else:
-            matches = [pt for pt in actor.functional_points if pt.id == fid]
-            if not matches:
-                raise _Failure("invalid_call", f"actor {actor.name!r} has no functional point {fid}")
-            fp_local = matches[0].pose
+            fp_local = actor.point("functional", fid).pose
 
         if args["pre_dis_axis"] == "fp":
             offset_dir = target_pose.rotate(_WORLD_UP)
@@ -390,8 +373,9 @@ class _Executor:
             else:
                 try:
                     self._HANDLERS[stmt.name](self, stmt.args)
-                except _Failure as failure:
-                    self._emit(stmt, subgoal, "failure", failure.category, failure.message)
+                except (_Failure, UnknownActorError, UnknownPointError) as exc:
+                    category = exc.category if isinstance(exc, _Failure) else "invalid_call"
+                    self._emit(stmt, subgoal, "failure", category, str(exc))
                     self.last_op = stmt
                     self.t += 1
                     break

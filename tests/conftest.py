@@ -119,6 +119,6 @@ def random_program(rng: random.Random, max_subgoals: int = 3, max_stmts: int = 5
                 stmts.append(random_call(rng))
         description = " ".join(rng.sample(_WORDS, rng.randint(1, 3)))
         if rng.random() < 0.1:
-            description += ' "tight" \\ case'
+            description += ' "tight" \\ case #2'
         subgoals.append(SubgoalBlock(si + 1, description, stmts))
     return renumber(Program(rng.choice(_ACTORS) + "_task", subgoals))

@@ -26,19 +26,13 @@ from armloop.loop import (
     fuse,
     run_campaign,
 )
-from armloop.metrics import (
-    LabeledTree,
-    asr,
-    cr_iter,
-    top5_asr,
-    tree_edit_distance,
-)
+from armloop.metrics import LabeledTree, tree_edit_distance
 from armloop.scene import load_task_spec
 from armloop.sim import SimConfig, dumps_trial, execute, run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
 from conftest import TASK_NAMES, program_path, random_program, task_path
-from test_metrics import make_campaign
+from test_metrics import asr, cr_iter, make_campaign, top5_asr
 
 GOLDEN = Path(__file__).parent / "golden"
 

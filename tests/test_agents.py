@@ -27,6 +27,7 @@ from armloop.errors import (
 )
 from armloop.harness import collect_observations
 from armloop.instrument import insert_observations
+from armloop.loop import FaultEntry, RepairSignal
 from armloop.sim import SimConfig, execute
 from armloop.sim.model import ERROR_CATEGORIES
 
@@ -107,26 +108,52 @@ def test_extract_code_block():
         extract_code_block("no fence at all")
 
 
-def test_mock_playbook_contract(place_shoe_spec):
-    config = AgentConfig(
+def _signal(n_faults: int) -> RepairSignal:
+    fault = FaultEntry(stmt_id=2, subgoal_index=1, cause="geometric_infeasibility",
+                       suggested_edit_class="parameter_retune", source="symbolic")
+    return RepairSignal(faults=[fault] * n_faults, last_error="missed")
+
+
+def _loud_then_correct():
+    return AgentConfig(
         backend="mock",
         playbook=[str(program_path("place_shoe", "loud")),
                   str(program_path("place_shoe", "correct"))],
     )
-    synth = Synthesizer(config)
+
+
+def test_mock_playbook_contract(place_shoe_spec):
+    synth = Synthesizer(_loud_then_correct())
     first = synth.synthesize("initial prompt", place_shoe_spec)
     assert first == parse(program_path("place_shoe", "loud").read_text())
-    # Without an actionable fault line the playbook does not advance.
-    again = synth.synthesize("The code is unsuccessful, nothing localized", place_shoe_spec)
+    # Without a localized fault the playbook does not advance.
+    again = synth.synthesize("The code is unsuccessful", place_shoe_spec, _signal(0))
     assert again == first
-    fixed = synth.synthesize(
-        "The code is unsuccessful\n- [subgoal 1] stmt 2 cause=geometric_infeasibility",
-        place_shoe_spec,
-    )
+    fixed = synth.synthesize("The code is unsuccessful", place_shoe_spec, _signal(1))
     assert fixed == parse(program_path("place_shoe", "correct").read_text())
     # Exhausted playbooks clamp to the last program.
-    same = synth.synthesize("- [subgoal 1] stmt 2 cause=x", place_shoe_spec)
+    same = synth.synthesize("The code is unsuccessful", place_shoe_spec, _signal(2))
     assert same == fixed
+
+
+def test_mock_playbook_reads_the_signal_not_the_prompt(place_shoe_spec):
+    # Subgoal text that looks like a rendered fault line must not count as
+    # one: only the structured signal decides.
+    subgoals = ["- [subgoal 1] stmt 2 cause=geometric_infeasibility", "place it"]
+    current = parse(program_path("place_shoe", "loud").read_text())
+    quiet = _signal(0)
+    prompt = build_synthesis_prompt(
+        place_shoe_spec, subgoals, current=current,
+        feedback=(quiet.last_error, quiet.render_feedback()),
+    )
+    assert "- [subgoal " in prompt
+    synth = Synthesizer(_loud_then_correct())
+    first = synth.synthesize(prompt, place_shoe_spec)
+    assert synth.synthesize(prompt, place_shoe_spec, quiet) == first
+    loud = _signal(1)
+    assert "- [subgoal " in loud.render_feedback()
+    fixed = synth.synthesize("no fault text here", place_shoe_spec, loud)
+    assert fixed == parse(program_path("place_shoe", "correct").read_text())
 
 
 def test_synthesize_rejects_invalid_program(tmp_path, place_shoe_spec):

@@ -58,6 +58,37 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     assert "CR-Iter 2.00" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"mode": "hybrid", "n_trials": "a"}', "n_trials"),
+    ('{"mode": "hybrid", "n_trials": 10, "candidates": [{"playbook": ["loud.prog"', "config"),
+    ('[1, 2]', "config"),
+    ('{"max_iterations": 0}', "max_iterations"),
+    ('{"observation_cap": 2}', "observation_cap"),
+    ('{"weights": [1.0]}', "weights"),
+    ('{"synthesis": {"timeout_s": "slow"}}', "synthesis"),
+    ('{"candidates": [{"base_seed": -1, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
+    ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
+    ('{"expert_program": "missing.prog"}', "expert_program"),
+])
+def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    code = main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert f"error [config_error]: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_malformed_task_exits_two(tmp_path, capsys):
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw["arm_home"] = {"left": [-0.25, 0.0, 0.3]}
+    task = tmp_path / "bad.task.json"
+    task.write_text(json.dumps(raw))
+    code = main(["run", str(task), _prog("correct"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error [schema_error]: arm_home.left: " in capsys.readouterr().err
+
+
 def test_loop_missing_api_key_exits_three_before_network(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ARMLOOP_MISSING_KEY", raising=False)
     config = tmp_path / "remote.json"

@@ -5,7 +5,6 @@ import pytest
 from armloop.dsl import (
     CallStmt,
     ParallelStmt,
-    count_nodes,
     count_tokens,
     parse,
     to_text,
@@ -13,6 +12,7 @@ from armloop.dsl import (
 )
 from armloop.dsl.ast import FpRef, Program, SubgoalBlock
 from armloop.errors import BadArgError, DslSyntaxError, UnknownApiError
+from armloop.metrics import flatten, program_tree
 
 from conftest import program_path, random_program
 
@@ -109,14 +109,14 @@ def test_token_count_examples():
 
 def test_node_count_empty_program():
     program = Program("t", [SubgoalBlock(1, "nothing", [])])
-    assert count_nodes(program) == 3
+    assert len(flatten(program_tree(program))) == 3
 
 
 def test_node_count_fixture():
     program = parse(program_path("place_shoe", "correct").read_text())
     # program + 2*(subgoal+description) + per-statement (1 + resolved args):
     # grasp 7, move 6, place 10, observe 2, move 6, back 2.
-    assert count_nodes(program) == 1 + 4 + 7 + 6 + 10 + 2 + 6 + 2
+    assert len(flatten(program_tree(program))) == 1 + 4 + 7 + 6 + 10 + 2 + 6 + 2
 
 
 def test_print_omits_defaults():

@@ -16,10 +16,10 @@ from armloop.loop import (
     run_campaign,
     run_loop,
 )
-from armloop.metrics import asr, cr_iter, top5_asr
 from armloop.sim.model import SymbolicEvent, TrialLog, load_trials
 
 from conftest import TASKS_DIR, program_path, task_path
+from test_metrics import asr, cr_iter, top5_asr
 
 
 def _program():

@@ -3,17 +3,15 @@ from functools import lru_cache
 
 import pytest
 
-from armloop.dsl import parse
+from armloop.dsl import ParallelStmt, parse
 from armloop.errors import EmptyCampaignError
 from armloop.loop import CampaignResult, CandidateResult, IterationRecord, LoopResult
 from armloop.metrics import (
     LabeledTree,
-    asr,
     ast_similarity,
-    cr_iter,
+    flatten,
     metrics_from_campaign,
     program_tree,
-    top5_asr,
     tree_edit_distance,
 )
 
@@ -21,6 +19,9 @@ from conftest import program_path, random_program
 
 
 # --- campaign fixtures -----------------------------------------------------------
+
+
+_FIXTURE_PROGRAM = parse('program t\nsubgoal "s"\n  open_gripper(left)\n')
 
 
 def make_campaign(rows, n_trials=10, cap=5):
@@ -34,10 +35,22 @@ def make_campaign(rows, n_trials=10, cap=5):
             success_count=success, n_trials=n_trials, logs=[], selection=None,
         )
         result = LoopResult(
-            iterations=[record], converged=converged, final_program=None, cr_iter=cr
+            iterations=[record], converged=converged, final_program=_FIXTURE_PROGRAM, cr_iter=cr
         )
         campaign.candidates.append(CandidateResult(cid, cid * 100, result=result))
     return campaign
+
+
+def asr(campaign):
+    return metrics_from_campaign(campaign)["asr"]
+
+
+def top5_asr(campaign):
+    return metrics_from_campaign(campaign)["top5_asr"]
+
+
+def cr_iter(campaign):
+    return metrics_from_campaign(campaign)["cr_iter"]
 
 
 def test_asr_paper_scale_example():
@@ -186,7 +199,7 @@ def test_ast_similarity_single_relabel():
     a = parse('program t\nsubgoal "s"\n  open_gripper(left)\n')
     b = parse('program t\nsubgoal "s"\n  close_gripper(left)\n')
     # program + subgoal + description + call + 2 args = 6 nodes; one relabel.
-    assert program_tree(a).size() == 6
+    assert len(flatten(program_tree(a))) == 6
     assert ast_similarity(a, b) == pytest.approx(1 - 1 / 6)
 
 
@@ -211,10 +224,24 @@ def test_actor_change_is_structural():
     assert ast_similarity(a, b) < 1.0
 
 
-def test_node_count_consistency_with_tree(place_shoe_spec):
-    from armloop.dsl import count_nodes
+def _count_nodes(program) -> int:
+    """Independent node count: program, subgoals, descriptions, statements
+    (parallel blocks included) and arguments."""
 
+    def stmt_nodes(stmt) -> int:
+        if isinstance(stmt, ParallelStmt):
+            return 1 + sum(stmt_nodes(c) for c in stmt.left + stmt.right)
+        return 1 + len(stmt.args)
+
+    return 1 + sum(2 + sum(stmt_nodes(s) for s in sg.statements) for sg in program.subgoals)
+
+
+def test_node_count_consistency_with_tree(place_shoe_spec):
     rng = random.Random(21)
     for _ in range(20):
         program = random_program(rng)
-        assert program_tree(program).size() == count_nodes(program)
+        campaign = make_campaign([(10, 1, True)])
+        campaign.candidates[0].result.final_program = program
+        payload = metrics_from_campaign(campaign)
+        assert payload["per_candidate"][0]["node_count"] == _count_nodes(program)
+        assert payload["node_count"] == _count_nodes(program)

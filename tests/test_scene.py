@@ -1,14 +1,21 @@
 import copy
 import itertools
 import json
-import random
 
 import numpy as np
 import pytest
 
-from armloop.errors import TaskParseError, TaskSchemaError, UnknownActorError, UnknownPointError
+from armloop.errors import (
+    ArmloopError,
+    TaskParseError,
+    TaskSchemaError,
+    UnknownActorError,
+    UnknownPointError,
+)
 from armloop.geometry import Pose, quat_from_axis_angle
 from armloop.scene import (
+    DEFAULT_HOMES,
+    DEFAULT_WORKSPACES,
     All,
     Any_,
     Aligned,
@@ -21,10 +28,9 @@ from armloop.scene import (
     eval_predicate,
     load_task_spec,
     resolve_point,
-    select_arm,
 )
 
-from conftest import task_path
+from conftest import TASK_NAMES, task_path
 
 
 def test_load_place_shoe_roundtrip(place_shoe_spec):
@@ -85,6 +91,95 @@ def test_axis_must_be_unit(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(TaskSchemaError):
         load_task_spec(path)
+
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("actors",), 5, "actors"),
+    (("workspaces",), {"left": {"x": [-0.5, 0.0], "y": [-0.1, 0.4]}}, "workspaces.left.z"),
+    (("workspaces",), {"right": {"x": [0.5, 0.0], "y": [-0.1, 0.4], "z": [0, 1]}},
+     "workspaces.right.x"),
+    (("noise", "pos_sigma"), "a", "noise.pos_sigma"),
+    (("subgoals", 0), "pick up the shoe [NEAR(shoe.functional.0, target_block.functional.0, x)]",
+     "subgoals[0]"),
+    (("arm_home",), {"left": [0.0, 0.0, 0.3]}, "arm_home.left"),
+    (("place_tolerance",), -0.01, "place_tolerance"),
+    (("actors", 0, "extent"), [0.05, -0.02, 0.02], "actors[0].extent"),
+    (("actors", 0, "contact_points", 0, "id"), None, "actors[0].contact_points[0].id"),
+    (("goal", "children", 0, "tol"), float("nan"), "goal.children[0].tol"),
+    (("goal", "children", 1, "actor"), ["shoe"], "goal.children[1].actor"),
+])
+def test_malformed_field_is_schema_error_naming_it(tmp_path, path, value, field):
+    raw = json.loads(task_path("place_shoe").read_text())
+    _set(raw, path, value)
+    bad = tmp_path / "bad.task.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(TaskSchemaError) as err:
+        load_task_spec(bad)
+    assert err.value.field == field
+
+
+def _json_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        # The numbers of a vector share one check; mutating the first stands
+        # for all of them.
+        numeric = all(isinstance(v, (int, float)) for v in node)
+        items = list(enumerate(node))[:1] if numeric else enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutations(value):
+    """Drop the field, change its type, or make a number negative or NaN."""
+    yield "drop"
+    yield from ("a", None, [], {})
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield from (-value - 1, float("nan"))
+    if isinstance(value, list) and value:
+        yield value[:-1]
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_task_loader_mutation_fuzz(tmp_path, task):
+    """Every mutation of a bundled task file either loads or raises an
+    ArmloopError; nothing else escapes the loader."""
+    base = json.loads(task_path(task).read_text())
+    # The optional arm overrides are fuzzed too.
+    base.setdefault("workspaces", {t: {a: list(b) for a, b in box.items()}
+                                   for t, box in DEFAULT_WORKSPACES.items()})
+    base.setdefault("arm_home", copy.deepcopy(DEFAULT_HOMES))
+    text = json.dumps(base)
+    path = tmp_path / "mutant.task.json"
+    path.write_text(text)
+    load_task_spec(path)
+    for field_path, value in list(_json_paths(base)):
+        for mutation in _mutations(value):
+            raw = json.loads(text)
+            if mutation == "drop":
+                parent = raw
+                for key in field_path[:-1]:
+                    parent = parent[key]
+                del parent[field_path[-1]]
+            else:
+                _set(raw, field_path, mutation)
+            path.write_text(json.dumps(raw))
+            try:
+                load_task_spec(path)
+            except ArmloopError:
+                pass
+            except Exception as exc:  # pragma: no cover - the failure report
+                pytest.fail(f"{field_path} -> {mutation!r}: {type(exc).__name__}: {exc}")
 
 
 # --- resolve_point ------------------------------------------------------------
@@ -170,33 +265,6 @@ def test_predicate_purity(place_shoe_spec):
     first = eval_predicate(pred, copy.deepcopy(scene))
     second = eval_predicate(pred, copy.deepcopy(scene))
     assert first == second
-
-
-# --- select_arm ---------------------------------------------------------------
-
-
-def test_select_arm_examples(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    shoe = scene.actor("shoe")
-    shoe.pose = Pose(np.array([-0.2, 0.1, 0.02]))
-    assert select_arm(scene, "shoe") == "left"
-    shoe.pose = Pose(np.array([0.2, 0.1, 0.02]))
-    assert select_arm(scene, "shoe") == "right"
-    shoe.pose = Pose(np.array([0.0, 0.1, 0.02]))
-    assert select_arm(scene, "shoe") == "right"
-
-
-def test_select_arm_ignores_y_and_z(place_shoe_spec):
-    rng = random.Random(5)
-    scene = Scene.from_spec(place_shoe_spec)
-    for _ in range(25):
-        x = rng.uniform(-0.5, 0.5)
-        expected = "left" if x < 0 else "right"
-        for _ in range(4):
-            scene.actor("shoe").pose = Pose(
-                np.array([x, rng.uniform(-1, 1), rng.uniform(0, 1)])
-            )
-            assert select_arm(scene, "shoe") == expected
 
 
 def test_checkpoint_annotation_stripped(place_shoe_spec):

@@ -172,6 +172,28 @@ def test_runtime_functional_point_invalid_call(place_shoe_spec):
     assert log.failure_event.error_category == "invalid_call"
 
 
+@pytest.mark.parametrize("stmts, message", [
+    (["grasp_actor(ghost, left)"], "unknown actor 'ghost'"),
+    (["grasp_actor(shoe, left, contact_point_id=3)"], "actor 'shoe' has no contact point 3"),
+    (["place_actor(ghost, left, fp(target_block, 0))"], "unknown actor 'ghost'"),
+    (["grasp_actor(shoe, left)", "place_actor(shoe, left, fp(ghost, 0))"],
+     "unknown actor 'ghost'"),
+    (["grasp_actor(shoe, left)", "place_actor(shoe, left, fp(target_block, 5))"],
+     "actor 'target_block' has no functional point 5"),
+    (["grasp_actor(shoe, left)",
+      "place_actor(shoe, left, fp(target_block, 0), functional_point_id=7)"],
+     "actor 'shoe' has no functional point 7"),
+])
+def test_runtime_unknown_actor_or_point_messages(place_shoe_spec, stmts, message):
+    text = 'program t\nsubgoal "s"\n' + "".join(f"  {s}\n" for s in stmts)
+    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    failure = log.failure_event
+    assert (failure.stmt_id, failure.error_category, failure.message) == (
+        len(stmts), "invalid_call", message,
+    )
+    assert len(log.events) == len(stmts)
+
+
 def test_handover_transfers_held_by():
     spec = load_task_spec(task_path("handover_block"))
     program = _correct("handover_block")

@@ -169,7 +169,7 @@ def test_identical_and_single_edits(task):
     base = program_tree(parse(program_path(task, "correct").read_text()))
     assert _assert_exact(base, copy.deepcopy(base)) == 0
     rng = random.Random(task)
-    for index in rng.sample(range(1, base.size()), 4):
+    for index in rng.sample(range(1, len(flatten(base))), 4):
         relabeled = copy.deepcopy(base)
         list(_nodes(relabeled))[index].label = ("edited",)
         assert _assert_exact(base, relabeled) == 1
@@ -193,7 +193,7 @@ def test_single_node_trees():
     assert _assert_exact(leaf, LabeledTree(("call", "grasp"))) == 0
     assert _assert_exact(leaf, LabeledTree(("call", "place"))) == 1
     program = program_tree(parse(program_path("place_shoe", "correct").read_text()))
-    size = program.size()
+    size = len(flatten(program))
     assert _assert_exact(leaf, program) == size
     # The label occurs only deep inside the other tree.
     for label in (("subgoal",), list(_nodes(program))[-1].label):
