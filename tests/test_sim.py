@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from armloop.instrument import insert_observations
 from armloop.scene import load_task_spec
 from armloop.sim import SimConfig, dumps_trial, execute, run_trials
 
-from conftest import program_path, task_path
+from conftest import TASK_NAMES, program_path, task_path
 
 
 def _correct(task="place_shoe"):
@@ -298,3 +300,32 @@ def test_constrain_free_keeps_yaw_align_resets_it(place_shoe_spec):
             assert x_axis[1] == pytest.approx(np.sin(np.deg2rad(30)), abs=1e-9)
         else:
             assert x_axis[1] == pytest.approx(0.0, abs=1e-9)
+
+
+# --- golden digests -------------------------------------------------------------
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "sim_digests.json"
+
+
+def sim_digests() -> dict[str, str]:
+    """sha256 of the serialized trials of every bundled program, per noise."""
+    digests = {}
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()))
+            for noise in (0, 1):
+                logs = run_trials(program, spec, 20, base_seed=0, noise_scale=float(noise))
+                text = "".join(dumps_trial(log) for log in logs)
+                digests[f"{task}/{kind}/noise{noise}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_sim_digests_match_golden():
+    expected = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    assert sim_digests() == expected
+
+
+if __name__ == "__main__":
+    # Re-record the golden digests: PYTHONPATH=src:tests python tests/test_sim.py
+    GOLDEN_DIGESTS.write_text(json.dumps(sim_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
