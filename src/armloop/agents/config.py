@@ -25,16 +25,3 @@ class AgentConfig:
             raise AgentFailureError(
                 "remote backend requires an endpoint and an api_key_env name"
             )
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "AgentConfig":
-        return cls(
-            backend=raw.get("backend", "mock"),
-            endpoint=raw.get("endpoint", ""),
-            model=raw.get("model", ""),
-            api_key_env=raw.get("api_key_env", ""),
-            timeout_s=float(raw.get("timeout_s", 30.0)),
-            max_retries=int(raw.get("max_retries", 3)),
-            temperature=float(raw.get("temperature", 0.0)),
-            playbook=list(raw.get("playbook", [])),
-        )

@@ -38,7 +38,7 @@ def default_function_example() -> str:
 
 def actor_list(spec: TaskSpec) -> str:
     lines = []
-    for actor in spec.actors:
+    for actor in spec.actors.values():
         points = ", ".join(
             f"fp({actor.name}, {pt.id})" for pt in actor.functional_points
         ) or "none"

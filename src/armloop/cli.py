@@ -13,9 +13,9 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .dsl import parse, to_text, validate
-from .errors import AgentFailureError, ArmloopError
+from .errors import AgentFailureError, ArmloopError, ConfigError
 from .harness import scores_report, select_trial
-from .instrument import insert_observations
+from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .loop import load_campaign_config, run_campaign
 from .render import render_trials
 from .scene import load_task_spec
@@ -31,8 +31,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _at_least(value, flag: str, minimum) -> None:
+    if value is not None and not value >= minimum:
+        raise ConfigError(flag, f"must be at least {minimum}, got {value}")
+
+
 def cmd_run(args) -> int:
     try:
+        _at_least(args.trials, "--trials", 1)
+        _at_least(args.seed, "--seed", 0)
+        _at_least(args.noise_scale, "--noise-scale", 0)
+        _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(Path(args.program_file))
     except ArmloopError as exc:
@@ -66,6 +75,7 @@ def cmd_run(args) -> int:
 
 def cmd_loop(args) -> int:
     try:
+        _at_least(args.max_iter, "--max-iter", 1)
         spec = load_task_spec(args.task_file)
         cfg = load_campaign_config(args.config, args.task_file, spec)
     except ArmloopError as exc:

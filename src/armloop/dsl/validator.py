@@ -29,7 +29,7 @@ def _branch_arms(stmts) -> set[str]:
 
 def validate(program: Program, spec: TaskSpec) -> list[Diagnostic]:
     """One diagnostic per violation; an empty list means statically valid."""
-    actors = spec.actor_map()
+    actors = spec.actors
     diagnostics: list[Diagnostic] = []
     observe_names: dict[str, int] = {}
 

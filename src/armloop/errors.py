@@ -28,7 +28,8 @@ class TaskSchemaError(ArmloopError):
 
 
 class ConfigError(ArmloopError):
-    """Campaign config file unreadable or malformed; names the offending field."""
+    """Campaign config file or command-line option unreadable or malformed;
+    names the offending field or flag."""
 
     code = "config_error"
 

@@ -83,20 +83,26 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-@dataclass(eq=False)
+def readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Pose:
-    """Rigid transform: position p (3,) and unit quaternion q (qw,qx,qy,qz)."""
+    """Immutable rigid transform: position p (3,) and unit quaternion q
+    (qw,qx,qy,qz), both read-only arrays, so poses can be shared freely."""
 
     p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    q: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT.copy())
+    q: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT)
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(3)
         q = np.asarray(self.q, dtype=float).reshape(4)
         n = np.linalg.norm(q)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm {n} too far from 1")
-        self.q = q / n
+        object.__setattr__(self, "p", readonly(np.asarray(self.p, dtype=float).reshape(3)))
+        object.__setattr__(self, "q", readonly(q / n))
 
     @classmethod
     def from_list(cls, values) -> "Pose":
@@ -118,17 +124,6 @@ class Pose:
 
     def rotate(self, v: np.ndarray) -> np.ndarray:
         return quat_rotate(self.q, v)
-
-    def copy(self) -> "Pose":
-        return Pose(self.p.copy(), self.q.copy())
-
-    def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        if not np.allclose(self.p, other.p, atol=tol):
-            return False
-        # q and -q encode the same rotation.
-        return np.allclose(self.q, other.q, atol=tol) or np.allclose(
-            self.q, -other.q, atol=tol
-        )
 
     def __repr__(self):
         vals = ", ".join(f"{v:.4f}" for v in self.as_list())

@@ -541,10 +541,30 @@ def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where:
 
 
 def _agent_config(raw: dict, key: str) -> AgentConfig:
+    section = _expand_env(_expect(raw.get(key, {}), dict, key))
+
+    def value(name: str):  # AgentConfig's class attributes are its defaults
+        return section.get(name, getattr(AgentConfig, name))
+
+    def text(name: str) -> str:
+        return _expect(value(name), str, f"{key}.{name}")
+
+    def number(name: str, kind=float):
+        return _config_number(value(name), f"{key}.{name}", kind)
+
     try:
-        return AgentConfig.from_json(_expand_env(_expect(raw.get(key, {}), dict, key)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from None
+        return AgentConfig(
+            backend=value("backend"),
+            endpoint=text("endpoint"),
+            model=text("model"),
+            api_key_env=text("api_key_env"),
+            timeout_s=number("timeout_s"),
+            max_retries=number("max_retries", int),
+            temperature=number("temperature"),
+            playbook=_expect(section.get("playbook", []), list, f"{key}.playbook"),
+        )
+    except AgentFailureError as exc:  # no usable backend as configured
+        raise ConfigError(f"{key}.backend", str(exc)) from None
 
 
 def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConfig:

@@ -41,7 +41,6 @@ def _color(name: str) -> str:
 
 
 def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
-    actors_geom = spec.actor_map()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -56,7 +55,7 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
     )
 
     for name, entry in snapshot.scene["actors"].items():
-        geom = actors_geom.get(name)
+        geom = spec.actors.get(name)
         if geom is None:
             continue
         pose = Pose.from_list(entry["pose"])

@@ -1,19 +1,20 @@
-"""World model: actors, dual-arm state, task specs, and goal predicates.
+"""World model: task geometry, per-trial scene state, and goal predicates.
 
 A task file (JSON, schema documented in the README) fully describes the
 initial tabletop: actors with box extents, grasp/placement point sets and
 approach axes, a noise model, ordered subgoal templates, and a goal
-predicate tree. Scenes built from a spec are mutated only by a simulator
-instance; everything else treats them as read-only.
+predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors,
+read-only poses and axes) shared by every trial. A `Scene` holds only what
+a trial changes: a pose per actor and the two arms, each recording the
+actor it holds, which is the one place the hold relation lives.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     UnknownActorError,
     UnknownPointError,
 )
-from .geometry import Pose, angle_between, unit_norm_ok
+from .geometry import Pose, angle_between, readonly, unit_norm_ok
 
 ARM_TAGS = ("left", "right")
 
@@ -43,32 +44,39 @@ DEFAULT_HOMES = {
     "right": [0.25, 0.0, 0.3, 1.0, 0.0, 0.0, 0.0],
 }
 
+DEFAULT_AXES = {
+    "grasp_axis": readonly(np.array([0.0, 0.0, -1.0])),
+    "place_axis": readonly(np.array([0.0, 0.0, 1.0])),
+    "util_axis": readonly(np.array([0.0, 0.0, 1.0])),
+}
+
 DEFAULT_PLACE_TOLERANCE = 0.02
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalPoint:
     id: int
     pose: Pose
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Actor:
-    """Axis-aligned box proxy with object-local interaction primitives."""
+    """Task geometry of one actor: an axis-aligned box proxy at its initial
+    pose, with object-local interaction primitives. Where a trial has moved
+    it is per-trial state, kept in `Scene.poses`."""
 
     name: str
     pose: Pose
     extent: np.ndarray
-    static: bool = False
-    contact_points: list[LocalPoint] = field(default_factory=list)
-    functional_points: list[LocalPoint] = field(default_factory=list)
-    utility_points: list[LocalPoint] = field(default_factory=list)
-    grasp_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -1.0]))
-    place_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    util_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    held_by: str | None = None
+    static: bool
+    contact_points: tuple[LocalPoint, ...]
+    functional_points: tuple[LocalPoint, ...]
+    utility_points: tuple[LocalPoint, ...]
+    grasp_axis: np.ndarray
+    place_axis: np.ndarray
+    util_axis: np.ndarray
 
-    def points(self, category: str) -> list[LocalPoint]:
+    def points(self, category: str) -> tuple[LocalPoint, ...]:
         if category == "contact":
             return self.contact_points
         if category == "functional":
@@ -92,31 +100,12 @@ class Actor:
             return self.util_axis
         raise ValueError(f"unknown axis category {category!r}")
 
-    def world_axis(self, category: str) -> np.ndarray:
-        return self.pose.rotate(self.axis(category))
-
-    def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box proxy in world frame; orientation is deliberately ignored."""
-        return self.pose.p - self.extent, self.pose.p + self.extent
-
-    def top_z(self) -> float:
-        return float(self.pose.p[2] + self.extent[2])
-
 
 @dataclass(eq=False)
 class ArmState:
-    tag: str
     tcp: Pose
-    home: Pose
     gripper: float = 1.0
-    workspace: dict = field(default_factory=dict)
-
-    def in_workspace(self, p: np.ndarray) -> bool:
-        for axis_name, coord in zip("xyz", p):
-            lo, hi = self.workspace[axis_name]
-            if coord < lo or coord > hi:
-                return False
-        return True
+    holding: str | None = None  # name of the actor in this gripper
 
 
 # --- goal predicates ------------------------------------------------------
@@ -201,53 +190,67 @@ class SubgoalTemplate:
     checkpoint: Predicate | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TaskSpec:
     name: str
     instruction: str
-    actors: list[Actor]
+    actors: dict[str, Actor]  # task-file order
     subgoals: list[SubgoalTemplate]
     goal: Predicate
     noise: NoiseSpec
-    workspaces: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_WORKSPACES))
-    homes: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_HOMES))
-    place_tolerance: float = DEFAULT_PLACE_TOLERANCE
+    workspaces: dict[str, dict[str, tuple[float, float]]]
+    homes: dict[str, Pose]
+    place_tolerance: float
 
     @property
     def subgoal_templates(self) -> list[str]:
         return [sg.text for sg in self.subgoals]
 
-    def actor_map(self) -> dict[str, Actor]:
-        return {a.name: a for a in self.actors}
+    def in_workspace(self, tag: str, p: np.ndarray) -> bool:
+        for axis_name, coord in zip("xyz", p):
+            lo, hi = self.workspaces[tag][axis_name]
+            if coord < lo or coord > hi:
+                return False
+        return True
 
 
 @dataclass(eq=False)
 class Scene:
-    """Mutable world state: actors (poses evolve) plus both arms."""
+    """Per-trial world state over a task's shared geometry: the current pose
+    of each actor (task-file order) and both arms."""
 
-    actors: dict[str, Actor]
+    spec: TaskSpec
+    poses: dict[str, Pose]
     arms: dict[str, ArmState]
 
     @classmethod
     def from_spec(cls, spec: TaskSpec) -> "Scene":
-        actors = {a.name: copy.deepcopy(a) for a in spec.actors}
-        arms = {}
-        for tag in ARM_TAGS:
-            home = Pose.from_list(spec.homes[tag])
-            arms[tag] = ArmState(
-                tag=tag,
-                tcp=home.copy(),
-                home=home,
-                gripper=1.0,
-                workspace={k: tuple(v) for k, v in spec.workspaces[tag].items()},
-            )
-        return cls(actors=actors, arms=arms)
+        poses = {name: actor.pose for name, actor in spec.actors.items()}
+        return cls(spec, poses, {tag: ArmState(spec.homes[tag]) for tag in ARM_TAGS})
 
     def actor(self, name: str) -> Actor:
         try:
-            return self.actors[name]
+            return self.spec.actors[name]
         except KeyError:
             raise UnknownActorError(name) from None
+
+    def held_by(self, name: str) -> str | None:
+        for tag, arm in self.arms.items():
+            if arm.holding == name:
+                return tag
+        return None
+
+    def world_axis(self, name: str, category: str) -> np.ndarray:
+        axis = self.actor(name).axis(category)
+        return self.poses[name].rotate(axis)
+
+    def world_aabb(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Box proxy in world frame; orientation is deliberately ignored."""
+        p, extent = self.poses[name].p, self.spec.actors[name].extent
+        return p - extent, p + extent
+
+    def top_z(self, name: str) -> float:
+        return float(self.poses[name].p[2] + self.spec.actors[name].extent[2])
 
 
 # --- core operations ------------------------------------------------------
@@ -255,12 +258,8 @@ class Scene:
 
 def resolve_point(scene: Scene, ref: PointRef) -> Pose:
     """World pose of an object-local point (actor pose o local pose)."""
-    actor = scene.actor(ref.actor)
-    return actor.pose.compose(actor.point(ref.category, ref.id).pose)
-
-
-def resolve_axis(scene: Scene, ref: AxisRef) -> np.ndarray:
-    return scene.actor(ref.actor).world_axis(ref.category)
+    local = scene.actor(ref.actor).point(ref.category, ref.id).pose
+    return scene.poses[ref.actor].compose(local)
 
 
 def eval_predicate(pred: Predicate, scene: Scene) -> bool:
@@ -273,16 +272,16 @@ def eval_predicate(pred: Predicate, scene: Scene) -> bool:
         pb = resolve_point(scene, pred.b).p
         return float(np.linalg.norm(pa - pb)) <= pred.tol
     if isinstance(pred, Aligned):
-        ua = resolve_axis(scene, pred.a)
-        ub = resolve_axis(scene, pred.b)
+        ua = scene.world_axis(pred.a.actor, pred.a.category)
+        ub = scene.world_axis(pred.b.actor, pred.b.category)
         return angle_between(ua, ub) <= pred.tol
     if isinstance(pred, Held):
-        return scene.actor(pred.actor).held_by == pred.arm
+        return scene.arms[pred.arm].holding == pred.actor
     if isinstance(pred, Free):
-        return scene.actor(pred.actor).held_by is None
+        return scene.held_by(pred.actor) is None
     if isinstance(pred, Above):
-        za = scene.actor(pred.a).pose.p[2]
-        zb = scene.actor(pred.b).pose.p[2]
+        za = scene.poses[pred.a].p[2]
+        zb = scene.poses[pred.b].p[2]
         return float(za - zb) >= pred.min_dz
     raise TypeError(f"not a predicate: {pred!r}")
 
@@ -351,7 +350,7 @@ def _load_vec3(values, where: str) -> np.ndarray:
         raise TaskSchemaError(where, "expected 3 numbers") from None
     if v.shape != (3,) or not np.isfinite(v).all():
         raise TaskSchemaError(where, "expected 3 finite numbers")
-    return v
+    return readonly(v)
 
 
 def _load_axis(values, where: str) -> np.ndarray:
@@ -361,7 +360,7 @@ def _load_axis(values, where: str) -> np.ndarray:
     return v
 
 
-def _load_points(raw, where: str) -> list[LocalPoint]:
+def _load_points(raw, where: str) -> tuple[LocalPoint, ...]:
     pts = []
     seen = set()
     for i, entry in enumerate(_typed(raw or [], list, where)):
@@ -370,26 +369,25 @@ def _load_points(raw, where: str) -> list[LocalPoint]:
             raise TaskSchemaError(f"{where}[{i}].id", f"duplicate point id {pid}")
         seen.add(pid)
         pts.append(LocalPoint(pid, _load_pose(_require(entry, "pose", f"{where}[{i}]"), f"{where}[{i}].pose")))
-    return pts
+    return tuple(pts)
 
 
 def _load_actor(raw: dict, idx: int) -> Actor:
     where = f"actors[{idx}]"
     name = _string(raw, "name", where)
-    actor = Actor(
-        name=name,
-        pose=_load_pose(_require(raw, "pose", where), f"{where}.pose"),
-        extent=_load_vec3(_require(raw, "extent", where), f"{where}.extent"),
-        static=bool(raw.get("static", False)),
-        contact_points=_load_points(raw.get("contact_points"), f"{where}.contact_points"),
-        functional_points=_load_points(raw.get("functional_points"), f"{where}.functional_points"),
-        utility_points=_load_points(raw.get("utility_points"), f"{where}.utility_points"),
-    )
-    if (actor.extent < 0).any():
+    pose = _load_pose(_require(raw, "pose", where), f"{where}.pose")
+    extent = _load_vec3(_require(raw, "extent", where), f"{where}.extent")
+    points = {
+        key: _load_points(raw.get(key), f"{where}.{key}")
+        for key in ("contact_points", "functional_points", "utility_points")
+    }
+    if (extent < 0).any():
         raise TaskSchemaError(f"{where}.extent", "must be non-negative")
-    for key in ("grasp_axis", "place_axis", "util_axis"):
-        if key in raw:
-            setattr(actor, key, _load_axis(raw[key], f"{where}.{key}"))
+    axes = {
+        key: _load_axis(raw[key], f"{where}.{key}") if key in raw else default
+        for key, default in DEFAULT_AXES.items()
+    }
+    actor = Actor(name, pose, extent, bool(raw.get("static", False)), **points, **axes)
     if not actor.static:
         if not actor.contact_points:
             raise TaskSchemaError(f"{where}.contact_points", f"non-static actor {name!r} needs at least one contact point")
@@ -546,11 +544,10 @@ def load_task_spec(path) -> TaskSpec:
     name = _string(raw, "name", "task")
     instruction = _string(raw, "instruction", "task")
     raw_actors = _typed(_require(raw, "actors", "task"), list, "actors")
-    actors = [_load_actor(a, i) for i, a in enumerate(raw_actors)]
-    names = [a.name for a in actors]
-    if len(set(names)) != len(names):
+    loaded = [_load_actor(a, i) for i, a in enumerate(raw_actors)]
+    actors = {a.name: a for a in loaded}
+    if len(actors) != len(loaded):
         raise TaskSchemaError("actors", "duplicate actor names")
-    actor_map = {a.name: a for a in actors}
 
     raw_subgoals = _typed(_require(raw, "subgoals", "task"), list, "subgoals")
     if not raw_subgoals:
@@ -558,7 +555,7 @@ def load_task_spec(path) -> TaskSpec:
     subgoals = [_load_subgoal(s, i) for i, s in enumerate(raw_subgoals)]
 
     goal = parse_predicate(_require(raw, "goal", "task"), "goal")
-    _check_predicate_refs(goal, actor_map, "goal")
+    _check_predicate_refs(goal, actors, "goal")
 
     raw_noise = _typed(raw.get("noise", {}), dict, "noise")
     noise = NoiseSpec(**{
@@ -566,17 +563,10 @@ def load_task_spec(path) -> TaskSpec:
         for fld in ("pos_sigma", "rot_sigma", "slip_base")
     })
 
-    spec = TaskSpec(
-        name=name,
-        instruction=instruction,
-        actors=actors,
-        subgoals=subgoals,
-        goal=goal,
-        noise=noise,
-        place_tolerance=_non_negative(
-            raw.get("place_tolerance", DEFAULT_PLACE_TOLERANCE), "place_tolerance"
-        ),
+    place_tolerance = _non_negative(
+        raw.get("place_tolerance", DEFAULT_PLACE_TOLERANCE), "place_tolerance"
     )
+    workspaces = {tag: dict(box) for tag, box in DEFAULT_WORKSPACES.items()}
     if "workspaces" in raw:
         for tag, box in _typed(raw["workspaces"], dict, "workspaces").items():
             if tag not in ARM_TAGS:
@@ -587,19 +577,20 @@ def load_task_spec(path) -> TaskSpec:
                 bounds = tuple(_number(b, where) for b in raw_bounds)
                 if len(bounds) != 2 or bounds[0] > bounds[1]:
                     raise TaskSchemaError(where, "expected [lo, hi] with lo <= hi")
-                spec.workspaces[tag][axis_name] = bounds
+                workspaces[tag][axis_name] = bounds
+    homes = {tag: Pose.from_list(vals) for tag, vals in DEFAULT_HOMES.items()}
     if "arm_home" in raw:
         for tag, vals in _typed(raw["arm_home"], dict, "arm_home").items():
             if tag not in ARM_TAGS:
                 raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
-            _load_pose(vals, f"arm_home.{tag}")
-            spec.homes[tag] = [float(v) for v in vals]
+            homes[tag] = _load_pose(vals, f"arm_home.{tag}")
 
     # Checkpoints: explicit entries override; the final subgoal defaults to
     # the task goal.
-    for i, sg in enumerate(spec.subgoals):
-        if sg.checkpoint is None and i == len(spec.subgoals) - 1:
+    for i, sg in enumerate(subgoals):
+        if sg.checkpoint is None and i == len(subgoals) - 1:
             sg.checkpoint = goal
         if sg.checkpoint is not None:
-            _check_predicate_refs(sg.checkpoint, actor_map, f"subgoals[{i}].checkpoint")
-    return spec
+            _check_predicate_refs(sg.checkpoint, actors, f"subgoals[{i}].checkpoint")
+    return TaskSpec(name, instruction, actors, subgoals, goal, noise, workspaces, homes,
+                    place_tolerance)

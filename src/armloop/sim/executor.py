@@ -17,6 +17,8 @@ noise configuration.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
@@ -24,7 +26,7 @@ from ..dsl.printer import render_args, render_call
 from ..errors import UnknownActorError, UnknownPointError
 from ..geometry import Pose, quat_between, quat_from_axis_angle, quat_mul
 from ..instrument import FINAL_STEP
-from ..scene import Actor, Scene, TaskSpec, eval_predicate
+from ..scene import PointRef, Scene, TaskSpec, eval_predicate, resolve_point
 from .model import Snapshot, SimConfig, SymbolicEvent, TrialLog, scene_state
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
@@ -42,15 +44,19 @@ class _Failure(Exception):
         self.category = category
 
 
-def _penetration(point: np.ndarray, actor: Actor) -> float:
-    lo, hi = actor.world_aabb()
+class _Grasp(NamedTuple):
+    offset: Pose  # held actor's pose in the TCP frame
+    approach: np.ndarray  # world grasp approach axis at grasp time
+
+
+def _penetration(point: np.ndarray, aabb) -> float:
+    lo, hi = aabb
     depths = np.minimum(point - lo, hi - point)
     return float(depths.min())
 
 
-def _xy_overlap(a: Actor, b: Actor) -> bool:
-    alo, ahi = a.world_aabb()
-    blo, bhi = b.world_aabb()
+def _xy_overlap(a, b) -> bool:
+    (alo, ahi), (blo, bhi) = a, b
     return bool((alo[0] < bhi[0]) and (blo[0] < ahi[0]) and (alo[1] < bhi[1]) and (blo[1] < ahi[1]))
 
 
@@ -63,9 +69,8 @@ class _Executor:
         self.rng = np.random.default_rng(cfg.seed)
         self.log = TrialLog(trial_index=trial_index, seed=cfg.seed)
         self.t = 0
-        self.holding: dict[str, tuple[str, Pose]] = {}  # arm -> (actor, offset)
-        self.grasp_vertical: dict[str, bool] = {}
-        self.grasp_approach: dict[str, np.ndarray] = {}
+        # Parameters of each arm's latest grasp; read only while it holds.
+        self.grasps: dict[str, _Grasp] = {}
         self.last_op: CallStmt | None = None
         self.current_subgoal = 1
 
@@ -74,15 +79,15 @@ class _Executor:
     def _setup_noise(self):
         pos_sigma = self.spec.noise.pos_sigma * self.cfg.noise_scale
         rot_sigma = self.spec.noise.rot_sigma * self.cfg.noise_scale
-        for template in self.spec.actors:
-            if template.static:
+        poses = self.scene.poses
+        for name, actor in self.spec.actors.items():
+            if actor.static:
                 continue
-            actor = self.scene.actor(template.name)
             dp = self.rng.normal(size=3) * pos_sigma
             dyaw = float(self.rng.normal()) * rot_sigma
-            actor.pose = Pose(
-                actor.pose.p + dp,
-                quat_mul(quat_from_axis_angle(_WORLD_UP, dyaw), actor.pose.q),
+            poses[name] = Pose(
+                poses[name].p + dp,
+                quat_mul(quat_from_axis_angle(_WORLD_UP, dyaw), poses[name].q),
             )
 
     def _endpoint_noise(self) -> np.ndarray:
@@ -93,63 +98,56 @@ class _Executor:
     def _arm(self, tag: str):
         return self.scene.arms[tag]
 
-    def _move_tcp(self, tag: str, p: np.ndarray, q: np.ndarray | None = None):
-        arm = self._arm(tag)
-        if not arm.in_workspace(p):
-            raise _Failure(
-                "unreachable",
-                f"{tag} arm target [{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}] outside workspace",
-            )
-        arm.tcp = Pose(p, arm.tcp.q if q is None else q)
-        self._carry(tag)
-
-    def _carry(self, tag: str):
-        held = self.holding.get(tag)
-        if held is None:
+    def _require_reach(self, tag: str, p: np.ndarray, action: str | None = None):
+        if self.spec.in_workspace(tag, p):
             return
-        name, offset = held
-        self.scene.actor(name).pose = self._arm(tag).tcp.compose(offset)
+        at = f"[{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}]"
+        raise _Failure("unreachable", f"{action} needs {tag} arm at {at}, outside workspace"
+                       if action else f"{tag} arm target {at} outside workspace")
 
-    def _check_invariants(self):
-        for tag, (name, offset) in self.holding.items():
-            actor = self.scene.actor(name)
-            expected = self._arm(tag).tcp.compose(offset)
-            if not actor.pose.approx_equal(expected, tol=1e-9):
-                raise AssertionError(f"held actor {name} diverged from {tag} gripper")
+    def _move_tcp(self, tag: str, p: np.ndarray, q: np.ndarray | None = None):
+        """The only writer of a TCP and of a held actor's pose, so a held
+        actor is at tcp o grasp offset by construction."""
+        self._require_reach(tag, p)
+        arm = self._arm(tag)
+        arm.tcp = Pose(p, arm.tcp.q if q is None else q)
+        if arm.holding is not None:
+            self.scene.poses[arm.holding] = arm.tcp.compose(self.grasps[tag].offset)
 
     def _release(self, tag: str):
-        held = self.holding.pop(tag, None)
-        if held is None:
-            return
-        name, _ = held
-        actor = self.scene.actor(name)
-        actor.held_by = None
-        self._drop(actor)
+        arm = self._arm(tag)
+        name, arm.holding = arm.holding, None
+        if name is not None:
+            self._drop(name)
 
-    def _drop(self, actor: Actor):
+    def _drop(self, name: str):
         """Fall straight down onto the highest supporting surface beneath the
         actor's center, else onto the table."""
+        scene = self.scene
+        pose, aabb = scene.poses[name], scene.world_aabb(name)
+        held = {arm.holding for arm in scene.arms.values()}
         support_z = 0.0
-        for other in self.scene.actors.values():
-            if other is actor or other.held_by is not None:
+        for other in scene.poses:
+            if other == name or other in held:
                 continue
-            if _xy_overlap(actor, other) and other.top_z() <= actor.pose.p[2]:
-                support_z = max(support_z, other.top_z())
-        new_p = actor.pose.p.copy()
-        new_p[2] = support_z + float(actor.extent[2])
-        actor.pose = Pose(new_p, actor.pose.q)
+            top = scene.top_z(other)
+            if _xy_overlap(aabb, scene.world_aabb(other)) and top <= pose.p[2]:
+                support_z = max(support_z, top)
+        new_p = pose.p.copy()
+        new_p[2] = support_z + float(self.spec.actors[name].extent[2])
+        scene.poses[name] = Pose(new_p, pose.q)
 
-    def _collision_check(self, tag: str, points, exclude: set[str]):
-        held_name = self.holding.get(tag, (None, None))[0]
+    def _collision_check(self, tag: str, points, exclude: str):
+        held_name = self._arm(tag).holding
         for point in points:
-            for other in self.scene.actors.values():
-                if other.name in exclude or other.name == held_name:
+            for other in self.scene.poses:
+                if other == exclude or other == held_name:
                     continue
-                depth = _penetration(np.asarray(point), other)
+                depth = _penetration(point, self.scene.world_aabb(other))
                 if depth > _PENETRATION_LIMIT:
                     raise _Failure(
                         "collision",
-                        f"{tag} arm path endpoint penetrates {other.name!r} by {depth * 1000:.1f} mm",
+                        f"{tag} arm path endpoint penetrates {other!r} by {depth * 1000:.1f} mm",
                     )
 
     # -- statement handlers --------------------------------------------------
@@ -179,42 +177,37 @@ class _Executor:
 
     def _op_back_to_origin(self, args):
         tag = args["arm"]
-        home = self._arm(tag).home
-        self._move_tcp(tag, home.p.copy(), home.q.copy())
+        home = self.spec.homes[tag]
+        self._move_tcp(tag, home.p, home.q)
 
     def _op_grasp_actor(self, args):
         tag = args["arm"]
+        arm = self._arm(tag)
         actor = self.scene.actor(args["actor"])
         if actor.static:
             raise _Failure("invalid_call", f"actor {actor.name!r} is static and cannot be grasped")
-        if tag in self.holding:
-            raise _Failure("invalid_call", f"{tag} arm is already holding {self.holding[tag][0]!r}")
+        if arm.holding is not None:
+            raise _Failure("invalid_call", f"{tag} arm is already holding {arm.holding!r}")
         self._require_pos_range(args["gripper_pos"], "gripper_pos")
+        pose = self.scene.poses[actor.name]
         cid = args["contact_point_id"]
         if cid == "auto":
-            tcp_p = self._arm(tag).tcp.p
             contact = min(
                 actor.contact_points,
-                key=lambda pt: (float(np.linalg.norm(actor.pose.compose(pt.pose).p - tcp_p)), pt.id),
+                key=lambda pt: (float(np.linalg.norm(pose.compose(pt.pose).p - arm.tcp.p)), pt.id),
             )
         else:
             contact = actor.point("contact", cid)
 
-        contact_world = actor.pose.compose(contact.pose)
-        approach = actor.world_axis("grasp")
+        contact_world = pose.compose(contact.pose)
+        approach = self.scene.world_axis(actor.name, "grasp")
         noise = self._endpoint_noise()
         pre_p = contact_world.p - approach * args["pre_grasp_dis"] + noise
         final_p = contact_world.p - approach * args["grasp_dis"] + noise
 
-        arm = self._arm(tag)
         for point in (pre_p, final_p):
-            if not arm.in_workspace(point):
-                raise _Failure(
-                    "unreachable",
-                    f"grasp of {actor.name!r} needs {tag} arm at "
-                    f"[{point[0]:.3f}, {point[1]:.3f}, {point[2]:.3f}], outside workspace",
-                )
-        self._collision_check(tag, (pre_p, final_p), exclude={actor.name})
+            self._require_reach(tag, point, f"grasp of {actor.name!r}")
+        self._collision_check(tag, (pre_p, final_p), exclude=actor.name)
 
         slip_draw = float(self.rng.uniform())
         slip_p = self.spec.noise.slip_base * self.cfg.noise_scale
@@ -224,27 +217,24 @@ class _Executor:
         if slip_draw < slip_p:
             raise _Failure("grasp_slip", f"grasp of {actor.name!r} slipped (p={slip_p:.2f})")
 
-        if actor.held_by is not None:
+        holder = self.scene.held_by(actor.name)
+        if holder is not None:
             # Handover: the other gripper keeps its state but loses the object.
-            self.holding.pop(actor.held_by, None)
-        actor.held_by = tag
-        offset = arm.tcp.inverse().compose(actor.pose)
-        self.holding[tag] = (actor.name, offset)
-        self.grasp_vertical[tag] = abs(float(approach[2])) >= _VERTICAL_COS
-        self.grasp_approach[tag] = approach.copy()
+            self._arm(holder).holding = None
+        arm.holding = actor.name
+        self.grasps[tag] = _Grasp(arm.tcp.inverse().compose(pose), approach)
 
     def _op_place_actor(self, args):
         tag = args["arm"]
+        arm = self._arm(tag)
         actor = self.scene.actor(args["actor"])
-        if actor.held_by != tag:
+        if arm.holding != actor.name:
             raise _Failure("not_held", f"actor {actor.name!r} is not held by the {tag} arm")
+        grasp = self.grasps[tag]
 
         target = args["target"]
         if isinstance(target, FpRef):
-            target_actor = self.scene.actor(target.actor)
-            target_pose = target_actor.pose.compose(
-                target_actor.point("functional", target.point_id).pose
-            )
+            target_pose = resolve_point(self.scene, PointRef(target.actor, "functional", target.point_id))
         elif isinstance(target, PoseLit):
             target_pose = Pose.from_list(list(target.values))
         else:
@@ -259,15 +249,14 @@ class _Executor:
         if args["pre_dis_axis"] == "fp":
             offset_dir = target_pose.rotate(_WORLD_UP)
         else:
-            approach = self.grasp_approach.get(tag)
-            offset_dir = -approach if approach is not None else _WORLD_UP.copy()
+            offset_dir = -grasp.approach
 
         constrain = args["constrain"]
         if constrain == "auto":
-            constrain = "align" if self.grasp_vertical.get(tag, True) else "free"
-        fp_world = actor.pose.compose(fp_local)
+            constrain = "align" if abs(float(grasp.approach[2])) >= _VERTICAL_COS else "free"
+        fp_world = self.scene.poses[actor.name].compose(fp_local)
         if constrain == "align":
-            desired_q = target_pose.q.copy()
+            desired_q = target_pose.q
         else:  # free: match z-axes only, keep the rest of the current orientation
             current_z = fp_world.rotate(_WORLD_UP)
             target_z = target_pose.rotate(_WORLD_UP)
@@ -279,22 +268,15 @@ class _Executor:
         pre_fp = Pose(target_pose.p + offset_dir * args["pre_dis"], desired_q)
         final_fp = Pose(achieved_p, desired_q)
 
-        _, grasp_offset = self.holding[tag]
         inv_fp_local = fp_local.inverse()
-        inv_offset = grasp_offset.inverse()
+        inv_offset = grasp.offset.inverse()
         tcp_targets = []
         for fp_pose in (pre_fp, final_fp):
             actor_pose = fp_pose.compose(inv_fp_local)
             tcp_targets.append(actor_pose.compose(inv_offset))
 
-        arm = self._arm(tag)
         for tcp_pose in tcp_targets:
-            if not arm.in_workspace(tcp_pose.p):
-                raise _Failure(
-                    "unreachable",
-                    f"placing {actor.name!r} needs {tag} arm at "
-                    f"[{tcp_pose.p[0]:.3f}, {tcp_pose.p[1]:.3f}, {tcp_pose.p[2]:.3f}], outside workspace",
-                )
+            self._require_reach(tag, tcp_pose.p, f"placing {actor.name!r}")
 
         self._move_tcp(tag, tcp_targets[1].p, tcp_targets[1].q)
         miss = float(np.linalg.norm(achieved_p - intended_p))
@@ -381,7 +363,6 @@ class _Executor:
                     break
                 self._emit(stmt, subgoal, "success", "none", "")
                 self.last_op = stmt
-                self._check_invariants()
             self.t += 1
 
         if self.log.snapshots and self.log.snapshots[-1].step_name != FINAL_STEP:

@@ -82,8 +82,8 @@ def scene_state(scene: Scene) -> dict:
     """Compact serializable view of the scene (the virtual-camera payload)."""
     return {
         "actors": {
-            name: {"pose": actor.pose.as_list(), "held_by": actor.held_by}
-            for name, actor in scene.actors.items()
+            name: {"pose": pose.as_list(), "held_by": scene.held_by(name)}
+            for name, pose in scene.poses.items()
         },
         "arms": {
             tag: {
@@ -96,13 +96,14 @@ def scene_state(scene: Scene) -> dict:
 
 
 def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
-    """Rebuild an evaluable scene from a snapshot payload plus the task's
-    static geometry (extents, point sets, axes)."""
+    """An evaluable scene over the task's geometry, in the state a snapshot
+    payload records."""
     scene = Scene.from_spec(spec)
     for name, entry in state["actors"].items():
-        actor = scene.actor(name)
-        actor.pose = Pose.from_list(entry["pose"])
-        actor.held_by = entry["held_by"]
+        scene.actor(name)  # a name the task lacks raises UnknownActorError
+        scene.poses[name] = Pose.from_list(entry["pose"])
+        if entry["held_by"] is not None:
+            scene.arms[entry["held_by"]].holding = name
     for tag, entry in state["arms"].items():
         arm = scene.arms[tag]
         arm.tcp = Pose.from_list(entry["tcp"])

@@ -65,7 +65,13 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"max_iterations": 0}', "max_iterations"),
     ('{"observation_cap": 2}', "observation_cap"),
     ('{"weights": [1.0]}', "weights"),
-    ('{"synthesis": {"timeout_s": "slow"}}', "synthesis"),
+    ('{"synthesis": {"timeout_s": "slow"}}', "synthesis.timeout_s"),
+    ('{"synthesis": 5}', "synthesis"),
+    ('{"synthesis": {"backend": "foo"}}', "synthesis.backend"),
+    ('{"verifier": {"backend": "remote"}}', "verifier.backend"),
+    ('{"verifier": {"max_retries": "x"}}', "verifier.max_retries"),
+    ('{"synthesis": {"endpoint": 5}}', "synthesis.endpoint"),
+    ('{"synthesis": {"playbook": "x.prog"}}', "synthesis.playbook"),
     ('{"candidates": [{"base_seed": -1, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
     ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
     ('{"expert_program": "missing.prog"}', "expert_program"),
@@ -77,6 +83,22 @@ def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     assert code == 2
     assert f"error [config_error]: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
+      "--max-iter", "0"], "--max-iter"),
+    (["run", _task(), _prog("correct"), "--trials", "0"], "--trials"),
+    (["run", _task(), _prog("correct"), "--seed", "-1"], "--seed"),
+    (["run", _task(), _prog("correct"), "--observation-cap", "2"], "--observation-cap"),
+    (["run", _task(), _prog("correct"), "--noise-scale", "-1"], "--noise-scale"),
+    (["run", _task(), _prog("correct"), "--noise-scale", "nan"], "--noise-scale"),
+])
+def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error [config_error]: {flag}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):

@@ -32,7 +32,7 @@ def test_svg_places_actor_at_serialized_xy(place_shoe_spec):
     rect = next(el for el in root.iter(f"{SVG_NS}rect") if el.get("id") == "actor-shoe")
     x, y, _ = snap.scene["actors"]["shoe"]["pose"][:3]
     cx, cy = world_to_svg(x, y)
-    shoe = place_shoe_spec.actor_map()["shoe"]
+    shoe = place_shoe_spec.actors["shoe"]
     assert float(rect.get("x")) + float(rect.get("width")) / 2 == round(cx, 1)
     assert float(rect.get("y")) + float(rect.get("height")) / 2 == round(cy, 1)
     assert float(rect.get("width")) == round(2 * shoe.extent[0] * SCALE, 1)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 
@@ -22,6 +23,7 @@ from armloop.scene import (
     AxisRef,
     Free,
     Held,
+    LocalPoint,
     Near,
     PointRef,
     Scene,
@@ -36,9 +38,9 @@ from conftest import TASK_NAMES, task_path
 def test_load_place_shoe_roundtrip(place_shoe_spec):
     spec = place_shoe_spec
     assert spec.name == "place_shoe"
-    assert {a.name for a in spec.actors} == {"shoe", "target_block"}
+    assert set(spec.actors) == {"shoe", "target_block"}
     assert len(spec.subgoals) == 2
-    shoe = spec.actor_map()["shoe"]
+    shoe = spec.actors["shoe"]
     assert not shoe.static
     assert shoe.contact_points[0].id == 0
     assert np.allclose(shoe.pose.p, [-0.2, 0.1, 0.02])
@@ -185,27 +187,35 @@ def test_task_loader_mutation_fuzz(tmp_path, task):
 # --- resolve_point ------------------------------------------------------------
 
 
+def _replace_geometry(spec, name, **changes):
+    """A new spec whose actor ``name`` has the given geometry fields replaced."""
+    actors = dict(spec.actors)
+    actors[name] = dataclasses.replace(actors[name], **changes)
+    return dataclasses.replace(spec, actors=actors)
+
+
+def _shoe_scene(spec, pose: Pose, fp0: Pose) -> Scene:
+    """Scene over a geometry variant: the shoe at ``pose``, its functional
+    point 0 at ``fp0``."""
+    points = (LocalPoint(0, fp0),) + spec.actors["shoe"].functional_points[1:]
+    return Scene.from_spec(_replace_geometry(spec, "shoe", pose=pose, functional_points=points))
+
+
 def test_resolve_point_identity(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    scene.actor("shoe").pose = Pose(np.zeros(3))
-    scene.actor("shoe").functional_points[0].pose = Pose(np.array([0, 0, 0.05]))
+    scene = _shoe_scene(place_shoe_spec, Pose(np.zeros(3)), Pose(np.array([0, 0, 0.05])))
     world = resolve_point(scene, PointRef("shoe", "functional", 0))
     assert np.allclose(world.p, [0, 0, 0.05])
 
 
 def test_resolve_point_translation(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    scene.actor("shoe").pose = Pose(np.array([0.1, 0.0, 0.0]))
-    scene.actor("shoe").functional_points[0].pose = Pose(np.array([0, 0, 0.05]))
+    scene = _shoe_scene(place_shoe_spec, Pose(np.array([0.1, 0.0, 0.0])), Pose(np.array([0, 0, 0.05])))
     world = resolve_point(scene, PointRef("shoe", "functional", 0))
     assert np.allclose(world.p, [0.1, 0.0, 0.05])
 
 
 def test_resolve_point_rotation(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
     q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    scene.actor("shoe").pose = Pose(np.zeros(3), q)
-    scene.actor("shoe").functional_points[0].pose = Pose(np.array([0.05, 0.0, 0.0]))
+    scene = _shoe_scene(place_shoe_spec, Pose(np.zeros(3), q), Pose(np.array([0.05, 0.0, 0.0])))
     world = resolve_point(scene, PointRef("shoe", "functional", 0))
     assert np.allclose(world.p, [0.0, 0.05, 0.0], atol=1e-12)
 
@@ -223,37 +233,35 @@ def test_resolve_point_errors(place_shoe_spec):
 
 def test_near_coincident_points(place_shoe_spec):
     scene = Scene.from_spec(place_shoe_spec)
-    shoe = scene.actor("shoe")
-    block = scene.actor("target_block")
-    fp_world = block.pose.compose(block.functional_points[0].pose)
-    shoe.pose = fp_world.compose(shoe.functional_points[0].pose.inverse())
+    block_fp = resolve_point(scene, PointRef("target_block", "functional", 0))
+    scene.poses["shoe"] = block_fp.compose(scene.actor("shoe").functional_points[0].pose.inverse())
     pred = Near(PointRef("shoe", "functional", 0), PointRef("target_block", "functional", 0), 0.02)
     assert eval_predicate(pred, scene)
 
 
 def test_aligned_at_90deg_false(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    scene.actor("shoe").grasp_axis = np.array([0.0, 0.0, 1.0])
-    scene.actor("target_block").grasp_axis = np.array([1.0, 0.0, 0.0])
+    spec = _replace_geometry(place_shoe_spec, "shoe", grasp_axis=np.array([0.0, 0.0, 1.0]))
+    spec = _replace_geometry(spec, "target_block", grasp_axis=np.array([1.0, 0.0, 0.0]))
+    scene = Scene.from_spec(spec)
     pred = Aligned(AxisRef("shoe", "grasp"), AxisRef("target_block", "grasp"), 0.1)
     assert not eval_predicate(pred, scene)
 
 
 def test_nested_all_any_matches_truth_table(place_shoe_spec):
     scene = Scene.from_spec(place_shoe_spec)
-    # Three independent leaves toggled via held_by; oracle enumerates all 8
-    # assignments with plain python logic.
+    # Three independent leaves toggled via what the arms hold; oracle
+    # enumerates all 8 assignments with plain python logic.
     leaf_preds = [Held("shoe", "left"), Free("shoe"), Held("target_block", "right")]
     pred = All((Any_((leaf_preds[0], leaf_preds[1])), leaf_preds[2]))
 
     for bits in itertools.product([False, True], repeat=2):
         shoe_held_left, block_held_right = bits
-        scene.actor("shoe").held_by = "left" if shoe_held_left else None
-        scene.actor("target_block").held_by = "right" if block_held_right else None
+        scene.arms["left"].holding = "shoe" if shoe_held_left else None
+        scene.arms["right"].holding = "target_block" if block_held_right else None
         leaves = [
-            scene.actor("shoe").held_by == "left",
-            scene.actor("shoe").held_by is None,
-            scene.actor("target_block").held_by == "right",
+            scene.held_by("shoe") == "left",
+            scene.held_by("shoe") is None,
+            scene.held_by("target_block") == "right",
         ]
         expected = (leaves[0] or leaves[1]) and leaves[2]
         assert eval_predicate(pred, scene) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,16 +7,22 @@ import numpy as np
 import pytest
 
 from armloop.dsl import parse
-from armloop.geometry import quat_from_axis_angle, quat_rotate
+from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
 from armloop.instrument import insert_observations
-from armloop.scene import load_task_spec
-from armloop.sim import SimConfig, dumps_trial, execute, run_trials
+from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, eval_predicate, load_task_spec
+from armloop.sim import SimConfig, dumps_trial, execute, run_trials, scene_from_state
 
 from conftest import TASK_NAMES, program_path, task_path
 
 
 def _correct(task="place_shoe"):
     return insert_observations(parse(program_path(task, "correct").read_text()))
+
+
+def _approx_equal(a: Pose, b: Pose, tol: float) -> bool:
+    """Same rigid transform within tol (q and -q encode the same rotation)."""
+    return np.allclose(a.p, b.p, atol=tol) and (
+        np.allclose(a.q, b.q, atol=tol) or np.allclose(a.q, -b.q, atol=tol))
 
 
 def test_zero_noise_success(place_shoe_spec):
@@ -119,10 +126,9 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
         "  open_gripper(left)\n"
     )
     log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
-    shoe = log.final_scene.actor("shoe")
     # Dropped above the block at (-0.1, 0.2): lands on its top face.
-    assert np.allclose(shoe.pose.p, [-0.1, 0.2, 0.06], atol=1e-9)
-    assert shoe.held_by is None
+    assert np.allclose(log.final_scene.poses["shoe"].p, [-0.1, 0.2, 0.06], atol=1e-9)
+    assert log.final_scene.held_by("shoe") is None
 
     text_table = (
         "program t\n"
@@ -133,16 +139,14 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
         "  open_gripper(left)\n"
     )
     log = execute(parse(text_table), place_shoe_spec, SimConfig(seed=0))
-    shoe = log.final_scene.actor("shoe")
-    assert shoe.pose.p[2] == pytest.approx(0.02)  # table + half height
+    assert log.final_scene.poses["shoe"].p[2] == pytest.approx(0.02)  # table + half height
 
 
 def test_close_gripper_is_noop_on_world(place_shoe_spec):
     text = 'program t\nsubgoal "s"\n  close_gripper(left)\n  close_gripper(right, pos=0.5)\n'
     log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
     assert all(ev.outcome == "success" for ev in log.events)
-    shoe = log.final_scene.actor("shoe")
-    assert np.allclose(shoe.pose.p, [-0.2, 0.1, 0.02])
+    assert np.allclose(log.final_scene.poses["shoe"].p, [-0.2, 0.1, 0.02])
     assert log.final_scene.arms["right"].gripper == 0.5
 
 
@@ -204,7 +208,7 @@ def test_handover_transfers_held_by():
     grasps = [ev for ev in log.events if ev.op_name == "grasp_actor"]
     assert [ev.args["arm"] for ev in grasps] == ["left", "right"]
     # After the right grasp the block travels with the right arm only.
-    assert log.final_scene.actor("block").held_by is None  # released at place
+    assert log.final_scene.held_by("block") is None  # released at place
 
 
 def test_parallel_interleaves_left_first():
@@ -243,8 +247,6 @@ def test_snapshot_boundaries_present_even_on_failure(place_shoe_spec):
 
 
 def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
-    from armloop.geometry import Pose
-
     program = _correct()
     log = execute(program, place_shoe_spec, SimConfig(seed=3, noise_scale=1.0))
 
@@ -261,7 +263,7 @@ def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
     for snap in log.snapshots:
         arm, offset = grip_offset(snap.scene)
         if arm is not None and arm == prev_arm:
-            assert offset.approx_equal(prev_offset, tol=1e-9)
+            assert _approx_equal(offset, prev_offset, tol=1e-9)
             checked += 1
         prev_arm, prev_offset = arm, offset
     assert checked >= 1  # the grasp was actually tracked across a motion
@@ -280,11 +282,15 @@ def test_quaternion_closure_under_noise(place_shoe_spec):
                 assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
 
 
-def test_constrain_free_keeps_yaw_align_resets_it(place_shoe_spec):
+def test_constrain_free_keeps_yaw_align_resets_it(tmp_path):
     yaw = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.deg2rad(30))
+    raw = json.loads(task_path("place_shoe").read_text())
+    assert raw["actors"][0]["name"] == "shoe"
+    raw["actors"][0]["pose"][3:] = [float(v) for v in yaw]
+    path = tmp_path / "yawed.task.json"
+    path.write_text(json.dumps(raw))
+    spec = load_task_spec(path)
     for constrain, expect_yaw in (("free", True), ("align", False)):
-        spec = load_task_spec(task_path("place_shoe"))
-        spec.actor_map()["shoe"].pose.q = yaw.copy()
         text = (
             "program t\n"
             'subgoal "s"\n'
@@ -294,12 +300,82 @@ def test_constrain_free_keeps_yaw_align_resets_it(place_shoe_spec):
         )
         log = execute(parse(text), spec, SimConfig(seed=0))
         assert log.failure_event is None
-        shoe = log.final_scene.actor("shoe")
-        x_axis = quat_rotate(shoe.pose.q, np.array([1.0, 0.0, 0.0]))
+        x_axis = quat_rotate(log.final_scene.poses["shoe"].q, np.array([1.0, 0.0, 0.0]))
         if expect_yaw:
             assert x_axis[1] == pytest.approx(np.sin(np.deg2rad(30)), abs=1e-9)
         else:
             assert x_axis[1] == pytest.approx(0.0, abs=1e-9)
+
+
+# --- shared immutable geometry; the held-pose invariant -------------------------
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_held_actor_pose_is_tcp_times_grasp_offset(task):
+    """Observed after every top-level statement: a held actor sits at
+    tcp o offset, with the offset read at the first snapshot after its grasp."""
+    spec = load_task_spec(task_path(task))
+    carried = 0
+    for kind in ("correct", "loud", "silent"):
+        program = insert_observations(parse(program_path(task, kind).read_text()), cap=1000)
+        for log in run_trials(program, spec, 4, base_seed=11, noise_scale=1.0):
+            offsets = {}  # (actor, arm) -> grasp offset, while that hold lasts
+            for snap in log.snapshots:
+                holds = {}
+                for name, entry in snap.scene["actors"].items():
+                    arm = entry["held_by"]
+                    if arm is None:
+                        continue
+                    tcp = Pose.from_list(snap.scene["arms"][arm]["tcp"])
+                    pose = Pose.from_list(entry["pose"])
+                    if (name, arm) in offsets:
+                        holds[name, arm] = offsets[name, arm]
+                        assert _approx_equal(pose, tcp.compose(holds[name, arm]), tol=1e-12), (
+                            kind, log.seed, snap.step_name, name)
+                        carried += 1
+                    else:
+                        holds[name, arm] = tcp.inverse().compose(pose)
+                offsets = holds
+    assert carried > 0
+
+
+def test_task_geometry_is_frozen():
+    shoe = load_task_spec(task_path("place_shoe")).actors["shoe"]
+    for fld in dataclasses.fields(shoe):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shoe, fld.name, getattr(shoe, fld.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shoe.functional_points[0].pose = Pose()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shoe.pose.q = shoe.pose.q
+    for array in (shoe.pose.p, shoe.pose.q, shoe.extent, shoe.grasp_axis,
+                  shoe.contact_points[0].pose.p):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+def _geometry(spec) -> dict:
+    return {
+        "actors": {
+            name: [actor.pose.as_list(), actor.extent.tolist(), actor.static]
+            + [[(pt.id, pt.pose.as_list()) for pt in actor.points(c)] for c in POINT_CATEGORIES]
+            + [actor.axis(c).tolist() for c in AXIS_CATEGORIES]
+            for name, actor in spec.actors.items()
+        },
+        "homes": {tag: home.as_list() for tag, home in spec.homes.items()},
+        "workspaces": spec.workspaces,
+    }
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_trials_leave_task_geometry_unchanged(task):
+    spec = load_task_spec(task_path(task))
+    for kind in ("correct", "loud", "silent"):
+        program = insert_observations(parse(program_path(task, kind).read_text()))
+        for log in run_trials(program, spec, 3, base_seed=5, noise_scale=1.0):
+            for snap in log.snapshots:
+                eval_predicate(spec.goal, scene_from_state(spec, snap.scene))
+    assert _geometry(spec) == _geometry(load_task_spec(task_path(task)))
 
 
 # --- golden digests -------------------------------------------------------------
