@@ -28,14 +28,6 @@ def code_template(task_name: str) -> str:
     return _resource("code_template.txt").replace("$TASK_NAME$", task_name)
 
 
-def default_api_doc() -> str:
-    return _resource("api_doc.txt")
-
-
-def default_function_example() -> str:
-    return _resource("function_example.txt")
-
-
 def actor_list(spec: TaskSpec) -> str:
     lines = []
     for actor in spec.actors.values():
@@ -58,8 +50,6 @@ def task_description(spec: TaskSpec, subgoals: list[str]) -> str:
 def build_synthesis_prompt(
     spec: TaskSpec,
     subgoals: list[str],
-    api_doc: str | None = None,
-    examples: str | None = None,
     current: Program | None = None,
     feedback: tuple[str, str] | None = None,
 ) -> str:
@@ -69,8 +59,8 @@ def build_synthesis_prompt(
     repair variant is produced: failure header first, then task context,
     API, example, and the current code.
     """
-    api_doc = api_doc if api_doc is not None else default_api_doc()
-    examples = examples if examples is not None else default_function_example()
+    api_doc = _resource("api_doc.txt")
+    examples = _resource("function_example.txt")
     current_code = to_text(current) if current is not None else code_template(spec.name)
     description = task_description(spec, subgoals)
     actors = actor_list(spec)

@@ -7,7 +7,6 @@ trials), 2 parse/validation/artifact problems, 3 agent failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _input_error(exc: Exception) -> int:
+    code = f" [{exc.code}]" if isinstance(exc, ArmloopError) else ""
+    return _fail(f"error{code}: {exc}", 2)
+
+
 def _at_least(value, flag: str, minimum) -> None:
     if value is not None and not value >= minimum:
         raise ConfigError(flag, f"must be at least {minimum}, got {value}")
@@ -40,12 +44,13 @@ def cmd_run(args) -> int:
     try:
         _at_least(args.trials, "--trials", 1)
         _at_least(args.seed, "--seed", 0)
+        _at_least(args.max_steps, "--max-steps", 1)
         _at_least(args.noise_scale, "--noise-scale", 0)
         _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(Path(args.program_file))
     except ArmloopError as exc:
-        return _fail(f"error [{exc.code}]: {exc}", 2)
+        return _input_error(exc)
     diagnostics = validate(program, spec)
     if diagnostics:
         for d in diagnostics:
@@ -79,7 +84,7 @@ def cmd_loop(args) -> int:
         spec = load_task_spec(args.task_file)
         cfg = load_campaign_config(args.config, args.task_file, spec)
     except ArmloopError as exc:
-        return _fail(f"error [{exc.code}]: {exc}", 2)
+        return _input_error(exc)
     if args.max_iter is not None:
         cfg.loop.max_iterations = args.max_iter
     out = Path(args.out) / spec.name
@@ -119,8 +124,8 @@ def cmd_loop(args) -> int:
 def cmd_metrics(args) -> int:
     try:
         payload = metrics_mod.metrics_from_artifacts(args.run_dir)
-    except (ArmloopError, OSError, json.JSONDecodeError) as exc:
-        return _fail(f"error: cannot recompute metrics: {exc}", 2)
+    except (ArmloopError, OSError) as exc:
+        return _input_error(exc)
     text = metrics_mod.dumps_metrics(payload)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -138,8 +143,8 @@ def cmd_render(args) -> int:
     try:
         spec = load_task_spec(args.task_file)
         written = render_trials(args.trials_file, spec, args.out)
-    except (ArmloopError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return _fail(f"error: {exc}", 2)
+    except (ArmloopError, OSError) as exc:
+        return _input_error(exc)
     print(f"wrote {len(written)} SVG files to {args.out}")
     return 0
 
@@ -149,7 +154,7 @@ def cmd_validate(args) -> int:
         spec = load_task_spec(args.task_file)
         program = _read_program(Path(args.program_file))
     except ArmloopError as exc:
-        return _fail(f"error [{exc.code}]: {exc}", 2)
+        return _input_error(exc)
     diagnostics = validate(program, spec)
     if diagnostics:
         for d in diagnostics:
@@ -164,7 +169,7 @@ def cmd_instrument(args) -> int:
         program = _read_program(Path(args.program_file))
         instrumented = insert_observations(program, cap=args.cap)
     except ArmloopError as exc:
-        return _fail(f"error [{exc.code}]: {exc}", 2)
+        return _input_error(exc)
     text = to_text(instrumented)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import UnknownPointError
 from ..scene import TaskSpec
 from .ast import CallStmt, FpRef, ParallelStmt, Program
 
@@ -36,28 +37,29 @@ def validate(program: Program, spec: TaskSpec) -> list[Diagnostic]:
     def report(code: str, message: str, stmt):
         diagnostics.append(Diagnostic(code, message, stmt.id, stmt.line))
 
+    def check_point(actor, category: str, point_id, stmt):
+        try:
+            actor.point(category, point_id)
+        except UnknownPointError as exc:
+            report("unknown_point", str(exc), stmt)
+
     def check_call(stmt: CallStmt):
         if "actor" in stmt.args:
             name = stmt.args["actor"]
             actor = actors.get(name)
             if actor is None:
                 report("unknown_actor", f"actor {name!r} not in task", stmt)
-            else:
-                if stmt.name == "grasp_actor":
-                    cid = stmt.args["contact_point_id"]
-                    if cid != "auto" and all(p.id != cid for p in actor.contact_points):
-                        report("unknown_point", f"actor {name!r} has no contact point {cid}", stmt)
-                if stmt.name == "place_actor":
-                    fid = stmt.args["functional_point_id"]
-                    if fid != "none" and all(p.id != fid for p in actor.functional_points):
-                        report("unknown_point", f"actor {name!r} has no functional point {fid}", stmt)
+            elif stmt.name == "grasp_actor" and stmt.args["contact_point_id"] != "auto":
+                check_point(actor, "contact", stmt.args["contact_point_id"], stmt)
+            elif stmt.name == "place_actor" and stmt.args["functional_point_id"] != "none":
+                check_point(actor, "functional", stmt.args["functional_point_id"], stmt)
         if stmt.name == "place_actor" and isinstance(stmt.args["target"], FpRef):
             ref = stmt.args["target"]
             target = actors.get(ref.actor)
             if target is None:
                 report("unknown_actor", f"target actor {ref.actor!r} not in task", stmt)
-            elif all(p.id != ref.point_id for p in target.functional_points):
-                report("unknown_point", f"actor {ref.actor!r} has no functional point {ref.point_id}", stmt)
+            else:
+                check_point(target, "functional", ref.point_id, stmt)
         if stmt.name == "observe":
             name = stmt.args["step_name"]
             if name in observe_names:

@@ -17,25 +17,32 @@ class TaskParseError(ArmloopError):
     code = "parse_error"
 
 
-class TaskSchemaError(ArmloopError):
-    """Task file parsed but violates an invariant; names the offending field."""
-
-    code = "schema_error"
+class FieldError(ArmloopError):
+    """A malformed input that names where it is: a field, a flag or path:line."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
 
 
-class ConfigError(ArmloopError):
+class TaskSchemaError(FieldError):
+    """Task file parsed but violates an invariant; names the offending field."""
+
+    code = "schema_error"
+
+
+class ConfigError(FieldError):
     """Campaign config file or command-line option unreadable or malformed;
     names the offending field or flag."""
 
     code = "config_error"
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
+
+class ArtifactError(FieldError):
+    """Run artifact (trials.jsonl, campaign.json, a snapshot payload) does
+    not match its schema; names the file and line or field."""
+
+    code = "artifact_error"
 
 
 class UnknownActorError(ArmloopError):

@@ -112,7 +112,7 @@ class Pose:
         return cls(np.array(values[:3]), np.array(values[3:]))
 
     def as_list(self) -> list[float]:
-        return [float(v) for v in (*self.p, *self.q)]
+        return self.p.tolist() + self.q.tolist()
 
     def compose(self, local: "Pose") -> "Pose":
         """This pose applied to a local pose (world = self o local)."""

@@ -14,7 +14,7 @@ import datetime
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .agents.config import AgentConfig
@@ -94,42 +94,11 @@ class RepairSignal:
             )
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "faults": [
-                {
-                    "stmt_id": f.stmt_id,
-                    "subgoal_index": f.subgoal_index,
-                    "cause": f.cause,
-                    "suggested_edit_class": f.suggested_edit_class,
-                    "source": f.source,
-                    "symbolic_error_category": f.symbolic_error_category,
-                    "perceptual_rationale": f.perceptual_rationale,
-                }
-                for f in self.faults
-            ],
-            "last_error": self.last_error,
-            "observation_feedback": self.observation_feedback,
-        }
+    to_json = asdict  # repair_signal.json: the fields in declaration order
 
     @classmethod
     def from_json(cls, raw: dict) -> "RepairSignal":
-        return cls(
-            faults=[
-                FaultEntry(
-                    stmt_id=int(e["stmt_id"]),
-                    subgoal_index=int(e["subgoal_index"]),
-                    cause=e["cause"],
-                    suggested_edit_class=e["suggested_edit_class"],
-                    source=e["source"],
-                    symbolic_error_category=e.get("symbolic_error_category"),
-                    perceptual_rationale=e.get("perceptual_rationale"),
-                )
-                for e in raw.get("faults", [])
-            ],
-            last_error=raw.get("last_error", ""),
-            observation_feedback=raw.get("observation_feedback", ""),
-        )
+        return cls(**{**raw, "faults": [FaultEntry(**e) for e in raw["faults"]]})
 
 
 def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
@@ -375,7 +344,7 @@ def run_loop(
 @dataclass
 class CandidateSpec:
     candidate_id: int
-    base_seed: int
+    base_seed: int | None  # None: the candidate's default seed block
     playbook: list = field(default_factory=list)
 
 
@@ -385,9 +354,18 @@ class CampaignConfig:
     candidates: list = field(default_factory=list)
     expert_program: str | None = None
 
-    def ensure_candidates(self):
+    def candidate_specs(self) -> list[CandidateSpec]:
+        """The candidates with their seeds. Candidate i defaults to the i-th
+        block of max_iterations x n_trials seeds, laid out from the final
+        iteration cap so no two (candidate, iteration) batches share seeds."""
+        loop = self.loop
         if not self.candidates:
-            self.candidates = [CandidateSpec(0, self.loop.base_seed, list(self.loop.synthesis.playbook))]
+            return [CandidateSpec(0, loop.base_seed, list(loop.synthesis.playbook))]
+        stride = loop.max_iterations * loop.n_trials
+        return [
+            c if c.base_seed is not None else replace(c, base_seed=loop.base_seed + i * stride)
+            for i, c in enumerate(self.candidates)
+        ]
 
 
 @dataclass
@@ -431,8 +409,6 @@ def run_campaign(
 ) -> CampaignResult:
     """Independent loop runs per candidate (distinct seeds and playbooks);
     an agent failure marks its candidate and leaves the others running."""
-    cfg = copy.deepcopy(cfg)
-    cfg.ensure_candidates()
     out_dir = Path(out_dir) if out_dir is not None else None
     campaign = CampaignResult(
         task=spec.name,
@@ -440,7 +416,7 @@ def run_campaign(
         success_threshold=cfg.loop.success_threshold,
         max_iterations=cfg.loop.max_iterations,
     )
-    for cand in cfg.candidates:
+    for cand in cfg.candidate_specs():
         loop_cfg = copy.deepcopy(cfg.loop)
         loop_cfg.base_seed = cand.base_seed
         if loop_cfg.synthesis.backend == "mock" and cand.playbook:
@@ -597,7 +573,7 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
         base_seed=_config_number(raw.get("base_seed", 0), "base_seed", int, 0),
         weights=tuple(_config_number(w, "weights") for w in weights),
         noise_scale=_config_number(raw.get("noise_scale", 0.0), "noise_scale", minimum=0),
-        max_steps=_config_number(raw.get("max_steps", 200), "max_steps", int),
+        max_steps=_config_number(raw.get("max_steps", 200), "max_steps", int, 1),
         observation_cap=_config_number(raw.get("observation_cap", 10), "observation_cap", int,
                                        MIN_OBSERVATION_CAP),
         perception=(mode == "hybrid"),
@@ -605,7 +581,6 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     if mode == "one_shot":
         loop_cfg.max_iterations = 1
 
-    seed_stride = loop_cfg.max_iterations * loop_cfg.n_trials
     candidates = []
     for i, entry in enumerate(_expect(raw.get("candidates", []), list, "candidates")):
         where = f"candidates[{i}]"
@@ -613,8 +588,8 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
         candidates.append(
             CandidateSpec(
                 candidate_id=_config_number(entry.get("candidate_id", i), f"{where}.candidate_id", int),
-                base_seed=_config_number(entry.get("base_seed", loop_cfg.base_seed + i * seed_stride),
-                                         f"{where}.base_seed", int, 0),
+                base_seed=(None if "base_seed" not in entry else
+                           _config_number(entry["base_seed"], f"{where}.base_seed", int, 0)),
                 playbook=_resolve_playbook(entry.get("playbook", []), programs_dir, config_dir,
                                            f"{where}.playbook"),
             )

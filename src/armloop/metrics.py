@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
-from .errors import EmptyCampaignError
+from .errors import ArtifactError, EmptyCampaignError
 from .loop import CampaignResult
 from .sim.model import load_trials
 
@@ -307,24 +307,40 @@ def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = No
     )
 
 
+def _field(raw, name: str, kinds: tuple, where: str):
+    """raw[name] (None when absent), checked to be exactly one of kinds."""
+    if type(raw) is not dict:
+        raise ArtifactError(where, f"expected a JSON object, got {raw!r}")
+    value = raw.get(name)
+    if type(value) not in kinds:
+        raise ArtifactError(where, f"{name}: expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
-    payload written at run time byte for byte."""
+    payload written at run time byte for byte. A campaign.json or
+    trials.jsonl that does not match its schema raises ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
         raise EmptyCampaignError(f"no campaign.json under {run_dir}")
-    meta = json.loads(campaign_path.read_text(encoding="utf-8"))
-    threshold = float(meta["success_threshold"])
-    cap = int(meta["max_iterations"])
+    where = str(campaign_path)
+    try:
+        meta = json.loads(campaign_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(where, f"not JSON: line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
+    threshold = float(_field(meta, "success_threshold", (float, int), where))
+    cap = _field(meta, "max_iterations", (int,), where)
 
     entries = []
-    for cand in meta["candidates"]:
-        cid = cand["candidate_id"]
+    for i, cand in enumerate(_field(meta, "candidates", (list,), where)):
+        at = f"{where}: candidates[{i}]"
+        cid = _field(cand, "candidate_id", (int,), at)
         cand_dir = run_dir / f"cand_{cid}"
         entry = {
             "candidate_id": cid,
-            "error": cand.get("error"),
+            "error": _field(cand, "error", (str, type(None)), at),
             "success_count": 0,
             "n_trials": 0,
             "cr_iter": 0,
@@ -332,13 +348,12 @@ def metrics_from_artifacts(run_dir) -> dict:
             "final_program_text": None,
         }
         iter_dirs = sorted(
-            (d for d in cand_dir.glob("iter_*") if d.is_dir()),
-            key=lambda d: int(d.name.split("_")[1]),
+            (int(d.name[len("iter_"):]), d) for d in cand_dir.glob("iter_*")
+            if d.name[len("iter_"):].isdigit() and d.is_dir()
         )
         if entry["error"] is None and iter_dirs:
             converged_at = None
-            for it_dir in iter_dirs:
-                k = int(it_dir.name.split("_")[1])
+            for k, it_dir in iter_dirs:
                 logs = load_trials(it_dir / "trials.jsonl")
                 successes = sum(1 for log in logs if log.goal_met)
                 if converged_at is None and logs and successes / len(logs) > threshold:
@@ -347,12 +362,12 @@ def metrics_from_artifacts(run_dir) -> dict:
                 entry["n_trials"] = len(logs)
             entry["converged"] = converged_at is not None
             entry["cr_iter"] = converged_at if converged_at is not None else cap
-            entry["final_program_text"] = (iter_dirs[-1] / "program.prog").read_text(encoding="utf-8")
+            entry["final_program_text"] = (iter_dirs[-1][1] / "program.prog").read_text(encoding="utf-8")
         entries.append(entry)
 
-    expert_path = meta.get("expert_program")
+    expert_path = _field(meta, "expert_program", (str, type(None)), where)
     expert_text = Path(expert_path).read_text(encoding="utf-8") if expert_path else None
-    return metrics_payload(meta["task"], entries, threshold, cap, expert_text)
+    return metrics_payload(_field(meta, "task", (str,), where), entries, threshold, cap, expert_text)
 
 
 def dumps_metrics(payload: dict) -> str:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import zlib
 from pathlib import Path
 
-from .scene import ARM_TAGS, Pose, TaskSpec
-from .sim.model import Snapshot, load_trials
+from .errors import ArmloopError, ArtifactError
+from .scene import ARM_TAGS, TaskSpec
+from .sim.model import Snapshot, load_trials, scene_from_state
 
 # View window in world meters (x right, y front) and pixel scale.
 VIEW_X = (-0.65, 0.65)
@@ -54,16 +55,13 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
         'stroke="#c9c2b6" stroke-dasharray="6,4"/>'
     )
 
-    for name, entry in snapshot.scene["actors"].items():
-        geom = spec.actors.get(name)
-        if geom is None:
-            continue
-        pose = Pose.from_list(entry["pose"])
+    scene = scene_from_state(spec, snapshot.scene)
+    for name, pose in scene.poses.items():
+        geom = spec.actors[name]
         cx, cy = world_to_svg(float(pose.p[0]), float(pose.p[1]))
         w = 2.0 * float(geom.extent[0]) * SCALE
         h = 2.0 * float(geom.extent[1]) * SCALE
-        held = entry.get("held_by")
-        stroke = _ARM_COLORS.get(held, "#5a554c")
+        stroke = _ARM_COLORS.get(scene.held_by(name), "#5a554c")
         parts.append(
             f'<rect id="actor-{name}" x="{cx - w / 2:.1f}" y="{cy - h / 2:.1f}" '
             f'width="{w:.1f}" height="{h:.1f}" fill="{_color(name)}" '
@@ -82,15 +80,15 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
             )
 
     for tag in ARM_TAGS:
-        arm = snapshot.scene["arms"][tag]
-        tx, ty = world_to_svg(float(arm["tcp"][0]), float(arm["tcp"][1]))
+        arm = scene.arms[tag]
+        tx, ty = world_to_svg(float(arm.tcp.p[0]), float(arm.tcp.p[1]))
         color = _ARM_COLORS[tag]
         parts.append(
             f'<g id="arm-{tag}">'
             f'<line x1="{tx - 8:.1f}" y1="{ty:.1f}" x2="{tx + 8:.1f}" y2="{ty:.1f}" stroke="{color}" stroke-width="2"/>'
             f'<line x1="{tx:.1f}" y1="{ty - 8:.1f}" x2="{tx:.1f}" y2="{ty + 8:.1f}" stroke="{color}" stroke-width="2"/>'
             f'<text x="{tx + 10:.1f}" y="{ty - 6:.1f}" font-size="11" fill="{color}">'
-            f'{tag} g={arm["gripper"]:.2f}</text>'
+            f'{tag} g={arm.gripper:.2f}</text>'
             "</g>"
         )
 
@@ -109,8 +107,12 @@ def render_trials(trials_path, spec: TaskSpec, out_dir) -> list[Path]:
     written = []
     for log in load_trials(trials_path):
         for seq, snap in enumerate(log.snapshots):
-            name = f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
-            path = out_dir / name
-            path.write_text(snapshot_svg(snap, spec), encoding="utf-8")
+            try:
+                svg = snapshot_svg(snap, spec)
+            except ArmloopError as exc:  # a payload that does not fit the task
+                raise ArtifactError(f"{trials_path}: trial {log.trial_index} snapshot {seq}",
+                                    f"[{exc.code}] {exc}") from None
+            path = out_dir / f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
+            path.write_text(svg, encoding="utf-8")
             written.append(path)
     return written

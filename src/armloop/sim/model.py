@@ -9,8 +9,11 @@ produce identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import get_type_hints
 
+from ..errors import ArtifactError
 from ..scene import ARM_TAGS, Pose, Scene, TaskSpec
 
 ERROR_CATEGORIES = (
@@ -97,71 +100,59 @@ def scene_state(scene: Scene) -> dict:
 
 def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
     """An evaluable scene over the task's geometry, in the state a snapshot
-    payload records."""
+    payload records. An actor the task lacks raises UnknownActorError, any
+    other payload that does not fit scene_state's layout ArtifactError."""
     scene = Scene.from_spec(spec)
-    for name, entry in state["actors"].items():
-        scene.actor(name)  # a name the task lacks raises UnknownActorError
-        scene.poses[name] = Pose.from_list(entry["pose"])
-        if entry["held_by"] is not None:
-            scene.arms[entry["held_by"]].holding = name
-    for tag, entry in state["arms"].items():
-        arm = scene.arms[tag]
-        arm.tcp = Pose.from_list(entry["tcp"])
-        arm.gripper = float(entry["gripper"])
+    try:
+        for name, entry in state["actors"].items():
+            scene.actor(name)
+            scene.poses[name] = Pose.from_list(entry["pose"])
+            if entry["held_by"] is not None:
+                scene.arms[entry["held_by"]].holding = name
+        for tag, entry in state["arms"].items():
+            arm = scene.arms[tag]
+            arm.tcp = Pose.from_list(entry["tcp"])
+            arm.gripper = float(entry["gripper"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError("scene", f"{type(exc).__name__}: {exc}") from None
     return scene
 
 
 # --- JSONL ------------------------------------------------------------------
 
 
-def _event_record(log: TrialLog, ev: SymbolicEvent) -> dict:
-    return {
-        "type": "event",
-        "trial_index": log.trial_index,
-        "stmt_id": ev.stmt_id,
-        "subgoal_index": ev.subgoal_index,
-        "op_name": ev.op_name,
-        "args": ev.args,
-        "outcome": ev.outcome,
-        "error_category": ev.error_category,
-        "message": ev.message,
-        "t": ev.t,
-    }
+@dataclass
+class TrialSummary:
+    """A trial's last record. Metrics count on its fields, so each must hold
+    exactly its declared type (a bool is no int)."""
+
+    goal_met: bool
+    seed: int
+    n_events: int
+
+    def __post_init__(self):
+        for name, kind in _SUMMARY_TYPES.items():
+            if type(getattr(self, name)) is not kind:
+                raise ValueError(f"{name}: expected {kind.__name__}, got {getattr(self, name)!r}")
 
 
-def _snapshot_record(log: TrialLog, snap: Snapshot) -> dict:
-    return {
-        "type": "snapshot",
-        "trial_index": log.trial_index,
-        "step_name": snap.step_name,
-        "stmt_id": snap.stmt_id,
-        "subgoal_index": snap.subgoal_index,
-        "t": snap.t,
-        "scene": snap.scene,
-        "program_context": snap.program_context,
-    }
+_SUMMARY_TYPES = get_type_hints(TrialSummary)
+
+# A record is {"type", "trial_index", <the class's fields in declaration order>}.
+RECORD_TYPES = {"event": SymbolicEvent, "snapshot": Snapshot, "summary": TrialSummary}
+_FIELDS = {cls: (kind, [f.name for f in fields(cls)]) for kind, cls in RECORD_TYPES.items()}
 
 
 def trial_records(log: TrialLog):
-    """All records of one trial in log order (events and snapshots merged by
-    step counter, events first on ties), ending with the summary."""
-    merged = sorted(
-        [("event", ev.t, ev) for ev in log.events]
-        + [("snapshot", snap.t, snap) for snap in log.snapshots],
-        key=lambda item: (item[1], 0 if item[0] == "event" else 1),
-    )
-    for kind, _, payload in merged:
-        if kind == "event":
-            yield _event_record(log, payload)
-        else:
-            yield _snapshot_record(log, payload)
-    yield {
-        "type": "summary",
-        "trial_index": log.trial_index,
-        "goal_met": log.goal_met,
-        "seed": log.seed,
-        "n_events": len(log.events),
-    }
+    """All records of one trial in log order: events and snapshots by step
+    counter (a stable sort, so events first on ties), then the summary."""
+    summary = TrialSummary(log.goal_met, log.seed, len(log.events))
+    for rec in (*sorted(log.events + log.snapshots, key=attrgetter("t")), summary):
+        kind, names = _FIELDS[type(rec)]
+        record = {"type": kind, "trial_index": log.trial_index}
+        for name in names:  # not vars(rec): that would attach a dict to every record
+            record[name] = getattr(rec, name)
+        yield record
 
 
 def dumps_trial(log: TrialLog) -> str:
@@ -174,43 +165,54 @@ def dump_trials(logs, path) -> None:
             fh.write(dumps_trial(log))
 
 
+def _record(line: str):
+    """(trial index, record) of one JSONL line; ValueError names the fault."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON: {exc.msg} at column {exc.colno}") from None
+    if type(rec) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    kind = rec.pop("type", None)
+    cls = RECORD_TYPES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown record type {kind!r}")
+    index = rec.pop("trial_index", None)
+    if type(index) is not int:
+        raise ValueError(f"trial_index: expected int, got {index!r}")
+    try:
+        return index, cls(**rec)
+    except TypeError:  # a missing or an unexpected field
+        raise ValueError(f"{kind} record: expected fields {_FIELDS[cls][1]}, got {list(rec)}") from None
+
+
 def load_trials(path) -> list[TrialLog]:
     """Reconstruct trial logs from a JSONL file. The in-memory final scene is
-    not serialized; it is left as None (snapshots carry the state)."""
+    not serialized; it is left as None (snapshots carry the state). A
+    malformed line, or a trial without its summary, raises ArtifactError
+    naming path:line or path."""
     logs: dict[int, TrialLog] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
                 continue
-            rec = json.loads(line)
-            idx = rec["trial_index"]
-            log = logs.setdefault(idx, TrialLog(trial_index=idx, seed=0))
-            if rec["type"] == "event":
-                log.events.append(
-                    SymbolicEvent(
-                        stmt_id=rec["stmt_id"],
-                        subgoal_index=rec["subgoal_index"],
-                        op_name=rec["op_name"],
-                        args=rec["args"],
-                        outcome=rec["outcome"],
-                        error_category=rec["error_category"],
-                        message=rec["message"],
-                        t=rec["t"],
-                    )
-                )
-            elif rec["type"] == "snapshot":
-                log.snapshots.append(
-                    Snapshot(
-                        step_name=rec["step_name"],
-                        stmt_id=rec["stmt_id"],
-                        subgoal_index=rec["subgoal_index"],
-                        t=rec["t"],
-                        scene=rec["scene"],
-                        program_context=rec["program_context"],
-                    )
-                )
-            elif rec["type"] == "summary":
-                log.goal_met = bool(rec["goal_met"])
-                log.seed = int(rec["seed"])
+            try:
+                index, rec = _record(line)
+                log = logs.get(index)
+                if log is None:
+                    log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
+                if type(rec) is SymbolicEvent:
+                    log.events.append(rec)
+                elif type(rec) is Snapshot:
+                    log.snapshots.append(rec)
+                elif rec.n_events != len(log.events):
+                    raise ValueError(f"n_events: {rec.n_events} given, {len(log.events)} events read")
+                else:
+                    log.goal_met = rec.goal_met
+                    log.seed = rec.seed
+            except ValueError as exc:
+                raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
+    for log in logs.values():
+        if log.seed is None:
+            raise ArtifactError(str(path), f"trial {log.trial_index} has no summary record")
     return [logs[idx] for idx in sorted(logs)]

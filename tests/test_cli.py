@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 from armloop.cli import main
+from armloop.sim import load_trials
 
 from conftest import TASKS_DIR, program_path, task_path
 
@@ -75,6 +77,7 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"candidates": [{"base_seed": -1, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
     ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
     ('{"expert_program": "missing.prog"}', "expert_program"),
+    ('{"max_steps": 0}', "max_steps"),
 ])
 def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     config = tmp_path / "bad.json"
@@ -93,6 +96,8 @@ def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     (["run", _task(), _prog("correct"), "--observation-cap", "2"], "--observation-cap"),
     (["run", _task(), _prog("correct"), "--noise-scale", "-1"], "--noise-scale"),
     (["run", _task(), _prog("correct"), "--noise-scale", "nan"], "--noise-scale"),
+    (["run", _task(), _prog("correct"), "--max-steps", "-1"], "--max-steps"),
+    (["run", _task(), _prog("correct"), "--max-steps", "0"], "--max-steps"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     code = main(argv + ["--out", str(tmp_path / "out")])
@@ -150,6 +155,116 @@ def test_metrics_recompute_matches_stored(tmp_path, capsys):
 
 def test_metrics_missing_artifacts_exit_two(tmp_path, capsys):
     assert main(["metrics", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    ([], [0, 10, 20]),
+    (["--max-iter", "5"], [0, 50, 100]),
+])
+def test_candidate_seed_blocks_are_disjoint(tmp_path, argv, seeds):
+    config = str(TASKS_DIR / "configs" / "one_shot.json")
+    main(["loop", _task(), "--config", config, "--out", str(tmp_path), *argv])
+    run_dir = tmp_path / "place_shoe"
+    meta = json.loads((run_dir / "campaign.json").read_text())
+    assert [c["base_seed"] for c in meta["candidates"]] == seeds
+    blocks = {
+        it_dir.relative_to(run_dir): {log.seed for log in load_trials(it_dir / "trials.jsonl")}
+        for it_dir in run_dir.glob("cand_*/iter_*")
+    }
+    # With five iterations cand_0 converges at 2 and cand_1 runs all 5.
+    assert len(blocks) == (8 if argv else 3)
+    assert sum(len(b) for b in blocks.values()) == len(set().union(*blocks.values()))
+
+
+# --- malformed artifacts ------------------------------------------------------
+
+
+def _edit_record(kind, edit):
+    """Apply edit to the first record of the given type in a trials.jsonl."""
+    def mutate(lines):
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == kind)
+        record = json.loads(lines[i])
+        edit(record)
+        lines[i] = json.dumps(record) + "\n"
+    return mutate
+
+
+TRIALS_CASES = {
+    "not_json": lambda lines: lines.insert(1, '{"type": "event",\n'),
+    "not_an_object": lambda lines: lines.insert(1, "[1, 2]\n"),
+    "unknown_type": _edit_record("event", lambda r: r.update(type="note")),
+    "missing_stmt_id": _edit_record("event", lambda r: r.pop("stmt_id")),
+    "extra_field": _edit_record("snapshot", lambda r: r.update(camera="top")),
+    "bad_trial_index": _edit_record("event", lambda r: r.update(trial_index="0")),
+    "goal_met_not_bool": _edit_record("summary", lambda r: r.update(goal_met="yes")),
+    "seed_not_int": _edit_record("summary", lambda r: r.update(seed=7.5)),
+    "n_events_wrong": _edit_record("summary", lambda r: r.update(n_events=r["n_events"] + 1)),
+    "no_summary": lambda lines: lines.pop(),
+}
+SCENE_CASES = {
+    "unknown_actor": _edit_record("snapshot", lambda r: r["scene"]["actors"].update(
+        ghost={"pose": [0, 0, 0, 1, 0, 0, 0], "held_by": None})),
+    "short_pose": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(pose=[0, 0])),
+    "scene_not_object": _edit_record("snapshot", lambda r: r.update(scene={"actors": [1]})),
+    "unknown_arm": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(held_by="mid")),
+}
+
+
+def _edit_campaign(edit):
+    def mutate(path):
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return mutate
+
+
+CAMPAIGN_CASES = {
+    "campaign_not_json": lambda path: path.write_text('{"task": '),
+    "campaign_not_object": lambda path: path.write_text("[1, 2]"),
+    "no_success_threshold": _edit_campaign(lambda m: m.pop("success_threshold")),
+    "max_iterations_not_int": _edit_campaign(lambda m: m.update(max_iterations="5")),
+    "candidates_not_list": _edit_campaign(lambda m: m.update(candidates={})),
+    "candidate_not_object": _edit_campaign(lambda m: m.update(candidates=[3])),
+    "candidate_id_not_int": _edit_campaign(lambda m: m["candidates"][0].update(candidate_id="0")),
+    "task_missing": _edit_campaign(lambda m: m.pop("task")),
+}
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo")
+    config = str(TASKS_DIR / "configs" / "demo_two_step.json")
+    assert main(["loop", _task(), "--config", config, "--out", str(out)]) == 0
+    return out / "place_shoe"
+
+
+def _mutate_lines(path, mutate):
+    lines = path.read_text().splitlines(keepends=True)
+    mutate(lines)
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("case", [*TRIALS_CASES, *CAMPAIGN_CASES])
+def test_metrics_malformed_artifact_exits_two(tmp_path, capsys, demo_run, case):
+    run_dir = tmp_path / "run"
+    shutil.copytree(demo_run, run_dir)
+    if case in TRIALS_CASES:
+        _mutate_lines(run_dir / "cand_0" / "iter_1" / "trials.jsonl", TRIALS_CASES[case])
+    else:
+        CAMPAIGN_CASES[case](run_dir / "campaign.json")
+    assert main(["metrics", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [artifact_error]: ")
+    assert not captured.out
+
+
+@pytest.mark.parametrize("case", [*TRIALS_CASES, *SCENE_CASES])
+def test_render_malformed_artifact_exits_two(tmp_path, capsys, case):
+    main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path)])
+    trials = tmp_path / "trials.jsonl"
+    _mutate_lines(trials, {**TRIALS_CASES, **SCENE_CASES}[case])
+    assert main(["render", str(trials), _task(), "--out", str(tmp_path / "svg")]) == 2
+    assert capsys.readouterr().err.startswith(f"error [artifact_error]: {trials}")
 
 
 def test_render_counts_files(tmp_path, capsys):

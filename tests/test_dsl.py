@@ -174,6 +174,20 @@ def test_validate_unknown_point(place_shoe_spec):
     assert [d.code for d in diags] == ["unknown_point"]
 
 
+@pytest.mark.parametrize("stmt, messages", [
+    ("grasp_actor(shoe, left, contact_point_id=3)", ["actor 'shoe' has no contact point 3"]),
+    ("place_actor(shoe, left, fp(target_block, 9))",
+     ["actor 'target_block' has no functional point 9"]),
+    ("place_actor(shoe, left, fp(target_block, 9), functional_point_id=7)",
+     ["actor 'shoe' has no functional point 7", "actor 'target_block' has no functional point 9"]),
+    ("place_actor(shoe, left, fp(target_block, 0), functional_point_id=0)", []),
+])
+def test_validate_unknown_point_messages(place_shoe_spec, stmt, messages):
+    diags = validate(parse(f'program t\nsubgoal "s"\n  {stmt}\n'), place_shoe_spec)
+    assert [str(d) for d in diags] == [
+        f"[unknown_point] stmt 1 (line 3): {message}" for message in messages]
+
+
 def test_validate_observe_collision(place_shoe_spec):
     program = parse('program t\nsubgoal "s"\n  observe("a")\n  observe("a")\n')
     diags = validate(program, place_shoe_spec)

@@ -10,7 +10,9 @@ from armloop.dsl import parse
 from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, eval_predicate, load_task_spec
-from armloop.sim import SimConfig, dumps_trial, execute, run_trials, scene_from_state
+from armloop.sim import (
+    SimConfig, dump_trials, dumps_trial, execute, load_trials, run_trials, scene_from_state,
+)
 
 from conftest import TASK_NAMES, program_path, task_path
 
@@ -376,6 +378,37 @@ def test_trials_leave_task_geometry_unchanged(task):
             for snap in log.snapshots:
                 eval_predicate(spec.goal, scene_from_state(spec, snap.scene))
     assert _geometry(spec) == _geometry(load_task_spec(task_path(task)))
+
+
+# --- trials.jsonl codec -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise", [0, 1])
+def test_trials_write_load_write_is_byte_identical(tmp_path, noise):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()))
+            logs = run_trials(program, spec, 4, base_seed=0, noise_scale=float(noise))
+            dump_trials(logs, first)
+            loaded = load_trials(first)
+            assert [(log.trial_index, log.seed, log.goal_met) for log in loaded] == [
+                (log.trial_index, log.seed, log.goal_met) for log in logs]
+            dump_trials(loaded, second)
+            assert second.read_bytes() == first.read_bytes(), (task, kind)
+
+
+def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
+    log = execute(_correct(), place_shoe_spec, SimConfig(seed=0, max_steps=3))
+    limit, final = log.events[-1], log.snapshots[-1]
+    assert (limit.error_category, final.step_name) == ("runtime_limit", "final_scene_state")
+    assert limit.t == final.t
+    dump_trials([log], tmp_path / "trials.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+    assert [(r["type"], r.get("t")) for r in records[-3:]] == [
+        ("event", limit.t), ("snapshot", limit.t), ("summary", None)]
+    assert records[-3]["error_category"] == "runtime_limit"
 
 
 # --- golden digests -------------------------------------------------------------
