@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import NoneType
+
+from ..errors import MalformedReplyError
 
 CAUSES = (
     "logic_error",
@@ -77,18 +80,21 @@ class Diagnosis:
         }
 
     @classmethod
-    def from_json(cls, raw: dict) -> "Diagnosis":
-        verdicts = [
-            SubgoalVerdict(
-                subgoal_index=int(entry["index"]),
-                passed=bool(entry["passed"]),
-                deviation_stmt=entry.get("deviation_stmt"),
-                cause=entry.get("cause"),
-                rationale=entry.get("rationale", ""),
-            )
-            for entry in raw.get("subgoals", [])
-        ]
-        return cls(verdicts=verdicts, overall_success=bool(raw["overall_success"]))
+    def from_json(cls, raw) -> "Diagnosis":
+        """The diagnosis a verifier reply states; a field of the wrong JSON
+        type raises MalformedReplyError naming it."""
+        get = MalformedReplyError.get
+        verdicts = []
+        for i, entry in enumerate(get(raw, "subgoals", list, "reply")):
+            where = f"reply.subgoals[{i}]"
+            verdicts.append(SubgoalVerdict(
+                subgoal_index=get(entry, "index", int, where),
+                passed=get(entry, "passed", bool, where),
+                deviation_stmt=get(entry, "deviation_stmt", (int, NoneType), where, default=None),
+                cause=get(entry, "cause", (str, NoneType), where, default=None),
+                rationale=get(entry, "rationale", str, where, default=""),
+            ))
+        return cls(verdicts=verdicts, overall_success=get(raw, "overall_success", bool, "reply"))
 
 
 def render_diagnosis(diagnosis: Diagnosis, subgoal_texts: list[str]) -> str:

@@ -8,9 +8,9 @@ and the API key is read from the environment variable the config names.
 
 from __future__ import annotations
 
-import json
 import os
 import time
+from types import NoneType
 
 import requests
 
@@ -80,16 +80,15 @@ class ChatBackend:
 
 
 def _extract_text(body: str) -> str:
-    try:
-        reply = json.loads(body)
-    except json.JSONDecodeError:
-        raise MalformedReplyError("response body is not JSON") from None
-    choices = reply.get("choices") or []
+    """The reply text of a chat body: choices[0].message.content, or
+    choices[0].text as completion endpoints send it."""
+    get = MalformedReplyError.get
+    choices = get(MalformedReplyError.loads(body, "body"), "choices", list, "body")
     if not choices:
-        raise MalformedReplyError("response has no choices")
-    first = choices[0]
-    message = first.get("message") or {}
-    text = message.get("content") or first.get("text") or ""
+        raise MalformedReplyError("body.choices", "no choices")
+    message = get(choices[0], "message", dict, "body.choices[0]", default={})
+    text = (get(message, "content", (str, NoneType), "body.choices[0].message", default=None)
+            or get(choices[0], "text", str, "body.choices[0]", default=""))
     if not text.strip():
-        raise MalformedReplyError("response text is empty")
+        raise MalformedReplyError("body.choices[0]", "reply text is empty")
     return text

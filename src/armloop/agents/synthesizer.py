@@ -47,7 +47,7 @@ def parse_subgoal_list(reply: str) -> list[str]:
         if m:
             subgoals.append(m.group(1).strip())
     if not subgoals:
-        raise MalformedReplyError("reply contains no subgoal list")
+        raise MalformedReplyError("reply", "contains no subgoal list")
     return subgoals
 
 
@@ -101,7 +101,7 @@ class Synthesizer:
 
     def _mock_reply(self, signal: RepairSignal | None) -> str:
         if self.playbook is None:
-            raise MalformedReplyError("mock synthesizer has no playbook configured")
+            raise MalformedReplyError("playbook", "none configured for the mock synthesizer")
         if signal is not None and signal.faults:
             self.playbook.advance()
         return f"```\n{self.playbook.current()}```"

@@ -194,20 +194,13 @@ class Verifier:
 def parse_remote_diagnosis(reply: str, n_subgoals: int) -> Diagnosis:
     m = re.search(r"\{.*\}", reply, re.DOTALL)
     if not m:
-        raise MalformedReplyError("reply contains no JSON object")
+        raise MalformedReplyError("reply", "contains no JSON object")
     try:
-        raw = json.loads(m.group())
-    except json.JSONDecodeError as exc:
-        raise MalformedReplyError(f"reply JSON invalid: {exc}") from None
-    if "overall_success" not in raw or "subgoals" not in raw:
-        raise MalformedReplyError("reply JSON missing overall_success or subgoals")
-    entries = raw["subgoals"]
-    if len(entries) != n_subgoals:
+        diagnosis = Diagnosis.from_json(MalformedReplyError.loads(m.group(), "reply"))
+    except ValueError as exc:  # an unknown cause, or verdicts that contradict overall_success
+        raise MalformedReplyError("reply", str(exc)) from None
+    if len(diagnosis.verdicts) != n_subgoals:
         raise MalformedReplyError(
-            f"expected {n_subgoals} per-subgoal verdicts, got {len(entries)}"
+            "reply.subgoals", f"expected {n_subgoals} per-subgoal verdicts, got {len(diagnosis.verdicts)}"
         )
-    try:
-        diagnosis = Diagnosis.from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedReplyError(f"reply does not fit the diagnosis schema: {exc}") from None
     return diagnosis

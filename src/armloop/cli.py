@@ -21,8 +21,16 @@ from .scene import load_task_spec
 from .sim import dump_trials, run_trials
 
 
-def _read_program(path: Path):
-    return parse(path.read_text(encoding="utf-8"))
+def _read_program(path):
+    return parse(ConfigError.read_text(path, "program_file"))
+
+
+def _out_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot create {path}: {exc.strerror}") from None
+    return path
 
 
 def _fail(message: str, code: int) -> int:
@@ -48,7 +56,8 @@ def cmd_run(args) -> int:
         _at_least(args.noise_scale, "--noise-scale", 0)
         _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
-        program = _read_program(Path(args.program_file))
+        program = _read_program(args.program_file)
+        out = _out_dir(Path(args.out))
     except ArmloopError as exc:
         return _input_error(exc)
     diagnostics = validate(program, spec)
@@ -62,8 +71,6 @@ def cmd_run(args) -> int:
         program, spec, args.trials, args.seed,
         noise_scale=args.noise_scale, max_steps=args.max_steps,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dump_trials(logs, out / "trials.jsonl")
     selection = select_trial(logs, program)
     (out / "scores.json").write_text(scores_report(selection, logs), encoding="utf-8")
@@ -83,19 +90,18 @@ def cmd_loop(args) -> int:
         _at_least(args.max_iter, "--max-iter", 1)
         spec = load_task_spec(args.task_file)
         cfg = load_campaign_config(args.config, args.task_file, spec)
+        expert_text = (ConfigError.read_text(cfg.expert_program, "expert_program")
+                       if cfg.expert_program else None)
+        out = _out_dir(Path(args.out) / spec.name)
     except ArmloopError as exc:
         return _input_error(exc)
     if args.max_iter is not None:
         cfg.loop.max_iterations = args.max_iter
-    out = Path(args.out) / spec.name
     try:
         campaign = run_campaign(spec, cfg, out_dir=out)
     except AgentFailureError as exc:
         return _fail(f"error [agent_failure]: {exc}", 3)
 
-    expert_text = None
-    if cfg.expert_program:
-        expert_text = Path(cfg.expert_program).read_text(encoding="utf-8")
     try:
         payload = metrics_mod.metrics_from_campaign(campaign, expert_text)
     except ArmloopError:
@@ -152,7 +158,7 @@ def cmd_render(args) -> int:
 def cmd_validate(args) -> int:
     try:
         spec = load_task_spec(args.task_file)
-        program = _read_program(Path(args.program_file))
+        program = _read_program(args.program_file)
     except ArmloopError as exc:
         return _input_error(exc)
     diagnostics = validate(program, spec)
@@ -166,7 +172,7 @@ def cmd_validate(args) -> int:
 
 def cmd_instrument(args) -> int:
     try:
-        program = _read_program(Path(args.program_file))
+        program = _read_program(args.program_file)
         instrumented = insert_observations(program, cap=args.cap)
     except ArmloopError as exc:
         return _input_error(exc)

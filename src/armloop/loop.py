@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import NoneType
 
 from .agents.config import AgentConfig
 from .agents.diagnosis import CAUSE_FROM_ERROR, Diagnosis, render_diagnosis
@@ -108,10 +109,17 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
     the perceptual deviation point yields a single fault entry; disagreement
     yields two with the symbolic one first; a silent symbolic log leaves the
     perceptual entry alone. Entries rank earlier-subgoal first, then
-    symbolic-confirmed before perceptual-only.
+    symbolic-confirmed before perceptual-only. A verdict that points at a
+    statement the program lacks raises MalformedReplyError naming it.
     """
     if diagnosis.overall_success:
         raise NothingToFuseError("diagnosis reports overall success")
+
+    known_ids = {stmt.id for stmt in program.walk()}
+    for i, verdict in enumerate(diagnosis.verdicts):
+        if verdict.deviation_stmt is not None and verdict.deviation_stmt not in known_ids:
+            raise MalformedReplyError(f"reply.subgoals[{i}].deviation_stmt",
+                                      f"no statement {verdict.deviation_stmt} in the program")
 
     failure = log.failure_event
     perceptual = {v.subgoal_index: v for v in diagnosis.failed_verdicts()}
@@ -164,11 +172,6 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
                     perceptual_rationale=perc.rationale or None,
                 )
             )
-
-    known_ids = {stmt.id for stmt in program.walk()}
-    for fault in faults:
-        if fault.stmt_id not in known_ids:
-            raise AssertionError(f"fault refers to unknown stmt id {fault.stmt_id}")
 
     if failure is not None:
         last_error = failure.message
@@ -309,14 +312,9 @@ def run_loop(
 
         selected = logs[selection.index]
         observations = collect_observations(selected, instrumented)
-        if cfg.perception:
-            try:
-                diagnosis = verifier.verify(subgoals, observations, selected)
-            except BackendError as exc:
-                raise AgentFailureError(f"verification failed: {exc}") from exc
-        else:
-            diagnosis = Diagnosis.empty()
         try:
+            diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
+                         else Diagnosis.empty())
             signal = fuse(selected, diagnosis, instrumented)
         except NothingToFuseError:
             signal = RepairSignal(
@@ -324,6 +322,8 @@ def run_loop(
                 last_error="trials missed the goal but the verifier reported success",
                 observation_feedback=render_diagnosis(diagnosis, subgoals),
             )
+        except (BackendError, MalformedReplyError) as exc:
+            raise AgentFailureError(f"verification failed: {exc}") from exc
         record.diagnosis = diagnosis
         record.signal = signal
         _persist_iteration(out_dir, record)
@@ -476,33 +476,8 @@ def _expand_env(value):
     return value
 
 
-def _read_json(path: Path, where: str):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(where, f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(where, f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
-
-
-def _expect(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _config_number(value, where: str, kind=float, minimum=None):
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from None
-    if minimum is not None and not number >= minimum:
-        raise ConfigError(where, f"must be at least {minimum}")
-    return number
-
-
 def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) -> str:
-    for path in (programs_dir / _expect(entry, str, where), config_dir / entry):
+    for path in (programs_dir / ConfigError.check(entry, str, where), config_dir / entry):
         if path.is_file():
             return str(path)
     raise ConfigError(where, f"no program file {entry!r}")
@@ -511,33 +486,27 @@ def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) ->
 def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where: str) -> list[str]:
     if isinstance(raw_playbook, str):
         # A playbook file: JSON array of .prog paths.
-        raw_playbook = _read_json(config_dir / raw_playbook, where)
+        raw_playbook = ConfigError.read_json(config_dir / raw_playbook, where)
     return [_resolve_program(entry, programs_dir, config_dir, where)
-            for entry in _expect(raw_playbook, list, where)]
+            for entry in ConfigError.check(raw_playbook, list, where)]
 
 
 def _agent_config(raw: dict, key: str) -> AgentConfig:
-    section = _expand_env(_expect(raw.get(key, {}), dict, key))
+    section = _expand_env(ConfigError.get(raw, key, dict, default={}))
 
-    def value(name: str):  # AgentConfig's class attributes are its defaults
-        return section.get(name, getattr(AgentConfig, name))
-
-    def text(name: str) -> str:
-        return _expect(value(name), str, f"{key}.{name}")
-
-    def number(name: str, kind=float):
-        return _config_number(value(name), f"{key}.{name}", kind)
+    def value(name: str, kind):  # AgentConfig's class attributes are its defaults
+        return ConfigError.get(section, name, kind, key, default=getattr(AgentConfig, name))
 
     try:
         return AgentConfig(
-            backend=value("backend"),
-            endpoint=text("endpoint"),
-            model=text("model"),
-            api_key_env=text("api_key_env"),
-            timeout_s=number("timeout_s"),
-            max_retries=number("max_retries", int),
-            temperature=number("temperature"),
-            playbook=_expect(section.get("playbook", []), list, f"{key}.playbook"),
+            backend=value("backend", str),
+            endpoint=value("endpoint", str),
+            model=value("model", str),
+            api_key_env=value("api_key_env", str),
+            timeout_s=value("timeout_s", float),
+            max_retries=value("max_retries", int),
+            temperature=value("temperature", float),
+            playbook=ConfigError.get(section, "playbook", list, key, default=[]),
         )
     except AgentFailureError as exc:  # no usable backend as configured
         raise ConfigError(f"{key}.backend", str(exc)) from None
@@ -552,46 +521,47 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     the environment. A malformed field raises ConfigError naming it.
     """
     config_path = Path(config_path)
-    raw = _expect(_read_json(config_path, "config"), dict, "config")
+    raw = ConfigError.check(ConfigError.read_json(config_path, "config"), dict, "config")
     config_dir = config_path.parent
     programs_dir = Path(task_file).parent / spec.name
 
-    mode = raw.get("mode", "hybrid")
+    def value(name: str, kind, minimum=None):  # LoopConfig's class attributes are its defaults
+        return ConfigError.get(raw, name, kind, default=getattr(LoopConfig, name), minimum=minimum)
+
+    mode = ConfigError.get(raw, "mode", str, default="hybrid")
     if mode not in ("hybrid", "symbolic", "one_shot"):
         raise ConfigError("mode", f"unknown mode {mode!r}")
-    weights = _expect(raw.get("weights", [1.0, 1.0]), list, "weights")
+    weights = value("weights", list)
     if len(weights) != 2:
         raise ConfigError("weights", f"expected two numbers, got {weights!r}")
 
     loop_cfg = LoopConfig(
         synthesis=_agent_config(raw, "synthesis"),
         verifier=_agent_config(raw, "verifier"),
-        n_trials=_config_number(raw.get("n_trials", 10), "n_trials", int, 1),
-        success_threshold=_config_number(raw.get("success_threshold", 0.5), "success_threshold",
-                                         minimum=0),
-        max_iterations=_config_number(raw.get("max_iterations", 5), "max_iterations", int, 1),
-        base_seed=_config_number(raw.get("base_seed", 0), "base_seed", int, 0),
-        weights=tuple(_config_number(w, "weights") for w in weights),
-        noise_scale=_config_number(raw.get("noise_scale", 0.0), "noise_scale", minimum=0),
-        max_steps=_config_number(raw.get("max_steps", 200), "max_steps", int, 1),
-        observation_cap=_config_number(raw.get("observation_cap", 10), "observation_cap", int,
-                                       MIN_OBSERVATION_CAP),
+        n_trials=value("n_trials", int, 1),
+        success_threshold=value("success_threshold", float, 0),
+        max_iterations=value("max_iterations", int, 1),
+        base_seed=value("base_seed", int, 0),
+        weights=tuple(ConfigError.check(w, float, "weights") for w in weights),
+        noise_scale=value("noise_scale", float, 0),
+        max_steps=value("max_steps", int, 1),
+        observation_cap=value("observation_cap", int, MIN_OBSERVATION_CAP),
         perception=(mode == "hybrid"),
     )
     if mode == "one_shot":
         loop_cfg.max_iterations = 1
 
     candidates = []
-    for i, entry in enumerate(_expect(raw.get("candidates", []), list, "candidates")):
+    for i, entry in enumerate(ConfigError.get(raw, "candidates", list, default=[])):
         where = f"candidates[{i}]"
-        _expect(entry, dict, where)
         candidates.append(
             CandidateSpec(
-                candidate_id=_config_number(entry.get("candidate_id", i), f"{where}.candidate_id", int),
-                base_seed=(None if "base_seed" not in entry else
-                           _config_number(entry["base_seed"], f"{where}.base_seed", int, 0)),
-                playbook=_resolve_playbook(entry.get("playbook", []), programs_dir, config_dir,
-                                           f"{where}.playbook"),
+                candidate_id=ConfigError.get(entry, "candidate_id", int, where, default=i),
+                base_seed=ConfigError.get(entry, "base_seed", int, where, default=None, minimum=0),
+                playbook=_resolve_playbook(
+                    ConfigError.get(entry, "playbook", (str, list), where, default=[]),
+                    programs_dir, config_dir, f"{where}.playbook",
+                ),
             )
         )
     if loop_cfg.synthesis.playbook:
@@ -599,7 +569,7 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
             loop_cfg.synthesis.playbook, programs_dir, config_dir, "synthesis.playbook"
         )
 
-    expert = raw.get("expert_program")
+    expert = ConfigError.get(raw, "expert_program", (str, NoneType), default=None)
     if expert is not None:
         expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
     return CampaignConfig(loop=loop_cfg, candidates=candidates, expert_program=expert)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
@@ -307,16 +308,6 @@ def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = No
     )
 
 
-def _field(raw, name: str, kinds: tuple, where: str):
-    """raw[name] (None when absent), checked to be exactly one of kinds."""
-    if type(raw) is not dict:
-        raise ArtifactError(where, f"expected a JSON object, got {raw!r}")
-    value = raw.get(name)
-    if type(value) not in kinds:
-        raise ArtifactError(where, f"{name}: expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
-
-
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
     payload written at run time byte for byte. A campaign.json or
@@ -325,22 +316,27 @@ def metrics_from_artifacts(run_dir) -> dict:
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
         raise EmptyCampaignError(f"no campaign.json under {run_dir}")
-    where = str(campaign_path)
+    meta = ArtifactError.read_json(campaign_path, str(campaign_path))
     try:
-        meta = json.loads(campaign_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(where, f"not JSON: line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
-    threshold = float(_field(meta, "success_threshold", (float, int), where))
-    cap = _field(meta, "max_iterations", (int,), where)
+        task = ArtifactError.get(meta, "task", str)
+        threshold = ArtifactError.get(meta, "success_threshold", float)
+        cap = ArtifactError.get(meta, "max_iterations", int)
+        expert_path = ArtifactError.get(meta, "expert_program", (str, NoneType), default=None)
+        expert_text = ArtifactError.read_text(expert_path, "expert_program") if expert_path else None
+        candidates = [
+            (ArtifactError.get(cand, "candidate_id", int, f"candidates[{i}]"),
+             ArtifactError.get(cand, "error", (str, NoneType), f"candidates[{i}]", default=None))
+            for i, cand in enumerate(ArtifactError.get(meta, "candidates", list))
+        ]
+    except ArtifactError as exc:
+        raise ArtifactError(str(campaign_path), str(exc)) from None
 
     entries = []
-    for i, cand in enumerate(_field(meta, "candidates", (list,), where)):
-        at = f"{where}: candidates[{i}]"
-        cid = _field(cand, "candidate_id", (int,), at)
+    for cid, error in candidates:
         cand_dir = run_dir / f"cand_{cid}"
         entry = {
             "candidate_id": cid,
-            "error": _field(cand, "error", (str, type(None)), at),
+            "error": error,
             "success_count": 0,
             "n_trials": 0,
             "cr_iter": 0,
@@ -351,7 +347,7 @@ def metrics_from_artifacts(run_dir) -> dict:
             (int(d.name[len("iter_"):]), d) for d in cand_dir.glob("iter_*")
             if d.name[len("iter_"):].isdigit() and d.is_dir()
         )
-        if entry["error"] is None and iter_dirs:
+        if error is None and iter_dirs:
             converged_at = None
             for k, it_dir in iter_dirs:
                 logs = load_trials(it_dir / "trials.jsonl")
@@ -362,12 +358,11 @@ def metrics_from_artifacts(run_dir) -> dict:
                 entry["n_trials"] = len(logs)
             entry["converged"] = converged_at is not None
             entry["cr_iter"] = converged_at if converged_at is not None else cap
-            entry["final_program_text"] = (iter_dirs[-1][1] / "program.prog").read_text(encoding="utf-8")
+            program_path = iter_dirs[-1][1] / "program.prog"
+            entry["final_program_text"] = ArtifactError.read_text(program_path, str(program_path))
         entries.append(entry)
 
-    expert_path = _field(meta, "expert_program", (str, type(None)), where)
-    expert_text = Path(expert_path).read_text(encoding="utf-8") if expert_path else None
-    return metrics_payload(_field(meta, "task", (str,), where), entries, threshold, cap, expert_text)
+    return metrics_payload(task, entries, threshold, cap, expert_text)
 
 
 def dumps_metrics(payload: dict) -> str:

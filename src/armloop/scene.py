@@ -11,11 +11,9 @@ actor it holds, which is the one place the hold relation lives.
 
 from __future__ import annotations
 
-import json
-import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -289,105 +287,61 @@ def eval_predicate(pred: Predicate, scene: Scene) -> bool:
 # --- task file loading ----------------------------------------------------
 
 
-def _typed(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise TaskSchemaError(where, f"expected {kind.__name__}, got {value!r}")
-    return value
+_get, _check = TaskSchemaError.get, TaskSchemaError.check
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in _typed(obj, dict, where):
-        raise TaskSchemaError(f"{where}.{key}", "missing required field")
-    return obj[key]
+def _vector(obj, key: str, n: int, where: str, minimum=None) -> list[float]:
+    """obj[key] as a list of n finite numbers."""
+    values = _get(obj, key, list, where)
+    where = f"{where}.{key}"
+    if len(values) != n:
+        raise TaskSchemaError(where, f"expected {n} numbers, got {len(values)}")
+    return [_check(v, float, where, minimum) for v in values]
 
 
-def _string(obj: dict, key: str, where: str) -> str:
-    return _typed(_require(obj, key, where), str, f"{where}.{key}")
-
-
-def _number(value, where: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise TaskSchemaError(where, f"expected a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise TaskSchemaError(where, f"expected a finite number, got {value!r}")
-    return number
-
-
-def _non_negative(value, where: str) -> float:
-    number = _number(value, where)
-    if number < 0:
-        raise TaskSchemaError(where, "must be non-negative")
-    return number
-
-
-def _positive(value, where: str) -> float:
-    number = _number(value, where)
-    if number <= 0:
-        raise TaskSchemaError(where, "must be positive")
-    return number
-
-
-def _int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise TaskSchemaError(where, f"expected an integer, got {value!r}") from None
-
-
-def _load_pose(values, where: str) -> Pose:
+def _load_pose(obj, key: str, where: str) -> Pose:
+    values = _vector(obj, key, 7, where)
     try:
         return Pose.from_list(values)
-    except (TypeError, ValueError) as exc:
-        raise TaskSchemaError(where, str(exc)) from None
+    except ValueError as exc:  # a quaternion far from unit norm
+        raise TaskSchemaError(f"{where}.{key}", str(exc)) from None
 
 
-def _load_vec3(values, where: str) -> np.ndarray:
-    try:
-        v = np.asarray([float(x) for x in values], dtype=float)
-    except (TypeError, ValueError):
-        raise TaskSchemaError(where, "expected 3 numbers") from None
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise TaskSchemaError(where, "expected 3 finite numbers")
-    return readonly(v)
-
-
-def _load_axis(values, where: str) -> np.ndarray:
-    v = _load_vec3(values, where)
+def _load_axis(obj, key: str, where: str) -> np.ndarray:
+    v = readonly(np.asarray(_vector(obj, key, 3, where)))
     if not unit_norm_ok(v):
-        raise TaskSchemaError(where, f"axis must be unit-norm, |v|={np.linalg.norm(v)}")
+        raise TaskSchemaError(f"{where}.{key}", f"axis must be unit-norm, |v|={np.linalg.norm(v)}")
     return v
 
 
-def _load_points(raw, where: str) -> tuple[LocalPoint, ...]:
+def _load_points(obj, key: str, where: str) -> tuple[LocalPoint, ...]:
     pts = []
     seen = set()
-    for i, entry in enumerate(_typed(raw or [], list, where)):
-        pid = _int(_require(entry, "id", f"{where}[{i}]"), f"{where}[{i}].id")
+    for i, entry in enumerate(_get(obj, key, list, where, default=[])):
+        at = f"{where}.{key}[{i}]"
+        pid = _get(entry, "id", int, at)
         if pid in seen:
-            raise TaskSchemaError(f"{where}[{i}].id", f"duplicate point id {pid}")
+            raise TaskSchemaError(f"{at}.id", f"duplicate point id {pid}")
         seen.add(pid)
-        pts.append(LocalPoint(pid, _load_pose(_require(entry, "pose", f"{where}[{i}]"), f"{where}[{i}].pose")))
+        pts.append(LocalPoint(pid, _load_pose(entry, "pose", at)))
     return tuple(pts)
 
 
 def _load_actor(raw: dict, idx: int) -> Actor:
     where = f"actors[{idx}]"
-    name = _string(raw, "name", where)
-    pose = _load_pose(_require(raw, "pose", where), f"{where}.pose")
-    extent = _load_vec3(_require(raw, "extent", where), f"{where}.extent")
+    name = _get(raw, "name", str, where)
+    pose = _load_pose(raw, "pose", where)
+    extent = readonly(np.asarray(_vector(raw, "extent", 3, where, minimum=0)))
     points = {
-        key: _load_points(raw.get(key), f"{where}.{key}")
+        key: _load_points(raw, key, where)
         for key in ("contact_points", "functional_points", "utility_points")
     }
-    if (extent < 0).any():
-        raise TaskSchemaError(f"{where}.extent", "must be non-negative")
     axes = {
-        key: _load_axis(raw[key], f"{where}.{key}") if key in raw else default
+        key: _load_axis(raw, key, where) if key in raw else default
         for key, default in DEFAULT_AXES.items()
     }
-    actor = Actor(name, pose, extent, bool(raw.get("static", False)), **points, **axes)
+    actor = Actor(name, pose, extent, _get(raw, "static", bool, where, default=False),
+                  **points, **axes)
     if not actor.static:
         if not actor.contact_points:
             raise TaskSchemaError(f"{where}.contact_points", f"non-static actor {name!r} needs at least one contact point")
@@ -402,12 +356,11 @@ def _parse_point_ref(raw, where: str) -> PointRef:
         parts = raw.split(".")
         if len(parts) != 3 or parts[1] not in POINT_CATEGORIES:
             raise TaskSchemaError(where, f"bad point ref {raw!r}")
-        return PointRef(parts[0], parts[1], _int(parts[2], where))
-    cat = _require(raw, "category", where)
+        return PointRef(parts[0], parts[1], _check(TaskSchemaError.literal(parts[2]), int, where))
+    cat = _get(raw, "category", str, where)
     if cat not in POINT_CATEGORIES:
         raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return PointRef(_string(raw, "actor", where), cat,
-                    _int(_require(raw, "id", where), f"{where}.id"))
+    return PointRef(_get(raw, "actor", str, where), cat, _get(raw, "id", int, where))
 
 
 def _parse_axis_ref(raw, where: str) -> AxisRef:
@@ -416,38 +369,38 @@ def _parse_axis_ref(raw, where: str) -> AxisRef:
         if len(parts) != 2 or parts[1] not in AXIS_CATEGORIES:
             raise TaskSchemaError(where, f"bad axis ref {raw!r}")
         return AxisRef(parts[0], parts[1])
-    cat = _require(raw, "category", where)
+    cat = _get(raw, "category", str, where)
     if cat not in AXIS_CATEGORIES:
         raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return AxisRef(_string(raw, "actor", where), cat)
+    return AxisRef(_get(raw, "actor", str, where), cat)
 
 
 def parse_predicate(raw: dict, where: str = "goal") -> Predicate:
-    op = _string(raw, "op", where).lower()
+    op = _get(raw, "op", str, where).lower()
     if op in ("all", "any"):
         children = tuple(
             parse_predicate(c, f"{where}.children[{i}]")
-            for i, c in enumerate(_typed(_require(raw, "children", where), list, f"{where}.children"))
+            for i, c in enumerate(_get(raw, "children", list, where))
         )
         return All(children) if op == "all" else Any_(children)
     if op == "near":
-        tol = _positive(_require(raw, "tol", where), f"{where}.tol")
-        return Near(_parse_point_ref(_require(raw, "a", where), f"{where}.a"),
-                    _parse_point_ref(_require(raw, "b", where), f"{where}.b"), tol)
+        tol = _get(raw, "tol", float, where, above=0)
+        return Near(_parse_point_ref(_get(raw, "a", (str, dict), where), f"{where}.a"),
+                    _parse_point_ref(_get(raw, "b", (str, dict), where), f"{where}.b"), tol)
     if op == "aligned":
-        tol = _positive(_require(raw, "tol", where), f"{where}.tol")
-        return Aligned(_parse_axis_ref(_require(raw, "a", where), f"{where}.a"),
-                       _parse_axis_ref(_require(raw, "b", where), f"{where}.b"), tol)
+        tol = _get(raw, "tol", float, where, above=0)
+        return Aligned(_parse_axis_ref(_get(raw, "a", (str, dict), where), f"{where}.a"),
+                       _parse_axis_ref(_get(raw, "b", (str, dict), where), f"{where}.b"), tol)
     if op == "held":
-        arm = _require(raw, "arm", where)
+        arm = _get(raw, "arm", str, where)
         if arm not in ARM_TAGS:
             raise TaskSchemaError(f"{where}.arm", f"bad arm {arm!r}")
-        return Held(_string(raw, "actor", where), arm)
+        return Held(_get(raw, "actor", str, where), arm)
     if op == "free":
-        return Free(_string(raw, "actor", where))
+        return Free(_get(raw, "actor", str, where))
     if op == "above":
-        dz = _positive(_require(raw, "min_dz", where), f"{where}.min_dz")
-        return Above(_string(raw, "a", where), _string(raw, "b", where), dz)
+        dz = _get(raw, "min_dz", float, where, above=0)
+        return Above(_get(raw, "a", str, where), _get(raw, "b", str, where), dz)
     raise TaskSchemaError(f"{where}.op", f"unknown predicate op {op!r}")
 
 
@@ -472,11 +425,11 @@ def _parse_annotation(kind: str, args_text: str, where: str) -> Predicate:
         if len(args) != 3:
             raise TaskSchemaError(where, f"bad NEAR annotation args {args_text!r}")
         return Near(_parse_point_ref(args[0], where), _parse_point_ref(args[1], where),
-                    _positive(args[2], where))
+                    _check(TaskSchemaError.literal(args[2]), float, where, above=0))
     if kind == "ABOVE":
         if len(args) != 3:
             raise TaskSchemaError(where, f"bad ABOVE annotation args {args_text!r}")
-        return Above(args[0], args[1], _positive(args[2], where))
+        return Above(args[0], args[1], _check(TaskSchemaError.literal(args[2]), float, where, above=0))
     raise TaskSchemaError(where, f"unknown annotation {kind!r}")
 
 
@@ -488,10 +441,10 @@ def _load_subgoal(raw, idx: int) -> SubgoalTemplate:
             checkpoint = _parse_annotation(m.group(1), m.group(2), where)
             return SubgoalTemplate(raw[: m.start()].rstrip(), checkpoint)
         return SubgoalTemplate(raw)
-    text = _string(raw, "text", where)
-    checkpoint = None
-    if raw.get("checkpoint") is not None:
-        checkpoint = parse_predicate(raw["checkpoint"], f"{where}.checkpoint")
+    text = _get(raw, "text", str, where)
+    checkpoint = _get(raw, "checkpoint", (dict, NoneType), where, default=None)
+    if checkpoint is not None:
+        checkpoint = parse_predicate(checkpoint, f"{where}.checkpoint")
     return SubgoalTemplate(text, checkpoint)
 
 
@@ -527,63 +480,47 @@ def _check_predicate_refs(pred: Predicate, actors: dict[str, Actor], where: str)
 
 def load_task_spec(path) -> TaskSpec:
     """Load and fully validate a task file; raises on any schema violation."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TaskParseError(f"{path}: {exc}") from None
-    if not text.strip():
-        raise TaskParseError(f"{path}: file is empty")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TaskParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise TaskParseError(f"{path}: top level must be an object")
+    where = str(path)
+    raw = TaskParseError.check(TaskParseError.read_json(path, where), dict, where)
 
-    name = _string(raw, "name", "task")
-    instruction = _string(raw, "instruction", "task")
-    raw_actors = _typed(_require(raw, "actors", "task"), list, "actors")
-    loaded = [_load_actor(a, i) for i, a in enumerate(raw_actors)]
+    name = _get(raw, "name", str)
+    instruction = _get(raw, "instruction", str)
+    loaded = [_load_actor(a, i) for i, a in enumerate(_get(raw, "actors", list))]
     actors = {a.name: a for a in loaded}
     if len(actors) != len(loaded):
         raise TaskSchemaError("actors", "duplicate actor names")
 
-    raw_subgoals = _typed(_require(raw, "subgoals", "task"), list, "subgoals")
+    raw_subgoals = _get(raw, "subgoals", list)
     if not raw_subgoals:
         raise TaskSchemaError("subgoals", "at least one subgoal template required")
     subgoals = [_load_subgoal(s, i) for i, s in enumerate(raw_subgoals)]
 
-    goal = parse_predicate(_require(raw, "goal", "task"), "goal")
+    goal = parse_predicate(_get(raw, "goal", dict), "goal")
     _check_predicate_refs(goal, actors, "goal")
 
-    raw_noise = _typed(raw.get("noise", {}), dict, "noise")
+    raw_noise = _get(raw, "noise", dict, default={})
     noise = NoiseSpec(**{
-        fld: _non_negative(raw_noise.get(fld, 0.0), f"noise.{fld}")
+        fld: _get(raw_noise, fld, float, "noise", default=0.0, minimum=0)
         for fld in ("pos_sigma", "rot_sigma", "slip_base")
     })
 
-    place_tolerance = _non_negative(
-        raw.get("place_tolerance", DEFAULT_PLACE_TOLERANCE), "place_tolerance"
-    )
+    place_tolerance = _get(raw, "place_tolerance", float, default=DEFAULT_PLACE_TOLERANCE,
+                           minimum=0)
     workspaces = {tag: dict(box) for tag, box in DEFAULT_WORKSPACES.items()}
-    if "workspaces" in raw:
-        for tag, box in _typed(raw["workspaces"], dict, "workspaces").items():
-            if tag not in ARM_TAGS:
-                raise TaskSchemaError(f"workspaces.{tag}", "arm must be left or right")
-            for axis_name in "xyz":
-                where = f"workspaces.{tag}.{axis_name}"
-                raw_bounds = _typed(_require(box, axis_name, f"workspaces.{tag}"), list, where)
-                bounds = tuple(_number(b, where) for b in raw_bounds)
-                if len(bounds) != 2 or bounds[0] > bounds[1]:
-                    raise TaskSchemaError(where, "expected [lo, hi] with lo <= hi")
-                workspaces[tag][axis_name] = bounds
+    for tag, box in _get(raw, "workspaces", dict, default={}).items():
+        if tag not in ARM_TAGS:
+            raise TaskSchemaError(f"workspaces.{tag}", "arm must be left or right")
+        for axis_name in "xyz":
+            lo, hi = _vector(box, axis_name, 2, f"workspaces.{tag}")
+            if lo > hi:
+                raise TaskSchemaError(f"workspaces.{tag}.{axis_name}", "expected [lo, hi] with lo <= hi")
+            workspaces[tag][axis_name] = (lo, hi)
     homes = {tag: Pose.from_list(vals) for tag, vals in DEFAULT_HOMES.items()}
-    if "arm_home" in raw:
-        for tag, vals in _typed(raw["arm_home"], dict, "arm_home").items():
-            if tag not in ARM_TAGS:
-                raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
-            homes[tag] = _load_pose(vals, f"arm_home.{tag}")
+    raw_homes = _get(raw, "arm_home", dict, default={})
+    for tag in raw_homes:
+        if tag not in ARM_TAGS:
+            raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
+        homes[tag] = _load_pose(raw_homes, tag, "arm_home")
 
     # Checkpoints: explicit entries override; the final subgoal defaults to
     # the task goal.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import get_type_hints
 
 from ..errors import ArtifactError
 from ..scene import ARM_TAGS, Pose, Scene, TaskSpec
@@ -131,12 +130,10 @@ class TrialSummary:
     n_events: int
 
     def __post_init__(self):
-        for name, kind in _SUMMARY_TYPES.items():
-            if type(getattr(self, name)) is not kind:
-                raise ValueError(f"{name}: expected {kind.__name__}, got {getattr(self, name)!r}")
+        ArtifactError.check(self.goal_met, bool, "goal_met")
+        ArtifactError.check(self.seed, int, "seed")
+        ArtifactError.check(self.n_events, int, "n_events")
 
-
-_SUMMARY_TYPES = get_type_hints(TrialSummary)
 
 # A record is {"type", "trial_index", <the class's fields in declaration order>}.
 RECORD_TYPES = {"event": SymbolicEvent, "snapshot": Snapshot, "summary": TrialSummary}
@@ -166,24 +163,18 @@ def dump_trials(logs, path) -> None:
 
 
 def _record(line: str):
-    """(trial index, record) of one JSONL line; ValueError names the fault."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not JSON: {exc.msg} at column {exc.colno}") from None
-    if type(rec) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-    kind = rec.pop("type", None)
+    """(trial index, record) of one JSONL line; ArtifactError names the fault
+    within the line."""
+    rec = ArtifactError.check(ArtifactError.loads(line, ""), dict, "")
+    kind = ArtifactError.check(rec.pop("type", None), str, "type")
     cls = RECORD_TYPES.get(kind)
     if cls is None:
-        raise ValueError(f"unknown record type {kind!r}")
-    index = rec.pop("trial_index", None)
-    if type(index) is not int:
-        raise ValueError(f"trial_index: expected int, got {index!r}")
+        raise ArtifactError("type", f"unknown record type {kind!r}")
+    index = ArtifactError.check(rec.pop("trial_index", None), int, "trial_index")
     try:
         return index, cls(**rec)
     except TypeError:  # a missing or an unexpected field
-        raise ValueError(f"{kind} record: expected fields {_FIELDS[cls][1]}, got {list(rec)}") from None
+        raise ArtifactError(kind, f"expected fields {_FIELDS[cls][1]}, got {list(rec)}") from None
 
 
 def load_trials(path) -> list[TrialLog]:
@@ -206,11 +197,11 @@ def load_trials(path) -> list[TrialLog]:
                 elif type(rec) is Snapshot:
                     log.snapshots.append(rec)
                 elif rec.n_events != len(log.events):
-                    raise ValueError(f"n_events: {rec.n_events} given, {len(log.events)} events read")
+                    raise ArtifactError("n_events", f"{rec.n_events} given, {len(log.events)} events read")
                 else:
                     log.goal_met = rec.goal_met
                     log.seed = rec.seed
-            except ValueError as exc:
+            except ArtifactError as exc:
                 raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
     for log in logs.values():
         if log.seed is None:

@@ -364,6 +364,45 @@ def test_parse_remote_diagnosis_missing_verdicts():
         parse_remote_diagnosis('{"subgoals": []}', 0)
 
 
+def _verdicts(**edits):
+    """A well-formed two-subgoal reply with top-level fields replaced."""
+    reply = {
+        "overall_success": False,
+        "subgoals": [
+            {"index": 1, "passed": True, "rationale": ""},
+            {"index": 2, "passed": False, "deviation_stmt": None, "cause": "logic_error",
+             "rationale": "missed"},
+        ],
+    }
+    return _chat_body(json.dumps({**reply, **edits}))
+
+
+def _first_verdict(**edits):
+    return _verdicts(subgoals=[{"index": 1, "passed": False, **edits},
+                               {"index": 2, "passed": False}])
+
+
+@pytest.mark.parametrize("body, field", [
+    (_verdicts(subgoals=5), "reply.subgoals"),
+    (_verdicts(overall_success="no"), "reply.overall_success"),
+    (_first_verdict(passed="false"), "reply.subgoals[0].passed"),
+    (_verdicts(subgoals=[3, {"index": 2, "passed": False}]), "reply.subgoals[0]"),
+    (_first_verdict(index="1"), "reply.subgoals[0].index"),
+    ("[1]", "body"),
+    ('{"choices": 3}', "body.choices"),
+    ('{"choices": ["x"]}', "body.choices[0]"),
+    ('{"choices": [{"message": {"content": 5}}]}', "body.choices[0].message.content"),
+], ids=["subgoals_5", "overall_success_no", "passed_false", "verdict_3", "index_str",
+        "body_list", "choices_3", "choice_str", "content_5"])
+def test_malformed_reply_names_the_field(monkeypatch, body, field):
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    transport, _ = _transport_script([(200, body)])
+    backend = ChatBackend(_remote_config(), transport=transport)
+    with pytest.raises(MalformedReplyError) as err:
+        parse_remote_diagnosis(backend.complete([{"role": "user", "content": "x"}]), 2)
+    assert err.value.field == field
+
+
 def test_remote_verifier_sends_scene_and_svg(monkeypatch, place_shoe_spec):
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))

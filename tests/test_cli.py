@@ -3,7 +3,10 @@ import shutil
 
 import pytest
 
+from armloop.agents import remote
 from armloop.cli import main
+from armloop.loop import load_campaign_config, run_campaign
+from armloop.scene import load_task_spec
 from armloop.sim import load_trials
 
 from conftest import TASKS_DIR, program_path, task_path
@@ -78,6 +81,11 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
     ('{"expert_program": "missing.prog"}', "expert_program"),
     ('{"max_steps": 0}', "max_steps"),
+    ('{"n_trials": 2.5}', "n_trials"),
+    ('{"n_trials": true}', "n_trials"),
+    ('{"noise_scale": Infinity}', "noise_scale"),
+    pytest.param('{"noise_scale": 1' + '0' * 400 + '}', "noise_scale", id="noise_scale_1e400"),
+    pytest.param('{"n_trials": 1' + '0' * 5000 + '}', "config", id="n_trials_5001_digits"),
 ])
 def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     config = tmp_path / "bad.json"
@@ -106,6 +114,30 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["validate", _task(), "MISSING"], "program_file"),
+    (["run", _task(), "MISSING", "--out", "OUT"], "program_file"),
+    (["instrument", "MISSING"], "program_file"),
+    (["validate", _task(), "BINARY"], "program_file"),
+    (["run", _task(), _prog("correct"), "--out", "FILE/out"], "--out"),
+    (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
+      "--out", "FILE/out"], "--out"),
+])
+def test_unreadable_program_or_unusable_out_exits_two(tmp_path, capsys, argv, field):
+    """MISSING is a program file that does not exist, BINARY one that is not
+    UTF-8, FILE a regular file (so no directory can be made under it), OUT a
+    fresh directory."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "binary.prog").write_bytes(b"\xff\xfe\x00")
+    paths = {"MISSING": tmp_path / "missing.prog", "BINARY": tmp_path / "binary.prog",
+             "FILE": tmp_path / "file", "OUT": tmp_path / "out"}
+    for name, path in paths.items():
+        argv = [arg.replace(name, str(path)) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [config_error]: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_malformed_task_exits_two(tmp_path, capsys):
     raw = json.loads(task_path("place_shoe").read_text())
     raw["arm_home"] = {"left": [-0.25, 0.0, 0.3]}
@@ -131,6 +163,47 @@ def test_loop_missing_api_key_exits_three_before_network(tmp_path, capsys, monke
     code = main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "runs")])
     assert code == 3
     assert "agent_failure" in capsys.readouterr().err
+
+
+def _chat_transport(first_reply):
+    """A chat endpoint whose first reply is first_reply and every later one a
+    well-formed failing verdict on place_shoe's two subgoals."""
+    replies = [first_reply]
+    good = json.dumps({"overall_success": False, "subgoals": [
+        {"index": 1, "passed": True}, {"index": 2, "passed": False, "cause": "logic_error"}]})
+
+    def transport(url, headers, payload, timeout):
+        text = replies.pop() if replies else good
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+    return transport
+
+
+@pytest.mark.parametrize("reply, error", [
+    ("no verdict here", "verification failed: reply: contains no JSON object"),
+    (json.dumps({"overall_success": False, "subgoals": [
+        {"index": 1, "passed": False, "deviation_stmt": 999, "cause": "logic_error"},
+        {"index": 2, "passed": False}]}),
+     "verification failed: reply.subgoals[0].deviation_stmt: "),
+], ids=["not_json", "unknown_stmt"])
+def test_verifier_reply_fault_stays_in_its_candidate(tmp_path, capsys, monkeypatch, reply, error):
+    """Candidate 0 makes the first verifier call and gets the faulty reply."""
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    raw = json.loads((TASKS_DIR / "configs" / "demo_two_step.json").read_text())
+    raw["verifier"] = {"backend": "remote", "endpoint": "https://example.test/v1/chat",
+                       "api_key_env": "ARMLOOP_TEST_KEY"}
+    config = tmp_path / "remote.json"
+    config.write_text(json.dumps(raw))
+    spec = load_task_spec(_task())
+    cfg = load_campaign_config(config, _task(), spec)
+    run_campaign(spec, cfg, out_dir=tmp_path / "api", transport=_chat_transport(reply))
+    meta = json.loads((tmp_path / "api" / "campaign.json").read_text())
+    assert meta["candidates"][0]["error"].startswith(error)
+    assert meta["candidates"][1]["error"] is None
+    assert (tmp_path / "api" / "cand_1" / "iter_1" / "trials.jsonl").exists()
+
+    monkeypatch.setattr(remote, "_default_transport", _chat_transport(reply))
+    assert main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "cli")]) == 3
+    assert "agent_failure" in capsys.readouterr().out
 
 
 def test_loop_max_iter_override_one_shot(tmp_path):

@@ -116,6 +116,11 @@ def _set(raw, path, value):
     (("actors", 0, "contact_points", 0, "id"), None, "actors[0].contact_points[0].id"),
     (("goal", "children", 0, "tol"), float("nan"), "goal.children[0].tol"),
     (("goal", "children", 1, "actor"), ["shoe"], "goal.children[1].actor"),
+    (("actors", 0, "static"), "false", "actors[0].static"),
+    (("actors", 0, "contact_points", 0, "id"), 1.5, "actors[0].contact_points[0].id"),
+    (("noise", "pos_sigma"), True, "noise.pos_sigma"),
+    pytest.param(("goal", "children", 0, "a"), "shoe.functional.1" + "0" * 5000,
+                 "goal.children[0].a", id="point_id_5001_digits"),
 ])
 def test_malformed_field_is_schema_error_naming_it(tmp_path, path, value, field):
     raw = json.loads(task_path("place_shoe").read_text())
