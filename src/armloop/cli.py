@@ -54,6 +54,7 @@ def cmd_run(args) -> int:
         _at_least(args.seed, "--seed", 0)
         _at_least(args.max_steps, "--max-steps", 1)
         _at_least(args.noise_scale, "--noise-scale", 0)
+        ConfigError.check(args.noise_scale, float, "--noise-scale")  # inf passes _at_least
         _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(args.program_file)

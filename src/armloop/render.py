@@ -58,9 +58,9 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
     scene = scene_from_state(spec, snapshot.scene)
     for name, pose in scene.poses.items():
         geom = spec.actors[name]
-        cx, cy = world_to_svg(float(pose.p[0]), float(pose.p[1]))
-        w = 2.0 * float(geom.extent[0]) * SCALE
-        h = 2.0 * float(geom.extent[1]) * SCALE
+        cx, cy = world_to_svg(pose.p[0], pose.p[1])
+        w = 2.0 * geom.extent[0] * SCALE
+        h = 2.0 * geom.extent[1] * SCALE
         stroke = _ARM_COLORS.get(scene.held_by(name), "#5a554c")
         parts.append(
             f'<rect id="actor-{name}" x="{cx - w / 2:.1f}" y="{cy - h / 2:.1f}" '
@@ -72,8 +72,8 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
             f'text-anchor="middle" fill="#333">{name}</text>'
         )
         for pt in geom.functional_points:
-            fp = pose.compose(pt.pose)
-            fx, fy = world_to_svg(float(fp.p[0]), float(fp.p[1]))
+            fp = pose.apply(pt.pose.p)
+            fx, fy = world_to_svg(fp[0], fp[1])
             parts.append(
                 f'<circle id="fp-{name}-{pt.id}" cx="{fx:.1f}" cy="{fy:.1f}" '
                 'r="3" fill="none" stroke="#333" stroke-width="1"/>'
@@ -81,7 +81,7 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
 
     for tag in ARM_TAGS:
         arm = scene.arms[tag]
-        tx, ty = world_to_svg(float(arm.tcp.p[0]), float(arm.tcp.p[1]))
+        tx, ty = world_to_svg(arm.tcp.p[0], arm.tcp.p[1])
         color = _ARM_COLORS[tag]
         parts.append(
             f'<g id="arm-{tag}">'

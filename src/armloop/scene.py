@@ -3,10 +3,11 @@
 A task file (JSON, schema documented in the README) fully describes the
 initial tabletop: actors with box extents, grasp/placement point sets and
 approach axes, a noise model, ordered subgoal templates, and a goal
-predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors,
-read-only poses and axes) shared by every trial. A `Scene` holds only what
-a trial changes: a pose per actor and the two arms, each recording the
-actor it holds, which is the one place the hold relation lives.
+predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors;
+poses, extents and axes as tuples) shared by every trial. A `Scene` holds
+only what a trial changes: a pose per actor and the two arms, each
+recording the actor it holds, which is the one place the hold relation
+lives.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import re
 from dataclasses import dataclass
 from types import NoneType
 
-import numpy as np
-
 from .errors import (
     TaskParseError,
     TaskSchemaError,
     UnknownActorError,
     UnknownPointError,
 )
-from .geometry import Pose, angle_between, readonly, unit_norm_ok
+from .geometry import Pose, Vec3, add, angle_between, norm, sub, unit_norm_ok
 
 ARM_TAGS = ("left", "right")
 
@@ -43,9 +42,9 @@ DEFAULT_HOMES = {
 }
 
 DEFAULT_AXES = {
-    "grasp_axis": readonly(np.array([0.0, 0.0, -1.0])),
-    "place_axis": readonly(np.array([0.0, 0.0, 1.0])),
-    "util_axis": readonly(np.array([0.0, 0.0, 1.0])),
+    "grasp_axis": (0.0, 0.0, -1.0),
+    "place_axis": (0.0, 0.0, 1.0),
+    "util_axis": (0.0, 0.0, 1.0),
 }
 
 DEFAULT_PLACE_TOLERANCE = 0.02
@@ -65,14 +64,14 @@ class Actor:
 
     name: str
     pose: Pose
-    extent: np.ndarray
+    extent: Vec3
     static: bool
     contact_points: tuple[LocalPoint, ...]
     functional_points: tuple[LocalPoint, ...]
     utility_points: tuple[LocalPoint, ...]
-    grasp_axis: np.ndarray
-    place_axis: np.ndarray
-    util_axis: np.ndarray
+    grasp_axis: Vec3
+    place_axis: Vec3
+    util_axis: Vec3
 
     def points(self, category: str) -> tuple[LocalPoint, ...]:
         if category == "contact":
@@ -89,7 +88,7 @@ class Actor:
                 return pt
         raise UnknownPointError(self.name, category, point_id)
 
-    def axis(self, category: str) -> np.ndarray:
+    def axis(self, category: str) -> Vec3:
         if category == "grasp":
             return self.grasp_axis
         if category == "place":
@@ -204,7 +203,7 @@ class TaskSpec:
     def subgoal_templates(self) -> list[str]:
         return [sg.text for sg in self.subgoals]
 
-    def in_workspace(self, tag: str, p: np.ndarray) -> bool:
+    def in_workspace(self, tag: str, p: Vec3) -> bool:
         for axis_name, coord in zip("xyz", p):
             lo, hi = self.workspaces[tag][axis_name]
             if coord < lo or coord > hi:
@@ -238,17 +237,17 @@ class Scene:
                 return tag
         return None
 
-    def world_axis(self, name: str, category: str) -> np.ndarray:
+    def world_axis(self, name: str, category: str) -> Vec3:
         axis = self.actor(name).axis(category)
         return self.poses[name].rotate(axis)
 
-    def world_aabb(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def world_aabb(self, name: str) -> tuple[Vec3, Vec3]:
         """Box proxy in world frame; orientation is deliberately ignored."""
         p, extent = self.poses[name].p, self.spec.actors[name].extent
-        return p - extent, p + extent
+        return sub(p, extent), add(p, extent)
 
     def top_z(self, name: str) -> float:
-        return float(self.poses[name].p[2] + self.spec.actors[name].extent[2])
+        return self.poses[name].p[2] + self.spec.actors[name].extent[2]
 
 
 # --- core operations ------------------------------------------------------
@@ -268,7 +267,7 @@ def eval_predicate(pred: Predicate, scene: Scene) -> bool:
     if isinstance(pred, Near):
         pa = resolve_point(scene, pred.a).p
         pb = resolve_point(scene, pred.b).p
-        return float(np.linalg.norm(pa - pb)) <= pred.tol
+        return norm(sub(pa, pb)) <= pred.tol
     if isinstance(pred, Aligned):
         ua = scene.world_axis(pred.a.actor, pred.a.category)
         ub = scene.world_axis(pred.b.actor, pred.b.category)
@@ -280,7 +279,7 @@ def eval_predicate(pred: Predicate, scene: Scene) -> bool:
     if isinstance(pred, Above):
         za = scene.poses[pred.a].p[2]
         zb = scene.poses[pred.b].p[2]
-        return float(za - zb) >= pred.min_dz
+        return za - zb >= pred.min_dz
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -307,10 +306,10 @@ def _load_pose(obj, key: str, where: str) -> Pose:
         raise TaskSchemaError(f"{where}.{key}", str(exc)) from None
 
 
-def _load_axis(obj, key: str, where: str) -> np.ndarray:
-    v = readonly(np.asarray(_vector(obj, key, 3, where)))
+def _load_axis(obj, key: str, where: str) -> Vec3:
+    v = tuple(_vector(obj, key, 3, where))
     if not unit_norm_ok(v):
-        raise TaskSchemaError(f"{where}.{key}", f"axis must be unit-norm, |v|={np.linalg.norm(v)}")
+        raise TaskSchemaError(f"{where}.{key}", f"axis must be unit-norm, |v|={norm(v)}")
     return v
 
 
@@ -331,7 +330,7 @@ def _load_actor(raw: dict, idx: int) -> Actor:
     where = f"actors[{idx}]"
     name = _get(raw, "name", str, where)
     pose = _load_pose(raw, "pose", where)
-    extent = readonly(np.asarray(_vector(raw, "extent", 3, where, minimum=0)))
+    extent = tuple(_vector(raw, "extent", 3, where, minimum=0))
     points = {
         key: _load_points(raw, key, where)
         for key in ("contact_points", "functional_points", "utility_points")

@@ -17,6 +17,7 @@ noise configuration.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,18 +25,19 @@ import numpy as np
 from ..dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from ..dsl.printer import render_args, render_call
 from ..errors import UnknownActorError, UnknownPointError
-from ..geometry import Pose, quat_between, quat_from_axis_angle, quat_mul
+from ..geometry import (Pose, Quat, Vec3, add, neg, norm, quat_between, quat_from_axis_angle,
+                        quat_mul, scale, sub)
 from ..instrument import FINAL_STEP
 from ..scene import PointRef, Scene, TaskSpec, eval_predicate, resolve_point
 from .model import Snapshot, SimConfig, SymbolicEvent, TrialLog, scene_state
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
-_VERTICAL_COS = np.cos(np.pi / 4)
+_VERTICAL_COS = math.cos(math.pi / 4)
 
 _PENETRATION_LIMIT = 0.005
 
-_WORLD_UP = np.array([0.0, 0.0, 1.0])
+_WORLD_UP = (0.0, 0.0, 1.0)
 
 
 class _Failure(Exception):
@@ -46,18 +48,17 @@ class _Failure(Exception):
 
 class _Grasp(NamedTuple):
     offset: Pose  # held actor's pose in the TCP frame
-    approach: np.ndarray  # world grasp approach axis at grasp time
+    approach: Vec3  # world grasp approach axis at grasp time
 
 
-def _penetration(point: np.ndarray, aabb) -> float:
+def _penetration(point: Vec3, aabb) -> float:
     lo, hi = aabb
-    depths = np.minimum(point - lo, hi - point)
-    return float(depths.min())
+    return min(min(p - l, h - p) for p, l, h in zip(point, lo, hi))
 
 
 def _xy_overlap(a, b) -> bool:
     (alo, ahi), (blo, bhi) = a, b
-    return bool((alo[0] < bhi[0]) and (blo[0] < ahi[0]) and (alo[1] < bhi[1]) and (blo[1] < ahi[1]))
+    return alo[0] < bhi[0] and blo[0] < ahi[0] and alo[1] < bhi[1] and blo[1] < ahi[1]
 
 
 class _Executor:
@@ -83,29 +84,30 @@ class _Executor:
         for name, actor in self.spec.actors.items():
             if actor.static:
                 continue
-            dp = self.rng.normal(size=3) * pos_sigma
+            dp = scale(self.rng.normal(size=3).tolist(), pos_sigma)
             dyaw = float(self.rng.normal()) * rot_sigma
             poses[name] = Pose(
-                poses[name].p + dp,
+                add(poses[name].p, dp),
                 quat_mul(quat_from_axis_angle(_WORLD_UP, dyaw), poses[name].q),
             )
 
-    def _endpoint_noise(self) -> np.ndarray:
-        return self.rng.normal(size=3) * (self.spec.noise.pos_sigma * self.cfg.noise_scale)
+    def _endpoint_noise(self) -> Vec3:
+        return scale(self.rng.normal(size=3).tolist(),
+                     self.spec.noise.pos_sigma * self.cfg.noise_scale)
 
     # -- state helpers -------------------------------------------------------
 
     def _arm(self, tag: str):
         return self.scene.arms[tag]
 
-    def _require_reach(self, tag: str, p: np.ndarray, action: str | None = None):
+    def _require_reach(self, tag: str, p: Vec3, action: str | None = None):
         if self.spec.in_workspace(tag, p):
             return
         at = f"[{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}]"
         raise _Failure("unreachable", f"{action} needs {tag} arm at {at}, outside workspace"
                        if action else f"{tag} arm target {at} outside workspace")
 
-    def _move_tcp(self, tag: str, p: np.ndarray, q: np.ndarray | None = None):
+    def _move_tcp(self, tag: str, p: Vec3, q: Quat | None = None):
         """The only writer of a TCP and of a held actor's pose, so a held
         actor is at tcp o grasp offset by construction."""
         self._require_reach(tag, p)
@@ -133,9 +135,8 @@ class _Executor:
             top = scene.top_z(other)
             if _xy_overlap(aabb, scene.world_aabb(other)) and top <= pose.p[2]:
                 support_z = max(support_z, top)
-        new_p = pose.p.copy()
-        new_p[2] = support_z + float(self.spec.actors[name].extent[2])
-        scene.poses[name] = Pose(new_p, pose.q)
+        x, y, _ = pose.p
+        scene.poses[name] = Pose((x, y, support_z + self.spec.actors[name].extent[2]), pose.q)
 
     def _collision_check(self, tag: str, points, exclude: str):
         held_name = self._arm(tag).holding
@@ -170,10 +171,10 @@ class _Executor:
     def _op_move_by_displacement(self, args):
         tag = args["arm"]
         arm = self._arm(tag)
-        d = np.array([args["x"], args["y"], args["z"]], dtype=float)
+        d = (args["x"], args["y"], args["z"])
         if args["move_axis"] == "arm":
             d = arm.tcp.rotate(d)
-        self._move_tcp(tag, arm.tcp.p + d)
+        self._move_tcp(tag, add(arm.tcp.p, d))
 
     def _op_back_to_origin(self, args):
         tag = args["arm"]
@@ -194,16 +195,16 @@ class _Executor:
         if cid == "auto":
             contact = min(
                 actor.contact_points,
-                key=lambda pt: (float(np.linalg.norm(pose.compose(pt.pose).p - arm.tcp.p)), pt.id),
+                key=lambda pt: (norm(sub(pose.apply(pt.pose.p), arm.tcp.p)), pt.id),
             )
         else:
             contact = actor.point("contact", cid)
 
-        contact_world = pose.compose(contact.pose)
+        contact_p = pose.apply(contact.pose.p)
         approach = self.scene.world_axis(actor.name, "grasp")
         noise = self._endpoint_noise()
-        pre_p = contact_world.p - approach * args["pre_grasp_dis"] + noise
-        final_p = contact_world.p - approach * args["grasp_dis"] + noise
+        pre_p = add(sub(contact_p, scale(approach, args["pre_grasp_dis"])), noise)
+        final_p = add(sub(contact_p, scale(approach, args["grasp_dis"])), noise)
 
         for point in (pre_p, final_p):
             self._require_reach(tag, point, f"grasp of {actor.name!r}")
@@ -249,11 +250,11 @@ class _Executor:
         if args["pre_dis_axis"] == "fp":
             offset_dir = target_pose.rotate(_WORLD_UP)
         else:
-            offset_dir = -grasp.approach
+            offset_dir = neg(grasp.approach)
 
         constrain = args["constrain"]
         if constrain == "auto":
-            constrain = "align" if abs(float(grasp.approach[2])) >= _VERTICAL_COS else "free"
+            constrain = "align" if abs(grasp.approach[2]) >= _VERTICAL_COS else "free"
         fp_world = self.scene.poses[actor.name].compose(fp_local)
         if constrain == "align":
             desired_q = target_pose.q
@@ -263,9 +264,9 @@ class _Executor:
             desired_q = quat_mul(quat_between(current_z, target_z), fp_world.q)
 
         noise = self._endpoint_noise()
-        intended_p = target_pose.p + offset_dir * args["dis"]
-        achieved_p = intended_p + noise
-        pre_fp = Pose(target_pose.p + offset_dir * args["pre_dis"], desired_q)
+        intended_p = add(target_pose.p, scale(offset_dir, args["dis"]))
+        achieved_p = add(intended_p, noise)
+        pre_fp = Pose(add(target_pose.p, scale(offset_dir, args["pre_dis"])), desired_q)
         final_fp = Pose(achieved_p, desired_q)
 
         inv_fp_local = fp_local.inverse()
@@ -279,7 +280,7 @@ class _Executor:
             self._require_reach(tag, tcp_pose.p, f"placing {actor.name!r}")
 
         self._move_tcp(tag, tcp_targets[1].p, tcp_targets[1].q)
-        miss = float(np.linalg.norm(achieved_p - intended_p))
+        miss = norm(sub(achieved_p, intended_p))
         if args["is_open"]:
             self._release(tag)
             arm.gripper = 1.0

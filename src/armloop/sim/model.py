@@ -97,6 +97,10 @@ def scene_state(scene: Scene) -> dict:
     }
 
 
+def _pose(values, where: str) -> Pose:
+    return Pose.from_list([ArtifactError.check(v, float, where) for v in values])
+
+
 def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
     """An evaluable scene over the task's geometry, in the state a snapshot
     payload records. An actor the task lacks raises UnknownActorError, any
@@ -105,13 +109,13 @@ def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
     try:
         for name, entry in state["actors"].items():
             scene.actor(name)
-            scene.poses[name] = Pose.from_list(entry["pose"])
+            scene.poses[name] = _pose(entry["pose"], f"scene.actors.{name}.pose")
             if entry["held_by"] is not None:
                 scene.arms[entry["held_by"]].holding = name
         for tag, entry in state["arms"].items():
             arm = scene.arms[tag]
-            arm.tcp = Pose.from_list(entry["tcp"])
-            arm.gripper = float(entry["gripper"])
+            arm.tcp = _pose(entry["tcp"], f"scene.arms.{tag}.tcp")
+            arm.gripper = ArtifactError.check(entry["gripper"], float, f"scene.arms.{tag}.gripper")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError("scene", f"{type(exc).__name__}: {exc}") from None
     return scene

@@ -114,6 +114,14 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+def test_infinite_noise_scale_exits_two(tmp_path, capsys):
+    argv = ["run", _task(), _prog("correct"), "--noise-scale", "inf", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert ("error [config_error]: --noise-scale: expected a finite number, got inf"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["validate", _task(), "MISSING"], "program_file"),
     (["run", _task(), "MISSING", "--out", "OUT"], "program_file"),
@@ -280,6 +288,10 @@ SCENE_CASES = {
     "short_pose": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(pose=[0, 0])),
     "scene_not_object": _edit_record("snapshot", lambda r: r.update(scene={"actors": [1]})),
     "unknown_arm": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(held_by="mid")),
+    "pose_not_numbers": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(
+        pose=["-0.2", True, "0.02", 1, 0, 0, 0])),
+    "gripper_not_number": _edit_record("snapshot", lambda r: r["scene"]["arms"]["left"].update(
+        gripper="0.5")),
 }
 
 
