@@ -26,7 +26,7 @@ formulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,10 +130,14 @@ def angle_between(u: Vec3, v: Vec3) -> float:
 @dataclass(frozen=True, eq=False, slots=True)
 class Pose:
     """Immutable rigid transform: position p (x, y, z) and unit quaternion q
-    (qw, qx, qy, qz), both tuples of floats, so poses can be shared freely."""
+    (qw, qx, qy, qz), both tuples of floats, so poses can be shared freely.
+    `values` is the serialized form p + q, made once per pose: a snapshot
+    payload holds it, so a pose that did not move is the same object in
+    consecutive snapshots."""
 
     p: Vec3 = (0.0, 0.0, 0.0)
     q: Quat = IDENTITY_QUAT
+    values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         x, y, z = self.p
@@ -141,8 +145,11 @@ class Pose:
         n = norm(self.q)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm {n} too far from 1")
-        object.__setattr__(self, "p", (float(x), float(y), float(z)))
-        object.__setattr__(self, "q", (float(qw) / n, float(qx) / n, float(qy) / n, float(qz) / n))
+        p = (float(x), float(y), float(z))
+        q = (float(qw) / n, float(qx) / n, float(qy) / n, float(qz) / n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "values", p + q)
 
     @classmethod
     def from_list(cls, values) -> "Pose":
@@ -151,7 +158,7 @@ class Pose:
         return cls(values[:3], values[3:])
 
     def as_list(self) -> list[float]:
-        return [*self.p, *self.q]
+        return list(self.values)
 
     def apply(self, v: Vec3) -> Vec3:
         """World position of the local point v; compose(local).p, without
@@ -170,7 +177,7 @@ class Pose:
         return quat_rotate(self.q, v)
 
     def __repr__(self):
-        vals = ", ".join(f"{v:.4f}" for v in self.as_list())
+        vals = ", ".join(f"{v:.4f}" for v in self.values)
         return f"Pose([{vals}])"
 
 

@@ -46,6 +46,28 @@ class _Failure(Exception):
         self.category = category
 
 
+class _Statement(NamedTuple):
+    """A call in execution order, with its text rendered once per batch."""
+
+    subgoal: int
+    stmt: CallStmt
+    args: dict[str, str]  # render_args; each event gets its own copy
+    text: str  # render_call; the program context of the snapshots after it
+
+
+def _flatten(program: Program) -> list[_Statement]:
+    """Execution order: parallel branches interleaved, left arm first."""
+    flat = []
+    for sg in program.subgoals:
+        for stmt in sg.statements:
+            if isinstance(stmt, ParallelStmt):
+                for i in range(max(len(stmt.left), len(stmt.right))):
+                    flat += [(sg.index, branch[i]) for branch in (stmt.left, stmt.right) if i < len(branch)]
+            else:
+                flat.append((sg.index, stmt))
+    return [_Statement(index, stmt, render_args(stmt), render_call(stmt)) for index, stmt in flat]
+
+
 class _Grasp(NamedTuple):
     offset: Pose  # held actor's pose in the TCP frame
     approach: Vec3  # world grasp approach axis at grasp time
@@ -62,8 +84,8 @@ def _xy_overlap(a, b) -> bool:
 
 
 class _Executor:
-    def __init__(self, program: Program, spec: TaskSpec, cfg: SimConfig, trial_index: int):
-        self.program = program
+    def __init__(self, statements: list[_Statement], spec: TaskSpec, cfg: SimConfig, trial_index: int):
+        self.statements = statements
         self.spec = spec
         self.cfg = cfg
         self.scene = Scene.from_spec(spec)
@@ -72,7 +94,7 @@ class _Executor:
         self.t = 0
         # Parameters of each arm's latest grasp; read only while it holds.
         self.grasps: dict[str, _Grasp] = {}
-        self.last_op: CallStmt | None = None
+        self.last_op: _Statement | None = None
         self.current_subgoal = 1
 
     # -- noise -------------------------------------------------------------
@@ -237,7 +259,10 @@ class _Executor:
         if isinstance(target, FpRef):
             target_pose = resolve_point(self.scene, PointRef(target.actor, "functional", target.point_id))
         elif isinstance(target, PoseLit):
-            target_pose = Pose.from_list(list(target.values))
+            try:  # the parser and validator leave the quaternion's norm unchecked
+                target_pose = Pose.from_list(list(target.values))
+            except ValueError as exc:
+                raise _Failure("invalid_call", str(exc)) from None
         else:
             raise _Failure("invalid_call", f"bad place target {target!r}")
 
@@ -292,15 +317,15 @@ class _Executor:
             )
 
     def _op_observe(self, args):
-        context = render_call(self.last_op) if self.last_op is not None else ""
+        last = self.last_op
         self.log.snapshots.append(
             Snapshot(
                 step_name=args["step_name"],
-                stmt_id=self.last_op.id if self.last_op is not None else 0,
+                stmt_id=last.stmt.id if last is not None else 0,
                 subgoal_index=self.current_subgoal,
                 t=self.t,
                 scene=scene_state(self.scene),
-                program_context=context,
+                program_context=last.text if last is not None else "",
             )
         )
 
@@ -316,26 +341,13 @@ class _Executor:
 
     # -- main loop -----------------------------------------------------------
 
-    def _flat_statements(self):
-        """Execution order: parallel branches interleaved, left arm first."""
-        for sg in self.program.subgoals:
-            for stmt in sg.statements:
-                if isinstance(stmt, ParallelStmt):
-                    for i in range(max(len(stmt.left), len(stmt.right))):
-                        if i < len(stmt.left):
-                            yield sg.index, stmt.left[i]
-                        if i < len(stmt.right):
-                            yield sg.index, stmt.right[i]
-                else:
-                    yield sg.index, stmt
-
-    def _emit(self, stmt: CallStmt, subgoal: int, outcome: str, category: str, message: str):
+    def _emit(self, op: _Statement, outcome: str, category: str, message: str):
         self.log.events.append(
             SymbolicEvent(
-                stmt_id=stmt.id,
-                subgoal_index=subgoal,
-                op_name=stmt.name,
-                args=render_args(stmt),
+                stmt_id=op.stmt.id,
+                subgoal_index=op.subgoal,
+                op_name=op.stmt.name,
+                args=dict(op.args),
                 outcome=outcome,
                 error_category=category,
                 message=message,
@@ -345,11 +357,11 @@ class _Executor:
 
     def run(self) -> TrialLog:
         self._setup_noise()
-        for subgoal, stmt in self._flat_statements():
-            self.current_subgoal = subgoal
+        for op in self.statements:
+            stmt = op.stmt
+            self.current_subgoal = op.subgoal
             if self.t >= self.cfg.max_steps:
-                self._emit(stmt, subgoal, "failure", "runtime_limit",
-                           f"step budget of {self.cfg.max_steps} exhausted")
+                self._emit(op, "failure", "runtime_limit", f"step budget of {self.cfg.max_steps} exhausted")
                 break
             if stmt.name == "observe":
                 self._op_observe(stmt.args)
@@ -358,12 +370,12 @@ class _Executor:
                     self._HANDLERS[stmt.name](self, stmt.args)
                 except (_Failure, UnknownActorError, UnknownPointError) as exc:
                     category = exc.category if isinstance(exc, _Failure) else "invalid_call"
-                    self._emit(stmt, subgoal, "failure", category, str(exc))
-                    self.last_op = stmt
+                    self._emit(op, "failure", category, str(exc))
+                    self.last_op = op
                     self.t += 1
                     break
-                self._emit(stmt, subgoal, "success", "none", "")
-                self.last_op = stmt
+                self._emit(op, "success", "none", "")
+                self.last_op = op
             self.t += 1
 
         if self.log.snapshots and self.log.snapshots[-1].step_name != FINAL_STEP:
@@ -378,7 +390,7 @@ class _Executor:
 def execute(program: Program, spec: TaskSpec, cfg: SimConfig, trial_index: int = 0) -> TrialLog:
     """Run one trial. Pure in (program, spec, cfg): identical inputs yield
     bit-identical serialized logs."""
-    return _Executor(program, spec, cfg, trial_index).run()
+    return _Executor(_flatten(program), spec, cfg, trial_index).run()
 
 
 def run_trials(
@@ -390,15 +402,16 @@ def run_trials(
     max_steps: int = 200,
 ) -> list[TrialLog]:
     """n independent trials; trial i runs on a fresh scene with seed
-    base_seed + i."""
+    base_seed + i. The program is flattened and rendered once for all n."""
     if n < 1:
         raise ValueError("need at least one trial")
+    statements = _flatten(program)
     return [
-        execute(
-            program,
+        _Executor(
+            statements,
             spec,
             SimConfig(seed=base_seed + i, noise_scale=noise_scale, max_steps=max_steps),
             trial_index=i,
-        )
+        ).run()
         for i in range(n)
     ]

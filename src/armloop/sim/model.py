@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, is_
 
 from ..errors import ArtifactError
 from ..scene import ARM_TAGS, Pose, Scene, TaskSpec
@@ -81,15 +81,18 @@ class TrialLog:
 
 
 def scene_state(scene: Scene) -> dict:
-    """Compact serializable view of the scene (the virtual-camera payload)."""
+    """Compact serializable view of the scene (the virtual-camera payload).
+    Each pose is its own immutable `Pose.values` tuple, so an entry that did
+    not change holds the same objects as in the previous snapshot (the trial
+    writer relies on this)."""
     return {
         "actors": {
-            name: {"pose": pose.as_list(), "held_by": scene.held_by(name)}
+            name: {"pose": pose.values, "held_by": scene.held_by(name)}
             for name, pose in scene.poses.items()
         },
         "arms": {
             tag: {
-                "tcp": scene.arms[tag].tcp.as_list(),
+                "tcp": scene.arms[tag].tcp.values,
                 "gripper": float(scene.arms[tag].gripper),
             }
             for tag in ARM_TAGS
@@ -156,8 +159,59 @@ def trial_records(log: TrialLog):
         yield record
 
 
+# json.dumps(record, ensure_ascii=False), without building an encoder per record.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+# The keys of each scene_state entry, per section, in payload order.
+_SCENE_LAYOUT = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
+# A snapshot record's fields before and after its scene.
+_SNAPSHOT, _names = _FIELDS[Snapshot]
+_HEAD = ("type", "trial_index", *_names[:_names.index("scene")])
+_TAIL = _names[_names.index("scene") + 1:]
+
+
+def _scene_text(scene, previous: dict) -> str:
+    """_encode(scene), built from one fragment per entry of a scene_state
+    payload. An entry whose values are the very objects of the same entry in
+    `previous` reuses its fragment: identity, never `==`, since -0.0 == 0.0
+    and nan != nan. `previous` maps section to name to (entry, fragment) and
+    is updated; a payload of another layout is encoded whole."""
+    if type(scene) is not dict or tuple(scene) != tuple(_SCENE_LAYOUT):
+        return _encode(scene)
+    sections = []
+    for section, keys in _SCENE_LAYOUT.items():
+        entries = scene[section]
+        if type(entries) is not dict:
+            return _encode(scene)
+        memo = previous.setdefault(section, {})
+        fragments = []
+        for name, entry in entries.items():
+            if type(name) is not str or type(entry) is not dict or tuple(entry) != keys:
+                return _encode(scene)
+            last = memo.get(name)
+            if last is None or not all(map(is_, last[0].values(), entry.values())):
+                last = memo[name] = (entry, f"{_encode(name)}: {_encode(entry)}")
+            fragments.append(last[1])
+        sections.append(f'"{section}": {{{", ".join(fragments)}}}')
+    return "{" + ", ".join(sections) + "}"
+
+
 def dumps_trial(log: TrialLog) -> str:
-    return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in trial_records(log))
+    """The trial's JSONL text: each record as json.dumps(record,
+    ensure_ascii=False) writes it, with a snapshot's scene encoded entry by
+    entry so that what did not change since the previous snapshot is not
+    encoded again."""
+    previous: dict = {}
+    lines = []
+    for record in trial_records(log):
+        if record["type"] != _SNAPSHOT:
+            lines.append(_encode(record))
+            continue
+        head = _encode({key: record[key] for key in _HEAD})[:-1]
+        tail = "".join(f", {_encode(key)}: {_encode(record[key])}" for key in _TAIL)
+        lines.append(f'{head}, "scene": {_scene_text(record["scene"], previous)}{tail}}}')
+    lines.append("")
+    return "\n".join(lines)
 
 
 def dump_trials(logs, path) -> None:

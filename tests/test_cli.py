@@ -53,6 +53,16 @@ def test_run_invalid_reference_exit_two(tmp_path, capsys):
     assert "unknown_actor" in capsys.readouterr().err
 
 
+def test_run_non_unit_pose_target_fails_invalid_call(tmp_path, capsys):
+    text = program_path("place_shoe", "correct").read_text()
+    assert "fp(target_block, 0)" in text
+    bad = tmp_path / "bad.prog"
+    bad.write_text(text.replace("fp(target_block, 0)", "pose(0.1, 0.1, 0.05, 2, 0, 0, 0)"))
+    code = main(["run", _task(), str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "failed [invalid_call] quaternion norm 2.0 too far from 1" in capsys.readouterr().out
+
+
 def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     config = str(TASKS_DIR / "configs" / "demo_two_step.json")
     code = main(["loop", _task(), "--config", config, "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, eval_predicate, load_task_spec
 from armloop.sim import (
-    SimConfig, dump_trials, dumps_trial, execute, load_trials, run_trials, scene_from_state,
+    SimConfig, Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, execute, load_trials,
+    run_trials, scene_from_state,
 )
+from armloop.sim.model import trial_records
 
 from conftest import TASK_NAMES, program_path, task_path
 
@@ -341,6 +344,16 @@ def test_held_actor_pose_is_tcp_times_grasp_offset(task):
     assert carried > 0
 
 
+def test_unmoved_pose_is_one_tuple_in_every_snapshot():
+    # The trial writer reuses an entry's text only while its values are the
+    # same objects, so a snapshot must hold the pose's own tuple, not a copy.
+    spec = load_task_spec(task_path("stack_blocks_three"))
+    log = execute(_correct("stack_blocks_three"), spec, SimConfig(seed=0, noise_scale=1.0))
+    tcps = [snap.scene["arms"]["left"]["tcp"] for snap in log.snapshots]  # the left arm stays idle
+    assert len(tcps) > 2 and type(tcps[0]) is tuple
+    assert all(tcp is tcps[0] for tcp in tcps)
+
+
 def test_task_geometry_is_frozen():
     shoe = load_task_spec(task_path("place_shoe")).actors["shoe"]
     for fld in dataclasses.fields(shoe):
@@ -397,6 +410,64 @@ def test_trials_write_load_write_is_byte_identical(tmp_path, noise):
                 (log.trial_index, log.seed, log.goal_met) for log in logs]
             dump_trials(loaded, second)
             assert second.read_bytes() == first.read_bytes(), (task, kind)
+
+
+def _reference_text(logs) -> str:
+    """What the trial writer must produce, byte for byte: json.dumps of every
+    record."""
+    return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for log in logs for rec in trial_records(log))
+
+
+@pytest.mark.parametrize("noise", [0, 1])
+def test_trial_writer_matches_json_dumps(tmp_path, noise):
+    path = tmp_path / "trials.jsonl"
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()))
+            logs = run_trials(program, spec, 4, base_seed=0, noise_scale=float(noise))
+            dump_trials(logs, path)
+            assert path.read_bytes() == _reference_text(logs).encode("utf-8"), (task, kind)
+            loaded = load_trials(path)  # lists, no object shared between snapshots
+            assert "".join(map(dumps_trial, loaded)) == _reference_text(loaded), (task, kind)
+
+
+def test_trial_writer_matches_json_dumps_on_edge_values():
+    zero = 0.0
+    neg_zero = -zero  # == zero, but written "-0.0": an entry holding it must be encoded anew
+    still = (0.5, -0.25, 0.0, 1.0, 0.0, 0.0, 0.0)
+    gripper = 1.0
+
+    def scene(moved_pose, odd_pose=still, held_by=None):
+        return {
+            "actors": {"Schuh_ß": {"pose": moved_pose, "held_by": held_by},
+                       "杯": {"pose": odd_pose, "held_by": None}},
+            "arms": {"left": {"tcp": still, "gripper": gripper},
+                     "right": {"tcp": still, "gripper": gripper}},
+        }
+
+    scenes = [
+        scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
+        scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
+        scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), (math.nan, math.inf, -math.inf, 1.0, 0.0, 0.0, 0.0)),
+        scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), held_by="left"),
+        scene(still),
+        # Not scene_state's layout, so encoded whole; the first two hold the
+        # same value objects as the entry before them.
+        {"actors": {"Schuh_ß": {"pose": still, "holder": None}}, "arms": {}},
+        {"actors": {"Schuh_ß": {"held_by": None, "pose": still}}, "arms": {}},
+        {"arms": {"left": {"tcp": still, "gripper": gripper}}, "actors": {}},
+        {"actors": {1: {"pose": still, "held_by": None}}, "arms": {}},
+        {"actors": [still], "arms": {}},
+        [still, None],
+        scene(still),
+    ]
+    steps = ['say "hi"', "back\\slash", "tab\tand \u00e9", ""] + [f"step{i}" for i in range(len(scenes) - 4)]
+    log = TrialLog(trial_index=3, seed=-1, goal_met=True)
+    log.events.append(SymbolicEvent(1, 1, "observe", {"step_name": '"q\\"'}, "success", "none", "", 0))
+    log.snapshots += [Snapshot(step, 1, 1, t, payload, f'observe("{step}")')
+                      for t, (step, payload) in enumerate(zip(steps, scenes), 1)]
+    assert dumps_trial(log) == _reference_text([log])
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
