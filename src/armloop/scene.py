@@ -206,7 +206,7 @@ class TaskSpec:
     def in_workspace(self, tag: str, p: Vec3) -> bool:
         for axis_name, coord in zip("xyz", p):
             lo, hi = self.workspaces[tag][axis_name]
-            if coord < lo or coord > hi:
+            if not lo <= coord <= hi:  # also false for nan
                 return False
         return True
 

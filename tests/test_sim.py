@@ -114,6 +114,26 @@ def test_slip_and_goal_replay_oracle(tmp_path):
     assert 0 < actual_slips < n  # the draw actually exercised both branches
 
 
+def test_nan_target_is_unreachable(tmp_path):
+    # A yaw sigma this large overflows some setup draws to inf, which leaves
+    # the shoe's orientation nan; a nan coordinate is outside every workspace.
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw["noise"]["rot_sigma"] = 1e308
+    path = tmp_path / "overflow.task.json"
+    path.write_text(json.dumps(raw))
+    spec = load_task_spec(path)
+    logs = run_trials(_correct(), spec, 40, base_seed=0, noise_scale=1.0)
+    nan_trials = [log for log in logs if any(map(math.isnan, log.snapshots[0].scene["actors"]["shoe"]["pose"]))]
+    assert nan_trials
+    for log in logs:
+        for snap in log.snapshots:
+            for arm in snap.scene["arms"].values():
+                assert not any(map(math.isnan, arm["tcp"])), (log.trial_index, snap.step_name)
+    for log in nan_trials:
+        assert log.failure_event.error_category == "unreachable", log.trial_index
+        assert not log.goal_met
+
+
 def test_silent_failure_has_no_failure_event(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "silent").read_text()))
     log = execute(program, place_shoe_spec, SimConfig(seed=0))
