@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import NoneType
+
+import numpy as np
 
 from .errors import (
     TaskParseError,
@@ -22,7 +25,7 @@ from .errors import (
     UnknownActorError,
     UnknownPointError,
 )
-from .geometry import Pose, Vec3, add, angle_between, norm, sub, unit_norm_ok
+from .geometry import Pose, Vec3, angle_between, norm, sub, unit_norm_ok
 
 ARM_TAGS = ("left", "right")
 
@@ -203,12 +206,22 @@ class TaskSpec:
     def subgoal_templates(self) -> list[str]:
         return [sg.text for sg in self.subgoals]
 
-    def in_workspace(self, tag: str, p: Vec3) -> bool:
-        for axis_name, coord in zip("xyz", p):
-            lo, hi = self.workspaces[tag][axis_name]
-            if not lo <= coord <= hi:  # also false for nan
-                return False
-        return True
+    def actor(self, name: str) -> Actor:
+        try:
+            return self.actors[name]
+        except KeyError:
+            raise UnknownActorError(name) from None
+
+    @cached_property
+    def _workspace_corners(self) -> dict[str, np.ndarray]:
+        return {tag: np.array([box[axis_name] for axis_name in "xyz"]).T
+                for tag, box in self.workspaces.items()}
+
+    def in_workspace(self, tag: str, p) -> np.ndarray:
+        """Which rows of the array of points p lie in the arm's workspace;
+        a nan coordinate lies outside."""
+        lo, hi = self._workspace_corners[tag]
+        return ((lo <= p) & (p <= hi)).all(axis=-1)
 
 
 @dataclass(eq=False)
@@ -226,10 +239,7 @@ class Scene:
         return cls(spec, poses, {tag: ArmState(spec.homes[tag]) for tag in ARM_TAGS})
 
     def actor(self, name: str) -> Actor:
-        try:
-            return self.spec.actors[name]
-        except KeyError:
-            raise UnknownActorError(name) from None
+        return self.spec.actor(name)
 
     def held_by(self, name: str) -> str | None:
         for tag, arm in self.arms.items():
@@ -241,14 +251,6 @@ class Scene:
         axis = self.actor(name).axis(category)
         return self.poses[name].rotate(axis)
 
-    def world_aabb(self, name: str) -> tuple[Vec3, Vec3]:
-        """Box proxy in world frame; orientation is deliberately ignored."""
-        p, extent = self.poses[name].p, self.spec.actors[name].extent
-        return sub(p, extent), add(p, extent)
-
-    def top_z(self, name: str) -> float:
-        return self.poses[name].p[2] + self.spec.actors[name].extent[2]
-
 
 # --- core operations ------------------------------------------------------
 
@@ -259,15 +261,19 @@ def resolve_point(scene: Scene, ref: PointRef) -> Pose:
     return scene.poses[ref.actor].compose(local)
 
 
+def _position(scene: Scene, ref: PointRef) -> Vec3:
+    """resolve_point(scene, ref).p, without making the pose."""
+    local = scene.actor(ref.actor).point(ref.category, ref.id).pose
+    return scene.poses[ref.actor].apply(local.p)
+
+
 def eval_predicate(pred: Predicate, scene: Scene) -> bool:
     if isinstance(pred, All):
         return all(eval_predicate(c, scene) for c in pred.children)
     if isinstance(pred, Any_):
         return any(eval_predicate(c, scene) for c in pred.children)
     if isinstance(pred, Near):
-        pa = resolve_point(scene, pred.a).p
-        pb = resolve_point(scene, pred.b).p
-        return norm(sub(pa, pb)) <= pred.tol
+        return norm(sub(_position(scene, pred.a), _position(scene, pred.b))) <= pred.tol
     if isinstance(pred, Aligned):
         ua = scene.world_axis(pred.a.actor, pred.a.category)
         ub = scene.world_axis(pred.b.actor, pred.b.category)

@@ -10,7 +10,7 @@ from .model import (
     dumps_trial,
     load_trials,
     scene_from_state,
-    scene_state,
+    scene_states,
 )
 
 __all__ = [
@@ -24,5 +24,5 @@ __all__ = [
     "load_trials",
     "run_trials",
     "scene_from_state",
-    "scene_state",
+    "scene_states",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter, is_
 
 from ..errors import ArtifactError
-from ..scene import ARM_TAGS, Pose, Scene, TaskSpec
+from ..scene import Pose, Scene, TaskSpec
 
 ERROR_CATEGORIES = (
     "none",
@@ -59,7 +59,7 @@ class Snapshot:
     stmt_id: int  # id of the operation the snapshot documents (0 = none yet)
     subgoal_index: int
     t: int
-    scene: dict  # scene_state payload
+    scene: dict  # scene_states payload
     program_context: str
 
 
@@ -80,24 +80,23 @@ class TrialLog:
         return None
 
 
-def scene_state(scene: Scene) -> dict:
-    """Compact serializable view of the scene (the virtual-camera payload).
-    Each pose is its own immutable `Pose.values` tuple, so an entry that did
-    not change holds the same objects as in the previous snapshot (the trial
-    writer relies on this)."""
-    return {
-        "actors": {
-            name: {"pose": pose.values, "held_by": scene.held_by(name)}
-            for name, pose in scene.poses.items()
-        },
-        "arms": {
-            tag: {
-                "tcp": scene.arms[tag].tcp.values,
-                "gripper": float(scene.arms[tag].gripper),
-            }
-            for tag in ARM_TAGS
-        },
-    }
+def scene_states(actors, arms, rows) -> list[dict]:
+    """The snapshot payload (the virtual-camera view) of each of the given
+    rows of a batch of trials. `actors` holds (name, pose tuple per row,
+    holding arm or None) in task-file order, `arms` (tag, TCP tuple per row,
+    gripper) in arm order. A pose is the `Pose.values` tuple the
+    executor keeps while it does not move, so an entry that did not change
+    holds the same objects as in the previous snapshot (the trial writer
+    relies on this)."""
+    states = []
+    for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
+        actor_states, arm_states = {}, {}
+        for name, poses, held_by in actors:
+            actor_states[name] = {"pose": poses[r], "held_by": held_by}
+        for tag, tcps, gripper in arms:
+            arm_states[tag] = {"tcp": tcps[r], "gripper": gripper}
+        states.append({"actors": actor_states, "arms": arm_states})
+    return states
 
 
 def _pose(values, where: str) -> Pose:
@@ -107,7 +106,7 @@ def _pose(values, where: str) -> Pose:
 def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
     """An evaluable scene over the task's geometry, in the state a snapshot
     payload records. An actor the task lacks raises UnknownActorError, any
-    other payload that does not fit scene_state's layout ArtifactError."""
+    other payload that does not fit scene_states's layout ArtifactError."""
     scene = Scene.from_spec(spec)
     try:
         for name, entry in state["actors"].items():
@@ -162,7 +161,7 @@ def trial_records(log: TrialLog):
 # json.dumps(record, ensure_ascii=False), without building an encoder per record.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
-# The keys of each scene_state entry, per section, in payload order.
+# The keys of each scene_states entry, per section, in payload order.
 _SCENE_LAYOUT = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
 # A snapshot record's fields before and after its scene.
 _SNAPSHOT, _names = _FIELDS[Snapshot]
@@ -171,7 +170,7 @@ _TAIL = _names[_names.index("scene") + 1:]
 
 
 def _scene_text(scene, previous: dict) -> str:
-    """_encode(scene), built from one fragment per entry of a scene_state
+    """_encode(scene), built from one fragment per entry of a scene_states
     payload. An entry whose values are the very objects of the same entry in
     `previous` reuses its fragment: identity, never `==`, since -0.0 == 0.0
     and nan != nan. `previous` maps section to name to (entry, fragment) and

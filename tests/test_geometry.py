@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -7,13 +8,22 @@ import pytest
 from armloop.geometry import (
     Pose,
     angle_between,
+    compose_rows,
     dot,
+    dots,
+    inverse_rows,
     norm,
+    norms,
+    pose_rows,
     quat_between,
+    quat_between_rows,
     quat_from_axis_angle,
+    quat_from_axis_angle_rows,
     quat_mul,
+    quat_mul_rows,
     quat_normalize,
     quat_rotate,
+    quat_rotate_rows,
 )
 from armloop.scene import load_task_spec
 
@@ -292,3 +302,120 @@ def test_bundled_task_poses_match_numpy_bits(task):
                 _assert_same_pose(pt.pose, local)
                 _assert_same_pose(actor.pose.compose(pt.pose), _np_compose(ref, local))
                 _assert_same_pose(pt.pose.inverse(), _np_inverse(local))
+
+
+# --- the reductions and functions the batched simulator relies on -------------
+# The simulator steps a batch of trials as rows of arrays and must give each
+# row the bits of the scalar code. If a numpy or BLAS upgrade breaks that,
+# these tests name the cause before the golden digests fail. np.vecdot runs
+# BLAS ddot on each row whose elements are adjacent in memory, as `norm` and
+# `dot` do; np.einsum("ij,ij->i", a, a), (a * a).sum(1) and
+# np.linalg.norm(a, axis=1) fail the first test (they differ on 11-17 % of
+# rows), and so does np.vecdot on a Fortran-ordered array.
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-170, 1e160, 1.0, -1.0,
+             math.inf, -math.inf, math.nan)
+
+
+def _rows_with_edges(rng, n, k):
+    """n seeded rows of length k, then a quarter as many drawn from signed
+    zeros, subnormals, squares that underflow or overflow, inf and nan."""
+    rows = rng.normal(size=(n, k)) * rng.uniform(0, 3, size=(n, 1))
+    return np.concatenate([rows, rng.choice(_SPECIALS, size=(n // 4, k))])
+
+
+def _row_blocks(rng, k):
+    """Arrays whose rows each lie contiguous in memory."""
+    wide = rng.normal(size=(2000, 7))  # poses are stored as (n, 7) rows
+    rows = _rows_with_edges(rng, 4000, k)
+    return [rows, rows[::3], rows[:1], rows[-2:], rows[5:42], wide[:, :k], wide[:, 7 - k:]]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_vecdot_row_norms_and_dots_match_norm_and_dot_bits(k):
+    rng = np.random.default_rng(104)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _row_blocks(rng, k):
+            other = rng.normal(size=block.shape)
+            tuples = [tuple(row) for row in block.tolist()]
+            expected_norms = [norm(t).hex() for t in tuples]
+            expected_dots = [dot(t, tuple(o)).hex() for t, o in zip(tuples, other.tolist())]
+            assert _bits(np.sqrt(np.vecdot(block, block))) == expected_norms
+            assert _bits(np.vecdot(block, other)) == expected_dots
+            # The row forms take any layout.
+            for layout in (np.asfortranarray, lambda a: a[:, ::-1].copy()[:, ::-1]):
+                assert _bits(norms(layout(block))) == expected_norms
+                assert _bits(dots(layout(block), layout(other))) == expected_dots
+
+
+def test_array_trig_matches_scalar_bits():
+    rng = np.random.default_rng(105)
+    angles = np.concatenate([rng.uniform(-7, 7, size=20_000), rng.normal(size=5_000) * 0.05,
+                             [math.pi / 2, math.pi, -0.0, 0.0, 5e-324, 1e300, math.nan]])
+    ys, xs = _rows_with_edges(rng, 20_000, 2).T
+    cosines = np.concatenate([rng.uniform(-1, 1, size=20_000), [1.0, -1.0, 0.0, -0.0, math.nan]])
+    with np.errstate(invalid="ignore"):
+        for n in (1, 2, 10, 37, len(angles)):  # numpy's loops treat short arrays apart
+            a = angles[:n]
+            assert _bits(np.cos(a)) == [math.cos(x).hex() for x in a.tolist()]
+            assert _bits(np.sin(a)) == [math.sin(x).hex() for x in a.tolist()]
+        for n in (1, 2, 10, 37, len(ys)):
+            assert _bits(np.arctan2(ys[:n], xs[:n])) == [
+                float(np.arctan2(y, x)).hex() for y, x in zip(ys[:n].tolist(), xs[:n].tolist())]
+        assert _bits(np.arccos(cosines)) == [float(np.arccos(c)).hex() for c in cosines.tolist()]
+        # An infinite angle: nan from the arrays, as from the tuple form.
+        assert all(map(math.isnan, np.cos([math.inf, -math.inf]))) and all(map(math.isnan, np.sin([math.inf])))
+
+
+def test_row_forms_match_tuple_forms_bits():
+    rng = np.random.default_rng(106)
+    n = 3000
+    a = rng.normal(size=(n, 4))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    a *= 1 + rng.normal(size=(n, 1)) * 1e-8  # a little off unit norm, as products are
+    b = rng.normal(size=(n, 4))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    a[:20] = (0.0, -0.0, 0.0, 1.0)  # signed zeros in the products
+    b[:10] = (1.0, 0.0, -0.0, 0.0)
+    v = rng.uniform(-1, 1, size=(n, 3))
+    v[:30:3] = (0.0, -0.0, 0.02)
+    axes, angles = rng.normal(size=(n, 3)), rng.uniform(-7, 7, size=n)
+    u, w = (np.array([_unit(rng, 3) for _ in range(n)]) for _ in range(2))
+    w[:300] = u[:300]  # parallel
+    w[300:600] = -u[300:600]  # antiparallel
+    w[600:900] = u[600:900] + rng.normal(size=(300, 3)) * 1e-7
+    w[900:1200] = -u[900:1200] + rng.normal(size=(300, 3)) * 1e-7
+    u[:5], w[:5] = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)  # antiparallel along x
+    poses = [Pose(tuple(p), tuple(q)) for p, q in zip(v.tolist(), a.tolist())]
+    others = [Pose(tuple(p), tuple(q)) for p, q in zip(v[::-1].tolist(), b.tolist())]
+    pose_array, other_array = np.array([p.values for p in poses]), np.array([p.values for p in others])
+    local = others[7]
+
+    rows = {
+        "quat_mul": quat_mul_rows(a, b),
+        "quat_rotate": quat_rotate_rows(a, v),
+        "quat_rotate_one": quat_rotate_rows(a, (0.0, 0.0, 1.0)),
+        "axis_angle": quat_from_axis_angle_rows(axes, angles),
+        "between": quat_between_rows(u, w),
+        "pose": pose_rows(v, a),
+        "compose": compose_rows(pose_array, other_array),
+        "compose_one": compose_rows(pose_array, local.values),
+        "compose_fortran": compose_rows(np.asfortranarray(pose_array), np.asfortranarray(other_array)),
+        "inverse": inverse_rows(pose_array),
+    }
+    for i in range(n):
+        ta, tb, tv = tuple(a[i].tolist()), tuple(b[i].tolist()), tuple(v[i].tolist())
+        tuples = {
+            "quat_mul": quat_mul(ta, tb),
+            "quat_rotate": quat_rotate(ta, tv),
+            "quat_rotate_one": quat_rotate(ta, (0.0, 0.0, 1.0)),
+            "axis_angle": quat_from_axis_angle(tuple(axes[i].tolist()), float(angles[i])),
+            "between": quat_between(tuple(u[i].tolist()), tuple(w[i].tolist())),
+            "pose": Pose(tv, ta).values,
+            "compose": poses[i].compose(others[i]).values,
+            "compose_one": poses[i].compose(local).values,
+            "compose_fortran": poses[i].compose(others[i]).values,
+            "inverse": poses[i].inverse().values,
+        }
+        for name, expected in tuples.items():
+            assert _bits(rows[name][i]) == _bits(expected), (name, i)

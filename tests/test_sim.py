@@ -1,13 +1,16 @@
+import collections
 import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from armloop.dsl import parse
+from armloop.dsl.ast import API_SIGNATURES, CallStmt, PoseLit
 from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, eval_predicate, load_task_spec
@@ -70,6 +73,69 @@ def test_run_trials_seeds_and_indices(place_shoe_spec):
     assert [log.seed for log in logs] == list(range(50, 60))
     assert [log.trial_index for log in logs] == list(range(10))
     assert sum(log.goal_met for log in logs) == 10
+
+
+def test_batch_trial_is_the_trial_run_alone():
+    # The trials of a batch step together; each must still be what it is
+    # alone, also when others in its batch fail at other statements.
+    mixed = []
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()))
+            for noise in (0.0, 1.0):
+                logs = run_trials(program, spec, 20, base_seed=0, noise_scale=noise)
+                for i, log in enumerate(logs):
+                    alone = execute(program, spec, SimConfig(seed=i, noise_scale=noise), trial_index=i)
+                    assert dumps_trial(log) == dumps_trial(alone), (task, kind, noise, i)
+                failed_at = {log.failure_event.stmt_id for log in logs if log.failure_event is not None}
+                if len(failed_at) > 1 and any(log.failure_event is None for log in logs):
+                    mixed.append((task, kind, noise))
+    assert mixed  # some batch lost rows at different statements and kept others to the end
+
+
+def _mutated(program, rng: random.Random):
+    """The program with random values for some of its calls' distances,
+    displacements, targets and modes; actors and arms are kept."""
+    choices = {"move_axis": ("world", "arm"), "constrain": ("auto", "free", "align"),
+               "pre_dis_axis": ("grasp", "fp"), "is_open": (True, False),
+               "contact_point_id": ("auto", 0, 1), "functional_point_id": ("none", 0, 1)}
+    for stmt in program.walk():
+        if not isinstance(stmt, CallStmt):
+            continue
+        for param in API_SIGNATURES[stmt.name]:
+            if rng.random() < 0.6:
+                continue
+            if param.kind == "num":
+                stmt.args[param.name] = round(rng.uniform(-0.12, 0.12), 3)
+            elif param.name == "target":
+                xyz = (rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.2))
+                stmt.args[param.name] = PoseLit(tuple(round(c, 3) for c in xyz) + (0.0, 0.0, 0.0, 1.0))
+            elif param.name in choices:
+                stmt.args[param.name] = rng.choice(choices[param.name])
+    return program
+
+
+def test_batch_trial_is_the_trial_run_alone_on_mutated_programs():
+    # Rows of one batch that fail in every way a row can: out of reach, in
+    # collision, slipping, missing the placement.
+    rng = random.Random(8)
+    mixed = collections.Counter()
+    for k in range(120):
+        task = TASK_NAMES[k % len(TASK_NAMES)]
+        spec = load_task_spec(task_path(task))
+        kind = rng.choice(("correct", "loud", "silent"))
+        program = insert_observations(_mutated(parse(program_path(task, kind).read_text()), rng), cap=1000)
+        noise = rng.choice((0.0, 1.0, 5.0))
+        logs = run_trials(program, spec, 12, base_seed=k, noise_scale=noise)
+        for i, log in enumerate(logs):
+            alone = execute(program, spec, SimConfig(seed=k + i, noise_scale=noise), trial_index=i)
+            assert dumps_trial(log) == dumps_trial(alone), (task, kind, k, i)
+        ends = {(log.failure_event.error_category, log.failure_event.stmt_id) if log.failure_event else None
+                for log in logs}
+        if len(ends) > 1:
+            mixed.update(end[0] for end in ends if end is not None)
+    assert {"unreachable", "collision", "grasp_slip", "placement_miss"} <= set(mixed)
 
 
 def test_run_trials_single(place_shoe_spec):
