@@ -17,7 +17,7 @@ from .harness import scores_report, select_trial
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .loop import load_campaign_config, run_campaign
 from .render import render_trials
-from .scene import load_task_spec
+from .scene import MAX_NOISE_SCALE, load_task_spec
 from .sim import dump_trials, run_trials
 
 
@@ -31,6 +31,17 @@ def _out_dir(path: Path) -> Path:
     except OSError as exc:
         raise ConfigError("--out", f"cannot create {path}: {exc.strerror}") from None
     return path
+
+
+def _write_out(out: str | None, text: str) -> None:
+    """text to the --out file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {out}: {exc.strerror}") from None
 
 
 def _fail(message: str, code: int) -> int:
@@ -54,7 +65,8 @@ def cmd_run(args) -> int:
         _at_least(args.seed, "--seed", 0)
         _at_least(args.max_steps, "--max-steps", 1)
         _at_least(args.noise_scale, "--noise-scale", 0)
-        ConfigError.check(args.noise_scale, float, "--noise-scale")  # inf passes _at_least
+        # inf passes _at_least
+        ConfigError.check(args.noise_scale, float, "--noise-scale", maximum=MAX_NOISE_SCALE)
         _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(args.program_file)
@@ -130,14 +142,10 @@ def cmd_loop(args) -> int:
 
 def cmd_metrics(args) -> int:
     try:
-        payload = metrics_mod.metrics_from_artifacts(args.run_dir)
+        text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
+        _write_out(args.out, text)
     except (ArmloopError, OSError) as exc:
         return _input_error(exc)
-    text = metrics_mod.dumps_metrics(payload)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     if args.check:
         stored = Path(args.run_dir) / "metrics.json"
         if not stored.exists() or stored.read_text(encoding="utf-8") != text:
@@ -174,14 +182,9 @@ def cmd_validate(args) -> int:
 def cmd_instrument(args) -> int:
     try:
         program = _read_program(args.program_file)
-        instrumented = insert_observations(program, cap=args.cap)
+        _write_out(args.out, to_text(insert_observations(program, cap=args.cap)))
     except ArmloopError as exc:
         return _input_error(exc)
-    text = to_text(instrumented)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

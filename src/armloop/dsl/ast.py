@@ -137,12 +137,6 @@ class Program:
                     yield from stmt.left
                     yield from stmt.right
 
-    def find_stmt(self, stmt_id: int):
-        for stmt in self.walk():
-            if stmt.id == stmt_id:
-                return stmt
-        return None
-
 
 def renumber(program: Program) -> Program:
     """Assign dense 1-based statement ids in source order (left branch

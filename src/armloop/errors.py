@@ -75,7 +75,7 @@ class FieldError(ArmloopError):
             return text
 
     @classmethod
-    def check(cls, value, kind, where: str, minimum=None, above=None):
+    def check(cls, value, kind, where: str, minimum=None, above=None, maximum=None):
         """value if it is of kind (a type or a tuple of types) and within the
         bounds; an int read as a float field comes back as a float."""
         t = type(value)
@@ -92,18 +92,20 @@ class FieldError(ArmloopError):
             raise cls(where, f"must be at least {minimum}, got {value!r}")
         if above is not None and value <= above:
             raise cls(where, f"must be above {above}, got {value!r}")
+        if maximum is not None and value > maximum:
+            raise cls(where, f"must be at most {maximum}, got {value!r}")
         return value
 
     @classmethod
     def get(cls, obj, key: str, kind, where: str = "", default=_REQUIRED,
-            minimum=None, above=None):
+            minimum=None, above=None, maximum=None):
         """obj[key] checked as check() does, named where.key; a missing key
         gives default, or raises when no default is given."""
         if type(obj) is not dict:
             raise cls(where, f"expected an object, got {obj!r}")
         at = f"{where}.{key}" if where else key
         if key in obj:
-            return cls.check(obj[key], kind, at, minimum, above)
+            return cls.check(obj[key], kind, at, minimum, above, maximum)
         if default is _REQUIRED:
             raise cls(at, "missing required field")
         return default

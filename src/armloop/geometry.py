@@ -79,13 +79,6 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def quat_normalize(q) -> Quat:
-    n = norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
-
-
 def quat_mul(a: Quat, b: Quat) -> Quat:
     aw, ax, ay, az = a
     bw, bx, by, bz = b
@@ -178,9 +171,6 @@ class Pose:
         if len(values) != 7:
             raise ValueError(f"pose needs 7 numbers, got {len(values)}")
         return cls(values[:3], values[3:])
-
-    def as_list(self) -> list[float]:
-        return list(self.values)
 
     def apply(self, v: Vec3) -> Vec3:
         """World position of the local point v; compose(local).p, without

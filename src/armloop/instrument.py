@@ -114,11 +114,3 @@ def insert_observations(program: Program, cap: int = 10) -> Program:
         sg.statements = new_stmts
 
     return renumber(out)
-
-
-def count_observes(program: Program) -> int:
-    return sum(
-        1
-        for stmt in program.walk()
-        if isinstance(stmt, CallStmt) and stmt.name == "observe"
-    )

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .harness import SelectionResult, collect_observations, scores_report, select_trial
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
-from .scene import TaskSpec
+from .scene import MAX_NOISE_SCALE, TaskSpec
 from .sim.executor import run_trials
 from .sim.model import TrialLog, dump_trials
 
@@ -75,10 +75,6 @@ class RepairSignal:
     faults: list = field(default_factory=list)
     last_error: str = ""
     observation_feedback: str = ""
-
-    @property
-    def faulty_stmt_ids(self) -> list[int]:
-        return [f.stmt_id for f in self.faults]
 
     def render_feedback(self) -> str:
         """Observation-feedback text for the repair prompt: the diagnosis,
@@ -525,8 +521,9 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     config_dir = config_path.parent
     programs_dir = Path(task_file).parent / spec.name
 
-    def value(name: str, kind, minimum=None):  # LoopConfig's class attributes are its defaults
-        return ConfigError.get(raw, name, kind, default=getattr(LoopConfig, name), minimum=minimum)
+    def value(name: str, kind, minimum=None, maximum=None):  # LoopConfig's class attributes are its defaults
+        return ConfigError.get(raw, name, kind, default=getattr(LoopConfig, name),
+                               minimum=minimum, maximum=maximum)
 
     mode = ConfigError.get(raw, "mode", str, default="hybrid")
     if mode not in ("hybrid", "symbolic", "one_shot"):
@@ -543,7 +540,7 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
         max_iterations=value("max_iterations", int, 1),
         base_seed=value("base_seed", int, 0),
         weights=tuple(ConfigError.check(w, float, "weights") for w in weights),
-        noise_scale=value("noise_scale", float, 0),
+        noise_scale=value("noise_scale", float, 0, MAX_NOISE_SCALE),
         max_steps=value("max_steps", int, 1),
         observation_cap=value("observation_cap", int, MIN_OBSERVATION_CAP),
         perception=(mode == "hybrid"),

@@ -12,6 +12,7 @@ lives.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,12 @@ DEFAULT_AXES = {
 }
 
 DEFAULT_PLACE_TOLERANCE = 0.02
+
+# Noise bounds that keep every sigma x noise scale x draw finite: position
+# sigma (m) and yaw sigma (rad) from the task file, the scale from the run.
+# slip_base is only compared with a uniform draw.
+_MAX_SIGMA = {"pos_sigma": 1.0, "rot_sigma": math.pi, "slip_base": None}
+MAX_NOISE_SCALE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,8 +512,8 @@ def load_task_spec(path) -> TaskSpec:
 
     raw_noise = _get(raw, "noise", dict, default={})
     noise = NoiseSpec(**{
-        fld: _get(raw_noise, fld, float, "noise", default=0.0, minimum=0)
-        for fld in ("pos_sigma", "rot_sigma", "slip_base")
+        fld: _get(raw_noise, fld, float, "noise", default=0.0, minimum=0, maximum=maximum)
+        for fld, maximum in _MAX_SIGMA.items()
     })
 
     place_tolerance = _get(raw, "place_tolerance", float, default=DEFAULT_PLACE_TOLERANCE,

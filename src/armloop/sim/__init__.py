@@ -1,8 +1,7 @@
 """Deterministic seeded execution of programs against task specs."""
 
-from .executor import execute, run_trials
+from .executor import run_trials
 from .model import (
-    SimConfig,
     Snapshot,
     SymbolicEvent,
     TrialLog,
@@ -14,13 +13,11 @@ from .model import (
 )
 
 __all__ = [
-    "SimConfig",
     "Snapshot",
     "SymbolicEvent",
     "TrialLog",
     "dump_trials",
     "dumps_trial",
-    "execute",
     "load_trials",
     "run_trials",
     "scene_from_state",

@@ -3,23 +3,23 @@ trials of a batch in lockstep.
 
 Kinematic, event-granular execution: every non-observe statement produces
 exactly one symbolic event, a trial stops at its first failure, and the
-goal predicate is evaluated on its final scene either way.
+goal predicate is evaluated on its final state either way.
 
-`run_trials` steps its n trials through the flattened program together, in
-the batched-environment style of Isaac Gym and Brax; `execute` is a batch of
-one. Programs are straight-line, so every trial still running has succeeded
-at the same statements: what each arm holds, the gripper values and the
-step counter are one value per batch. Continuous state (actor poses, TCPs,
-grasp offsets and approach axes) is an array with one row per running
-trial, computed by the row forms of `geometry`, which give each row the
-bits of the tuple forms. A branch on a continuous value (the nearest
+`run_trials`, the simulator's one entry point, steps its n trials through
+the flattened program together, in the batched-environment style of Isaac
+Gym and Brax. Programs are straight-line, so every trial still running has
+succeeded at the same statements: what each arm holds, the gripper values
+and the step counter are one value per batch. Continuous state (actor
+poses, TCPs, grasp offsets and approach axes) is an array with one row per
+running trial, computed by the row forms of `geometry`, which give each row
+the bits of the tuple forms. A branch on a continuous value (the nearest
 contact point, constrain=auto, the cases of quat_between, the support under
 a dropped actor) is a selection per row. A statement runs its checks in
 order as masks over the rows; a row that fails one keeps the effects
 applied before it (the TCP has moved before a grasp_slip, the actor is
 released before a placement_miss), gets its failure event, its final
-snapshot, final scene and goal at once, and leaves the `alive` mask. The
-batch drops failed rows after each statement.
+snapshot and its goal at once, and leaves the `alive` mask. The batch drops
+failed rows after each statement.
 
 All randomness comes from one generator per trial with a frozen draw order,
 which is what makes independent replay oracles possible:
@@ -53,7 +53,7 @@ from ..geometry import (Pose, apply_rows, compose_rows, inverse_rows, norms, pos
                         quat_rotate_rows)
 from ..instrument import FINAL_STEP
 from ..scene import ARM_TAGS, ArmState, Scene, TaskSpec, eval_predicate
-from .model import Snapshot, SimConfig, SymbolicEvent, TrialLog, scene_states
+from .model import Snapshot, SymbolicEvent, TrialLog, scene_states
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
@@ -122,9 +122,9 @@ def _draws(statements: list[_Statement], spec: TaskSpec, seeds: list[int]):
 
 class _Poses:
     """One pose per row: the (n, 7) array the geometry reads and writes, and
-    the `Pose.values` tuples snapshots and final scenes hold. The tuples are
-    rebuilt only after an assignment, so a pose that did not move stays the
-    same object from snapshot to snapshot."""
+    the `Pose.values` tuples snapshots hold. The tuples are rebuilt only
+    after an assignment, so a pose that did not move stays the same object
+    from snapshot to snapshot."""
 
     __slots__ = ("initial", "rows", "_tuples", "_moved")
 
@@ -231,8 +231,8 @@ class _Batch:
             self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, scene, context))
 
     def _finish(self, rows, t: int, last_op: _Statement | None):
-        """The final snapshot (unless the last one was it), final scene and
-        goal of the given rows."""
+        """The final snapshot (unless the last one was it) and the goal of
+        the given rows, evaluated on a scene of each row's state."""
         if self.last_step is not None and self.last_step != FINAL_STEP:
             self._snapshot(rows, FINAL_STEP, t, last_op)
         for r in rows:
@@ -241,9 +241,7 @@ class _Batch:
                 {name: poses.pose(r) for name, poses in self.poses.items()},
                 {tag: ArmState(tcps.pose(r), self.gripper[tag], self.holding[tag]) for tag, tcps in self.tcps.items()},
             )
-            log = self.logs[r]
-            log.goal_met = eval_predicate(self.spec.goal, scene)
-            log.final_scene = scene
+            self.logs[r].goal_met = eval_predicate(self.spec.goal, scene)
 
     def _drop_failed(self, alive: list[bool]):
         keep = self.alive
@@ -516,14 +514,6 @@ class _Batch:
             self._finish(range(len(self.logs)), self.t, self.last_op)
 
 
-def execute(program: Program, spec: TaskSpec, cfg: SimConfig, trial_index: int = 0) -> TrialLog:
-    """Run one trial. Pure in (program, spec, cfg): identical inputs yield
-    bit-identical serialized logs."""
-    log = TrialLog(trial_index=trial_index, seed=cfg.seed)
-    _Batch(_flatten(program), spec, [log], cfg.noise_scale, cfg.max_steps).run()
-    return log
-
-
 def run_trials(
     program: Program,
     spec: TaskSpec,
@@ -532,12 +522,15 @@ def run_trials(
     noise_scale: float = 0.0,
     max_steps: int = 200,
 ) -> list[TrialLog]:
-    """n independent trials; trial i runs on a fresh scene with seed
-    base_seed + i, and each trial's log is what `execute` gives it alone.
-    The trials step through the program together."""
+    """n independent trials, stepped through the program together; trial i
+    runs on a fresh scene with seed base_seed + i. Pure in its inputs: a
+    trial's serialized log depends on neither n nor the other trials, so it
+    is the one trial of run_trials(program, spec, 1, base_seed + i) with its
+    trial_index set to i."""
     if n < 1:
         raise ValueError("need at least one trial")
-    cfg = SimConfig(seed=base_seed, noise_scale=noise_scale, max_steps=max_steps)
+    if noise_scale < 0:
+        raise ValueError("noise_scale must be >= 0")
     logs = [TrialLog(trial_index=i, seed=base_seed + i) for i in range(n)]
-    _Batch(_flatten(program), spec, logs, cfg.noise_scale, cfg.max_steps).run()
+    _Batch(_flatten(program), spec, logs, noise_scale, max_steps).run()
     return logs

@@ -2,7 +2,7 @@
 
 Trial logs serialize to JSON Lines, one event or snapshot record per line
 and a final summary record, with field names matching the dataclasses.
-Serialization is byte-stable: two runs of the same (program, spec, config)
+Serialization is byte-stable: two `run_trials` calls with the same arguments
 produce identical files.
 """
 
@@ -25,17 +25,6 @@ ERROR_CATEGORIES = (
     "not_held",
     "runtime_limit",
 )
-
-
-@dataclass(eq=False)
-class SimConfig:
-    seed: int = 0
-    noise_scale: float = 0.0
-    max_steps: int = 200
-
-    def __post_init__(self):
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
 
 
 @dataclass
@@ -65,12 +54,13 @@ class Snapshot:
 
 @dataclass
 class TrialLog:
+    """One trial: exactly what its records in trials.jsonl hold."""
+
     trial_index: int
     seed: int
     events: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     goal_met: bool = False
-    final_scene: Scene | None = None
 
     @property
     def failure_event(self) -> SymbolicEvent | None:
@@ -235,10 +225,11 @@ def _record(line: str):
 
 
 def load_trials(path) -> list[TrialLog]:
-    """Reconstruct trial logs from a JSONL file. The in-memory final scene is
-    not serialized; it is left as None (snapshots carry the state). A
-    malformed line, or a trial without its summary, raises ArtifactError
-    naming path:line or path."""
+    """Reconstruct trial logs from a JSONL file. The file stores every field
+    of a trial log, so a loaded log writes back byte for byte (its snapshot
+    poses are lists where the executor's are tuples). A malformed line, or a
+    trial without its summary, raises ArtifactError naming path:line or
+    path."""
     logs: dict[int, TrialLog] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):

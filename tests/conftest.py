@@ -18,6 +18,7 @@ from armloop.dsl.ast import (
     renumber,
 )
 from armloop.scene import load_task_spec
+from armloop.sim import run_trials
 
 TASKS_DIR = Path(__file__).resolve().parents[1] / "src" / "armloop" / "tasks"
 
@@ -41,6 +42,10 @@ def task_path(name: str) -> Path:
 
 def program_path(task: str, kind: str) -> Path:
     return TASKS_DIR / task / f"{kind}.prog"
+
+
+def one_trial(program, spec, seed: int, **options):
+    return run_trials(program, spec, 1, seed, **options)[0]
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ import numpy as np
 
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.agents.diagnosis import CAUSE_FROM_ERROR
-from armloop.dsl import parse, strip_observes, to_text
+from armloop.dsl import CallStmt, parse, strip_observes, to_text
 from armloop.harness import failure_severity, select_trial, trace_divergence
-from armloop.instrument import count_observes, insert_observations
+from armloop.instrument import insert_observations
 from armloop.loop import (
     CampaignConfig,
     EDIT_CLASS_FROM_CAUSE,
@@ -28,10 +28,10 @@ from armloop.loop import (
 )
 from armloop.metrics import LabeledTree, tree_edit_distance
 from armloop.scene import load_task_spec
-from armloop.sim import SimConfig, dumps_trial, execute, run_trials
+from armloop.sim import dumps_trial, run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
-from conftest import TASK_NAMES, program_path, random_program, task_path
+from conftest import TASK_NAMES, one_trial, program_path, random_program, task_path
 from test_metrics import asr, cr_iter, make_campaign, top5_asr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,7 +66,7 @@ def test_acceptance_2_instrumentation_contract():
     for _ in range(200):
         program = random_program(rng, max_subgoals=4, max_stmts=8)
         instrumented = insert_observations(program, cap=10)
-        n = count_observes(instrumented)
+        n = sum(isinstance(s, CallStmt) and s.name == "observe" for s in instrumented.walk())
         if not (2 <= n <= 10):
             violations += 1
         if strip_observes(instrumented) != strip_observes(program):
@@ -86,15 +86,14 @@ def test_acceptance_3_simulator_determinism():
         for kind in ("correct", "loud", "silent"):
             program = insert_observations(parse(program_path(task, kind).read_text()))
             for seed in (0, 7, 42):
-                cfg = SimConfig(seed=seed, noise_scale=1.0)
-                first = dumps_trial(execute(program, spec, cfg))
-                second = dumps_trial(execute(program, spec, cfg))
+                first = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
+                second = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
                 assert first == second, (task, kind, seed)
 
     # Golden file guards serialization stability across versions.
     spec = load_task_spec(task_path("place_shoe"))
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
-    produced = dumps_trial(execute(program, spec, SimConfig(seed=7)))
+    produced = dumps_trial(one_trial(program, spec, 7))
     assert produced == (GOLDEN / "place_shoe_seed7.jsonl").read_text(encoding="utf-8")
 
     # Slip-count replay oracle: same generator, same draw order, no simulator.
@@ -392,7 +391,7 @@ def test_acceptance_7_fusion_50_cases():
         assert signal.faults == expected, f"case {i}"
         assert error_fragment in signal.last_error, f"case {i}"
         for fault in signal.faults:
-            assert program.find_stmt(fault.stmt_id) is not None, f"case {i}"
+            assert any(stmt.id == fault.stmt_id for stmt in program.walk()), f"case {i}"
     _ok(7, "fusion exact on 50 constructed cases")
 
 

@@ -28,10 +28,9 @@ from armloop.errors import (
 from armloop.harness import collect_observations
 from armloop.instrument import insert_observations
 from armloop.loop import FaultEntry, RepairSignal
-from armloop.sim import SimConfig, execute
 from armloop.sim.model import ERROR_CATEGORIES
 
-from conftest import program_path
+from conftest import one_trial, program_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,7 +282,7 @@ def test_cause_mapping_total():
 
 def _diagnose(spec, kind, seed=0):
     program = insert_observations(parse(program_path(spec.name, kind).read_text()))
-    log = execute(program, spec, SimConfig(seed=seed))
+    log = one_trial(program, spec, seed)
     obs = collect_observations(log, program)
     verifier = Verifier(AgentConfig(backend="mock"), spec)
     return log, Verifier.verify(verifier, spec.subgoal_templates, obs, log)
@@ -312,9 +311,7 @@ def test_oracle_slip_maps_to_execution_failure(tmp_path):
 
     spec = load_task_spec(path)
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
-    from armloop.sim import execute as run
-
-    log = run(program, spec, SimConfig(seed=1, noise_scale=1.0))
+    log = one_trial(program, spec, 1, noise_scale=1.0)
     assert log.failure_event.error_category == "grasp_slip"
     obs = collect_observations(log, program)
     diagnosis = Verifier(AgentConfig(backend="mock"), spec).verify(spec.subgoal_templates, obs, log)
@@ -406,7 +403,7 @@ def test_malformed_reply_names_the_field(monkeypatch, body, field):
 def test_remote_verifier_sends_scene_and_svg(monkeypatch, place_shoe_spec):
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     obs = collect_observations(log, program)
     reply = json.dumps(
         {

@@ -94,6 +94,7 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"n_trials": 2.5}', "n_trials"),
     ('{"n_trials": true}', "n_trials"),
     ('{"noise_scale": Infinity}', "noise_scale"),
+    ('{"noise_scale": 100.5}', "noise_scale"),
     pytest.param('{"noise_scale": 1' + '0' * 400 + '}', "noise_scale", id="noise_scale_1e400"),
     pytest.param('{"n_trials": 1' + '0' * 5000 + '}', "config", id="n_trials_5001_digits"),
 ])
@@ -132,6 +133,14 @@ def test_infinite_noise_scale_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_noise_scale_above_bound_exits_two(tmp_path, capsys):
+    argv = ["run", _task(), _prog("correct"), "--noise-scale", "100.5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert ("error [config_error]: --noise-scale: must be at most 100, got 100.5"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["validate", _task(), "MISSING"], "program_file"),
     (["run", _task(), "MISSING", "--out", "OUT"], "program_file"),
@@ -140,15 +149,17 @@ def test_infinite_noise_scale_exits_two(tmp_path, capsys):
     (["run", _task(), _prog("correct"), "--out", "FILE/out"], "--out"),
     (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
       "--out", "FILE/out"], "--out"),
+    (["instrument", _prog("correct"), "--out", "FILE/x.prog"], "--out"),
+    (["metrics", "RUN", "--out", "FILE/m.json"], "--out"),
 ])
-def test_unreadable_program_or_unusable_out_exits_two(tmp_path, capsys, argv, field):
+def test_unreadable_program_or_unusable_out_exits_two(tmp_path, capsys, demo_run, argv, field):
     """MISSING is a program file that does not exist, BINARY one that is not
-    UTF-8, FILE a regular file (so no directory can be made under it), OUT a
-    fresh directory."""
+    UTF-8, FILE a regular file (so no directory or file can be made under
+    it), OUT a fresh directory, RUN a finished campaign directory."""
     (tmp_path / "file").write_text("")
     (tmp_path / "binary.prog").write_bytes(b"\xff\xfe\x00")
     paths = {"MISSING": tmp_path / "missing.prog", "BINARY": tmp_path / "binary.prog",
-             "FILE": tmp_path / "file", "OUT": tmp_path / "out"}
+             "FILE": tmp_path / "file", "OUT": tmp_path / "out", "RUN": demo_run}
     for name, path in paths.items():
         argv = [arg.replace(name, str(path)) for arg in argv]
     assert main(argv) == 2

@@ -14,10 +14,9 @@ from armloop.harness import (
     trace_divergence,
 )
 from armloop.instrument import insert_observations
-from armloop.sim import SimConfig, execute
 from armloop.sim.model import SymbolicEvent, TrialLog
 
-from conftest import program_path
+from conftest import one_trial, program_path
 
 
 def _program(n_subgoals: int) -> Program:
@@ -218,7 +217,7 @@ def test_minmax_normalization_extremes():
 
 def test_collect_observations_groups(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=7))
+    log = one_trial(program, place_shoe_spec, 7)
     obs = collect_observations(log, program)
     assert set(obs.groups) == {0, 1, 2, 3}
     assert [s.step_name for s in obs.groups[0]] == ["initial_scene_state"]
@@ -231,14 +230,14 @@ def test_collect_observations_groups(place_shoe_spec):
 
 def test_collect_observations_truncated_trial(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "loud").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     obs = collect_observations(log, program)
     assert obs.groups[2] == []  # fail-fast in subgoal 1
 
 
 def test_collect_observations_requires_snapshots(place_shoe_spec):
     program = parse(program_path("place_shoe", "loud").read_text())
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     with pytest.raises(NoSnapshotsError):
         collect_observations(log, program)
 

@@ -57,7 +57,7 @@ def test_fuse_agreement_single_entry():
         overall_success=False,
     )
     signal = fuse(log, diagnosis, _program())
-    assert signal.faulty_stmt_ids == [3]
+    assert [f.stmt_id for f in signal.faults] == [3]
     fault = signal.faults[0]
     assert fault.source == "both"
     assert fault.cause == "execution_failure"
@@ -88,7 +88,7 @@ def test_fuse_disagreement_symbolic_ranked_first():
         overall_success=False,
     )
     signal = fuse(log, diagnosis, _program())
-    assert signal.faulty_stmt_ids == [3, 4]
+    assert [f.stmt_id for f in signal.faults] == [3, 4]
     assert [f.source for f in signal.faults] == ["symbolic", "perceptual"]
     assert signal.faults[0].cause == "geometric_infeasibility"
     assert signal.faults[1].cause == "logic_error"
@@ -103,7 +103,7 @@ def test_fuse_earlier_subgoal_ranks_first():
         overall_success=False,
     )
     signal = fuse(log, diagnosis, _program())
-    assert signal.faulty_stmt_ids == [2, 3]
+    assert [f.stmt_id for f in signal.faults] == [2, 3]
     assert [f.subgoal_index for f in signal.faults] == [1, 2]
 
 
@@ -112,7 +112,7 @@ def test_fuse_symbolic_only_with_empty_diagnosis():
         _event(1, 1, "failure", "collision", "bumped"),
     ], goal_met=False)
     signal = fuse(log, Diagnosis.empty(), _program())
-    assert signal.faulty_stmt_ids == [1]
+    assert [f.stmt_id for f in signal.faults] == [1]
     assert signal.faults[0].source == "symbolic"
     assert signal.observation_feedback == "No perceptual diagnosis available."
 

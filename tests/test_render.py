@@ -3,16 +3,16 @@ import xml.etree.ElementTree as ET
 from armloop.dsl import parse
 from armloop.instrument import insert_observations
 from armloop.render import SCALE, render_trials, snapshot_svg, world_to_svg
-from armloop.sim import SimConfig, dump_trials, execute
+from armloop.sim import dump_trials
 
-from conftest import program_path
+from conftest import one_trial, program_path
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _run(place_shoe_spec, seed=7):
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
-    return execute(program, place_shoe_spec, SimConfig(seed=seed))
+    return one_trial(program, place_shoe_spec, seed)
 
 
 def test_one_svg_per_snapshot(tmp_path, place_shoe_spec):

@@ -47,7 +47,7 @@ def test_load_place_shoe_roundtrip(place_shoe_spec):
     assert np.allclose(shoe.extent, [0.05, 0.02, 0.02])
     assert np.allclose(shoe.grasp_axis, [0, 0, -1])
     raw = json.loads(task_path("place_shoe").read_text())
-    assert raw["actors"][0]["pose"] == shoe.pose.as_list()
+    assert raw["actors"][0]["pose"] == list(shoe.pose.values)
     assert spec.noise.slip_base == raw["noise"]["slip_base"]
 
 
@@ -119,6 +119,9 @@ def _set(raw, path, value):
     (("actors", 0, "static"), "false", "actors[0].static"),
     (("actors", 0, "contact_points", 0, "id"), 1.5, "actors[0].contact_points[0].id"),
     (("noise", "pos_sigma"), True, "noise.pos_sigma"),
+    (("noise", "pos_sigma"), 1.5, "noise.pos_sigma"),
+    (("noise", "rot_sigma"), 3.15, "noise.rot_sigma"),
+    (("noise", "rot_sigma"), 1e308, "noise.rot_sigma"),
     pytest.param(("goal", "children", 0, "a"), "shoe.functional.1" + "0" * 5000,
                  "goal.children[0].a", id="point_id_5001_digits"),
 ])

@@ -13,18 +13,24 @@ from armloop.dsl import parse
 from armloop.dsl.ast import API_SIGNATURES, CallStmt, PoseLit
 from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
 from armloop.instrument import insert_observations
-from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, eval_predicate, load_task_spec
+from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
 from armloop.sim import (
-    SimConfig, Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, execute, load_trials,
-    run_trials, scene_from_state,
+    Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, load_trials, run_trials,
+    scene_from_state,
 )
 from armloop.sim.model import trial_records
 
-from conftest import TASK_NAMES, program_path, task_path
+from conftest import TASK_NAMES, one_trial, program_path, task_path
 
 
 def _correct(task="place_shoe"):
     return insert_observations(parse(program_path(task, "correct").read_text()))
+
+
+def _final_scene(spec, log):
+    """The trial's final state, as its final snapshot records it."""
+    assert log.snapshots[-1].step_name == "final_scene_state"
+    return scene_from_state(spec, log.snapshots[-1].scene)
 
 
 def _approx_equal(a: Pose, b: Pose, tol: float) -> bool:
@@ -34,7 +40,7 @@ def _approx_equal(a: Pose, b: Pose, tol: float) -> bool:
 
 
 def test_zero_noise_success(place_shoe_spec):
-    log = execute(_correct(), place_shoe_spec, SimConfig(seed=7))
+    log = one_trial(_correct(), place_shoe_spec, 7)
     assert log.goal_met
     assert all(ev.outcome == "success" for ev in log.events)
 
@@ -45,7 +51,7 @@ def test_shrunk_workspace_unreachable(tmp_path, place_shoe_spec):
     path = tmp_path / "shrunk.task.json"
     path.write_text(json.dumps(raw))
     spec = load_task_spec(path)
-    log = execute(_correct(), spec, SimConfig(seed=7))
+    log = one_trial(_correct(), spec, 7)
     failure = log.failure_event
     assert failure is not None
     assert failure.error_category == "unreachable"
@@ -54,15 +60,14 @@ def test_shrunk_workspace_unreachable(tmp_path, place_shoe_spec):
 
 
 def test_execute_deterministic_bytes(place_shoe_spec):
-    cfg = SimConfig(seed=7, noise_scale=1.0)
-    a = dumps_trial(execute(_correct(), place_shoe_spec, cfg))
-    b = dumps_trial(execute(_correct(), place_shoe_spec, cfg))
+    a = dumps_trial(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
+    b = dumps_trial(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
     assert a == b
 
 
 def test_fail_fast_no_success_after_failure(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "loud").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     outcomes = [ev.outcome for ev in log.events]
     assert "failure" in outcomes
     assert outcomes.index("failure") == len(outcomes) - 1
@@ -86,8 +91,9 @@ def test_batch_trial_is_the_trial_run_alone():
             for noise in (0.0, 1.0):
                 logs = run_trials(program, spec, 20, base_seed=0, noise_scale=noise)
                 for i, log in enumerate(logs):
-                    alone = execute(program, spec, SimConfig(seed=i, noise_scale=noise), trial_index=i)
-                    assert dumps_trial(log) == dumps_trial(alone), (task, kind, noise, i)
+                    alone = one_trial(program, spec, i, noise_scale=noise)
+                    assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=i)), (
+                        task, kind, noise, i)
                 failed_at = {log.failure_event.stmt_id for log in logs if log.failure_event is not None}
                 if len(failed_at) > 1 and any(log.failure_event is None for log in logs):
                     mixed.append((task, kind, noise))
@@ -129,13 +135,22 @@ def test_batch_trial_is_the_trial_run_alone_on_mutated_programs():
         noise = rng.choice((0.0, 1.0, 5.0))
         logs = run_trials(program, spec, 12, base_seed=k, noise_scale=noise)
         for i, log in enumerate(logs):
-            alone = execute(program, spec, SimConfig(seed=k + i, noise_scale=noise), trial_index=i)
-            assert dumps_trial(log) == dumps_trial(alone), (task, kind, k, i)
+            alone = one_trial(program, spec, k + i, noise_scale=noise)
+            assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=i)), (task, kind, k, i)
         ends = {(log.failure_event.error_category, log.failure_event.stmt_id) if log.failure_event else None
                 for log in logs}
         if len(ends) > 1:
             mixed.update(end[0] for end in ends if end is not None)
     assert {"unreachable", "collision", "grasp_slip", "placement_miss"} <= set(mixed)
+
+
+@pytest.mark.parametrize("n, noise_scale, message", [
+    (0, 0.0, "need at least one trial"),
+    (1, -1.0, "noise_scale must be >= 0"),
+])
+def test_run_trials_rejects_bad_input(place_shoe_spec, n, noise_scale, message):
+    with pytest.raises(ValueError, match=message):
+        run_trials(_correct(), place_shoe_spec, n, 0, noise_scale=noise_scale)
 
 
 def test_run_trials_single(place_shoe_spec):
@@ -180,14 +195,12 @@ def test_slip_and_goal_replay_oracle(tmp_path):
     assert 0 < actual_slips < n  # the draw actually exercised both branches
 
 
-def test_nan_target_is_unreachable(tmp_path):
+def test_nan_target_is_unreachable(place_shoe_spec):
     # A yaw sigma this large overflows some setup draws to inf, which leaves
     # the shoe's orientation nan; a nan coordinate is outside every workspace.
-    raw = json.loads(task_path("place_shoe").read_text())
-    raw["noise"]["rot_sigma"] = 1e308
-    path = tmp_path / "overflow.task.json"
-    path.write_text(json.dumps(raw))
-    spec = load_task_spec(path)
+    # The task loader rejects such a sigma, so the spec is built around it.
+    noise = place_shoe_spec.noise
+    spec = dataclasses.replace(place_shoe_spec, noise=NoiseSpec(noise.pos_sigma, 1e308, noise.slip_base))
     logs = run_trials(_correct(), spec, 40, base_seed=0, noise_scale=1.0)
     nan_trials = [log for log in logs if any(map(math.isnan, log.snapshots[0].scene["actors"]["shoe"]["pose"]))]
     assert nan_trials
@@ -200,9 +213,19 @@ def test_nan_target_is_unreachable(tmp_path):
         assert not log.goal_met
 
 
+def test_largest_noise_the_loader_accepts_stays_finite(tmp_path):
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw["noise"].update(pos_sigma=1.0, rot_sigma=math.pi)
+    path = tmp_path / "widest.task.json"
+    path.write_text(json.dumps(raw))
+    logs = run_trials(_correct(), load_task_spec(path), 40, base_seed=0, noise_scale=100.0)
+    text = "".join(map(dumps_trial, logs))
+    assert "NaN" not in text and "Infinity" not in text
+
+
 def test_silent_failure_has_no_failure_event(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "silent").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     assert log.failure_event is None
     assert not log.goal_met
 
@@ -216,10 +239,10 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
         "  move_by_displacement(left, x=0.1, y=0.1)\n"
         "  open_gripper(left)\n"
     )
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    final = _final_scene(place_shoe_spec, one_trial(insert_observations(parse(text)), place_shoe_spec, 0))
     # Dropped above the block at (-0.1, 0.2): lands on its top face.
-    assert np.allclose(log.final_scene.poses["shoe"].p, [-0.1, 0.2, 0.06], atol=1e-9)
-    assert log.final_scene.held_by("shoe") is None
+    assert np.allclose(final.poses["shoe"].p, [-0.1, 0.2, 0.06], atol=1e-9)
+    assert final.held_by("shoe") is None
 
     text_table = (
         "program t\n"
@@ -229,34 +252,35 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
         "  move_by_displacement(left, y=0.2)\n"
         "  open_gripper(left)\n"
     )
-    log = execute(parse(text_table), place_shoe_spec, SimConfig(seed=0))
-    assert log.final_scene.poses["shoe"].p[2] == pytest.approx(0.02)  # table + half height
+    final = _final_scene(place_shoe_spec, one_trial(insert_observations(parse(text_table)), place_shoe_spec, 0))
+    assert final.poses["shoe"].p[2] == pytest.approx(0.02)  # table + half height
 
 
 def test_close_gripper_is_noop_on_world(place_shoe_spec):
     text = 'program t\nsubgoal "s"\n  close_gripper(left)\n  close_gripper(right, pos=0.5)\n'
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(insert_observations(parse(text)), place_shoe_spec, 0)
     assert all(ev.outcome == "success" for ev in log.events)
-    assert np.allclose(log.final_scene.poses["shoe"].p, [-0.2, 0.1, 0.02])
-    assert log.final_scene.arms["right"].gripper == 0.5
+    final = _final_scene(place_shoe_spec, log)
+    assert np.allclose(final.poses["shoe"].p, [-0.2, 0.1, 0.02])
+    assert final.arms["right"].gripper == 0.5
 
 
 def test_gripper_pos_range_checked(place_shoe_spec):
     text = 'program t\nsubgoal "s"\n  open_gripper(left, pos=1.5)\n'
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(parse(text), place_shoe_spec, 0)
     assert log.failure_event.error_category == "invalid_call"
 
 
 def test_place_without_grasp_not_held(place_shoe_spec):
     text = 'program t\nsubgoal "s"\n  place_actor(shoe, left, fp(target_block, 0))\n'
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(parse(text), place_shoe_spec, 0)
     assert log.failure_event.error_category == "not_held"
 
 
 def test_runtime_limit(place_shoe_spec):
     lines = ["program t", 'subgoal "s"']
     lines += ["  move_by_displacement(left, z=0.001)"] * 30
-    log = execute(parse("\n".join(lines)), place_shoe_spec, SimConfig(seed=0, max_steps=10))
+    log = one_trial(parse("\n".join(lines)), place_shoe_spec, 0, max_steps=10)
     assert log.failure_event.error_category == "runtime_limit"
     assert len(log.events) == 11  # 10 executed + the limit event
 
@@ -265,7 +289,7 @@ def test_runtime_functional_point_invalid_call(place_shoe_spec):
     # Slips past static validation only if validate() is skipped, which is
     # exactly the runtime safety net's job.
     text = 'program t\nsubgoal "s"\n  grasp_actor(shoe, left)\n  place_actor(shoe, left, fp(target_block, 0), functional_point_id=7)\n'
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(parse(text), place_shoe_spec, 0)
     assert log.failure_event.error_category == "invalid_call"
 
 
@@ -283,7 +307,7 @@ def test_runtime_functional_point_invalid_call(place_shoe_spec):
 ])
 def test_runtime_unknown_actor_or_point_messages(place_shoe_spec, stmts, message):
     text = 'program t\nsubgoal "s"\n' + "".join(f"  {s}\n" for s in stmts)
-    log = execute(parse(text), place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(parse(text), place_shoe_spec, 0)
     failure = log.failure_event
     assert (failure.stmt_id, failure.error_category, failure.message) == (
         len(stmts), "invalid_call", message,
@@ -294,18 +318,18 @@ def test_runtime_unknown_actor_or_point_messages(place_shoe_spec, stmts, message
 def test_handover_transfers_held_by():
     spec = load_task_spec(task_path("handover_block"))
     program = _correct("handover_block")
-    log = execute(program, spec, SimConfig(seed=0))
+    log = one_trial(program, spec, 0)
     assert log.goal_met
     grasps = [ev for ev in log.events if ev.op_name == "grasp_actor"]
     assert [ev.args["arm"] for ev in grasps] == ["left", "right"]
     # After the right grasp the block travels with the right arm only.
-    assert log.final_scene.held_by("block") is None  # released at place
+    assert _final_scene(spec, log).held_by("block") is None  # released at place
 
 
 def test_parallel_interleaves_left_first():
     spec = load_task_spec(task_path("pick_dual_bottles_easy"))
     program = _correct("pick_dual_bottles_easy")
-    log = execute(program, spec, SimConfig(seed=0))
+    log = one_trial(program, spec, 0)
     assert log.goal_met
     arms = [ev.args["arm"] for ev in log.events if ev.op_name == "grasp_actor"]
     assert arms == ["left", "right"]
@@ -315,7 +339,7 @@ def test_parallel_interleaves_left_first():
 
 def test_no_teleportation_between_snapshots(place_shoe_spec):
     program = _correct()
-    log = execute(program, place_shoe_spec, SimConfig(seed=7, noise_scale=1.0))
+    log = one_trial(program, place_shoe_spec, 7, noise_scale=1.0)
     prev = None
     for snap in log.snapshots:
         if prev is not None:
@@ -332,14 +356,14 @@ def test_no_teleportation_between_snapshots(place_shoe_spec):
 
 def test_snapshot_boundaries_present_even_on_failure(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "loud").read_text()))
-    log = execute(program, place_shoe_spec, SimConfig(seed=0))
+    log = one_trial(program, place_shoe_spec, 0)
     assert log.snapshots[0].step_name == "initial_scene_state"
     assert log.snapshots[-1].step_name == "final_scene_state"
 
 
 def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
     program = _correct()
-    log = execute(program, place_shoe_spec, SimConfig(seed=3, noise_scale=1.0))
+    log = one_trial(program, place_shoe_spec, 3, noise_scale=1.0)
 
     def grip_offset(state):
         arm = state["actors"]["shoe"]["held_by"]
@@ -363,7 +387,7 @@ def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
 def test_quaternion_closure_under_noise(place_shoe_spec):
     program = _correct()
     for seed in range(5):
-        log = execute(program, place_shoe_spec, SimConfig(seed=seed, noise_scale=1.0))
+        log = one_trial(program, place_shoe_spec, seed, noise_scale=1.0)
         for snap in log.snapshots:
             for entry in snap.scene["actors"].values():
                 q = np.array(entry["pose"][3:])
@@ -389,9 +413,9 @@ def test_constrain_free_keeps_yaw_align_resets_it(tmp_path):
             "  move_by_displacement(left, z=0.1)\n"
             f"  place_actor(shoe, left, pose(-0.3, 0.3, 0.05, 1.0, 0.0, 0.0, 0.0), constrain={constrain}, is_open=false)\n"
         )
-        log = execute(parse(text), spec, SimConfig(seed=0))
+        log = one_trial(insert_observations(parse(text)), spec, 0)
         assert log.failure_event is None
-        x_axis = quat_rotate(log.final_scene.poses["shoe"].q, np.array([1.0, 0.0, 0.0]))
+        x_axis = quat_rotate(_final_scene(spec, log).poses["shoe"].q, np.array([1.0, 0.0, 0.0]))
         if expect_yaw:
             assert x_axis[1] == pytest.approx(np.sin(np.deg2rad(30)), abs=1e-9)
         else:
@@ -434,7 +458,7 @@ def test_unmoved_pose_is_one_tuple_in_every_snapshot():
     # The trial writer reuses an entry's text only while its values are the
     # same objects, so a snapshot must hold the pose's own tuple, not a copy.
     spec = load_task_spec(task_path("stack_blocks_three"))
-    log = execute(_correct("stack_blocks_three"), spec, SimConfig(seed=0, noise_scale=1.0))
+    log = one_trial(_correct("stack_blocks_three"), spec, 0, noise_scale=1.0)
     tcps = [snap.scene["arms"]["left"]["tcp"] for snap in log.snapshots]  # the left arm stays idle
     assert len(tcps) > 2 and type(tcps[0]) is tuple
     assert all(tcp is tcps[0] for tcp in tcps)
@@ -458,12 +482,12 @@ def test_task_geometry_is_frozen():
 def _geometry(spec) -> dict:
     return {
         "actors": {
-            name: [actor.pose.as_list(), list(actor.extent), actor.static]
-            + [[(pt.id, pt.pose.as_list()) for pt in actor.points(c)] for c in POINT_CATEGORIES]
+            name: [actor.pose.values, list(actor.extent), actor.static]
+            + [[(pt.id, pt.pose.values) for pt in actor.points(c)] for c in POINT_CATEGORIES]
             + [list(actor.axis(c)) for c in AXIS_CATEGORIES]
             for name, actor in spec.actors.items()
         },
-        "homes": {tag: home.as_list() for tag, home in spec.homes.items()},
+        "homes": {tag: home.values for tag, home in spec.homes.items()},
         "workspaces": spec.workspaces,
     }
 
@@ -557,7 +581,7 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
-    log = execute(_correct(), place_shoe_spec, SimConfig(seed=0, max_steps=3))
+    log = one_trial(_correct(), place_shoe_spec, 0, max_steps=3)
     limit, final = log.events[-1], log.snapshots[-1]
     assert (limit.error_category, final.step_name) == ("runtime_limit", "final_scene_state")
     assert limit.t == final.t
