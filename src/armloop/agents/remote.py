@@ -8,11 +8,12 @@ and the API key is read from the environment variable the config names.
 
 from __future__ import annotations
 
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 from types import NoneType
-
-import requests
 
 from ..errors import AgentFailureError, BackendError, MalformedReplyError
 from .config import AgentConfig
@@ -22,8 +23,13 @@ _RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float):
-    response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    return response.status_code, response.text
+    request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:  # a non-2xx status: the caller decides on it
+        response = exc
+    with response:
+        return response.status, response.read().decode("utf-8", "replace")
 
 
 class ChatBackend:

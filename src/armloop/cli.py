@@ -119,21 +119,21 @@ def cmd_loop(args) -> int:
         payload = metrics_mod.metrics_from_campaign(campaign, expert_text)
     except ArmloopError:
         for cand in campaign.candidates:
-            print(f"candidate {cand.candidate_id}: {cand.error}", file=sys.stderr)
+            print(f"candidate {cand.record.candidate_id}: {cand.record.error}", file=sys.stderr)
         return _fail("error [agent_failure]: no candidate completed any trials", 3)
     (out / "metrics.json").write_text(metrics_mod.dumps_metrics(payload), encoding="utf-8")
 
     print(f"task {spec.name}: ASR {payload['asr']:.2f}  Top5-ASR {payload['top5_asr']:.2f}  CR-Iter {payload['cr_iter']:.2f}")
     print(f"{'cand':>4} {'iter':>4} {'success':>8} {'converged':>9}")
     for cand in campaign.candidates:
-        if cand.error is not None:
-            print(f"{cand.candidate_id:>4} {'-':>4} {'-':>8} {'agent_failure':>9}")
+        if cand.result is None:
+            print(f"{cand.record.candidate_id:>4} {'-':>4} {'-':>8} {'agent_failure':>9}")
             continue
         for record in cand.result.iterations:
             print(
-                f"{cand.candidate_id:>4} {record.index:>4} "
+                f"{cand.record.candidate_id:>4} {record.index:>4} "
                 f"{record.success_count:>3}/{record.n_trials:<4} "
-                f"{str(cand.result.converged and record.index == cand.result.cr_iter):>9}"
+                f"{str(cand.record.converged and record.index == cand.record.cr_iter):>9}"
             )
     if campaign.had_agent_failure:
         return 3

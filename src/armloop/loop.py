@@ -14,7 +14,7 @@ import datetime
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import NoneType
 
@@ -27,6 +27,7 @@ from .dsl.ast import Program
 from .dsl.printer import to_text
 from .errors import (
     AgentFailureError,
+    ArtifactError,
     BackendError,
     ConfigError,
     DslSyntaxError,
@@ -214,10 +215,6 @@ class IterationRecord:
     diagnosis: Diagnosis | None = None
     signal: RepairSignal | None = None
 
-    @property
-    def success_rate(self) -> float:
-        return self.success_count / self.n_trials
-
 
 @dataclass
 class LoopResult:
@@ -226,9 +223,11 @@ class LoopResult:
     final_program: Program
     cr_iter: int
 
-    @property
-    def final_iteration(self) -> IterationRecord:
-        return self.iterations[-1]
+
+def converges(success_count: int, n_trials: int, threshold: float) -> bool:
+    """The convergence rule: a batch converges when its success rate is
+    strictly above the threshold (an empty batch never does)."""
+    return n_trials > 0 and success_count / n_trials > threshold
 
 
 def _persist_iteration(out_dir: Path | None, record: IterationRecord):
@@ -301,7 +300,7 @@ def run_loop(
         )
         iterations.append(record)
 
-        if record.success_rate > cfg.success_threshold:
+        if converges(success_count, cfg.n_trials, cfg.success_threshold):
             converged = True
             _persist_iteration(out_dir, record)
             break
@@ -325,13 +324,12 @@ def run_loop(
         _persist_iteration(out_dir, record)
         current = instrumented
 
-    result = LoopResult(
+    return LoopResult(
         iterations=iterations,
         converged=converged,
         final_program=iterations[-1].program,
         cr_iter=iterations[-1].index if converged else cfg.max_iterations,
     )
-    return result
 
 
 # --- campaign ----------------------------------------------------------------
@@ -365,23 +363,52 @@ class CampaignConfig:
 
 
 @dataclass
-class CandidateResult:
+class CandidateRecord:
+    """A candidate's outcome, as its campaign.json row holds it in field
+    order. Metrics count on the fields, so each holds exactly its declared
+    type (a bool is no int). A candidate an agent failure stopped has its
+    error, converged false and zeros."""
+
     candidate_id: int
     base_seed: int
-    result: LoopResult | None = None
-    error: str | None = None
+    converged: bool
+    cr_iter: int
+    final_iteration: int  # index of the last iteration run
+    success_count: int  # of the final iteration's batch
+    n_trials: int
+    error: str | None
 
-    @property
-    def success_count(self) -> int:
-        return self.result.final_iteration.success_count if self.result else 0
+    def __post_init__(self):
+        kinds = {"int": int, "bool": bool, "str | None": (str, NoneType)}  # declared type -> JSON
+        for f in fields(self):
+            ArtifactError.check(getattr(self, f.name), kinds[f.type], f.name)
 
-    @property
-    def n_trials(self) -> int:
-        return self.result.final_iteration.n_trials if self.result else 0
+    to_json = asdict
 
-    @property
-    def cr_iter(self) -> int:
-        return self.result.cr_iter if self.result else 0
+    @classmethod
+    def from_json(cls, raw, where: str) -> "CandidateRecord":
+        """A campaign.json candidate row; ArtifactError names where it is."""
+        try:
+            return cls(**ArtifactError.check(raw, dict, ""))
+        except TypeError:  # a missing or an unexpected field
+            names = [f.name for f in fields(cls)]
+            raise ArtifactError(where, f"expected fields {names}, got {list(raw)}") from None
+        except ArtifactError as exc:  # not an object, or a field of the wrong type
+            raise ArtifactError(where, str(exc)) from None
+
+    @classmethod
+    def of(cls, cand: CandidateSpec, result: LoopResult | None, error: str | None = None):
+        if result is None:
+            return cls(cand.candidate_id, cand.base_seed, False, 0, 0, 0, 0, error)
+        final = result.iterations[-1]
+        return cls(cand.candidate_id, cand.base_seed, result.converged, result.cr_iter,
+                   final.index, final.success_count, final.n_trials, None)
+
+
+@dataclass
+class CandidateResult:
+    record: CandidateRecord
+    result: LoopResult | None  # None: an agent failure stopped the candidate
 
 
 @dataclass
@@ -394,7 +421,7 @@ class CampaignResult:
 
     @property
     def had_agent_failure(self) -> bool:
-        return any(c.error is not None for c in self.candidates)
+        return any(c.record.error is not None for c in self.candidates)
 
 
 def run_campaign(
@@ -418,12 +445,12 @@ def run_campaign(
         if loop_cfg.synthesis.backend == "mock" and cand.playbook:
             loop_cfg.synthesis.playbook = list(cand.playbook)
         cand_dir = out_dir / f"cand_{cand.candidate_id}" if out_dir is not None else None
-        entry = CandidateResult(candidate_id=cand.candidate_id, base_seed=cand.base_seed)
+        result = error = None
         try:
-            entry.result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport)
+            result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport)
         except AgentFailureError as exc:
-            entry.error = str(exc)
-        campaign.candidates.append(entry)
+            error = str(exc)
+        campaign.candidates.append(CandidateResult(CandidateRecord.of(cand, result, error), result))
     if out_dir is not None:
         _write_campaign_json(out_dir, campaign, cfg.expert_program)
     return campaign
@@ -439,19 +466,7 @@ def _write_campaign_json(out_dir: Path, campaign: CampaignResult, expert_program
         "success_threshold": campaign.success_threshold,
         "max_iterations": campaign.max_iterations,
         "expert_program": expert_program,
-        "candidates": [
-            {
-                "candidate_id": c.candidate_id,
-                "base_seed": c.base_seed,
-                "converged": bool(c.result.converged) if c.result else False,
-                "cr_iter": c.cr_iter,
-                "final_iteration": c.result.final_iteration.index if c.result else 0,
-                "success_count": c.success_count,
-                "n_trials": c.n_trials,
-                "error": c.error,
-            }
-            for c in campaign.candidates
-        ],
+        "candidates": [c.record.to_json() for c in campaign.candidates],
     }
     (out_dir / "campaign.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -551,9 +566,12 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     candidates = []
     for i, entry in enumerate(ConfigError.get(raw, "candidates", list, default=[])):
         where = f"candidates[{i}]"
+        cid = ConfigError.get(entry, "candidate_id", int, where, default=i)
+        if any(c.candidate_id == cid for c in candidates):  # both would write cand_<id>
+            raise ConfigError(f"{where}.candidate_id", f"candidate id {cid} is already taken")
         candidates.append(
             CandidateSpec(
-                candidate_id=ConfigError.get(entry, "candidate_id", int, where, default=i),
+                candidate_id=cid,
                 base_seed=ConfigError.get(entry, "base_seed", int, where, default=None, minimum=0),
                 playbook=_resolve_playbook(
                     ConfigError.get(entry, "playbook", (str, list), where, default=[]),

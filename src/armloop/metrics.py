@@ -11,14 +11,14 @@ can be recomputed offline from a run directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import NoneType
 
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
 from .errors import ArtifactError, EmptyCampaignError
-from .loop import CampaignResult
+from .loop import CampaignResult, CandidateRecord, converges
 from .sim.model import load_trials
 
 _SIMILARITY_NOTE = (
@@ -215,36 +215,19 @@ def ast_similarity(a: Program | FlatTree, b: Program | FlatTree) -> float:
 # --- metrics.json -------------------------------------------------------------
 
 
-def _candidate_entries(campaign: CampaignResult) -> list[dict]:
-    from .dsl.printer import to_text
-
-    entries = []
-    for c in campaign.candidates:
-        entry = {
-            "candidate_id": c.candidate_id,
-            "error": c.error,
-            "success_count": c.success_count,
-            "n_trials": c.n_trials,
-            "cr_iter": c.cr_iter,
-            "converged": bool(c.result.converged) if c.result else False,
-            "final_program_text": to_text(c.result.final_program) if c.result else None,
-        }
-        entries.append(entry)
-    return entries
-
-
-def metrics_payload(task: str, entries: list[dict], threshold: float,
-                    max_iterations: int, expert_text: str | None) -> dict:
-    """ASR, Top5-ASR, CR-Iter and the code-structure metrics over one entry
-    row per candidate, as built from a live campaign or from artifacts."""
-    scored = [e for e in entries if e["error"] is None and e["n_trials"] > 0]
+def metrics_payload(task: str, entries: list[tuple[CandidateRecord, str | None]],
+                    threshold: float, max_iterations: int, expert_text: str | None) -> dict:
+    """ASR, Top5-ASR, CR-Iter and the code-structure metrics over one
+    (record, final program text) pair per candidate, as a live campaign or
+    its artifacts give them."""
+    scored = [r for r, _ in entries if r.error is None and r.n_trials > 0]
     if not scored:
         raise EmptyCampaignError("campaign has no candidates with executed trials")
 
-    total_success = sum(e["success_count"] for e in scored)
-    total_trials = sum(e["n_trials"] for e in scored)
+    total_success = sum(r.success_count for r in scored)
+    total_trials = sum(r.n_trials for r in scored)
     rates = sorted(
-        ((e["success_count"] / e["n_trials"], e["candidate_id"]) for e in scored),
+        ((r.success_count / r.n_trials, r.candidate_id) for r in scored),
         key=lambda rc: (-rc[0], rc[1]),
     )
     top = rates[:5]
@@ -254,22 +237,22 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
     token_lens = []
     node_counts = []
     similarities = []
-    for e in entries:
+    for r, text in entries:
         row = {
-            "candidate_id": e["candidate_id"],
-            "success_count": e["success_count"],
-            "n_trials": e["n_trials"],
-            "success_rate": (e["success_count"] / e["n_trials"]) if e["n_trials"] else 0.0,
-            "cr_iter": e["cr_iter"],
-            "converged": e["converged"],
-            "error": e["error"],
+            "candidate_id": r.candidate_id,
+            "success_count": r.success_count,
+            "n_trials": r.n_trials,
+            "success_rate": (r.success_count / r.n_trials) if r.n_trials else 0.0,
+            "cr_iter": r.cr_iter,
+            "converged": r.converged,
+            "error": r.error,
             "token_len": None,
             "node_count": None,
             "ast_similarity_vs_expert": None,
         }
-        if e["final_program_text"]:
-            tree = flatten(program_tree(parse(e["final_program_text"])))
-            row["token_len"] = count_tokens(e["final_program_text"])
+        if text:
+            tree = flatten(program_tree(parse(text)))
+            row["token_len"] = count_tokens(text)
             row["node_count"] = len(tree)
             token_lens.append(row["token_len"])
             node_counts.append(row["node_count"])
@@ -282,7 +265,7 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
         "task": task,
         "asr": total_success / total_trials,
         "top5_asr": sum(r for r, _ in top) / len(top),
-        "cr_iter": sum(e["cr_iter"] for e in scored) / len(scored),
+        "cr_iter": sum(r.cr_iter for r in scored) / len(scored),
         "success_threshold": threshold,
         "max_iterations": max_iterations,
         "per_candidate": per_candidate,
@@ -299,19 +282,37 @@ def metrics_payload(task: str, entries: list[dict], threshold: float,
 
 
 def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = None) -> dict:
-    return metrics_payload(
-        campaign.task,
-        _candidate_entries(campaign),
-        campaign.success_threshold,
-        campaign.max_iterations,
-        expert_text,
-    )
+    from .dsl.printer import to_text
+
+    entries = [(c.record, to_text(c.result.final_program) if c.result else None)
+               for c in campaign.candidates]
+    return metrics_payload(campaign.task, entries, campaign.success_threshold,
+                           campaign.max_iterations, expert_text)
+
+
+def _recount(record: CandidateRecord, cand_dir: Path, threshold: float, cap: int):
+    """The candidate's record as its trials.jsonl files count it, and its
+    final program text. Reads iterations 1..final_iteration exactly, so that
+    iterations an earlier, longer run left in the directory are not read."""
+    converged_at, success, n = None, 0, 0
+    for k in range(1, record.final_iteration + 1):
+        logs = load_trials(cand_dir / f"iter_{k}" / "trials.jsonl")
+        success, n = sum(1 for log in logs if log.goal_met), len(logs)
+        if converged_at is None and converges(success, n, threshold):
+            converged_at = k
+    counted = replace(record, converged=converged_at is not None, success_count=success, n_trials=n,
+                      cr_iter=converged_at or (cap if record.final_iteration else 0))
+    if not record.final_iteration:  # an agent failure stopped it before any batch ran
+        return counted, None
+    program_path = cand_dir / f"iter_{record.final_iteration}" / "program.prog"
+    return counted, ArtifactError.read_text(program_path, str(program_path))
 
 
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
     payload written at run time byte for byte. A campaign.json or
-    trials.jsonl that does not match its schema raises ArtifactError."""
+    trials.jsonl that does not match its schema, or a campaign.json
+    candidate row that its trials do not bear out, raises ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
@@ -323,45 +324,19 @@ def metrics_from_artifacts(run_dir) -> dict:
         cap = ArtifactError.get(meta, "max_iterations", int)
         expert_path = ArtifactError.get(meta, "expert_program", (str, NoneType), default=None)
         expert_text = ArtifactError.read_text(expert_path, "expert_program") if expert_path else None
-        candidates = [
-            (ArtifactError.get(cand, "candidate_id", int, f"candidates[{i}]"),
-             ArtifactError.get(cand, "error", (str, NoneType), f"candidates[{i}]", default=None))
-            for i, cand in enumerate(ArtifactError.get(meta, "candidates", list))
-        ]
+        records = [CandidateRecord.from_json(raw, f"candidates[{i}]")
+                   for i, raw in enumerate(ArtifactError.get(meta, "candidates", list))]
     except ArtifactError as exc:
         raise ArtifactError(str(campaign_path), str(exc)) from None
 
     entries = []
-    for cid, error in candidates:
-        cand_dir = run_dir / f"cand_{cid}"
-        entry = {
-            "candidate_id": cid,
-            "error": error,
-            "success_count": 0,
-            "n_trials": 0,
-            "cr_iter": 0,
-            "converged": False,
-            "final_program_text": None,
-        }
-        iter_dirs = sorted(
-            (int(d.name[len("iter_"):]), d) for d in cand_dir.glob("iter_*")
-            if d.name[len("iter_"):].isdigit() and d.is_dir()
-        )
-        if error is None and iter_dirs:
-            converged_at = None
-            for k, it_dir in iter_dirs:
-                logs = load_trials(it_dir / "trials.jsonl")
-                successes = sum(1 for log in logs if log.goal_met)
-                if converged_at is None and logs and successes / len(logs) > threshold:
-                    converged_at = k
-                entry["success_count"] = successes
-                entry["n_trials"] = len(logs)
-            entry["converged"] = converged_at is not None
-            entry["cr_iter"] = converged_at if converged_at is not None else cap
-            program_path = iter_dirs[-1][1] / "program.prog"
-            entry["final_program_text"] = ArtifactError.read_text(program_path, str(program_path))
-        entries.append(entry)
-
+    for i, record in enumerate(records):
+        counted, text = _recount(record, run_dir / f"cand_{record.candidate_id}", threshold, cap)
+        for name, value in asdict(record).items():
+            if getattr(counted, name) != value:
+                raise ArtifactError(str(campaign_path), f"candidates[{i}]: {name}: {json.dumps(value)}"
+                                    f" recorded, {json.dumps(getattr(counted, name))} in the trials")
+        entries.append((counted, text))
     return metrics_payload(task, entries, threshold, cap, expert_text)
 
 

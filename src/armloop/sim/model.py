@@ -227,30 +227,29 @@ def _record(line: str):
 def load_trials(path) -> list[TrialLog]:
     """Reconstruct trial logs from a JSONL file. The file stores every field
     of a trial log, so a loaded log writes back byte for byte (its snapshot
-    poses are lists where the executor's are tuples). A malformed line, or a
-    trial without its summary, raises ArtifactError naming path:line or
-    path."""
+    poses are lists where the executor's are tuples). A malformed line, a
+    file that cannot be read as text, or a trial without its summary raises
+    ArtifactError naming path:line or path."""
     logs: dict[int, TrialLog] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            try:
-                index, rec = _record(line)
-                log = logs.get(index)
-                if log is None:
-                    log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
-                if type(rec) is SymbolicEvent:
-                    log.events.append(rec)
-                elif type(rec) is Snapshot:
-                    log.snapshots.append(rec)
-                elif rec.n_events != len(log.events):
-                    raise ArtifactError("n_events", f"{rec.n_events} given, {len(log.events)} events read")
-                else:
-                    log.goal_met = rec.goal_met
-                    log.seed = rec.seed
-            except ArtifactError as exc:
-                raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
+    for lineno, line in enumerate(ArtifactError.read_text(path, str(path)).split("\n"), 1):
+        if not line or line.isspace():
+            continue
+        try:
+            index, rec = _record(line)
+            log = logs.get(index)
+            if log is None:
+                log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
+            if type(rec) is SymbolicEvent:
+                log.events.append(rec)
+            elif type(rec) is Snapshot:
+                log.snapshots.append(rec)
+            elif rec.n_events != len(log.events):
+                raise ArtifactError("n_events", f"{rec.n_events} given, {len(log.events)} events read")
+            else:
+                log.goal_met = rec.goal_met
+                log.seed = rec.seed
+        except ArtifactError as exc:
+            raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
     for log in logs.values():
         if log.seed is None:
             raise ArtifactError(str(path), f"trial {log.trial_index} has no summary record")

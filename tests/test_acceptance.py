@@ -276,8 +276,8 @@ def test_acceptance_6_ablation_ordering_on_all_tasks():
             per_mode[mode].append(asr(campaign))
             if mode == "hybrid":
                 for cand in campaign.candidates:
-                    assert cand.result.converged, (task, cand.candidate_id)
-                    assert cand.result.cr_iter <= 3, (task, cand.candidate_id)
+                    assert cand.result.converged, (task, cand.record.candidate_id)
+                    assert cand.result.cr_iter <= 3, (task, cand.record.candidate_id)
     macro = {mode: sum(vals) / len(vals) for mode, vals in per_mode.items()}
     assert macro["one_shot"] <= macro["symbolic"] <= macro["hybrid"]
     assert macro["one_shot"] < macro["hybrid"]  # at least one strict inequality

@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,88 @@ def test_missing_api_key_fails_before_any_request(monkeypatch):
 def test_remote_config_requires_endpoint_and_keyvar():
     with pytest.raises(AgentFailureError):
         AgentConfig(backend="remote", endpoint="", api_key_env="")
+
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, body) reply; a
+    reply of None sends nothing, so the client times out."""
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((dict(self.headers), payload))
+        reply = self.server.replies.pop(0)
+        if reply is None:
+            self.server.release.wait(5)
+            return
+        status, body = reply
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A chat endpoint on 127.0.0.1 (a free port) with a list of scripted
+    replies and a record of the requests it got."""
+    monkeypatch.setenv("no_proxy", "*")  # reach it directly whatever proxy is set
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.daemon_threads = False  # server_close() joins the handler threads
+    server.replies, server.requests, server.release = [], [], threading.Event()
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def _loopback_backend(server, timeout_s=5.0):
+    host, port = server.server_address
+    config = AgentConfig(backend="remote", endpoint=f"http://{host}:{port}/v1/chat", model="m",
+                         api_key_env="ARMLOOP_TEST_KEY", timeout_s=timeout_s, max_retries=3)
+    return ChatBackend(config, sleep=lambda s: None)  # the default transport
+
+
+def test_default_transport_posts_json(loopback):
+    loopback.replies = [(200, _chat_body("ok"))]
+    assert _loopback_backend(loopback).complete([{"role": "user", "content": "x"}]) == "ok"
+    (headers, payload), = loopback.requests
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert payload == {"model": "m", "messages": [{"role": "user", "content": "x"}],
+                       "temperature": 0.0}
+
+
+def test_default_transport_retries_429(loopback):
+    loopback.replies = [(429, "slow down"), (200, _chat_body("ok"))]
+    assert _loopback_backend(loopback).complete([{"role": "user", "content": "x"}]) == "ok"
+    assert len(loopback.requests) == 2
+
+
+def test_default_transport_http_error_keeps_status_and_body(loopback):
+    loopback.replies = [(400, "bad request body")]
+    with pytest.raises(BackendError) as err:
+        _loopback_backend(loopback).complete([{"role": "user", "content": "x"}])
+    assert err.value.status == 400
+    assert "bad request body" in str(err.value)
+    assert len(loopback.requests) == 1
+
+
+def test_default_transport_timeout_is_backend_error(loopback):
+    loopback.replies = [None, None, None]
+    with pytest.raises(BackendError) as err:
+        _loopback_backend(loopback, timeout_s=0.2).complete([{"role": "user", "content": "x"}])
+    assert err.value.status is None
+    assert "transport error" in str(err.value)
+    assert len(loopback.requests) == 3
 
 
 # --- diagnosis type ---------------------------------------------------------------

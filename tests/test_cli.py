@@ -89,6 +89,8 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"synthesis": {"playbook": "x.prog"}}', "synthesis.playbook"),
     ('{"candidates": [{"base_seed": -1, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
     ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
+    ('{"candidates": [{"candidate_id": 0, "playbook": ["correct.prog"]},'
+     ' {"candidate_id": 0, "playbook": ["loud.prog"]}]}', "candidates[1].candidate_id"),
     ('{"expert_program": "missing.prog"}', "expert_program"),
     ('{"max_steps": 0}', "max_steps"),
     ('{"n_trials": 2.5}', "n_trials"),
@@ -333,6 +335,10 @@ CAMPAIGN_CASES = {
     "candidate_not_object": _edit_campaign(lambda m: m.update(candidates=[3])),
     "candidate_id_not_int": _edit_campaign(lambda m: m["candidates"][0].update(candidate_id="0")),
     "task_missing": _edit_campaign(lambda m: m.pop("task")),
+    "converged_not_bool": _edit_campaign(lambda m: m["candidates"][0].update(converged="true")),
+    "success_count_missing": _edit_campaign(lambda m: m["candidates"][0].pop("success_count")),
+    "candidate_extra_key": _edit_campaign(lambda m: m["candidates"][0].update(seeds=[0])),
+    "success_count_not_counted": _edit_campaign(lambda m: m["candidates"][0].update(success_count=3)),
 }
 
 
@@ -360,8 +366,30 @@ def test_metrics_malformed_artifact_exits_two(tmp_path, capsys, demo_run, case):
         CAMPAIGN_CASES[case](run_dir / "campaign.json")
     assert main(["metrics", str(run_dir)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error [artifact_error]: ")
+    where = run_dir / ("cand_0/iter_1/trials.jsonl" if case in TRIALS_CASES else "campaign.json")
+    assert captured.err.startswith(f"error [artifact_error]: {where}")
     assert not captured.out
+
+
+def test_metrics_reads_the_recorded_iterations_only(tmp_path, capsys):
+    # A second loop into the same --out converges at iteration 2; iterations
+    # 3..5 of the first, symbolic run stay behind and must not be read.
+    out = tmp_path / "runs"
+    for mode in ("symbolic", "hybrid"):
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps({"mode": mode, "candidates": [{"playbook": ["silent.prog", "correct.prog"]}]}))
+        assert main(["loop", _task(), "--config", str(config), "--out", str(out)]) == 0
+    run_dir = out / "place_shoe"
+    assert (run_dir / "cand_0" / "iter_5").is_dir()
+    assert json.loads((run_dir / "campaign.json").read_text())["candidates"][0]["final_iteration"] == 2
+    capsys.readouterr()
+    assert main(["metrics", str(run_dir), "--check"]) == 0
+    assert json.loads(capsys.readouterr().out)["asr"] == 1.0
+
+    shutil.rmtree(run_dir / "cand_0" / "iter_1")
+    assert main(["metrics", str(run_dir)]) == 2
+    missing = run_dir / "cand_0" / "iter_1" / "trials.jsonl"
+    assert capsys.readouterr().err.startswith(f"error [artifact_error]: {missing}: cannot read")
 
 
 @pytest.mark.parametrize("case", [*TRIALS_CASES, *SCENE_CASES])

@@ -268,7 +268,7 @@ def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
         ],
     )
     campaign = run_campaign(place_shoe_spec, campaign_cfg)
-    assert campaign.candidates[0].error is not None
+    assert campaign.candidates[0].record.error is not None
     assert campaign.candidates[1].result.converged
     assert campaign.had_agent_failure
     assert asr(campaign) == 1.0  # errored candidate has no trials to count

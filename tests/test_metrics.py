@@ -5,7 +5,14 @@ import pytest
 
 from armloop.dsl import ParallelStmt, parse
 from armloop.errors import EmptyCampaignError
-from armloop.loop import CampaignResult, CandidateResult, IterationRecord, LoopResult
+from armloop.loop import (
+    CampaignResult,
+    CandidateRecord,
+    CandidateResult,
+    CandidateSpec,
+    IterationRecord,
+    LoopResult,
+)
 from armloop.metrics import (
     LabeledTree,
     ast_similarity,
@@ -37,7 +44,8 @@ def make_campaign(rows, n_trials=10, cap=5):
         result = LoopResult(
             iterations=[record], converged=converged, final_program=_FIXTURE_PROGRAM, cr_iter=cr
         )
-        campaign.candidates.append(CandidateResult(cid, cid * 100, result=result))
+        cand = CandidateSpec(cid, cid * 100)
+        campaign.candidates.append(CandidateResult(CandidateRecord.of(cand, result), result))
     return campaign
 
 
