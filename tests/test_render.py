@@ -1,11 +1,16 @@
+import hashlib
+import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 from armloop.dsl import parse
 from armloop.instrument import insert_observations
 from armloop.render import SCALE, render_trials, snapshot_svg, world_to_svg
-from armloop.sim import dump_trials
+from armloop.scene import load_task_spec
+from armloop.sim import dump_trials, run_trials
 
-from conftest import one_trial, program_path
+from conftest import TASK_NAMES, one_trial, program_path, task_path
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -54,3 +59,36 @@ def test_render_is_deterministic(place_shoe_spec):
     a = snapshot_svg(log.snapshots[2], place_shoe_spec)
     b = snapshot_svg(log.snapshots[2], place_shoe_spec)
     assert a == b
+
+
+# --- golden render digests ------------------------------------------------------
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "render_digests.json"
+
+
+def render_digests(work_dir) -> dict[str, str]:
+    """sha256 of every SVG render_trials writes for three noisy trials of
+    each bundled program, keyed task/kind/file name."""
+    digests = {}
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()))
+            run_dir = Path(work_dir) / task / kind
+            run_dir.mkdir(parents=True)
+            dump_trials(run_trials(program, spec, 3, base_seed=0, noise_scale=1.0), run_dir / "trials.jsonl")
+            for path in render_trials(run_dir / "trials.jsonl", spec, run_dir / "svg"):
+                digests[f"{task}/{kind}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_render_digests_match_golden(tmp_path):
+    expected = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    assert render_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    # Re-record the golden digests: PYTHONPATH=src:tests python tests/test_render.py
+    with tempfile.TemporaryDirectory() as work_dir:
+        GOLDEN_DIGESTS.write_text(json.dumps(render_digests(work_dir), indent=1, sort_keys=True) + "\n",
+                                  encoding="utf-8")
