@@ -3,6 +3,6 @@ tabletop manipulation programs in a deterministic seeded simulator."""
 
 __version__ = "0.1.0"
 
-from .scene import TaskSpec, Scene, load_task_spec  # noqa: F401
+from .scene import TaskSpec, load_task_spec  # noqa: F401
 from .dsl import parse, to_text, validate  # noqa: F401
 from .sim import run_trials  # noqa: F401

@@ -51,7 +51,7 @@ class Verifier:
 
     def _scene_ok(self, snapshot, checkpoint) -> bool:
         scene = scene_from_state(self.spec, snapshot.scene)
-        return eval_predicate(checkpoint, scene)
+        return bool(eval_predicate(checkpoint, self.spec, scene)[0])
 
     def _oracle(self, subgoals, observations: ObservationSet, log: TrialLog) -> Diagnosis:
         failure = log.failure_event

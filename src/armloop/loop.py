@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import re
+import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import NoneType
@@ -431,8 +432,14 @@ def run_campaign(
     transport=None,
 ) -> CampaignResult:
     """Independent loop runs per candidate (distinct seeds and playbooks);
-    an agent failure marks its candidate and leaves the others running."""
+    an agent failure marks its candidate and leaves the others running.
+    The candidate directories an earlier run left in out_dir are removed
+    first, so it holds this campaign's files only."""
     out_dir = Path(out_dir) if out_dir is not None else None
+    if out_dir is not None:
+        for stale in out_dir.glob("cand_*"):
+            if stale.is_dir():
+                shutil.rmtree(stale)
     campaign = CampaignResult(
         task=spec.name,
         n_trials=cfg.loop.n_trials,

@@ -11,6 +11,7 @@ import zlib
 from pathlib import Path
 
 from .errors import ArmloopError, ArtifactError
+from .geometry import apply_rows
 from .scene import ARM_TAGS, TaskSpec
 from .sim.model import Snapshot, load_trials, scene_from_state
 
@@ -58,7 +59,7 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
     scene = scene_from_state(spec, snapshot.scene)
     for name, pose in scene.poses.items():
         geom = spec.actors[name]
-        cx, cy = world_to_svg(pose.p[0], pose.p[1])
+        cx, cy = world_to_svg(*pose[0, :2].tolist())
         w = 2.0 * geom.extent[0] * SCALE
         h = 2.0 * geom.extent[1] * SCALE
         stroke = _ARM_COLORS.get(scene.held_by(name), "#5a554c")
@@ -72,23 +73,21 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
             f'text-anchor="middle" fill="#333">{name}</text>'
         )
         for pt in geom.functional_points:
-            fp = pose.apply(pt.pose.p)
-            fx, fy = world_to_svg(fp[0], fp[1])
+            fx, fy = world_to_svg(*apply_rows(pose, pt.pose.p)[0, :2].tolist())
             parts.append(
                 f'<circle id="fp-{name}-{pt.id}" cx="{fx:.1f}" cy="{fy:.1f}" '
                 'r="3" fill="none" stroke="#333" stroke-width="1"/>'
             )
 
     for tag in ARM_TAGS:
-        arm = scene.arms[tag]
-        tx, ty = world_to_svg(arm.tcp.p[0], arm.tcp.p[1])
+        tx, ty = world_to_svg(*scene.tcps[tag][0, :2].tolist())
         color = _ARM_COLORS[tag]
         parts.append(
             f'<g id="arm-{tag}">'
             f'<line x1="{tx - 8:.1f}" y1="{ty:.1f}" x2="{tx + 8:.1f}" y2="{ty:.1f}" stroke="{color}" stroke-width="2"/>'
             f'<line x1="{tx:.1f}" y1="{ty - 8:.1f}" x2="{tx:.1f}" y2="{ty + 8:.1f}" stroke="{color}" stroke-width="2"/>'
             f'<text x="{tx + 10:.1f}" y="{ty - 6:.1f}" font-size="11" fill="{color}">'
-            f'{tag} g={arm.gripper:.2f}</text>'
+            f'{tag} g={scene.grippers[tag]:.2f}</text>'
             "</g>"
         )
 

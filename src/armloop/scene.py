@@ -4,10 +4,11 @@ A task file (JSON, schema documented in the README) fully describes the
 initial tabletop: actors with box extents, grasp/placement point sets and
 approach axes, a noise model, ordered subgoal templates, and a goal
 predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors;
-poses, extents and axes as tuples) shared by every trial. A `Scene` holds
-only what a trial changes: a pose per actor and the two arms, each
-recording the actor it holds, which is the one place the hold relation
-lives.
+poses, extents and axes as tuples) shared by every trial. `SceneRows` holds
+only what trials change, one row per trial: a pose per actor and per arm's
+TCP, and for each arm the actor it holds, which is the one place the hold
+relation lives. `eval_predicate` evaluates a goal or checkpoint over those
+rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .errors import (
     UnknownActorError,
     UnknownPointError,
 )
-from .geometry import Pose, Vec3, angle_between, norm, sub, unit_norm_ok
+from .geometry import (Pose, Vec3, angle_between_rows, apply_rows, norm, norms, quat_rotate_rows,
+                       unit_norm_ok)
 
 ARM_TAGS = ("left", "right")
 
@@ -70,7 +72,7 @@ class LocalPoint:
 class Actor:
     """Task geometry of one actor: an axis-aligned box proxy at its initial
     pose, with object-local interaction primitives. Where a trial has moved
-    it is per-trial state, kept in `Scene.poses`."""
+    it is per-trial state, kept in `SceneRows.poses`."""
 
     name: str
     pose: Pose
@@ -106,13 +108,6 @@ class Actor:
         if category == "util":
             return self.util_axis
         raise ValueError(f"unknown axis category {category!r}")
-
-
-@dataclass(eq=False)
-class ArmState:
-    tcp: Pose
-    gripper: float = 1.0
-    holding: str | None = None  # name of the actor in this gripper
 
 
 # --- goal predicates ------------------------------------------------------
@@ -231,68 +226,62 @@ class TaskSpec:
         return ((lo <= p) & (p <= hi)).all(axis=-1)
 
 
-@dataclass(eq=False)
-class Scene:
-    """Per-trial world state over a task's shared geometry: the current pose
-    of each actor (task-file order) and both arms."""
+@dataclass(frozen=True, eq=False)
+class SceneRows:
+    """Per-trial state of n trials over a task's shared geometry, one row per
+    trial: the pose of each actor (task-file order) and each arm's TCP as
+    (n, 7) arrays; per arm, the actor it holds and its gripper value, which
+    do not differ between the rows."""
 
-    spec: TaskSpec
-    poses: dict[str, Pose]
-    arms: dict[str, ArmState]
+    poses: dict[str, np.ndarray]
+    tcps: dict[str, np.ndarray]
+    holding: dict[str, str | None]
+    grippers: dict[str, float]
 
-    @classmethod
-    def from_spec(cls, spec: TaskSpec) -> "Scene":
-        poses = {name: actor.pose for name, actor in spec.actors.items()}
-        return cls(spec, poses, {tag: ArmState(spec.homes[tag]) for tag in ARM_TAGS})
-
-    def actor(self, name: str) -> Actor:
-        return self.spec.actor(name)
+    @property
+    def n(self) -> int:
+        return len(self.tcps[ARM_TAGS[0]])
 
     def held_by(self, name: str) -> str | None:
-        for tag, arm in self.arms.items():
-            if arm.holding == name:
-                return tag
-        return None
-
-    def world_axis(self, name: str, category: str) -> Vec3:
-        axis = self.actor(name).axis(category)
-        return self.poses[name].rotate(axis)
+        return next((tag for tag, held in self.holding.items() if held == name), None)
 
 
-# --- core operations ------------------------------------------------------
+def eval_predicate(pred: Predicate, spec: TaskSpec, scene: SceneRows) -> np.ndarray:
+    """The predicate on each row of the scene, a bool array. Python floats
+    overflow to inf and turn an invalid operation into nan without a word,
+    and so do the rows here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _eval(pred, spec, scene)
 
 
-def resolve_point(scene: Scene, ref: PointRef) -> Pose:
-    """World pose of an object-local point (actor pose o local pose)."""
-    local = scene.actor(ref.actor).point(ref.category, ref.id).pose
-    return scene.poses[ref.actor].compose(local)
+def _point(spec: TaskSpec, scene: SceneRows, ref: PointRef):
+    """World position of an object-local point, per row."""
+    local = spec.actor(ref.actor).point(ref.category, ref.id).pose
+    return apply_rows(scene.poses[ref.actor], local.p)
 
 
-def _position(scene: Scene, ref: PointRef) -> Vec3:
-    """resolve_point(scene, ref).p, without making the pose."""
-    local = scene.actor(ref.actor).point(ref.category, ref.id).pose
-    return scene.poses[ref.actor].apply(local.p)
+def _axis(spec: TaskSpec, scene: SceneRows, ref: AxisRef):
+    """World direction of an object-local axis, per row."""
+    return quat_rotate_rows(scene.poses[ref.actor][:, 3:], spec.actor(ref.actor).axis(ref.category))
 
 
-def eval_predicate(pred: Predicate, scene: Scene) -> bool:
-    if isinstance(pred, All):
-        return all(eval_predicate(c, scene) for c in pred.children)
-    if isinstance(pred, Any_):
-        return any(eval_predicate(c, scene) for c in pred.children)
+def _eval(pred: Predicate, spec: TaskSpec, scene: SceneRows) -> np.ndarray:
+    if isinstance(pred, (All, Any_)):
+        combine = np.logical_and if isinstance(pred, All) else np.logical_or
+        out = np.full(scene.n, isinstance(pred, All))
+        for c in pred.children:
+            out = combine(out, _eval(c, spec, scene))
+        return out
     if isinstance(pred, Near):
-        return norm(sub(_position(scene, pred.a), _position(scene, pred.b))) <= pred.tol
+        return norms(_point(spec, scene, pred.a) - _point(spec, scene, pred.b)) <= pred.tol
     if isinstance(pred, Aligned):
-        ua = scene.world_axis(pred.a.actor, pred.a.category)
-        ub = scene.world_axis(pred.b.actor, pred.b.category)
-        return angle_between(ua, ub) <= pred.tol
+        return angle_between_rows(_axis(spec, scene, pred.a), _axis(spec, scene, pred.b)) <= pred.tol
     if isinstance(pred, Held):
-        return scene.arms[pred.arm].holding == pred.actor
+        return np.full(scene.n, scene.holding[pred.arm] == pred.actor)
     if isinstance(pred, Free):
-        return scene.held_by(pred.actor) is None
+        return np.full(scene.n, scene.held_by(pred.actor) is None)
     if isinstance(pred, Above):
-        za = scene.poses[pred.a].p[2]
-        zb = scene.poses[pred.b].p[2]
-        return za - zb >= pred.min_dz
+        return scene.poses[pred.a][:, 2] - scene.poses[pred.b][:, 2] >= pred.min_dz
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -496,7 +485,11 @@ def load_task_spec(path) -> TaskSpec:
     raw = TaskParseError.check(TaskParseError.read_json(path, where), dict, where)
 
     name = _get(raw, "name", str)
+    if not (name.isascii() and name.isidentifier()):  # it names the run directory
+        raise TaskSchemaError("name", f"expected an identifier as in `program <name>`, got {name!r}")
     instruction = _get(raw, "instruction", str)
+    if not instruction.strip():
+        raise TaskSchemaError("instruction", "must not be blank")
     loaded = [_load_actor(a, i) for i, a in enumerate(_get(raw, "actors", list))]
     actors = {a.name: a for a in loaded}
     if len(actors) != len(loaded):

@@ -11,15 +11,15 @@ Gym and Brax. Programs are straight-line, so every trial still running has
 succeeded at the same statements: what each arm holds, the gripper values
 and the step counter are one value per batch. Continuous state (actor
 poses, TCPs, grasp offsets and approach axes) is an array with one row per
-running trial, computed by the row forms of `geometry`, which give each row
-the bits of the tuple forms. A branch on a continuous value (the nearest
-contact point, constrain=auto, the cases of quat_between, the support under
-a dropped actor) is a selection per row. A statement runs its checks in
-order as masks over the rows; a row that fails one keeps the effects
-applied before it (the TCP has moved before a grasp_slip, the actor is
-released before a placement_miss), gets its failure event, its final
-snapshot and its goal at once, and leaves the `alive` mask. The batch drops
-failed rows after each statement.
+running trial, computed by the row forms of `geometry`. A branch on a
+continuous value (the nearest contact point, constrain=auto, the cases of
+quat_between_rows, the support under a dropped actor) is a selection per
+row. A statement runs its checks in order as masks over the rows; a row
+that fails one keeps the effects applied before it (the TCP has moved
+before a grasp_slip, the actor is released before a placement_miss), gets
+its failure event, its final snapshot and its goal at once, and leaves the
+`alive` mask. The goal is evaluated over all the rows that finish together
+in one call. The batch drops failed rows after each statement.
 
 All randomness comes from one generator per trial with a frozen draw order,
 which is what makes independent replay oracles possible:
@@ -52,7 +52,7 @@ from ..geometry import (Pose, apply_rows, compose_rows, inverse_rows, norms, pos
                         quat_between_rows, quat_from_axis_angle_rows, quat_mul_rows,
                         quat_rotate_rows)
 from ..instrument import FINAL_STEP
-from ..scene import ARM_TAGS, ArmState, Scene, TaskSpec, eval_predicate
+from ..scene import ARM_TAGS, SceneRows, TaskSpec, eval_predicate
 from .model import Snapshot, SymbolicEvent, TrialLog, scene_states
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
@@ -126,10 +126,9 @@ class _Poses:
     after an assignment, so a pose that did not move stays the same object
     from snapshot to snapshot."""
 
-    __slots__ = ("initial", "rows", "_tuples", "_moved")
+    __slots__ = ("rows", "_tuples", "_moved")
 
     def __init__(self, initial: Pose, n: int):
-        self.initial = initial
         self.rows = np.tile(initial.values, (n, 1))
         self._tuples = [initial.values] * n
         self._moved = False
@@ -143,12 +142,6 @@ class _Poses:
             self._tuples = list(zip(*self.rows.T.tolist()))
             self._moved = False
         return self._tuples
-
-    def pose(self, r: int) -> Pose:
-        """Row r's pose, made from its exact floats; the initial pose itself
-        while the row has not moved."""
-        values = self.tuples()[r]
-        return self.initial if values is self.initial.values else Pose.from_unit(values)
 
     def keep(self, alive: list[bool]):
         self.rows = self.rows[alive]
@@ -232,16 +225,14 @@ class _Batch:
 
     def _finish(self, rows, t: int, last_op: _Statement | None):
         """The final snapshot (unless the last one was it) and the goal of
-        the given rows, evaluated on a scene of each row's state."""
+        the given rows."""
         if self.last_step is not None and self.last_step != FINAL_STEP:
             self._snapshot(rows, FINAL_STEP, t, last_op)
-        for r in rows:
-            scene = Scene(
-                self.spec,
-                {name: poses.pose(r) for name, poses in self.poses.items()},
-                {tag: ArmState(tcps.pose(r), self.gripper[tag], self.holding[tag]) for tag, tcps in self.tcps.items()},
-            )
-            self.logs[r].goal_met = eval_predicate(self.spec.goal, scene)
+        scene = SceneRows({name: poses.rows[rows] for name, poses in self.poses.items()},
+                          {tag: tcps.rows[rows] for tag, tcps in self.tcps.items()},
+                          self.holding, self.gripper)
+        for r, met in zip(rows, eval_predicate(self.spec.goal, self.spec, scene).tolist()):
+            self.logs[r].goal_met = met
 
     def _drop_failed(self, alive: list[bool]):
         keep = self.alive
@@ -427,10 +418,7 @@ class _Batch:
             raise _Failure("invalid_call", f"bad place target {target!r}")
 
         fid = args["functional_point_id"]
-        if fid == "none":
-            fp_local = Pose()
-        else:
-            fp_local = actor.point("functional", fid).pose
+        fp_local = np.array((Pose() if fid == "none" else actor.point("functional", fid).pose).values)
 
         if args["pre_dis_axis"] == "fp":
             offset_dir = quat_rotate_rows(target_pose[:, 3:], _WORLD_UP)
@@ -444,7 +432,7 @@ class _Batch:
             free = np.full(len(approach), constrain != "align")
         desired_q = target_pose[:, 3:].copy()  # align
         if free.any():  # match z-axes only, keep the rest of the current orientation
-            fp_q = compose_rows(self.poses[actor.name].rows[free], fp_local.values)[:, 3:]
+            fp_q = compose_rows(self.poses[actor.name].rows[free], fp_local)[:, 3:]
             current_z = quat_rotate_rows(fp_q, _WORLD_UP)
             target_z = quat_rotate_rows(target_pose[free, 3:], _WORLD_UP)
             desired_q[free] = quat_mul_rows(quat_between_rows(current_z, target_z), fp_q)
@@ -455,7 +443,7 @@ class _Batch:
         intended_p = fp_p[1].copy()
         fp_p[1] += noise  # achieved
         fp_poses = pose_rows(fp_p, desired_q)
-        tcp_targets = compose_rows(compose_rows(fp_poses, fp_local.inverse().values), inverse_rows(offset))
+        tcp_targets = compose_rows(compose_rows(fp_poses, inverse_rows(fp_local)), inverse_rows(offset))
 
         self._require_reach(tag, tcp_targets[..., :3], f"placing {actor.name!r}")
 

@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, is_
 
+import numpy as np
+
 from ..errors import ArtifactError
-from ..scene import Pose, Scene, TaskSpec
+from ..scene import ARM_TAGS, Pose, SceneRows, TaskSpec
 
 ERROR_CATEGORIES = (
     "none",
@@ -89,25 +91,34 @@ def scene_states(actors, arms, rows) -> list[dict]:
     return states
 
 
-def _pose(values, where: str) -> Pose:
-    return Pose.from_list([ArtifactError.check(v, float, where) for v in values])
+def _pose(values, where: str) -> np.ndarray:
+    """One pose row, its quaternion renormalized as a task file's is."""
+    return np.array([Pose.from_list([ArtifactError.check(v, float, where) for v in values]).values])
 
 
-def scene_from_state(spec: TaskSpec, state: dict) -> Scene:
-    """An evaluable scene over the task's geometry, in the state a snapshot
-    payload records. An actor the task lacks raises UnknownActorError, any
-    other payload that does not fit scene_states's layout ArtifactError."""
-    scene = Scene.from_spec(spec)
+def _arm(tag) -> str:
+    if tag not in ARM_TAGS:
+        raise KeyError(tag)
+    return tag
+
+
+def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
+    """The state a snapshot payload records, as the one row of a scene over
+    the task's geometry; what the payload leaves out is as the task starts.
+    An actor the task lacks raises UnknownActorError, any other payload that
+    does not fit scene_states's layout ArtifactError."""
+    scene = SceneRows({name: np.array([actor.pose.values]) for name, actor in spec.actors.items()},
+                      {tag: np.array([spec.homes[tag].values]) for tag in ARM_TAGS},
+                      dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
     try:
         for name, entry in state["actors"].items():
-            scene.actor(name)
+            spec.actor(name)
             scene.poses[name] = _pose(entry["pose"], f"scene.actors.{name}.pose")
             if entry["held_by"] is not None:
-                scene.arms[entry["held_by"]].holding = name
+                scene.holding[_arm(entry["held_by"])] = name
         for tag, entry in state["arms"].items():
-            arm = scene.arms[tag]
-            arm.tcp = _pose(entry["tcp"], f"scene.arms.{tag}.tcp")
-            arm.gripper = ArtifactError.check(entry["gripper"], float, f"scene.arms.{tag}.gripper")
+            scene.tcps[_arm(tag)] = _pose(entry["tcp"], f"scene.arms.{tag}.tcp")
+            scene.grippers[tag] = ArtifactError.check(entry["gripper"], float, f"scene.arms.{tag}.gripper")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError("scene", f"{type(exc).__name__}: {exc}") from None
     return scene

@@ -109,6 +109,23 @@ def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", "../escaped"),
+    ("name", ""),
+    ("instruction", "   "),
+])
+def test_loop_bad_task_name_or_instruction_exits_two(tmp_path, capsys, field, value):
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw[field] = value
+    task = tmp_path / "place_shoe.task.json"
+    task.write_text(json.dumps(raw))
+    config = str(TASKS_DIR / "configs" / "demo_two_step.json")
+    code = main(["loop", str(task), "--config", config, "--out", str(tmp_path / "runs" / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error [schema_error]: {field}: ")
+    assert [path.name for path in tmp_path.iterdir()] == [task.name]  # nothing written
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
       "--max-iter", "0"], "--max-iter"),
@@ -372,16 +389,15 @@ def test_metrics_malformed_artifact_exits_two(tmp_path, capsys, demo_run, case):
 
 
 def test_metrics_reads_the_recorded_iterations_only(tmp_path, capsys):
-    # A second loop into the same --out converges at iteration 2; iterations
-    # 3..5 of the first, symbolic run stay behind and must not be read.
+    # The run converges at iteration 2; an iteration past it (here a copy of
+    # the failing iteration 1) must not be read.
     out = tmp_path / "runs"
-    for mode in ("symbolic", "hybrid"):
-        config = tmp_path / f"{mode}.json"
-        config.write_text(json.dumps({"mode": mode, "candidates": [{"playbook": ["silent.prog", "correct.prog"]}]}))
-        assert main(["loop", _task(), "--config", str(config), "--out", str(out)]) == 0
+    config = tmp_path / "hybrid.json"
+    config.write_text(json.dumps({"mode": "hybrid", "candidates": [{"playbook": ["silent.prog", "correct.prog"]}]}))
+    assert main(["loop", _task(), "--config", str(config), "--out", str(out)]) == 0
     run_dir = out / "place_shoe"
-    assert (run_dir / "cand_0" / "iter_5").is_dir()
     assert json.loads((run_dir / "campaign.json").read_text())["candidates"][0]["final_iteration"] == 2
+    shutil.copytree(run_dir / "cand_0" / "iter_1", run_dir / "cand_0" / "iter_3")
     capsys.readouterr()
     assert main(["metrics", str(run_dir), "--check"]) == 0
     assert json.loads(capsys.readouterr().out)["asr"] == 1.0
@@ -425,6 +441,25 @@ def test_instrument_command(tmp_path, capsys):
     text = out.read_text()
     assert text.count("observe(") == 7
     assert main(["instrument", _prog("correct"), "--cap", "2"]) == 2
+
+
+def _files(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+def test_loop_rerun_leaves_no_files_of_the_earlier_run(tmp_path):
+    """A symbolic run of a silent -> correct candidate repairs up to
+    iteration 5; a hybrid run into the same --out converges at iteration 2
+    and must leave what a fresh hybrid run leaves."""
+    configs = {}
+    for mode in ("symbolic", "hybrid"):
+        configs[mode] = tmp_path / f"{mode}.json"
+        configs[mode].write_text(json.dumps({"mode": mode, "candidates": [{"playbook": ["silent.prog", "correct.prog"]}]}))
+    for mode, out in (("symbolic", "rerun"), ("hybrid", "rerun"), ("hybrid", "fresh")):
+        assert main(["loop", _task(), "--config", str(configs[mode]), "--out", str(tmp_path / out)]) == 0
+    rerun, fresh = tmp_path / "rerun" / "place_shoe", tmp_path / "fresh" / "place_shoe"
+    assert json.loads((fresh / "campaign.json").read_text())["candidates"][0]["final_iteration"] == 2
+    assert _files(rerun) == _files(fresh)
 
 
 def test_loop_outputs_byte_stable_across_runs(tmp_path):

@@ -7,21 +7,17 @@ import pytest
 
 from armloop.geometry import (
     Pose,
-    angle_between,
+    angle_between_rows,
+    apply_rows,
     compose_rows,
-    dot,
     dots,
     inverse_rows,
     norm,
     norms,
     pose_rows,
-    quat_between,
     quat_between_rows,
-    quat_from_axis_angle,
     quat_from_axis_angle_rows,
-    quat_mul,
     quat_mul_rows,
-    quat_rotate,
     quat_rotate_rows,
 )
 from armloop.scene import load_task_spec
@@ -41,50 +37,53 @@ def _rotation_matrix(q):
     )
 
 
-def _homogeneous(pose: Pose):
+def _homogeneous(pose):
     m = np.eye(4)
-    m[:3, :3] = _rotation_matrix(pose.q)
-    m[:3, 3] = pose.p
+    m[:3, :3] = _rotation_matrix(pose[3:])
+    m[:3, 3] = pose[:3]
     return m
 
 
-def _random_pose(rng: random.Random) -> Pose:
-    q = np.array([rng.gauss(0, 1) for _ in range(4)])
-    p = np.array([rng.uniform(-1, 1) for _ in range(3)])
-    return Pose(p, q / np.linalg.norm(q))
+def _random_poses(rng: random.Random, n: int):
+    """n random poses as (n, 7) rows."""
+    p = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(n)])
+    q = np.array([[rng.gauss(0, 1) for _ in range(4)] for _ in range(n)])
+    return pose_rows(p, q)
+
+
+def _unit_rows(rng: random.Random, n: int, k: int):
+    v = np.array([[rng.gauss(0, 1) for _ in range(k)] for _ in range(n)])
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def test_identity_compose():
-    pose = Pose(np.array([0.1, 0.0, 0.05]))
-    local = Pose(np.array([0.0, 0.0, 0.05]))
-    world = pose.compose(local)
-    assert np.allclose(world.p, [0.1, 0.0, 0.1])
+    pose = np.array([[0.1, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0]])
+    world = compose_rows(pose, (0.0, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0))
+    assert np.allclose(world[0, :3], [0.1, 0.0, 0.1])
 
 
 def test_rotation_compose_90deg_about_z():
-    q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    actor = Pose(np.zeros(3), q)
-    world = actor.compose(Pose(np.array([0.05, 0.0, 0.0])))
-    assert np.allclose(world.p, [0.0, 0.05, 0.0], atol=1e-12)
+    q = quat_from_axis_angle_rows(np.array([0.0, 0.0, 1.0]), np.array([np.pi / 2]))
+    actor = pose_rows(np.zeros((1, 3)), q)
+    world = compose_rows(actor, (0.05, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    assert np.allclose(world[0, :3], [0.0, 0.05, 0.0], atol=1e-12)
+    assert np.allclose(apply_rows(actor, (0.05, 0.0, 0.0)), world[:, :3], atol=0)
 
 
 def test_compose_matches_homogeneous_matrices_oracle():
     rng = random.Random(42)
-    for _ in range(100):
-        a = _random_pose(rng)
-        b = _random_pose(rng)
-        composed = a.compose(b)
-        expected = _homogeneous(a) @ _homogeneous(b)
+    a, b = _random_poses(rng, 100), _random_poses(rng, 100)
+    for composed, pa, pb in zip(compose_rows(a, b), a, b):
+        expected = _homogeneous(pa) @ _homogeneous(pb)
         assert np.allclose(_homogeneous(composed), expected, atol=1e-9)
 
 
 def test_inverse_roundtrip():
     rng = random.Random(7)
-    for _ in range(50):
-        pose = _random_pose(rng)
-        ident = pose.compose(pose.inverse())
-        assert np.allclose(ident.p, 0.0, atol=1e-9)
-        assert abs(abs(ident.q[0]) - 1.0) < 1e-9
+    poses = _random_poses(rng, 50)
+    for ident in (compose_rows(poses, inverse_rows(poses)), compose_rows(inverse_rows(poses), poses)):
+        assert np.allclose(ident[:, :3], 0.0, atol=1e-9)
+        assert np.allclose(np.abs(ident[:, 3]), 1.0, atol=1e-9)
 
 
 def test_quat_norm_enforced():
@@ -96,54 +95,49 @@ def test_quat_norm_enforced():
 
 def test_quat_rotate_matches_matrix():
     rng = random.Random(3)
-    for _ in range(50):
-        q = np.array([rng.gauss(0, 1) for _ in range(4)])
-        q /= np.linalg.norm(q)
-        v = np.array([rng.uniform(-1, 1) for _ in range(3)])
-        assert np.allclose(quat_rotate(q, v), _rotation_matrix(q) @ v, atol=1e-9)
+    q = _unit_rows(rng, 50, 4)
+    v = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(50)])
+    expected = np.array([_rotation_matrix(qi) @ vi for qi, vi in zip(q, v)])
+    assert np.allclose(quat_rotate_rows(q, v), expected, atol=1e-9)
 
 
 def test_quat_between_aligns_vectors():
     rng = random.Random(11)
-    for _ in range(50):
-        u = np.array([rng.gauss(0, 1) for _ in range(3)])
-        v = np.array([rng.gauss(0, 1) for _ in range(3)])
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        q = quat_between(u, v)
-        assert np.allclose(quat_rotate(q, u), v, atol=1e-9)
+    u, v = _unit_rows(rng, 50, 3), _unit_rows(rng, 50, 3)
+    assert np.allclose(quat_rotate_rows(quat_between_rows(u, v), u), v, atol=1e-9)
 
 
 def test_quat_between_antiparallel():
-    u = np.array([0.0, 0.0, 1.0])
-    q = quat_between(u, -u)
-    assert np.allclose(quat_rotate(q, u), -u, atol=1e-9)
+    u = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    assert np.allclose(quat_rotate_rows(quat_between_rows(u, -u), u), -u, atol=1e-9)
 
 
 def test_angle_between():
-    assert angle_between(np.array([1, 0, 0]), np.array([0, 1, 0])) == pytest.approx(np.pi / 2)
-    assert angle_between(np.array([1, 0, 0]), np.array([1, 0, 0])) == pytest.approx(0.0)
+    u = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 2.0, 0.0]])
+    v = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    assert np.allclose(angle_between_rows(u, v), [np.pi / 2, 0.0, np.pi, np.pi / 2])
 
 
 def test_pose_serialization_order():
     pose = Pose.from_list([1, 2, 3, 1, 0, 0, 0])
     assert pose.values == (1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in pose.values)
     with pytest.raises(ValueError):
         Pose.from_list([1, 2, 3])
 
 
 def test_quat_mul_identity():
-    q = np.array([0.3, 0.2, -0.4, 0.1])
+    q = np.array([[0.3, 0.2, -0.4, 0.1]])
     q /= np.linalg.norm(q)
-    ident = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(quat_mul(q, ident), q)
-    assert np.allclose(quat_mul(ident, q), q)
+    ident = (1.0, 0.0, 0.0, 0.0)
+    assert np.allclose(quat_mul_rows(q, ident), q)
+    assert np.allclose(quat_mul_rows(np.array([ident]), q), q)
 
 
-# --- bit identity with the numpy formulation ----------------------------------
-# The simulator's recorded digests pin the bits of the numpy code the tuple
-# functions replaced. That code is kept here as the reference, and the tuple
-# code must reproduce it exactly: compared by float.hex, so even the sign of
+# --- bit identity with the numpy reference ------------------------------------
+# The simulator's recorded digests pin the bits of numpy code that takes one
+# vector at a time. That code is kept here as the reference, and every row
+# form must reproduce it exactly: compared by float.hex, so even the sign of
 # a zero counts (it shows in the JSON artifacts).
 
 N_RANDOM = 10_000
@@ -193,6 +187,11 @@ def _np_quat_between(u, v):
     return _np_quat_from_axis_angle(axis, np.arctan2(np.linalg.norm(axis), d))
 
 
+def _np_angle_between(u, v):
+    c = float(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
 def _np_pose(p, q):
     """What the array Pose stored: p as given, q divided by its norm."""
     q = np.asarray(q, dtype=float)
@@ -214,8 +213,8 @@ def _bits(*vectors):
     return [float(x).hex() for v in vectors for x in v]
 
 
-def _assert_same_pose(pose: Pose, ref):
-    assert _bits(pose.p, pose.q) == _bits(*ref)
+def _assert_same_pose(row, ref):
+    assert _bits(row) == _bits(*ref)
 
 
 def _unit(rng, n):
@@ -225,68 +224,82 @@ def _unit(rng, n):
 
 def test_norm_and_dot_match_numpy_bits():
     rng = np.random.default_rng(100)
+    pairs = {3: [], 4: []}
     for _ in range(N_RANDOM):
         for n in (3, 4):
-            u, v = rng.normal(size=n), rng.normal(size=n)
-            t = tuple(u.tolist())
-            assert norm(t).hex() == float(np.linalg.norm(u)).hex()
-            assert dot(t, tuple(v.tolist())).hex() == float(np.dot(u, v)).hex()
+            pairs[n].append((rng.normal(size=n), rng.normal(size=n)))
+    for n, uv in pairs.items():
+        u, v = (np.array(side) for side in zip(*uv))
+        assert [norm(tuple(row)).hex() for row in u.tolist()] == _bits(np.linalg.norm(row) for row in u)
+        assert _bits(norms(u)) == _bits(np.linalg.norm(row) for row in u)
+        assert _bits(dots(u, v)) == _bits(np.dot(a, b) for a, b in zip(u, v))
 
 
 def test_quaternion_functions_match_numpy_bits():
     rng = np.random.default_rng(101)
+    inputs = []
     for i in range(N_RANDOM):
         a, b = _unit(rng, 4), _unit(rng, 4)
         v = rng.uniform(-1, 1, size=3)
         axis = rng.normal(size=3)
         # Wide angles, and the small yaws of the simulator's setup noise.
         angle = float(rng.uniform(-2 * np.pi, 2 * np.pi) if i % 2 else rng.normal() * 0.05)
-        ta, tb, tv = tuple(a.tolist()), tuple(b.tolist()), tuple(v.tolist())
-        assert _bits(quat_mul(ta, tb)) == _bits(_np_quat_mul(a, b))
-        assert _bits(quat_rotate(ta, tv)) == _bits(_np_quat_rotate(a, v))
-        assert (_bits(quat_from_axis_angle(tuple(axis.tolist()), angle))
-                == _bits(_np_quat_from_axis_angle(axis, angle)))
         u, w = _unit(rng, 3), _unit(rng, 3)
-        assert (_bits(quat_between(tuple(u.tolist()), tuple(w.tolist())))
-                == _bits(_np_quat_between(u, w)))
+        inputs.append((a, b, v, axis, angle, u, w))
+    a, b, v, axis, angle, u, w = (np.array(column) for column in zip(*inputs))
+    rows = (quat_mul_rows(a, b), quat_rotate_rows(a, v), quat_from_axis_angle_rows(axis, angle),
+            quat_between_rows(u, w), angle_between_rows(u, w)[:, None])
+    for i, (a, b, v, axis, angle, u, w) in enumerate(inputs):
+        refs = (_np_quat_mul(a, b), _np_quat_rotate(a, v), _np_quat_from_axis_angle(axis, angle),
+                _np_quat_between(u, w), [_np_angle_between(u, w)])
+        for row, ref in zip(rows, refs):
+            assert _bits(row[i]) == _bits(ref), i
 
 
 def test_infinite_angle_gives_nan_like_numpy():
+    angles = np.array([np.inf, -np.inf, np.nan])
     with np.errstate(invalid="ignore"):
-        for angle in (np.inf, -np.inf, np.nan):
-            assert (_bits(quat_from_axis_angle((0.0, 0.0, 1.0), angle))
-                    == _bits(_np_quat_from_axis_angle((0.0, 0.0, 1.0), angle)))
+        rows = quat_from_axis_angle_rows((0.0, 0.0, 1.0), angles)
+        for row, angle in zip(rows, angles):
+            assert _bits(row) == _bits(_np_quat_from_axis_angle((0.0, 0.0, 1.0), angle))
 
 
 def test_quat_between_matches_numpy_bits_near_parallel_and_antiparallel():
     rng = np.random.default_rng(102)
     axes = [np.eye(3)[k] for k in range(3)] + [_unit(rng, 3) for _ in range(200)]
-    cases = 0
+    pairs = []
     for u in axes:
         for eps in (0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1.5e-6, 3e-6, 1e-4):
             for sign in (1.0, -1.0):
                 w = sign * u + eps * rng.normal(size=3)
-                w /= np.linalg.norm(w)
-                assert (_bits(quat_between(tuple(u.tolist()), tuple(w.tolist())))
-                        == _bits(_np_quat_between(u, w)))
-                cases += 1
-    assert cases >= 2000
+                pairs.append((u, w / np.linalg.norm(w)))
+    assert len(pairs) >= 2000
+    u, w = (np.array(side) for side in zip(*pairs))
+    between, angles = quat_between_rows(u, w), angle_between_rows(u, w)
+    for i, (ui, wi) in enumerate(pairs):
+        assert _bits(between[i]) == _bits(_np_quat_between(ui, wi)), i
+        assert angles[i].hex() == float(_np_angle_between(ui, wi)).hex(), i
 
 
 def test_pose_normalize_compose_inverse_match_numpy_bits():
     rng = np.random.default_rng(103)
+    inputs = []
     for _ in range(N_RANDOM):
         # Quaternions a little off unit norm, as stored poses and products are.
         qa = _unit(rng, 4) * (1 + rng.normal() * 1e-8)
         qb = _unit(rng, 4) * (1 + rng.normal() * 1e-8)
         pa, pb = rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=3)
-        a = Pose(tuple(pa.tolist()), tuple(qa.tolist()))
-        b = Pose(tuple(pb.tolist()), tuple(qb.tolist()))
+        inputs.append((pa, qa, pb, qb))
+    pa, qa, pb, qb = (np.array(column) for column in zip(*inputs))
+    a, b = pose_rows(pa, qa), pose_rows(pb, qb)
+    composed, inverse, applied = compose_rows(a, b), inverse_rows(a), apply_rows(a, b[:, :3])
+    for i, (pa, qa, pb, qb) in enumerate(inputs):
         ra, rb = _np_pose(pa, qa), _np_pose(pb, qb)
-        _assert_same_pose(a, ra)
-        _assert_same_pose(a.compose(b), _np_compose(ra, rb))
-        _assert_same_pose(a.inverse(), _np_inverse(ra))
-        assert _bits(a.apply(b.p)) == _bits(_np_compose(ra, rb)[0])
+        _assert_same_pose(a[i], ra)
+        _assert_same_pose(Pose(tuple(pa.tolist()), tuple(qa.tolist())).values, ra)
+        _assert_same_pose(composed[i], _np_compose(ra, rb))
+        _assert_same_pose(inverse[i], _np_inverse(ra))
+        assert _bits(applied[i]) == _bits(_np_compose(ra, rb)[0])
 
 
 @pytest.mark.parametrize("task", TASK_NAMES)
@@ -296,13 +309,14 @@ def test_bundled_task_poses_match_numpy_bits(task):
     for entry in raw["actors"]:
         actor = spec.actors[entry["name"]]
         ref = _np_pose(entry["pose"][:3], entry["pose"][3:])
-        _assert_same_pose(actor.pose, ref)
+        _assert_same_pose(actor.pose.values, ref)
         for key in ("contact_points", "functional_points", "utility_points"):
             for pt_raw, pt in zip(entry.get(key, []), getattr(actor, key)):
                 local = _np_pose(pt_raw["pose"][:3], pt_raw["pose"][3:])
-                _assert_same_pose(pt.pose, local)
-                _assert_same_pose(actor.pose.compose(pt.pose), _np_compose(ref, local))
-                _assert_same_pose(pt.pose.inverse(), _np_inverse(local))
+                _assert_same_pose(pt.pose.values, local)
+                _assert_same_pose(compose_rows(np.array([actor.pose.values]), pt.pose.values)[0],
+                                  _np_compose(ref, local))
+                _assert_same_pose(inverse_rows(np.array([pt.pose.values]))[0], _np_inverse(local))
 
 
 # --- the reductions and functions the batched simulator relies on -------------
@@ -338,9 +352,8 @@ def test_vecdot_row_norms_and_dots_match_norm_and_dot_bits(k):
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _row_blocks(rng, k):
             other = rng.normal(size=block.shape)
-            tuples = [tuple(row) for row in block.tolist()]
-            expected_norms = [norm(t).hex() for t in tuples]
-            expected_dots = [dot(t, tuple(o)).hex() for t, o in zip(tuples, other.tolist())]
+            expected_norms = [norm(tuple(row)).hex() for row in block.tolist()]
+            expected_dots = _bits(np.dot(np.array(t), o) for t, o in zip(block.tolist(), other))
             assert _bits(np.sqrt(np.vecdot(block, block))) == expected_norms
             assert _bits(np.vecdot(block, other)) == expected_dots
             # The row forms take any layout.
@@ -364,11 +377,11 @@ def test_array_trig_matches_scalar_bits():
             assert _bits(np.arctan2(ys[:n], xs[:n])) == [
                 float(np.arctan2(y, x)).hex() for y, x in zip(ys[:n].tolist(), xs[:n].tolist())]
         assert _bits(np.arccos(cosines)) == [float(np.arccos(c)).hex() for c in cosines.tolist()]
-        # An infinite angle: nan from the arrays, as from the tuple form.
+        # An infinite angle: nan from the arrays, as from the scalar calls.
         assert all(map(math.isnan, np.cos([math.inf, -math.inf]))) and all(map(math.isnan, np.sin([math.inf])))
 
 
-def test_row_forms_match_tuple_forms_bits():
+def test_row_forms_match_numpy_bits():
     rng = np.random.default_rng(106)
     n = 3000
     a = rng.normal(size=(n, 4))
@@ -387,9 +400,7 @@ def test_row_forms_match_tuple_forms_bits():
     w[600:900] = u[600:900] + rng.normal(size=(300, 3)) * 1e-7
     w[900:1200] = -u[900:1200] + rng.normal(size=(300, 3)) * 1e-7
     u[:5], w[:5] = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)  # antiparallel along x
-    poses = [Pose(tuple(p), tuple(q)) for p, q in zip(v.tolist(), a.tolist())]
-    others = [Pose(tuple(p), tuple(q)) for p, q in zip(v[::-1].tolist(), b.tolist())]
-    pose_array, other_array = np.array([p.values for p in poses]), np.array([p.values for p in others])
+    poses, others = pose_rows(v, a), pose_rows(v[::-1], b)
     local = others[7]
 
     rows = {
@@ -398,25 +409,30 @@ def test_row_forms_match_tuple_forms_bits():
         "quat_rotate_one": quat_rotate_rows(a, (0.0, 0.0, 1.0)),
         "axis_angle": quat_from_axis_angle_rows(axes, angles),
         "between": quat_between_rows(u, w),
-        "pose": pose_rows(v, a),
-        "compose": compose_rows(pose_array, other_array),
-        "compose_one": compose_rows(pose_array, local.values),
-        "compose_fortran": compose_rows(np.asfortranarray(pose_array), np.asfortranarray(other_array)),
-        "inverse": inverse_rows(pose_array),
+        "angle": angle_between_rows(u, w)[:, None],
+        "pose": poses,
+        "compose": compose_rows(poses, others),
+        "compose_one": compose_rows(poses, tuple(local.tolist())),
+        "compose_fortran": compose_rows(np.asfortranarray(poses), np.asfortranarray(others)),
+        "inverse": inverse_rows(poses),
+        "inverse_fortran": inverse_rows(np.asfortranarray(poses)),
     }
+    rb_local = _np_pose(v[::-1][7], b[7])
     for i in range(n):
-        ta, tb, tv = tuple(a[i].tolist()), tuple(b[i].tolist()), tuple(v[i].tolist())
-        tuples = {
-            "quat_mul": quat_mul(ta, tb),
-            "quat_rotate": quat_rotate(ta, tv),
-            "quat_rotate_one": quat_rotate(ta, (0.0, 0.0, 1.0)),
-            "axis_angle": quat_from_axis_angle(tuple(axes[i].tolist()), float(angles[i])),
-            "between": quat_between(tuple(u[i].tolist()), tuple(w[i].tolist())),
-            "pose": Pose(tv, ta).values,
-            "compose": poses[i].compose(others[i]).values,
-            "compose_one": poses[i].compose(local).values,
-            "compose_fortran": poses[i].compose(others[i]).values,
-            "inverse": poses[i].inverse().values,
+        ra, rb = _np_pose(v[i], a[i]), _np_pose(v[::-1][i], b[i])
+        refs = {
+            "quat_mul": _np_quat_mul(a[i], b[i]),
+            "quat_rotate": _np_quat_rotate(a[i], v[i]),
+            "quat_rotate_one": _np_quat_rotate(a[i], (0.0, 0.0, 1.0)),
+            "axis_angle": _np_quat_from_axis_angle(axes[i], angles[i]),
+            "between": _np_quat_between(u[i], w[i]),
+            "angle": [_np_angle_between(u[i], w[i])],
+            "pose": np.concatenate(ra),
+            "compose": np.concatenate(_np_compose(ra, rb)),
+            "compose_one": np.concatenate(_np_compose(ra, rb_local)),
+            "compose_fortran": np.concatenate(_np_compose(ra, rb)),
+            "inverse": np.concatenate(_np_inverse(ra)),
+            "inverse_fortran": np.concatenate(_np_inverse(ra)),
         }
-        for name, expected in tuples.items():
+        for name, expected in refs.items():
             assert _bits(rows[name][i]) == _bits(expected), (name, i)

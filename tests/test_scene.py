@@ -13,10 +13,12 @@ from armloop.errors import (
     UnknownActorError,
     UnknownPointError,
 )
-from armloop.geometry import Pose, quat_from_axis_angle
+from armloop.geometry import Pose, compose_rows, inverse_rows, pose_rows, quat_from_axis_angle_rows
 from armloop.scene import (
+    ARM_TAGS,
     DEFAULT_HOMES,
     DEFAULT_WORKSPACES,
+    Above,
     All,
     Any_,
     Aligned,
@@ -26,13 +28,14 @@ from armloop.scene import (
     LocalPoint,
     Near,
     PointRef,
-    Scene,
+    SceneRows,
     eval_predicate,
     load_task_spec,
-    resolve_point,
 )
+from armloop.sim import scene_from_state
 
 from conftest import TASK_NAMES, task_path
+from test_geometry import _np_angle_between, _np_quat_rotate
 
 
 def test_load_place_shoe_roundtrip(place_shoe_spec):
@@ -124,6 +127,10 @@ def _set(raw, path, value):
     (("noise", "rot_sigma"), 1e308, "noise.rot_sigma"),
     pytest.param(("goal", "children", 0, "a"), "shoe.functional.1" + "0" * 5000,
                  "goal.children[0].a", id="point_id_5001_digits"),
+    pytest.param(("name",), "../escaped", "name", id="name_escapes_out_dir"),
+    pytest.param(("name",), "", "name", id="name_empty"),
+    pytest.param(("name",), "Schuh_ß", "name", id="name_not_ascii"),
+    pytest.param(("instruction",), " \t\n", "instruction", id="instruction_blank"),
 ])
 def test_malformed_field_is_schema_error_naming_it(tmp_path, path, value, field):
     raw = json.loads(task_path("place_shoe").read_text())
@@ -192,7 +199,7 @@ def test_task_loader_mutation_fuzz(tmp_path, task):
                 pytest.fail(f"{field_path} -> {mutation!r}: {type(exc).__name__}: {exc}")
 
 
-# --- resolve_point ------------------------------------------------------------
+# --- points in the world -------------------------------------------------------
 
 
 def _replace_geometry(spec, name, **changes):
@@ -202,85 +209,184 @@ def _replace_geometry(spec, name, **changes):
     return dataclasses.replace(spec, actors=actors)
 
 
-def _shoe_scene(spec, pose: Pose, fp0: Pose) -> Scene:
-    """Scene over a geometry variant: the shoe at ``pose``, its functional
-    point 0 at ``fp0``."""
+def _initial_scene(spec) -> SceneRows:
+    """One row: every actor at its initial pose, both arms at home."""
+    return scene_from_state(spec, {"actors": {}, "arms": {}})
+
+
+def _holds(pred, spec, scene) -> bool:
+    [value] = eval_predicate(pred, spec, scene).tolist()
+    return value
+
+
+def _shoe_point_within(spec, pose: Pose, fp0: Pose, world, tol: float) -> bool:
+    """Whether the shoe's functional point 0, at ``fp0`` in a shoe at
+    ``pose``, lies within tol of the world point: the target block's
+    functional point 0, moved there."""
     points = (LocalPoint(0, fp0),) + spec.actors["shoe"].functional_points[1:]
-    return Scene.from_spec(_replace_geometry(spec, "shoe", pose=pose, functional_points=points))
+    spec = _replace_geometry(spec, "shoe", pose=pose, functional_points=points)
+    spec = _replace_geometry(spec, "target_block", pose=Pose(world), functional_points=(LocalPoint(0, Pose()),))
+    pred = Near(PointRef("shoe", "functional", 0), PointRef("target_block", "functional", 0), tol)
+    return _holds(pred, spec, _initial_scene(spec))
 
 
 def test_resolve_point_identity(place_shoe_spec):
-    scene = _shoe_scene(place_shoe_spec, Pose(np.zeros(3)), Pose(np.array([0, 0, 0.05])))
-    world = resolve_point(scene, PointRef("shoe", "functional", 0))
-    assert np.allclose(world.p, [0, 0, 0.05])
+    args = place_shoe_spec, Pose(np.zeros(3)), Pose(np.array([0, 0, 0.05]))
+    assert _shoe_point_within(*args, (0, 0, 0.05), 1e-12)
+    assert not _shoe_point_within(*args, (0, 0, 0.06), 0.005)
 
 
 def test_resolve_point_translation(place_shoe_spec):
-    scene = _shoe_scene(place_shoe_spec, Pose(np.array([0.1, 0.0, 0.0])), Pose(np.array([0, 0, 0.05])))
-    world = resolve_point(scene, PointRef("shoe", "functional", 0))
-    assert np.allclose(world.p, [0.1, 0.0, 0.05])
+    args = place_shoe_spec, Pose(np.array([0.1, 0.0, 0.0])), Pose(np.array([0, 0, 0.05]))
+    assert _shoe_point_within(*args, (0.1, 0.0, 0.05), 1e-12)
+    assert not _shoe_point_within(*args, (0.0, 0.0, 0.05), 0.005)
 
 
 def test_resolve_point_rotation(place_shoe_spec):
-    q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    scene = _shoe_scene(place_shoe_spec, Pose(np.zeros(3), q), Pose(np.array([0.05, 0.0, 0.0])))
-    world = resolve_point(scene, PointRef("shoe", "functional", 0))
-    assert np.allclose(world.p, [0.0, 0.05, 0.0], atol=1e-12)
+    q = quat_from_axis_angle_rows(np.array([0.0, 0.0, 1.0]), np.array([np.pi / 2]))[0]
+    args = place_shoe_spec, Pose(np.zeros(3), q), Pose(np.array([0.05, 0.0, 0.0]))
+    assert _shoe_point_within(*args, (0.0, 0.05, 0.0), 1e-12)
+    assert not _shoe_point_within(*args, (0.05, 0.0, 0.0), 0.005)
 
 
 def test_resolve_point_errors(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
+    scene = _initial_scene(place_shoe_spec)
+    block = PointRef("target_block", "functional", 0)
     with pytest.raises(UnknownActorError):
-        resolve_point(scene, PointRef("mug", "functional", 0))
+        eval_predicate(Near(PointRef("mug", "functional", 0), block, 0.01), place_shoe_spec, scene)
     with pytest.raises(UnknownPointError):
-        resolve_point(scene, PointRef("shoe", "functional", 9))
+        eval_predicate(Near(PointRef("shoe", "functional", 9), block, 0.01), place_shoe_spec, scene)
 
 
 # --- predicates ---------------------------------------------------------------
 
 
 def test_near_coincident_points(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    block_fp = resolve_point(scene, PointRef("target_block", "functional", 0))
-    scene.poses["shoe"] = block_fp.compose(scene.actor("shoe").functional_points[0].pose.inverse())
+    spec = place_shoe_spec
+    scene = _initial_scene(spec)
+    block_fp = compose_rows(scene.poses["target_block"], spec.actors["target_block"].functional_points[0].pose.values)
+    shoe_fp = np.array(spec.actors["shoe"].functional_points[0].pose.values)
+    scene.poses["shoe"] = compose_rows(block_fp, inverse_rows(shoe_fp))
     pred = Near(PointRef("shoe", "functional", 0), PointRef("target_block", "functional", 0), 0.02)
-    assert eval_predicate(pred, scene)
+    assert _holds(pred, spec, scene)
 
 
 def test_aligned_at_90deg_false(place_shoe_spec):
     spec = _replace_geometry(place_shoe_spec, "shoe", grasp_axis=np.array([0.0, 0.0, 1.0]))
     spec = _replace_geometry(spec, "target_block", grasp_axis=np.array([1.0, 0.0, 0.0]))
-    scene = Scene.from_spec(spec)
-    pred = Aligned(AxisRef("shoe", "grasp"), AxisRef("target_block", "grasp"), 0.1)
-    assert not eval_predicate(pred, scene)
+    scene = _initial_scene(spec)
+    assert not _holds(Aligned(AxisRef("shoe", "grasp"), AxisRef("target_block", "grasp"), 0.1), spec, scene)
+    assert _holds(Aligned(AxisRef("shoe", "grasp"), AxisRef("target_block", "grasp"), np.pi / 2 + 1e-9),
+                  spec, scene)
 
 
 def test_nested_all_any_matches_truth_table(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
-    # Three independent leaves toggled via what the arms hold; oracle
-    # enumerates all 8 assignments with plain python logic.
-    leaf_preds = [Held("shoe", "left"), Free("shoe"), Held("target_block", "right")]
-    pred = All((Any_((leaf_preds[0], leaf_preds[1])), leaf_preds[2]))
+    scene = _initial_scene(place_shoe_spec)
+    # Three leaves toggled via what the arms hold; the oracle enumerates the
+    # assignments with plain python logic.
+    pred = All((Any_((Held("shoe", "left"), Free("shoe"))), Held("target_block", "right")))
 
-    for bits in itertools.product([False, True], repeat=2):
-        shoe_held_left, block_held_right = bits
-        scene.arms["left"].holding = "shoe" if shoe_held_left else None
-        scene.arms["right"].holding = "target_block" if block_held_right else None
-        leaves = [
-            scene.held_by("shoe") == "left",
-            scene.held_by("shoe") is None,
-            scene.held_by("target_block") == "right",
-        ]
-        expected = (leaves[0] or leaves[1]) and leaves[2]
-        assert eval_predicate(pred, scene) == expected
+    for shoe_held_left, block_held_right in itertools.product([False, True], repeat=2):
+        scene.holding["left"] = "shoe" if shoe_held_left else None
+        scene.holding["right"] = "target_block" if block_held_right else None
+        expected = (shoe_held_left or not shoe_held_left) and block_held_right
+        assert _holds(pred, place_shoe_spec, scene) == expected
 
 
 def test_predicate_purity(place_shoe_spec):
-    scene = Scene.from_spec(place_shoe_spec)
+    scene = _initial_scene(place_shoe_spec)
+    before = copy.deepcopy(scene)
     pred = place_shoe_spec.goal
-    first = eval_predicate(pred, copy.deepcopy(scene))
-    second = eval_predicate(pred, copy.deepcopy(scene))
-    assert first == second
+    first = eval_predicate(pred, place_shoe_spec, scene)
+    second = eval_predicate(pred, place_shoe_spec, scene)
+    assert first.tolist() == second.tolist()
+    assert scene.holding == before.holding and scene.grippers == before.grippers
+    for name in scene.poses:
+        assert scene.poses[name].tobytes() == before.poses[name].tobytes()
+
+
+def _reference_point(spec, scene, ref: PointRef, r: int):
+    pose = scene.poses[ref.actor][r]
+    return pose[:3] + _np_quat_rotate(pose[3:], spec.actors[ref.actor].point(ref.category, ref.id).pose.p)
+
+
+def _reference_axis(spec, scene, ref: AxisRef, r: int):
+    return _np_quat_rotate(scene.poses[ref.actor][r, 3:], spec.actors[ref.actor].axis(ref.category))
+
+
+def _reference(pred, spec, scene, r: int) -> bool:
+    """The predicate on row r, one vector at a time with the numpy reference
+    of tests/test_geometry.py."""
+    if isinstance(pred, All):
+        return all([_reference(c, spec, scene, r) for c in pred.children])
+    if isinstance(pred, Any_):
+        return any([_reference(c, spec, scene, r) for c in pred.children])
+    if isinstance(pred, Near):
+        a, b = (_reference_point(spec, scene, ref, r) for ref in (pred.a, pred.b))
+        return bool(np.linalg.norm(a - b) <= pred.tol)
+    if isinstance(pred, Aligned):
+        a, b = (_reference_axis(spec, scene, ref, r) for ref in (pred.a, pred.b))
+        return bool(_np_angle_between(a, b) <= pred.tol)
+    if isinstance(pred, Held):
+        return scene.holding[pred.arm] == pred.actor
+    if isinstance(pred, Free):
+        return pred.actor not in scene.holding.values()
+    if isinstance(pred, Above):
+        return bool(scene.poses[pred.a][r, 2] - scene.poses[pred.b][r, 2] >= pred.min_dz)
+    raise TypeError(pred)
+
+
+def test_every_predicate_kind_over_rows_matches_scalar_reference(place_shoe_spec):
+    """Every kind of predicate, alone and nested, over seeded random poses,
+    with some tolerances at the exact value of a row and some rows at the
+    float limits, whose arithmetic overflows without a warning."""
+    spec = _replace_geometry(place_shoe_spec, "target_block", grasp_axis=(0.0, 0.6, 0.8))
+    rng = np.random.default_rng(17)
+    n = 200
+    poses = {name: pose_rows(rng.uniform(-0.1, 0.1, size=(n, 3)), rng.normal(size=(n, 4)))
+             for name in spec.actors}
+    poses["shoe"][:20] = poses["target_block"][:20]  # coincident
+    poses["shoe"][20:40, 3:] = poses["target_block"][20:40, 3:]  # aligned
+    poses["shoe"][40:50, :3] = 1.7e308
+    poses["target_block"][40:50, :3] = -1.7e308
+    poses["target_block"][50:55, 3:] = np.nan
+    scene = SceneRows(poses, {tag: np.tile(spec.homes[tag].values, (n, 1)) for tag in ARM_TAGS},
+                      dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
+
+    fps = PointRef("shoe", "functional", 0), PointRef("target_block", "functional", 0)
+    axes = AxisRef("shoe", "grasp"), AxisRef("target_block", "grasp")
+    distance = [float(np.linalg.norm(_reference_point(spec, scene, fps[0], r)
+                                     - _reference_point(spec, scene, fps[1], r))) for r in (60, 61)]
+    angle = [float(_np_angle_between(*(_reference_axis(spec, scene, ref, r) for ref in axes))) for r in (62, 63)]
+    dz = [float(poses["shoe"][r, 2] - poses["target_block"][r, 2]) for r in (64, 65)]
+    # (predicate, a row it holds on, a row it fails on) at each exact tolerance
+    at_tolerance = [
+        (Near(*fps, distance[0]), 60, None), (Near(*fps, np.nextafter(distance[1], 0)), None, 61),
+        (Aligned(*axes, angle[0]), 62, None), (Aligned(*axes, np.nextafter(angle[1], 0)), None, 63),
+        (Above("shoe", "target_block", dz[0]), 64, None),
+        (Above("shoe", "target_block", np.nextafter(dz[1], np.inf)), None, 65),
+    ]
+    leaves = [pred for pred, _, _ in at_tolerance]
+    leaves += [Near(*fps, tol) for tol in (0.02, 0.05, 1e-12)]
+    leaves += [Aligned(*axes, tol) for tol in (0.1, 1.0, 1e-9, np.pi, np.pi / 2)]
+    leaves += [Above("shoe", "target_block", min_dz) for min_dz in (0.01, 0.1)]
+    leaves += [Held(actor, tag) for actor in spec.actors for tag in ARM_TAGS]
+    leaves += [Free(actor) for actor in spec.actors]
+    trees = [All(()), Any_(()), All(tuple(leaves[:4])), Any_(tuple(leaves[4:9])),
+             All((Any_((leaves[0], leaves[-5])), leaves[8], Any_((leaves[-1], leaves[-3]))))]
+    for held in itertools.product((None, *spec.actors), repeat=len(ARM_TAGS)):
+        scene.holding.update(zip(ARM_TAGS, held))
+        for pred in leaves + trees:
+            with np.errstate(all="raise"):
+                rows = eval_predicate(pred, spec, scene)
+            assert rows.dtype == bool and rows.shape == (n,)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = [_reference(pred, spec, scene, r) for r in range(n)]
+            assert rows.tolist() == expected, pred
+    for pred, holds, fails in at_tolerance:
+        rows = eval_predicate(pred, spec, scene)
+        assert holds is None or rows[holds], pred
+        assert fails is None or not rows[fails], pred
 
 
 def test_checkpoint_annotation_stripped(place_shoe_spec):

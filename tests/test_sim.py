@@ -11,7 +11,7 @@ import pytest
 
 from armloop.dsl import parse
 from armloop.dsl.ast import API_SIGNATURES, CallStmt, PoseLit
-from armloop.geometry import Pose, quat_from_axis_angle, quat_rotate
+from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_angle_rows, quat_rotate_rows
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
 from armloop.sim import (
@@ -33,10 +33,16 @@ def _final_scene(spec, log):
     return scene_from_state(spec, log.snapshots[-1].scene)
 
 
-def _approx_equal(a: Pose, b: Pose, tol: float) -> bool:
-    """Same rigid transform within tol (q and -q encode the same rotation)."""
-    return np.allclose(a.p, b.p, atol=tol) and (
-        np.allclose(a.q, b.q, atol=tol) or np.allclose(a.q, np.negative(b.q), atol=tol))
+def _approx_equal(a, b, tol: float) -> bool:
+    """Same rigid transform within tol (q and -q encode the same rotation)
+    for poses as 7-rows."""
+    return np.allclose(a[..., :3], b[..., :3], atol=tol) and (
+        np.allclose(a[..., 3:], b[..., 3:], atol=tol) or np.allclose(a[..., 3:], -b[..., 3:], atol=tol))
+
+
+def _row(values):
+    """A snapshot's pose as a (1, 7) row."""
+    return np.array([Pose.from_list(values).values])
 
 
 def test_zero_noise_success(place_shoe_spec):
@@ -241,7 +247,7 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
     )
     final = _final_scene(place_shoe_spec, one_trial(insert_observations(parse(text)), place_shoe_spec, 0))
     # Dropped above the block at (-0.1, 0.2): lands on its top face.
-    assert np.allclose(final.poses["shoe"].p, [-0.1, 0.2, 0.06], atol=1e-9)
+    assert np.allclose(final.poses["shoe"][0, :3], [-0.1, 0.2, 0.06], atol=1e-9)
     assert final.held_by("shoe") is None
 
     text_table = (
@@ -253,7 +259,7 @@ def test_drop_rule_to_table_and_support(place_shoe_spec):
         "  open_gripper(left)\n"
     )
     final = _final_scene(place_shoe_spec, one_trial(insert_observations(parse(text_table)), place_shoe_spec, 0))
-    assert final.poses["shoe"].p[2] == pytest.approx(0.02)  # table + half height
+    assert final.poses["shoe"][0, 2] == pytest.approx(0.02)  # table + half height
 
 
 def test_close_gripper_is_noop_on_world(place_shoe_spec):
@@ -261,8 +267,8 @@ def test_close_gripper_is_noop_on_world(place_shoe_spec):
     log = one_trial(insert_observations(parse(text)), place_shoe_spec, 0)
     assert all(ev.outcome == "success" for ev in log.events)
     final = _final_scene(place_shoe_spec, log)
-    assert np.allclose(final.poses["shoe"].p, [-0.2, 0.1, 0.02])
-    assert final.arms["right"].gripper == 0.5
+    assert np.allclose(final.poses["shoe"][0, :3], [-0.2, 0.1, 0.02])
+    assert final.grippers["right"] == 0.5
 
 
 def test_gripper_pos_range_checked(place_shoe_spec):
@@ -369,9 +375,9 @@ def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
         arm = state["actors"]["shoe"]["held_by"]
         if arm is None:
             return None, None
-        tcp = Pose.from_list(state["arms"][arm]["tcp"])
-        shoe = Pose.from_list(state["actors"]["shoe"]["pose"])
-        return arm, tcp.inverse().compose(shoe)
+        tcp = _row(state["arms"][arm]["tcp"])
+        shoe = _row(state["actors"]["shoe"]["pose"])
+        return arm, compose_rows(inverse_rows(tcp), shoe)
 
     prev_arm = prev_offset = None
     checked = 0
@@ -398,7 +404,7 @@ def test_quaternion_closure_under_noise(place_shoe_spec):
 
 
 def test_constrain_free_keeps_yaw_align_resets_it(tmp_path):
-    yaw = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.deg2rad(30))
+    yaw = quat_from_axis_angle_rows(np.array([0.0, 0.0, 1.0]), np.array([np.deg2rad(30)]))[0]
     raw = json.loads(task_path("place_shoe").read_text())
     assert raw["actors"][0]["name"] == "shoe"
     raw["actors"][0]["pose"][3:] = [float(v) for v in yaw]
@@ -415,7 +421,7 @@ def test_constrain_free_keeps_yaw_align_resets_it(tmp_path):
         )
         log = one_trial(insert_observations(parse(text)), spec, 0)
         assert log.failure_event is None
-        x_axis = quat_rotate(_final_scene(spec, log).poses["shoe"].q, np.array([1.0, 0.0, 0.0]))
+        x_axis = quat_rotate_rows(_final_scene(spec, log).poses["shoe"][0, 3:], np.array([1.0, 0.0, 0.0]))
         if expect_yaw:
             assert x_axis[1] == pytest.approx(np.sin(np.deg2rad(30)), abs=1e-9)
         else:
@@ -441,15 +447,15 @@ def test_held_actor_pose_is_tcp_times_grasp_offset(task):
                     arm = entry["held_by"]
                     if arm is None:
                         continue
-                    tcp = Pose.from_list(snap.scene["arms"][arm]["tcp"])
-                    pose = Pose.from_list(entry["pose"])
+                    tcp = _row(snap.scene["arms"][arm]["tcp"])
+                    pose = _row(entry["pose"])
                     if (name, arm) in offsets:
                         holds[name, arm] = offsets[name, arm]
-                        assert _approx_equal(pose, tcp.compose(holds[name, arm]), tol=1e-12), (
+                        assert _approx_equal(pose, compose_rows(tcp, holds[name, arm]), tol=1e-12), (
                             kind, log.seed, snap.step_name, name)
                         carried += 1
                     else:
-                        holds[name, arm] = tcp.inverse().compose(pose)
+                        holds[name, arm] = compose_rows(inverse_rows(tcp), pose)
                 offsets = holds
     assert carried > 0
 
@@ -499,7 +505,7 @@ def test_trials_leave_task_geometry_unchanged(task):
         program = insert_observations(parse(program_path(task, kind).read_text()))
         for log in run_trials(program, spec, 3, base_seed=5, noise_scale=1.0):
             for snap in log.snapshots:
-                eval_predicate(spec.goal, scene_from_state(spec, snap.scene))
+                eval_predicate(spec.goal, spec, scene_from_state(spec, snap.scene))
     assert _geometry(spec) == _geometry(load_task_spec(task_path(task)))
 
 
