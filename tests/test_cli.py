@@ -9,7 +9,7 @@ from armloop.loop import load_campaign_config, run_campaign
 from armloop.scene import load_task_spec
 from armloop.sim import load_trials
 
-from conftest import TASKS_DIR, program_path, task_path
+from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
 
 
 def _task(name="place_shoe"):
@@ -272,6 +272,19 @@ def test_metrics_recompute_matches_stored(tmp_path, capsys):
     code = main(["metrics", str(run_dir), "--check", "--out", str(tmp_path / "again.json")])
     assert code == 0
     assert (tmp_path / "again.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-iter", "2"]], ids=["default_cap", "max_iter_2"])
+@pytest.mark.parametrize("mode", ["one_shot", "symbolic", "hybrid"])
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_noisy_campaign_metrics_recompute(tmp_path, capsys, task, mode, cap):
+    """At noise 1 the trials of a batch differ, so counts, convergence and
+    CR-Iter must be recomputed from trials that do not all agree."""
+    raw = json.loads((TASKS_DIR / "configs" / f"{mode}.json").read_text())
+    config = tmp_path / f"{mode}.json"
+    config.write_text(json.dumps({**raw, "noise_scale": 1.0}))
+    assert main(["loop", _task(task), "--config", str(config), "--out", str(tmp_path), *cap]) == 0
+    assert main(["metrics", str(tmp_path / task), "--check"]) == 0
 
 
 def test_metrics_missing_artifacts_exit_two(tmp_path, capsys):
