@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .dsl import parse, to_text, validate
-from .errors import AgentFailureError, ArmloopError, ConfigError
+from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError
 from .harness import scores_report, select_trial
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .loop import load_campaign_config, run_campaign
@@ -54,20 +54,13 @@ def _input_error(exc: Exception) -> int:
     return _fail(f"error{code}: {exc}", 2)
 
 
-def _at_least(value, flag: str, minimum) -> None:
-    if value is not None and not value >= minimum:
-        raise ConfigError(flag, f"must be at least {minimum}, got {value}")
-
-
 def cmd_run(args) -> int:
     try:
-        _at_least(args.trials, "--trials", 1)
-        _at_least(args.seed, "--seed", 0)
-        _at_least(args.max_steps, "--max-steps", 1)
-        _at_least(args.noise_scale, "--noise-scale", 0)
-        # inf passes _at_least
-        ConfigError.check(args.noise_scale, float, "--noise-scale", maximum=MAX_NOISE_SCALE)
-        _at_least(args.observation_cap, "--observation-cap", MIN_OBSERVATION_CAP)
+        ConfigError.check(args.trials, int, "--trials", minimum=1)
+        ConfigError.check(args.seed, int, "--seed", minimum=0)
+        ConfigError.check(args.max_steps, int, "--max-steps", minimum=1)
+        ConfigError.check(args.noise_scale, float, "--noise-scale", minimum=0, maximum=MAX_NOISE_SCALE)
+        ConfigError.check(args.observation_cap, int, "--observation-cap", minimum=MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(args.program_file)
         out = _out_dir(Path(args.out))
@@ -100,7 +93,8 @@ def cmd_run(args) -> int:
 
 def cmd_loop(args) -> int:
     try:
-        _at_least(args.max_iter, "--max-iter", 1)
+        if args.max_iter is not None:
+            ConfigError.check(args.max_iter, int, "--max-iter", minimum=1)
         spec = load_task_spec(args.task_file)
         cfg = load_campaign_config(args.config, args.task_file, spec)
         expert_text = (ConfigError.read_text(cfg.expert_program, "expert_program")
@@ -115,40 +109,40 @@ def cmd_loop(args) -> int:
     except AgentFailureError as exc:
         return _fail(f"error [agent_failure]: {exc}", 3)
 
+    rows = campaign.record.candidates
     try:
         payload = metrics_mod.metrics_from_campaign(campaign, expert_text)
     except ArmloopError:
-        for cand in campaign.candidates:
-            print(f"candidate {cand.record.candidate_id}: {cand.record.error}", file=sys.stderr)
+        for row in rows:
+            print(f"candidate {row.candidate_id}: {row.error}", file=sys.stderr)
         return _fail("error [agent_failure]: no candidate completed any trials", 3)
     (out / "metrics.json").write_text(metrics_mod.dumps_metrics(payload), encoding="utf-8")
 
     print(f"task {spec.name}: ASR {payload['asr']:.2f}  Top5-ASR {payload['top5_asr']:.2f}  CR-Iter {payload['cr_iter']:.2f}")
     print(f"{'cand':>4} {'iter':>4} {'success':>8} {'converged':>9}")
-    for cand in campaign.candidates:
-        if cand.result is None:
-            print(f"{cand.record.candidate_id:>4} {'-':>4} {'-':>8} {'agent_failure':>9}")
+    for row, loop in zip(rows, campaign.loops):
+        if loop is None:
+            print(f"{row.candidate_id:>4} {'-':>4} {'-':>8} {'agent_failure':>9}")
             continue
-        for record in cand.result.iterations:
+        for record in loop.iterations:
             print(
-                f"{cand.record.candidate_id:>4} {record.index:>4} "
+                f"{row.candidate_id:>4} {record.index:>4} "
                 f"{record.success_count:>3}/{record.n_trials:<4} "
-                f"{str(cand.record.converged and record.index == cand.record.cr_iter):>9}"
+                f"{str(row.converged and record.index == row.cr_iter):>9}"
             )
-    if campaign.had_agent_failure:
-        return 3
-    return 0
+    return 3 if any(row.error is not None for row in rows) else 0
 
 
 def cmd_metrics(args) -> int:
+    stored = Path(args.run_dir) / "metrics.json"
     try:
         text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
         _write_out(args.out, text)
+        matches = args.check and stored.exists() and ArtifactError.read_text(stored, str(stored)) == text
     except (ArmloopError, OSError) as exc:
         return _input_error(exc)
     if args.check:
-        stored = Path(args.run_dir) / "metrics.json"
-        if not stored.exists() or stored.read_text(encoding="utf-8") != text:
+        if not matches:
             return _fail("recomputed metrics.json differs from the stored file", 2)
         print("metrics.json matches the stored artifact", file=sys.stderr)
     return 0

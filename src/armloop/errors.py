@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import NoneType
 
@@ -26,6 +27,9 @@ _JSON_NAMES = {
     bool: "true or false",
     NoneType: "null",
 }
+# A record field's declared type, as its annotation reads, -> the JSON values it holds.
+_DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list,
+             "str | None": (str, NoneType)}
 _REQUIRED = object()
 
 
@@ -109,6 +113,28 @@ class FieldError(ArmloopError):
         if default is _REQUIRED:
             raise cls(at, "missing required field")
         return default
+
+    @classmethod
+    def check_fields(cls, record) -> None:
+        """Each field of a dataclass record checked against its declared
+        type as check() does (an int in a float field becomes a float), so
+        that a record holds exactly its declared types."""
+        for f in fields(record):
+            setattr(record, f.name, cls.check(getattr(record, f.name), _DECLARED[f.type], f.name))
+
+    @classmethod
+    def build(cls, record_type, raw, where: str):
+        """record_type(**raw) from a JSON object. A value that is no object,
+        a missing or an unexpected field, or a field that check_fields
+        rejects raises naming where."""
+        try:
+            return record_type(**raw)
+        except TypeError:  # not an object, or a missing or an unexpected field
+            got = list(cls.check(raw, dict, where))
+            names = [f.name for f in fields(record_type)]
+            raise cls(where, f"expected fields {names}, got {got}") from None
+        except FieldError as exc:
+            raise cls(where, str(exc)) from None
 
 
 class TaskParseError(FieldError):

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import NoneType
 
@@ -221,8 +221,6 @@ class IterationRecord:
 class LoopResult:
     iterations: list
     converged: bool
-    final_program: Program
-    cr_iter: int
 
 
 def converges(success_count: int, n_trials: int, threshold: float) -> bool:
@@ -325,12 +323,7 @@ def run_loop(
         _persist_iteration(out_dir, record)
         current = instrumented
 
-    return LoopResult(
-        iterations=iterations,
-        converged=converged,
-        final_program=iterations[-1].program,
-        cr_iter=iterations[-1].index if converged else cfg.max_iterations,
-    )
+    return LoopResult(iterations=iterations, converged=converged)
 
 
 # --- campaign ----------------------------------------------------------------
@@ -380,49 +373,58 @@ class CandidateRecord:
     error: str | None
 
     def __post_init__(self):
-        kinds = {"int": int, "bool": bool, "str | None": (str, NoneType)}  # declared type -> JSON
-        for f in fields(self):
-            ArtifactError.check(getattr(self, f.name), kinds[f.type], f.name)
+        ArtifactError.check_fields(self)
 
     to_json = asdict
 
     @classmethod
     def from_json(cls, raw, where: str) -> "CandidateRecord":
         """A campaign.json candidate row; ArtifactError names where it is."""
-        try:
-            return cls(**ArtifactError.check(raw, dict, ""))
-        except TypeError:  # a missing or an unexpected field
-            names = [f.name for f in fields(cls)]
-            raise ArtifactError(where, f"expected fields {names}, got {list(raw)}") from None
-        except ArtifactError as exc:  # not an object, or a field of the wrong type
-            raise ArtifactError(where, str(exc)) from None
+        return ArtifactError.build(cls, raw, where)
 
     @classmethod
-    def of(cls, cand: CandidateSpec, result: LoopResult | None, error: str | None = None):
-        if result is None:
-            return cls(cand.candidate_id, cand.base_seed, False, 0, 0, 0, 0, error)
-        final = result.iterations[-1]
-        return cls(cand.candidate_id, cand.base_seed, result.converged, result.cr_iter,
-                   final.index, final.success_count, final.n_trials, None)
+    def of(cls, candidate_id: int, base_seed: int, batches: list, threshold: float, cap: int,
+           error: str | None) -> "CandidateRecord":
+        """The row of a candidate whose iterations 1, 2, ... ran batches of
+        (goal-met count, trials). CR-Iter is the first iteration whose batch
+        converges, else the cap; a candidate without batches has zeros."""
+        converged_at = next((k for k, (success, n) in enumerate(batches, 1)
+                             if converges(success, n, threshold)), None)
+        success, n = batches[-1] if batches else (0, 0)
+        return cls(candidate_id, base_seed, converged_at is not None,
+                   converged_at or (cap if batches else 0), len(batches), success, n, error)
 
 
 @dataclass
-class CandidateResult:
-    record: CandidateRecord
-    result: LoopResult | None  # None: an agent failure stopped the candidate
+class CampaignRecord:
+    """campaign.json: these fields in order, the candidates as their rows."""
+
+    task: str
+    created_at: str  # the lone timestamp in any artifact; everything else is byte-stable
+    n_trials: int
+    success_threshold: float
+    max_iterations: int
+    expert_program: str | None
+    candidates: list  # of CandidateRecord
+
+    def __post_init__(self):
+        ArtifactError.check_fields(self)
+
+    to_json = asdict
+
+    @classmethod
+    def from_json(cls, raw, where: str) -> "CampaignRecord":
+        """A campaign.json's content; ArtifactError names where the fault is."""
+        campaign = ArtifactError.build(cls, raw, where)
+        campaign.candidates = [CandidateRecord.from_json(row, f"{where}: candidates[{i}]")
+                               for i, row in enumerate(campaign.candidates)]
+        return campaign
 
 
 @dataclass
 class CampaignResult:
-    task: str
-    n_trials: int
-    success_threshold: float
-    max_iterations: int
-    candidates: list = field(default_factory=list)
-
-    @property
-    def had_agent_failure(self) -> bool:
-        return any(c.record.error is not None for c in self.candidates)
+    record: CampaignRecord
+    loops: list  # per candidate, its LoopResult, or None where an agent failure stopped it
 
 
 def run_campaign(
@@ -440,12 +442,10 @@ def run_campaign(
         for stale in out_dir.glob("cand_*"):
             if stale.is_dir():
                 shutil.rmtree(stale)
-    campaign = CampaignResult(
-        task=spec.name,
-        n_trials=cfg.loop.n_trials,
-        success_threshold=cfg.loop.success_threshold,
-        max_iterations=cfg.loop.max_iterations,
-    )
+    record = CampaignRecord(spec.name, datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                            cfg.loop.n_trials, cfg.loop.success_threshold, cfg.loop.max_iterations,
+                            cfg.expert_program, [])
+    loops = []
     for cand in cfg.candidate_specs():
         loop_cfg = copy.deepcopy(cfg.loop)
         loop_cfg.base_seed = cand.base_seed
@@ -457,25 +457,15 @@ def run_campaign(
             result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport)
         except AgentFailureError as exc:
             error = str(exc)
-        campaign.candidates.append(CandidateResult(CandidateRecord.of(cand, result, error), result))
+        batches = [(it.success_count, it.n_trials) for it in result.iterations] if result else []
+        record.candidates.append(CandidateRecord.of(cand.candidate_id, cand.base_seed, batches,
+                                                    record.success_threshold, record.max_iterations, error))
+        loops.append(result)
     if out_dir is not None:
-        _write_campaign_json(out_dir, campaign, cfg.expert_program)
-    return campaign
-
-
-def _write_campaign_json(out_dir: Path, campaign: CampaignResult, expert_program=None):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "task": campaign.task,
-        # The lone timestamp in any artifact; everything else is byte-stable.
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "n_trials": campaign.n_trials,
-        "success_threshold": campaign.success_threshold,
-        "max_iterations": campaign.max_iterations,
-        "expert_program": expert_program,
-        "candidates": [c.record.to_json() for c in campaign.candidates],
-    }
-    (out_dir / "campaign.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "campaign.json").write_text(json.dumps(record.to_json(), indent=2) + "\n",
+                                               encoding="utf-8")
+    return CampaignResult(record, loops)
 
 
 # --- config files -------------------------------------------------------------
@@ -594,4 +584,9 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
     expert = ConfigError.get(raw, "expert_program", (str, NoneType), default=None)
     if expert is not None:
         expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
+    if loop_cfg.synthesis.backend == "mock" and not loop_cfg.synthesis.playbook:
+        where = next((f"candidates[{i}].playbook" for i, c in enumerate(candidates) if not c.playbook),
+                     None if candidates else "synthesis.playbook")
+        if where is not None:
+            raise ConfigError(where, "the mock synthesizer needs a playbook, the candidate's or synthesis.playbook")
     return CampaignConfig(loop=loop_cfg, candidates=candidates, expert_program=expert)

@@ -11,14 +11,13 @@ can be recomputed offline from a run directory.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from types import NoneType
 
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
 from .errors import ArtifactError, EmptyCampaignError
-from .loop import CampaignResult, CandidateRecord, converges
+from .loop import CampaignRecord, CampaignResult, CandidateRecord
 from .sim.model import load_trials
 
 _SIMILARITY_NOTE = (
@@ -215,12 +214,11 @@ def ast_similarity(a: Program | FlatTree, b: Program | FlatTree) -> float:
 # --- metrics.json -------------------------------------------------------------
 
 
-def metrics_payload(task: str, entries: list[tuple[CandidateRecord, str | None]],
-                    threshold: float, max_iterations: int, expert_text: str | None) -> dict:
-    """ASR, Top5-ASR, CR-Iter and the code-structure metrics over one
-    (record, final program text) pair per candidate, as a live campaign or
-    its artifacts give them."""
-    scored = [r for r, _ in entries if r.error is None and r.n_trials > 0]
+def metrics_payload(campaign: CampaignRecord, texts: list, expert_text: str | None) -> dict:
+    """ASR, Top5-ASR, CR-Iter and the code-structure metrics of a campaign
+    record and its candidates' final program texts (None where a candidate
+    has none), as a live campaign or its artifacts give them."""
+    scored = [r for r in campaign.candidates if r.error is None and r.n_trials > 0]
     if not scored:
         raise EmptyCampaignError("campaign has no candidates with executed trials")
 
@@ -237,7 +235,7 @@ def metrics_payload(task: str, entries: list[tuple[CandidateRecord, str | None]]
     token_lens = []
     node_counts = []
     similarities = []
-    for r, text in entries:
+    for r, text in zip(campaign.candidates, texts):
         row = {
             "candidate_id": r.candidate_id,
             "success_count": r.success_count,
@@ -262,12 +260,12 @@ def metrics_payload(task: str, entries: list[tuple[CandidateRecord, str | None]]
         per_candidate.append(row)
 
     return {
-        "task": task,
+        "task": campaign.task,
         "asr": total_success / total_trials,
         "top5_asr": sum(r for r, _ in top) / len(top),
         "cr_iter": sum(r.cr_iter for r in scored) / len(scored),
-        "success_threshold": threshold,
-        "max_iterations": max_iterations,
+        "success_threshold": campaign.success_threshold,
+        "max_iterations": campaign.max_iterations,
         "per_candidate": per_candidate,
         "ast_similarity_vs_expert": (
             sum(similarities) / len(similarities) if similarities else None
@@ -284,60 +282,46 @@ def metrics_payload(task: str, entries: list[tuple[CandidateRecord, str | None]]
 def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = None) -> dict:
     from .dsl.printer import to_text
 
-    entries = [(c.record, to_text(c.result.final_program) if c.result else None)
-               for c in campaign.candidates]
-    return metrics_payload(campaign.task, entries, campaign.success_threshold,
-                           campaign.max_iterations, expert_text)
+    texts = [to_text(loop.iterations[-1].program) if loop else None for loop in campaign.loops]
+    return metrics_payload(campaign.record, texts, expert_text)
 
 
-def _recount(record: CandidateRecord, cand_dir: Path, threshold: float, cap: int):
-    """The candidate's record as its trials.jsonl files count it, and its
-    final program text. Reads iterations 1..final_iteration exactly, so that
-    iterations an earlier, longer run left in the directory are not read."""
-    converged_at, success, n = None, 0, 0
-    for k in range(1, record.final_iteration + 1):
-        logs = load_trials(cand_dir / f"iter_{k}" / "trials.jsonl")
-        success, n = sum(1 for log in logs if log.goal_met), len(logs)
-        if converged_at is None and converges(success, n, threshold):
-            converged_at = k
-    counted = replace(record, converged=converged_at is not None, success_count=success, n_trials=n,
-                      cr_iter=converged_at or (cap if record.final_iteration else 0))
-    if not record.final_iteration:  # an agent failure stopped it before any batch ran
-        return counted, None
-    program_path = cand_dir / f"iter_{record.final_iteration}" / "program.prog"
-    return counted, ArtifactError.read_text(program_path, str(program_path))
+def _batch(path: Path) -> tuple[int, int]:
+    """(goal-met count, trials) of an iteration's trials.jsonl."""
+    logs = load_trials(path)
+    return sum(1 for log in logs if log.goal_met), len(logs)
 
 
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
-    payload written at run time byte for byte. A campaign.json or
-    trials.jsonl that does not match its schema, or a campaign.json
-    candidate row that its trials do not bear out, raises ArtifactError."""
+    payload written at run time byte for byte. Each candidate's row is
+    rebuilt from the counts in the trials.jsonl of its iterations
+    1..final_iteration (not of iterations an earlier, longer run may have
+    left) and must equal the recorded row. A campaign.json or trials.jsonl
+    that does not match its schema, or a row that its trials do not bear
+    out, raises ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
         raise EmptyCampaignError(f"no campaign.json under {run_dir}")
-    meta = ArtifactError.read_json(campaign_path, str(campaign_path))
-    try:
-        task = ArtifactError.get(meta, "task", str)
-        threshold = ArtifactError.get(meta, "success_threshold", float)
-        cap = ArtifactError.get(meta, "max_iterations", int)
-        expert_path = ArtifactError.get(meta, "expert_program", (str, NoneType), default=None)
-        expert_text = ArtifactError.read_text(expert_path, "expert_program") if expert_path else None
-        records = [CandidateRecord.from_json(raw, f"candidates[{i}]")
-                   for i, raw in enumerate(ArtifactError.get(meta, "candidates", list))]
-    except ArtifactError as exc:
-        raise ArtifactError(str(campaign_path), str(exc)) from None
+    where = str(campaign_path)
+    campaign = CampaignRecord.from_json(ArtifactError.read_json(campaign_path, where), where)
+    expert_text = (ArtifactError.read_text(campaign.expert_program, f"{where}: expert_program")
+                   if campaign.expert_program else None)
 
-    entries = []
-    for i, record in enumerate(records):
-        counted, text = _recount(record, run_dir / f"cand_{record.candidate_id}", threshold, cap)
-        for name, value in asdict(record).items():
+    texts = []
+    for i, row in enumerate(campaign.candidates):
+        cand_dir = run_dir / f"cand_{row.candidate_id}"
+        batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl") for k in range(1, row.final_iteration + 1)]
+        counted = CandidateRecord.of(row.candidate_id, row.base_seed, batches, campaign.success_threshold,
+                                     campaign.max_iterations, row.error)
+        for name, value in asdict(row).items():
             if getattr(counted, name) != value:
-                raise ArtifactError(str(campaign_path), f"candidates[{i}]: {name}: {json.dumps(value)}"
+                raise ArtifactError(where, f"candidates[{i}]: {name}: {json.dumps(value)}"
                                     f" recorded, {json.dumps(getattr(counted, name))} in the trials")
-        entries.append((counted, text))
-    return metrics_payload(task, entries, threshold, cap, expert_text)
+        program_path = cand_dir / f"iter_{row.final_iteration}" / "program.prog"
+        texts.append(ArtifactError.read_text(program_path, str(program_path)) if batches else None)
+    return metrics_payload(campaign, texts, expert_text)
 
 
 def dumps_metrics(payload: dict) -> str:

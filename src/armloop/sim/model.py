@@ -129,7 +129,7 @@ def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
 
 @dataclass
 class TrialSummary:
-    """A trial's last record. Metrics count on its fields, so each must hold
+    """A trial's last record. Metrics count on its fields, so each holds
     exactly its declared type (a bool is no int)."""
 
     goal_met: bool
@@ -137,9 +137,7 @@ class TrialSummary:
     n_events: int
 
     def __post_init__(self):
-        ArtifactError.check(self.goal_met, bool, "goal_met")
-        ArtifactError.check(self.seed, int, "seed")
-        ArtifactError.check(self.n_events, int, "n_events")
+        ArtifactError.check_fields(self)
 
 
 # A record is {"type", "trial_index", <the class's fields in declaration order>}.
@@ -229,10 +227,7 @@ def _record(line: str):
     if cls is None:
         raise ArtifactError("type", f"unknown record type {kind!r}")
     index = ArtifactError.check(rec.pop("trial_index", None), int, "trial_index")
-    try:
-        return index, cls(**rec)
-    except TypeError:  # a missing or an unexpected field
-        raise ArtifactError(kind, f"expected fields {_FIELDS[cls][1]}, got {list(rec)}") from None
+    return index, ArtifactError.build(cls, rec, kind)
 
 
 def load_trials(path) -> list[TrialLog]:

@@ -275,9 +275,9 @@ def test_acceptance_6_ablation_ordering_on_all_tasks():
             campaign = _ablation_campaign(task, mode)
             per_mode[mode].append(asr(campaign))
             if mode == "hybrid":
-                for cand in campaign.candidates:
-                    assert cand.result.converged, (task, cand.record.candidate_id)
-                    assert cand.result.cr_iter <= 3, (task, cand.record.candidate_id)
+                for row in campaign.record.candidates:
+                    assert row.converged, (task, row.candidate_id)
+                    assert row.cr_iter <= 3, (task, row.candidate_id)
     macro = {mode: sum(vals) / len(vals) for mode, vals in per_mode.items()}
     assert macro["one_shot"] <= macro["symbolic"] <= macro["hybrid"]
     assert macro["one_shot"] < macro["hybrid"]  # at least one strict inequality
@@ -414,14 +414,14 @@ def test_acceptance_8_cr_iter_boundaries():
         CampaignConfig(loop=loop_cfg([program_path("place_shoe", "correct")])),
     )
     assert cr_iter(one_shot) == 1.00
-    assert one_shot.candidates[0].result.converged
+    assert one_shot.record.candidates[0].converged
 
     stuck = run_campaign(
         spec,
         CampaignConfig(loop=loop_cfg([program_path("place_shoe", "loud")] * 5)),
     )
     assert cr_iter(stuck) == 5.0
-    assert not stuck.candidates[0].result.converged
+    assert not stuck.record.candidates[0].converged
     _ok(8, "cr_iter 1.00 one-shot, 5.00 at cap")
 
 

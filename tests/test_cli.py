@@ -99,6 +99,8 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"noise_scale": 100.5}', "noise_scale"),
     pytest.param('{"noise_scale": 1' + '0' * 400 + '}', "noise_scale", id="noise_scale_1e400"),
     pytest.param('{"n_trials": 1' + '0' * 5000 + '}', "config", id="n_trials_5001_digits"),
+    ('{"synthesis": {"backend": "mock"}, "verifier": {"backend": "mock"}}', "synthesis.playbook"),
+    ('{"candidates": [{"playbook": ["correct.prog"]}, {"candidate_id": 4}]}', "candidates[1].playbook"),
 ])
 def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     config = tmp_path / "bad.json"
@@ -133,7 +135,6 @@ def test_loop_bad_task_name_or_instruction_exits_two(tmp_path, capsys, field, va
     (["run", _task(), _prog("correct"), "--seed", "-1"], "--seed"),
     (["run", _task(), _prog("correct"), "--observation-cap", "2"], "--observation-cap"),
     (["run", _task(), _prog("correct"), "--noise-scale", "-1"], "--noise-scale"),
-    (["run", _task(), _prog("correct"), "--noise-scale", "nan"], "--noise-scale"),
     (["run", _task(), _prog("correct"), "--max-steps", "-1"], "--max-steps"),
     (["run", _task(), _prog("correct"), "--max-steps", "0"], "--max-steps"),
 ])
@@ -145,11 +146,12 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
 
 
 def test_infinite_noise_scale_exits_two(tmp_path, capsys):
-    argv = ["run", _task(), _prog("correct"), "--noise-scale", "inf", "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    assert ("error [config_error]: --noise-scale: expected a finite number, got inf"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+    for value in ("inf", "nan"):
+        argv = ["run", _task(), _prog("correct"), "--noise-scale", value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert (f"error [config_error]: --noise-scale: expected a finite number, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 def test_noise_scale_above_bound_exits_two(tmp_path, capsys):
@@ -287,6 +289,24 @@ def test_noisy_campaign_metrics_recompute(tmp_path, capsys, task, mode, cap):
     assert main(["metrics", str(tmp_path / task), "--check"]) == 0
 
 
+@pytest.mark.parametrize("stored, error", [
+    ("missing", "recomputed metrics.json differs from the stored file"),
+    ("not_utf8", "error [artifact_error]: METRICS: cannot read METRICS: "),
+    ("directory", "error [artifact_error]: METRICS: cannot read METRICS: Is a directory"),
+], ids=["missing", "not_utf8", "directory"])
+def test_metrics_check_of_unreadable_stored_file_exits_two(tmp_path, capsys, demo_run, stored, error):
+    run_dir = tmp_path / "run"
+    shutil.copytree(demo_run, run_dir)
+    metrics = run_dir / "metrics.json"
+    metrics.unlink()
+    if stored == "not_utf8":
+        metrics.write_bytes(b"\xff\xfe{}")
+    elif stored == "directory":
+        metrics.mkdir()
+    assert main(["metrics", str(run_dir), "--check"]) == 2
+    assert capsys.readouterr().err.startswith(error.replace("METRICS", str(metrics)))
+
+
 def test_metrics_missing_artifacts_exit_two(tmp_path, capsys):
     assert main(["metrics", str(tmp_path)]) == 2
 
@@ -369,6 +389,10 @@ CAMPAIGN_CASES = {
     "success_count_missing": _edit_campaign(lambda m: m["candidates"][0].pop("success_count")),
     "candidate_extra_key": _edit_campaign(lambda m: m["candidates"][0].update(seeds=[0])),
     "success_count_not_counted": _edit_campaign(lambda m: m["candidates"][0].update(success_count=3)),
+    "cr_iter_not_counted": _edit_campaign(lambda m: m["candidates"][1].update(cr_iter=1)),
+    "created_at_missing": _edit_campaign(lambda m: m.pop("created_at")),
+    "campaign_extra_key": _edit_campaign(lambda m: m.update(seed=0)),
+    "expert_program_not_str": _edit_campaign(lambda m: m.update(expert_program=5)),
 }
 
 

@@ -8,6 +8,8 @@ from armloop.dsl import parse
 from armloop.errors import NothingToFuseError
 from armloop.loop import (
     CampaignConfig,
+    CampaignRecord,
+    CandidateRecord,
     CandidateSpec,
     LoopConfig,
     RepairSignal,
@@ -168,11 +170,17 @@ def _loop_cfg(playbook, mode="hybrid", max_iterations=5, n_trials=10):
     )
 
 
+def _cr_iter(result, cfg):
+    """CR-Iter of a loop's batches, by the rule campaign.json rows are built with."""
+    batches = [(it.success_count, it.n_trials) for it in result.iterations]
+    return CandidateRecord.of(0, cfg.base_seed, batches, cfg.success_threshold, cfg.max_iterations, None).cr_iter
+
+
 def test_loop_buggy_then_fixed_converges_in_two(place_shoe_spec):
     cfg = _loop_cfg([program_path("place_shoe", "loud"), program_path("place_shoe", "correct")])
     result = run_loop(place_shoe_spec, cfg)
     assert result.converged
-    assert result.cr_iter == 2
+    assert _cr_iter(result, cfg) == 2
     assert result.iterations[0].success_count == 0
     assert result.iterations[1].success_count == 10
 
@@ -181,14 +189,14 @@ def test_loop_one_shot_success(place_shoe_spec):
     cfg = _loop_cfg([program_path("place_shoe", "correct")])
     result = run_loop(place_shoe_spec, cfg)
     assert result.converged
-    assert result.cr_iter == 1
+    assert _cr_iter(result, cfg) == 1
 
 
 def test_loop_permanently_broken_hits_cap(place_shoe_spec):
     cfg = _loop_cfg([program_path("place_shoe", "loud")] * 5)
     result = run_loop(place_shoe_spec, cfg)
     assert not result.converged
-    assert result.cr_iter == 5
+    assert _cr_iter(result, cfg) == 5
     assert len(result.iterations) == 5
 
 
@@ -204,11 +212,12 @@ def test_loop_fresh_seeds_per_iteration(place_shoe_spec):
 
 def test_loop_silent_failure_needs_perception(place_shoe_spec):
     playbook = [program_path("place_shoe", "silent"), program_path("place_shoe", "correct")]
-    hybrid = run_loop(place_shoe_spec, _loop_cfg(playbook, mode="hybrid"))
-    assert hybrid.converged and hybrid.cr_iter == 2
-    symbolic = run_loop(place_shoe_spec, _loop_cfg(playbook, mode="symbolic"))
+    hybrid_cfg, symbolic_cfg = _loop_cfg(playbook, mode="hybrid"), _loop_cfg(playbook, mode="symbolic")
+    hybrid = run_loop(place_shoe_spec, hybrid_cfg)
+    assert hybrid.converged and _cr_iter(hybrid, hybrid_cfg) == 2
+    symbolic = run_loop(place_shoe_spec, symbolic_cfg)
     assert not symbolic.converged
-    assert symbolic.cr_iter == 5
+    assert _cr_iter(symbolic, symbolic_cfg) == 5
 
 
 def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):
@@ -268,10 +277,34 @@ def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
         ],
     )
     campaign = run_campaign(place_shoe_spec, campaign_cfg)
-    assert campaign.candidates[0].record.error is not None
-    assert campaign.candidates[1].result.converged
-    assert campaign.had_agent_failure
+    failed, converged = campaign.record.candidates
+    assert failed.error is not None and campaign.loops[0] is None
+    assert converged.converged and converged.error is None
     assert asr(campaign) == 1.0  # errored candidate has no trials to count
+
+
+@pytest.mark.parametrize("batches, row", [
+    ([], (False, 0, 0, 0, 0)),  # an agent failure stopped the candidate
+    ([(10, 10)], (True, 1, 1, 10, 10)),
+    ([(0, 10), (6, 10)], (True, 2, 2, 6, 10)),
+    ([(5, 10), (5, 10)], (False, 5, 2, 5, 10)),  # a rate at the threshold does not converge
+    ([(0, 0)], (False, 5, 1, 0, 0)),  # nor does an empty batch
+    ([(6, 10), (0, 10)], (True, 1, 2, 0, 10)),  # CR-Iter is the first converging iteration
+])
+def test_candidate_record_of_applies_the_convergence_rule(batches, row):
+    record = CandidateRecord.of(3, 30, batches, 0.5, 5, None)
+    assert (record.candidate_id, record.base_seed, record.error) == (3, 30, None)
+    assert (record.converged, record.cr_iter, record.final_iteration,
+            record.success_count, record.n_trials) == row
+
+
+def test_campaign_json_is_the_campaign_record(tmp_path, place_shoe_spec):
+    campaign = run_campaign(place_shoe_spec, _campaign_cfg("place_shoe"), out_dir=tmp_path)
+    raw = json.loads((tmp_path / "campaign.json").read_text())
+    assert list(raw) == ["task", "created_at", "n_trials", "success_threshold", "max_iterations",
+                         "expert_program", "candidates"]
+    assert CampaignRecord.from_json(raw, "campaign.json") == campaign.record
+    assert [row.cr_iter for row in campaign.record.candidates] == [2, 2, 1]
 
 
 def test_campaign_asr_arithmetic(place_shoe_spec):
@@ -283,7 +316,7 @@ def test_campaign_asr_arithmetic(place_shoe_spec):
 def test_campaign_single_candidate_equals_run_loop(place_shoe_spec):
     loop_cfg = _loop_cfg([program_path("place_shoe", "correct")])
     campaign = run_campaign(place_shoe_spec, CampaignConfig(loop=loop_cfg))
-    assert len(campaign.candidates) == 1
+    assert len(campaign.record.candidates) == 1
     assert asr(campaign) == 1.0
     assert cr_iter(campaign) == 1.0
 

@@ -6,10 +6,9 @@ import pytest
 from armloop.dsl import ParallelStmt, parse
 from armloop.errors import EmptyCampaignError
 from armloop.loop import (
+    CampaignRecord,
     CampaignResult,
     CandidateRecord,
-    CandidateResult,
-    CandidateSpec,
     IterationRecord,
     LoopResult,
 )
@@ -32,21 +31,18 @@ _FIXTURE_PROGRAM = parse('program t\nsubgoal "s"\n  open_gripper(left)\n')
 
 
 def make_campaign(rows, n_trials=10, cap=5):
-    """rows: (success_count, cr_iter, converged) per candidate."""
-    campaign = CampaignResult(
-        task="fixture", n_trials=n_trials, success_threshold=0.5, max_iterations=cap
-    )
+    """rows: (success_count, cr_iter, converged) per candidate, each taken
+    as given: the metrics aggregate the rows and do not re-derive them."""
+    record = CampaignRecord("fixture", "", n_trials, 0.5, cap, None, [])
+    loops = []
     for cid, (success, cr, converged) in enumerate(rows):
-        record = IterationRecord(
-            index=cr, program=None, instrumented=None,
+        record.candidates.append(CandidateRecord(cid, cid * 100, converged, cr, cr, success, n_trials, None))
+        final = IterationRecord(
+            index=cr, program=_FIXTURE_PROGRAM, instrumented=None,
             success_count=success, n_trials=n_trials, logs=[], selection=None,
         )
-        result = LoopResult(
-            iterations=[record], converged=converged, final_program=_FIXTURE_PROGRAM, cr_iter=cr
-        )
-        cand = CandidateSpec(cid, cid * 100)
-        campaign.candidates.append(CandidateResult(CandidateRecord.of(cand, result), result))
-    return campaign
+        loops.append(LoopResult(iterations=[final], converged=converged))
+    return CampaignResult(record, loops)
 
 
 def asr(campaign):
@@ -116,7 +112,7 @@ def test_metric_invariance_under_reordering():
 
 
 def test_empty_campaign_errors():
-    campaign = CampaignResult(task="x", n_trials=0, success_threshold=0.5, max_iterations=5)
+    campaign = make_campaign([])
     for fn in (asr, top5_asr, cr_iter):
         with pytest.raises(EmptyCampaignError):
             fn(campaign)
@@ -124,7 +120,7 @@ def test_empty_campaign_errors():
 
 def test_metrics_payload_reports_null_for_model_metrics():
     campaign = make_campaign([(10, 1, True)])
-    campaign.candidates[0].result.final_program = parse(
+    campaign.loops[0].iterations[-1].program = parse(
         program_path("place_shoe", "correct").read_text()
     )
     payload = metrics_from_campaign(campaign)
@@ -249,7 +245,7 @@ def test_node_count_consistency_with_tree(place_shoe_spec):
     for _ in range(20):
         program = random_program(rng)
         campaign = make_campaign([(10, 1, True)])
-        campaign.candidates[0].result.final_program = program
+        campaign.loops[0].iterations[-1].program = program
         payload = metrics_from_campaign(campaign)
         assert payload["per_candidate"][0]["node_count"] == _count_nodes(program)
         assert payload["node_count"] == _count_nodes(program)
