@@ -137,8 +137,9 @@ def cmd_metrics(args) -> int:
     stored = Path(args.run_dir) / "metrics.json"
     try:
         text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
-        _write_out(args.out, text)
+        # Compared before --out is written: it may name the stored file itself.
         matches = args.check and stored.exists() and ArtifactError.read_text(stored, str(stored)) == text
+        _write_out(args.out, text)
     except (ArmloopError, OSError) as exc:
         return _input_error(exc)
     if args.check:

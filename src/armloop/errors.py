@@ -30,6 +30,7 @@ _JSON_NAMES = {
 # A record field's declared type, as its annotation reads, -> the JSON values it holds.
 _DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list,
              "str | None": (str, NoneType)}
+_RECORD_FIELDS: dict = {}  # record class -> [(field name, JSON values)], filled on first use
 _REQUIRED = object()
 
 
@@ -119,8 +120,11 @@ class FieldError(ArmloopError):
         """Each field of a dataclass record checked against its declared
         type as check() does (an int in a float field becomes a float), so
         that a record holds exactly its declared types."""
-        for f in fields(record):
-            setattr(record, f.name, cls.check(getattr(record, f.name), _DECLARED[f.type], f.name))
+        declared = _RECORD_FIELDS.get(type(record))
+        if declared is None:  # fields() is slow, and a trial record is made per trial
+            declared = _RECORD_FIELDS[type(record)] = [(f.name, _DECLARED[f.type]) for f in fields(record)]
+        for name, kind in declared:
+            setattr(record, name, cls.check(getattr(record, name), kind, name))
 
     @classmethod
     def build(cls, record_type, raw, where: str):

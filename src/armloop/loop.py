@@ -588,5 +588,6 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConf
         where = next((f"candidates[{i}].playbook" for i, c in enumerate(candidates) if not c.playbook),
                      None if candidates else "synthesis.playbook")
         if where is not None:
-            raise ConfigError(where, "the mock synthesizer needs a playbook, the candidate's or synthesis.playbook")
+            raise ConfigError(where, "the mock synthesizer needs a playbook: the candidate's own"
+                                     " or synthesis.playbook")
     return CampaignConfig(loop=loop_cfg, candidates=candidates, expert_program=expert)

@@ -286,12 +286,6 @@ def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = No
     return metrics_payload(campaign.record, texts, expert_text)
 
 
-def _batch(path: Path) -> tuple[int, int]:
-    """(goal-met count, trials) of an iteration's trials.jsonl."""
-    logs = load_trials(path)
-    return sum(1 for log in logs if log.goal_met), len(logs)
-
-
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
     payload written at run time byte for byte. Each candidate's row is
@@ -312,7 +306,9 @@ def metrics_from_artifacts(run_dir) -> dict:
     texts = []
     for i, row in enumerate(campaign.candidates):
         cand_dir = run_dir / f"cand_{row.candidate_id}"
-        batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl") for k in range(1, row.final_iteration + 1)]
+        trial_logs = (load_trials(cand_dir / f"iter_{k}" / "trials.jsonl")
+                      for k in range(1, row.final_iteration + 1))
+        batches = [(sum(1 for log in logs if log.goal_met), len(logs)) for logs in trial_logs]
         counted = CandidateRecord.of(row.candidate_id, row.base_seed, batches, campaign.success_threshold,
                                      campaign.max_iterations, row.error)
         for name, value in asdict(row).items():

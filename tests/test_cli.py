@@ -307,6 +307,16 @@ def test_metrics_check_of_unreadable_stored_file_exits_two(tmp_path, capsys, dem
     assert capsys.readouterr().err.startswith(error.replace("METRICS", str(metrics)))
 
 
+def test_metrics_check_compares_before_out_overwrites_the_stored_file(tmp_path, capsys, demo_run):
+    run_dir = tmp_path / "run"
+    shutil.copytree(demo_run, run_dir)
+    stored = run_dir / "metrics.json"
+    stored.write_text('{"asr": 0}\n')
+    assert main(["metrics", str(run_dir), "--check", "--out", str(stored)]) == 2
+    assert "recomputed metrics.json differs from the stored file" in capsys.readouterr().err
+    assert stored.read_bytes() == (demo_run / "metrics.json").read_bytes()
+
+
 def test_metrics_missing_artifacts_exit_two(tmp_path, capsys):
     assert main(["metrics", str(tmp_path)]) == 2
 
