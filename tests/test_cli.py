@@ -135,23 +135,25 @@ def test_loop_bad_task_name_or_instruction_exits_two(tmp_path, capsys, field, va
     (["run", _task(), _prog("correct"), "--seed", "-1"], "--seed"),
     (["run", _task(), _prog("correct"), "--observation-cap", "2"], "--observation-cap"),
     (["run", _task(), _prog("correct"), "--noise-scale", "-1"], "--noise-scale"),
+    (["run", _task(), _prog("correct"), "--noise-scale", "nan"], "--noise-scale"),
     (["run", _task(), _prog("correct"), "--max-steps", "-1"], "--max-steps"),
     (["run", _task(), _prog("correct"), "--max-steps", "0"], "--max-steps"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"error [config_error]: {flag}: must be at least" in capsys.readouterr().err
+    # nan is not below any bound, so it is refused as not finite
+    reason = "expected a finite number, got nan" if argv[-1] == "nan" else "must be at least"
+    assert f"error [config_error]: {flag}: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_infinite_noise_scale_exits_two(tmp_path, capsys):
-    for value in ("inf", "nan"):
-        argv = ["run", _task(), _prog("correct"), "--noise-scale", value, "--out", str(tmp_path / "out")]
-        assert main(argv) == 2
-        assert (f"error [config_error]: --noise-scale: expected a finite number, got {value}"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
+    argv = ["run", _task(), _prog("correct"), "--noise-scale", "inf", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert ("error [config_error]: --noise-scale: expected a finite number, got inf"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_noise_scale_above_bound_exits_two(tmp_path, capsys):
