@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import BadArgError, DslSyntaxError, UnknownApiError
+from ..scene import ARM_TAGS
 from .ast import (
     API_SIGNATURES,
     ARM,
@@ -37,8 +38,6 @@ from .ast import (
     SubgoalBlock,
     renumber,
 )
-
-ARM_NAMES = ("left", "right")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -307,7 +306,7 @@ def _coerce(kind, value, name: str, line: int):
             raise BadArgError(f"argument {name!r} expects an identifier", line)
         return str(value)
     if kind == ARM:
-        if not isinstance(value, str) or value not in ARM_NAMES:
+        if not isinstance(value, str) or value not in ARM_TAGS:
             raise BadArgError(f"argument {name!r} expects left or right", line)
         return str(value)
     if kind == STRING:

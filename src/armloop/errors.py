@@ -80,9 +80,10 @@ class FieldError(ArmloopError):
             return text
 
     @classmethod
-    def check(cls, value, kind, where: str, minimum=None, above=None, maximum=None):
-        """value if it is of kind (a type or a tuple of types) and within the
-        bounds; an int read as a float field comes back as a float."""
+    def check(cls, value, kind, where: str, minimum=None, above=None, maximum=None, choices=None):
+        """value if it is of kind (a type or a tuple of types), within the
+        bounds and, given choices, one of them; an int read as a float field
+        comes back as a float."""
         t = type(value)
         if t is not kind:
             kinds = kind if type(kind) is tuple else (kind,)
@@ -99,18 +100,20 @@ class FieldError(ArmloopError):
             raise cls(where, f"must be above {above}, got {value!r}")
         if maximum is not None and value > maximum:
             raise cls(where, f"must be at most {maximum}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise cls(where, f"expected one of {list(choices)}, got {value!r}")
         return value
 
     @classmethod
     def get(cls, obj, key: str, kind, where: str = "", default=_REQUIRED,
-            minimum=None, above=None, maximum=None):
+            minimum=None, above=None, maximum=None, choices=None):
         """obj[key] checked as check() does, named where.key; a missing key
         gives default, or raises when no default is given."""
         if type(obj) is not dict:
             raise cls(where, f"expected an object, got {obj!r}")
         at = f"{where}.{key}" if where else key
         if key in obj:
-            return cls.check(obj[key], kind, at, minimum, above, maximum)
+            return cls.check(obj[key], kind, at, minimum, above, maximum, choices)
         if default is _REQUIRED:
             raise cls(at, "missing required field")
         return default
@@ -175,14 +178,11 @@ class UnknownActorError(ArmloopError):
         self.actor = actor
 
 
-class UnknownPointError(ArmloopError):
-    code = "unknown_point"
+class UnknownPointError(FieldError):
+    """A point ref names a point its actor does not have; in a task file,
+    names the reference."""
 
-    def __init__(self, actor: str, category: str, point_id: int):
-        super().__init__(f"actor {actor!r} has no {category} point {point_id}")
-        self.actor = actor
-        self.category = category
-        self.point_id = point_id
+    code = "unknown_point"
 
 
 class DslSyntaxError(ArmloopError):

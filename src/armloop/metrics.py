@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
-from .errors import ArtifactError, EmptyCampaignError
+from .errors import ArtifactError, DslSyntaxError, EmptyCampaignError
 from .loop import CampaignRecord, CampaignResult, CandidateRecord
 from .sim.model import load_trials
 
@@ -214,10 +214,11 @@ def ast_similarity(a: Program | FlatTree, b: Program | FlatTree) -> float:
 # --- metrics.json -------------------------------------------------------------
 
 
-def metrics_payload(campaign: CampaignRecord, texts: list, expert_text: str | None) -> dict:
+def metrics_payload(campaign: CampaignRecord, programs: list, expert: FlatTree | None) -> dict:
     """ASR, Top5-ASR, CR-Iter and the code-structure metrics of a campaign
-    record and its candidates' final program texts (None where a candidate
-    has none), as a live campaign or its artifacts give them."""
+    record, its candidates' final programs as (text, flattened tree) pairs
+    (None where a candidate has none) and the expert program's tree, as a
+    live campaign or its artifacts give them."""
     scored = [r for r in campaign.candidates if r.error is None and r.n_trials > 0]
     if not scored:
         raise EmptyCampaignError("campaign has no candidates with executed trials")
@@ -229,13 +230,12 @@ def metrics_payload(campaign: CampaignRecord, texts: list, expert_text: str | No
         key=lambda rc: (-rc[0], rc[1]),
     )
     top = rates[:5]
-    expert_tree = flatten(program_tree(parse(expert_text))) if expert_text else None
 
     per_candidate = []
     token_lens = []
     node_counts = []
     similarities = []
-    for r, text in zip(campaign.candidates, texts):
+    for r, program in zip(campaign.candidates, programs):
         row = {
             "candidate_id": r.candidate_id,
             "success_count": r.success_count,
@@ -248,14 +248,14 @@ def metrics_payload(campaign: CampaignRecord, texts: list, expert_text: str | No
             "node_count": None,
             "ast_similarity_vs_expert": None,
         }
-        if text:
-            tree = flatten(program_tree(parse(text)))
+        if program:
+            text, tree = program
             row["token_len"] = count_tokens(text)
             row["node_count"] = len(tree)
             token_lens.append(row["token_len"])
             node_counts.append(row["node_count"])
-            if expert_tree is not None:
-                row["ast_similarity_vs_expert"] = ast_similarity(tree, expert_tree)
+            if expert is not None:
+                row["ast_similarity_vs_expert"] = ast_similarity(tree, expert)
                 similarities.append(row["ast_similarity_vs_expert"])
         per_candidate.append(row)
 
@@ -283,7 +283,18 @@ def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = No
     from .dsl.printer import to_text
 
     texts = [to_text(loop.iterations[-1].program) if loop else None for loop in campaign.loops]
-    return metrics_payload(campaign.record, texts, expert_text)
+    programs = [(text, flatten(program_tree(parse(text)))) if text else None for text in texts]
+    expert = flatten(program_tree(parse(expert_text))) if expert_text else None
+    return metrics_payload(campaign.record, programs, expert)
+
+
+def _persisted_tree(text: str, path) -> FlatTree:
+    """The flattened tree of a program text read from the file path; one
+    that does not parse raises ArtifactError naming the file."""
+    try:
+        return flatten(program_tree(parse(text)))
+    except DslSyntaxError as exc:
+        raise ArtifactError(str(path), str(exc)) from None
 
 
 def metrics_from_artifacts(run_dir) -> dict:
@@ -302,8 +313,9 @@ def metrics_from_artifacts(run_dir) -> dict:
     campaign = CampaignRecord.from_json(ArtifactError.read_json(campaign_path, where), where)
     expert_text = (ArtifactError.read_text(campaign.expert_program, f"{where}: expert_program")
                    if campaign.expert_program else None)
+    expert = _persisted_tree(expert_text, campaign.expert_program) if expert_text else None
 
-    texts = []
+    programs = []
     for i, row in enumerate(campaign.candidates):
         cand_dir = run_dir / f"cand_{row.candidate_id}"
         trial_logs = (load_trials(cand_dir / f"iter_{k}" / "trials.jsonl")
@@ -316,8 +328,9 @@ def metrics_from_artifacts(run_dir) -> dict:
                 raise ArtifactError(where, f"candidates[{i}]: {name}: {json.dumps(value)}"
                                     f" recorded, {json.dumps(getattr(counted, name))} in the trials")
         program_path = cand_dir / f"iter_{row.final_iteration}" / "program.prog"
-        texts.append(ArtifactError.read_text(program_path, str(program_path)) if batches else None)
-    return metrics_payload(campaign, texts, expert_text)
+        text = ArtifactError.read_text(program_path, str(program_path)) if batches else None
+        programs.append((text, _persisted_tree(text, program_path)) if text else None)
+    return metrics_payload(campaign, programs, expert)
 
 
 def dumps_metrics(payload: dict) -> str:

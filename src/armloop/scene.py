@@ -22,6 +22,7 @@ from types import NoneType
 import numpy as np
 
 from .errors import (
+    FieldError,
     TaskParseError,
     TaskSchemaError,
     UnknownActorError,
@@ -86,28 +87,16 @@ class Actor:
     util_axis: Vec3
 
     def points(self, category: str) -> tuple[LocalPoint, ...]:
-        if category == "contact":
-            return self.contact_points
-        if category == "functional":
-            return self.functional_points
-        if category == "utility":
-            return self.utility_points
-        raise ValueError(f"unknown point category {category!r}")
+        return getattr(self, f"{category}_points")
 
-    def point(self, category: str, point_id: int) -> LocalPoint:
+    def point(self, category: str, point_id: int, where: str = "") -> LocalPoint:
         for pt in self.points(category):
             if pt.id == point_id:
                 return pt
-        raise UnknownPointError(self.name, category, point_id)
+        raise UnknownPointError(where, f"actor {self.name!r} has no {category} point {point_id}")
 
     def axis(self, category: str) -> Vec3:
-        if category == "grasp":
-            return self.grasp_axis
-        if category == "place":
-            return self.place_axis
-        if category == "util":
-            return self.util_axis
-        raise ValueError(f"unknown axis category {category!r}")
+        return getattr(self, f"{category}_axis")
 
 
 # --- goal predicates ------------------------------------------------------
@@ -351,132 +340,92 @@ def _load_actor(raw: dict, idx: int) -> Actor:
     return actor
 
 
-def _parse_point_ref(raw, where: str) -> PointRef:
-    if isinstance(raw, str):
-        # Compact "actor.category.id" form, also used by annotations.
+def _ref(raw, actors: dict[str, Actor], where: str, categories: tuple) -> PointRef | AxisRef:
+    """A point ref (categories POINT_CATEGORIES: actor, category and id) or
+    an axis ref (AXIS_CATEGORIES: actor and category) to an actor, category
+    and point that exist. The compact string "actor.category[.id]" is read
+    as the object it stands for; its errors name the string."""
+    keys = ("actor", "category", "id")[:3 if categories is POINT_CATEGORIES else 2]
+    if type(raw) is str:
         parts = raw.split(".")
-        if len(parts) != 3 or parts[1] not in POINT_CATEGORIES:
-            raise TaskSchemaError(where, f"bad point ref {raw!r}")
-        return PointRef(parts[0], parts[1], _check(TaskSchemaError.literal(parts[2]), int, where))
-    cat = _get(raw, "category", str, where)
-    if cat not in POINT_CATEGORIES:
-        raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return PointRef(_get(raw, "actor", str, where), cat, _get(raw, "id", int, where))
+        if len(parts) != len(keys):
+            raise TaskSchemaError(where, f"expected {'.'.join(keys)}, got {raw!r}")
+        try:
+            return _ref(dict(zip(keys, [*parts[:2], *map(TaskSchemaError.literal, parts[2:])])),
+                        actors, raw, categories)
+        except FieldError as exc:
+            raise type(exc)(where, str(exc)) from None
+    actor = _get(raw, "actor", str, where, choices=actors)
+    category = _get(raw, "category", str, where, choices=categories)
+    if len(keys) == 2:
+        return AxisRef(actor, category)
+    point_id = _get(raw, "id", int, where)
+    actors[actor].point(category, point_id, f"{where}.id")
+    return PointRef(actor, category, point_id)
 
 
-def _parse_axis_ref(raw, where: str) -> AxisRef:
-    if isinstance(raw, str):
-        parts = raw.split(".")
-        if len(parts) != 2 or parts[1] not in AXIS_CATEGORIES:
-            raise TaskSchemaError(where, f"bad axis ref {raw!r}")
-        return AxisRef(parts[0], parts[1])
-    cat = _get(raw, "category", str, where)
-    if cat not in AXIS_CATEGORIES:
-        raise TaskSchemaError(f"{where}.category", f"bad category {cat!r}")
-    return AxisRef(_get(raw, "actor", str, where), cat)
-
-
-def parse_predicate(raw: dict, where: str = "goal") -> Predicate:
+def parse_predicate(raw: dict, actors: dict[str, Actor], where: str) -> Predicate:
+    """The predicate a JSON tree states, each actor, point and axis it names
+    checked against the actors as it is read; an error names the field."""
     op = _get(raw, "op", str, where).lower()
     if op in ("all", "any"):
         children = tuple(
-            parse_predicate(c, f"{where}.children[{i}]")
+            parse_predicate(c, actors, f"{where}.children[{i}]")
             for i, c in enumerate(_get(raw, "children", list, where))
         )
         return All(children) if op == "all" else Any_(children)
-    if op == "near":
-        tol = _get(raw, "tol", float, where, above=0)
-        return Near(_parse_point_ref(_get(raw, "a", (str, dict), where), f"{where}.a"),
-                    _parse_point_ref(_get(raw, "b", (str, dict), where), f"{where}.b"), tol)
-    if op == "aligned":
-        tol = _get(raw, "tol", float, where, above=0)
-        return Aligned(_parse_axis_ref(_get(raw, "a", (str, dict), where), f"{where}.a"),
-                       _parse_axis_ref(_get(raw, "b", (str, dict), where), f"{where}.b"), tol)
+    if op in ("near", "aligned"):
+        categories = POINT_CATEGORIES if op == "near" else AXIS_CATEGORIES
+        a, b = (_ref(_get(raw, key, (str, dict), where), actors, f"{where}.{key}", categories) for key in "ab")
+        return (Near if op == "near" else Aligned)(a, b, _get(raw, "tol", float, where, above=0))
     if op == "held":
-        arm = _get(raw, "arm", str, where)
-        if arm not in ARM_TAGS:
-            raise TaskSchemaError(f"{where}.arm", f"bad arm {arm!r}")
-        return Held(_get(raw, "actor", str, where), arm)
+        return Held(_get(raw, "actor", str, where, choices=actors), _get(raw, "arm", str, where, choices=ARM_TAGS))
     if op == "free":
-        return Free(_get(raw, "actor", str, where))
+        return Free(_get(raw, "actor", str, where, choices=actors))
     if op == "above":
-        dz = _get(raw, "min_dz", float, where, above=0)
-        return Above(_get(raw, "a", str, where), _get(raw, "b", str, where), dz)
+        a, b = (_get(raw, key, str, where, choices=actors) for key in "ab")
+        return Above(a, b, _get(raw, "min_dz", float, where, above=0))
     raise TaskSchemaError(f"{where}.op", f"unknown predicate op {op!r}")
 
 
-# Subgoal annotation, e.g. "grasp the shoe [HELD(shoe)]". HELD without an
-# arm expands to "held by either arm".
-_ANNOTATION_RE = re.compile(r"\s*\[(HELD|FREE|NEAR|ABOVE)\(([^\]]*)\)\]\s*$")
+# Subgoal annotation, e.g. "grasp the shoe [HELD(shoe)]": shorthand for the
+# JSON predicate of its kind whose fields are its arguments, in this order.
+_ANNOTATION_FIELDS = {"HELD": ("actor", "arm"), "FREE": ("actor",), "NEAR": ("a", "b", "tol"),
+                      "ABOVE": ("a", "b", "min_dz")}
+_ANNOTATION_RE = re.compile(rf"\s*\[({'|'.join(_ANNOTATION_FIELDS)})\(([^\]]*)\)\]\s*$")
 
 
-def _parse_annotation(kind: str, args_text: str, where: str) -> Predicate:
-    args = [a.strip() for a in args_text.split(",")] if args_text.strip() else []
-    if kind == "HELD":
-        if len(args) == 1:
-            return Any_(tuple(Held(args[0], arm) for arm in ARM_TAGS))
-        if len(args) == 2 and args[1] in ARM_TAGS:
-            return Held(args[0], args[1])
-        raise TaskSchemaError(where, f"bad HELD annotation args {args_text!r}")
-    if kind == "FREE":
-        if len(args) != 1:
-            raise TaskSchemaError(where, f"bad FREE annotation args {args_text!r}")
-        return Free(args[0])
-    if kind == "NEAR":
-        if len(args) != 3:
-            raise TaskSchemaError(where, f"bad NEAR annotation args {args_text!r}")
-        return Near(_parse_point_ref(args[0], where), _parse_point_ref(args[1], where),
-                    _check(TaskSchemaError.literal(args[2]), float, where, above=0))
-    if kind == "ABOVE":
-        if len(args) != 3:
-            raise TaskSchemaError(where, f"bad ABOVE annotation args {args_text!r}")
-        return Above(args[0], args[1], _check(TaskSchemaError.literal(args[2]), float, where, above=0))
-    raise TaskSchemaError(where, f"unknown annotation {kind!r}")
+def _annotation(kind: str, args: list[str], where: str) -> dict:
+    """The JSON predicate an annotation stands for. An omitted arm (HELD's
+    last argument) stands for either arm."""
+    fields = _ANNOTATION_FIELDS[kind]
+    if fields[-1] == "arm" and len(args) == len(fields) - 1:
+        return {"op": "any", "children": [_annotation(kind, [*args, arm], where) for arm in ARM_TAGS]}
+    if len(args) != len(fields):
+        raise TaskSchemaError(where, f"expected the arguments {', '.join(fields)}")
+    return {"op": kind.lower(), **{field: TaskSchemaError.literal(arg) if field in ("tol", "min_dz") else arg
+                                   for field, arg in zip(fields, args)}}
 
 
-def _load_subgoal(raw, idx: int) -> SubgoalTemplate:
+def _load_subgoal(raw, idx: int, actors: dict[str, Actor]) -> SubgoalTemplate:
     where = f"subgoals[{idx}]"
     if isinstance(raw, str):
         m = _ANNOTATION_RE.search(raw)
-        if m:
-            checkpoint = _parse_annotation(m.group(1), m.group(2), where)
-            return SubgoalTemplate(raw[: m.start()].rstrip(), checkpoint)
-        return SubgoalTemplate(raw)
+        if not m:
+            return SubgoalTemplate(raw)
+        kind, args_text = m.groups()
+        args = [a.strip() for a in args_text.split(",")] if args_text.strip() else []
+        annotation = f"{kind}({args_text})"
+        try:
+            checkpoint = parse_predicate(_annotation(kind, args, annotation), actors, annotation)
+        except FieldError as exc:  # the task file has no field for it to name
+            raise type(exc)(where, str(exc)) from None
+        return SubgoalTemplate(raw[: m.start()].rstrip(), checkpoint)
     text = _get(raw, "text", str, where)
     checkpoint = _get(raw, "checkpoint", (dict, NoneType), where, default=None)
     if checkpoint is not None:
-        checkpoint = parse_predicate(checkpoint, f"{where}.checkpoint")
+        checkpoint = parse_predicate(checkpoint, actors, f"{where}.checkpoint")
     return SubgoalTemplate(text, checkpoint)
-
-
-def _predicate_actor_refs(pred: Predicate):
-    if isinstance(pred, (All, Any_)):
-        for c in pred.children:
-            yield from _predicate_actor_refs(c)
-    elif isinstance(pred, Near):
-        yield pred.a.actor
-        yield pred.b.actor
-    elif isinstance(pred, Aligned):
-        yield pred.a.actor
-        yield pred.b.actor
-    elif isinstance(pred, (Held, Free)):
-        yield pred.actor
-    elif isinstance(pred, Above):
-        yield pred.a
-        yield pred.b
-
-
-def _check_predicate_refs(pred: Predicate, actors: dict[str, Actor], where: str):
-    for name in _predicate_actor_refs(pred):
-        if name not in actors:
-            raise TaskSchemaError(where, f"references unknown actor {name!r}")
-    # Point/axis existence is part of the same well-formedness check.
-    if isinstance(pred, (All, Any_)):
-        for i, c in enumerate(pred.children):
-            _check_predicate_refs(c, actors, f"{where}.children[{i}]")
-    elif isinstance(pred, Near):
-        for ref in (pred.a, pred.b):
-            actors[ref.actor].point(ref.category, ref.id)
 
 
 def load_task_spec(path) -> TaskSpec:
@@ -498,10 +447,10 @@ def load_task_spec(path) -> TaskSpec:
     raw_subgoals = _get(raw, "subgoals", list)
     if not raw_subgoals:
         raise TaskSchemaError("subgoals", "at least one subgoal template required")
-    subgoals = [_load_subgoal(s, i) for i, s in enumerate(raw_subgoals)]
-
-    goal = parse_predicate(_get(raw, "goal", dict), "goal")
-    _check_predicate_refs(goal, actors, "goal")
+    subgoals = [_load_subgoal(s, i, actors) for i, s in enumerate(raw_subgoals)]
+    goal = parse_predicate(_get(raw, "goal", dict), actors, "goal")
+    if subgoals[-1].checkpoint is None:  # the final subgoal's defaults to the goal
+        subgoals[-1].checkpoint = goal
 
     raw_noise = _get(raw, "noise", dict, default={})
     noise = NoiseSpec(**{
@@ -526,13 +475,5 @@ def load_task_spec(path) -> TaskSpec:
         if tag not in ARM_TAGS:
             raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
         homes[tag] = _load_pose(raw_homes, tag, "arm_home")
-
-    # Checkpoints: explicit entries override; the final subgoal defaults to
-    # the task goal.
-    for i, sg in enumerate(subgoals):
-        if sg.checkpoint is None and i == len(subgoals) - 1:
-            sg.checkpoint = goal
-        if sg.checkpoint is not None:
-            _check_predicate_refs(sg.checkpoint, actors, f"subgoals[{i}].checkpoint")
     return TaskSpec(name, instruction, actors, subgoals, goal, noise, workspaces, homes,
                     place_tolerance)

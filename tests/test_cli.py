@@ -408,6 +408,27 @@ CAMPAIGN_CASES = {
 }
 
 
+def _unparsable_final_program(run_dir):
+    final = json.loads((run_dir / "campaign.json").read_text())["candidates"][0]["final_iteration"]
+    path = run_dir / "cand_0" / f"iter_{final}" / "program.prog"
+    path.write_text("program x\n")
+    return path
+
+
+def _unparsable_expert_program(run_dir):
+    path = run_dir / "expert.prog"
+    path.write_text("program x\n")
+    _edit_campaign(lambda m: m.update(expert_program=str(path)))(run_dir / "campaign.json")
+    return path
+
+
+# Each breaks a program file that metrics reads and returns its path.
+PROGRAM_CASES = {
+    "final_program_not_parsed": _unparsable_final_program,
+    "expert_program_not_parsed": _unparsable_expert_program,
+}
+
+
 @pytest.fixture(scope="module")
 def demo_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo")
@@ -422,17 +443,20 @@ def _mutate_lines(path, mutate):
     path.write_text("".join(lines))
 
 
-@pytest.mark.parametrize("case", [*TRIALS_CASES, *CAMPAIGN_CASES])
+@pytest.mark.parametrize("case", [*TRIALS_CASES, *CAMPAIGN_CASES, *PROGRAM_CASES])
 def test_metrics_malformed_artifact_exits_two(tmp_path, capsys, demo_run, case):
     run_dir = tmp_path / "run"
     shutil.copytree(demo_run, run_dir)
+    where = run_dir / "campaign.json"
     if case in TRIALS_CASES:
-        _mutate_lines(run_dir / "cand_0" / "iter_1" / "trials.jsonl", TRIALS_CASES[case])
+        where = run_dir / "cand_0" / "iter_1" / "trials.jsonl"
+        _mutate_lines(where, TRIALS_CASES[case])
+    elif case in CAMPAIGN_CASES:
+        CAMPAIGN_CASES[case](where)
     else:
-        CAMPAIGN_CASES[case](run_dir / "campaign.json")
+        where = PROGRAM_CASES[case](run_dir)
     assert main(["metrics", str(run_dir)]) == 2
     captured = capsys.readouterr()
-    where = run_dir / ("cand_0/iter_1/trials.jsonl" if case in TRIALS_CASES else "campaign.json")
     assert captured.err.startswith(f"error [artifact_error]: {where}")
     assert not captured.out
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,61 @@ def test_malformed_field_is_schema_error_naming_it(tmp_path, path, value, field)
     assert err.value.field == field
 
 
+def _load_edited(tmp_path, edit):
+    """The place_shoe task with edit applied to its JSON, loaded."""
+    raw = json.loads(task_path("place_shoe").read_text())
+    edit(raw)
+    path = tmp_path / "edited.task.json"
+    path.write_text(json.dumps(raw))
+    return load_task_spec(path)
+
+
+@pytest.mark.parametrize("annotation, twin, expected", [
+    ("HELD(shoe)", {"op": "any", "children": [{"op": "held", "actor": "shoe", "arm": "left"},
+                                              {"op": "held", "actor": "shoe", "arm": "right"}]},
+     Any_((Held("shoe", "left"), Held("shoe", "right")))),
+    ("HELD(shoe, right)", {"op": "held", "actor": "shoe", "arm": "right"}, Held("shoe", "right")),
+    ("FREE(target_block)", {"op": "free", "actor": "target_block"}, Free("target_block")),
+    ("NEAR(shoe.functional.0, target_block.functional.0, 0.02)",
+     {"op": "near", "a": {"actor": "shoe", "category": "functional", "id": 0},
+      "b": "target_block.functional.0", "tol": 0.02},
+     Near(PointRef("shoe", "functional", 0), PointRef("target_block", "functional", 0), 0.02)),
+    ("ABOVE(shoe, target_block, 1)", {"op": "above", "a": "shoe", "b": "target_block", "min_dz": 1.0},
+     Above("shoe", "target_block", 1.0)),
+])
+def test_annotation_is_its_json_predicate(tmp_path, annotation, twin, expected):
+    def edit(raw):
+        raw["subgoals"] = [f"move the shoe [{annotation}]", {"text": "move the shoe", "checkpoint": twin}]
+    short, long = _load_edited(tmp_path, edit).subgoals
+    assert short.text == long.text
+    assert short.checkpoint == long.checkpoint == expected
+
+
+_FREE_MUG = {"op": "all", "children": [{"op": "free", "actor": "shoe"}, {"op": "free", "actor": "mug"}]}
+_NO_SUCH_POINT = {"op": "near", "a": "shoe.functional.0",
+                  "b": {"actor": "target_block", "category": "functional", "id": 3}, "tol": 0.02}
+
+
+@pytest.mark.parametrize("path, value, error, field", [
+    (("goal", "children", 1, "actor"), "mug", TaskSchemaError, "goal.children[1].actor"),
+    (("goal", "children", 0, "b"), "target_block.functional.3", UnknownPointError, "goal.children[0].b"),
+    (("goal", "children", 0, "a"), "mug.functional.0", TaskSchemaError, "goal.children[0].a"),
+    (("subgoals", 1), {"text": "place it", "checkpoint": _FREE_MUG}, TaskSchemaError,
+     "subgoals[1].checkpoint.children[1].actor"),
+    (("subgoals", 1), {"text": "place it", "checkpoint": _NO_SUCH_POINT}, UnknownPointError,
+     "subgoals[1].checkpoint.b.id"),
+    (("subgoals", 0), "pick up the mug [HELD(mug, left)]", TaskSchemaError, "subgoals[0]"),
+    (("subgoals", 0), "place it [NEAR(shoe.functional.0, target_block.functional.3, 0.02)]",
+     UnknownPointError, "subgoals[0]"),
+], ids=["goal_actor", "goal_point", "goal_ref_actor", "checkpoint_actor", "checkpoint_point",
+        "annotation_actor", "annotation_point"])
+def test_unknown_reference_is_named_where_it_is(tmp_path, path, value, error, field):
+    with pytest.raises(error) as err:
+        _load_edited(tmp_path, lambda raw: _set(raw, path, value))
+    assert err.value.field == field
+    assert ("mug" if error is TaskSchemaError else "functional point 3") in str(err.value)
+
+
 def _json_paths(node, prefix=()):
     if isinstance(node, dict):
         items = node.items()
@@ -167,10 +223,29 @@ def _mutations(value):
         yield value[:-1]
 
 
+_BAD_ARGS = ("ghost", "ghost.functional.0", "middle", "x", "true", "[]", "0", "-0.02", "NaN", "1e999", "")
+
+
+def _annotation_mutations(subgoal):
+    """A subgoal annotation with an argument dropped or added, or one
+    argument replaced: by an unknown actor or point, a bad arm, a non-number
+    or a non-positive number."""
+    m = re.search(r"\[(\w+)\((.*)\)\]$", subgoal) if isinstance(subgoal, str) else None
+    if m is None:
+        return
+    kind, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+    variants = [args[:-1], args[1:], [*args, "left"], [*args, "0.02"]]
+    for i, arg in enumerate(args):
+        variants += [[*args[:i], bad, *args[i + 1:]] for bad in (*_BAD_ARGS, arg.rsplit(".", 1)[0] + ".99")]
+    for variant in variants:
+        yield f"{subgoal[:m.start()]}[{kind}({', '.join(variant)})]"
+
+
 @pytest.mark.parametrize("task", TASK_NAMES)
 def test_task_loader_mutation_fuzz(tmp_path, task):
     """Every mutation of a bundled task file either loads or raises an
-    ArmloopError; nothing else escapes the loader."""
+    ArmloopError; nothing else escapes the loader. An error in a subgoal
+    annotation names the subgoal."""
     base = json.loads(task_path(task).read_text())
     # The optional arm overrides are fuzzed too.
     base.setdefault("workspaces", {t: {a: list(b) for a, b in box.items()}
@@ -197,6 +272,17 @@ def test_task_loader_mutation_fuzz(tmp_path, task):
                 pass
             except Exception as exc:  # pragma: no cover - the failure report
                 pytest.fail(f"{field_path} -> {mutation!r}: {type(exc).__name__}: {exc}")
+    for i, subgoal in enumerate(base["subgoals"]):
+        for mutant in _annotation_mutations(subgoal):
+            raw = json.loads(text)
+            raw["subgoals"][i] = mutant
+            path.write_text(json.dumps(raw))
+            try:
+                load_task_spec(path)
+            except ArmloopError as exc:
+                assert getattr(exc, "field", None) == f"subgoals[{i}]", (mutant, exc)
+            except Exception as exc:  # pragma: no cover - the failure report
+                pytest.fail(f"{mutant!r}: {type(exc).__name__}: {exc}")
 
 
 # --- points in the world -------------------------------------------------------
