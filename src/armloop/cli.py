@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .dsl import parse, to_text, validate
-from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError
+from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
 from .harness import scores_report, select_trial
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .loop import load_campaign_config, run_campaign
@@ -23,6 +23,15 @@ from .sim import dump_trials, run_trials
 
 def _read_program(path):
     return parse(ConfigError.read_text(path, "program_file"))
+
+
+def _read_expert(path):
+    """The expert program, parsed before any campaign runs: one that does
+    not parse is a ConfigError naming the file."""
+    try:
+        return parse(ConfigError.read_text(path, "expert_program"))
+    except DslSyntaxError as exc:
+        raise ConfigError("expert_program", f"{path}: {exc}") from None
 
 
 def _out_dir(path: Path) -> Path:
@@ -97,8 +106,7 @@ def cmd_loop(args) -> int:
             ConfigError.check(args.max_iter, int, "--max-iter", minimum=1)
         spec = load_task_spec(args.task_file)
         cfg = load_campaign_config(args.config, args.task_file, spec)
-        expert_text = (ConfigError.read_text(cfg.expert_program, "expert_program")
-                       if cfg.expert_program else None)
+        expert = _read_expert(cfg.expert_program) if cfg.expert_program else None
         out = _out_dir(Path(args.out) / spec.name)
     except ArmloopError as exc:
         return _input_error(exc)
@@ -111,7 +119,7 @@ def cmd_loop(args) -> int:
 
     rows = campaign.record.candidates
     try:
-        payload = metrics_mod.metrics_from_campaign(campaign, expert_text)
+        payload = metrics_mod.metrics_from_campaign(campaign, expert)
     except ArmloopError:
         for row in rows:
             print(f"candidate {row.candidate_id}: {row.error}", file=sys.stderr)

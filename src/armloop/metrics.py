@@ -279,13 +279,14 @@ def metrics_payload(campaign: CampaignRecord, programs: list, expert: FlatTree |
     }
 
 
-def metrics_from_campaign(campaign: CampaignResult, expert_text: str | None = None) -> dict:
+def metrics_from_campaign(campaign: CampaignResult, expert: Program | None = None) -> dict:
+    """metrics.json of a campaign just run; `expert` is the parsed expert
+    program, if the config names one."""
     from .dsl.printer import to_text
 
     texts = [to_text(loop.iterations[-1].program) if loop else None for loop in campaign.loops]
     programs = [(text, flatten(program_tree(parse(text)))) if text else None for text in texts]
-    expert = flatten(program_tree(parse(expert_text))) if expert_text else None
-    return metrics_payload(campaign.record, programs, expert)
+    return metrics_payload(campaign.record, programs, flatten(program_tree(expert)) if expert is not None else None)
 
 
 def _persisted_tree(text: str, path) -> FlatTree:

@@ -4,13 +4,22 @@ Trial logs serialize to JSON Lines, one event or snapshot record per line
 and a final summary record, with field names matching the dataclasses.
 Serialization is byte-stable: two `run_trials` calls with the same arguments
 produce identical files.
+
+The writer produces exactly what json.dumps(record, ensure_ascii=False)
+would, faster: each record type has one template, built at import from its
+dataclass's fields; an exact str, int or finite float goes straight to the
+C function the encoder would call; and the text of each pose entry of a
+snapshot scene is made once per trial, memoized by the identity of its pose
+tuple. A value of any other kind (a bool, a subclass, a numpy scalar, nan or
+inf, a list) falls back to the JSON encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, is_
+from operator import attrgetter
 
 import numpy as np
 
@@ -78,8 +87,10 @@ def scene_states(actors, arms, rows) -> list[dict]:
     holding arm or None) in task-file order, `arms` (tag, TCP tuple per row,
     gripper) in arm order. A pose is the `Pose.values` tuple the
     executor keeps while it does not move, so an entry that did not change
-    holds the same objects as in the previous snapshot (the trial writer
-    relies on this)."""
+    holds the same objects as in the previous snapshot. The trial writer
+    relies on this: it makes an entry's text once per trial, memoized by the
+    identity of its pose tuple, and encodes anything but seven exact finite
+    floats through the JSON encoder."""
     states = []
     for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
         actor_states, arm_states = {}, {}
@@ -145,11 +156,17 @@ RECORD_TYPES = {"event": SymbolicEvent, "snapshot": Snapshot, "summary": TrialSu
 _FIELDS = {cls: (kind, [f.name for f in fields(cls)]) for kind, cls in RECORD_TYPES.items()}
 
 
+def _ordered(log: TrialLog) -> tuple:
+    """The objects behind a trial's records in log order: events and
+    snapshots by step counter (a stable sort, so events first on ties), then
+    the summary."""
+    return (*sorted(log.events + log.snapshots, key=attrgetter("t")),
+            TrialSummary(log.goal_met, log.seed, len(log.events)))
+
+
 def trial_records(log: TrialLog):
-    """All records of one trial in log order: events and snapshots by step
-    counter (a stable sort, so events first on ties), then the summary."""
-    summary = TrialSummary(log.goal_met, log.seed, len(log.events))
-    for rec in (*sorted(log.events + log.snapshots, key=attrgetter("t")), summary):
+    """All records of one trial in log order, as dicts."""
+    for rec in _ordered(log):
         kind, names = _FIELDS[type(rec)]
         record = {"type": kind, "trial_index": log.trial_index}
         for name in names:  # not vars(rec): that would attach a dict to every record
@@ -157,62 +174,95 @@ def trial_records(log: TrialLog):
         yield record
 
 
-# json.dumps(record, ensure_ascii=False), without building an encoder per record.
+# json.dumps(value, ensure_ascii=False), without building an encoder per value.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_str = json.encoder.encode_basestring  # what _encode does with a str, in C
 
-# The keys of each scene_states entry, per section, in payload order.
-_SCENE_LAYOUT = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
-# A snapshot record's fields before and after its scene.
-_SNAPSHOT, _names = _FIELDS[Snapshot]
-_HEAD = ("type", "trial_index", *_names[:_names.index("scene")])
-_TAIL = _names[_names.index("scene") + 1:]
+# Each record type's line: its "type" written out, then a %s for the trial
+# index and for each of the class's fields.
+_TEMPLATES = {cls: "{" + ", ".join([f'"type": {_str(kind)}',
+                                    *(f"{_str(name)}: %s" for name in ("trial_index", *names))]) + "}"
+              for cls, (kind, names) in _FIELDS.items()}
+# scene_states's layout: per section in payload order, the keys of its
+# entries and the template of an entry's text (name, pose, other value).
+_SECTIONS = {section: (keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}")
+             for section, keys in (("actors", ("pose", "held_by")), ("arms", ("tcp", "gripper")))}
+_SECTION_NAMES = tuple(_SECTIONS)
+_POSE = "[" + ", ".join(["%r"] * 7) + "]"
+_SEVEN_FLOATS = (float,) * 7
 
 
-def _scene_text(scene, previous: dict) -> str:
-    """_encode(scene), built from one fragment per entry of a scene_states
-    payload. An entry whose values are the very objects of the same entry in
-    `previous` reuses its fragment: identity, never `==`, since -0.0 == 0.0
-    and nan != nan. `previous` maps section to name to (entry, fragment) and
-    is updated; a payload of another layout is encoded whole."""
-    if type(scene) is not dict or tuple(scene) != tuple(_SCENE_LAYOUT):
+def _atom(value) -> str:
+    """_encode(value). An exact str, int or finite float, or None, goes
+    straight to what _encode would reach it by."""
+    if type(value) is str:
+        return _str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _encode(value)
+
+
+def _pose_text(pose) -> str:
+    """_encode(pose), in one formatting call when it is a tuple of seven
+    exact finite floats: repr is then what _encode writes, which it is not
+    for nan, inf or a numpy scalar. A sum of floats is finite only if each
+    of them is."""
+    if type(pose) is tuple and tuple(map(type, pose)) == _SEVEN_FLOATS and math.isfinite(sum(pose)):
+        return _POSE % pose
+    return _encode(pose)
+
+
+def _scene_text(scene, memos: dict) -> str:
+    """_encode(scene), each scene_states entry's text made once per trial.
+    `memos` maps section to id(pose) to (pose, name, other value, text). It
+    holds the pose, so that id names no other object while it lives, and a
+    hit needs the very same name and other value: identity, never `==`,
+    since -0.0 == 0.0 and nan != nan. A payload of another layout is encoded
+    whole."""
+    if type(scene) is not dict or tuple(scene) != _SECTION_NAMES:
         return _encode(scene)
     sections = []
-    for section, keys in _SCENE_LAYOUT.items():
-        entries = scene[section]
+    for section, (keys, template) in _SECTIONS.items():
+        entries, memo = scene[section], memos[section]
         if type(entries) is not dict:
             return _encode(scene)
-        memo = previous.setdefault(section, {})
-        fragments = []
+        texts = []
         for name, entry in entries.items():
             if type(name) is not str or type(entry) is not dict or tuple(entry) != keys:
                 return _encode(scene)
-            last = memo.get(name)
-            if last is None or not all(map(is_, last[0].values(), entry.values())):
-                last = memo[name] = (entry, f"{_encode(name)}: {_encode(entry)}")
-            fragments.append(last[1])
-        sections.append(f'"{section}": {{{", ".join(fragments)}}}')
+            pose, other = entry.values()
+            hit = memo.get(id(pose))
+            if hit is None or hit[1] is not name or hit[2] is not other:
+                hit = memo[id(pose)] = (pose, name, other, template % (_str(name), _pose_text(pose), _atom(other)))
+            texts.append(hit[3])
+        sections.append(f'"{section}": {{{", ".join(texts)}}}')
     return "{" + ", ".join(sections) + "}"
 
 
 def dumps_trial(log: TrialLog) -> str:
     """The trial's JSONL text: each record as json.dumps(record,
-    ensure_ascii=False) writes it, with a snapshot's scene encoded entry by
-    entry so that what did not change since the previous snapshot is not
-    encoded again."""
-    previous: dict = {}
+    ensure_ascii=False) writes it, its fields' texts filled into its type's
+    template. The entry memo lives for this one call, so what it holds is
+    bounded by one trial."""
+    memos = {section: {} for section in _SECTIONS}
+    index = _atom(log.trial_index)
     lines = []
-    for record in trial_records(log):
-        if record["type"] != _SNAPSHOT:
-            lines.append(_encode(record))
-            continue
-        head = _encode({key: record[key] for key in _HEAD})[:-1]
-        tail = "".join(f", {_encode(key)}: {_encode(record[key])}" for key in _TAIL)
-        lines.append(f'{head}, "scene": {_scene_text(record["scene"], previous)}{tail}}}')
+    for rec in _ordered(log):
+        values = [index]
+        for name in _FIELDS[type(rec)][1]:
+            value = getattr(rec, name)
+            values.append(_scene_text(value, memos) if name == "scene" else _atom(value))
+        lines.append(_TEMPLATES[type(rec)] % tuple(values))
     lines.append("")
     return "\n".join(lines)
 
 
 def dump_trials(logs, path) -> None:
+    """Write the trials' JSONL text one trial at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         for log in logs:
             fh.write(dumps_trial(log))

@@ -111,6 +111,21 @@ def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     assert not (tmp_path / "runs").exists()
 
 
+def test_loop_unparsable_expert_program_exits_two_before_any_campaign(tmp_path, capsys):
+    expert = tmp_path / "expert.prog"
+    expert.write_text("program x\n")
+    raw = json.loads((TASKS_DIR / "configs" / "demo_two_step.json").read_text())
+    raw["expert_program"] = expert.name
+    config = tmp_path / "expert.json"
+    config.write_text(json.dumps(raw))
+    code = main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error [config_error]: expert_program: {expert}: line 2, col 1: "
+        "program needs at least one subgoal (expected subgoal)\n")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("name", "../escaped"),
     ("name", ""),

@@ -548,18 +548,29 @@ def test_trial_writer_matches_json_dumps(tmp_path, noise):
             assert "".join(map(dumps_trial, loaded)) == _reference_text(loaded), (task, kind)
 
 
+class _Index(int):
+    def __repr__(self):  # json writes an int subclass through int.__repr__, never its own
+        return "wrong"
+
+
+class _Name(str):
+    def __str__(self):
+        return "wrong"
+
+
 def test_trial_writer_matches_json_dumps_on_edge_values():
     zero = 0.0
     neg_zero = -zero  # == zero, but written "-0.0": an entry holding it must be encoded anew
     still = (0.5, -0.25, 0.0, 1.0, 0.0, 0.0, 0.0)
+    shared = (0.25, 0.5, 0.75, 1.0, 0.0, 0.0, 0.0)  # one object in several entries and snapshots
     gripper = 1.0
 
-    def scene(moved_pose, odd_pose=still, held_by=None):
+    def scene(moved_pose, odd_pose=still, held_by=None, grippers=(gripper, gripper), odd_name="杯"):
         return {
             "actors": {"Schuh_ß": {"pose": moved_pose, "held_by": held_by},
-                       "杯": {"pose": odd_pose, "held_by": None}},
-            "arms": {"left": {"tcp": still, "gripper": gripper},
-                     "right": {"tcp": still, "gripper": gripper}},
+                       odd_name: {"pose": odd_pose, "held_by": None}},
+            "arms": {"left": {"tcp": still, "gripper": grippers[0]},
+                     "right": {"tcp": still, "gripper": grippers[1]}},
         }
 
     scenes = [
@@ -568,6 +579,24 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
         scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), (math.nan, math.inf, -math.inf, 1.0, 0.0, 0.0, 0.0)),
         scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), held_by="left"),
         scene(still),
+        # Not plain floats, or not seven of them: encoded by the JSON encoder.
+        scene((np.float64(0.1), 0.2, 0.3, 1.0, 0.0, 0.0, 0.0)),
+        scene((0.1, 0.2, 0.3, 1.0, 0.0, 0.0), (0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0, 0.5)),
+        scene([0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0]),
+        # A name that is a str subclass: the scene is encoded whole.
+        scene(still, odd_name=_Name("Becher")),
+        # One pose object under two names, then under two holders in turn.
+        scene(shared, shared),
+        scene(shared, held_by="left"),
+        scene(shared, held_by="right"),
+        scene(shared),
+        # One TCP object with grippers that are == but not the same.
+        scene(still, grippers=(zero, zero)),
+        scene(still, grippers=(neg_zero, zero)),
+        scene(still, grippers=(np.float64(0.5), zero)),
+        scene(still, grippers=(math.nan, math.inf)),
+        # An actor and an arm of one name, pose object and other value.
+        scene(still, odd_name="left", grippers=(None, None)),
         # Not scene_state's layout, so encoded whole; the first two hold the
         # same value objects as the entry before them.
         {"actors": {"Schuh_ß": {"pose": still, "holder": None}}, "arms": {}},
@@ -578,9 +607,11 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
         [still, None],
         scene(still),
     ]
-    steps = ['say "hi"', "back\\slash", "tab\tand \u00e9", ""] + [f"step{i}" for i in range(len(scenes) - 4)]
-    log = TrialLog(trial_index=3, seed=-1, goal_met=True)
+    steps = ['say "hi"', "back\\slash", "tab\tand \u00e9", "", _Name("named")]
+    steps += [f"step{i}" for i in range(len(scenes) - len(steps))]
+    log = TrialLog(trial_index=_Index(3), seed=-1, goal_met=True)
     log.events.append(SymbolicEvent(1, 1, "observe", {"step_name": '"q\\"'}, "success", "none", "", 0))
+    log.events.append(SymbolicEvent(True, _Index(2), _Name("observe"), {}, "success", "none", "", 0))
     log.snapshots += [Snapshot(step, 1, 1, t, payload, f'observe("{step}")')
                       for t, (step, payload) in enumerate(zip(steps, scenes), 1)]
     assert dumps_trial(log) == _reference_text([log])
