@@ -4,23 +4,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import AgentFailureError
+from ..errors import AgentFailureError, ConfigError
 
 
 @dataclass
 class AgentConfig:
-    backend: str = "mock"  # mock | remote
+    """A model stage's settings; a field declares its default and its bound."""
+
+    backend: str = field(default="mock", metadata={"choices": ("mock", "remote")})
     endpoint: str = ""
     model: str = ""
     api_key_env: str = ""
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    temperature: float = 0.0
+    timeout_s: float = field(default=30.0, metadata={"above": 0})
+    max_retries: int = field(default=3, metadata={"minimum": 0})  # a call is still tried once at 0
+    temperature: float = field(default=0.0, metadata={"minimum": 0})
     playbook: list = field(default_factory=list)  # mock synthesis: .prog paths
 
     def __post_init__(self):
-        if self.backend not in ("mock", "remote"):
-            raise AgentFailureError(f"unknown backend {self.backend!r}")
+        ConfigError.check_fields(self)
         if self.backend == "remote" and (not self.endpoint or not self.api_key_env):
             raise AgentFailureError(
                 "remote backend requires an endpoint and an api_key_env name"

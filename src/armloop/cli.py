@@ -14,10 +14,10 @@ from . import metrics as metrics_mod
 from .dsl import parse, to_text, validate
 from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
 from .harness import scores_report, select_trial
-from .instrument import MIN_OBSERVATION_CAP, insert_observations
-from .loop import load_campaign_config, run_campaign
+from .instrument import insert_observations
+from .loop import LoopConfig, load_campaign_config, run_campaign
 from .render import render_trials
-from .scene import MAX_NOISE_SCALE, load_task_spec
+from .scene import load_task_spec
 from .sim import dump_trials, run_trials
 
 
@@ -65,11 +65,6 @@ def _input_error(exc: Exception) -> int:
 
 def cmd_run(args) -> int:
     try:
-        ConfigError.check(args.trials, int, "--trials", minimum=1)
-        ConfigError.check(args.seed, int, "--seed", minimum=0)
-        ConfigError.check(args.max_steps, int, "--max-steps", minimum=1)
-        ConfigError.check(args.noise_scale, float, "--noise-scale", minimum=0, maximum=MAX_NOISE_SCALE)
-        ConfigError.check(args.observation_cap, int, "--observation-cap", minimum=MIN_OBSERVATION_CAP)
         spec = load_task_spec(args.task_file)
         program = _read_program(args.program_file)
         out = _out_dir(Path(args.out))
@@ -83,7 +78,7 @@ def cmd_run(args) -> int:
     if not args.no_instrument:
         program = insert_observations(program, cap=args.observation_cap)
     logs = run_trials(
-        program, spec, args.trials, args.seed,
+        program, spec, args.n_trials, args.base_seed,
         noise_scale=args.noise_scale, max_steps=args.max_steps,
     )
     dump_trials(logs, out / "trials.jsonl")
@@ -102,16 +97,12 @@ def cmd_run(args) -> int:
 
 def cmd_loop(args) -> int:
     try:
-        if args.max_iter is not None:
-            ConfigError.check(args.max_iter, int, "--max-iter", minimum=1)
         spec = load_task_spec(args.task_file)
-        cfg = load_campaign_config(args.config, args.task_file, spec)
+        cfg = load_campaign_config(args.config, args.task_file, spec, max_iterations=args.max_iterations)
         expert = _read_expert(cfg.expert_program) if cfg.expert_program else None
         out = _out_dir(Path(args.out) / spec.name)
     except ArmloopError as exc:
         return _input_error(exc)
-    if args.max_iter is not None:
-        cfg.loop.max_iterations = args.max_iter
     try:
         campaign = run_campaign(spec, cfg, out_dir=out)
     except AgentFailureError as exc:
@@ -185,10 +176,30 @@ def cmd_validate(args) -> int:
 def cmd_instrument(args) -> int:
     try:
         program = _read_program(args.program_file)
-        _write_out(args.out, to_text(insert_observations(program, cap=args.cap)))
+        _write_out(args.out, to_text(insert_observations(program, cap=args.observation_cap)))
     except ArmloopError as exc:
         return _input_error(exc)
     return 0
+
+
+# Per command, each option that sets a run parameter -> the LoopConfig field
+# that declares its type, default and bound.
+OPTIONS = {
+    "run": {"--trials": "n_trials", "--seed": "base_seed", "--noise-scale": "noise_scale",
+            "--max-steps": "max_steps", "--observation-cap": "observation_cap"},
+    "loop": {"--max-iter": "max_iterations"},
+    "instrument": {"--cap": "observation_cap"},
+}
+
+
+def _number(text: str):
+    """The number int() or float() reads, else the text, for check() to refuse."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,11 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a program against a task for N trials")
     p.add_argument("task_file")
     p.add_argument("program_file")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-scale", type=float, default=0.0, dest="noise_scale")
-    p.add_argument("--max-steps", type=int, default=200, dest="max_steps")
-    p.add_argument("--observation-cap", type=int, default=10, dest="observation_cap")
+    for option, name in OPTIONS["run"].items():
+        p.add_argument(option, type=_number, default=getattr(LoopConfig, name), dest=name)
     p.add_argument("--no-instrument", action="store_true")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_run)
@@ -213,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loop", help="run the closed synthesis/repair loop or campaign")
     p.add_argument("task_file")
     p.add_argument("--config", required=True)
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                   help="override the iteration cap (1 = one-shot baseline)")
+    p.add_argument("--max-iter", type=_number, default=None, dest="max_iterations",
+                   help="replace the config's max_iterations (one_shot still runs 1)")
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_loop)
 
@@ -238,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instrument", help="insert observation hooks into a program")
     p.add_argument("program_file")
-    p.add_argument("--cap", type=int, default=10)
+    for option, name in OPTIONS["instrument"].items():
+        p.add_argument(option, type=_number, default=getattr(LoopConfig, name), dest=name)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_instrument)
 
@@ -247,6 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for option, name in OPTIONS.get(args.command, {}).items():
+        try:  # a LoopConfig checks the option's value as it checks the config key
+            if getattr(args, name) is not None:
+                setattr(args, name, getattr(LoopConfig(**{name: getattr(args, name)}), name))
+        except ConfigError as exc:
+            return _input_error(ConfigError(option, exc.reason))
     return args.func(args)
 
 

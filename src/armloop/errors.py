@@ -27,10 +27,11 @@ _JSON_NAMES = {
     bool: "true or false",
     NoneType: "null",
 }
-# A record field's declared type, as its annotation reads, -> the JSON values it holds.
+# A record field's declared type, as its annotation reads, -> the JSON values it holds (None: its reader checks it).
 _DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list,
-             "str | None": (str, NoneType)}
-_RECORD_FIELDS: dict = {}  # record class -> [(field name, JSON values)], filled on first use
+             "str | None": (str, NoneType), "int | None": (int, NoneType),
+             "tuple": None, "AgentConfig": None}
+_RECORD_FIELDS: dict = {}  # record class -> [(field name, JSON values, bounds)], filled on first use
 _REQUIRED = object()
 
 
@@ -48,6 +49,7 @@ class FieldError(ArmloopError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}" if field else message)
         self.field = field
+        self.reason = message
 
     @classmethod
     def read_text(cls, path, where: str) -> str:
@@ -82,8 +84,8 @@ class FieldError(ArmloopError):
     @classmethod
     def check(cls, value, kind, where: str, minimum=None, above=None, maximum=None, choices=None):
         """value if it is of kind (a type or a tuple of types), within the
-        bounds and, given choices, one of them; an int read as a float field
-        comes back as a float."""
+        bounds and, given choices, one of them (None, where kind allows it,
+        has no bound); an int read as a float field comes back as a float."""
         t = type(value)
         if t is not kind:
             kinds = kind if type(kind) is tuple else (kind,)
@@ -94,6 +96,8 @@ class FieldError(ArmloopError):
                 raise cls(where, f"expected {names}, got {value!r}")
         if t is float and not math.isfinite(value):
             raise cls(where, f"expected {_JSON_NAMES[float]}, got {value!r}")
+        if value is None:  # an optional field left unset: no bound applies
+            return value
         if minimum is not None and value < minimum:
             raise cls(where, f"must be at least {minimum}, got {value!r}")
         if above is not None and value <= above:
@@ -120,28 +124,35 @@ class FieldError(ArmloopError):
 
     @classmethod
     def check_fields(cls, record) -> None:
-        """Each field of a dataclass record checked against its declared
-        type as check() does (an int in a float field becomes a float), so
-        that a record holds exactly its declared types."""
+        """Each field of a dataclass record checked as check() does against
+        its declared type and the bounds its metadata names (an int in a
+        float field becomes a float), so that a record holds exactly its
+        declared types."""
         declared = _RECORD_FIELDS.get(type(record))
         if declared is None:  # fields() is slow, and a trial record is made per trial
-            declared = _RECORD_FIELDS[type(record)] = [(f.name, _DECLARED[f.type]) for f in fields(record)]
-        for name, kind in declared:
-            setattr(record, name, cls.check(getattr(record, name), kind, name))
+            declared = _RECORD_FIELDS[type(record)] = [(f.name, kind, dict(f.metadata)) for f in fields(record)
+                                                       if (kind := _DECLARED[f.type]) is not None]
+        for name, kind, bounds in declared:
+            value = getattr(record, name)
+            setattr(record, name, cls.check(value, kind, name, **bounds) if bounds else cls.check(value, kind, name))
 
     @classmethod
-    def build(cls, record_type, raw, where: str):
-        """record_type(**raw) from a JSON object. A value that is no object,
+    def build(cls, record_type, raw, where: str, **fixed):
+        """record_type(**raw, **fixed) from a JSON object; fixed are fields
+        the caller sets, which raw may not hold. A value that is no object,
         a missing or an unexpected field, or a field that check_fields
-        rejects raises naming where."""
+        rejects raises naming where and the field."""
         try:
-            return record_type(**raw)
+            return record_type(**raw, **fixed)
         except TypeError:  # not an object, or a missing or an unexpected field
             got = list(cls.check(raw, dict, where))
-            names = [f.name for f in fields(record_type)]
+            names = [f.name for f in fields(record_type) if f.name not in fixed]
+            unexpected = next((key for key in got if key not in names), None)
+            if unexpected is not None:
+                raise cls(f"{where}.{unexpected}" if where else unexpected, "unexpected field") from None
             raise cls(where, f"expected fields {names}, got {got}") from None
         except FieldError as exc:
-            raise cls(where, str(exc)) from None
+            raise cls(f"{where}.{exc.field}" if where and exc.field else where or exc.field, exc.reason) from None
 
 
 class TaskParseError(FieldError):

@@ -17,7 +17,6 @@ import re
 import shutil
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import NoneType
 
 from .agents.config import AgentConfig
 from .agents.diagnosis import CAUSE_FROM_ERROR, Diagnosis, render_diagnosis
@@ -191,17 +190,22 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
 
 @dataclass
 class LoopConfig:
+    """A loop's run parameters; a field declares its default and its bound."""
+
     synthesis: AgentConfig = field(default_factory=AgentConfig)
     verifier: AgentConfig = field(default_factory=AgentConfig)
-    n_trials: int = 10
-    success_threshold: float = 0.5
-    max_iterations: int = 5
-    base_seed: int = 0
-    weights: tuple = (1.0, 1.0)
-    noise_scale: float = 0.0
-    max_steps: int = 200
-    observation_cap: int = 10
+    n_trials: int = field(default=10, metadata={"minimum": 1})
+    success_threshold: float = field(default=0.5, metadata={"minimum": 0})
+    max_iterations: int = field(default=5, metadata={"minimum": 1})
+    base_seed: int = field(default=0, metadata={"minimum": 0})
+    weights: tuple = (1.0, 1.0)  # (severity, divergence); a config gives two numbers
+    noise_scale: float = field(default=0.0, metadata={"minimum": 0, "maximum": MAX_NOISE_SCALE})
+    max_steps: int = field(default=200, metadata={"minimum": 1})
+    observation_cap: int = field(default=10, metadata={"minimum": MIN_OBSERVATION_CAP})
     perception: bool = True  # False: symbolic-only feedback (empty diagnosis)
+
+    def __post_init__(self):
+        ConfigError.check_fields(self)
 
 
 @dataclass
@@ -332,8 +336,11 @@ def run_loop(
 @dataclass
 class CandidateSpec:
     candidate_id: int
-    base_seed: int | None  # None: the candidate's default seed block
+    base_seed: int | None = field(default=None, metadata={"minimum": 0})  # None: the default seed block
     playbook: list = field(default_factory=list)
+
+    def __post_init__(self):
+        ConfigError.check_fields(self)
 
 
 @dataclass
@@ -499,91 +506,55 @@ def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where:
             for entry in ConfigError.check(raw_playbook, list, where)]
 
 
-def _agent_config(raw: dict, key: str) -> AgentConfig:
-    section = _expand_env(ConfigError.get(raw, key, dict, default={}))
-
-    def value(name: str, kind):  # AgentConfig's class attributes are its defaults
-        return ConfigError.get(section, name, kind, key, default=getattr(AgentConfig, name))
-
-    try:
-        return AgentConfig(
-            backend=value("backend", str),
-            endpoint=value("endpoint", str),
-            model=value("model", str),
-            api_key_env=value("api_key_env", str),
-            timeout_s=value("timeout_s", float),
-            max_retries=value("max_retries", int),
-            temperature=value("temperature", float),
-            playbook=ConfigError.get(section, "playbook", list, key, default=[]),
-        )
-    except AgentFailureError as exc:  # no usable backend as configured
-        raise ConfigError(f"{key}.backend", str(exc)) from None
-
-
-def load_campaign_config(config_path, task_file, spec: TaskSpec) -> CampaignConfig:
+def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=None) -> CampaignConfig:
     """Parse a campaign/loop config JSON.
 
     Bare playbook filenames resolve against <task dir>/<task name>/ so one
     config file drives every bundled task; other relative paths resolve
     against the config file's directory. ${VAR} in agent fields expands from
-    the environment. A malformed field raises ConfigError naming it.
+    the environment. A malformed field or an undeclared key raises
+    ConfigError naming it. A given max_iterations (`loop --max-iter`)
+    replaces the config's; the one_shot mode still runs 1 iteration.
     """
     config_path = Path(config_path)
     raw = ConfigError.check(ConfigError.read_json(config_path, "config"), dict, "config")
     config_dir = config_path.parent
     programs_dir = Path(task_file).parent / spec.name
 
-    def value(name: str, kind, minimum=None, maximum=None):  # LoopConfig's class attributes are its defaults
-        return ConfigError.get(raw, name, kind, default=getattr(LoopConfig, name),
-                               minimum=minimum, maximum=maximum)
-
-    mode = ConfigError.get(raw, "mode", str, default="hybrid")
-    if mode not in ("hybrid", "symbolic", "one_shot"):
-        raise ConfigError("mode", f"unknown mode {mode!r}")
-    weights = value("weights", list)
-    if len(weights) != 2:
-        raise ConfigError("weights", f"expected two numbers, got {weights!r}")
-
-    loop_cfg = LoopConfig(
-        synthesis=_agent_config(raw, "synthesis"),
-        verifier=_agent_config(raw, "verifier"),
-        n_trials=value("n_trials", int, 1),
-        success_threshold=value("success_threshold", float, 0),
-        max_iterations=value("max_iterations", int, 1),
-        base_seed=value("base_seed", int, 0),
-        weights=tuple(ConfigError.check(w, float, "weights") for w in weights),
-        noise_scale=value("noise_scale", float, 0, MAX_NOISE_SCALE),
-        max_steps=value("max_steps", int, 1),
-        observation_cap=value("observation_cap", int, MIN_OBSERVATION_CAP),
-        perception=(mode == "hybrid"),
-    )
+    # The campaign's keys; the others are LoopConfig's.
+    mode = ConfigError.check(raw.pop("mode", "hybrid"), str, "mode", choices=("hybrid", "symbolic", "one_shot"))
+    entries = ConfigError.check(raw.pop("candidates", []), list, "candidates")
+    expert = raw.pop("expert_program", None)
+    if expert is not None:
+        expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
+    for key in ("synthesis", "verifier"):
+        try:
+            raw[key] = ConfigError.build(AgentConfig, _expand_env(raw.get(key, {})), key)
+        except AgentFailureError as exc:  # a remote backend without its endpoint or key name
+            raise ConfigError(f"{key}.backend", str(exc)) from None
+    if "weights" in raw:
+        weights = ConfigError.check(raw["weights"], list, "weights")
+        if len(weights) != 2:
+            raise ConfigError("weights", f"expected two numbers, got {weights!r}")
+        raw["weights"] = tuple(ConfigError.check(w, float, "weights") for w in weights)
+    if max_iterations is not None:
+        raw["max_iterations"] = max_iterations
+    loop_cfg = ConfigError.build(LoopConfig, raw, "", perception=(mode == "hybrid"))
     if mode == "one_shot":
         loop_cfg.max_iterations = 1
 
     candidates = []
-    for i, entry in enumerate(ConfigError.get(raw, "candidates", list, default=[])):
+    for i, entry in enumerate(entries):
         where = f"candidates[{i}]"
-        cid = ConfigError.get(entry, "candidate_id", int, where, default=i)
+        playbook = _resolve_playbook(ConfigError.get(entry, "playbook", (str, list), where, default=[]),
+                                     programs_dir, config_dir, f"{where}.playbook")
+        candidate = ConfigError.build(CandidateSpec, {"candidate_id": i, **entry, "playbook": playbook}, where)
+        cid = candidate.candidate_id
         if any(c.candidate_id == cid for c in candidates):  # both would write cand_<id>
             raise ConfigError(f"{where}.candidate_id", f"candidate id {cid} is already taken")
-        candidates.append(
-            CandidateSpec(
-                candidate_id=cid,
-                base_seed=ConfigError.get(entry, "base_seed", int, where, default=None, minimum=0),
-                playbook=_resolve_playbook(
-                    ConfigError.get(entry, "playbook", (str, list), where, default=[]),
-                    programs_dir, config_dir, f"{where}.playbook",
-                ),
-            )
-        )
-    if loop_cfg.synthesis.playbook:
-        loop_cfg.synthesis.playbook = _resolve_playbook(
-            loop_cfg.synthesis.playbook, programs_dir, config_dir, "synthesis.playbook"
-        )
-
-    expert = ConfigError.get(raw, "expert_program", (str, NoneType), default=None)
-    if expert is not None:
-        expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
+        candidates.append(candidate)
+    loop_cfg.synthesis.playbook = _resolve_playbook(loop_cfg.synthesis.playbook, programs_dir, config_dir,
+                                                    "synthesis.playbook")
     if loop_cfg.synthesis.backend == "mock" and not loop_cfg.synthesis.playbook:
         where = next((f"candidates[{i}].playbook" for i, c in enumerate(candidates) if not c.playbook),
                      None if candidates else "synthesis.playbook")

@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import math
 import shutil
 
 import pytest
 
 from armloop.agents import remote
-from armloop.cli import main
-from armloop.loop import load_campaign_config, run_campaign
+from armloop.cli import OPTIONS, build_parser, main
+from armloop.loop import LoopConfig, load_campaign_config, run_campaign
 from armloop.scene import load_task_spec
 from armloop.sim import load_trials
 
@@ -101,6 +103,16 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     pytest.param('{"n_trials": 1' + '0' * 5000 + '}', "config", id="n_trials_5001_digits"),
     ('{"synthesis": {"backend": "mock"}, "verifier": {"backend": "mock"}}', "synthesis.playbook"),
     ('{"candidates": [{"playbook": ["correct.prog"]}, {"candidate_id": 4}]}', "candidates[1].playbook"),
+    ('{"n_trails": 3}', "n_trails"),
+    ('{"perception": false}', "perception"),
+    ('{"synthesis": {"backend": "mock", "tmeout_s": 3}}', "synthesis.tmeout_s"),
+    ('{"verifier": {"temprature": 0}}', "verifier.temprature"),
+    ('{"candidates": [{"playbook": ["correct.prog"], "seed": 3}]}', "candidates[0].seed"),
+    ('{"synthesis": {"timeout_s": 0}}', "synthesis.timeout_s"),
+    ('{"synthesis": {"backend": "remote", "endpoint": "https://example.invalid/v1/chat",'
+     ' "api_key_env": "ARMLOOP_TEST_KEY", "timeout_s": -1}}', "synthesis.timeout_s"),
+    ('{"verifier": {"temperature": -0.5}}', "verifier.temperature"),
+    ('{"verifier": {"max_retries": -1}}', "verifier.max_retries"),
 ])
 def test_loop_malformed_config_exits_two(tmp_path, capsys, text, field):
     config = tmp_path / "bad.json"
@@ -153,6 +165,7 @@ def test_loop_bad_task_name_or_instruction_exits_two(tmp_path, capsys, field, va
     (["run", _task(), _prog("correct"), "--noise-scale", "nan"], "--noise-scale"),
     (["run", _task(), _prog("correct"), "--max-steps", "-1"], "--max-steps"),
     (["run", _task(), _prog("correct"), "--max-steps", "0"], "--max-steps"),
+    (["instrument", _prog("correct"), "--cap", "2"], "--cap"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     code = main(argv + ["--out", str(tmp_path / "out")])
@@ -161,6 +174,74 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, argv, flag):
     reason = "expected a finite number, got nan" if argv[-1] == "nan" else "must be at least"
     assert f"error [config_error]: {flag}: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_COMMAND_ARGV = {
+    "run": ["run", _task(), _prog("correct")],
+    "loop": ["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json")],
+    "instrument": ["instrument", _prog("correct")],
+}
+_OPTION_FIELDS = [(command, option, name) for command, options in OPTIONS.items()
+                  for option, name in options.items()]
+
+
+def _bad_values(name):
+    """Values the LoopConfig field name refuses: past each bound, of the
+    wrong type, and not finite."""
+    declared = {f.name: f for f in dataclasses.fields(LoopConfig)}[name]
+    bounds = declared.metadata
+    values = [bounds["minimum"] - 1] if "minimum" in bounds else []
+    values += [bounds["maximum"] + 1] if "maximum" in bounds else []
+    return values + (["x", math.nan, math.inf] if declared.type == "float" else [2.5, "x"])
+
+
+@pytest.mark.parametrize("command, option, name", _OPTION_FIELDS)
+def test_option_and_config_key_refuse_alike(tmp_path, capsys, command, option, name):
+    """An option and the config key of one run parameter are one declared
+    field: each value the field refuses exits 2 with the same reason by
+    either path."""
+    config = tmp_path / "bad.json"
+    for value in _bad_values(name):
+        config.write_text(json.dumps({name: value}))
+        argv = ["loop", _task(), "--config", str(config), "--out", str(tmp_path / "runs")]
+        assert main(argv) == 2, value
+        err = capsys.readouterr().err
+        prefix = f"error [config_error]: {name}: "
+        assert err.startswith(prefix), err
+        reason = err[len(prefix):]
+        assert main([*_COMMAND_ARGV[command], option, str(value), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error [config_error]: {option}: {reason}"
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "instrument"])
+def test_option_defaults_are_the_field_defaults(command):
+    args = build_parser().parse_args(_COMMAND_ARGV[command])
+    for name in OPTIONS[command].values():
+        default = getattr(LoopConfig, name)
+        assert getattr(args, name) == default and type(getattr(args, name)) is type(default)
+
+
+def test_max_iter_does_not_lift_one_shot(tmp_path, capsys):
+    """--max-iter replaces the config's max_iterations before the mode
+    rule, so a one_shot run stays one iteration per candidate; in a
+    symbolic config it sets the cap as the config key would."""
+    config = TASKS_DIR / "configs" / "one_shot.json"
+    argv = ["loop", _task(), "--config", str(config), "--out", str(tmp_path), "--max-iter", "3"]
+    assert main(argv) == 0
+    campaign = json.loads((tmp_path / "place_shoe" / "campaign.json").read_text())
+    assert campaign["max_iterations"] == 1
+    assert [c["final_iteration"] for c in campaign["candidates"]] == [1, 1, 1]
+    assert sorted(p.name for p in (tmp_path / "place_shoe").glob("cand_*/iter_*")) == ["iter_1"] * 3
+    spec = load_task_spec(_task())
+    for mode, expected in [("one_shot", 1), ("symbolic", 3)]:
+        raw = json.loads(config.read_text())
+        keyed = tmp_path / f"{mode}.json"
+        keyed.write_text(json.dumps({**raw, "mode": mode, "max_iterations": 3}))
+        by_key = load_campaign_config(keyed, _task(), spec).loop.max_iterations
+        by_option = load_campaign_config(config.with_name(f"{mode}.json"), _task(), spec,
+                                         max_iterations=3).loop.max_iterations
+        assert by_key == by_option == expected
 
 
 def test_infinite_noise_scale_exits_two(tmp_path, capsys):
@@ -343,8 +424,12 @@ def test_metrics_missing_artifacts_exit_two(tmp_path, capsys):
     (["--max-iter", "5"], [0, 50, 100]),
 ])
 def test_candidate_seed_blocks_are_disjoint(tmp_path, argv, seeds):
-    config = str(TASKS_DIR / "configs" / "one_shot.json")
-    main(["loop", _task(), "--config", config, "--out", str(tmp_path), *argv])
+    # one_shot.json's campaign as a one-iteration symbolic loop, which
+    # --max-iter can raise (the one_shot mode itself always runs 1).
+    raw = json.loads((TASKS_DIR / "configs" / "one_shot.json").read_text())
+    config = tmp_path / "symbolic_1.json"
+    config.write_text(json.dumps({**raw, "mode": "symbolic", "max_iterations": 1}))
+    main(["loop", _task(), "--config", str(config), "--out", str(tmp_path), *argv])
     run_dir = tmp_path / "place_shoe"
     meta = json.loads((run_dir / "campaign.json").read_text())
     assert [c["base_seed"] for c in meta["candidates"]] == seeds
