@@ -1,7 +1,7 @@
 """Command-line surface: run | loop | metrics | render | validate | instrument.
 
-Exit codes: 0 success, 1 ran-but-failed (run: no majority of goal-met
-trials), 2 parse/validation/artifact problems, 3 agent failure.
+Exit codes: 0 success, 1 ran-but-failed (run: a goal-met share not above
+success_threshold), 2 input, validation or artifact problems, 3 agent failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .dsl import parse, to_text, validate
 from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
 from .harness import scores_report, select_trial
 from .instrument import insert_observations
-from .loop import LoopConfig, load_campaign_config, run_campaign
+from .loop import LoopConfig, converges, load_campaign_config, run_campaign
 from .render import render_trials
 from .scene import load_task_spec
 from .sim import dump_trials, run_trials
@@ -34,23 +34,12 @@ def _read_expert(path):
         raise ConfigError("expert_program", f"{path}: {exc}") from None
 
 
-def _out_dir(path: Path) -> Path:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot create {path}: {exc.strerror}") from None
-    return path
-
-
 def _write_out(out: str | None, text: str) -> None:
     """text to the --out file, or to stdout without one."""
-    if not out:
+    if out:
+        ConfigError.write_text(out, text, "--out")
+    else:
         sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot write {out}: {exc.strerror}") from None
 
 
 def _fail(message: str, code: int) -> int:
@@ -64,26 +53,20 @@ def _input_error(exc: Exception) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = load_task_spec(args.task_file)
-        program = _read_program(args.program_file)
-        out = _out_dir(Path(args.out))
-    except ArmloopError as exc:
-        return _input_error(exc)
+    cfg = args.cfg
+    spec = load_task_spec(args.task_file)
+    program = _read_program(args.program_file)
+    out = ConfigError.make_dir(args.out, "--out")
     diagnostics = validate(program, spec)
     if diagnostics:
         for d in diagnostics:
             print(str(d), file=sys.stderr)
         return 2
-    if not args.no_instrument:
-        program = insert_observations(program, cap=args.observation_cap)
-    logs = run_trials(
-        program, spec, args.n_trials, args.base_seed,
-        noise_scale=args.noise_scale, max_steps=args.max_steps,
-    )
+    program = insert_observations(program, cfg.observation_cap)
+    logs = run_trials(program, spec, cfg.n_trials, cfg.base_seed, cfg.noise_scale, cfg.max_steps)
     dump_trials(logs, out / "trials.jsonl")
-    selection = select_trial(logs, program)
-    (out / "scores.json").write_text(scores_report(selection, logs), encoding="utf-8")
+    selection = select_trial(logs, program, cfg.weights)
+    ConfigError.write_text(out / "scores.json", scores_report(selection, logs), "--out")
     successes = sum(1 for log in logs if log.goal_met)
     print(f"{spec.name}: {successes}/{len(logs)} trials met the goal")
     for log in logs:
@@ -92,21 +75,15 @@ def cmd_run(args) -> int:
             f"failed [{failure.error_category}] {failure.message}" if failure else "goal not met"
         )
         print(f"  trial {log.trial_index} (seed {log.seed}): {status}")
-    return 0 if successes * 2 > len(logs) else 1
+    return 0 if converges(successes, len(logs), cfg.success_threshold) else 1
 
 
 def cmd_loop(args) -> int:
-    try:
-        spec = load_task_spec(args.task_file)
-        cfg = load_campaign_config(args.config, args.task_file, spec, max_iterations=args.max_iterations)
-        expert = _read_expert(cfg.expert_program) if cfg.expert_program else None
-        out = _out_dir(Path(args.out) / spec.name)
-    except ArmloopError as exc:
-        return _input_error(exc)
-    try:
-        campaign = run_campaign(spec, cfg, out_dir=out)
-    except AgentFailureError as exc:
-        return _fail(f"error [agent_failure]: {exc}", 3)
+    spec = load_task_spec(args.task_file)
+    cfg = load_campaign_config(args.config, args.task_file, spec, max_iterations=args.max_iterations)
+    expert = _read_expert(cfg.expert_program) if cfg.expert_program else None
+    out = ConfigError.make_dir(Path(args.out) / spec.name, "--out")
+    campaign = run_campaign(spec, cfg, out_dir=out)
 
     rows = campaign.record.candidates
     try:
@@ -115,7 +92,7 @@ def cmd_loop(args) -> int:
         for row in rows:
             print(f"candidate {row.candidate_id}: {row.error}", file=sys.stderr)
         return _fail("error [agent_failure]: no candidate completed any trials", 3)
-    (out / "metrics.json").write_text(metrics_mod.dumps_metrics(payload), encoding="utf-8")
+    ConfigError.write_text(out / "metrics.json", metrics_mod.dumps_metrics(payload), "--out")
 
     print(f"task {spec.name}: ASR {payload['asr']:.2f}  Top5-ASR {payload['top5_asr']:.2f}  CR-Iter {payload['cr_iter']:.2f}")
     print(f"{'cand':>4} {'iter':>4} {'success':>8} {'converged':>9}")
@@ -134,13 +111,10 @@ def cmd_loop(args) -> int:
 
 def cmd_metrics(args) -> int:
     stored = Path(args.run_dir) / "metrics.json"
-    try:
-        text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
-        # Compared before --out is written: it may name the stored file itself.
-        matches = args.check and stored.exists() and ArtifactError.read_text(stored, str(stored)) == text
-        _write_out(args.out, text)
-    except (ArmloopError, OSError) as exc:
-        return _input_error(exc)
+    text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
+    # Compared before --out is written: it may name the stored file itself.
+    matches = args.check and stored.exists() and ArtifactError.read_text(stored, str(stored)) == text
+    _write_out(args.out, text)
     if args.check:
         if not matches:
             return _fail("recomputed metrics.json differs from the stored file", 2)
@@ -149,22 +123,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        spec = load_task_spec(args.task_file)
-        written = render_trials(args.trials_file, spec, args.out)
-    except (ArmloopError, OSError) as exc:
-        return _input_error(exc)
+    written = render_trials(args.trials_file, load_task_spec(args.task_file), args.out)
     print(f"wrote {len(written)} SVG files to {args.out}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = load_task_spec(args.task_file)
-        program = _read_program(args.program_file)
-    except ArmloopError as exc:
-        return _input_error(exc)
-    diagnostics = validate(program, spec)
+    spec = load_task_spec(args.task_file)
+    diagnostics = validate(_read_program(args.program_file), spec)
     if diagnostics:
         for d in diagnostics:
             print(str(d), file=sys.stderr)
@@ -174,11 +140,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instrument(args) -> int:
-    try:
-        program = _read_program(args.program_file)
-        _write_out(args.out, to_text(insert_observations(program, cap=args.observation_cap)))
-    except ArmloopError as exc:
-        return _input_error(exc)
+    program = _read_program(args.program_file)
+    _write_out(args.out, to_text(insert_observations(program, args.cfg.observation_cap)))
     return 0
 
 
@@ -214,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program_file")
     for option, name in OPTIONS["run"].items():
         p.add_argument(option, type=_number, default=getattr(LoopConfig, name), dest=name)
-    p.add_argument("--no-instrument", action="store_true")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_run)
 
@@ -254,15 +216,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options_config(args) -> LoopConfig:
+    """The LoopConfig of the command's given options, each checked as its
+    config key is; a refused value is reported under its option."""
+    options = OPTIONS.get(args.command, {})
+    try:
+        return LoopConfig(**{name: getattr(args, name) for name in options.values()
+                             if getattr(args, name) is not None})
+    except ConfigError as exc:
+        raise ConfigError(next(o for o, name in options.items() if name == exc.field), exc.reason) from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for option, name in OPTIONS.get(args.command, {}).items():
-        try:  # a LoopConfig checks the option's value as it checks the config key
-            if getattr(args, name) is not None:
-                setattr(args, name, getattr(LoopConfig(**{name: getattr(args, name)}), name))
-        except ConfigError as exc:
-            return _input_error(ConfigError(option, exc.reason))
-    return args.func(args)
+    try:
+        args.cfg = _options_config(args)
+        return args.func(args)
+    except AgentFailureError as exc:
+        return _fail(f"error [agent_failure]: {exc}", 3)
+    except (ArmloopError, OSError) as exc:
+        return _input_error(exc)
 
 
 if __name__ == "__main__":

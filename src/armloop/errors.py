@@ -60,6 +60,24 @@ class FieldError(ArmloopError):
             raise cls(where, f"cannot read {path}: {reason}") from None
 
     @classmethod
+    def write_text(cls, path, text, where: str) -> None:
+        """text (a str, or an iterable of str pieces written as they come) to path."""
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if type(text) is str else text)
+        except OSError as exc:
+            raise cls(where, f"cannot write {path}: {exc.strerror}") from None
+
+    @classmethod
+    def make_dir(cls, path, where: str) -> Path:
+        path = Path(path)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise cls(where, f"cannot create {path}: {exc.strerror}") from None
+        return path
+
+    @classmethod
     def read_json(cls, path, where: str):
         return cls.loads(cls.read_text(path, where), where)
 

@@ -126,7 +126,7 @@ def _minmax(values: list[float]) -> list[float]:
 def select_trial(
     batch: list[TrialLog],
     program: Program,
-    weights: tuple[float, float] = (1.0, 1.0),
+    weights: tuple[float, float],
 ) -> SelectionResult:
     """Argmax of psi = w_s*severity + w_d*divergence over the batch, both
     signals min-max normalized first. Ties break to the lowest trial index;

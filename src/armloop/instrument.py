@@ -59,7 +59,7 @@ def _make_observe(step_name: str) -> CallStmt:
     return CallStmt("observe", {"step_name": step_name})
 
 
-def insert_observations(program: Program, cap: int = 10) -> Program:
+def insert_observations(program: Program, cap: int) -> Program:
     """New program with boundary and per-visible-operation observe hooks.
 
     The output always contains the initial and final hooks, at most ``cap``

@@ -234,22 +234,20 @@ def converges(success_count: int, n_trials: int, threshold: float) -> bool:
 
 
 def _persist_iteration(out_dir: Path | None, record: IterationRecord):
+    """The iteration's files under out_dir/iter_<k>; one that cannot be
+    written is a ConfigError naming --out."""
     if out_dir is None:
         return
-    it_dir = out_dir / f"iter_{record.index}"
-    it_dir.mkdir(parents=True, exist_ok=True)
-    (it_dir / "program.prog").write_text(to_text(record.program), encoding="utf-8")
-    (it_dir / "instrumented.prog").write_text(to_text(record.instrumented), encoding="utf-8")
+    it_dir = ConfigError.make_dir(out_dir / f"iter_{record.index}", "--out")
     dump_trials(record.logs, it_dir / "trials.jsonl")
-    (it_dir / "scores.json").write_text(scores_report(record.selection, record.logs), encoding="utf-8")
+    texts = {"program.prog": to_text(record.program), "instrumented.prog": to_text(record.instrumented),
+             "scores.json": scores_report(record.selection, record.logs)}
     if record.diagnosis is not None:
-        (it_dir / "diagnosis.json").write_text(
-            json.dumps(record.diagnosis.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        texts["diagnosis.json"] = json.dumps(record.diagnosis.to_json(), indent=2) + "\n"
     if record.signal is not None:
-        (it_dir / "repair_signal.json").write_text(
-            json.dumps(record.signal.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        texts["repair_signal.json"] = json.dumps(record.signal.to_json(), indent=2) + "\n"
+    for name, text in texts.items():
+        ConfigError.write_text(it_dir / name, text, "--out")
 
 
 def run_loop(
@@ -282,14 +280,8 @@ def run_loop(
         except _SYNTHESIS_ERRORS as exc:
             raise AgentFailureError(f"synthesis failed: {exc}") from exc
         instrumented = insert_observations(program, cfg.observation_cap)
-        logs = run_trials(
-            instrumented,
-            spec,
-            cfg.n_trials,
-            cfg.base_seed + (k - 1) * cfg.n_trials,
-            noise_scale=cfg.noise_scale,
-            max_steps=cfg.max_steps,
-        )
+        logs = run_trials(instrumented, spec, cfg.n_trials, cfg.base_seed + (k - 1) * cfg.n_trials,
+                          cfg.noise_scale, cfg.max_steps)
         success_count = sum(1 for log in logs if log.goal_met)
         selection = select_trial(logs, instrumented, cfg.weights)
         record = IterationRecord(
@@ -469,9 +461,8 @@ def run_campaign(
                                                     record.success_threshold, record.max_iterations, error))
         loops.append(result)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "campaign.json").write_text(json.dumps(record.to_json(), indent=2) + "\n",
-                                               encoding="utf-8")
+        ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json",
+                               json.dumps(record.to_json(), indent=2) + "\n", "--out")
     return CampaignResult(record, loops)
 
 
@@ -492,8 +483,11 @@ def _expand_env(value):
 
 
 def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) -> str:
+    """The first of programs_dir/entry and config_dir/entry that is a file,
+    which must read as text."""
     for path in (programs_dir / ConfigError.check(entry, str, where), config_dir / entry):
         if path.is_file():
+            ConfigError.read_text(path, where)
             return str(path)
     raise ConfigError(where, f"no program file {entry!r}")
 

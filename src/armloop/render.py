@@ -10,7 +10,7 @@ from __future__ import annotations
 import zlib
 from pathlib import Path
 
-from .errors import ArmloopError, ArtifactError
+from .errors import ArmloopError, ArtifactError, ConfigError
 from .geometry import apply_rows
 from .scene import ARM_TAGS, TaskSpec
 from .sim.model import Snapshot, load_trials, scene_from_state
@@ -100,9 +100,9 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
 
 
 def render_trials(trials_path, spec: TaskSpec, out_dir) -> list[Path]:
-    """One SVG per snapshot found in a trials.jsonl file."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """One SVG per snapshot found in a trials.jsonl file; an out_dir or a
+    file in it that cannot be written is a ConfigError naming --out."""
+    out_dir = ConfigError.make_dir(out_dir, "--out")
     written = []
     for log in load_trials(trials_path):
         for seq, snap in enumerate(log.snapshots):
@@ -112,6 +112,6 @@ def render_trials(trials_path, spec: TaskSpec, out_dir) -> list[Path]:
                 raise ArtifactError(f"{trials_path}: trial {log.trial_index} snapshot {seq}",
                                     f"[{exc.code}] {exc}") from None
             path = out_dir / f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
-            path.write_text(svg, encoding="utf-8")
+            ConfigError.write_text(path, svg, "--out")
             written.append(path)
     return written

@@ -507,18 +507,15 @@ def run_trials(
     spec: TaskSpec,
     n: int,
     base_seed: int,
-    noise_scale: float = 0.0,
-    max_steps: int = 200,
+    noise_scale: float,
+    max_steps: int,
 ) -> list[TrialLog]:
     """n independent trials, stepped through the program together; trial i
     runs on a fresh scene with seed base_seed + i. Pure in its inputs: a
     trial's serialized log depends on neither n nor the other trials, so it
-    is the one trial of run_trials(program, spec, 1, base_seed + i) with its
-    trial_index set to i."""
-    if n < 1:
-        raise ValueError("need at least one trial")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
+    is the one trial of run_trials(program, spec, 1, base_seed + i, ...) with
+    its trial_index set to i. The parameters are LoopConfig's, which declares
+    their defaults and bounds."""
     logs = [TrialLog(trial_index=i, seed=base_seed + i) for i in range(n)]
     _Batch(_flatten(program), spec, logs, noise_scale, max_steps).run()
     return logs

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..errors import ArtifactError
+from ..errors import ArtifactError, ConfigError
 from ..scene import ARM_TAGS, Pose, SceneRows, TaskSpec
 
 ERROR_CATEGORIES = (
@@ -262,10 +262,9 @@ def dumps_trial(log: TrialLog) -> str:
 
 
 def dump_trials(logs, path) -> None:
-    """Write the trials' JSONL text one trial at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(dumps_trial(log))
+    """Write the trials' JSONL text one trial at a time; a file that cannot
+    be written is a ConfigError naming --out."""
+    ConfigError.write_text(path, map(dumps_trial, logs), "--out")
 
 
 def _record(line: str):

@@ -44,8 +44,9 @@ def program_path(task: str, kind: str) -> Path:
     return TASKS_DIR / task / f"{kind}.prog"
 
 
-def one_trial(program, spec, seed: int, **options):
-    return run_trials(program, spec, 1, seed, **options)[0]
+def one_trial(program, spec, seed: int, noise_scale: float = 0.0, max_steps: int = 200):
+    """The trial of a batch of one; without noise and with a 200-step budget unless given."""
+    return run_trials(program, spec, 1, seed, noise_scale, max_steps)[0]
 
 
 @pytest.fixture(scope="session")

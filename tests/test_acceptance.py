@@ -84,7 +84,7 @@ def test_acceptance_3_simulator_determinism():
     for task in TASK_NAMES:
         spec = load_task_spec(task_path(task))
         for kind in ("correct", "loud", "silent"):
-            program = insert_observations(parse(program_path(task, kind).read_text()))
+            program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             for seed in (0, 7, 42):
                 first = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
                 second = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
@@ -92,7 +92,7 @@ def test_acceptance_3_simulator_determinism():
 
     # Golden file guards serialization stability across versions.
     spec = load_task_spec(task_path("place_shoe"))
-    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     produced = dumps_trial(one_trial(program, spec, 7))
     assert produced == (GOLDEN / "place_shoe_seed7.jsonl").read_text(encoding="utf-8")
 
@@ -106,7 +106,7 @@ def test_acceptance_3_simulator_determinism():
         path.write_text(json.dumps(raw))
         slippery = load_task_spec(path)
     n, base_seed = 50, 9000
-    logs = run_trials(program, slippery, n, base_seed, noise_scale=1.0)
+    logs = run_trials(program, slippery, n, base_seed, noise_scale=1.0, max_steps=200)
     actual_slips = sum(
         1 for log in logs
         if log.failure_event is not None

@@ -365,7 +365,7 @@ def test_cause_mapping_total():
 
 
 def _diagnose(spec, kind, seed=0):
-    program = insert_observations(parse(program_path(spec.name, kind).read_text()))
+    program = insert_observations(parse(program_path(spec.name, kind).read_text()), cap=10)
     log = one_trial(program, spec, seed)
     obs = collect_observations(log, program)
     verifier = Verifier(AgentConfig(backend="mock"), spec)
@@ -394,7 +394,7 @@ def test_oracle_slip_maps_to_execution_failure(tmp_path):
     from armloop.scene import load_task_spec
 
     spec = load_task_spec(path)
-    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, spec, 1, noise_scale=1.0)
     assert log.failure_event.error_category == "grasp_slip"
     obs = collect_observations(log, program)
@@ -486,7 +486,7 @@ def test_malformed_reply_names_the_field(monkeypatch, body, field):
 
 def test_remote_verifier_sends_scene_and_svg(monkeypatch, place_shoe_spec):
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
-    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 0)
     obs = collect_observations(log, program)
     reply = json.dumps(

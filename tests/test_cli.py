@@ -270,20 +270,59 @@ def test_noise_scale_above_bound_exits_two(tmp_path, capsys):
       "--out", "FILE/out"], "--out"),
     (["instrument", _prog("correct"), "--out", "FILE/x.prog"], "--out"),
     (["metrics", "RUN", "--out", "FILE/m.json"], "--out"),
+    (["run", _task(), _prog("correct"), "--out", "TRIALS_TAKEN"], "--out"),
+    (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
+      "--out", "CAND_TAKEN"], "--out"),
+    (["loop", _task(), "--config", str(TASKS_DIR / "configs" / "demo_two_step.json"),
+      "--out", "METRICS_TAKEN"], "--out"),
+    (["loop", _task(), "--config", "BINARY_PLAYBOOK", "--out", "OUT"], "candidates[0].playbook"),
+    (["render", "RUN/cand_0/iter_1/trials.jsonl", _task(), "--out", "FILE"], "--out"),
 ])
 def test_unreadable_program_or_unusable_out_exits_two(tmp_path, capsys, demo_run, argv, field):
     """MISSING is a program file that does not exist, BINARY one that is not
     UTF-8, FILE a regular file (so no directory or file can be made under
-    it), OUT a fresh directory, RUN a finished campaign directory."""
+    it), OUT a fresh directory, RUN a finished campaign directory.
+    TRIALS_TAKEN is an out directory whose trials.jsonl is a directory,
+    CAND_TAKEN one whose place_shoe/cand_0 is a regular file, METRICS_TAKEN
+    one whose place_shoe/metrics.json is a directory, and BINARY_PLAYBOOK a
+    config whose candidate plays BINARY."""
     (tmp_path / "file").write_text("")
     (tmp_path / "binary.prog").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "trials_taken" / "trials.jsonl").mkdir(parents=True)
+    (tmp_path / "cand_taken" / "place_shoe").mkdir(parents=True)
+    (tmp_path / "cand_taken" / "place_shoe" / "cand_0").write_text("")
+    (tmp_path / "metrics_taken" / "place_shoe" / "metrics.json").mkdir(parents=True)
+    (tmp_path / "playbook.json").write_text(json.dumps({"candidates": [{"playbook": ["binary.prog"]}]}))
     paths = {"MISSING": tmp_path / "missing.prog", "BINARY": tmp_path / "binary.prog",
-             "FILE": tmp_path / "file", "OUT": tmp_path / "out", "RUN": demo_run}
-    for name, path in paths.items():
-        argv = [arg.replace(name, str(path)) for arg in argv]
-    assert main(argv) == 2
+             "FILE": tmp_path / "file", "OUT": tmp_path / "out", "RUN": demo_run,
+             "TRIALS_TAKEN": tmp_path / "trials_taken", "CAND_TAKEN": tmp_path / "cand_taken",
+             "METRICS_TAKEN": tmp_path / "metrics_taken", "BINARY_PLAYBOOK": tmp_path / "playbook.json"}
+
+    def resolve(arg):  # a name is a whole argument or the part before its first "/"
+        head, sep, rest = arg.partition("/")
+        return str(paths[head]) + sep + rest if head in paths else arg
+    assert main([resolve(arg) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error [config_error]: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_writes_what_the_first_loop_iteration_writes(tmp_path):
+    """`run` and iteration 1 of a one-candidate one_shot loop, on one program
+    at one seed and noise, write the same trials.jsonl and scores.json
+    bytes, and `run` exits 0 exactly when that iteration converged."""
+    seed = 3
+    config = tmp_path / "one_shot.json"
+    config.write_text(json.dumps({"mode": "one_shot", "n_trials": 5, "base_seed": seed, "noise_scale": 1,
+                                  "candidates": [{"playbook": ["correct.prog"]}]}))
+    assert main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "loop")]) == 0
+    code = main(["run", _task(), _prog("correct"), "--trials", "5", "--seed", str(seed), "--noise-scale", "1",
+                 "--out", str(tmp_path / "run")])
+    campaign = json.loads((tmp_path / "loop" / "place_shoe" / "campaign.json").read_text())
+    assert code == (0 if campaign["candidates"][0]["converged"] else 1)
+    iteration = tmp_path / "loop" / "place_shoe" / "cand_0" / "iter_1"
+    for name in ("trials.jsonl", "scores.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (iteration / name).read_bytes(), name
+    assert not json.loads((iteration / "scores.json").read_text())["all_success"]
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):

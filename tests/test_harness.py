@@ -125,7 +125,7 @@ def test_levenshtein_basics():
 def test_select_trial_dominant_severity():
     batch = [_trace_log(i, ["grasp_actor:success:none"] * 3) for i in range(9)]
     batch.append(_trace_log(9, ["grasp_actor:failure:unreachable"], goal_met=False))
-    result = select_trial(batch, _program(1))
+    result = select_trial(batch, _program(1), (1.0, 1.0))
     assert result.index == 9
     assert not result.all_success
     assert result.scores[9].selected
@@ -137,13 +137,13 @@ def test_select_trial_tie_breaks_to_lowest_index():
         _trace_log(1, ["grasp_actor:failure:unreachable"], goal_met=False),
         _trace_log(2, ["grasp_actor:success:none", "place_actor:success:none"]),
     ]
-    result = select_trial(batch, _program(1))
+    result = select_trial(batch, _program(1), (1.0, 1.0))
     assert result.index == 0
 
 
 def test_select_trial_all_success_flag():
     batch = [_trace_log(i, ["grasp_actor:success:none"] * 2) for i in range(5)]
-    result = select_trial(batch, _program(1))
+    result = select_trial(batch, _program(1), (1.0, 1.0))
     assert result.index == 0
     assert result.all_success
     assert all(s.psi == 0.0 for s in result.scores)
@@ -195,12 +195,12 @@ def test_selection_stable_under_batch_permutation():
             ["grasp_actor:failure:unreachable"],
             ["grasp_actor:success:none", "place_actor:failure:placement_miss"]]
     batch = [_trace_log(i, sigs[i % 3], goal_met=(i % 3 == 0)) for i in range(6)]
-    baseline = select_trial(batch, _program(1))
+    baseline = select_trial(batch, _program(1), (1.0, 1.0))
     baseline_seed = batch[baseline.index].seed
     for _ in range(10):
         shuffled = batch[:]
         rng.shuffle(shuffled)
-        result = select_trial(shuffled, _program(1))
+        result = select_trial(shuffled, _program(1), (1.0, 1.0))
         assert shuffled[result.index].seed == baseline_seed
 
 
@@ -210,13 +210,13 @@ def test_minmax_normalization_extremes():
         _trace_log(1, ["grasp_actor:success:none", "place_actor:success:none"]),
         _trace_log(2, ["grasp_actor:success:none", "place_actor:success:none"]),
     ]
-    result = select_trial(batch, _program(1))
+    result = select_trial(batch, _program(1), (1.0, 1.0))
     severities = [s.severity for s in result.scores]
     assert min(severities) == 0.0 and max(severities) == 1.0
 
 
 def test_collect_observations_groups(place_shoe_spec):
-    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 7)
     obs = collect_observations(log, program)
     assert set(obs.groups) == {0, 1, 2, 3}
@@ -229,7 +229,7 @@ def test_collect_observations_groups(place_shoe_spec):
 
 
 def test_collect_observations_truncated_trial(place_shoe_spec):
-    program = insert_observations(parse(program_path("place_shoe", "loud").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "loud").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 0)
     obs = collect_observations(log, program)
     assert obs.groups[2] == []  # fail-fast in subgoal 1

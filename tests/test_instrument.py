@@ -37,7 +37,7 @@ def test_phi_parallel_child_disjunction():
 
 def test_place_shoe_fixture_gets_seven_observes():
     program = parse(program_path("place_shoe", "correct").read_text())
-    instrumented = insert_observations(program)
+    instrumented = insert_observations(program, cap=10)
     names = _observe_names(instrumented)
     assert len(names) == 7
     assert names[0] == "initial_scene_state"
@@ -54,7 +54,7 @@ def test_place_shoe_fixture_gets_seven_observes():
 
 def test_boundary_hooks_first_and_last():
     program = parse(program_path("place_shoe", "correct").read_text())
-    instrumented = insert_observations(program)
+    instrumented = insert_observations(program, cap=10)
     first = instrumented.subgoals[0].statements[0]
     last = instrumented.subgoals[-1].statements[-1]
     assert first.name == "observe" and first.args["step_name"] == "initial_scene_state"
@@ -91,8 +91,8 @@ def test_cap_thinning_keeps_grasp_and_place():
 
 def test_idempotence_and_observe_stripping():
     program = parse(program_path("place_shoe", "correct").read_text())
-    once = insert_observations(program)
-    twice = insert_observations(once)
+    once = insert_observations(program, cap=10)
+    twice = insert_observations(once, cap=10)
     assert once == twice
 
 
@@ -100,7 +100,7 @@ def test_originals_preserved_modulo_observes():
     rng = random.Random(3)
     for _ in range(30):
         program = random_program(rng)
-        instrumented = insert_observations(program)
+        instrumented = insert_observations(program, cap=10)
         assert strip_observes(instrumented) == strip_observes(program)
 
 
@@ -134,5 +134,5 @@ def test_grasp_place_coverage_when_cap_permits():
 
 def test_roundtrip_of_instrumented_text():
     program = parse(program_path("place_shoe", "correct").read_text())
-    instrumented = insert_observations(program)
+    instrumented = insert_observations(program, cap=10)
     assert parse(to_text(instrumented)) == instrumented

@@ -16,7 +16,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _run(place_shoe_spec, seed=7):
-    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()))
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     return one_trial(program, place_shoe_spec, seed)
 
 
@@ -73,10 +73,11 @@ def render_digests(work_dir) -> dict[str, str]:
     for task in TASK_NAMES:
         spec = load_task_spec(task_path(task))
         for kind in ("correct", "loud", "silent"):
-            program = insert_observations(parse(program_path(task, kind).read_text()))
+            program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             run_dir = Path(work_dir) / task / kind
             run_dir.mkdir(parents=True)
-            dump_trials(run_trials(program, spec, 3, base_seed=0, noise_scale=1.0), run_dir / "trials.jsonl")
+            logs = run_trials(program, spec, 3, base_seed=0, noise_scale=1.0, max_steps=200)
+            dump_trials(logs, run_dir / "trials.jsonl")
             for path in render_trials(run_dir / "trials.jsonl", spec, run_dir / "svg"):
                 digests[f"{task}/{kind}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
