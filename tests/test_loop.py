@@ -247,6 +247,68 @@ def test_fuse_replayable_from_artifacts(tmp_path, place_shoe_spec):
     assert replayed == stored
 
 
+def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch, place_shoe_spec):
+    """A remote verifier that reports success on a batch that missed the
+    goal: the iteration persists an empty repair signal whose feedback
+    renders the decomposed subgoals (the task's templates, not the
+    program's own subgoal texts), and the playbook does not advance."""
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    loud = tmp_path / "loud.prog"
+    loud.write_text(program_path("place_shoe", "loud").read_text()
+                    .replace('"pick up the shoe"', '"grab"')
+                    .replace('"place the shoe on the target block"', '"put"'))
+    reply = {"overall_success": True, "subgoals": [{"index": 1, "passed": True, "rationale": "held"},
+                                                   {"index": 2, "passed": True, "rationale": "placed"}]}
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        return 200, json.dumps({"choices": [{"message": {"content": json.dumps(reply)}}]})
+
+    cfg = LoopConfig(
+        synthesis=AgentConfig(backend="mock", playbook=[str(loud), str(program_path("place_shoe", "correct"))]),
+        verifier=AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", model="m",
+                             api_key_env="ARMLOOP_TEST_KEY"),
+        max_iterations=2,
+    )
+    result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path / "run", transport=transport)
+    assert not result.converged and len(calls) == 2
+    assert [it.success_count for it in result.iterations] == [0, 0]
+    first, second = result.iterations
+    assert second.program == first.program  # the empty signal leaves the playbook where it was
+    assert first.signal.faults == [] and first.diagnosis.overall_success
+    iter1 = tmp_path / "run" / "iter_1"
+    assert (iter1 / "repair_signal.json").read_text() == (
+        '{\n'
+        '  "faults": [],\n'
+        '  "last_error": "trials missed the goal but the verifier reported success",\n'
+        '  "observation_feedback": "Subgoal 1 (pick up the shoe): completed\\n'
+        'Subgoal 2 (place the shoe on the target block): completed"\n'
+        '}\n')
+    assert (iter1 / "diagnosis.json").read_text() == (
+        '{\n'
+        '  "overall_success": true,\n'
+        '  "subgoals": [\n'
+        '    {\n'
+        '      "index": 1,\n'
+        '      "passed": true,\n'
+        '      "deviation_stmt": null,\n'
+        '      "cause": null,\n'
+        '      "rationale": "held"\n'
+        '    },\n'
+        '    {\n'
+        '      "index": 2,\n'
+        '      "passed": true,\n'
+        '      "deviation_stmt": null,\n'
+        '      "cause": null,\n'
+        '      "rationale": "placed"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n')
+    for name in ("repair_signal.json", "diagnosis.json"):
+        assert (tmp_path / "run" / "iter_2" / name).read_bytes() == (iter1 / name).read_bytes(), name
+
+
 # --- campaign -------------------------------------------------------------------
 
 
