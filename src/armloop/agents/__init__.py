@@ -5,7 +5,7 @@ from .config import AgentConfig
 from .diagnosis import CAUSE_FROM_ERROR, CAUSES, Diagnosis, SubgoalVerdict, render_diagnosis
 from .prompts import build_synthesis_prompt
 from .remote import ChatBackend
-from .synthesizer import Playbook, Synthesizer, extract_code_block, parse_subgoal_list
+from .synthesizer import Synthesizer, extract_code_block, parse_subgoal_list
 from .verifier import Verifier, parse_remote_diagnosis
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "CAUSE_FROM_ERROR",
     "ChatBackend",
     "Diagnosis",
-    "Playbook",
     "SubgoalVerdict",
     "Synthesizer",
     "Verifier",

@@ -7,6 +7,7 @@ header, the last error message, and the rendered observation feedback.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from ..dsl.ast import Program
@@ -14,7 +15,9 @@ from ..dsl.printer import to_text
 from ..scene import TaskSpec
 
 
+@functools.cache
 def _resource(name: str) -> str:
+    """A bundled prompt text, read on first use and kept for the process."""
     return (
         resources.files("armloop.agents.resources").joinpath(name).read_text("utf-8")
     )

@@ -2,18 +2,17 @@
 
 Two backends share one surface. The remote backend sends the assembled
 prompt to a chat endpoint and parses the fenced code block out of the
-reply. The mock backend replays a playbook: an ordered list of .prog
-fixtures standing in for successive generations. The playbook cursor
-advances only when the round's repair signal localizes at least one fault,
-so a repair round that localized nothing hands back the same program -
-which is exactly how the no-perception ablation gets stuck on silent
-failures.
+reply. The mock backend replays a playbook: the ordered program texts,
+read when the config was loaded, that stand in for successive
+generations. The playbook cursor advances only when the round's repair
+signal localizes at least one fault, so a repair round that localized
+nothing hands back the same program - which is exactly how the
+no-perception ablation gets stuck on silent failures.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..dsl import parse, validate
@@ -51,34 +50,15 @@ def parse_subgoal_list(reply: str) -> list[str]:
     return subgoals
 
 
-class Playbook:
-    """Ordered .prog fixtures consumed by the mock synthesizer."""
-
-    def __init__(self, paths):
-        self.paths = [Path(p) for p in paths]
-        if not self.paths:
-            raise ValueError("playbook needs at least one program")
-        self.cursor = 0
-
-    def current(self) -> str:
-        return self.paths[self.cursor].read_text(encoding="utf-8")
-
-    def advance(self):
-        if self.cursor < len(self.paths) - 1:
-            self.cursor += 1
-
-
 class Synthesizer:
-    """decompose() and synthesize() behind one adapter instance."""
+    """decompose() and synthesize() behind one adapter instance. The mock
+    backend replays config.playbook's program texts from a cursor that
+    stays on the last one."""
 
     def __init__(self, config: AgentConfig, transport=None):
         self.config = config
-        if config.backend == "mock":
-            self.playbook = Playbook(config.playbook) if config.playbook else None
-            self.backend = None
-        else:
-            self.playbook = None
-            self.backend = ChatBackend(config, transport=transport)
+        self.cursor = 0
+        self.backend = ChatBackend(config, transport=transport) if config.backend == "remote" else None
 
     # -- decomposition ------------------------------------------------------
 
@@ -98,11 +78,12 @@ class Synthesizer:
     # -- synthesis ----------------------------------------------------------
 
     def _mock_reply(self, signal: RepairSignal | None) -> str:
-        if self.playbook is None:
+        playbook = self.config.playbook
+        if not playbook:
             raise MalformedReplyError("playbook", "none configured for the mock synthesizer")
         if signal is not None and signal.faults:
-            self.playbook.advance()
-        return f"```\n{self.playbook.current()}```"
+            self.cursor = min(self.cursor + 1, len(playbook) - 1)
+        return f"```\n{playbook[self.cursor]}```"
 
     def synthesize(self, prompt: str, spec: TaskSpec, signal: RepairSignal | None = None) -> Program:
         """Produce a parsed, statically valid program for the prompt.

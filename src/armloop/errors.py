@@ -284,10 +284,6 @@ class InvalidProgramError(ArmloopError):
         self.diagnostics = list(diagnostics)
 
 
-class NothingToFuseError(ArmloopError):
-    code = "nothing_to_fuse"
-
-
 class AgentFailureError(ArmloopError):
     code = "agent_failure"
 

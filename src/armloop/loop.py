@@ -34,7 +34,6 @@ from .errors import (
     InvalidProgramError,
     MalformedReplyError,
     NoCodeBlockError,
-    NothingToFuseError,
 )
 from .harness import SelectionResult, collect_observations, scores_report, select_trial
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
@@ -70,6 +69,11 @@ class FaultEntry:
     symbolic_error_category: str | None = None
     perceptual_rationale: str | None = None
 
+    @classmethod
+    def of(cls, stmt_id, subgoal_index, cause, source, category, rationale) -> "FaultEntry":
+        """The entry with the edit class its cause maps to."""
+        return cls(stmt_id, subgoal_index, cause, EDIT_CLASS_FROM_CAUSE[cause], source, category, rationale)
+
 
 @dataclass
 class RepairSignal:
@@ -100,18 +104,17 @@ class RepairSignal:
 
 
 def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
-    """Joint interpretation of one failed trial.
+    """Joint interpretation of one failed trial, by one rule per subgoal.
 
-    Per failed subgoal: agreement between the symbolic failure statement and
-    the perceptual deviation point yields a single fault entry; disagreement
-    yields two with the symbolic one first; a silent symbolic log leaves the
-    perceptual entry alone. Entries rank earlier-subgoal first, then
-    symbolic-confirmed before perceptual-only. A verdict that points at a
-    statement the program lacks raises MalformedReplyError naming it.
+    The symbolic failure statement (sym) and the perceptual deviation point
+    (perc) of a subgoal agree when perc names sym's statement. A sym gives
+    one entry: source "both" when they agree (cause perc's, else the error
+    category's; rationale perc's), else "symbolic". A perc with a deviation
+    point that does not agree gives one "perceptual" entry after it. Entries
+    rank earlier-subgoal first. A verdict that points at a statement the
+    program lacks raises MalformedReplyError naming it. A diagnosis that
+    reports success is run_loop's to handle, not fuse's.
     """
-    if diagnosis.overall_success:
-        raise NothingToFuseError("diagnosis reports overall success")
-
     known_ids = {stmt.id for stmt in program.walk()}
     for i, verdict in enumerate(diagnosis.verdicts):
         if verdict.deviation_stmt is not None and verdict.deviation_stmt not in known_ids:
@@ -128,47 +131,14 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
     for index in sorted(subgoal_indices):
         sym = failure if failure is not None and failure.subgoal_index == index else None
         perc = perceptual.get(index)
-
-        if sym is not None and perc is not None and perc.deviation_stmt == sym.stmt_id:
-            cause = perc.cause or CAUSE_FROM_ERROR[sym.error_category]
-            faults.append(
-                FaultEntry(
-                    stmt_id=sym.stmt_id,
-                    subgoal_index=index,
-                    cause=cause,
-                    suggested_edit_class=EDIT_CLASS_FROM_CAUSE[cause],
-                    source="both",
-                    symbolic_error_category=sym.error_category,
-                    perceptual_rationale=perc.rationale or None,
-                )
-            )
-            continue
+        agree = sym is not None and perc is not None and perc.deviation_stmt == sym.stmt_id
         if sym is not None:
-            cause = CAUSE_FROM_ERROR[sym.error_category]
-            faults.append(
-                FaultEntry(
-                    stmt_id=sym.stmt_id,
-                    subgoal_index=index,
-                    cause=cause,
-                    suggested_edit_class=EDIT_CLASS_FROM_CAUSE[cause],
-                    source="symbolic",
-                    symbolic_error_category=sym.error_category,
-                )
-            )
-        if perc is not None and perc.deviation_stmt is not None and (
-            sym is None or perc.deviation_stmt != sym.stmt_id
-        ):
-            cause = perc.cause or "perception_mismatch"
-            faults.append(
-                FaultEntry(
-                    stmt_id=perc.deviation_stmt,
-                    subgoal_index=index,
-                    cause=cause,
-                    suggested_edit_class=EDIT_CLASS_FROM_CAUSE[cause],
-                    source="perceptual",
-                    perceptual_rationale=perc.rationale or None,
-                )
-            )
+            cause = perc.cause if agree and perc.cause else CAUSE_FROM_ERROR[sym.error_category]
+            faults.append(FaultEntry.of(sym.stmt_id, index, cause, "both" if agree else "symbolic",
+                                        sym.error_category, (perc.rationale or None) if agree else None))
+        if perc is not None and perc.deviation_stmt is not None and not agree:
+            faults.append(FaultEntry.of(perc.deviation_stmt, index, perc.cause or "perception_mismatch",
+                                        "perceptual", None, perc.rationale or None))
 
     if failure is not None:
         last_error = failure.message
@@ -217,7 +187,7 @@ class IterationRecord:
     n_trials: int
     logs: list
     selection: SelectionResult
-    diagnosis: Diagnosis | None = None
+    diagnosis: Diagnosis | None = None  # None on a converging iteration, as is signal
     signal: RepairSignal | None = None
 
 
@@ -284,39 +254,27 @@ def run_loop(
                           cfg.noise_scale, cfg.max_steps)
         success_count = sum(1 for log in logs if log.goal_met)
         selection = select_trial(logs, instrumented, cfg.weights)
-        record = IterationRecord(
-            index=k,
-            program=program,
-            instrumented=instrumented,
-            success_count=success_count,
-            n_trials=cfg.n_trials,
-            logs=logs,
-            selection=selection,
-        )
+        converged = converges(success_count, cfg.n_trials, cfg.success_threshold)
+        diagnosis = signal = None
+        if not converged:
+            selected = logs[selection.index]
+            observations = collect_observations(selected, instrumented)
+            try:
+                diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
+                             else Diagnosis.empty())
+                if diagnosis.overall_success:
+                    signal = RepairSignal([], "trials missed the goal but the verifier reported success",
+                                          render_diagnosis(diagnosis, subgoals))
+                else:
+                    signal = fuse(selected, diagnosis, instrumented)
+            except (BackendError, MalformedReplyError) as exc:
+                raise AgentFailureError(f"verification failed: {exc}") from exc
+        record = IterationRecord(k, program, instrumented, success_count, cfg.n_trials, logs, selection,
+                                 diagnosis, signal)
         iterations.append(record)
-
-        if converges(success_count, cfg.n_trials, cfg.success_threshold):
-            converged = True
-            _persist_iteration(out_dir, record)
-            break
-
-        selected = logs[selection.index]
-        observations = collect_observations(selected, instrumented)
-        try:
-            diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
-                         else Diagnosis.empty())
-            signal = fuse(selected, diagnosis, instrumented)
-        except NothingToFuseError:
-            signal = RepairSignal(
-                faults=[],
-                last_error="trials missed the goal but the verifier reported success",
-                observation_feedback=render_diagnosis(diagnosis, subgoals),
-            )
-        except (BackendError, MalformedReplyError) as exc:
-            raise AgentFailureError(f"verification failed: {exc}") from exc
-        record.diagnosis = diagnosis
-        record.signal = signal
         _persist_iteration(out_dir, record)
+        if converged:
+            break
         current = instrumented
 
     return LoopResult(iterations=iterations, converged=converged)
@@ -483,20 +441,19 @@ def _expand_env(value):
 
 
 def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) -> str:
-    """The first of programs_dir/entry and config_dir/entry that is a file,
-    which must read as text."""
+    """The first of programs_dir/entry and config_dir/entry that is a file."""
     for path in (programs_dir / ConfigError.check(entry, str, where), config_dir / entry):
         if path.is_file():
-            ConfigError.read_text(path, where)
             return str(path)
     raise ConfigError(where, f"no program file {entry!r}")
 
 
 def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where: str) -> list[str]:
+    """The texts of the playbook's programs, each read here once."""
     if isinstance(raw_playbook, str):
         # A playbook file: JSON array of .prog paths.
         raw_playbook = ConfigError.read_json(config_dir / raw_playbook, where)
-    return [_resolve_program(entry, programs_dir, config_dir, where)
+    return [ConfigError.read_text(_resolve_program(entry, programs_dir, config_dir, where), where)
             for entry in ConfigError.check(raw_playbook, list, where)]
 
 
@@ -505,8 +462,10 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=
 
     Bare playbook filenames resolve against <task dir>/<task name>/ so one
     config file drives every bundled task; other relative paths resolve
-    against the config file's directory. ${VAR} in agent fields expands from
-    the environment. A malformed field or an undeclared key raises
+    against the config file's directory. Each playbook program is read here,
+    so the loaded playbooks hold program texts; the expert program is only
+    resolved to its path. ${VAR} in agent fields expands from the
+    environment. A malformed field or an undeclared key raises
     ConfigError naming it. A given max_iterations (`loop --max-iter`)
     replaces the config's; the one_shot mode still runs 1 iteration.
     """

@@ -78,7 +78,7 @@ class _Statement(NamedTuple):
 
     subgoal: int
     stmt: CallStmt
-    args: dict[str, str]  # render_args; each event gets its own copy
+    args: dict[str, str]  # render_args; the statement's events share this dict
     text: str  # render_call; the program context of the snapshots after it
 
 
@@ -211,7 +211,7 @@ class _Batch:
         for r in rows:
             text = message(r) if callable(message) else message
             self.logs[r].events.append(SymbolicEvent(
-                stmt.id, op.subgoal, stmt.name, dict(op.args), outcome, category, text, t))
+                stmt.id, op.subgoal, stmt.name, op.args, outcome, category, text, t))
 
     def _held_by(self, name: str) -> str | None:
         return next((tag for tag in ARM_TAGS if self.holding[tag] == name), None)

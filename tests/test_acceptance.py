@@ -403,7 +403,7 @@ def test_acceptance_8_cr_iter_boundaries():
 
     def loop_cfg(playbook, cap=5):
         return LoopConfig(
-            synthesis=AgentConfig(backend="mock", playbook=[str(p) for p in playbook]),
+            synthesis=AgentConfig(backend="mock", playbook=[p.read_text() for p in playbook]),
             verifier=AgentConfig(backend="mock"),
             n_trials=10,
             max_iterations=cap,

@@ -118,8 +118,8 @@ def _signal(n_faults: int) -> RepairSignal:
 def _loud_then_correct():
     return AgentConfig(
         backend="mock",
-        playbook=[str(program_path("place_shoe", "loud")),
-                  str(program_path("place_shoe", "correct"))],
+        playbook=[program_path("place_shoe", "loud").read_text(),
+                  program_path("place_shoe", "correct").read_text()],
     )
 
 
@@ -160,7 +160,7 @@ def test_mock_playbook_reads_the_signal_not_the_prompt(place_shoe_spec):
 def test_synthesize_rejects_invalid_program(tmp_path, place_shoe_spec):
     bad = tmp_path / "bad.prog"
     bad.write_text('program t\nsubgoal "s"\n  grasp_actor(hammer, left)\n')
-    synth = Synthesizer(AgentConfig(backend="mock", playbook=[str(bad)]))
+    synth = Synthesizer(AgentConfig(backend="mock", playbook=[bad.read_text()]))
     with pytest.raises(InvalidProgramError) as err:
         synth.synthesize("p", place_shoe_spec)
     assert len(err.value.diagnostics) == 1

@@ -5,7 +5,6 @@ import pytest
 
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.dsl import parse
-from armloop.errors import NothingToFuseError
 from armloop.loop import (
     CampaignConfig,
     CampaignRecord,
@@ -126,13 +125,6 @@ def test_fuse_empty_diagnosis_silent_log_yields_no_faults():
     assert "- [subgoal " not in signal.render_feedback()
 
 
-def test_fuse_rejects_success():
-    log = TrialLog(0, 0, events=[_event(1, 1)], goal_met=True)
-    diagnosis = Diagnosis(verdicts=[SubgoalVerdict(1, True)], overall_success=True)
-    with pytest.raises(NothingToFuseError):
-        fuse(log, diagnosis, _program())
-
-
 def test_fuse_edit_class_mapping_total():
     from armloop.agents.diagnosis import CAUSES
     from armloop.loop import EDIT_CLASS_FROM_CAUSE
@@ -162,7 +154,7 @@ def test_repair_signal_json_roundtrip():
 
 def _loop_cfg(playbook, mode="hybrid", max_iterations=5, n_trials=10):
     return LoopConfig(
-        synthesis=AgentConfig(backend="mock", playbook=[str(p) for p in playbook]),
+        synthesis=AgentConfig(backend="mock", playbook=[p.read_text() for p in playbook]),
         verifier=AgentConfig(backend="mock"),
         n_trials=n_trials,
         max_iterations=1 if mode == "one_shot" else max_iterations,
@@ -266,7 +258,7 @@ def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch,
         return 200, json.dumps({"choices": [{"message": {"content": json.dumps(reply)}}]})
 
     cfg = LoopConfig(
-        synthesis=AgentConfig(backend="mock", playbook=[str(loud), str(program_path("place_shoe", "correct"))]),
+        synthesis=AgentConfig(backend="mock", playbook=[loud.read_text(), program_path("place_shoe", "correct").read_text()]),
         verifier=AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", model="m",
                              api_key_env="ARMLOOP_TEST_KEY"),
         max_iterations=2,
@@ -315,9 +307,9 @@ def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch,
 def _campaign_cfg(task, mode="hybrid"):
     loop_cfg = _loop_cfg([], mode=mode)
     candidates = [
-        CandidateSpec(0, 0, [str(program_path(task, "loud")), str(program_path(task, "correct"))]),
-        CandidateSpec(1, 100, [str(program_path(task, "silent")), str(program_path(task, "correct"))]),
-        CandidateSpec(2, 200, [str(program_path(task, "correct"))]),
+        CandidateSpec(0, 0, [program_path(task, "loud").read_text(), program_path(task, "correct").read_text()]),
+        CandidateSpec(1, 100, [program_path(task, "silent").read_text(), program_path(task, "correct").read_text()]),
+        CandidateSpec(2, 200, [program_path(task, "correct").read_text()]),
     ]
     return CampaignConfig(loop=loop_cfg, candidates=candidates)
 
@@ -334,8 +326,8 @@ def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
     campaign_cfg = CampaignConfig(
         loop=_loop_cfg([]),
         candidates=[
-            CandidateSpec(0, 0, [str(bad)]),
-            CandidateSpec(1, 100, [str(program_path("place_shoe", "correct"))]),
+            CandidateSpec(0, 0, [bad.read_text()]),
+            CandidateSpec(1, 100, [program_path("place_shoe", "correct").read_text()]),
         ],
     )
     campaign = run_campaign(place_shoe_spec, campaign_cfg)
@@ -401,7 +393,7 @@ def test_campaign_config_loading(tmp_path, place_shoe_spec):
     )
     assert cfg.loop.perception
     assert len(cfg.candidates) == 3
-    assert cfg.candidates[0].playbook[0].endswith("place_shoe/loud.prog")
+    assert cfg.candidates[0].playbook[0] == program_path("place_shoe", "loud").read_text()
     assert cfg.expert_program.endswith("place_shoe/correct.prog")
     one_shot = load_campaign_config(
         TASKS_DIR / "configs" / "one_shot.json", task_path("place_shoe"), place_shoe_spec
@@ -424,4 +416,4 @@ def test_playbook_file_indirection(tmp_path, place_shoe_spec):
         "candidates": [{"playbook": "cand.playbook"}],
     }))
     cfg = load_campaign_config(cfg_file, task_path("place_shoe"), place_shoe_spec)
-    assert cfg.candidates[0].playbook == [str(program_path("place_shoe", "correct"))]
+    assert cfg.candidates[0].playbook == [program_path("place_shoe", "correct").read_text()]
