@@ -257,12 +257,9 @@ def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch,
         calls.append(payload)
         return 200, json.dumps({"choices": [{"message": {"content": json.dumps(reply)}}]})
 
-    cfg = LoopConfig(
-        synthesis=AgentConfig(backend="mock", playbook=[loud.read_text(), program_path("place_shoe", "correct").read_text()]),
-        verifier=AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", model="m",
-                             api_key_env="ARMLOOP_TEST_KEY"),
-        max_iterations=2,
-    )
+    cfg = _loop_cfg([loud, program_path("place_shoe", "correct")], max_iterations=2)
+    cfg.verifier = AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", model="m",
+                               api_key_env="ARMLOOP_TEST_KEY")
     result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path / "run", transport=transport)
     assert not result.converged and len(calls) == 2
     assert [it.success_count for it in result.iterations] == [0, 0]
