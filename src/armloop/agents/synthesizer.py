@@ -4,10 +4,10 @@ Two backends share one surface. The remote backend sends the assembled
 prompt to a chat endpoint and parses the fenced code block out of the
 reply. The mock backend replays a playbook: the ordered program texts,
 read when the config was loaded, that stand in for successive
-generations. The playbook cursor advances only when the round's repair
-signal localizes at least one fault, so a repair round that localized
-nothing hands back the same program - which is exactly how the
-no-perception ablation gets stuck on silent failures.
+generations, each parsed as it is. The playbook cursor advances only when
+the round's repair signal localizes at least one fault, so a repair round
+that localized nothing hands back the same program - which is exactly how
+the no-perception ablation gets stuck on silent failures.
 """
 
 from __future__ import annotations
@@ -77,28 +77,27 @@ class Synthesizer:
 
     # -- synthesis ----------------------------------------------------------
 
-    def _mock_reply(self, signal: RepairSignal | None) -> str:
+    def _mock_program(self, signal: RepairSignal | None) -> str:
         playbook = self.config.playbook
         if not playbook:
             raise MalformedReplyError("playbook", "none configured for the mock synthesizer")
         if signal is not None and signal.faults:
             self.cursor = min(self.cursor + 1, len(playbook) - 1)
-        return f"```\n{playbook[self.cursor]}```"
+        return playbook[self.cursor]
 
     def synthesize(self, prompt: str, spec: TaskSpec, signal: RepairSignal | None = None) -> Program:
         """Produce a parsed, statically valid program for the prompt.
         ``signal`` is the repair signal the prompt was rendered from (None
         on the first round); only the mock backend reads it."""
         if self.config.backend == "mock":
-            reply = self._mock_reply(signal)
+            code = self._mock_program(signal)
         else:
-            reply = self.backend.complete(
+            code = extract_code_block(self.backend.complete(
                 [
                     {"role": "system", "content": "You write robot manipulation programs. Reply with one fenced code block."},
                     {"role": "user", "content": prompt},
                 ]
-            )
-        code = extract_code_block(reply)
+            ))
         program = parse(code)
         diagnostics = validate(program, spec)
         if diagnostics:

@@ -52,6 +52,24 @@ def _input_error(exc: Exception) -> int:
     return _fail(f"error{code}: {exc}", 2)
 
 
+# Trials `armloop run` simulates at a time. A trial's bytes depend on neither
+# the size of its batch nor the other trials, so neither do the run's files.
+CHUNK = 250
+
+
+def _chunked_trials(program, spec, cfg: LoopConfig, kept: list):
+    """The run's trials in order, simulated CHUNK at a time. Each is yielded
+    to be written, then appended to `kept` without its snapshots, which only
+    trials.jsonl holds: memory holds one chunk plus every trial's events."""
+    for start in range(0, cfg.n_trials, CHUNK):
+        n = min(CHUNK, cfg.n_trials - start)
+        for log in run_trials(program, spec, n, cfg.base_seed + start, cfg.noise_scale, cfg.max_steps):
+            log.trial_index += start
+            yield log
+            log.snapshots.clear()
+            kept.append(log)
+
+
 def cmd_run(args) -> int:
     cfg = args.cfg
     spec = load_task_spec(args.task_file)
@@ -63,8 +81,8 @@ def cmd_run(args) -> int:
             print(str(d), file=sys.stderr)
         return 2
     program = insert_observations(program, cfg.observation_cap)
-    logs = run_trials(program, spec, cfg.n_trials, cfg.base_seed, cfg.noise_scale, cfg.max_steps)
-    dump_trials(logs, out / "trials.jsonl")
+    logs = []
+    dump_trials(_chunked_trials(program, spec, cfg, logs), out / "trials.jsonl")
     selection = select_trial(logs, program, cfg.weights)
     ConfigError.write_text(out / "scores.json", scores_report(selection, logs), "--out")
     successes = sum(1 for log in logs if log.goal_met)

@@ -281,11 +281,13 @@ def metrics_payload(campaign: CampaignRecord, programs: list, expert: FlatTree |
 
 def metrics_from_campaign(campaign: CampaignResult, expert: Program | None = None) -> dict:
     """metrics.json of a campaign just run; `expert` is the parsed expert
-    program, if the config names one."""
+    program, if the config names one. A final program's tree is that of the
+    program itself, which is the tree of its persisted text: the printer and
+    the parser round-trip every label."""
     from .dsl.printer import to_text
 
-    texts = [to_text(loop.iterations[-1].program) if loop else None for loop in campaign.loops]
-    programs = [(text, flatten(program_tree(parse(text)))) if text else None for text in texts]
+    finals = [loop.iterations[-1].program if loop else None for loop in campaign.loops]
+    programs = [(to_text(p), flatten(program_tree(p))) if p else None for p in finals]
     return metrics_payload(campaign.record, programs, flatten(program_tree(expert)) if expert is not None else None)
 
 

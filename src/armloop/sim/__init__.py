@@ -9,7 +9,6 @@ from .model import (
     dumps_trial,
     load_trials,
     scene_from_state,
-    scene_states,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "load_trials",
     "run_trials",
     "scene_from_state",
-    "scene_states",
 ]

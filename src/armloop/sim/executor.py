@@ -53,7 +53,7 @@ from ..geometry import (Pose, apply_rows, compose_rows, inverse_rows, norms, pos
                         quat_rotate_rows)
 from ..instrument import FINAL_STEP
 from ..scene import ARM_TAGS, SceneRows, TaskSpec, eval_predicate
-from .model import Snapshot, SymbolicEvent, TrialLog, scene_states
+from .model import SCENE_KEYS, Snapshot, SymbolicEvent, TrialLog
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
@@ -122,31 +122,42 @@ def _draws(statements: list[_Statement], spec: TaskSpec, seeds: list[int]):
 
 class _Poses:
     """One pose per row: the (n, 7) array the geometry reads and writes, and
-    the `Pose.values` tuples snapshots hold. The tuples are rebuilt only
-    after an assignment, so a pose that did not move stays the same object
-    from snapshot to snapshot."""
+    each row's snapshot entry, `{key: Pose.values tuple, other key: holder
+    or gripper}`. The tuples are rebuilt only after an assignment, and an
+    entry only when its tuple or its other value is a new object, so an
+    entry that did not change is the same dict from snapshot to snapshot."""
 
-    __slots__ = ("rows", "_tuples", "_moved")
+    __slots__ = ("rows", "_keys", "_tuples", "_moved", "_entries", "_other")
 
-    def __init__(self, initial: Pose, n: int):
+    def __init__(self, initial: Pose, n: int, keys: tuple[str, str]):
         self.rows = np.tile(initial.values, (n, 1))
+        self._keys = keys
         self._tuples = [initial.values] * n
         self._moved = False
+        self._entries = None  # for self._other, while no pose moved
+        self._other = None
 
     def set(self, rows):
         self.rows = rows
         self._moved = True
 
-    def tuples(self) -> list[tuple]:
+    def entries(self, other) -> list[dict]:
         if self._moved:
             self._tuples = list(zip(*self.rows.T.tolist()))
             self._moved = False
-        return self._tuples
+        elif self._entries is not None and self._other is other:
+            return self._entries
+        key, other_key = self._keys
+        self._entries = [{key: pose, other_key: other} for pose in self._tuples]
+        self._other = other
+        return self._entries
 
     def keep(self, alive: list[bool]):
         self.rows = self.rows[alive]
         if not self._moved:
             self._tuples = list(itertools.compress(self._tuples, alive))
+            if self._entries is not None:
+                self._entries = list(itertools.compress(self._entries, alive))
 
 
 class _Batch:
@@ -162,8 +173,8 @@ class _Batch:
         self.rot_sigma = spec.noise.rot_sigma * noise_scale
         self.slip_p = spec.noise.slip_base * noise_scale
         self.normals, self.uniforms, self.columns = _draws(statements, spec, [log.seed for log in logs])
-        self.poses = {name: _Poses(actor.pose, n) for name, actor in spec.actors.items()}
-        self.tcps = {tag: _Poses(spec.homes[tag], n) for tag in ARM_TAGS}
+        self.poses = {name: _Poses(actor.pose, n, SCENE_KEYS["actors"]) for name, actor in spec.actors.items()}
+        self.tcps = {tag: _Poses(spec.homes[tag], n, SCENE_KEYS["arms"]) for tag in ARM_TAGS}
         self.gripper = {tag: 1.0 for tag in ARM_TAGS}
         self.holding: dict[str, str | None] = {tag: None for tag in ARM_TAGS}
         # Rows of each arm's latest grasp; read only while it holds.
@@ -217,10 +228,16 @@ class _Batch:
         return next((tag for tag in ARM_TAGS if self.holding[tag] == name), None)
 
     def _snapshot(self, rows, step_name: str, t: int, last_op: _Statement | None):
-        actors = [(name, poses.tuples(), self._held_by(name)) for name, poses in self.poses.items()]
-        arms = [(tag, tcps.tuples(), self.gripper[tag]) for tag, tcps in self.tcps.items()]
+        actors = [(name, poses.entries(self._held_by(name))) for name, poses in self.poses.items()]
+        arms = [(tag, tcps.entries(self.gripper[tag])) for tag, tcps in self.tcps.items()]
         stmt_id, context = (last_op.stmt.id, last_op.text) if last_op is not None else (0, "")
-        for r, scene in zip(rows, scene_states(actors, arms, rows)):
+        for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
+            actor_states, arm_states = {}, {}
+            for name, entries in actors:
+                actor_states[name] = entries[r]
+            for tag, entries in arms:
+                arm_states[tag] = entries[r]
+            scene = {"actors": actor_states, "arms": arm_states}
             self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, scene, context))
 
     def _finish(self, rows, t: int, last_op: _Statement | None):

@@ -8,10 +8,12 @@ produce identical files.
 The writer produces exactly what json.dumps(record, ensure_ascii=False)
 would, faster: each record type has one template, built at import from its
 dataclass's fields; an exact str, int or finite float goes straight to the
-C function the encoder would call; and the text of each pose entry of a
-snapshot scene is made once per trial, memoized by the identity of its pose
-tuple. A value of any other kind (a bool, a subclass, a numpy scalar, nan or
-inf, a list) falls back to the JSON encoder.
+C function the encoder would call, and an exact bool is written out; the
+text of each pose entry of a snapshot scene is made once per trial,
+memoized by the identity of its pose tuple; and the text of each event's
+`args` once per `dump_trials` call, memoized by the identity of the dict
+its statement's events share. A value of any other kind (a subclass, a
+numpy scalar, nan or inf, a list) falls back to the JSON encoder.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Snapshot:
     stmt_id: int  # id of the operation the snapshot documents (0 = none yet)
     subgoal_index: int
     t: int
-    scene: dict  # scene_states payload
+    scene: dict  # the payload SCENE_KEYS lays out
     program_context: str
 
 
@@ -81,25 +83,16 @@ class TrialLog:
         return None
 
 
-def scene_states(actors, arms, rows) -> list[dict]:
-    """The snapshot payload (the virtual-camera view) of each of the given
-    rows of a batch of trials. `actors` holds (name, pose tuple per row,
-    holding arm or None) in task-file order, `arms` (tag, TCP tuple per row,
-    gripper) in arm order. A pose is the `Pose.values` tuple the
-    executor keeps while it does not move, so an entry that did not change
-    holds the same objects as in the previous snapshot. The trial writer
-    relies on this: it makes an entry's text once per trial, memoized by the
-    identity of its pose tuple, and encodes anything but seven exact finite
-    floats through the JSON encoder."""
-    states = []
-    for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
-        actor_states, arm_states = {}, {}
-        for name, poses, held_by in actors:
-            actor_states[name] = {"pose": poses[r], "held_by": held_by}
-        for tag, tcps, gripper in arms:
-            arm_states[tag] = {"tcp": tcps[r], "gripper": gripper}
-        states.append({"actors": actor_states, "arms": arm_states})
-    return states
+# A snapshot payload, the virtual-camera view of one trial: {"actors": {name:
+# {"pose": 7 numbers, "held_by": arm tag or None}} in task-file order, "arms":
+# {tag: {"tcp": 7 numbers, "gripper": number}} in arm order}; per section, the
+# keys of an entry. In the executor's payloads a pose is the `Pose.values`
+# tuple kept while it does not move, and an entry whose pose and other value
+# are the same objects as in the previous snapshot is the same dict. The trial
+# writer relies on this identity: it makes an entry's text once per trial,
+# memoized by the identity of its pose tuple, and encodes anything but seven
+# exact finite floats through the JSON encoder.
+SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
 
 
 def _pose(values, where: str) -> np.ndarray:
@@ -117,7 +110,7 @@ def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
     """The state a snapshot payload records, as the one row of a scene over
     the task's geometry; what the payload leaves out is as the task starts.
     An actor the task lacks raises UnknownActorError, any other payload that
-    does not fit scene_states's layout ArtifactError."""
+    does not fit SCENE_KEYS's layout ArtifactError."""
     scene = SceneRows({name: np.array([actor.pose.values]) for name, actor in spec.actors.items()},
                       {tag: np.array([spec.homes[tag].values]) for tag in ARM_TAGS},
                       dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
@@ -183,24 +176,28 @@ _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 _TEMPLATES = {cls: "{" + ", ".join([f'"type": {_str(kind)}',
                                     *(f"{_str(name)}: %s" for name in ("trial_index", *names))]) + "}"
               for cls, (kind, names) in _FIELDS.items()}
-# scene_states's layout: per section in payload order, the keys of its
-# entries and the template of an entry's text (name, pose, other value).
+# Per section of a payload, in order: the keys of its entries and the
+# template of an entry's text (name, pose, other value).
 _SECTIONS = {section: (keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}")
-             for section, keys in (("actors", ("pose", "held_by")), ("arms", ("tcp", "gripper")))}
+             for section, keys in SCENE_KEYS.items()}
 _SECTION_NAMES = tuple(_SECTIONS)
 _POSE = "[" + ", ".join(["%r"] * 7) + "]"
 _SEVEN_FLOATS = (float,) * 7
 
 
 def _atom(value) -> str:
-    """_encode(value). An exact str, int or finite float, or None, goes
-    straight to what _encode would reach it by."""
+    """_encode(value). An exact str, int or finite float, a bool or None,
+    goes straight to what _encode would reach it by."""
     if type(value) is str:
         return _str(value)
     if type(value) is int:
         return int.__repr__(value)
     if value is None:
         return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
     return _encode(value)
@@ -217,7 +214,7 @@ def _pose_text(pose) -> str:
 
 
 def _scene_text(scene, memos: dict) -> str:
-    """_encode(scene), each scene_states entry's text made once per trial.
+    """_encode(scene), each entry's text made once per trial.
     `memos` maps section to id(pose) to (pose, name, other value, text). It
     holds the pose, so that id names no other object while it lives, and a
     hit needs the very same name and other value: identity, never `==`,
@@ -243,11 +240,10 @@ def _scene_text(scene, memos: dict) -> str:
     return "{" + ", ".join(sections) + "}"
 
 
-def dumps_trial(log: TrialLog) -> str:
-    """The trial's JSONL text: each record as json.dumps(record,
-    ensure_ascii=False) writes it, its fields' texts filled into its type's
-    template. The entry memo lives for this one call, so what it holds is
-    bounded by one trial."""
+def _trial_text(log: TrialLog, args_memo: dict) -> str:
+    """dumps_trial(log). `args_memo` maps id(args) to (args, text) for the
+    calls that share it; it holds the args object, so that id names no
+    other object while it lives."""
     memos = {section: {} for section in _SECTIONS}
     index = _atom(log.trial_index)
     lines = []
@@ -255,16 +251,36 @@ def dumps_trial(log: TrialLog) -> str:
         values = [index]
         for name in _FIELDS[type(rec)][1]:
             value = getattr(rec, name)
-            values.append(_scene_text(value, memos) if name == "scene" else _atom(value))
+            if name == "scene":
+                values.append(_scene_text(value, memos))
+            elif name == "args":
+                hit = args_memo.get(id(value))
+                if hit is None:
+                    hit = args_memo[id(value)] = (value, _atom(value))
+                values.append(hit[1])
+            else:
+                values.append(_atom(value))
         lines.append(_TEMPLATES[type(rec)] % tuple(values))
     lines.append("")
     return "\n".join(lines)
 
 
+def dumps_trial(log: TrialLog) -> str:
+    """The trial's JSONL text: each record as json.dumps(record,
+    ensure_ascii=False) writes it, its fields' texts filled into its type's
+    template. The entry memo lives for this one call, so what it holds is
+    bounded by one trial."""
+    return _trial_text(log, {})
+
+
 def dump_trials(logs, path) -> None:
-    """Write the trials' JSONL text one trial at a time; a file that cannot
-    be written is a ConfigError naming --out."""
-    ConfigError.write_text(path, map(dumps_trial, logs), "--out")
+    """Write the trials' JSONL text one trial at a time, as `logs` yields
+    them; a file that cannot be written is a ConfigError naming --out. The
+    args memo lives for the call: the executor's events share their
+    statement's args dict, so it holds one entry per statement of each batch
+    the trials come from."""
+    args_memo = {}
+    ConfigError.write_text(path, (_trial_text(log, args_memo) for log in logs), "--out")
 
 
 def _record(line: str):

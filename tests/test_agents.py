@@ -157,6 +157,15 @@ def test_mock_playbook_reads_the_signal_not_the_prompt(place_shoe_spec):
     assert fixed == parse(program_path("place_shoe", "correct").read_text())
 
 
+def test_mock_playbook_program_with_a_code_fence_in_a_comment(place_shoe_spec):
+    # The mock backend parses the playbook text as it is: three backticks in
+    # a comment are the program's own text, not the end of a fenced reply.
+    text = program_path("place_shoe", "correct").read_text()
+    fenced = text.replace('subgoal "', '# see ``` above\nsubgoal "', 1)
+    synth = Synthesizer(AgentConfig(backend="mock", playbook=[fenced]))
+    assert synth.synthesize("p", place_shoe_spec) == parse(text)
+
+
 def test_synthesize_rejects_invalid_program(tmp_path, place_shoe_spec):
     bad = tmp_path / "bad.prog"
     bad.write_text('program t\nsubgoal "s"\n  grasp_actor(hammer, left)\n')

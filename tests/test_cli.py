@@ -2,14 +2,19 @@ import dataclasses
 import json
 import math
 import shutil
+import tracemalloc
 
 import pytest
 
+from armloop import cli
 from armloop.agents import remote
-from armloop.cli import OPTIONS, build_parser, main
+from armloop.cli import CHUNK, OPTIONS, build_parser, main
+from armloop.dsl import parse
+from armloop.harness import scores_report, select_trial
+from armloop.instrument import insert_observations
 from armloop.loop import LoopConfig, load_campaign_config, run_campaign
 from armloop.scene import load_task_spec
-from armloop.sim import load_trials
+from armloop.sim import dump_trials, load_trials, run_trials
 
 from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
 
@@ -323,6 +328,50 @@ def test_run_writes_what_the_first_loop_iteration_writes(tmp_path):
     for name in ("trials.jsonl", "scores.json"):
         assert (tmp_path / "run" / name).read_bytes() == (iteration / name).read_bytes(), name
     assert not json.loads((iteration / "scores.json").read_text())["all_success"]
+
+
+def test_run_in_chunks_writes_what_one_whole_batch_writes(tmp_path, capsys, monkeypatch):
+    """`run` simulates CHUNK trials at a time, yet writes the trials.jsonl
+    and scores.json of one whole batch and prints its status lines."""
+    n, seed, cfg = 2 * CHUNK + 3, 11, LoopConfig()
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cfg.observation_cap)
+    logs = run_trials(program, load_task_spec(_task()), n, seed, 1.0, cfg.max_steps)
+    dump_trials(logs, tmp_path / "whole.jsonl")
+    scores = scores_report(select_trial(logs, program, cfg.weights), logs)
+
+    sizes = []
+    real_run_trials = cli.run_trials
+    monkeypatch.setattr(cli, "run_trials", lambda *a: sizes.append(a[2]) or real_run_trials(*a))
+    argv = ["run", _task(), _prog("correct"), "--trials", str(n), "--seed", str(seed), "--noise-scale", "1"]
+    code = main([*argv, "--out", str(tmp_path / "chunked")])
+    chunked = capsys.readouterr().out
+    assert sizes == [CHUNK, CHUNK, 3]
+    assert (tmp_path / "chunked" / "trials.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+    assert (tmp_path / "chunked" / "scores.json").read_text() == scores
+    assert chunked.count("\n") == n + 1 and f"trial {n - 1} (seed {seed + n - 1})" in chunked
+
+    monkeypatch.setattr(cli, "CHUNK", n)
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == code
+    assert capsys.readouterr().out == chunked
+    assert sizes[3:] == [n]
+
+
+def test_run_memory_is_one_chunk_not_every_trial(tmp_path, capsys):
+    """What `run` keeps of a written trial is its events and summary, so
+    its traced peak barely grows from one chunk of trials to three."""
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            main(["run", _task(), _prog("correct"), "--trials", str(n), "--noise-scale", "1",
+                  "--out", str(tmp_path / str(n))])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path / "warm")])
+    one, three = peak(CHUNK), peak(3 * CHUNK)
+    capsys.readouterr()
+    assert three < 1.5 * one, (one, three)
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):

@@ -461,6 +461,42 @@ def test_unmoved_pose_is_one_tuple_in_every_snapshot():
     assert all(tcp is tcps[0] for tcp in tcps)
 
 
+def test_shared_entry_is_one_dict_while_its_values_are_the_same_objects(place_shoe_spec):
+    # A snapshot entry is handed on to the next snapshot while its pose and
+    # its holder or gripper are the same objects, and made anew otherwise.
+    text = ('program t\nsubgoal "s"\n  observe("a")\n  close_gripper(right, pos=0.5)\n  observe("b")\n'
+            '  grasp_actor(shoe, left)\n  observe("c")\n  move_by_displacement(left, z=0.07)\n  observe("d")\n')
+    log = one_trial(parse(text), place_shoe_spec, 0)
+    assert [snap.step_name for snap in log.snapshots] == ["a", "b", "c", "d", "final_scene_state"]
+    a, b, c, d = (snap.scene for snap in log.snapshots[:4])
+    # close_gripper: only the right arm's entry changes, its TCP unmoved.
+    assert b["arms"]["right"] is not a["arms"]["right"]
+    assert b["arms"]["right"]["tcp"] is a["arms"]["right"]["tcp"]
+    assert b["arms"]["left"] is a["arms"]["left"]
+    assert all(b["actors"][name] is a["actors"][name] for name in a["actors"])
+    # grasp_actor: the shoe's holder changes, its pose does not.
+    assert c["actors"]["shoe"] is not b["actors"]["shoe"]
+    assert c["actors"]["shoe"]["pose"] is b["actors"]["shoe"]["pose"]
+    assert c["actors"]["shoe"]["held_by"] == "left"
+    assert c["arms"]["left"] is not b["arms"]["left"] and c["arms"]["right"] is b["arms"]["right"]
+    # move_by_displacement: the held shoe moves with the TCP.
+    assert d["actors"]["shoe"] is not c["actors"]["shoe"]
+    assert d["actors"]["shoe"]["pose"] is not c["actors"]["shoe"]["pose"]
+    assert d["actors"]["target_block"] is a["actors"]["target_block"]
+    # The same rule over noisy batches of every kind of bundled program.
+    shared = 0
+    for kind in ("correct", "loud", "silent"):
+        program = insert_observations(parse(program_path("place_shoe", kind).read_text()), cap=10)
+        for log in run_trials(program, place_shoe_spec, 4, base_seed=0, noise_scale=1.0, max_steps=200):
+            for before, after in zip(log.snapshots, log.snapshots[1:]):
+                for section, entries in after.scene.items():
+                    for name, entry in entries.items():
+                        previous = before.scene[section][name]
+                        assert (entry is previous) == all(entry[k] is previous[k] for k in entry)
+                        shared += entry is previous
+    assert shared > 0
+
+
 def test_task_geometry_is_frozen():
     shoe = load_task_spec(task_path("place_shoe")).actors["shoe"]
     for fld in dataclasses.fields(shoe):
