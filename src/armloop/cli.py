@@ -7,18 +7,20 @@ success_threshold), 2 input, validation or artifact problems, 3 agent failure.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
 from .dsl import parse, to_text, validate
-from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
+from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError, WorkerError
 from .harness import scores_report, select_trial
 from .instrument import insert_observations
 from .loop import LoopConfig, converges, load_campaign_config, run_campaign
 from .render import render_trials
 from .scene import load_task_spec
-from .sim import dump_trials, run_trials
+from .sim import dump_trials, run_trials, trial_texts
 
 
 def _read_program(path):
@@ -55,19 +57,123 @@ def _input_error(exc: Exception) -> int:
 # Trials `armloop run` simulates at a time. A trial's bytes depend on neither
 # the size of its batch nor the other trials, so neither do the run's files.
 CHUNK = 250
+PIECE = 1 << 16  # bytes of a worker's text copied into trials.jsonl at a time
 
 
-def _chunked_trials(program, spec, cfg: LoopConfig, kept: list):
-    """The run's trials in order, simulated CHUNK at a time. Each is yielded
-    to be written, then appended to `kept` without its snapshots, which only
-    trials.jsonl holds: memory holds one chunk plus every trial's events."""
-    for start in range(0, cfg.n_trials, CHUNK):
+def _workers() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
+    """The trials of the chunks at `starts` in order, simulated CHUNK at a
+    time. Each is yielded to be written, then appended to `kept` without its
+    snapshots, which only trials.jsonl holds: memory holds one chunk plus
+    every trial's events."""
+    for start in starts:
         n = min(CHUNK, cfg.n_trials - start)
         for log in run_trials(program, spec, n, cfg.base_seed + start, cfg.noise_scale, cfg.max_steps):
             log.trial_index += start
             yield log
             log.snapshots.clear()
             kept.append(log)
+
+
+def _send_share(program, spec, cfg: LoopConfig, starts: range, pipe) -> None:
+    """A worker's half of the exchange: its chunks' trials.jsonl text is
+    made first; then (error, the text's length in bytes, the trials without
+    snapshots) is pickled up `pipe`, followed by the text. An ArmloopError
+    is sent as its (code, message), with no trials and no text."""
+    kept = []
+    try:
+        text = [piece.encode() for piece in trial_texts(_chunked_trials(program, spec, cfg, starts, kept))]
+        error = None
+    except ArmloopError as exc:
+        text, kept, error = [], [], (exc.code, str(exc))
+    pickle.dump((error, sum(map(len, text)), kept), pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.writelines(text)
+
+
+def _fork_share(program, spec, cfg: LoopConfig, starts: range, workers: list) -> tuple:
+    """(pid, read end, starts) of a forked worker that sends the chunks at
+    `starts`. The worker closes the read ends of the earlier `workers` and
+    leaves by os._exit, running nothing of the caller's."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for _, pipe, _ in workers:
+                pipe.close()
+            with open(write_fd, "wb") as pipe:
+                _send_share(program, spec, cfg, starts, pipe)
+            status = 0
+        except BrokenPipeError:
+            pass  # the parent stopped reading: it has an error of its own to report
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb"), starts
+
+
+def _received(workers: list, n_trials: int, kept: list):
+    """The workers' trials.jsonl text in trial order, in pieces of at most
+    PIECE bytes; each worker's trials are appended to `kept`. A worker's
+    ArmloopError is re-raised, and its exit without a result is a
+    WorkerError that names its trials."""
+    for pid, pipe, starts in workers:
+        try:
+            error, size, logs = pickle.load(pipe)
+            if error is not None:
+                raise WorkerError(error[1], code=error[0])
+            while size:
+                piece = pipe.read(min(size, PIECE))
+                if not piece:
+                    raise EOFError
+                yield piece
+                size -= len(piece)
+        except (EOFError, pickle.UnpicklingError):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            last = min(starts[-1] + CHUNK, n_trials) - 1
+            raise WorkerError(f"trials {starts[0]}-{last}: their worker process exited "
+                              f"with status {status} before sending them") from None
+        kept += logs
+
+
+def _run_chunks(program, spec, cfg: LoopConfig, path: Path) -> list:
+    """Simulate and write the run's trials; return them without snapshots.
+    The chunks are cut into contiguous shares, one per CPU the process may
+    use. This process simulates and writes the first share, as a run of one
+    share does; a forked worker simulates each later one, and its text and
+    trials are then appended in trial order."""
+    starts = range(0, cfg.n_trials, CHUNK)
+    shares = min(_workers(), len(starts))
+    cuts = [len(starts) * k // shares for k in range(shares + 1)]
+    workers, kept = [], []
+    try:
+        for k in range(1, shares):
+            workers.append(_fork_share(program, spec, cfg, starts[cuts[k]:cuts[k + 1]], workers))
+        dump_trials(_chunked_trials(program, spec, cfg, starts[:cuts[1]], kept), path)
+        if workers:
+            ConfigError.write_text(path, _received(workers, cfg.n_trials, kept), "--out", mode="ab")
+    finally:
+        for _, pipe, _ in workers:
+            pipe.close()
+        for pid, _, _ in workers:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped by _received
+    return kept
 
 
 def cmd_run(args) -> int:
@@ -81,8 +187,7 @@ def cmd_run(args) -> int:
             print(str(d), file=sys.stderr)
         return 2
     program = insert_observations(program, cfg.observation_cap)
-    logs = []
-    dump_trials(_chunked_trials(program, spec, cfg, logs), out / "trials.jsonl")
+    logs = _run_chunks(program, spec, cfg, out / "trials.jsonl")
     selection = select_trial(logs, program, cfg.weights)
     ConfigError.write_text(out / "scores.json", scores_report(selection, logs), "--out")
     successes = sum(1 for log in logs if log.goal_met)

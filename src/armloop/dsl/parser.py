@@ -41,7 +41,8 @@ from .ast import (
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<NUMBER>-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    (?P<SKIP>[ \t\r]+)
+  | (?P<NUMBER>-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<STRING>"(?:\\.|[^"\\\n])*")
   | (?P<LPAREN>\()
@@ -51,6 +52,7 @@ _TOKEN_RE = re.compile(
   | (?P<COMMA>,)
   | (?P<EQUALS>=)
   | (?P<COMMENT>\#.*)
+  | (?P<MISMATCH>.)
     """,
     re.VERBOSE,
 )
@@ -69,22 +71,17 @@ def lex(text: str) -> list[Token]:
     ``#`` outside a string starts a comment that runs to the end of the line."""
     tokens: list[Token] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        pos = 0
         emitted = False
-        while pos < len(line):
-            if line[pos] in " \t\r":
-                pos += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "SKIP":
                 continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise DslSyntaxError(
-                    f"unexpected character {line[pos]!r}", lineno, pos + 1
-                )
-            if m.lastgroup == "COMMENT":
+            if kind == "COMMENT":
                 break
-            tokens.append(Token(str(m.lastgroup), m.group(), lineno, pos + 1))
+            if kind == "MISMATCH":
+                raise DslSyntaxError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+            tokens.append(Token(kind, m.group(), lineno, m.start() + 1))
             emitted = True
-            pos = m.end()
         if emitted:
             tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
     tokens.append(Token("EOF", "", text.count("\n") + 1, 1))

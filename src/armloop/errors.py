@@ -60,10 +60,11 @@ class FieldError(ArmloopError):
             raise cls(where, f"cannot read {path}: {reason}") from None
 
     @classmethod
-    def write_text(cls, path, text, where: str) -> None:
-        """text (a str, or an iterable of str pieces written as they come) to path."""
+    def write_text(cls, path, text, where: str, mode: str = "w") -> None:
+        """text (a str, or an iterable of str pieces written as they come) to
+        path; in mode "ab", an iterable of bytes pieces appended to it."""
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
                 fh.writelines([text] if type(text) is str else text)
         except OSError as exc:
             raise cls(where, f"cannot write {path}: {exc.strerror}") from None
@@ -290,3 +291,15 @@ class AgentFailureError(ArmloopError):
 
 class EmptyCampaignError(ArmloopError):
     code = "empty_campaign"
+
+
+class WorkerError(ArmloopError):
+    """A forked worker of `armloop run` that ended without its trials, or an
+    ArmloopError it raised, re-raised with that error's code and message."""
+
+    code = "worker_failure"
+
+    def __init__(self, message: str, code: str | None = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code

@@ -9,6 +9,7 @@ from .model import (
     dumps_trial,
     load_trials,
     scene_from_state,
+    trial_texts,
 )
 
 __all__ = [
@@ -20,4 +21,5 @@ __all__ = [
     "load_trials",
     "run_trials",
     "scene_from_state",
+    "trial_texts",
 ]

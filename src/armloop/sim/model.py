@@ -273,14 +273,20 @@ def dumps_trial(log: TrialLog) -> str:
     return _trial_text(log, {})
 
 
+def trial_texts(logs):
+    """Each trial's JSONL text, as `logs` yields them. The args memo lives
+    for the iteration: the executor's events share their statement's args
+    dict, so it holds one entry per statement of each batch the trials come
+    from."""
+    args_memo = {}
+    for log in logs:
+        yield _trial_text(log, args_memo)
+
+
 def dump_trials(logs, path) -> None:
     """Write the trials' JSONL text one trial at a time, as `logs` yields
-    them; a file that cannot be written is a ConfigError naming --out. The
-    args memo lives for the call: the executor's events share their
-    statement's args dict, so it holds one entry per statement of each batch
-    the trials come from."""
-    args_memo = {}
-    ConfigError.write_text(path, (_trial_text(log, args_memo) for log in logs), "--out")
+    them; a file that cannot be written is a ConfigError naming --out."""
+    ConfigError.write_text(path, trial_texts(logs), "--out")
 
 
 def _record(line: str):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import signal
 import tracemalloc
 
 import pytest
@@ -10,6 +12,7 @@ from armloop import cli
 from armloop.agents import remote
 from armloop.cli import CHUNK, OPTIONS, build_parser, main
 from armloop.dsl import parse
+from armloop.errors import ConfigError
 from armloop.harness import scores_report, select_trial
 from armloop.instrument import insert_observations
 from armloop.loop import LoopConfig, load_campaign_config, run_campaign
@@ -341,6 +344,7 @@ def test_run_in_chunks_writes_what_one_whole_batch_writes(tmp_path, capsys, monk
 
     sizes = []
     real_run_trials = cli.run_trials
+    monkeypatch.setattr(cli, "_workers", lambda: 1)  # forked workers' calls would not reach `sizes`
     monkeypatch.setattr(cli, "run_trials", lambda *a: sizes.append(a[2]) or real_run_trials(*a))
     argv = ["run", _task(), _prog("correct"), "--trials", str(n), "--seed", str(seed), "--noise-scale", "1"]
     code = main([*argv, "--out", str(tmp_path / "chunked")])
@@ -356,22 +360,132 @@ def test_run_in_chunks_writes_what_one_whole_batch_writes(tmp_path, capsys, monk
     assert sizes[3:] == [n]
 
 
-def test_run_memory_is_one_chunk_not_every_trial(tmp_path, capsys):
+# Under -X dev a pipe left open is a ResourceWarning raised in a finalizer,
+# which pytest reports as PytestUnraisableExceptionWarning: a forked run fails on it.
+closes_its_pipes = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+
+
+@pytest.fixture()
+def bounded():
+    """Fails a test whose forked run does not end within a minute, rather
+    than letting it hang; the workers inherit the handler but not the alarm."""
+    def expire(*_):
+        raise TimeoutError("the run did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _run_peak(out, n: int) -> int:
+    """The traced memory peak of this process over one noisy `run` of n trials."""
+    tracemalloc.start()
+    try:
+        main(["run", _task(), _prog("correct"), "--trials", str(n), "--noise-scale", "1", "--out", str(out)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_is_one_chunk_not_every_trial(tmp_path, capsys, monkeypatch):
     """What `run` keeps of a written trial is its events and summary, so
     its traced peak barely grows from one chunk of trials to three."""
-    def peak(n: int) -> int:
-        tracemalloc.start()
-        try:
-            main(["run", _task(), _prog("correct"), "--trials", str(n), "--noise-scale", "1",
-                  "--out", str(tmp_path / str(n))])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path / "warm")])
-    one, three = peak(CHUNK), peak(3 * CHUNK)
+    one, three = _run_peak(tmp_path / "one", CHUNK), _run_peak(tmp_path / "three", 3 * CHUNK)
     capsys.readouterr()
     assert three < 1.5 * one, (one, three)
+
+
+@closes_its_pipes
+def test_forked_run_chunks_hold_no_more_memory_here_than_inline(tmp_path, capsys, monkeypatch, bounded):
+    """The trials that workers send back replace what this process would
+    have simulated itself: its traced peak is no higher than inline."""
+    main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path / "warm")])
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    inline = _run_peak(tmp_path / "inline", 4 * CHUNK)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    forked = _run_peak(tmp_path / "forked", 4 * CHUNK)
+    capsys.readouterr()
+    assert forked <= inline, (forked, inline)
+
+
+def _run_argv(out, kind="correct", task="place_shoe", n=2 * CHUNK + 3):
+    return ["run", _task(task), _prog(kind, task), "--trials", str(n), "--seed", "5", "--noise-scale", "1",
+            "--out", str(out)]
+
+
+def _assert_no_worker_left(out):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert {p.name for p in out.iterdir()} <= {"trials.jsonl", "scores.json"}
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("task, kind", [("stack_blocks_three", "correct"), ("place_shoe", "silent")])
+def test_run_chunks_write_the_same_bytes_at_every_worker_count(tmp_path, capsys, monkeypatch, bounded, task, kind):
+    """The chunks split over 1, 2 or 3 processes: trials.jsonl, scores.json,
+    the status lines and the exit code are those of the run in one."""
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        out = tmp_path / str(workers)
+        code = main(_run_argv(out, kind, task))
+        runs.append((code, capsys.readouterr().out, (out / "trials.jsonl").read_bytes(),
+                     (out / "scores.json").read_bytes()))
+        _assert_no_worker_left(out)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[0][1].count("\n") == 2 * CHUNK + 4
+    if kind == "silent":
+        assert "failed [" in runs[0][1] or "goal not met" in runs[0][1]
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_chunk_error_in_a_worker_is_reported_as_inline(tmp_path, capsys, monkeypatch, bounded, workers):
+    """A ConfigError raised while a worker simulates its chunk ends the run
+    with exit 2 and the stderr of the same error raised inline."""
+    real_run_trials = cli.run_trials
+
+    def failing(program, spec, n, seed, *rest):
+        if seed >= 5 + CHUNK:
+            raise ConfigError("noise_scale", f"no trial from seed {seed}")
+        return real_run_trials(program, spec, n, seed, *rest)
+
+    monkeypatch.setattr(cli, "run_trials", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    assert main(_run_argv(tmp_path / "inline")) == 2
+    inline = capsys.readouterr().err
+    assert inline == f"error [config_error]: noise_scale: no trial from seed {5 + CHUNK}\n"
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    assert main(_run_argv(tmp_path / "forked")) == 2
+    assert capsys.readouterr().err == inline
+    _assert_no_worker_left(tmp_path / "forked")
+
+
+@closes_its_pipes
+def test_run_chunk_worker_that_exits_without_a_result_is_a_coded_error(tmp_path, capfd, monkeypatch, bounded):
+    """Of a run cut into three shares, the worker of the middle one leaves
+    by os._exit(9) mid-chunk while the last one's still simulates or waits
+    to send: the run ends in a coded error naming the lost trials, with no
+    worker left behind."""
+    parent, real_run_trials = os.getpid(), cli.run_trials
+
+    def dying(program, spec, n, seed, *rest):
+        if os.getpid() != parent and seed == 5 + CHUNK:
+            os._exit(9)
+        return real_run_trials(program, spec, n, seed, *rest)
+
+    monkeypatch.setattr(cli, "run_trials", dying)
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    assert main(_run_argv(tmp_path, n=4 * CHUNK)) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error [worker_failure]: trials {CHUNK}-{2 * CHUNK - 1}: their worker process "
+                            "exited with status 9 before sending them\n")
+    _assert_no_worker_left(tmp_path)
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):
