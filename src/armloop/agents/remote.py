@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from types import NoneType
 
 from ..errors import AgentFailureError, BackendError, MalformedReplyError
@@ -23,6 +21,11 @@ _RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float):
+    # Imported here: urllib.request brings in http.client, ssl and email,
+    # which no command needs until a remote backend sends its first request.
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
     try:
         response = urllib.request.urlopen(request, timeout=timeout)

@@ -1,7 +1,8 @@
 """Command-line surface: run | loop | metrics | render | validate | instrument.
 
 Exit codes: 0 success, 1 ran-but-failed (run: a goal-met share not above
-success_threshold), 2 input, validation or artifact problems, 3 agent failure.
+success_threshold), 2 input, validation or artifact problems, 3 agent failure,
+141 stdout closed before all of the output was written to it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def _write_out(out: str | None, text: str) -> None:
         ConfigError.write_text(out, text, "--out")
     else:
         sys.stdout.write(text)
+
+
+# 128 + SIGPIPE, the status a shell reports for a process that SIGPIPE ended.
+CLOSED_STDOUT = 141
 
 
 def _fail(message: str, code: int) -> int:
@@ -354,7 +359,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.cfg = _options_config(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # The reader of stdout went away: what is left for it goes to devnull,
+        # so that the flush at shutdown succeeds (the "Note on SIGPIPE" in the
+        # docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except AgentFailureError as exc:
         return _fail(f"error [agent_failure]: {exc}", 3)
     except (ArmloopError, OSError) as exc:

@@ -17,7 +17,7 @@ parallel blocks, and every call must come from the closed API set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import BadArgError, DslSyntaxError, UnknownApiError
 from ..scene import ARM_TAGS
@@ -58,8 +58,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -10,6 +10,7 @@ subgoal, with boundary snapshots on pseudo-subgoals 0 and N+1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dsl.ast import Program
@@ -176,24 +177,33 @@ def collect_observations(log: TrialLog, program: Program) -> ObservationSet:
     return ObservationSet(groups=groups, n_subgoals=n)
 
 
+# scores.json as json.dumps(payload, indent=2) writes it: the head's two
+# values and the trials' rows, each row one fill of its template.
+_SCORES = '{\n  "selected_index": %s,\n  "all_success": %s,\n  "trials": [%s]\n}\n'
+_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in
+                              ("index", "seed", "severity", "divergence", "psi", "selected")) + "\n    }"
+
+
+def _json(value, indent: str = " " * 6) -> str:
+    """json.dumps(value, indent=2) as it reads nested under `indent` (a
+    row value's, unless given): an exact int or finite float, or a bool,
+    written out; any other value by json.dumps, its later lines shifted by
+    the indent."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def scores_report(selection: SelectionResult, batch: list[TrialLog]) -> str:
     """scores.json payload: per-trial index, seed, both signals, psi, and
-    the selection flag."""
-    rows = []
-    for score, log in zip(selection.scores, batch):
-        rows.append(
-            {
-                "index": score.trial_index,
-                "seed": log.seed,
-                "severity": score.severity,
-                "divergence": score.divergence,
-                "psi": score.psi,
-                "selected": score.selected,
-            }
-        )
-    payload = {
-        "selected_index": selection.index,
-        "all_success": selection.all_success,
-        "trials": rows,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    the selection flag; the bytes of json.dumps(payload, indent=2) + "\\n"."""
+    rows = ",\n".join([_ROW % (_json(score.trial_index), _json(log.seed), _json(score.severity),
+                                _json(score.divergence), _json(score.psi), _json(score.selected))
+                        for score, log in zip(selection.scores, batch)])
+    return _SCORES % (_json(selection.index, "  "), _json(selection.all_success, "  "), rows and f"\n{rows}\n  ")

@@ -6,14 +6,15 @@ Serialization is byte-stable: two `run_trials` calls with the same arguments
 produce identical files.
 
 The writer produces exactly what json.dumps(record, ensure_ascii=False)
-would, faster: each record type has one template, built at import from its
-dataclass's fields; an exact str, int or finite float goes straight to the
-C function the encoder would call, and an exact bool is written out; the
-text of each pose entry of a snapshot scene is made once per trial,
-memoized by the identity of its pose tuple; and the text of each event's
-`args` once per `dump_trials` call, memoized by the identity of the dict
-its statement's events share. A value of any other kind (a subclass, a
-numpy scalar, nan or inf, a list) falls back to the JSON encoder.
+would, faster. Each record is one fill of its type's template, built at
+import from its dataclass's fields, with the fields fetched at once. An
+exact str, int or finite float goes straight to the C function the encoder
+would call, and an exact bool or None is written out. Each entry of a
+snapshot scene is one memo lookup, keyed by the identity of the entry dict,
+so its text is made once per trial; the text of each event's `args` is made
+once per `dump_trials` call, memoized by the identity of the dict its
+statement's events share. A value of any other kind (a subclass, a numpy
+scalar, nan or inf, a list) falls back to the JSON encoder.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class TrialLog:
 # tuple kept while it does not move, and an entry whose pose and other value
 # are the same objects as in the previous snapshot is the same dict. The trial
 # writer relies on this identity: it makes an entry's text once per trial,
-# memoized by the identity of its pose tuple, and encodes anything but seven
-# exact finite floats through the JSON encoder.
+# memoized by the identity of the entry dict, and encodes a pose of anything
+# but seven exact finite floats through the JSON encoder.
 SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
 
 
@@ -171,16 +172,18 @@ def trial_records(log: TrialLog):
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 
-# Each record type's line: its "type" written out, then a %s for the trial
-# index and for each of the class's fields.
-_TEMPLATES = {cls: "{" + ", ".join([f'"type": {_str(kind)}',
-                                    *(f"{_str(name)}: %s" for name in ("trial_index", *names))]) + "}"
-              for cls, (kind, names) in _FIELDS.items()}
-# Per section of a payload, in order: the keys of its entries and the
-# template of an entry's text (name, pose, other value).
-_SECTIONS = {section: (keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}")
-             for section, keys in SCENE_KEYS.items()}
-_SECTION_NAMES = tuple(_SECTIONS)
+# Per record type: the template of its line (its "type" written out, then a
+# %s for the trial index and for each of the class's fields) and the getter
+# of those fields.
+(_EVENT, _event_fields), (_SNAPSHOT, _snapshot_fields), (_SUMMARY, _summary_fields) = [
+    ("{" + ", ".join([f'"type": {_str(kind)}', *(f"{_str(name)}: %s" for name in ("trial_index", *names))]) + "}",
+     attrgetter(*names))
+    for kind, names in _FIELDS.values()]
+# A payload's text, a %s per section; per section, the keys of an entry and
+# the template of its text (name, pose, other value).
+_SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in SCENE_KEYS) + "}"
+_ENTRIES = tuple((keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}") for keys in SCENE_KEYS.values())
+_SECTION_NAMES = tuple(SCENE_KEYS)
 _POSE = "[" + ", ".join(["%r"] * 7) + "]"
 _SEVEN_FLOATS = (float,) * 7
 
@@ -213,54 +216,54 @@ def _pose_text(pose) -> str:
     return _encode(pose)
 
 
-def _scene_text(scene, memos: dict) -> str:
-    """_encode(scene), each entry's text made once per trial.
-    `memos` maps section to id(pose) to (pose, name, other value, text). It
-    holds the pose, so that id names no other object while it lives, and a
-    hit needs the very same name and other value: identity, never `==`,
-    since -0.0 == 0.0 and nan != nan. A payload of another layout is encoded
-    whole."""
+def _scene_text(scene, memo: dict) -> str:
+    """_encode(scene), with one memo lookup per entry: `memo` maps
+    id(entry) to (entry, name, text) for one trial. It holds the entry, so
+    that its id names no other dict while the memo lives, and a hit needs
+    the very same name; nothing that runs while a trial is written changes
+    an entry. An entry's text is _encode's in either section, so one memo
+    serves both. A payload of another layout is encoded whole."""
     if type(scene) is not dict or tuple(scene) != _SECTION_NAMES:
         return _encode(scene)
-    sections = []
-    for section, (keys, template) in _SECTIONS.items():
-        entries, memo = scene[section], memos[section]
+    texts = []
+    for entries, (keys, template) in zip(scene.values(), _ENTRIES):
         if type(entries) is not dict:
             return _encode(scene)
-        texts = []
+        section = []
         for name, entry in entries.items():
-            if type(name) is not str or type(entry) is not dict or tuple(entry) != keys:
-                return _encode(scene)
-            pose, other = entry.values()
-            hit = memo.get(id(pose))
-            if hit is None or hit[1] is not name or hit[2] is not other:
-                hit = memo[id(pose)] = (pose, name, other, template % (_str(name), _pose_text(pose), _atom(other)))
-            texts.append(hit[3])
-        sections.append(f'"{section}": {{{", ".join(texts)}}}')
-    return "{" + ", ".join(sections) + "}"
+            hit = memo.get(id(entry))
+            if hit is None or hit[1] is not name:
+                if type(name) is not str or type(entry) is not dict or tuple(entry) != keys:
+                    return _encode(scene)
+                pose, other = entry.values()
+                hit = memo[id(entry)] = (entry, name, template % (_str(name), _pose_text(pose), _atom(other)))
+            section.append(hit[2])
+        texts.append(", ".join(section))
+    return _SCENE % tuple(texts)
 
 
 def _trial_text(log: TrialLog, args_memo: dict) -> str:
-    """dumps_trial(log). `args_memo` maps id(args) to (args, text) for the
-    calls that share it; it holds the args object, so that id names no
-    other object while it lives."""
-    memos = {section: {} for section in _SECTIONS}
+    """dumps_trial(log): each record one fill of its type's template.
+    `args_memo` maps id(args) to (args, text) for the events that share it;
+    it holds the args object, so that its id names no other object while
+    it lives."""
+    memo = {}
     index = _atom(log.trial_index)
+    *records, summary = _ordered(log)
     lines = []
-    for rec in _ordered(log):
-        values = [index]
-        for name in _FIELDS[type(rec)][1]:
-            value = getattr(rec, name)
-            if name == "scene":
-                values.append(_scene_text(value, memos))
-            elif name == "args":
-                hit = args_memo.get(id(value))
-                if hit is None:
-                    hit = args_memo[id(value)] = (value, _atom(value))
-                values.append(hit[1])
-            else:
-                values.append(_atom(value))
-        lines.append(_TEMPLATES[type(rec)] % tuple(values))
+    for rec in records:
+        if type(rec) is Snapshot:
+            step_name, stmt_id, subgoal_index, t, scene, context = _snapshot_fields(rec)
+            lines.append(_SNAPSHOT % (index, _atom(step_name), _atom(stmt_id), _atom(subgoal_index), _atom(t),
+                                      _scene_text(scene, memo), _atom(context)))
+        else:
+            stmt_id, subgoal_index, op_name, args, outcome, category, message, t = _event_fields(rec)
+            hit = args_memo.get(id(args))
+            if hit is None:
+                hit = args_memo[id(args)] = (args, _atom(args))
+            lines.append(_EVENT % (index, _atom(stmt_id), _atom(subgoal_index), _atom(op_name), hit[1],
+                                   _atom(outcome), _atom(category), _atom(message), _atom(t)))
+    lines.append(_SUMMARY % (index, *map(_atom, _summary_fields(summary))))
     lines.append("")
     return "\n".join(lines)
 

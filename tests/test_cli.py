@@ -1,10 +1,14 @@
 import dataclasses
+import fcntl
 import json
 import math
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +490,74 @@ def test_run_chunk_worker_that_exits_without_a_result_is_a_coded_error(tmp_path,
     assert captured.err == (f"error [worker_failure]: trials {CHUNK}-{2 * CHUNK - 1}: their worker process "
                             "exited with status 9 before sending them\n")
     _assert_no_worker_left(tmp_path)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _armloop(argv, cwd, stdout) -> subprocess.Popen:
+    """`armloop argv` in a fresh interpreter, its stderr piped."""
+    return subprocess.Popen([sys.executable, "-m", "armloop.cli", *argv], cwd=cwd, stdout=stdout,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def _closing_reader(argv, cwd, lines: int) -> tuple:
+    """(exit status, stderr) of `armloop argv` whose stdout is a pipe that
+    its reader closes after `lines` lines. The pipe is shrunk to one page
+    (Linux's F_SETPIPE_SZ), so a writer of more than a page and its own
+    buffer is still blocked in a write when the reader goes."""
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    with open(read_fd, "rb", buffering=0) as reader:
+        proc = _armloop(argv, cwd, write_fd)
+        os.close(write_fd)
+        seen = 0
+        while seen < lines and (byte := reader.read(1)):
+            seen += byte == b"\n"
+    err = proc.communicate(timeout=120)[1]
+    return proc.returncode, err.decode()
+
+
+def _files(root: Path) -> dict:
+    """Each file under root by relative path: its bytes, or for
+    campaign.json its record without the created_at timestamp."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "campaign.json":
+            data = {k: v for k, v in json.loads(data).items() if k != "created_at"}
+        files[str(path.relative_to(root))] = data
+    return files
+
+
+@pytest.mark.parametrize("command, lines", [("run", 0), ("run", 1), ("loop", 0), ("loop", 1)])
+def test_closed_stdout_ends_quietly_with_every_file_written(tmp_path, command, lines):
+    """A reader that closes stdout early (`armloop run ... | head -1`) ends
+    the command with status cli.CLOSED_STDOUT and an empty stderr, and the
+    files are those of a run whose stdout stays open. A `loop` prints its
+    few lines at once, so its reader may see them all before it closes,
+    and the command then ends as usual."""
+    if command == "run":
+        argv = ["run", _task(), _prog("correct"), "--trials", "600", "--noise-scale", "1", "--out", "out"]
+    else:
+        argv = ["loop", _task(), "--config", str(TASKS_DIR / "configs" / "hybrid.json"), "--out", "out"]
+    (tmp_path / "open").mkdir()
+    (tmp_path / "closed").mkdir()
+    proc = _armloop(argv, tmp_path / "open", subprocess.DEVNULL)
+    assert proc.communicate(timeout=120)[1] == b"" and proc.returncode == 0
+    status, err = _closing_reader(argv, tmp_path / "closed", lines)
+    assert err == ""
+    assert status == cli.CLOSED_STDOUT or (command, lines, status) == ("loop", 1, 0)
+    assert _files(tmp_path / "closed") == _files(tmp_path / "open")
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    """urllib.request brings in http.client, ssl and email; only a remote
+    backend's first request imports it."""
+    code = "import sys, armloop.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    assert out == "[]\n"
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):

@@ -1,15 +1,20 @@
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from armloop.dsl import parse
 from armloop.dsl.ast import Program, SubgoalBlock
 from armloop.errors import NoSnapshotsError
 from armloop.harness import (
+    SelectionResult,
     collect_observations,
     failure_severity,
     levenshtein,
     majority_signature,
+    scores_report,
     select_trial,
     trace_divergence,
 )
@@ -187,6 +192,47 @@ def test_select_trial_matches_bruteforce_argmax_oracle():
                 best = i
         assert result.index == best
         assert result.scores[best].psi == pytest.approx(max(psis))
+
+
+def _scores_payload(selection, batch) -> dict:
+    return {
+        "selected_index": selection.index,
+        "all_success": selection.all_success,
+        "trials": [{"index": score.trial_index, "seed": log.seed, "severity": score.severity,
+                    "divergence": score.divergence, "psi": score.psi, "selected": score.selected}
+                   for score, log in zip(selection.scores, batch)],
+    }
+
+
+def test_scores_report_matches_json_dumps_on_random_selections():
+    """scores.json is json.dumps(payload, indent=2) plus a newline, for
+    real selections over batches of one trial and more, and for scores
+    holding values the template leaves to json.dumps."""
+    ops = ["grasp_actor:success:none", "grasp_actor:failure:grasp_slip", "place_actor:failure:placement_miss"]
+    odd = [math.nan, math.inf, -math.inf, -0.0, np.float64(0.25), 1, True, None, [0.5, [1, {"a": -0.0}]], {}]
+    rng = random.Random(5)
+    program = _program(2)
+    sizes = []
+    for _ in range(300):
+        batch = [_trace_log(i, [rng.choice(ops) for _ in range(rng.randint(1, 3))], goal_met=rng.random() < 0.5)
+                 for i in range(rng.choice([1, 1, 2, 5, 9]))]
+        for log in batch:
+            log.seed = rng.choice([log.trial_index, 2**40, -7])
+        selection = select_trial(batch, program, (rng.choice([0.5, 1.0]), rng.choice([0.5, 2.0])))
+        sizes.append(len(batch))
+        assert scores_report(selection, batch) == json.dumps(_scores_payload(selection, batch), indent=2) + "\n"
+        for score in selection.scores:
+            for name in ("severity", "divergence", "psi", "trial_index"):
+                if rng.random() < 0.2:
+                    setattr(score, name, rng.choice(odd))
+        if rng.random() < 0.2:
+            batch[0].seed = rng.choice(odd)
+        if rng.random() < 0.1:
+            selection.index, selection.all_success = rng.choice(odd), rng.choice(odd)
+        assert scores_report(selection, batch) == json.dumps(_scores_payload(selection, batch), indent=2) + "\n"
+    assert 1 in sizes and max(sizes) > 1
+    empty = SelectionResult(index=0, scores=[])  # select_trial refuses an empty batch; the writer does not
+    assert scores_report(empty, []) == json.dumps(_scores_payload(empty, []), indent=2) + "\n"
 
 
 def test_selection_stable_under_batch_permutation():

@@ -644,6 +644,76 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
     assert dumps_trial(log) == _reference_text([log])
 
 
+def _random_trial_logs(rng: random.Random, n: int) -> list:
+    """n trial logs whose snapshots share entry dicts, pose tuples and args
+    dicts across snapshots and trials, as the executor's do, mixed with the
+    values the writer must leave to the JSON encoder."""
+    zero = 0.0
+    floats = [zero, -zero, 0.5, -0.25, 1.0, 1e-300, 1.5e300, 0.1 + 0.2]
+    odd = [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-zero)]
+
+    def pose():
+        values = [rng.choice(floats) for _ in range(7)]
+        if rng.random() < 0.15:
+            values[rng.randrange(7)] = rng.choice(odd)
+        shape = rng.random()
+        if shape < 0.05:
+            return values  # a list, as load_trials reads one
+        if shape < 0.08:
+            return tuple(values[:6])
+        return tuple(values)
+
+    names = ["shoe", "target_block", "杯", "left", "right", "Schuh_ß", 'q"uote', _Name("shoe"), 1]
+    others = [None, "left", "right", 1.0, zero, -zero, math.nan, np.float64(0.5), True, 1, _Index(1)]
+    poses = [pose() for _ in range(12)]
+    keys = [("pose", "held_by"), ("tcp", "gripper")]
+    entries = [{k: v for k, v in zip(rng.choice(keys), (rng.choice(poses), rng.choice(others)))} for _ in range(16)]
+    entries += [{"held_by": None, "pose": poses[0]}, {"pose": poses[1]}, dict(entries[0], extra=1)]
+    args_pool = [{}, {"actor": "shoe", "arm": "left"}, {"step_name": '"q\\"'}, {"z": -zero, "pos": math.nan}]
+
+    def section():
+        return {rng.choice(names): rng.choice(entries) for _ in range(rng.randrange(4))}
+
+    def scene():
+        shape = rng.random()
+        if shape < 0.03:
+            return [section()]
+        if shape < 0.06:
+            return {"arms": section(), "actors": section()}
+        if shape < 0.08:
+            return {"actors": section(), "arms": [1]}
+        return {"actors": section(), "arms": section()}
+
+    ints = [0, 1, 2, 7, -3, 10**20, True, False, _Index(4)]
+    texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ", _Name("named")]
+    scenes = [scene() for _ in range(24)]  # each payload may recur, in one trial or in several
+    logs = []
+    for index in range(n):
+        log = TrialLog(trial_index=rng.choice([index, _Index(index), True]), seed=rng.choice([index, -1, 2**40]),
+                       goal_met=rng.random() < 0.5)
+        for t in range(rng.randrange(6)):
+            log.events.append(SymbolicEvent(rng.choice(ints), rng.choice(ints), rng.choice(texts),
+                                            rng.choice(args_pool), rng.choice(["success", "failure"]),
+                                            rng.choice(["none", "collision"]), rng.choice(texts + [None, 1.5]),
+                                            rng.choice([t, t, True, _Index(t)])))
+        for t in range(rng.randrange(8)):
+            log.snapshots.append(Snapshot(rng.choice(texts), rng.choice(ints), rng.choice(ints), t,
+                                          rng.choice(scenes), rng.choice(texts)))
+        logs.append(log)
+    return logs
+
+
+def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
+    rng = random.Random(20)
+    path = tmp_path / "trials.jsonl"
+    for _ in range(5):
+        logs = _random_trial_logs(rng, 120)
+        reference = _reference_text(logs)
+        dump_trials(logs, path)  # one args memo over every trial
+        assert path.read_text(encoding="utf-8") == reference
+        assert "".join(map(dumps_trial, logs)) == reference
+
+
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
     log = one_trial(_correct(), place_shoe_spec, 0, max_steps=3)
     limit, final = log.events[-1], log.snapshots[-1]
