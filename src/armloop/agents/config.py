@@ -18,7 +18,6 @@ class AgentConfig:
     timeout_s: float = field(default=30.0, metadata={"above": 0})
     max_retries: int = field(default=3, metadata={"minimum": 0})  # a call is still tried once at 0
     temperature: float = field(default=0.0, metadata={"minimum": 0})
-    playbook: list = field(default_factory=list)  # mock synthesis: program texts, read at config load
 
     def __post_init__(self):
         ConfigError.check_fields(self)

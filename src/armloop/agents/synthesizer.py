@@ -52,11 +52,12 @@ def parse_subgoal_list(reply: str) -> list[str]:
 
 class Synthesizer:
     """decompose() and synthesize() behind one adapter instance. The mock
-    backend replays config.playbook's program texts from a cursor that
-    stays on the last one."""
+    backend replays the playbook's program texts from a cursor that stays
+    on the last one; the remote backend ignores the playbook."""
 
-    def __init__(self, config: AgentConfig, transport=None):
+    def __init__(self, config: AgentConfig, transport=None, playbook=()):
         self.config = config
+        self.playbook = playbook
         self.cursor = 0
         self.backend = ChatBackend(config, transport=transport) if config.backend == "remote" else None
 
@@ -78,7 +79,7 @@ class Synthesizer:
     # -- synthesis ----------------------------------------------------------
 
     def _mock_program(self, signal: RepairSignal | None) -> str:
-        playbook = self.config.playbook
+        playbook = self.playbook
         if not playbook:
             raise MalformedReplyError("playbook", "none configured for the mock synthesizer")
         if signal is not None and signal.faults:

@@ -1,9 +1,9 @@
-"""Perceptual verification: per-subgoal verdicts from observation sets.
+"""Perceptual verification: per-subgoal verdicts from grouped snapshots.
 
 The mock backend is a deterministic oracle: it replays each subgoal's
-snapshots against the task's checkpoint predicates (the final subgoal
-defaults to the task goal) and maps symbolic error categories onto causal
-hypotheses. The remote backend ships the serialized snapshots plus their
+snapshots (as harness.collect_observations groups them) against the task's
+checkpoint predicates (the final subgoal defaults to the task goal) and
+maps symbolic error categories onto causal hypotheses. The remote backend ships the serialized snapshots plus their
 SVG renders to a vision-capable chat endpoint and parses a JSON verdict
 block out of the reply.
 """
@@ -14,7 +14,6 @@ import json
 import re
 
 from ..errors import MalformedReplyError
-from ..harness import ObservationSet
 from ..scene import TaskSpec, eval_predicate
 from ..sim.model import TrialLog, scene_from_state
 from .config import AgentConfig
@@ -35,12 +34,14 @@ class Verifier:
     def verify(
         self,
         subgoals: list[str],
-        observations: ObservationSet,
+        groups: dict[int, list],
         log: TrialLog,
     ) -> Diagnosis:
+        """Per-subgoal verdicts on the trial whose snapshots `groups` holds
+        by subgoal, the boundary snapshots on 0 and the last key."""
         if self.config.backend == "mock":
-            return self._oracle(subgoals, observations, log)
-        return self._remote(subgoals, observations, log)
+            return self._oracle(groups, log)
+        return self._remote(subgoals, log)
 
     # -- oracle ---------------------------------------------------------------
 
@@ -53,15 +54,13 @@ class Verifier:
         scene = scene_from_state(self.spec, snapshot.scene)
         return bool(eval_predicate(checkpoint, self.spec, scene)[0])
 
-    def _oracle(self, subgoals, observations: ObservationSet, log: TrialLog) -> Diagnosis:
+    def _oracle(self, groups: dict[int, list], log: TrialLog) -> Diagnosis:
         failure = log.failure_event
-        last_snapshot = None
-        for snap in observations.all_snapshots():
-            last_snapshot = snap
+        last_snapshot = log.snapshots[-1] if log.snapshots else None
 
         verdicts = []
-        for index in range(1, observations.n_subgoals + 1):
-            group = observations.groups.get(index, [])
+        for index in range(1, len(groups) - 1):
+            group = groups[index]
             checkpoint = self._checkpoint(index)
 
             if failure is not None and failure.subgoal_index == index:
@@ -134,10 +133,10 @@ class Verifier:
 
     # -- remote ---------------------------------------------------------------
 
-    def _remote(self, subgoals, observations: ObservationSet, log: TrialLog) -> Diagnosis:
+    def _remote(self, subgoals, log: TrialLog) -> Diagnosis:
         from ..render import snapshot_svg  # deferred: render depends on sim only
 
-        step_names = [snap.step_name for snap in observations.all_snapshots()]
+        step_names = [snap.step_name for snap in log.snapshots]
         header = (
             "Analyze the execution of the following robot task: \n"
             f"Task name: {self.spec.name} \n"
@@ -175,7 +174,7 @@ class Verifier:
                 "content": "Symbolic execution log:\n" + json.dumps(event_lines, ensure_ascii=False),
             }
         )
-        for snap in observations.all_snapshots():
+        for snap in log.snapshots:
             messages.append(
                 {
                     "role": "user",

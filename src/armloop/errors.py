@@ -29,8 +29,7 @@ _JSON_NAMES = {
 }
 # A record field's declared type, as its annotation reads, -> the JSON values it holds (None: its reader checks it).
 _DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list,
-             "str | None": (str, NoneType), "int | None": (int, NoneType),
-             "tuple": None, "AgentConfig": None}
+             "str | None": (str, NoneType), "tuple": None, "AgentConfig": None}
 _RECORD_FIELDS: dict = {}  # record class -> [(field name, JSON values, bounds)], filled on first use
 _REQUIRED = object()
 

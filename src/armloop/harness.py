@@ -3,15 +3,15 @@
 Raw failure severity and trace divergence are min-max normalized over the
 batch, combined with configurable weights, and the argmax trial (ties to the
 lowest index) is handed to perceptual verification. Snapshot grouping turns
-the selected trial's snapshots into an ordered observation set keyed by
-subgoal, with boundary snapshots on pseudo-subgoals 0 and N+1.
+the selected trial's snapshots into ordered groups keyed by subgoal, with
+boundary snapshots on pseudo-subgoals 0 and N+1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsl.ast import Program
 from .errors import NoSnapshotsError
@@ -35,21 +35,6 @@ class SelectionResult:
     index: int
     scores: list[TrialScore]
     all_success: bool = False
-
-
-@dataclass
-class ObservationSet:
-    """Snapshots of one trial grouped by subgoal, order preserved.
-
-    Keys 0 and n_subgoals+1 hold the initial and final boundary snapshots.
-    """
-
-    groups: dict[int, list] = field(default_factory=dict)
-    n_subgoals: int = 0
-
-    def all_snapshots(self):
-        for key in sorted(self.groups):
-            yield from self.groups[key]
 
 
 def failure_severity(log: TrialLog, program: Program) -> float:
@@ -160,8 +145,9 @@ def select_trial(
     return SelectionResult(index=best, scores=scores, all_success=all_success)
 
 
-def collect_observations(log: TrialLog, program: Program) -> ObservationSet:
-    """Partition the trial's snapshots by originating subgoal; boundary
+def collect_observations(log: TrialLog, program: Program) -> dict[int, list]:
+    """The trial's snapshots by originating subgoal, order preserved, for
+    each of the program's N subgoals; the initial and final boundary
     snapshots attach to pseudo-subgoals 0 and N+1."""
     if not log.snapshots:
         raise NoSnapshotsError("trial has no snapshots; was the program instrumented?")
@@ -174,7 +160,7 @@ def collect_observations(log: TrialLog, program: Program) -> ObservationSet:
             groups[n + 1].append(snap)
         else:
             groups[snap.subgoal_index].append(snap)
-    return ObservationSet(groups=groups, n_subgoals=n)
+    return groups
 
 
 # scores.json as json.dumps(payload, indent=2) writes it: the head's two

@@ -9,7 +9,6 @@ candidates and aggregates their final success rates.
 
 from __future__ import annotations
 
-import copy
 import datetime
 import json
 import os
@@ -225,11 +224,13 @@ def run_loop(
     cfg: LoopConfig,
     out_dir=None,
     transport=None,
+    playbook=(),
 ) -> LoopResult:
     """Iterate synthesize/instrument/execute/diagnose until the batch
-    success rate exceeds the threshold or the iteration cap is hit."""
+    success rate exceeds the threshold or the iteration cap is hit. The
+    mock synthesizer replays `playbook`, the candidate's program texts."""
     out_dir = Path(out_dir) if out_dir is not None else None
-    synthesizer = Synthesizer(cfg.synthesis, transport=transport)
+    synthesizer = Synthesizer(cfg.synthesis, transport, playbook)
     verifier = Verifier(cfg.verifier, spec, transport=transport)
 
     try:
@@ -284,33 +285,10 @@ def run_loop(
 
 
 @dataclass
-class CandidateSpec:
-    candidate_id: int
-    base_seed: int | None = field(default=None, metadata={"minimum": 0})  # None: the default seed block
-    playbook: list = field(default_factory=list)
-
-    def __post_init__(self):
-        ConfigError.check_fields(self)
-
-
-@dataclass
 class CampaignConfig:
     loop: LoopConfig = field(default_factory=LoopConfig)
-    candidates: list = field(default_factory=list)
+    candidates: list = field(default_factory=list)  # per candidate, its playbook; none: one candidate
     expert_program: str | None = None
-
-    def candidate_specs(self) -> list[CandidateSpec]:
-        """The candidates with their seeds. Candidate i defaults to the i-th
-        block of max_iterations x n_trials seeds, laid out from the final
-        iteration cap so no two (candidate, iteration) batches share seeds."""
-        loop = self.loop
-        if not self.candidates:
-            return [CandidateSpec(0, loop.base_seed, list(loop.synthesis.playbook))]
-        stride = loop.max_iterations * loop.n_trials
-        return [
-            c if c.base_seed is not None else replace(c, base_seed=loop.base_seed + i * stride)
-            for i, c in enumerate(self.candidates)
-        ]
 
 
 @dataclass
@@ -390,32 +368,35 @@ def run_campaign(
     out_dir=None,
     transport=None,
 ) -> CampaignResult:
-    """Independent loop runs per candidate (distinct seeds and playbooks);
-    an agent failure marks its candidate and leaves the others running.
-    The candidate directories an earlier run left in out_dir are removed
-    first, so it holds this campaign's files only."""
+    """Independent loop runs per candidate; an agent failure marks its
+    candidate and leaves the others running. Candidate i is cand_<i> and
+    runs the i-th block of max_iterations x n_trials seeds from base_seed,
+    laid out from the final iteration cap so no two (candidate, iteration)
+    batches share seeds. The candidate directories and the metrics.json an
+    earlier run left in out_dir are removed first, so it holds this
+    campaign's files only."""
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         for stale in out_dir.glob("cand_*"):
             if stale.is_dir():
                 shutil.rmtree(stale)
+        if (out_dir / "metrics.json").is_file():
+            (out_dir / "metrics.json").unlink()
     record = CampaignRecord(spec.name, datetime.datetime.now(datetime.timezone.utc).isoformat(),
                             cfg.loop.n_trials, cfg.loop.success_threshold, cfg.loop.max_iterations,
                             cfg.expert_program, [])
     loops = []
-    for cand in cfg.candidate_specs():
-        loop_cfg = copy.deepcopy(cfg.loop)
-        loop_cfg.base_seed = cand.base_seed
-        if loop_cfg.synthesis.backend == "mock" and cand.playbook:
-            loop_cfg.synthesis.playbook = list(cand.playbook)
-        cand_dir = out_dir / f"cand_{cand.candidate_id}" if out_dir is not None else None
+    stride = cfg.loop.max_iterations * cfg.loop.n_trials
+    for i, playbook in enumerate(cfg.candidates or [()]):
+        loop_cfg = replace(cfg.loop, base_seed=cfg.loop.base_seed + i * stride)
+        cand_dir = out_dir / f"cand_{i}" if out_dir is not None else None
         result = error = None
         try:
-            result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport)
+            result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport, playbook=playbook)
         except AgentFailureError as exc:
             error = str(exc)
         batches = [(it.success_count, it.n_trials) for it in result.iterations] if result else []
-        record.candidates.append(CandidateRecord.of(cand.candidate_id, cand.base_seed, batches,
+        record.candidates.append(CandidateRecord.of(i, loop_cfg.base_seed, batches,
                                                     record.success_threshold, record.max_iterations, error))
         loops.append(result)
     if out_dir is not None:
@@ -448,23 +429,16 @@ def _resolve_program(entry, programs_dir: Path, config_dir: Path, where: str) ->
     raise ConfigError(where, f"no program file {entry!r}")
 
 
-def _resolve_playbook(raw_playbook, programs_dir: Path, config_dir: Path, where: str) -> list[str]:
-    """The texts of the playbook's programs, each read here once."""
-    if isinstance(raw_playbook, str):
-        # A playbook file: JSON array of .prog paths.
-        raw_playbook = ConfigError.read_json(config_dir / raw_playbook, where)
-    return [ConfigError.read_text(_resolve_program(entry, programs_dir, config_dir, where), where)
-            for entry in ConfigError.check(raw_playbook, list, where)]
-
-
 def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=None) -> CampaignConfig:
     """Parse a campaign/loop config JSON.
 
-    Bare playbook filenames resolve against <task dir>/<task name>/ so one
-    config file drives every bundled task; other relative paths resolve
-    against the config file's directory. Each playbook program is read here,
-    so the loaded playbooks hold program texts; the expert program is only
-    resolved to its path. ${VAR} in agent fields expands from the
+    A candidate is {"playbook": [program paths]}; the mock synthesizer
+    needs at least one candidate and a playbook in each. Bare playbook
+    filenames resolve against <task dir>/<task name>/ so one config file
+    drives every bundled task; other relative paths resolve against the
+    config file's directory. Each playbook program is read here, so the
+    loaded candidates are playbooks of program texts; the expert program is
+    only resolved to its path. ${VAR} in agent fields expands from the
     environment. A malformed field or an undeclared key raises
     ConfigError naming it. A given max_iterations (`loop --max-iter`)
     replaces the config's; the one_shot mode still runs 1 iteration.
@@ -496,22 +470,19 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=
     if mode == "one_shot":
         loop_cfg.max_iterations = 1
 
+    mock = loop_cfg.synthesis.backend == "mock"
+    if mock and not entries:
+        raise ConfigError("candidates", "the mock synthesizer needs a candidate with a playbook")
     candidates = []
     for i, entry in enumerate(entries):
         where = f"candidates[{i}]"
-        playbook = _resolve_playbook(ConfigError.get(entry, "playbook", (str, list), where, default=[]),
-                                     programs_dir, config_dir, f"{where}.playbook")
-        candidate = ConfigError.build(CandidateSpec, {"candidate_id": i, **entry, "playbook": playbook}, where)
-        cid = candidate.candidate_id
-        if any(c.candidate_id == cid for c in candidates):  # both would write cand_<id>
-            raise ConfigError(f"{where}.candidate_id", f"candidate id {cid} is already taken")
-        candidates.append(candidate)
-    loop_cfg.synthesis.playbook = _resolve_playbook(loop_cfg.synthesis.playbook, programs_dir, config_dir,
-                                                    "synthesis.playbook")
-    if loop_cfg.synthesis.backend == "mock" and not loop_cfg.synthesis.playbook:
-        where = next((f"candidates[{i}].playbook" for i, c in enumerate(candidates) if not c.playbook),
-                     None if candidates else "synthesis.playbook")
-        if where is not None:
-            raise ConfigError(where, "the mock synthesizer needs a playbook: the candidate's own"
-                                     " or synthesis.playbook")
+        paths = ConfigError.get(entry, "playbook", list, where, default=[])
+        unexpected = next((key for key in entry if key != "playbook"), None)
+        if unexpected is not None:
+            raise ConfigError(f"{where}.{unexpected}", "unexpected field")
+        where += ".playbook"
+        if mock and not paths:
+            raise ConfigError(where, "the mock synthesizer needs a playbook")
+        candidates.append([ConfigError.read_text(_resolve_program(path, programs_dir, config_dir, where), where)
+                           for path in paths])
     return CampaignConfig(loop=loop_cfg, candidates=candidates, expert_program=expert)

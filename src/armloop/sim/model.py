@@ -308,8 +308,9 @@ def load_trials(path) -> list[TrialLog]:
     """Reconstruct trial logs from a JSONL file. The file stores every field
     of a trial log, so a loaded log writes back byte for byte (its snapshot
     poses are lists where the executor's are tuples). A malformed line, a
-    file that cannot be read as text, or a trial without its summary raises
-    ArtifactError naming path:line or path."""
+    record of a trial whose summary was already read, a file that cannot be
+    read as text, or a trial without its summary raises ArtifactError
+    naming path:line or path."""
     logs: dict[int, TrialLog] = {}
     for lineno, line in enumerate(ArtifactError.read_text(path, str(path)).split("\n"), 1):
         if not line or line.isspace():
@@ -319,6 +320,8 @@ def load_trials(path) -> list[TrialLog]:
             log = logs.get(index)
             if log is None:
                 log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
+            elif log.seed is not None:
+                raise ArtifactError("trial_index", f"a record of trial {index} after its summary")
             if type(rec) is SymbolicEvent:
                 log.events.append(rec)
             elif type(rec) is Snapshot:

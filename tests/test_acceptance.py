@@ -401,25 +401,16 @@ def test_acceptance_7_fusion_50_cases():
 def test_acceptance_8_cr_iter_boundaries():
     spec = load_task_spec(task_path("place_shoe"))
 
-    def loop_cfg(playbook, cap=5):
-        return LoopConfig(
-            synthesis=AgentConfig(backend="mock", playbook=[p.read_text() for p in playbook]),
-            verifier=AgentConfig(backend="mock"),
-            n_trials=10,
-            max_iterations=cap,
-        )
+    def campaign_cfg(playbook, cap=5):
+        loop = LoopConfig(synthesis=AgentConfig(backend="mock"), verifier=AgentConfig(backend="mock"),
+                          n_trials=10, max_iterations=cap)
+        return CampaignConfig(loop=loop, candidates=[[p.read_text() for p in playbook]])
 
-    one_shot = run_campaign(
-        spec,
-        CampaignConfig(loop=loop_cfg([program_path("place_shoe", "correct")])),
-    )
+    one_shot = run_campaign(spec, campaign_cfg([program_path("place_shoe", "correct")]))
     assert cr_iter(one_shot) == 1.00
     assert one_shot.record.candidates[0].converged
 
-    stuck = run_campaign(
-        spec,
-        CampaignConfig(loop=loop_cfg([program_path("place_shoe", "loud")] * 5)),
-    )
+    stuck = run_campaign(spec, campaign_cfg([program_path("place_shoe", "loud")] * 5))
     assert cr_iter(stuck) == 5.0
     assert not stuck.record.candidates[0].converged
     _ok(8, "cr_iter 1.00 one-shot, 5.00 at cap")

@@ -116,15 +116,12 @@ def _signal(n_faults: int) -> RepairSignal:
 
 
 def _loud_then_correct():
-    return AgentConfig(
-        backend="mock",
-        playbook=[program_path("place_shoe", "loud").read_text(),
-                  program_path("place_shoe", "correct").read_text()],
-    )
+    playbook = [program_path("place_shoe", kind).read_text() for kind in ("loud", "correct")]
+    return Synthesizer(AgentConfig(backend="mock"), playbook=playbook)
 
 
 def test_mock_playbook_contract(place_shoe_spec):
-    synth = Synthesizer(_loud_then_correct())
+    synth = _loud_then_correct()
     first = synth.synthesize("initial prompt", place_shoe_spec)
     assert first == parse(program_path("place_shoe", "loud").read_text())
     # Without a localized fault the playbook does not advance.
@@ -148,7 +145,7 @@ def test_mock_playbook_reads_the_signal_not_the_prompt(place_shoe_spec):
         feedback=(quiet.last_error, quiet.render_feedback()),
     )
     assert "- [subgoal " in prompt
-    synth = Synthesizer(_loud_then_correct())
+    synth = _loud_then_correct()
     first = synth.synthesize(prompt, place_shoe_spec)
     assert synth.synthesize(prompt, place_shoe_spec, quiet) == first
     loud = _signal(1)
@@ -162,14 +159,14 @@ def test_mock_playbook_program_with_a_code_fence_in_a_comment(place_shoe_spec):
     # a comment are the program's own text, not the end of a fenced reply.
     text = program_path("place_shoe", "correct").read_text()
     fenced = text.replace('subgoal "', '# see ``` above\nsubgoal "', 1)
-    synth = Synthesizer(AgentConfig(backend="mock", playbook=[fenced]))
+    synth = Synthesizer(AgentConfig(backend="mock"), playbook=[fenced])
     assert synth.synthesize("p", place_shoe_spec) == parse(text)
 
 
 def test_synthesize_rejects_invalid_program(tmp_path, place_shoe_spec):
     bad = tmp_path / "bad.prog"
     bad.write_text('program t\nsubgoal "s"\n  grasp_actor(hammer, left)\n')
-    synth = Synthesizer(AgentConfig(backend="mock", playbook=[bad.read_text()]))
+    synth = Synthesizer(AgentConfig(backend="mock"), playbook=[bad.read_text()])
     with pytest.raises(InvalidProgramError) as err:
         synth.synthesize("p", place_shoe_spec)
     assert len(err.value.diagnostics) == 1
@@ -376,9 +373,9 @@ def test_cause_mapping_total():
 def _diagnose(spec, kind, seed=0):
     program = insert_observations(parse(program_path(spec.name, kind).read_text()), cap=10)
     log = one_trial(program, spec, seed)
-    obs = collect_observations(log, program)
+    groups = collect_observations(log, program)
     verifier = Verifier(AgentConfig(backend="mock"), spec)
-    return log, Verifier.verify(verifier, spec.subgoal_templates, obs, log)
+    return log, Verifier.verify(verifier, spec.subgoal_templates, groups, log)
 
 
 def test_oracle_clean_trial_all_pass(place_shoe_spec):
@@ -406,8 +403,8 @@ def test_oracle_slip_maps_to_execution_failure(tmp_path):
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, spec, 1, noise_scale=1.0)
     assert log.failure_event.error_category == "grasp_slip"
-    obs = collect_observations(log, program)
-    diagnosis = Verifier(AgentConfig(backend="mock"), spec).verify(spec.subgoal_templates, obs, log)
+    groups = collect_observations(log, program)
+    diagnosis = Verifier(AgentConfig(backend="mock"), spec).verify(spec.subgoal_templates, groups, log)
     v1 = diagnosis.verdicts[0]
     assert not v1.passed
     assert v1.deviation_stmt == log.failure_event.stmt_id
@@ -497,7 +494,7 @@ def test_remote_verifier_sends_scene_and_svg(monkeypatch, place_shoe_spec):
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 0)
-    obs = collect_observations(log, program)
+    groups = collect_observations(log, program)
     reply = json.dumps(
         {
             "overall_success": True,
@@ -509,7 +506,7 @@ def test_remote_verifier_sends_scene_and_svg(monkeypatch, place_shoe_spec):
     )
     transport, calls = _transport_script([(200, _chat_body(reply))])
     verifier = Verifier(_remote_config(), place_shoe_spec, transport=transport)
-    diagnosis = verifier.verify(place_shoe_spec.subgoal_templates, obs, log)
+    diagnosis = verifier.verify(place_shoe_spec.subgoal_templates, groups, log)
     assert diagnosis.overall_success
     payload = calls[0]["payload"]
     log_message, *snapshot_messages = payload["messages"][1:]

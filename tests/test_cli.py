@@ -101,10 +101,16 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"verifier": {"max_retries": "x"}}', "verifier.max_retries"),
     ('{"synthesis": {"endpoint": 5}}', "synthesis.endpoint"),
     ('{"synthesis": {"playbook": "x.prog"}}', "synthesis.playbook"),
+    ('{"synthesis": {"playbook": ["correct.prog"]}, "candidates": [{"playbook": ["correct.prog"]}]}',
+     "synthesis.playbook"),
+    ('{"verifier": {"playbook": ["no_such_file.prog", 3]}, "candidates": [{"playbook": ["correct.prog"]}]}',
+     "verifier.playbook"),
     ('{"candidates": [{"base_seed": -1, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
+    ('{"candidates": [{"base_seed": 100, "playbook": ["correct.prog"]}]}', "candidates[0].base_seed"),
     ('{"candidates": [{"playbook": ["missing.prog"]}]}', "candidates[0].playbook"),
+    ('{"candidates": [{"playbook": "x.playbook"}]}', "candidates[0].playbook"),
     ('{"candidates": [{"candidate_id": 0, "playbook": ["correct.prog"]},'
-     ' {"candidate_id": 0, "playbook": ["loud.prog"]}]}', "candidates[1].candidate_id"),
+     ' {"candidate_id": 0, "playbook": ["loud.prog"]}]}', "candidates[0].candidate_id"),
     ('{"expert_program": "missing.prog"}', "expert_program"),
     ('{"max_steps": 0}', "max_steps"),
     ('{"n_trials": 2.5}', "n_trials"),
@@ -113,8 +119,8 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"noise_scale": 100.5}', "noise_scale"),
     pytest.param('{"noise_scale": 1' + '0' * 400 + '}', "noise_scale", id="noise_scale_1e400"),
     pytest.param('{"n_trials": 1' + '0' * 5000 + '}', "config", id="n_trials_5001_digits"),
-    ('{"synthesis": {"backend": "mock"}, "verifier": {"backend": "mock"}}', "synthesis.playbook"),
-    ('{"candidates": [{"playbook": ["correct.prog"]}, {"candidate_id": 4}]}', "candidates[1].playbook"),
+    ('{"synthesis": {"backend": "mock"}, "verifier": {"backend": "mock"}}', "candidates"),
+    ('{"candidates": [{"playbook": ["correct.prog"]}, {}]}', "candidates[1].playbook"),
     ('{"n_trails": 3}', "n_trails"),
     ('{"perception": false}', "perception"),
     ('{"synthesis": {"backend": "mock", "tmeout_s": 3}}', "synthesis.tmeout_s"),
@@ -706,7 +712,7 @@ def test_candidate_seed_blocks_are_disjoint(tmp_path, argv, seeds):
     main(["loop", _task(), "--config", str(config), "--out", str(tmp_path), *argv])
     run_dir = tmp_path / "place_shoe"
     meta = json.loads((run_dir / "campaign.json").read_text())
-    assert [c["base_seed"] for c in meta["candidates"]] == seeds
+    assert [(c["candidate_id"], c["base_seed"]) for c in meta["candidates"]] == list(enumerate(seeds))
     blocks = {
         it_dir.relative_to(run_dir): {log.seed for log in load_trials(it_dir / "trials.jsonl")}
         for it_dir in run_dir.glob("cand_*/iter_*")
@@ -714,6 +720,12 @@ def test_candidate_seed_blocks_are_disjoint(tmp_path, argv, seeds):
     # With five iterations cand_0 converges at 2 and cand_1 runs all 5.
     assert len(blocks) == (8 if argv else 3)
     assert sum(len(b) for b in blocks.values()) == len(set().union(*blocks.values()))
+    # The one_shot mode runs 1 iteration under any --max-iter, so its
+    # candidates keep the one-iteration blocks.
+    one_shot = tmp_path / "one_shot"
+    main(["loop", _task(), "--config", str(TASKS_DIR / "configs" / "one_shot.json"), "--out", str(one_shot), *argv])
+    meta = json.loads((one_shot / "place_shoe" / "campaign.json").read_text())
+    assert [(c["candidate_id"], c["base_seed"]) for c in meta["candidates"]] == [(0, 0), (1, 10), (2, 20)]
 
 
 # --- malformed artifacts ------------------------------------------------------
@@ -907,6 +919,22 @@ def test_loop_rerun_leaves_no_files_of_the_earlier_run(tmp_path):
     rerun, fresh = tmp_path / "rerun" / "place_shoe", tmp_path / "fresh" / "place_shoe"
     assert json.loads((fresh / "campaign.json").read_text())["candidates"][0]["final_iteration"] == 2
     assert _files(rerun) == _files(fresh)
+
+
+def test_loop_rerun_whose_candidates_all_fail_leaves_no_metrics(tmp_path, capsys):
+    """A campaign whose only candidate fails validation, run into the --out
+    of a finished campaign, exits 3 and leaves no metrics.json of the
+    earlier campaign beside its own campaign.json."""
+    out = tmp_path / "runs"
+    assert main(["loop", _task(), "--config", str(TASKS_DIR / "configs" / "hybrid.json"), "--out", str(out)]) == 0
+    (tmp_path / "bad.prog").write_text('program t\nsubgoal "s"\n  grasp_actor(ghost, left)\n')
+    config = tmp_path / "failing.json"
+    config.write_text(json.dumps({"candidates": [{"playbook": ["bad.prog"]}]}))
+    assert main(["loop", _task(), "--config", str(config), "--out", str(out)]) == 3
+    assert not (out / "place_shoe" / "metrics.json").exists()
+    capsys.readouterr()
+    assert main(["metrics", str(out / "place_shoe"), "--check"]) == 2
+    assert capsys.readouterr().err.startswith("error [empty_campaign]: ")
 
 
 def test_loop_outputs_byte_stable_across_runs(tmp_path):

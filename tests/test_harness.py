@@ -264,21 +264,21 @@ def test_minmax_normalization_extremes():
 def test_collect_observations_groups(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 7)
-    obs = collect_observations(log, program)
-    assert set(obs.groups) == {0, 1, 2, 3}
-    assert [s.step_name for s in obs.groups[0]] == ["initial_scene_state"]
-    assert [s.step_name for s in obs.groups[3]] == ["final_scene_state"]
-    assert len(obs.groups[1]) == 2  # grasp + lift hooks
-    assert len(obs.groups[2]) == 3  # place + lift + back hooks
-    total = sum(len(v) for v in obs.groups.values())
-    assert total == len(log.snapshots)
+    groups = collect_observations(log, program)
+    assert list(groups) == [0, 1, 2, 3]
+    assert [s.step_name for s in groups[0]] == ["initial_scene_state"]
+    assert [s.step_name for s in groups[3]] == ["final_scene_state"]
+    assert len(groups[1]) == 2  # grasp + lift hooks
+    assert len(groups[2]) == 3  # place + lift + back hooks
+    # In key order the groups hold the trial's snapshots in log order.
+    assert [s for key in groups for s in groups[key]] == log.snapshots
 
 
 def test_collect_observations_truncated_trial(place_shoe_spec):
     program = insert_observations(parse(program_path("place_shoe", "loud").read_text()), cap=10)
     log = one_trial(program, place_shoe_spec, 0)
-    obs = collect_observations(log, program)
-    assert obs.groups[2] == []  # fail-fast in subgoal 1
+    groups = collect_observations(log, program)
+    assert groups[2] == []  # fail-fast in subgoal 1
 
 
 def test_collect_observations_requires_snapshots(place_shoe_spec):

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,6 @@ from armloop.loop import (
     CampaignConfig,
     CampaignRecord,
     CandidateRecord,
-    CandidateSpec,
     LoopConfig,
     RepairSignal,
     fuse,
@@ -152,14 +153,19 @@ def test_repair_signal_json_roundtrip():
 # --- loop ---------------------------------------------------------------------
 
 
-def _loop_cfg(playbook, mode="hybrid", max_iterations=5, n_trials=10):
+def _loop_cfg(mode="hybrid", max_iterations=5, n_trials=10):
     return LoopConfig(
-        synthesis=AgentConfig(backend="mock", playbook=[p.read_text() for p in playbook]),
+        synthesis=AgentConfig(backend="mock"),
         verifier=AgentConfig(backend="mock"),
         n_trials=n_trials,
         max_iterations=1 if mode == "one_shot" else max_iterations,
         perception=(mode == "hybrid"),
     )
+
+
+def _playbook(*kinds, task="place_shoe"):
+    """The texts of the task's bundled programs of these kinds, in order."""
+    return [program_path(task, kind).read_text() for kind in kinds]
 
 
 def _cr_iter(result, cfg):
@@ -169,8 +175,8 @@ def _cr_iter(result, cfg):
 
 
 def test_loop_buggy_then_fixed_converges_in_two(place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "loud"), program_path("place_shoe", "correct")])
-    result = run_loop(place_shoe_spec, cfg)
+    cfg = _loop_cfg()
+    result = run_loop(place_shoe_spec, cfg, playbook=_playbook("loud", "correct"))
     assert result.converged
     assert _cr_iter(result, cfg) == 2
     assert result.iterations[0].success_count == 0
@@ -178,24 +184,24 @@ def test_loop_buggy_then_fixed_converges_in_two(place_shoe_spec):
 
 
 def test_loop_one_shot_success(place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "correct")])
-    result = run_loop(place_shoe_spec, cfg)
+    cfg = _loop_cfg()
+    result = run_loop(place_shoe_spec, cfg, playbook=_playbook("correct"))
     assert result.converged
     assert _cr_iter(result, cfg) == 1
 
 
 def test_loop_permanently_broken_hits_cap(place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "loud")] * 5)
-    result = run_loop(place_shoe_spec, cfg)
+    cfg = _loop_cfg()
+    result = run_loop(place_shoe_spec, cfg, playbook=_playbook(*["loud"] * 5))
     assert not result.converged
     assert _cr_iter(result, cfg) == 5
     assert len(result.iterations) == 5
 
 
 def test_loop_fresh_seeds_per_iteration(place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "loud"), program_path("place_shoe", "correct")])
+    cfg = _loop_cfg()
     cfg.base_seed = 1000
-    result = run_loop(place_shoe_spec, cfg)
+    result = run_loop(place_shoe_spec, cfg, playbook=_playbook("loud", "correct"))
     first = [log.seed for log in result.iterations[0].logs]
     second = [log.seed for log in result.iterations[1].logs]
     assert first == list(range(1000, 1010))
@@ -203,18 +209,17 @@ def test_loop_fresh_seeds_per_iteration(place_shoe_spec):
 
 
 def test_loop_silent_failure_needs_perception(place_shoe_spec):
-    playbook = [program_path("place_shoe", "silent"), program_path("place_shoe", "correct")]
-    hybrid_cfg, symbolic_cfg = _loop_cfg(playbook, mode="hybrid"), _loop_cfg(playbook, mode="symbolic")
-    hybrid = run_loop(place_shoe_spec, hybrid_cfg)
+    playbook = _playbook("silent", "correct")
+    hybrid_cfg, symbolic_cfg = _loop_cfg(mode="hybrid"), _loop_cfg(mode="symbolic")
+    hybrid = run_loop(place_shoe_spec, hybrid_cfg, playbook=playbook)
     assert hybrid.converged and _cr_iter(hybrid, hybrid_cfg) == 2
-    symbolic = run_loop(place_shoe_spec, symbolic_cfg)
+    symbolic = run_loop(place_shoe_spec, symbolic_cfg, playbook=playbook)
     assert not symbolic.converged
     assert _cr_iter(symbolic, symbolic_cfg) == 5
 
 
 def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "loud"), program_path("place_shoe", "correct")])
-    result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path)
+    result = run_loop(place_shoe_spec, _loop_cfg(), out_dir=tmp_path, playbook=_playbook("loud", "correct"))
     assert result.converged
     iter1 = tmp_path / "iter_1"
     for name in ("program.prog", "instrumented.prog", "trials.jsonl", "scores.json",
@@ -227,8 +232,7 @@ def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):
 
 
 def test_fuse_replayable_from_artifacts(tmp_path, place_shoe_spec):
-    cfg = _loop_cfg([program_path("place_shoe", "silent"), program_path("place_shoe", "correct")])
-    run_loop(place_shoe_spec, cfg, out_dir=tmp_path)
+    run_loop(place_shoe_spec, _loop_cfg(), out_dir=tmp_path, playbook=_playbook("silent", "correct"))
     iter1 = tmp_path / "iter_1"
     stored = RepairSignal.from_json(json.loads((iter1 / "repair_signal.json").read_text()))
     diagnosis = Diagnosis.from_json(json.loads((iter1 / "diagnosis.json").read_text()))
@@ -257,10 +261,11 @@ def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch,
         calls.append(payload)
         return 200, json.dumps({"choices": [{"message": {"content": json.dumps(reply)}}]})
 
-    cfg = _loop_cfg([loud, program_path("place_shoe", "correct")], max_iterations=2)
+    cfg = _loop_cfg(max_iterations=2)
     cfg.verifier = AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", model="m",
                                api_key_env="ARMLOOP_TEST_KEY")
-    result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path / "run", transport=transport)
+    result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path / "run", transport=transport,
+                      playbook=[loud.read_text(), *_playbook("correct")])
     assert not result.converged and len(calls) == 2
     assert [it.success_count for it in result.iterations] == [0, 0]
     first, second = result.iterations
@@ -302,13 +307,9 @@ def test_loop_verifier_reported_success_on_a_missed_batch(tmp_path, monkeypatch,
 
 
 def _campaign_cfg(task, mode="hybrid"):
-    loop_cfg = _loop_cfg([], mode=mode)
-    candidates = [
-        CandidateSpec(0, 0, [program_path(task, "loud").read_text(), program_path(task, "correct").read_text()]),
-        CandidateSpec(1, 100, [program_path(task, "silent").read_text(), program_path(task, "correct").read_text()]),
-        CandidateSpec(2, 200, [program_path(task, "correct").read_text()]),
-    ]
-    return CampaignConfig(loop=loop_cfg, candidates=candidates)
+    candidates = [_playbook("loud", "correct", task=task), _playbook("silent", "correct", task=task),
+                  _playbook("correct", task=task)]
+    return CampaignConfig(loop=_loop_cfg(mode=mode), candidates=candidates)
 
 
 def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
@@ -316,17 +317,10 @@ def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
 
     bad = tmp_path / "bad.prog"
     bad.write_text('program t\nsubgoal "s"\n  grasp_actor(ghost, left)\n')
-    cfg = _loop_cfg([bad])
     with pytest.raises(AgentFailureError):
-        run_loop(place_shoe_spec, cfg)
+        run_loop(place_shoe_spec, _loop_cfg(), playbook=[bad.read_text()])
     # In a campaign the failure stays quarantined to its candidate.
-    campaign_cfg = CampaignConfig(
-        loop=_loop_cfg([]),
-        candidates=[
-            CandidateSpec(0, 0, [bad.read_text()]),
-            CandidateSpec(1, 100, [program_path("place_shoe", "correct").read_text()]),
-        ],
-    )
+    campaign_cfg = CampaignConfig(loop=_loop_cfg(), candidates=[[bad.read_text()], _playbook("correct")])
     campaign = run_campaign(place_shoe_spec, campaign_cfg)
     failed, converged = campaign.record.candidates
     assert failed.error is not None and campaign.loops[0] is None
@@ -365,8 +359,7 @@ def test_campaign_asr_arithmetic(place_shoe_spec):
 
 
 def test_campaign_single_candidate_equals_run_loop(place_shoe_spec):
-    loop_cfg = _loop_cfg([program_path("place_shoe", "correct")])
-    campaign = run_campaign(place_shoe_spec, CampaignConfig(loop=loop_cfg))
+    campaign = run_campaign(place_shoe_spec, CampaignConfig(loop=_loop_cfg(), candidates=[_playbook("correct")]))
     assert len(campaign.record.candidates) == 1
     assert asr(campaign) == 1.0
     assert cr_iter(campaign) == 1.0
@@ -390,7 +383,7 @@ def test_campaign_config_loading(tmp_path, place_shoe_spec):
     )
     assert cfg.loop.perception
     assert len(cfg.candidates) == 3
-    assert cfg.candidates[0].playbook[0] == program_path("place_shoe", "loud").read_text()
+    assert cfg.candidates[0] == _playbook("loud", "correct")
     assert cfg.expert_program.endswith("place_shoe/correct.prog")
     one_shot = load_campaign_config(
         TASKS_DIR / "configs" / "one_shot.json", task_path("place_shoe"), place_shoe_spec
@@ -402,15 +395,13 @@ def test_campaign_config_loading(tmp_path, place_shoe_spec):
     assert not symbolic.loop.perception
 
 
-def test_playbook_file_indirection(tmp_path, place_shoe_spec):
-    pb_file = tmp_path / "cand.playbook"
-    pb_file.write_text(json.dumps([str(program_path("place_shoe", "correct"))]))
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({
-        "mode": "hybrid",
-        "synthesis": {"backend": "mock"},
-        "verifier": {"backend": "mock"},
-        "candidates": [{"playbook": "cand.playbook"}],
-    }))
-    cfg = load_campaign_config(cfg_file, task_path("place_shoe"), place_shoe_spec)
-    assert cfg.candidates[0].playbook == [program_path("place_shoe", "correct").read_text()]
+def test_readme_config_example_loads(tmp_path, place_shoe_spec):
+    """README's loop config example, its // comments stripped, loads for
+    place_shoe: each candidate is its playbook."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Loop configs", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "config.json"
+    config.write_text(re.sub(r"//.*", "", example))
+    cfg = load_campaign_config(config, task_path("place_shoe"), place_shoe_spec)
+    assert cfg.candidates == [_playbook("loud", "correct"), _playbook("silent", "correct")]
+    assert cfg.expert_program.endswith("place_shoe/correct.prog")

@@ -11,6 +11,7 @@ import pytest
 
 from armloop.dsl import parse
 from armloop.dsl.ast import API_SIGNATURES, CallStmt, PoseLit
+from armloop.errors import ArtifactError
 from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_angle_rows, quat_rotate_rows
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
@@ -553,6 +554,24 @@ def test_trials_write_load_write_is_byte_identical(tmp_path, noise):
                 (log.trial_index, log.seed, log.goal_met) for log in logs]
             dump_trials(loaded, second)
             assert second.read_bytes() == first.read_bytes(), (task, kind)
+
+
+@pytest.mark.parametrize("appended", ["event", "summary"])
+def test_load_trials_refuses_a_record_after_its_trials_summary(tmp_path, place_shoe_spec, appended):
+    """A 2-trial file with a copy of trial 0's first event, or a second
+    summary of trial 1, appended: the appended record is an ArtifactError
+    naming its line, not an event or a summary the trial takes on."""
+    path = tmp_path / "trials.jsonl"
+    dump_trials(run_trials(_correct(), place_shoe_spec, 2, base_seed=0, noise_scale=0.0, max_steps=200), path)
+    lines = path.read_text().splitlines(keepends=True)
+    if appended == "event":
+        extra = next(line for line in lines if line.startswith('{"type": "event", "trial_index": 0,'))
+    else:
+        extra = json.dumps({**json.loads(lines[-1]), "seed": 99, "goal_met": False}) + "\n"
+    path.write_text("".join(lines) + extra)
+    with pytest.raises(ArtifactError) as err:
+        load_trials(path)
+    assert err.value.field == f"{path}:{len(lines) + 1}"
 
 
 def _reference_text(logs) -> str:
