@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
+from . import parallel
 from .dsl import parse, to_text, validate
-from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError, WorkerError
+from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
 from .harness import scores_report, select_trial
 from .instrument import insert_observations
 from .loop import LoopConfig, converges, load_campaign_config, run_campaign
@@ -62,13 +62,6 @@ def _input_error(exc: Exception) -> int:
 # Trials `armloop run` simulates at a time. A trial's bytes depend on neither
 # the size of its batch nor the other trials, so neither do the run's files.
 CHUNK = 250
-PIECE = 1 << 16  # bytes of a worker's text copied into trials.jsonl at a time
-
-
-def _workers() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
 
 
 def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
@@ -85,72 +78,19 @@ def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
             kept.append(log)
 
 
-def _send_share(program, spec, cfg: LoopConfig, starts: range, pipe) -> None:
-    """A worker's half of the exchange: its chunks' trials.jsonl text is
-    made first; then (error, the text's length in bytes, the trials without
-    snapshots) is pickled up `pipe`, followed by the text. An ArmloopError
-    is sent as its (code, message), with no trials and no text."""
+def _share_text(program, spec, cfg: LoopConfig, starts: range) -> tuple:
+    """A worker's share of the run: (its trials without snapshots, their
+    trials.jsonl text as bytes)."""
     kept = []
-    try:
-        text = [piece.encode() for piece in trial_texts(_chunked_trials(program, spec, cfg, starts, kept))]
-        error = None
-    except ArmloopError as exc:
-        text, kept, error = [], [], (exc.code, str(exc))
-    pickle.dump((error, sum(map(len, text)), kept), pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.writelines(text)
+    text = [piece.encode() for piece in trial_texts(_chunked_trials(program, spec, cfg, starts, kept))]
+    return kept, text
 
 
-def _fork_share(program, spec, cfg: LoopConfig, starts: range, workers: list) -> tuple:
-    """(pid, read end, starts) of a forked worker that sends the chunks at
-    `starts`. The worker closes the read ends of the earlier `workers` and
-    leaves by os._exit, running nothing of the caller's."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            for _, pipe, _ in workers:
-                pipe.close()
-            with open(write_fd, "wb") as pipe:
-                _send_share(program, spec, cfg, starts, pipe)
-            status = 0
-        except BrokenPipeError:
-            pass  # the parent stopped reading: it has an error of its own to report
-        except Exception:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb"), starts
-
-
-def _received(workers: list, n_trials: int, kept: list):
-    """The workers' trials.jsonl text in trial order, in pieces of at most
-    PIECE bytes; each worker's trials are appended to `kept`. A worker's
-    ArmloopError is re-raised, and its exit without a result is a
-    WorkerError that names its trials."""
-    for pid, pipe, starts in workers:
-        try:
-            error, size, logs = pickle.load(pipe)
-            if error is not None:
-                raise WorkerError(error[1], code=error[0])
-            while size:
-                piece = pipe.read(min(size, PIECE))
-                if not piece:
-                    raise EOFError
-                yield piece
-                size -= len(piece)
-        except (EOFError, pickle.UnpicklingError):
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            last = min(starts[-1] + CHUNK, n_trials) - 1
-            raise WorkerError(f"trials {starts[0]}-{last}: their worker process exited "
-                              f"with status {status} before sending them") from None
+def _received(workers: parallel.Workers, kept: list):
+    """The workers' trials.jsonl text in trial order; each worker's trials
+    are appended to `kept`."""
+    for logs, text in workers.results():
+        yield from text
         kept += logs
 
 
@@ -161,23 +101,17 @@ def _run_chunks(program, spec, cfg: LoopConfig, path: Path) -> list:
     share does; a forked worker simulates each later one, and its text and
     trials are then appended in trial order."""
     starts = range(0, cfg.n_trials, CHUNK)
-    shares = min(_workers(), len(starts))
+    shares = min(parallel.cpus(), len(starts))
     cuts = [len(starts) * k // shares for k in range(shares + 1)]
-    workers, kept = [], []
-    try:
+    kept = []
+    with parallel.Workers() as workers:
         for k in range(1, shares):
-            workers.append(_fork_share(program, spec, cfg, starts[cuts[k]:cuts[k + 1]], workers))
+            share = starts[cuts[k]:cuts[k + 1]]
+            last = min(share[-1] + CHUNK, cfg.n_trials) - 1
+            workers.fork(f"trials {share[0]}-{last}", lambda share=share: _share_text(program, spec, cfg, share))
         dump_trials(_chunked_trials(program, spec, cfg, starts[:cuts[1]], kept), path)
-        if workers:
-            ConfigError.write_text(path, _received(workers, cfg.n_trials, kept), "--out", mode="ab")
-    finally:
-        for _, pipe, _ in workers:
-            pipe.close()
-        for pid, _, _ in workers:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass  # reaped by _received
+        if shares > 1:
+            ConfigError.write_text(path, _received(workers, kept), "--out", mode="ab")
     return kept
 
 
@@ -224,16 +158,11 @@ def cmd_loop(args) -> int:
 
     print(f"task {spec.name}: ASR {payload['asr']:.2f}  Top5-ASR {payload['top5_asr']:.2f}  CR-Iter {payload['cr_iter']:.2f}")
     print(f"{'cand':>4} {'iter':>4} {'success':>8} {'converged':>9}")
-    for row, loop in zip(rows, campaign.loops):
-        if loop is None:
+    for row, batches in zip(rows, campaign.batches):
+        if row.error is not None:
             print(f"{row.candidate_id:>4} {'-':>4} {'-':>8} {'agent_failure':>9}")
-            continue
-        for record in loop.iterations:
-            print(
-                f"{row.candidate_id:>4} {record.index:>4} "
-                f"{record.success_count:>3}/{record.n_trials:<4} "
-                f"{str(row.converged and record.index == row.cr_iter):>9}"
-            )
+        for k, (success, n) in enumerate(batches, 1):
+            print(f"{row.candidate_id:>4} {k:>4} {success:>3}/{n:<4} {str(row.converged and k == row.cr_iter):>9}")
     return 3 if any(row.error is not None for row in rows) else 0
 
 

@@ -293,8 +293,9 @@ class EmptyCampaignError(ArmloopError):
 
 
 class WorkerError(ArmloopError):
-    """A forked worker of `armloop run` that ended without its trials, or an
-    ArmloopError it raised, re-raised with that error's code and message."""
+    """A forked worker (parallel.Workers) that ended without sending its
+    result, or an ArmloopError it raised, re-raised with that error's code
+    and message."""
 
     code = "worker_failure"
 

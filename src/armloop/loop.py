@@ -17,6 +17,7 @@ import shutil
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import parallel
 from .agents.config import AgentConfig
 from .agents.diagnosis import CAUSE_FROM_ERROR, Diagnosis, render_diagnosis
 from .agents.prompts import build_synthesis_prompt
@@ -359,7 +360,26 @@ class CampaignRecord:
 @dataclass
 class CampaignResult:
     record: CampaignRecord
-    loops: list  # per candidate, its LoopResult, or None where an agent failure stopped it
+    batches: list  # per candidate, (goal-met count, trials) per iteration run; none where an agent failure stopped it
+    finals: list  # per candidate, its final iteration's program, or None where an agent failure stopped it
+
+
+def _run_candidate(spec: TaskSpec, cfg: CampaignConfig, i: int, out_dir, transport) -> tuple:
+    """Candidate i's loop, written to out_dir/cand_<i>: its campaign.json
+    row, its batches and its final program, and nothing more, so that a
+    worker sends back no trial logs. An agent failure is the row's error."""
+    loop_cfg = replace(cfg.loop, base_seed=cfg.loop.base_seed + i * cfg.loop.max_iterations * cfg.loop.n_trials)
+    cand_dir = out_dir / f"cand_{i}" if out_dir is not None else None
+    iterations, error = [], None
+    try:
+        iterations = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport,
+                              playbook=cfg.candidates[i] if cfg.candidates else ()).iterations
+    except AgentFailureError as exc:
+        error = str(exc)
+    batches = [(it.success_count, it.n_trials) for it in iterations]
+    row = CandidateRecord.of(i, loop_cfg.base_seed, batches, loop_cfg.success_threshold,
+                             loop_cfg.max_iterations, error)
+    return row, batches, iterations[-1].program if iterations else None
 
 
 def run_campaign(
@@ -374,7 +394,14 @@ def run_campaign(
     laid out from the final iteration cap so no two (candidate, iteration)
     batches share seeds. The candidate directories and the metrics.json an
     earlier run left in out_dir are removed first, so it holds this
-    campaign's files only."""
+    campaign's files only.
+
+    Candidate i runs in share i mod shares: this process runs share 0 and a
+    forked worker each later one, at most one share per CPU the process may
+    use.
+    A campaign forks only when both agent stages are mock: a remote stage's
+    transport may hold state that the candidates share, so a remote
+    campaign runs as one share."""
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         for stale in out_dir.glob("cand_*"):
@@ -384,25 +411,27 @@ def run_campaign(
             (out_dir / "metrics.json").unlink()
     record = CampaignRecord(spec.name, datetime.datetime.now(datetime.timezone.utc).isoformat(),
                             cfg.loop.n_trials, cfg.loop.success_threshold, cfg.loop.max_iterations,
-                            cfg.expert_program, [])
-    loops = []
-    stride = cfg.loop.max_iterations * cfg.loop.n_trials
-    for i, playbook in enumerate(cfg.candidates or [()]):
-        loop_cfg = replace(cfg.loop, base_seed=cfg.loop.base_seed + i * stride)
-        cand_dir = out_dir / f"cand_{i}" if out_dir is not None else None
-        result = error = None
-        try:
-            result = run_loop(spec, loop_cfg, out_dir=cand_dir, transport=transport, playbook=playbook)
-        except AgentFailureError as exc:
-            error = str(exc)
-        batches = [(it.success_count, it.n_trials) for it in result.iterations] if result else []
-        record.candidates.append(CandidateRecord.of(i, loop_cfg.base_seed, batches,
-                                                    record.success_threshold, record.max_iterations, error))
-        loops.append(result)
+                            cfg.expert_program, [])  # created_at before any candidate runs
+    n = len(cfg.candidates) or 1
+    mock = cfg.loop.synthesis.backend == cfg.loop.verifier.backend == "mock"
+    shares = min(parallel.cpus(), n) if mock else 1
+
+    def share(k: int) -> list:
+        return [_run_candidate(spec, cfg, i, out_dir, transport) for i in range(k, n, shares)]
+
+    outcomes = [None] * n
+    with parallel.Workers() as workers:
+        for k in range(1, shares):
+            workers.fork(f"candidates {', '.join(map(str, range(k, n, shares)))}", lambda k=k: (share(k), []))
+        outcomes[::shares] = share(0)
+        for k, (received, _) in enumerate(workers.results(), 1):
+            outcomes[k::shares] = received
+    rows, batches, finals = map(list, zip(*outcomes))
+    record.candidates = rows
     if out_dir is not None:
         ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json",
                                json.dumps(record.to_json(), indent=2) + "\n", "--out")
-    return CampaignResult(record, loops)
+    return CampaignResult(record, batches, finals)
 
 
 # --- config files -------------------------------------------------------------

@@ -286,8 +286,7 @@ def metrics_from_campaign(campaign: CampaignResult, expert: Program | None = Non
     the parser round-trip every label."""
     from .dsl.printer import to_text
 
-    finals = [loop.iterations[-1].program if loop else None for loop in campaign.loops]
-    programs = [(to_text(p), flatten(program_tree(p))) if p else None for p in finals]
+    programs = [(to_text(p), flatten(program_tree(p))) if p else None for p in campaign.finals]
     return metrics_payload(campaign.record, programs, flatten(program_tree(expert)) if expert is not None else None)
 
 
@@ -300,14 +299,26 @@ def _persisted_tree(text: str, path) -> FlatTree:
         raise ArtifactError(str(path), str(exc)) from None
 
 
+def _batch(path: Path, n_trials: int) -> tuple:
+    """(goal-met count, trials) of an iteration's trials.jsonl, which must
+    hold the batch's trials 0..n_trials-1, else ArtifactError names it."""
+    logs = load_trials(path)
+    indices, batch = {log.trial_index for log in logs}, set(range(n_trials))
+    if indices != batch:
+        what = f"no trial {min(batch - indices)}" if batch - indices else f"a trial {min(indices - batch)}"
+        raise ArtifactError(str(path), f"{what}, where the batch is trials 0-{n_trials - 1}")
+    return sum(1 for log in logs if log.goal_met), n_trials
+
+
 def metrics_from_artifacts(run_dir) -> dict:
     """Recompute metrics.json from a persisted run directory. Matches the
     payload written at run time byte for byte. Each candidate's row is
     rebuilt from the counts in the trials.jsonl of its iterations
     1..final_iteration (not of iterations an earlier, longer run may have
     left) and must equal the recorded row. A campaign.json or trials.jsonl
-    that does not match its schema, or a row that its trials do not bear
-    out, raises ArtifactError."""
+    that does not match its schema, a trials.jsonl that is not its batch's
+    trials 0..n_trials-1, or a row that its trials do not bear out, raises
+    ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
@@ -321,9 +332,8 @@ def metrics_from_artifacts(run_dir) -> dict:
     programs = []
     for i, row in enumerate(campaign.candidates):
         cand_dir = run_dir / f"cand_{row.candidate_id}"
-        trial_logs = (load_trials(cand_dir / f"iter_{k}" / "trials.jsonl")
-                      for k in range(1, row.final_iteration + 1))
-        batches = [(sum(1 for log in logs if log.goal_met), len(logs)) for logs in trial_logs]
+        batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl", campaign.n_trials)
+                   for k in range(1, row.final_iteration + 1)]
         counted = CandidateRecord.of(row.candidate_id, row.base_seed, batches, campaign.success_threshold,
                                      campaign.max_iterations, row.error)
         for name, value in asdict(row).items():

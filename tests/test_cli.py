@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from armloop import cli
+from armloop import cli, parallel
+from armloop import loop as loop_mod
 from armloop.agents import remote
 from armloop.cli import CHUNK, OPTIONS, build_parser, main
 from armloop.dsl import parse
@@ -354,7 +355,7 @@ def test_run_in_chunks_writes_what_one_whole_batch_writes(tmp_path, capsys, monk
 
     sizes = []
     real_run_trials = cli.run_trials
-    monkeypatch.setattr(cli, "_workers", lambda: 1)  # forked workers' calls would not reach `sizes`
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)  # forked workers' calls would not reach `sizes`
     monkeypatch.setattr(cli, "run_trials", lambda *a: sizes.append(a[2]) or real_run_trials(*a))
     argv = ["run", _task(), _prog("correct"), "--trials", str(n), "--seed", str(seed), "--noise-scale", "1"]
     code = main([*argv, "--out", str(tmp_path / "chunked")])
@@ -402,7 +403,7 @@ def _run_peak(out, n: int) -> int:
 def test_run_memory_is_one_chunk_not_every_trial(tmp_path, capsys, monkeypatch):
     """What `run` keeps of a written trial is its events and summary, so
     its traced peak barely grows from one chunk of trials to three."""
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
     main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path / "warm")])
     one, three = _run_peak(tmp_path / "one", CHUNK), _run_peak(tmp_path / "three", 3 * CHUNK)
     capsys.readouterr()
@@ -414,9 +415,9 @@ def test_forked_run_chunks_hold_no_more_memory_here_than_inline(tmp_path, capsys
     """The trials that workers send back replace what this process would
     have simulated itself: its traced peak is no higher than inline."""
     main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path / "warm")])
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
     inline = _run_peak(tmp_path / "inline", 4 * CHUNK)
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
     forked = _run_peak(tmp_path / "forked", 4 * CHUNK)
     capsys.readouterr()
     assert forked <= inline, (forked, inline)
@@ -427,10 +428,10 @@ def _run_argv(out, kind="correct", task="place_shoe", n=2 * CHUNK + 3):
             "--out", str(out)]
 
 
-def _assert_no_worker_left(out):
+def _assert_no_worker_left(out, names=("trials.jsonl", "scores.json")):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert {p.name for p in out.iterdir()} <= {"trials.jsonl", "scores.json"}
+    assert {p.name for p in out.iterdir()} <= set(names)
 
 
 @closes_its_pipes
@@ -440,7 +441,7 @@ def test_run_chunks_write_the_same_bytes_at_every_worker_count(tmp_path, capsys,
     the status lines and the exit code are those of the run in one."""
     runs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(parallel, "cpus", lambda: workers)
         out = tmp_path / str(workers)
         code = main(_run_argv(out, kind, task))
         runs.append((code, capsys.readouterr().out, (out / "trials.jsonl").read_bytes(),
@@ -465,11 +466,11 @@ def test_run_chunk_error_in_a_worker_is_reported_as_inline(tmp_path, capsys, mon
         return real_run_trials(program, spec, n, seed, *rest)
 
     monkeypatch.setattr(cli, "run_trials", failing)
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
     assert main(_run_argv(tmp_path / "inline")) == 2
     inline = capsys.readouterr().err
     assert inline == f"error [config_error]: noise_scale: no trial from seed {5 + CHUNK}\n"
-    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "cpus", lambda: workers)
     assert main(_run_argv(tmp_path / "forked")) == 2
     assert capsys.readouterr().err == inline
     _assert_no_worker_left(tmp_path / "forked")
@@ -489,13 +490,146 @@ def test_run_chunk_worker_that_exits_without_a_result_is_a_coded_error(tmp_path,
         return real_run_trials(program, spec, n, seed, *rest)
 
     monkeypatch.setattr(cli, "run_trials", dying)
-    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    monkeypatch.setattr(parallel, "cpus", lambda: 3)
     assert main(_run_argv(tmp_path, n=4 * CHUNK)) == 2
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error [worker_failure]: trials {CHUNK}-{2 * CHUNK - 1}: their worker process "
                             "exited with status 9 before sending them\n")
     _assert_no_worker_left(tmp_path)
+
+
+def _campaign_config(tmp_path, mode="hybrid", noise=0.0, playbooks=None) -> str:
+    """A bundled mode's config at the given noise, with its candidates or these playbooks."""
+    raw = json.loads((TASKS_DIR / "configs" / f"{mode}.json").read_text())
+    raw["noise_scale"] = noise
+    if playbooks is not None:
+        raw["candidates"] = [{"playbook": playbook} for playbook in playbooks]
+    config = tmp_path / f"{mode}_{noise}.json"
+    config.write_text(json.dumps(raw))
+    return str(config)
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("task", ["place_shoe", "stack_blocks_three"])
+@pytest.mark.parametrize("noise", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["one_shot", "symbolic", "hybrid"])
+def test_campaign_writes_the_same_bytes_at_every_worker_count(tmp_path, capsys, monkeypatch, bounded,
+                                                             mode, noise, task):
+    """The candidates split over 1, 2 or 3 processes: every file of the run
+    directory (campaign.json without created_at), the table and the exit
+    code are those of the campaign run in one."""
+    config = _campaign_config(tmp_path, mode, noise)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "cpus", lambda: workers)
+        out = tmp_path / str(workers)
+        code = main(["loop", _task(task), "--config", config, "--out", str(out)])
+        runs.append((code, capsys.readouterr().out, _files(out / task)))
+        _assert_no_worker_left(out, {task})
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[0][0] == 0 and "metrics.json" in runs[0][2]
+    assert {name.split("/")[0] for name in runs[0][2]} >= {"cand_0", "cand_1", "cand_2"}
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("workers", [2, 3])
+def test_campaign_error_in_a_worker_is_reported_as_inline(tmp_path, capsys, monkeypatch, bounded, workers):
+    """A ConfigError raised while a worker runs candidate 1 ends the loop
+    with exit 2 and the stderr of the same error raised inline."""
+    real_run_loop, stride = loop_mod.run_loop, 5 * 10
+
+    def failing(spec, cfg, **kwargs):
+        if cfg.base_seed == stride:
+            raise ConfigError("--out", f"cannot write candidate at seed {cfg.base_seed}")
+        return real_run_loop(spec, cfg, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "run_loop", failing)
+    config = _campaign_config(tmp_path)
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
+    assert main(["loop", _task(), "--config", config, "--out", str(tmp_path / "inline")]) == 2
+    inline = capsys.readouterr()
+    assert inline.err == f"error [config_error]: --out: cannot write candidate at seed {stride}\n"
+    monkeypatch.setattr(parallel, "cpus", lambda: workers)
+    assert main(["loop", _task(), "--config", config, "--out", str(tmp_path / "forked")]) == 2
+    assert capsys.readouterr() == inline
+    _assert_no_worker_left(tmp_path / "forked", {"place_shoe"})
+
+
+@closes_its_pipes
+def test_campaign_worker_that_exits_without_a_result_is_a_coded_error(tmp_path, capfd, monkeypatch, bounded):
+    """Of four candidates on two CPUs, the worker that holds candidates 1
+    and 3 leaves by os._exit(9) in candidate 3, after writing candidate 1:
+    the loop ends in a coded error naming both, with no worker left."""
+    parent, real_run_loop, stride = os.getpid(), loop_mod.run_loop, 5 * 10
+
+    def dying(spec, cfg, **kwargs):
+        if os.getpid() != parent and cfg.base_seed == 3 * stride:
+            os._exit(9)
+        return real_run_loop(spec, cfg, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "run_loop", dying)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    config = _campaign_config(tmp_path, playbooks=[["correct.prog"]] * 4)
+    assert main(["loop", _task(), "--config", config, "--out", str(tmp_path / "out")]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error [worker_failure]: candidates 1, 3: their worker process exited with status 9 "
+                            "before sending them\n")
+    _assert_no_worker_left(tmp_path / "out", {"place_shoe"})
+    assert not (tmp_path / "out" / "place_shoe" / "campaign.json").exists()
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("verifier, forks", [("mock", True), ("remote", False)])
+def test_campaign_forks_only_with_mock_stages(tmp_path, monkeypatch, bounded, verifier, forks):
+    """On two CPUs a mock campaign runs candidate 1 in a worker, so this
+    process sees two of the three loops; one with a remote stage runs all
+    three here, in candidate order."""
+    seen, real_run_loop = [], loop_mod.run_loop
+    monkeypatch.setattr(loop_mod, "run_loop", lambda spec, cfg, **kw: seen.append(cfg.base_seed) or
+                        real_run_loop(spec, cfg, **kw))
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    raw = json.loads((TASKS_DIR / "configs" / "hybrid.json").read_text())
+    if verifier == "remote":
+        raw["verifier"] = {"backend": "remote", "endpoint": "https://example.test/v1/chat",
+                           "api_key_env": "ARMLOOP_TEST_KEY"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    spec = load_task_spec(_task())
+    campaign = run_campaign(spec, load_campaign_config(config, _task(), spec), out_dir=tmp_path / "out",
+                            transport=_chat_transport(json.dumps({"overall_success": False, "subgoals": []})))
+    assert seen == ([0, 100] if forks else [0, 50, 100])
+    assert len(campaign.record.candidates) == 3
+    _assert_no_worker_left(tmp_path / "out", {"campaign.json", "cand_0", "cand_1", "cand_2"})
+
+
+def _loop_peak(out, config) -> int:
+    """The traced memory peak of this process over one `loop` of config on place_shoe."""
+    tracemalloc.start()
+    try:
+        main(["loop", _task(), "--config", config, "--out", str(out)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@closes_its_pipes
+def test_forked_campaign_holds_no_more_memory_here_than_inline(tmp_path, capsys, monkeypatch, bounded):
+    """A worker sends back a candidate's batches and final program, never
+    its trials: with candidate 1, the longest, in the worker, this
+    process's traced peak is no higher than the inline campaign's."""
+    config = _campaign_config(tmp_path, noise=1.0,
+                              playbooks=[["correct.prog"], ["loud.prog"] * 3 + ["correct.prog"]])
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
+    main(["loop", _task(), "--config", config, "--out", str(tmp_path / "warm")])
+    inline = _loop_peak(tmp_path / "inline", config)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    forked = _loop_peak(tmp_path / "forked", config)
+    capsys.readouterr()
+    assert forked <= inline, (forked, inline)
+    assert _files(tmp_path / "forked") == _files(tmp_path / "inline")
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -867,6 +1001,38 @@ def test_metrics_reads_the_recorded_iterations_only(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error [artifact_error]: {missing}: cannot read")
 
 
+def _renumber_trial(lines, old, new):
+    """Every record of trial `old` moved to trial `new`, or dropped if new is None."""
+    kept = []
+    for line in lines:
+        record = json.loads(line)
+        if record["trial_index"] == old:
+            if new is None:
+                continue
+            line = line.replace(f'"trial_index": {old},', f'"trial_index": {new},', 1)
+        kept.append(line)
+    lines[:] = kept
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda lines: _renumber_trial(lines, 3, None), "no trial 3"),
+    (lambda lines: _renumber_trial(lines, 9, 10), "no trial 9"),
+    (lambda lines: lines.extend(line.replace('"trial_index": 0,', '"trial_index": 10,', 1)
+                                for line in list(lines) if json.loads(line)["trial_index"] == 0), "a trial 10"),
+], ids=["trial_missing", "trial_renumbered", "trial_extra"])
+def test_metrics_check_refuses_an_iteration_without_its_whole_batch(tmp_path, capsys, demo_run, edit, what):
+    """cand_0's first iteration failed (0 of 10), so a lost or added trial
+    would change no count: metrics --check still names the file."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(demo_run, run_dir)
+    where = run_dir / "cand_0" / "iter_1" / "trials.jsonl"
+    _mutate_lines(where, edit)
+    assert main(["metrics", str(run_dir), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error [artifact_error]: {where}: {what}, where the batch is trials 0-9\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("case", [*TRIALS_CASES, *SCENE_CASES])
 def test_render_malformed_artifact_exits_two(tmp_path, capsys, case):
     main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path)])
@@ -902,7 +1068,7 @@ def test_instrument_command(tmp_path, capsys):
     assert main(["instrument", _prog("correct"), "--cap", "2"]) == 2
 
 
-def _files(root):
+def _file_names(root):
     return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
 
 
@@ -918,7 +1084,7 @@ def test_loop_rerun_leaves_no_files_of_the_earlier_run(tmp_path):
         assert main(["loop", _task(), "--config", str(configs[mode]), "--out", str(tmp_path / out)]) == 0
     rerun, fresh = tmp_path / "rerun" / "place_shoe", tmp_path / "fresh" / "place_shoe"
     assert json.loads((fresh / "campaign.json").read_text())["candidates"][0]["final_iteration"] == 2
-    assert _files(rerun) == _files(fresh)
+    assert _file_names(rerun) == _file_names(fresh)
 
 
 def test_loop_rerun_whose_candidates_all_fail_leaves_no_metrics(tmp_path, capsys):

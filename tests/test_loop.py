@@ -323,7 +323,7 @@ def test_invalid_playbook_program_is_agent_failure(tmp_path, place_shoe_spec):
     campaign_cfg = CampaignConfig(loop=_loop_cfg(), candidates=[[bad.read_text()], _playbook("correct")])
     campaign = run_campaign(place_shoe_spec, campaign_cfg)
     failed, converged = campaign.record.candidates
-    assert failed.error is not None and campaign.loops[0] is None
+    assert failed.error is not None and campaign.finals[0] is None and campaign.batches[0] == []
     assert converged.converged and converged.error is None
     assert asr(campaign) == 1.0  # errored candidate has no trials to count
 

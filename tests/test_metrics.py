@@ -9,8 +9,6 @@ from armloop.loop import (
     CampaignRecord,
     CampaignResult,
     CandidateRecord,
-    IterationRecord,
-    LoopResult,
 )
 from armloop.metrics import (
     LabeledTree,
@@ -34,15 +32,9 @@ def make_campaign(rows, n_trials=10, cap=5):
     """rows: (success_count, cr_iter, converged) per candidate, each taken
     as given: the metrics aggregate the rows and do not re-derive them."""
     record = CampaignRecord("fixture", "", n_trials, 0.5, cap, None, [])
-    loops = []
     for cid, (success, cr, converged) in enumerate(rows):
         record.candidates.append(CandidateRecord(cid, cid * 100, converged, cr, cr, success, n_trials, None))
-        final = IterationRecord(
-            index=cr, program=_FIXTURE_PROGRAM, instrumented=None,
-            success_count=success, n_trials=n_trials, logs=[], selection=None,
-        )
-        loops.append(LoopResult(iterations=[final], converged=converged))
-    return CampaignResult(record, loops)
+    return CampaignResult(record, [[(success, n_trials)] for success, _, _ in rows], [_FIXTURE_PROGRAM] * len(rows))
 
 
 def asr(campaign):
@@ -120,9 +112,7 @@ def test_empty_campaign_errors():
 
 def test_metrics_payload_reports_null_for_model_metrics():
     campaign = make_campaign([(10, 1, True)])
-    campaign.loops[0].iterations[-1].program = parse(
-        program_path("place_shoe", "correct").read_text()
-    )
+    campaign.finals[0] = parse(program_path("place_shoe", "correct").read_text())
     payload = metrics_from_campaign(campaign)
     assert payload["codebleu_similarity"] is None
     assert payload["codebert_similarity"] is None
@@ -245,7 +235,7 @@ def test_node_count_consistency_with_tree(place_shoe_spec):
     for _ in range(20):
         program = random_program(rng)
         campaign = make_campaign([(10, 1, True)])
-        campaign.loops[0].iterations[-1].program = program
+        campaign.finals[0] = program
         payload = metrics_from_campaign(campaign)
         assert payload["per_candidate"][0]["node_count"] == _count_nodes(program)
         assert payload["node_count"] == _count_nodes(program)
