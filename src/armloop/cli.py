@@ -74,7 +74,7 @@ def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
         for log in run_trials(program, spec, n, cfg.base_seed + start, cfg.noise_scale, cfg.max_steps):
             log.trial_index += start
             yield log
-            log.snapshots.clear()
+            log.snapshots = []  # not clear(): trials with equal perturbations share the list
             kept.append(log)
 
 

@@ -185,8 +185,6 @@ class IterationRecord:
     instrumented: Program
     success_count: int
     n_trials: int
-    logs: list
-    selection: SelectionResult
     diagnosis: Diagnosis | None = None  # None on a converging iteration, as is signal
     signal: RepairSignal | None = None
 
@@ -203,21 +201,51 @@ def converges(success_count: int, n_trials: int, threshold: float) -> bool:
     return n_trials > 0 and success_count / n_trials > threshold
 
 
-def _persist_iteration(out_dir: Path | None, record: IterationRecord):
-    """The iteration's files under out_dir/iter_<k>; one that cannot be
-    written is a ConfigError naming --out."""
+def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list, selection: SelectionResult):
+    """The iteration's files under out_dir/iter_<k>: its batch's trials
+    `logs` and their selection among them. One that cannot be written is a
+    ConfigError naming --out."""
     if out_dir is None:
         return
     it_dir = ConfigError.make_dir(out_dir / f"iter_{record.index}", "--out")
-    dump_trials(record.logs, it_dir / "trials.jsonl")
+    dump_trials(logs, it_dir / "trials.jsonl")
     texts = {"program.prog": to_text(record.program), "instrumented.prog": to_text(record.instrumented),
-             "scores.json": scores_report(record.selection, record.logs)}
+             "scores.json": scores_report(selection, logs)}
     if record.diagnosis is not None:
         texts["diagnosis.json"] = json.dumps(record.diagnosis.to_json(), indent=2) + "\n"
     if record.signal is not None:
         texts["repair_signal.json"] = json.dumps(record.signal.to_json(), indent=2) + "\n"
     for name, text in texts.items():
         ConfigError.write_text(it_dir / name, text, "--out")
+
+
+def _run_iteration(k: int, program: Program, spec: TaskSpec, cfg: LoopConfig, verifier: Verifier, subgoals,
+                   out_dir: Path | None) -> IterationRecord:
+    """Iteration k of program: instrument, run its batch, and unless the
+    batch converges, diagnose its selected trial into a repair signal. The
+    batch's trials are written under out_dir and dropped on return."""
+    instrumented = insert_observations(program, cfg.observation_cap)
+    logs = run_trials(instrumented, spec, cfg.n_trials, cfg.base_seed + (k - 1) * cfg.n_trials,
+                      cfg.noise_scale, cfg.max_steps)
+    success_count = sum(1 for log in logs if log.goal_met)
+    selection = select_trial(logs, instrumented, cfg.weights)
+    diagnosis = signal = None
+    if not converges(success_count, cfg.n_trials, cfg.success_threshold):
+        selected = logs[selection.index]
+        observations = collect_observations(selected, instrumented)
+        try:
+            diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
+                         else Diagnosis.empty())
+            if diagnosis.overall_success:
+                signal = RepairSignal([], "trials missed the goal but the verifier reported success",
+                                      render_diagnosis(diagnosis, subgoals))
+            else:
+                signal = fuse(selected, diagnosis, instrumented)
+        except (BackendError, MalformedReplyError) as exc:
+            raise AgentFailureError(f"verification failed: {exc}") from exc
+    record = IterationRecord(k, program, instrumented, success_count, cfg.n_trials, diagnosis, signal)
+    _persist_iteration(out_dir, record, logs, selection)
+    return record
 
 
 def run_loop(
@@ -229,7 +257,8 @@ def run_loop(
 ) -> LoopResult:
     """Iterate synthesize/instrument/execute/diagnose until the batch
     success rate exceeds the threshold or the iteration cap is hit. The
-    mock synthesizer replays `playbook`, the candidate's program texts."""
+    mock synthesizer replays `playbook`, the candidate's program texts. An
+    iteration's record holds no trials: they are in its trials.jsonl."""
     out_dir = Path(out_dir) if out_dir is not None else None
     synthesizer = Synthesizer(cfg.synthesis, transport, playbook)
     verifier = Verifier(cfg.verifier, spec, transport=transport)
@@ -251,33 +280,12 @@ def run_loop(
             program = synthesizer.synthesize(prompt, spec, signal)
         except _SYNTHESIS_ERRORS as exc:
             raise AgentFailureError(f"synthesis failed: {exc}") from exc
-        instrumented = insert_observations(program, cfg.observation_cap)
-        logs = run_trials(instrumented, spec, cfg.n_trials, cfg.base_seed + (k - 1) * cfg.n_trials,
-                          cfg.noise_scale, cfg.max_steps)
-        success_count = sum(1 for log in logs if log.goal_met)
-        selection = select_trial(logs, instrumented, cfg.weights)
-        converged = converges(success_count, cfg.n_trials, cfg.success_threshold)
-        diagnosis = signal = None
-        if not converged:
-            selected = logs[selection.index]
-            observations = collect_observations(selected, instrumented)
-            try:
-                diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
-                             else Diagnosis.empty())
-                if diagnosis.overall_success:
-                    signal = RepairSignal([], "trials missed the goal but the verifier reported success",
-                                          render_diagnosis(diagnosis, subgoals))
-                else:
-                    signal = fuse(selected, diagnosis, instrumented)
-            except (BackendError, MalformedReplyError) as exc:
-                raise AgentFailureError(f"verification failed: {exc}") from exc
-        record = IterationRecord(k, program, instrumented, success_count, cfg.n_trials, logs, selection,
-                                 diagnosis, signal)
+        record = _run_iteration(k, program, spec, cfg, verifier, subgoals, out_dir)
         iterations.append(record)
-        _persist_iteration(out_dir, record)
+        converged = converges(record.success_count, record.n_trials, cfg.success_threshold)
         if converged:
             break
-        current = instrumented
+        signal, current = record.signal, record.instrumented
 
     return LoopResult(iterations=iterations, converged=converged)
 

@@ -32,6 +32,12 @@ which is what makes independent replay oracles possible:
 Draws happen even at zero noise scale so the sequence never depends on the
 noise configuration. Each trial makes all its draws up front, one call per
 run of normals or uniforms; those past the trial's failure are never read.
+They become the trial's perturbation row: each normal times its column's
+sigma, plus 0.0 so that a zero is +0.0 whatever the draw's sign, and each
+slip as the bool uniform < slip_p. A trial's log depends on nothing else,
+so trials whose rows are equal byte for byte run as one row of the batch
+and share its log's lists: at zero noise a batch is one row, while at
+noise above zero (and sigmas above zero) every trial is its own.
 
 Python floats overflow to inf and turn an invalid operation into nan without
 a word, so the rows run with numpy's overflow and invalid warnings off.
@@ -99,11 +105,14 @@ def _flatten(program: Program) -> list[_Statement]:
 _DRAWS = {"grasp_actor": ("normal",) * 3 + ("uniform",), "place_actor": ("normal",) * 3}
 
 
-def _draws(statements: list[_Statement], spec: TaskSpec, seeds: list[int]):
-    """Every draw of each trial in the frozen order: an (n, k) array of
-    normals, one of uniforms, and per statement index the first column of
-    its normals and of its uniform."""
-    kinds = ["normal"] * (4 * sum(not actor.static for actor in spec.actors.values()))
+def _perturbations(statements: list[_Statement], spec: TaskSpec, seeds: list[int], noise_scale: float):
+    """Each trial's perturbations, from its draws in the frozen order: an
+    (n, k) array of normals, each times its column's sigma plus 0.0 (so a
+    zero perturbation is +0.0 whatever the draw's sign), an (n, m) bool
+    array of slips (uniform < slip_p), and per statement index the first
+    column of its normals and its column of slips."""
+    moving = sum(not actor.static for actor in spec.actors.values())
+    kinds = ["normal"] * (4 * moving)
     columns = {}
     for k, op in enumerate(statements):
         if op.stmt.name in _DRAWS:
@@ -117,7 +126,11 @@ def _draws(statements: list[_Statement], spec: TaskSpec, seeds: list[int]):
         for kind, size in calls:
             out[kind][r, at[kind]:at[kind] + size] = getattr(rng, kind)(size=size)
             at[kind] += size
-    return out["normal"], out["uniform"], columns
+    sigmas = np.full(kinds.count("normal"), spec.noise.pos_sigma * noise_scale)
+    sigmas[3:4 * moving:4] = spec.noise.rot_sigma * noise_scale  # each moving actor's yaw
+    with np.errstate(over="ignore", invalid="ignore"):
+        normals = out["normal"] * sigmas + 0.0
+    return normals, out["uniform"] < spec.noise.slip_base * noise_scale, columns
 
 
 class _Poses:
@@ -162,17 +175,15 @@ class _Poses:
 
 class _Batch:
     def __init__(self, statements: list[_Statement], spec: TaskSpec, logs: list[TrialLog],
-                 noise_scale: float, max_steps: int):
+                 perturbations: tuple, noise_scale: float, max_steps: int):
         n = len(logs)
         self.statements = statements
         self.spec = spec
         self.max_steps = max_steps
         self.logs = list(logs)  # of the rows, in row order
         self.alive = np.ones(n, bool)  # rows that have not failed at this statement
-        self.pos_sigma = spec.noise.pos_sigma * noise_scale
-        self.rot_sigma = spec.noise.rot_sigma * noise_scale
         self.slip_p = spec.noise.slip_base * noise_scale
-        self.normals, self.uniforms, self.columns = _draws(statements, spec, [log.seed for log in logs])
+        self.normals, self.slips, self.columns = perturbations  # of the rows, as _perturbations gives them
         self.poses = {name: _Poses(actor.pose, n, SCENE_KEYS["actors"]) for name, actor in spec.actors.items()}
         self.tcps = {tag: _Poses(spec.homes[tag], n, SCENE_KEYS["arms"]) for tag in ARM_TAGS}
         self.gripper = {tag: 1.0 for tag in ARM_TAGS}
@@ -193,15 +204,14 @@ class _Batch:
         for name, actor in self.spec.actors.items():
             if actor.static:
                 continue
-            draws = self.normals[:, column:column + 4]
+            noise = self.normals[:, column:column + 4]
             column += 4
-            yaw = quat_from_axis_angle_rows(_WORLD_UP, draws[:, 3] * self.rot_sigma)
-            self.poses[name].set(pose_rows(actor.pose.p + draws[:, :3] * self.pos_sigma,
-                                           quat_mul_rows(yaw, actor.pose.q)))
+            yaw = quat_from_axis_angle_rows(_WORLD_UP, noise[:, 3])
+            self.poses[name].set(pose_rows(actor.pose.p + noise[:, :3], quat_mul_rows(yaw, actor.pose.q)))
 
     def _endpoint_noise(self):
         column = self.columns[self.k][0]
-        return self.normals[:, column:column + 3] * self.pos_sigma
+        return self.normals[:, column:column + 3]
 
     # -- failures, events, snapshots ------------------------------------------
 
@@ -259,7 +269,7 @@ class _Batch:
         for rows in (self.offsets, self.approaches):
             for tag in rows:
                 rows[tag] = rows[tag][keep]
-        self.normals, self.uniforms = self.normals[keep], self.uniforms[keep]
+        self.normals, self.slips = self.normals[keep], self.slips[keep]
         self.alive = np.ones(len(self.logs), bool)
 
     # -- state helpers -------------------------------------------------------
@@ -401,7 +411,7 @@ class _Batch:
         self._require_reach(tag, points, f"grasp of {actor.name!r}")
         self._collision_check(tag, points, exclude=actor.name)
 
-        slipped = self.uniforms[:, self.columns[self.k][1]] < self.slip_p
+        slipped = self.slips[:, self.columns[self.k][1]]
 
         self._move_tcp(tag, points[1])
         self.gripper[tag] = float(args["gripper_pos"])
@@ -532,7 +542,23 @@ def run_trials(
     trial's serialized log depends on neither n nor the other trials, so it
     is the one trial of run_trials(program, spec, 1, base_seed + i, ...) with
     its trial_index set to i. The parameters are LoopConfig's, which declares
-    their defaults and bounds."""
+    their defaults and bounds.
+
+    A trial's log depends on nothing but its perturbations, so trials whose
+    perturbation rows are equal byte for byte run as one row: the first of
+    them is simulated, and each other gets its `events` and `snapshots`
+    lists (the same list objects) and its goal_met. At zero noise every
+    perturbation is +0.0 and no grasp slips, so a batch is one row; every
+    trial still makes its draws."""
+    statements = _flatten(program)
     logs = [TrialLog(trial_index=i, seed=base_seed + i) for i in range(n)]
-    _Batch(_flatten(program), spec, logs, noise_scale, max_steps).run()
+    normals, slips, columns = _perturbations(statements, spec, [log.seed for log in logs], noise_scale)
+    group = {}  # perturbation bytes -> the first trial that has them
+    firsts = [group.setdefault(row.tobytes() + slip.tobytes(), i) for i, (row, slip) in enumerate(zip(normals, slips))]
+    rows = list(group.values())
+    _Batch(statements, spec, [logs[r] for r in rows], (normals[rows], slips[rows], columns), noise_scale,
+           max_steps).run()
+    for log, first in zip(logs, firsts):
+        if first != log.trial_index:
+            log.events, log.snapshots, log.goal_met = logs[first].events, logs[first].snapshots, logs[first].goal_met
     return logs

@@ -14,7 +14,11 @@ snapshot scene is one memo lookup, keyed by the identity of the entry dict,
 so its text is made once per trial; the text of each event's `args` is made
 once per `dump_trials` call, memoized by the identity of the dict its
 statement's events share. A value of any other kind (a subclass, a numpy
-scalar, nan or inf, a list) falls back to the JSON encoder.
+scalar, nan or inf, a list) falls back to the JSON encoder. A trial whose
+`events` and `snapshots` are the very lists of the trial written just
+before it (the executor's trials with equal perturbations share them)
+reuses that trial's record texts, with its own index put in each line
+and its own summary; only the previous trial's texts are kept.
 """
 
 from __future__ import annotations
@@ -150,17 +154,20 @@ RECORD_TYPES = {"event": SymbolicEvent, "snapshot": Snapshot, "summary": TrialSu
 _FIELDS = {cls: (kind, [f.name for f in fields(cls)]) for kind, cls in RECORD_TYPES.items()}
 
 
-def _ordered(log: TrialLog) -> tuple:
-    """The objects behind a trial's records in log order: events and
-    snapshots by step counter (a stable sort, so events first on ties), then
-    the summary."""
-    return (*sorted(log.events + log.snapshots, key=attrgetter("t")),
-            TrialSummary(log.goal_met, log.seed, len(log.events)))
+def _ordered(log: TrialLog) -> list:
+    """The objects behind a trial's records in log order but its summary:
+    events and snapshots by step counter (a stable sort, so events first on
+    ties)."""
+    return sorted(log.events + log.snapshots, key=attrgetter("t"))
+
+
+def _summary(log: TrialLog) -> TrialSummary:
+    return TrialSummary(log.goal_met, log.seed, len(log.events))
 
 
 def trial_records(log: TrialLog):
     """All records of one trial in log order, as dicts."""
-    for rec in _ordered(log):
+    for rec in (*_ordered(log), _summary(log)):
         kind, names = _FIELDS[type(rec)]
         record = {"type": kind, "trial_index": log.trial_index}
         for name in names:  # not vars(rec): that would attach a dict to every record
@@ -172,13 +179,14 @@ def trial_records(log: TrialLog):
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 
-# Per record type: the template of its line (its "type" written out, then a
-# %s for the trial index and for each of the class's fields) and the getter
-# of those fields.
-(_EVENT, _event_fields), (_SNAPSHOT, _snapshot_fields), (_SUMMARY, _summary_fields) = [
-    ("{" + ", ".join([f'"type": {_str(kind)}', *(f"{_str(name)}: %s" for name in ("trial_index", *names))]) + "}",
-     attrgetter(*names))
-    for kind, names in _FIELDS.values()]
+# Per record type: the head of its line (its "type" written out, up to its
+# trial index), the template of the rest of it (a %s for each of the
+# class's fields, then the line's end) and the getter of those fields.
+(_EVENT, _EVENT_REST, _event_fields), (_SNAPSHOT, _SNAPSHOT_REST, _snapshot_fields), \
+    (_SUMMARY, _SUMMARY_REST, _summary_fields) = [
+        (f'{{"type": {_str(kind)}, "trial_index": ', "".join(f", {_str(name)}: %s" for name in names) + "}\n",
+         attrgetter(*names))
+        for kind, names in _FIELDS.values()]
 # A payload's text, a %s per section; per section, the keys of an entry and
 # the template of its text (name, pose, other value).
 _SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in SCENE_KEYS) + "}"
@@ -242,30 +250,33 @@ def _scene_text(scene, memo: dict) -> str:
     return _SCENE % tuple(texts)
 
 
-def _trial_text(log: TrialLog, args_memo: dict) -> str:
-    """dumps_trial(log): each record one fill of its type's template.
-    `args_memo` maps id(args) to (args, text) for the events that share it;
-    it holds the args object, so that its id names no other object while
-    it lives."""
+def _summary_text(log: TrialLog) -> str:
+    return _SUMMARY_REST % tuple(map(_atom, _summary_fields(_summary(log))))
+
+
+def _parts(log: TrialLog, args_memo: dict) -> list:
+    """The trial's text as three parts per record in log order, its summary
+    last: its type's head, the trial index's text and the fill of the rest
+    of its type's template. `args_memo` maps id(args) to (args, text) for
+    the events that share it; it holds the args object, so that its id
+    names no other object while it lives."""
     memo = {}
     index = _atom(log.trial_index)
-    *records, summary = _ordered(log)
-    lines = []
-    for rec in records:
+    parts = []
+    for rec in _ordered(log):
         if type(rec) is Snapshot:
             step_name, stmt_id, subgoal_index, t, scene, context = _snapshot_fields(rec)
-            lines.append(_SNAPSHOT % (index, _atom(step_name), _atom(stmt_id), _atom(subgoal_index), _atom(t),
-                                      _scene_text(scene, memo), _atom(context)))
+            parts += (_SNAPSHOT, index, _SNAPSHOT_REST % (_atom(step_name), _atom(stmt_id), _atom(subgoal_index),
+                                                          _atom(t), _scene_text(scene, memo), _atom(context)))
         else:
             stmt_id, subgoal_index, op_name, args, outcome, category, message, t = _event_fields(rec)
             hit = args_memo.get(id(args))
             if hit is None:
                 hit = args_memo[id(args)] = (args, _atom(args))
-            lines.append(_EVENT % (index, _atom(stmt_id), _atom(subgoal_index), _atom(op_name), hit[1],
-                                   _atom(outcome), _atom(category), _atom(message), _atom(t)))
-    lines.append(_SUMMARY % (index, *map(_atom, _summary_fields(summary))))
-    lines.append("")
-    return "\n".join(lines)
+            parts += (_EVENT, index, _EVENT_REST % (_atom(stmt_id), _atom(subgoal_index), _atom(op_name), hit[1],
+                                                    _atom(outcome), _atom(category), _atom(message), _atom(t)))
+    parts += (_SUMMARY, index, _summary_text(log))
+    return parts
 
 
 def dumps_trial(log: TrialLog) -> str:
@@ -273,17 +284,27 @@ def dumps_trial(log: TrialLog) -> str:
     ensure_ascii=False) writes it, its fields' texts filled into its type's
     template. The entry memo lives for this one call, so what it holds is
     bounded by one trial."""
-    return _trial_text(log, {})
+    return "".join(_parts(log, {}))
 
 
 def trial_texts(logs):
     """Each trial's JSONL text, as `logs` yields them. The args memo lives
     for the iteration: the executor's events share their statement's args
     dict, so it holds one entry per statement of each batch the trials come
-    from."""
+    from. A trial whose `events` and `snapshots` are the very lists of the
+    trial before it (trials with equal perturbations share them) reuses
+    that trial's parts with its own index and summary; only the latest
+    trial's parts are kept."""
     args_memo = {}
+    last = None  # (events, snapshots, parts) of the trial before
     for log in logs:
-        yield _trial_text(log, args_memo)
+        if last is not None and last[0] is log.events and last[1] is log.snapshots:
+            parts = last[2]
+            parts[1::3] = [_atom(log.trial_index)] * (len(parts) // 3)
+            parts[-1] = _summary_text(log)
+        else:
+            last = (log.events, log.snapshots, _parts(log, args_memo))
+        yield "".join(last[2])
 
 
 def dump_trials(logs, path) -> None:

@@ -22,7 +22,7 @@ from armloop.harness import scores_report, select_trial
 from armloop.instrument import insert_observations
 from armloop.loop import LoopConfig, load_campaign_config, run_campaign
 from armloop.scene import load_task_spec
-from armloop.sim import dump_trials, load_trials, run_trials
+from armloop.sim import dump_trials, dumps_trial, load_trials, run_trials
 
 from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
 
@@ -451,6 +451,36 @@ def test_run_chunks_write_the_same_bytes_at_every_worker_count(tmp_path, capsys,
     assert runs[0][1].count("\n") == 2 * CHUNK + 4
     if kind == "silent":
         assert "failed [" in runs[0][1] or "goal not met" in runs[0][1]
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("noise", ["zero", "slips only"])
+def test_run_chunks_of_shared_trials_write_what_one_trial_runs_write(tmp_path, capsys, monkeypatch, bounded, noise):
+    """600 trials in 3 chunks over 2 processes, among them trials that share
+    their lists: at noise 0 a chunk is one row, and with zero sigmas and a
+    slip_base of 0.5, trials that slip alike share theirs, also when they
+    are not adjacent. trials.jsonl is what 600 one-trial runs of the same
+    seeds write."""
+    task, noise_scale, n, seed = task_path("stack_blocks_three"), 0.0, 600, 9
+    if noise == "slips only":
+        raw = json.loads(task.read_text())
+        raw["noise"] = {"pos_sigma": 0.0, "rot_sigma": 0.0, "slip_base": 0.5}
+        task, noise_scale = tmp_path / "slips_only.task.json", 1.0
+        task.write_text(json.dumps(raw))
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    argv = ["run", str(task), _prog("correct", "stack_blocks_three"), "--trials", str(n), "--seed", str(seed),
+            "--noise-scale", str(noise_scale), "--out", str(tmp_path / "run")]
+    main(argv)
+    capsys.readouterr()
+    _assert_no_worker_left(tmp_path / "run")
+    spec, cfg = load_task_spec(task), LoopConfig()
+    program = insert_observations(parse(program_path("stack_blocks_three", "correct").read_text()),
+                                  cfg.observation_cap)
+    alone = [run_trials(program, spec, 1, seed + i, noise_scale, cfg.max_steps)[0] for i in range(n)]
+    expected = "".join(dumps_trial(dataclasses.replace(log, trial_index=i)) for i, log in enumerate(alone))
+    assert (tmp_path / "run" / "trials.jsonl").read_text(encoding="utf-8") == expected
+    if noise == "slips only":
+        assert 1 < len({dumps_trial(dataclasses.replace(log, trial_index=0, seed=0)) for log in alone}) < n
 
 
 @closes_its_pipes

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,14 +200,40 @@ def test_loop_permanently_broken_hits_cap(place_shoe_spec):
     assert len(result.iterations) == 5
 
 
-def test_loop_fresh_seeds_per_iteration(place_shoe_spec):
+def test_loop_fresh_seeds_per_iteration(place_shoe_spec, tmp_path):
     cfg = _loop_cfg()
     cfg.base_seed = 1000
-    result = run_loop(place_shoe_spec, cfg, playbook=_playbook("loud", "correct"))
-    first = [log.seed for log in result.iterations[0].logs]
-    second = [log.seed for log in result.iterations[1].logs]
+    result = run_loop(place_shoe_spec, cfg, out_dir=tmp_path, playbook=_playbook("loud", "correct"))
+    assert len(result.iterations) == 2
+    first = [log.seed for log in load_trials(tmp_path / "iter_1" / "trials.jsonl")]
+    second = [log.seed for log in load_trials(tmp_path / "iter_2" / "trials.jsonl")]
     assert first == list(range(1000, 1010))
     assert second == list(range(1010, 1020))
+
+
+def _loop_peak(spec, kinds, out) -> int:
+    """The traced memory peak of one place_shoe loop over these programs, at
+    40 noisy trials per batch."""
+    cfg = _loop_cfg(max_iterations=len(kinds), n_trials=40)
+    cfg.noise_scale = 1.0
+    gc.collect()  # also empties the free lists, so that each peak starts alike
+    tracemalloc.start()
+    try:
+        result = run_loop(spec, cfg, out_dir=out, playbook=_playbook(*kinds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.iterations) == len(kinds) and result.converged
+    return peak
+
+
+def test_loop_holds_one_batch_of_trials_not_every_iteration(place_shoe_spec, tmp_path):
+    """An iteration's trials are written and dropped before the next one
+    runs: a 4-iteration loop peaks little above a 1-iteration one."""
+    _loop_peak(place_shoe_spec, ["loud", "correct"], tmp_path / "warm")
+    one = _loop_peak(place_shoe_spec, ["correct"], tmp_path / "one")
+    four = _loop_peak(place_shoe_spec, ["loud"] * 3 + ["correct"], tmp_path / "four")
+    assert four <= 1.3 * one, (one, four)
 
 
 def test_loop_silent_failure_needs_perception(place_shoe_spec):

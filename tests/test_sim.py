@@ -151,6 +151,44 @@ def test_batch_trial_is_the_trial_run_alone_on_mutated_programs():
     assert {"unreachable", "collision", "grasp_slip", "placement_miss"} <= set(mixed)
 
 
+def test_equal_perturbations_share_one_row_at_noise_0():
+    # Every perturbation is +0.0 and no grasp slips: a batch is one row, and
+    # every trial holds the first one's lists under its own index and seed.
+    spec = load_task_spec(task_path("stack_blocks_three"))
+    logs = run_trials(_correct("stack_blocks_three"), spec, 10, base_seed=0, noise_scale=0.0, max_steps=200)
+    assert [(log.trial_index, log.seed) for log in logs] == [(i, i) for i in range(10)]
+    for log in logs:
+        assert log.events is logs[0].events and log.snapshots is logs[0].snapshots
+        assert log.goal_met == logs[0].goal_met
+
+
+def test_distinct_perturbations_share_nothing_at_noise_1():
+    spec = load_task_spec(task_path("stack_blocks_three"))
+    logs = run_trials(_correct("stack_blocks_three"), spec, 10, base_seed=0, noise_scale=1.0, max_steps=200)
+    assert len({id(log.events) for log in logs}) == len({id(log.snapshots) for log in logs}) == 10
+
+
+def test_perturbations_equal_but_for_the_sign_of_zero_share_one_row(tmp_path):
+    # Zero sigmas turn each normal draw into a zero of the draw's sign; a
+    # grasp still slips with p = 0.5, so the trials differ in their slips
+    # only. Trials share their lists exactly when they slip alike, and each
+    # is still what it is when run alone.
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw["noise"] = {"pos_sigma": 0.0, "rot_sigma": 0.0, "slip_base": 0.5}
+    path = tmp_path / "zero_sigma.task.json"
+    path.write_text(json.dumps(raw))
+    spec = load_task_spec(path)
+    logs = run_trials(_correct(), spec, 12, base_seed=0, noise_scale=1.0, max_steps=200)
+    slipped = [log.failure_event is not None for log in logs]
+    assert 0 < sum(slipped) < len(logs)
+    assert any(np.random.default_rng(i).normal() < 0 for i in range(12))  # some draws are negative
+    for log in logs:
+        first = logs[slipped.index(slipped[log.trial_index])]
+        assert log.events is first.events and log.snapshots is first.snapshots, log.trial_index
+        alone = one_trial(_correct(), spec, log.trial_index, noise_scale=1.0)
+        assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=log.trial_index))
+
+
 def test_run_trials_single(place_shoe_spec):
     logs = run_trials(_correct(), place_shoe_spec, 1, base_seed=3, noise_scale=0.0, max_steps=200)
     assert len(logs) == 1
@@ -704,7 +742,8 @@ def _random_trial_logs(rng: random.Random, n: int) -> list:
         return {"actors": section(), "arms": section()}
 
     ints = [0, 1, 2, 7, -3, 10**20, True, False, _Index(4)]
-    texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ", _Name("named")]
+    texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ", _Name("named"),
+             '"trial_index": 1, "t": 0', "100% of %s at %d", '{"type": "summary", "trial_index": 10}']
     scenes = [scene() for _ in range(24)]  # each payload may recur, in one trial or in several
     logs = []
     for index in range(n):
@@ -722,15 +761,55 @@ def _random_trial_logs(rng: random.Random, n: int) -> list:
     return logs
 
 
+def _share_runs(rng: random.Random, logs: list) -> None:
+    """Runs of consecutive logs that hold the `events` and `snapshots` lists
+    of the run's first, as trials with equal perturbations do, each with its
+    own index, seed and goal. A log in a run may hold its own lists, or only
+    one of the first's, which breaks the run for the writer; the run goes on
+    after it."""
+    first = None
+    for log in logs:
+        shape = rng.random()
+        if first is None or shape < 0.2:
+            first = log
+        elif shape < 0.3:
+            pass
+        elif shape < 0.35:
+            log.events = first.events
+        elif shape < 0.4:
+            log.snapshots = first.snapshots
+        else:
+            log.events, log.snapshots = first.events, first.snapshots
+
+
+def _assert_writes_json_dumps(logs, path):
+    """The writer's text is json.dumps of each record, line by line."""
+    dump_trials(logs, path)  # one args memo over every trial
+    lines = path.read_text(encoding="utf-8").split("\n")
+    records = [rec for log in logs for rec in trial_records(log)]
+    assert lines.pop() == "" and len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        assert line == json.dumps(rec, ensure_ascii=False)
+    assert "".join(map(dumps_trial, logs)) == _reference_text(logs)
+
+
 def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     rng = random.Random(20)
     path = tmp_path / "trials.jsonl"
     for _ in range(5):
         logs = _random_trial_logs(rng, 120)
-        reference = _reference_text(logs)
-        dump_trials(logs, path)  # one args memo over every trial
-        assert path.read_text(encoding="utf-8") == reference
-        assert "".join(map(dumps_trial, logs)) == reference
+        _share_runs(rng, logs)
+        _assert_writes_json_dumps(logs, path)
+    # One run under indices that are prefixes of one another, broken by a
+    # trial with lists of its own equal to the run's, with texts that hold a
+    # trial index and % signs.
+    events = [SymbolicEvent(1, 1, "grasp_actor", {"arm": "left"}, "failure", "collision",
+                            'ends "trial_index": 1, at 100%', 0)]
+    snapshots = [Snapshot('"trial_index": 10', 1, 1, 0, {"actors": {}, "arms": {}}, "%s %d %%")]
+    logs = [TrialLog(index, seed, events, snapshots, index == 10) for index, seed in [(1, 2), (10, 3), (100, 4)]]
+    logs.append(TrialLog(10, 5, list(events), list(snapshots)))
+    logs += [TrialLog(100, 6, events, snapshots), TrialLog(1, 7, events, snapshots, True)]
+    _assert_writes_json_dumps(logs, path)
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
