@@ -29,7 +29,7 @@ CAUSE_FROM_ERROR = {
 
 @dataclass
 class SubgoalVerdict:
-    subgoal_index: int
+    index: int
     passed: bool
     deviation_stmt: int | None = None
     cause: str | None = None
@@ -46,69 +46,51 @@ class SubgoalVerdict:
 
 @dataclass
 class Diagnosis:
-    verdicts: list = field(default_factory=list)
+    """A verifier's verdicts; diagnosis.json is asdict() of it. Without
+    subgoals it is the symbolic-only configuration's diagnosis: no
+    perceptual verdicts, overall failure."""
+
     overall_success: bool = False
+    subgoals: list = field(default_factory=list)  # of SubgoalVerdict
 
     def __post_init__(self):
-        if self.verdicts:
-            expected = all(v.passed for v in self.verdicts)
-            if self.overall_success != expected:
-                raise ValueError("overall_success must match the per-subgoal verdicts")
-
-    @classmethod
-    def empty(cls) -> "Diagnosis":
-        """Degenerate diagnosis used by the symbolic-only configuration: no
-        perceptual verdicts, overall failure."""
-        return cls(verdicts=[], overall_success=False)
+        if self.subgoals and self.overall_success != all(v.passed for v in self.subgoals):
+            raise ValueError("overall_success must match the per-subgoal verdicts")
 
     def failed_verdicts(self) -> list:
-        return [v for v in self.verdicts if not v.passed]
-
-    def to_json(self) -> dict:
-        return {
-            "overall_success": self.overall_success,
-            "subgoals": [
-                {
-                    "index": v.subgoal_index,
-                    "passed": v.passed,
-                    "deviation_stmt": v.deviation_stmt,
-                    "cause": v.cause,
-                    "rationale": v.rationale,
-                }
-                for v in self.verdicts
-            ],
-        }
+        return [v for v in self.subgoals if not v.passed]
 
     @classmethod
     def from_json(cls, raw) -> "Diagnosis":
-        """The diagnosis a verifier reply states; a field of the wrong JSON
-        type raises MalformedReplyError naming it."""
+        """The diagnosis a verifier reply or a diagnosis.json states; a field
+        of the wrong JSON type raises MalformedReplyError naming it, and keys
+        beyond the fields are ignored."""
         get = MalformedReplyError.get
-        verdicts = []
+        subgoals = []
         for i, entry in enumerate(get(raw, "subgoals", list, "reply")):
             where = f"reply.subgoals[{i}]"
-            verdicts.append(SubgoalVerdict(
-                subgoal_index=get(entry, "index", int, where),
-                passed=get(entry, "passed", bool, where),
-                deviation_stmt=get(entry, "deviation_stmt", (int, NoneType), where, default=None),
-                cause=get(entry, "cause", (str, NoneType), where, default=None),
-                rationale=get(entry, "rationale", str, where, default=""),
+            subgoals.append(SubgoalVerdict(
+                get(entry, "index", int, where),
+                get(entry, "passed", bool, where),
+                get(entry, "deviation_stmt", (int, NoneType), where, default=None),
+                get(entry, "cause", (str, NoneType), where, default=None),
+                get(entry, "rationale", str, where, default=""),
             ))
-        return cls(verdicts=verdicts, overall_success=get(raw, "overall_success", bool, "reply"))
+        return cls(get(raw, "overall_success", bool, "reply"), subgoals)
 
 
 def render_diagnosis(diagnosis: Diagnosis, subgoal_texts: list[str]) -> str:
     """Human/model readable rendering used as observation feedback."""
-    if not diagnosis.verdicts:
+    if not diagnosis.subgoals:
         return "No perceptual diagnosis available."
     lines = []
-    for v in diagnosis.verdicts:
-        text = subgoal_texts[v.subgoal_index - 1] if 0 < v.subgoal_index <= len(subgoal_texts) else ""
+    for v in diagnosis.subgoals:
+        text = subgoal_texts[v.index - 1] if 0 < v.index <= len(subgoal_texts) else ""
         if v.passed:
-            lines.append(f"Subgoal {v.subgoal_index} ({text}): completed")
+            lines.append(f"Subgoal {v.index} ({text}): completed")
         else:
             at = f" at stmt {v.deviation_stmt}" if v.deviation_stmt is not None else ""
             lines.append(
-                f"Subgoal {v.subgoal_index} ({text}): FAILED{at} [{v.cause}] {v.rationale}"
+                f"Subgoal {v.index} ({text}): FAILED{at} [{v.cause}] {v.rationale}"
             )
     return "\n".join(lines)

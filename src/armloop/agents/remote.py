@@ -54,8 +54,8 @@ class ChatBackend:
         return key
 
     def complete(self, messages: list[dict]) -> str:
-        """POST the messages and return the reply text, retrying transient
-        failures with exponential backoff."""
+        """POST the messages and return the reply text, retrying a transient
+        failure up to max_retries times with exponential backoff."""
         key = self.api_key()  # resolved before any network traffic
         payload = {
             "model": self.config.model,
@@ -66,9 +66,8 @@ class ChatBackend:
             "Authorization": f"Bearer {key}",
             "Content-Type": "application/json",
         }
-        attempts = max(1, self.config.max_retries)
         last_error: BackendError | None = None
-        for attempt in range(attempts):
+        for attempt in range(1 + self.config.max_retries):
             if attempt:
                 self._sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:

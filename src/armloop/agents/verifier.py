@@ -64,37 +64,22 @@ class Verifier:
             checkpoint = self._checkpoint(index)
 
             if failure is not None and failure.subgoal_index == index:
-                verdicts.append(
-                    SubgoalVerdict(
-                        subgoal_index=index,
-                        passed=False,
-                        deviation_stmt=failure.stmt_id,
-                        cause=CAUSE_FROM_ERROR[failure.error_category],
-                        rationale=failure.message,
-                    )
-                )
+                verdicts.append(SubgoalVerdict(index, False, failure.stmt_id,
+                                               CAUSE_FROM_ERROR[failure.error_category], failure.message))
                 continue
 
             reached = any(ev.subgoal_index == index for ev in log.events)
             if not reached:
-                verdicts.append(
-                    SubgoalVerdict(
-                        subgoal_index=index,
-                        passed=False,
-                        deviation_stmt=None,
-                        cause="execution_failure",
-                        rationale="subgoal never reached",
-                    )
-                )
+                verdicts.append(SubgoalVerdict(index, False, None, "execution_failure", "subgoal never reached"))
                 continue
 
             if checkpoint is None:
-                verdicts.append(SubgoalVerdict(subgoal_index=index, passed=True))
+                verdicts.append(SubgoalVerdict(index, True))
                 continue
 
             final_snap = group[-1] if group else last_snapshot
             if final_snap is not None and self._scene_ok(final_snap, checkpoint):
-                verdicts.append(SubgoalVerdict(subgoal_index=index, passed=True))
+                verdicts.append(SubgoalVerdict(index, True))
                 continue
 
             # Deviation: the first snapshot of the subgoal whose scene
@@ -113,23 +98,10 @@ class Verifier:
                 for ev in log.events
             )
             cause = "perception_mismatch" if placed else "logic_error"
-            rationale = (
-                "checkpoint condition not met after the subgoal's last observation"
-            )
-            verdicts.append(
-                SubgoalVerdict(
-                    subgoal_index=index,
-                    passed=False,
-                    deviation_stmt=deviation,
-                    cause=cause,
-                    rationale=rationale,
-                )
-            )
+            verdicts.append(SubgoalVerdict(index, False, deviation, cause,
+                                           "checkpoint condition not met after the subgoal's last observation"))
 
-        return Diagnosis(
-            verdicts=verdicts,
-            overall_success=all(v.passed for v in verdicts),
-        )
+        return Diagnosis(all(v.passed for v in verdicts), verdicts)
 
     # -- remote ---------------------------------------------------------------
 
@@ -198,8 +170,8 @@ def parse_remote_diagnosis(reply: str, n_subgoals: int) -> Diagnosis:
         diagnosis = Diagnosis.from_json(MalformedReplyError.loads(m.group(), "reply"))
     except ValueError as exc:  # an unknown cause, or verdicts that contradict overall_success
         raise MalformedReplyError("reply", str(exc)) from None
-    if len(diagnosis.verdicts) != n_subgoals:
+    if len(diagnosis.subgoals) != n_subgoals:
         raise MalformedReplyError(
-            "reply.subgoals", f"expected {n_subgoals} per-subgoal verdicts, got {len(diagnosis.verdicts)}"
+            "reply.subgoals", f"expected {n_subgoals} per-subgoal verdicts, got {len(diagnosis.subgoals)}"
         )
     return diagnosis

@@ -24,17 +24,24 @@ from .scene import load_task_spec
 from .sim import dump_trials, run_trials, trial_texts
 
 
-def _read_program(path):
-    return parse(ConfigError.read_text(path, "program_file"))
+def _read_program(path, where: str = "program_file"):
+    """The program in the file at path: one that cannot be read is a
+    ConfigError naming where, one that does not parse keeps its
+    DslSyntaxError, the message led by the path."""
+    try:
+        return parse(ConfigError.read_text(path, where))
+    except DslSyntaxError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read_expert(path):
     """The expert program, parsed before any campaign runs: one that does
-    not parse is a ConfigError naming the file."""
+    not parse is a ConfigError of expert_program naming the file."""
     try:
-        return parse(ConfigError.read_text(path, "expert_program"))
+        return _read_program(path, "expert_program")
     except DslSyntaxError as exc:
-        raise ConfigError("expert_program", f"{path}: {exc}") from None
+        raise ConfigError("expert_program", str(exc)) from None
 
 
 def _write_out(out: str | None, text: str) -> None:
@@ -128,7 +135,7 @@ def cmd_run(args) -> int:
     program = insert_observations(program, cfg.observation_cap)
     logs = _run_chunks(program, spec, cfg, out / "trials.jsonl")
     selection = select_trial(logs, program, cfg.weights)
-    ConfigError.write_text(out / "scores.json", scores_report(selection, logs), "--out")
+    ConfigError.write_text(out / "scores.json", scores_report(selection), "--out")
     successes = sum(1 for log in logs if log.goal_met)
     print(f"{spec.name}: {successes}/{len(logs)} trials met the goal")
     for log in logs:

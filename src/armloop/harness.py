@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .dsl.ast import Program
 from .errors import NoSnapshotsError
@@ -23,7 +24,10 @@ _PAD = "<end>"
 
 @dataclass
 class TrialScore:
-    trial_index: int
+    """A trial's scores, as its scores.json row holds them in field order."""
+
+    index: int  # the trial's index
+    seed: int
     severity: float  # min-max normalized over the batch
     divergence: float  # min-max normalized over the batch
     psi: float
@@ -130,12 +134,7 @@ def select_trial(
     severity = _minmax(raw_severity)
     divergence = _minmax(raw_divergence)
     scores = [
-        TrialScore(
-            trial_index=log.trial_index,
-            severity=severity[i],
-            divergence=divergence[i],
-            psi=w_s * severity[i] + w_d * divergence[i],
-        )
+        TrialScore(log.trial_index, log.seed, severity[i], divergence[i], w_s * severity[i] + w_d * divergence[i])
         for i, log in enumerate(batch)
     ]
     order = sorted(range(len(batch)), key=lambda i: (-scores[i].psi, batch[i].trial_index))
@@ -164,10 +163,12 @@ def collect_observations(log: TrialLog, program: Program) -> dict[int, list]:
 
 
 # scores.json as json.dumps(payload, indent=2) writes it: the head's two
-# values and the trials' rows, each row one fill of its template.
+# values and the trials' rows, each row one fill of its template with a
+# TrialScore's fields.
 _SCORES = '{\n  "selected_index": %s,\n  "all_success": %s,\n  "trials": [%s]\n}\n'
-_ROW = "    {\n" + ",\n".join(f'      "{key}": %s' for key in
-                              ("index", "seed", "severity", "divergence", "psi", "selected")) + "\n    }"
+_NAMES = [f.name for f in fields(TrialScore)]
+_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _NAMES) + "\n    }"
+_row_fields = attrgetter(*_NAMES)
 
 
 def _json(value, indent: str = " " * 6) -> str:
@@ -186,10 +187,19 @@ def _json(value, indent: str = " " * 6) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def scores_report(selection: SelectionResult, batch: list[TrialLog]) -> str:
-    """scores.json payload: per-trial index, seed, both signals, psi, and
-    the selection flag; the bytes of json.dumps(payload, indent=2) + "\\n"."""
-    rows = ",\n".join([_ROW % (_json(score.trial_index), _json(log.seed), _json(score.severity),
-                                _json(score.divergence), _json(score.psi), _json(score.selected))
-                        for score, log in zip(selection.scores, batch)])
+def _row(score: TrialScore) -> str:
+    """The score's row. Fields of exactly their declared types, the floats
+    finite, fill the template as they are; any other value goes through
+    _json."""
+    index, seed, severity, divergence, psi, selected = values = _row_fields(score)
+    if (type(index) is type(seed) is int and type(severity) is type(divergence) is type(psi) is float
+            and type(selected) is bool and math.isfinite(severity + divergence + psi)):
+        return _ROW % (index, seed, severity, divergence, psi, "true" if selected else "false")
+    return _ROW % tuple(map(_json, values))
+
+
+def scores_report(selection: SelectionResult) -> str:
+    """scores.json: the selected index, the all-success flag and a row per
+    trial score; the bytes of json.dumps(payload, indent=2) + "\\n"."""
+    rows = ",\n".join([_row(score) for score in selection.scores])
     return _SCORES % (_json(selection.index, "  "), _json(selection.all_success, "  "), rows and f"\n{rows}\n  ")

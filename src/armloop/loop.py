@@ -96,8 +96,6 @@ class RepairSignal:
             )
         return "\n".join(lines)
 
-    to_json = asdict  # repair_signal.json: the fields in declaration order
-
     @classmethod
     def from_json(cls, raw: dict) -> "RepairSignal":
         return cls(**{**raw, "faults": [FaultEntry(**e) for e in raw["faults"]]})
@@ -116,13 +114,13 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
     reports success is run_loop's to handle, not fuse's.
     """
     known_ids = {stmt.id for stmt in program.walk()}
-    for i, verdict in enumerate(diagnosis.verdicts):
+    for i, verdict in enumerate(diagnosis.subgoals):
         if verdict.deviation_stmt is not None and verdict.deviation_stmt not in known_ids:
             raise MalformedReplyError(f"reply.subgoals[{i}].deviation_stmt",
                                       f"no statement {verdict.deviation_stmt} in the program")
 
     failure = log.failure_event
-    perceptual = {v.subgoal_index: v for v in diagnosis.failed_verdicts()}
+    perceptual = {v.index: v for v in diagnosis.failed_verdicts()}
     subgoal_indices = set(perceptual)
     if failure is not None:
         subgoal_indices.add(failure.subgoal_index)
@@ -201,6 +199,12 @@ def converges(success_count: int, n_trials: int, threshold: float) -> bool:
     return n_trials > 0 and success_count / n_trials > threshold
 
 
+def _record_text(record) -> str:
+    """A record's file (diagnosis.json, repair_signal.json, campaign.json):
+    its fields in declaration order, as json.dumps(indent=2) writes them."""
+    return json.dumps(asdict(record), indent=2) + "\n"
+
+
 def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list, selection: SelectionResult):
     """The iteration's files under out_dir/iter_<k>: its batch's trials
     `logs` and their selection among them. One that cannot be written is a
@@ -210,11 +214,11 @@ def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list
     it_dir = ConfigError.make_dir(out_dir / f"iter_{record.index}", "--out")
     dump_trials(logs, it_dir / "trials.jsonl")
     texts = {"program.prog": to_text(record.program), "instrumented.prog": to_text(record.instrumented),
-             "scores.json": scores_report(selection, logs)}
+             "scores.json": scores_report(selection)}
     if record.diagnosis is not None:
-        texts["diagnosis.json"] = json.dumps(record.diagnosis.to_json(), indent=2) + "\n"
+        texts["diagnosis.json"] = _record_text(record.diagnosis)
     if record.signal is not None:
-        texts["repair_signal.json"] = json.dumps(record.signal.to_json(), indent=2) + "\n"
+        texts["repair_signal.json"] = _record_text(record.signal)
     for name, text in texts.items():
         ConfigError.write_text(it_dir / name, text, "--out")
 
@@ -235,7 +239,7 @@ def _run_iteration(k: int, program: Program, spec: TaskSpec, cfg: LoopConfig, ve
         observations = collect_observations(selected, instrumented)
         try:
             diagnosis = (verifier.verify(subgoals, observations, selected) if cfg.perception
-                         else Diagnosis.empty())
+                         else Diagnosis())
             if diagnosis.overall_success:
                 signal = RepairSignal([], "trials missed the goal but the verifier reported success",
                                       render_diagnosis(diagnosis, subgoals))
@@ -319,8 +323,6 @@ class CandidateRecord:
     def __post_init__(self):
         ArtifactError.check_fields(self)
 
-    to_json = asdict
-
     @classmethod
     def from_json(cls, raw, where: str) -> "CandidateRecord":
         """A campaign.json candidate row; ArtifactError names where it is."""
@@ -353,8 +355,6 @@ class CampaignRecord:
 
     def __post_init__(self):
         ArtifactError.check_fields(self)
-
-    to_json = asdict
 
     @classmethod
     def from_json(cls, raw, where: str) -> "CampaignRecord":
@@ -437,8 +437,7 @@ def run_campaign(
     rows, batches, finals = map(list, zip(*outcomes))
     record.candidates = rows
     if out_dir is not None:
-        ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json",
-                               json.dumps(record.to_json(), indent=2) + "\n", "--out")
+        ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json", _record_text(record), "--out")
     return CampaignResult(record, batches, finals)
 
 
@@ -492,10 +491,7 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=
     if expert is not None:
         expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
     for key in ("synthesis", "verifier"):
-        try:
-            raw[key] = ConfigError.build(AgentConfig, _expand_env(raw.get(key, {})), key)
-        except AgentFailureError as exc:  # a remote backend without its endpoint or key name
-            raise ConfigError(f"{key}.backend", str(exc)) from None
+        raw[key] = ConfigError.build(AgentConfig, _expand_env(raw.get(key, {})), key)
     if "weights" in raw:
         weights = ConfigError.check(raw["weights"], list, "weights")
         if len(weights) != 2:

@@ -1,8 +1,10 @@
 """Top-down SVG renders of scene snapshots.
 
 One SVG per snapshot: actor boxes, functional points, gripper positions,
-and the step name as a caption. SVG keeps renders diffable in tests and
-usable as image-as-markup payloads for remote verifiers.
+and the step name as a caption. Names from the task file and the trials
+file are escaped wherever they enter the markup. SVG keeps renders
+diffable in tests and usable as image-as-markup payloads for remote
+verifiers.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ _PALETTE = (
 )
 
 _ARM_COLORS = {"left": "#1f78b4", "right": "#e31a1c"}
+
+# A name as SVG text or an attribute value holds it.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#x27;"})
 
 
 def world_to_svg(x: float, y: float) -> tuple[float, float]:
@@ -59,23 +64,24 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
     scene = scene_from_state(spec, snapshot.scene)
     for name, pose in scene.poses.items():
         geom = spec.actors[name]
+        text = name.translate(_ESCAPES)
         cx, cy = world_to_svg(*pose[0, :2].tolist())
         w = 2.0 * geom.extent[0] * SCALE
         h = 2.0 * geom.extent[1] * SCALE
         stroke = _ARM_COLORS.get(scene.held_by(name), "#5a554c")
         parts.append(
-            f'<rect id="actor-{name}" x="{cx - w / 2:.1f}" y="{cy - h / 2:.1f}" '
+            f'<rect id="actor-{text}" x="{cx - w / 2:.1f}" y="{cy - h / 2:.1f}" '
             f'width="{w:.1f}" height="{h:.1f}" fill="{_color(name)}" '
             f'stroke="{stroke}" stroke-width="2"/>'
         )
         parts.append(
             f'<text x="{cx:.1f}" y="{cy - h / 2 - 4:.1f}" font-size="12" '
-            f'text-anchor="middle" fill="#333">{name}</text>'
+            f'text-anchor="middle" fill="#333">{text}</text>'
         )
         for pt in geom.functional_points:
             fx, fy = world_to_svg(*apply_rows(pose, pt.pose.p)[0, :2].tolist())
             parts.append(
-                f'<circle id="fp-{name}-{pt.id}" cx="{fx:.1f}" cy="{fy:.1f}" '
+                f'<circle id="fp-{text}-{pt.id}" cx="{fx:.1f}" cy="{fy:.1f}" '
                 'r="3" fill="none" stroke="#333" stroke-width="1"/>'
             )
 
@@ -93,24 +99,29 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
 
     parts.append(
         f'<text id="caption" x="10" y="20" font-size="16" fill="#222">'
-        f"{snapshot.step_name} (t={snapshot.t})</text>"
+        f"{snapshot.step_name.translate(_ESCAPES)} (t={snapshot.t})</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def render_trials(trials_path, spec: TaskSpec, out_dir) -> list[Path]:
-    """One SVG per snapshot found in a trials.jsonl file; an out_dir or a
-    file in it that cannot be written is a ConfigError naming --out."""
+    """One SVG per snapshot found in a trials.jsonl file, named after its
+    trial, its place in the trial and its step. A step name that holds a
+    path separator (/ or \\) or a NUL, or a payload that does not fit the
+    task, is an ArtifactError naming the snapshot; an out_dir or a file in
+    it that cannot be written is a ConfigError naming --out."""
     out_dir = ConfigError.make_dir(out_dir, "--out")
     written = []
     for log in load_trials(trials_path):
         for seq, snap in enumerate(log.snapshots):
+            where = f"{trials_path}: trial {log.trial_index} snapshot {seq}"
+            if any(c in snap.step_name for c in "/\\\0"):
+                raise ArtifactError(where, f"step name {snap.step_name!r} is not a single path component")
             try:
                 svg = snapshot_svg(snap, spec)
             except ArmloopError as exc:  # a payload that does not fit the task
-                raise ArtifactError(f"{trials_path}: trial {log.trial_index} snapshot {seq}",
-                                    f"[{exc.code}] {exc}") from None
+                raise ArtifactError(where, f"[{exc.code}] {exc}") from None
             path = out_dir / f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
             ConfigError.write_text(path, svg, "--out")
             written.append(path)

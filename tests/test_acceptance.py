@@ -322,7 +322,7 @@ def test_acceptance_7_fusion_50_cases():
         log = TrialLog(0, 0, events=[
             _mk_event(s, 1 if s <= 3 else 2) for s in range(1, stmt)
         ] + [_mk_event(stmt, subgoal, "failure", category, f"boom {k}")], goal_met=False)
-        diagnosis = Diagnosis(verdicts=[
+        diagnosis = Diagnosis(subgoals=[
             SubgoalVerdict(subgoal, False, stmt, cause, "seen"),
         ], overall_success=False)
         expected = [FaultEntry(stmt, subgoal, cause, EDIT_CLASS_FROM_CAUSE[cause],
@@ -340,7 +340,7 @@ def test_acceptance_7_fusion_50_cases():
         log = TrialLog(0, 0, events=[
             _mk_event(s, subgoal) for s in range(1, sym_stmt)
         ] + [_mk_event(sym_stmt, subgoal, "failure", category, f"sym {k}")], goal_met=False)
-        diagnosis = Diagnosis(verdicts=[
+        diagnosis = Diagnosis(subgoals=[
             SubgoalVerdict(subgoal, False, perc_stmt, perc_cause, "drifted"),
         ], overall_success=False)
         expected = [
@@ -359,7 +359,7 @@ def test_acceptance_7_fusion_50_cases():
         log = TrialLog(0, 0, events=[
             _mk_event(s, 1 if s <= 2 else 2) for s in range(1, 8)
         ], goal_met=False)
-        diagnosis = Diagnosis(verdicts=[
+        diagnosis = Diagnosis(subgoals=[
             SubgoalVerdict(1, True),
             SubgoalVerdict(subgoal, False, stmt, cause, "off target"),
         ], overall_success=False)
@@ -379,10 +379,10 @@ def test_acceptance_7_fusion_50_cases():
             ] + [_mk_event(stmt, 1, "failure", category, f"only {k}")], goal_met=False)
             expected = [FaultEntry(stmt, 1, cause, EDIT_CLASS_FROM_CAUSE[cause],
                                    "symbolic", category, None)]
-            cases.append((log, Diagnosis.empty(), expected, f"only {k}"))
+            cases.append((log, Diagnosis(), expected, f"only {k}"))
         else:
             log = TrialLog(0, 0, events=[_mk_event(s, 1) for s in range(1, 6)], goal_met=False)
-            cases.append((log, Diagnosis.empty(), [], "goal predicate not satisfied"))
+            cases.append((log, Diagnosis(), [], "goal predicate not satisfied"))
 
     assert len(cases) == 50
     program = _mk_program(12)

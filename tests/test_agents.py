@@ -23,6 +23,7 @@ from armloop.dsl import parse
 from armloop.errors import (
     AgentFailureError,
     BackendError,
+    ConfigError,
     InvalidProgramError,
     MalformedReplyError,
     NoCodeBlockError,
@@ -187,7 +188,7 @@ def _transport_script(replies):
 def _remote_config(**kw):
     return AgentConfig(
         backend="remote", endpoint="https://example.test/v1/chat", model="m",
-        api_key_env="ARMLOOP_TEST_KEY", max_retries=3, **kw,
+        api_key_env="ARMLOOP_TEST_KEY", max_retries=2, **kw,
     )
 
 
@@ -243,6 +244,19 @@ def test_remote_gives_up_with_backend_error(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("max_retries, calls_made", [(0, 1), (1, 2), (2, 3), (None, 3)])
+def test_remote_makes_one_call_plus_max_retries(monkeypatch, max_retries, calls_made):
+    """A call that keeps failing with 503 is made 1 + max_retries times;
+    the default (None here) keeps three calls."""
+    monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
+    transport, calls = _transport_script([(503, "")])
+    config = AgentConfig(backend="remote", endpoint="https://example.test/v1/chat", api_key_env="ARMLOOP_TEST_KEY",
+                         **({} if max_retries is None else {"max_retries": max_retries}))
+    with pytest.raises(BackendError):
+        ChatBackend(config, transport=transport, sleep=lambda s: None).complete([{"role": "user", "content": "x"}])
+    assert len(calls) == calls_made
+
+
 def test_remote_hard_http_error_no_retry(monkeypatch):
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
     transport, calls = _transport_script([(401, "denied")])
@@ -262,8 +276,9 @@ def test_missing_api_key_fails_before_any_request(monkeypatch):
 
 
 def test_remote_config_requires_endpoint_and_keyvar():
-    with pytest.raises(AgentFailureError):
+    with pytest.raises(ConfigError) as err:
         AgentConfig(backend="remote", endpoint="", api_key_env="")
+    assert str(err.value) == "backend: remote backend requires an endpoint and an api_key_env name"
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
@@ -310,7 +325,7 @@ def loopback(monkeypatch):
 def _loopback_backend(server, timeout_s=5.0):
     host, port = server.server_address
     config = AgentConfig(backend="remote", endpoint=f"http://{host}:{port}/v1/chat", model="m",
-                         api_key_env="ARMLOOP_TEST_KEY", timeout_s=timeout_s, max_retries=3)
+                         api_key_env="ARMLOOP_TEST_KEY", timeout_s=timeout_s, max_retries=2)
     return ChatBackend(config, sleep=lambda s: None)  # the default transport
 
 
@@ -352,12 +367,12 @@ def test_default_transport_timeout_is_backend_error(loopback):
 
 
 def test_diagnosis_invariants():
-    v = SubgoalVerdict(subgoal_index=1, passed=True, deviation_stmt=4, cause="logic_error")
+    v = SubgoalVerdict(index=1, passed=True, deviation_stmt=4, cause="logic_error")
     assert v.deviation_stmt is None and v.cause is None
     with pytest.raises(ValueError):
-        Diagnosis(verdicts=[SubgoalVerdict(1, False, 2, "logic_error")], overall_success=True)
-    empty = Diagnosis.empty()
-    assert not empty.overall_success and empty.verdicts == []
+        Diagnosis(overall_success=True, subgoals=[SubgoalVerdict(1, False, 2, "logic_error")])
+    empty = Diagnosis()
+    assert not empty.overall_success and empty.subgoals == []
 
 
 def test_cause_mapping_total():
@@ -382,7 +397,7 @@ def test_oracle_clean_trial_all_pass(place_shoe_spec):
     log, diagnosis = _diagnose(place_shoe_spec, "correct")
     assert log.goal_met
     assert diagnosis.overall_success
-    assert all(v.passed for v in diagnosis.verdicts)
+    assert all(v.passed for v in diagnosis.subgoals)
 
 
 def test_oracle_soundness_on_bundled_runs(place_shoe_spec):
@@ -405,7 +420,7 @@ def test_oracle_slip_maps_to_execution_failure(tmp_path):
     assert log.failure_event.error_category == "grasp_slip"
     groups = collect_observations(log, program)
     diagnosis = Verifier(AgentConfig(backend="mock"), spec).verify(spec.subgoal_templates, groups, log)
-    v1 = diagnosis.verdicts[0]
+    v1 = diagnosis.subgoals[0]
     assert not v1.passed
     assert v1.deviation_stmt == log.failure_event.stmt_id
     assert v1.cause == "execution_failure"
@@ -414,7 +429,7 @@ def test_oracle_slip_maps_to_execution_failure(tmp_path):
 def test_oracle_silent_failure_detects_wrong_place(place_shoe_spec):
     log, diagnosis = _diagnose(place_shoe_spec, "silent")
     assert log.failure_event is None
-    v1, v2 = diagnosis.verdicts
+    v1, v2 = diagnosis.subgoals
     assert v1.passed
     assert not v2.passed
     assert v2.cause == "perception_mismatch"
@@ -439,7 +454,23 @@ def test_parse_remote_diagnosis_roundtrip():
     )
     diagnosis = parse_remote_diagnosis("sure, here you go " + reply, 2)
     assert not diagnosis.overall_success
-    assert diagnosis.verdicts[1].deviation_stmt == 6
+    assert diagnosis.subgoals[1].deviation_stmt == 6
+
+
+def test_parse_remote_diagnosis_ignores_keys_beyond_the_fields():
+    """A model may add keys of its own to a verdict or to the reply; the
+    diagnosis holds the fields of the diagnosis.json schema only."""
+    reply = json.dumps({
+        "overall_success": False,
+        "summary": "the shoe was dropped",
+        "subgoals": [
+            {"index": 1, "passed": True, "deviation_stmt": None, "cause": None, "rationale": "", "confidence": 0.9},
+            {"index": 2, "passed": False, "deviation_stmt": 6, "cause": "logic_error", "rationale": "missed",
+             "confidence": 0.4, "evidence": ["step 5"]},
+        ],
+    })
+    diagnosis = parse_remote_diagnosis(reply, 2)
+    assert diagnosis == Diagnosis(False, [SubgoalVerdict(1, True), SubgoalVerdict(2, False, 6, "logic_error", "missed")])
 
 
 def test_parse_remote_diagnosis_missing_verdicts():

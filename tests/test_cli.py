@@ -351,7 +351,7 @@ def test_run_in_chunks_writes_what_one_whole_batch_writes(tmp_path, capsys, monk
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cfg.observation_cap)
     logs = run_trials(program, load_task_spec(_task()), n, seed, 1.0, cfg.max_steps)
     dump_trials(logs, tmp_path / "whole.jsonl")
-    scores = scores_report(select_trial(logs, program, cfg.weights), logs)
+    scores = scores_report(select_trial(logs, program, cfg.weights))
 
     sizes = []
     real_run_trials = cli.run_trials
@@ -1080,6 +1080,44 @@ def test_render_counts_files(tmp_path, capsys):
     assert code == 0
     svgs = list((tmp_path / "svg").glob("*.svg"))
     assert len(svgs) == 70  # 10 trials x 7 snapshots
+
+
+def _rename_step(trials, seq, name):
+    """Snapshot `seq` of trial 0 in a trials.jsonl file renamed `name`."""
+    lines = trials.read_text().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines)
+          if json.loads(line)["type"] == "snapshot" and json.loads(line)["trial_index"] == 0][seq]
+    lines[at] = json.dumps({**json.loads(lines[at]), "step_name": name}, ensure_ascii=False) + "\n"
+    trials.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("name", ["x/../../escaped", "a/b", "a\\b", "a\0b"],
+                         ids=["dot_dot", "slash", "backslash", "nul"])
+def test_render_refuses_a_step_name_that_is_not_one_path_component(tmp_path, capsys, name):
+    """The step name is part of an SVG's file name: one that holds a path
+    separator is a fault of the trials file, which render names, and it
+    writes nothing outside --out, even where the name's first component
+    is a directory there."""
+    assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
+    trials = tmp_path / "run" / "trials.jsonl"
+    _rename_step(trials, 1, name)
+    svg = tmp_path / "render" / "svg"
+    (svg / "trial00_01_x").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["render", str(trials), _task(), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (f"error [artifact_error]: {trials}: trial 0 snapshot 1: "
+                                       f"step name {name!r} is not a single path component\n")
+    assert [p for p in tmp_path.rglob("*.svg") if svg not in p.parents] == []
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "instrument"])
+def test_syntax_error_names_the_program_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.prog"
+    bad.write_text('program x\nsubgoal "s"\n  grasp_actor(shoe, left\n')
+    argv = {"run": ["run", _task(), str(bad), "--out", str(tmp_path / "out")],
+            "validate": ["validate", _task(), str(bad)], "instrument": ["instrument", str(bad)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error [syntax_error]: {bad}: line 3, col 25: got NEWLINE '' (expected RPAREN)\n"
 
 
 def test_validate_command(tmp_path, capsys):

@@ -194,13 +194,13 @@ def test_select_trial_matches_bruteforce_argmax_oracle():
         assert result.scores[best].psi == pytest.approx(max(psis))
 
 
-def _scores_payload(selection, batch) -> dict:
+def _scores_payload(selection) -> dict:
     return {
         "selected_index": selection.index,
         "all_success": selection.all_success,
-        "trials": [{"index": score.trial_index, "seed": log.seed, "severity": score.severity,
+        "trials": [{"index": score.index, "seed": score.seed, "severity": score.severity,
                     "divergence": score.divergence, "psi": score.psi, "selected": score.selected}
-                   for score, log in zip(selection.scores, batch)],
+                   for score in selection.scores],
     }
 
 
@@ -220,19 +220,17 @@ def test_scores_report_matches_json_dumps_on_random_selections():
             log.seed = rng.choice([log.trial_index, 2**40, -7])
         selection = select_trial(batch, program, (rng.choice([0.5, 1.0]), rng.choice([0.5, 2.0])))
         sizes.append(len(batch))
-        assert scores_report(selection, batch) == json.dumps(_scores_payload(selection, batch), indent=2) + "\n"
+        assert scores_report(selection) == json.dumps(_scores_payload(selection), indent=2) + "\n"
         for score in selection.scores:
-            for name in ("severity", "divergence", "psi", "trial_index"):
+            for name in ("index", "seed", "severity", "divergence", "psi"):
                 if rng.random() < 0.2:
                     setattr(score, name, rng.choice(odd))
-        if rng.random() < 0.2:
-            batch[0].seed = rng.choice(odd)
         if rng.random() < 0.1:
             selection.index, selection.all_success = rng.choice(odd), rng.choice(odd)
-        assert scores_report(selection, batch) == json.dumps(_scores_payload(selection, batch), indent=2) + "\n"
+        assert scores_report(selection) == json.dumps(_scores_payload(selection), indent=2) + "\n"
     assert 1 in sizes and max(sizes) > 1
     empty = SelectionResult(index=0, scores=[])  # select_trial refuses an empty batch; the writer does not
-    assert scores_report(empty, []) == json.dumps(_scores_payload(empty, []), indent=2) + "\n"
+    assert scores_report(empty) == json.dumps(_scores_payload(empty), indent=2) + "\n"
 
 
 def test_selection_stable_under_batch_permutation():
@@ -333,6 +331,6 @@ def test_select_trial_large_batch_matches_per_trial_oracle():
         assert any(not log.events for log in batch)
         assert result.index == best
         for i, score in enumerate(result.scores):
-            assert score.trial_index == batch[i].trial_index
+            assert (score.index, score.seed) == (batch[i].trial_index, batch[i].seed)
             assert (score.severity, score.divergence, score.psi) == (sev[i], div[i], psis[i])
             assert score.selected == (i == best)

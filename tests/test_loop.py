@@ -3,12 +3,14 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.dsl import parse
+from armloop.harness import TrialScore
 from armloop.loop import (
     CampaignConfig,
     CampaignRecord,
@@ -20,9 +22,10 @@ from armloop.loop import (
     run_campaign,
     run_loop,
 )
+from armloop.scene import load_task_spec
 from armloop.sim.model import SymbolicEvent, TrialLog, load_trials
 
-from conftest import TASKS_DIR, program_path, task_path
+from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
 from test_metrics import asr, cr_iter, top5_asr
 
 
@@ -47,7 +50,7 @@ def _event(stmt_id, subgoal, outcome="success", category="none", message=""):
 
 def _verdict(subgoal, stmt, cause, rationale="looked off"):
     return SubgoalVerdict(
-        subgoal_index=subgoal, passed=False, deviation_stmt=stmt,
+        index=subgoal, passed=False, deviation_stmt=stmt,
         cause=cause, rationale=rationale,
     )
 
@@ -56,10 +59,7 @@ def test_fuse_agreement_single_entry():
     log = TrialLog(0, 0, events=[
         _event(1, 1), _event(2, 1), _event(3, 2, "failure", "grasp_slip", "slipped"),
     ], goal_met=False)
-    diagnosis = Diagnosis(
-        verdicts=[SubgoalVerdict(1, True), _verdict(2, 3, "execution_failure")],
-        overall_success=False,
-    )
+    diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 3, "execution_failure")])
     signal = fuse(log, diagnosis, _program())
     assert [f.stmt_id for f in signal.faults] == [3]
     fault = signal.faults[0]
@@ -71,10 +71,7 @@ def test_fuse_agreement_single_entry():
 
 def test_fuse_silent_failure_perceptual_only():
     log = TrialLog(0, 0, events=[_event(i, (i > 2) + 1) for i in range(1, 5)], goal_met=False)
-    diagnosis = Diagnosis(
-        verdicts=[SubgoalVerdict(1, True), _verdict(2, 5, "perception_mismatch")],
-        overall_success=False,
-    )
+    diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 5, "perception_mismatch")])
     program = _program()
     program.subgoals[1].statements[0].id = 5  # align ids with the diagnosis
     signal = fuse(log, diagnosis, program)
@@ -87,10 +84,7 @@ def test_fuse_disagreement_symbolic_ranked_first():
     log = TrialLog(0, 0, events=[
         _event(1, 1), _event(2, 1), _event(3, 2, "failure", "unreachable", "cannot reach"),
     ], goal_met=False)
-    diagnosis = Diagnosis(
-        verdicts=[SubgoalVerdict(1, True), _verdict(2, 4, "logic_error")],
-        overall_success=False,
-    )
+    diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 4, "logic_error")])
     signal = fuse(log, diagnosis, _program())
     assert [f.stmt_id for f in signal.faults] == [3, 4]
     assert [f.source for f in signal.faults] == ["symbolic", "perceptual"]
@@ -102,10 +96,7 @@ def test_fuse_earlier_subgoal_ranks_first():
     log = TrialLog(0, 0, events=[
         _event(1, 1), _event(2, 1), _event(3, 2, "failure", "not_held", "not holding"),
     ], goal_met=False)
-    diagnosis = Diagnosis(
-        verdicts=[_verdict(1, 2, "logic_error"), _verdict(2, 3, "logic_error")],
-        overall_success=False,
-    )
+    diagnosis = Diagnosis(False, [_verdict(1, 2, "logic_error"), _verdict(2, 3, "logic_error")])
     signal = fuse(log, diagnosis, _program())
     assert [f.stmt_id for f in signal.faults] == [2, 3]
     assert [f.subgoal_index for f in signal.faults] == [1, 2]
@@ -115,7 +106,7 @@ def test_fuse_symbolic_only_with_empty_diagnosis():
     log = TrialLog(0, 0, events=[
         _event(1, 1, "failure", "collision", "bumped"),
     ], goal_met=False)
-    signal = fuse(log, Diagnosis.empty(), _program())
+    signal = fuse(log, Diagnosis(), _program())
     assert [f.stmt_id for f in signal.faults] == [1]
     assert signal.faults[0].source == "symbolic"
     assert signal.observation_feedback == "No perceptual diagnosis available."
@@ -123,7 +114,7 @@ def test_fuse_symbolic_only_with_empty_diagnosis():
 
 def test_fuse_empty_diagnosis_silent_log_yields_no_faults():
     log = TrialLog(0, 0, events=[_event(1, 1), _event(2, 2)], goal_met=False)
-    signal = fuse(log, Diagnosis.empty(), _program())
+    signal = fuse(log, Diagnosis(), _program())
     assert signal.faults == []
     assert "- [subgoal " not in signal.render_feedback()
 
@@ -144,12 +135,9 @@ def test_repair_signal_json_roundtrip():
     log = TrialLog(0, 0, events=[
         _event(1, 1), _event(2, 1), _event(3, 2, "failure", "grasp_slip", "slipped"),
     ], goal_met=False)
-    diagnosis = Diagnosis(
-        verdicts=[SubgoalVerdict(1, True), _verdict(2, 3, "execution_failure")],
-        overall_success=False,
-    )
+    diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 3, "execution_failure")])
     signal = fuse(log, diagnosis, _program())
-    assert RepairSignal.from_json(signal.to_json()) == signal
+    assert RepairSignal.from_json(asdict(signal)) == signal
 
 
 # --- loop ---------------------------------------------------------------------
@@ -378,6 +366,24 @@ def test_campaign_json_is_the_campaign_record(tmp_path, place_shoe_spec):
                          "expert_program", "candidates"]
     assert CampaignRecord.from_json(raw, "campaign.json") == campaign.record
     assert [row.cr_iter for row in campaign.record.candidates] == [2, 2, 1]
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_iteration_records_are_their_dataclasses(tmp_path, task):
+    """In a noisy hybrid campaign, each diagnosis.json is asdict() of the
+    Diagnosis it reads back as, and each scores.json row holds the fields
+    of TrialScore in order."""
+    spec = load_task_spec(task_path(task))
+    cfg = load_campaign_config(TASKS_DIR / "configs" / "hybrid.json", task_path(task), spec)
+    cfg.loop.noise_scale = 1.0
+    run_campaign(spec, cfg, out_dir=tmp_path)
+    diagnoses = [json.loads(path.read_text()) for path in sorted(tmp_path.glob("cand_*/iter_*/diagnosis.json"))]
+    assert any(not verdict["passed"] for raw in diagnoses for verdict in raw["subgoals"])
+    for raw in diagnoses:
+        assert raw == asdict(Diagnosis.from_json(raw))
+    names = [f.name for f in fields(TrialScore)]
+    rows = [row for path in tmp_path.glob("cand_*/iter_*/scores.json") for row in json.loads(path.read_text())["trials"]]
+    assert len(rows) >= 30 and all(list(row) == names for row in rows)
 
 
 def test_campaign_asr_arithmetic(place_shoe_spec):

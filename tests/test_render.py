@@ -54,6 +54,27 @@ def test_svg_has_caption_functional_points_and_arms(place_shoe_spec):
     assert "arm-left" in ids and "arm-right" in ids
 
 
+def test_svg_escapes_step_and_actor_names(tmp_path):
+    """Names from the trials file (the step) and the task file (an actor)
+    are written into the markup as text, not as markup."""
+    raw = json.loads(task_path("place_shoe").read_text())
+    actor = 'box<&"\'>'
+    raw["actors"].append({**raw["actors"][1], "name": actor, "pose": [0.2, 0.2, 0.02, 1.0, 0.0, 0.0, 0.0]})
+    path = tmp_path / "odd.task.json"
+    path.write_text(json.dumps(raw))
+    spec = load_task_spec(path)
+    snap = _run(spec).snapshots[0]
+    snap.step_name = '<script>alert("&")</script>'
+    svg = snapshot_svg(snap, spec)
+    assert "<script>" not in svg
+    root = ET.fromstring(svg)
+    caption = next(el for el in root.iter(f"{SVG_NS}text") if el.get("id") == "caption")
+    assert caption.text == f"{snap.step_name} (t={snap.t})"
+    ids = {el.get("id") for el in root.iter() if el.get("id")}
+    assert f"actor-{actor}" in ids and f"fp-{actor}-0" in ids
+    assert actor in [el.text for el in root.iter(f"{SVG_NS}text")]
+
+
 def test_render_is_deterministic(place_shoe_spec):
     log = _run(place_shoe_spec)
     a = snapshot_svg(log.snapshots[2], place_shoe_spec)
