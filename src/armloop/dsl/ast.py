@@ -9,7 +9,6 @@ ids and source lines (bookkeeping, not meaning).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,6 @@ API_SIGNATURES: dict[str, tuple[Param, ...]] = {
     "observe": (Param("step_name", STRING),),
 }
 
-PARALLEL = "parallel"
-
 
 @dataclass
 class CallStmt:
@@ -111,9 +108,6 @@ class ParallelStmt:
     right: list
     id: int = field(default=0, compare=False)
     line: int = field(default=0, compare=False)
-
-
-Stmt = Union[CallStmt, ParallelStmt]
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import re
 import shutil
@@ -496,7 +497,9 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=
         weights = ConfigError.check(raw["weights"], list, "weights")
         if len(weights) != 2:
             raise ConfigError("weights", f"expected two numbers, got {weights!r}")
-        raw["weights"] = tuple(ConfigError.check(w, float, "weights") for w in weights)
+        raw["weights"] = tuple(ConfigError.check(w, float, "weights", minimum=0.0) for w in weights)
+        if not math.isfinite(sum(raw["weights"])):  # psi is at most their sum
+            raise ConfigError("weights", f"their sum must be finite, got {weights!r}")
     if max_iterations is not None:
         raw["max_iterations"] = max_iterations
     loop_cfg = ConfigError.build(LoopConfig, raw, "", perception=(mode == "hybrid"))

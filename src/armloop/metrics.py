@@ -317,17 +317,19 @@ def metrics_from_artifacts(run_dir) -> dict:
     1..final_iteration (not of iterations an earlier, longer run may have
     left) and must equal the recorded row. A campaign.json or trials.jsonl
     that does not match its schema, a trials.jsonl that is not its batch's
-    trials 0..n_trials-1, or a row that its trials do not bear out, raises
-    ArtifactError."""
+    trials 0..n_trials-1, a row that its trials do not bear out, or a final
+    or expert program file that does not parse (an empty one among them),
+    raises ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
         raise EmptyCampaignError(f"no campaign.json under {run_dir}")
     where = str(campaign_path)
     campaign = CampaignRecord.from_json(ArtifactError.read_json(campaign_path, where), where)
-    expert_text = (ArtifactError.read_text(campaign.expert_program, f"{where}: expert_program")
-                   if campaign.expert_program else None)
-    expert = _persisted_tree(expert_text, campaign.expert_program) if expert_text else None
+    expert = None
+    if campaign.expert_program:
+        expert_text = ArtifactError.read_text(campaign.expert_program, f"{where}: expert_program")
+        expert = _persisted_tree(expert_text, campaign.expert_program)
 
     programs = []
     for i, row in enumerate(campaign.candidates):
@@ -342,7 +344,7 @@ def metrics_from_artifacts(run_dir) -> dict:
                                     f" recorded, {json.dumps(getattr(counted, name))} in the trials")
         program_path = cand_dir / f"iter_{row.final_iteration}" / "program.prog"
         text = ArtifactError.read_text(program_path, str(program_path)) if batches else None
-        programs.append((text, _persisted_tree(text, program_path)) if text else None)
+        programs.append((text, _persisted_tree(text, program_path)) if batches else None)
     return metrics_payload(campaign, programs, expert)
 
 

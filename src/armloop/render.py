@@ -9,6 +9,7 @@ verifiers.
 
 from __future__ import annotations
 
+import os
 import zlib
 from pathlib import Path
 
@@ -108,21 +109,31 @@ def snapshot_svg(snapshot: Snapshot, spec: TaskSpec) -> str:
 def render_trials(trials_path, spec: TaskSpec, out_dir) -> list[Path]:
     """One SVG per snapshot found in a trials.jsonl file, named after its
     trial, its place in the trial and its step. A step name that holds a
-    path separator (/ or \\) or a NUL, or a payload that does not fit the
-    task, is an ArtifactError naming the snapshot; an out_dir or a file in
-    it that cannot be written is a ConfigError naming --out."""
+    path separator (/ or \\) or a NUL, that cannot be encoded, or that
+    makes the file name longer than out_dir allows, or a payload that does
+    not fit the task, is an ArtifactError naming the snapshot; an out_dir or
+    a file in it that cannot be written is a ConfigError naming --out."""
     out_dir = ConfigError.make_dir(out_dir, "--out")
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
     written = []
     for log in load_trials(trials_path):
         for seq, snap in enumerate(log.snapshots):
             where = f"{trials_path}: trial {log.trial_index} snapshot {seq}"
             if any(c in snap.step_name for c in "/\\\0"):
                 raise ArtifactError(where, f"step name {snap.step_name!r} is not a single path component")
+            name = f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
+            try:
+                size = len(os.fsencode(name))
+            except UnicodeEncodeError as exc:  # a lone surrogate
+                raise ArtifactError(where, f"step name {snap.step_name!r} is not a file name: {exc.reason}") from None
+            if size > name_max:
+                raise ArtifactError(where, f"step name of {len(snap.step_name)} characters makes a file name "
+                                           f"longer than the {name_max} bytes {out_dir} allows")
             try:
                 svg = snapshot_svg(snap, spec)
             except ArmloopError as exc:  # a payload that does not fit the task
                 raise ArtifactError(where, f"[{exc.code}] {exc}") from None
-            path = out_dir / f"trial{log.trial_index:02d}_{seq:02d}_{snap.step_name}.svg"
+            path = out_dir / name
             ConfigError.write_text(path, svg, "--out")
             written.append(path)
     return written

@@ -11,7 +11,7 @@ Gym and Brax. Programs are straight-line, so every trial still running has
 succeeded at the same statements: what each arm holds, the gripper values
 and the step counter are one value per batch. Continuous state (actor
 poses, TCPs, grasp offsets and approach axes) is an array with one row per
-running trial, computed by the row forms of `geometry`. A branch on a
+trial, computed by the row forms of `geometry`. A branch on a
 continuous value (the nearest contact point, constrain=auto, the cases of
 quat_between_rows, the support under a dropped actor) is a selection per
 row. A statement runs its checks in order as masks over the rows; a row
@@ -19,7 +19,9 @@ that fails one keeps the effects applied before it (the TCP has moved
 before a grasp_slip, the actor is released before a placement_miss), gets
 its failure event, its final snapshot and its goal at once, and leaves the
 `alive` mask. The goal is evaluated over all the rows that finish together
-in one call. The batch drops failed rows after each statement.
+in one call. A failed row keeps its place to the end of the batch, so row r
+is one trial throughout; what it goes on computing reaches no record, and
+the batch ends once no row is alive.
 
 All randomness comes from one generator per trial with a frozen draw order,
 which is what makes independent replay oracles possible:
@@ -165,12 +167,12 @@ class _Poses:
         self._other = other
         return self._entries
 
-    def keep(self, alive: list[bool]):
-        self.rows = self.rows[alive]
-        if not self._moved:
-            self._tuples = list(itertools.compress(self._tuples, alive))
-            if self._entries is not None:
-                self._entries = list(itertools.compress(self._entries, alive))
+
+def _rows(mask):
+    """The indices of a bool mask's true rows, one at a time. Not a list:
+    such a list keeps an int per row alive while the rows' records are
+    made, and freeing them after fragments the heap (peak RSS)."""
+    return itertools.compress(itertools.count(), mask.tolist())
 
 
 class _Batch:
@@ -180,8 +182,8 @@ class _Batch:
         self.statements = statements
         self.spec = spec
         self.max_steps = max_steps
-        self.logs = list(logs)  # of the rows, in row order
-        self.alive = np.ones(n, bool)  # rows that have not failed at this statement
+        self.logs = logs  # of the rows, in row order
+        self.alive = np.ones(n, bool)  # rows that have not failed
         self.slip_p = spec.noise.slip_base * noise_scale
         self.normals, self.slips, self.columns = perturbations  # of the rows, as _perturbations gives them
         self.poses = {name: _Poses(actor.pose, n, SCENE_KEYS["actors"]) for name, actor in spec.actors.items()}
@@ -221,10 +223,9 @@ class _Batch:
         the text, or a function of the row giving it."""
         bad = bad & self.alive
         if bad.any():
-            rows = bad.nonzero()[0].tolist()
-            self.alive[rows] = False
-            self._emit(rows, "failure", category, message)
-            self._finish(rows, self.t + 1, self.statements[self.k])
+            self.alive &= ~bad
+            self._emit(_rows(bad), "failure", category, message)
+            self._finish(bad, self.t + 1, self.statements[self.k])
 
     def _emit(self, rows, outcome: str, category: str, message):
         op = self.statements[self.k]
@@ -250,27 +251,16 @@ class _Batch:
             scene = {"actors": actor_states, "arms": arm_states}
             self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, scene, context))
 
-    def _finish(self, rows, t: int, last_op: _Statement | None):
+    def _finish(self, mask, t: int, last_op: _Statement | None):
         """The final snapshot (unless the last one was it) and the goal of
-        the given rows."""
+        the rows of the bool mask."""
         if self.last_step is not None and self.last_step != FINAL_STEP:
-            self._snapshot(rows, FINAL_STEP, t, last_op)
-        scene = SceneRows({name: poses.rows[rows] for name, poses in self.poses.items()},
-                          {tag: tcps.rows[rows] for tag, tcps in self.tcps.items()},
+            self._snapshot(_rows(mask), FINAL_STEP, t, last_op)
+        scene = SceneRows({name: poses.rows[mask] for name, poses in self.poses.items()},
+                          {tag: tcps.rows[mask] for tag, tcps in self.tcps.items()},
                           self.holding, self.gripper)
-        for r, met in zip(rows, eval_predicate(self.spec.goal, self.spec, scene).tolist()):
+        for r, met in zip(_rows(mask), eval_predicate(self.spec.goal, self.spec, scene).tolist()):
             self.logs[r].goal_met = met
-
-    def _drop_failed(self, alive: list[bool]):
-        keep = self.alive
-        self.logs = list(itertools.compress(self.logs, alive))
-        for poses in (*self.poses.values(), *self.tcps.values()):
-            poses.keep(alive)
-        for rows in (self.offsets, self.approaches):
-            for tag in rows:
-                rows[tag] = rows[tag][keep]
-        self.normals, self.slips = self.normals[keep], self.slips[keep]
-        self.alive = np.ones(len(self.logs), bool)
 
     # -- state helpers -------------------------------------------------------
 
@@ -502,31 +492,25 @@ class _Batch:
                 stmt = op.stmt
                 self.k = k
                 self.subgoal = op.subgoal
-                rows = range(len(self.logs))
                 if self.t >= self.max_steps:
-                    self._emit(rows, "failure", "runtime_limit", f"step budget of {self.max_steps} exhausted")
+                    self._emit(_rows(self.alive), "failure", "runtime_limit",
+                               f"step budget of {self.max_steps} exhausted")
                     break
                 if stmt.name == "observe":
                     self.last_step = stmt.args["step_name"]
-                    self._snapshot(rows, self.last_step, self.t, self.last_op)
+                    self._snapshot(_rows(self.alive), self.last_step, self.t, self.last_op)
                 else:
                     try:
                         self._HANDLERS[stmt.name](self, stmt.args)
                     except (_Failure, UnknownActorError, UnknownPointError) as exc:
                         category = exc.category if isinstance(exc, _Failure) else "invalid_call"
                         self._fail(True, category, str(exc))
-                    # Bools, not a list of row indices: such a list keeps an
-                    # int per row alive while the rows' records are made, and
-                    # freeing them after fragments the heap (peak RSS).
-                    alive = self.alive.tolist()
-                    self._emit(itertools.compress(range(len(alive)), alive), "success", "none", "")
+                    self._emit(_rows(self.alive), "success", "none", "")
                     self.last_op = op
-                    if not all(alive):
-                        self._drop_failed(alive)
-                        if not self.logs:
-                            return
+                    if not self.alive.any():
+                        return
                 self.t += 1
-            self._finish(range(len(self.logs)), self.t, self.last_op)
+            self._finish(self.alive, self.t, self.last_op)
 
 
 def run_trials(

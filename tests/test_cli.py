@@ -95,6 +95,8 @@ def test_loop_demo_campaign_cr_iter_two(tmp_path, capsys):
     ('{"max_iterations": 0}', "max_iterations"),
     ('{"observation_cap": 2}', "observation_cap"),
     ('{"weights": [1.0]}', "weights"),
+    ('{"weights": [1e308, 1e308]}', "weights"),
+    ('{"weights": [-1.0, 1.0]}', "weights"),
     ('{"synthesis": {"timeout_s": "slow"}}', "synthesis.timeout_s"),
     ('{"synthesis": 5}', "synthesis"),
     ('{"synthesis": {"backend": "foo"}}', "synthesis.backend"),
@@ -958,24 +960,31 @@ CAMPAIGN_CASES = {
 }
 
 
-def _unparsable_final_program(run_dir):
-    final = json.loads((run_dir / "campaign.json").read_text())["candidates"][0]["final_iteration"]
-    path = run_dir / "cand_0" / f"iter_{final}" / "program.prog"
-    path.write_text("program x\n")
-    return path
+def _final_program(text):
+    def write(run_dir):
+        final = json.loads((run_dir / "campaign.json").read_text())["candidates"][0]["final_iteration"]
+        path = run_dir / "cand_0" / f"iter_{final}" / "program.prog"
+        path.write_text(text)
+        return path
+    return write
 
 
-def _unparsable_expert_program(run_dir):
-    path = run_dir / "expert.prog"
-    path.write_text("program x\n")
-    _edit_campaign(lambda m: m.update(expert_program=str(path)))(run_dir / "campaign.json")
-    return path
+def _expert_program(text):
+    def write(run_dir):
+        path = run_dir / "expert.prog"
+        path.write_text(text)
+        _edit_campaign(lambda m: m.update(expert_program=str(path)))(run_dir / "campaign.json")
+        return path
+    return write
 
 
-# Each breaks a program file that metrics reads and returns its path.
+# Each breaks a program file that metrics reads and returns its path; an
+# empty file is a program that does not parse.
 PROGRAM_CASES = {
-    "final_program_not_parsed": _unparsable_final_program,
-    "expert_program_not_parsed": _unparsable_expert_program,
+    "final_program_not_parsed": _final_program("program x\n"),
+    "final_program_empty": _final_program(""),
+    "expert_program_not_parsed": _expert_program("program x\n"),
+    "expert_program_empty": _expert_program(""),
 }
 
 
@@ -1087,7 +1096,7 @@ def _rename_step(trials, seq, name):
     lines = trials.read_text().splitlines(keepends=True)
     at = [i for i, line in enumerate(lines)
           if json.loads(line)["type"] == "snapshot" and json.loads(line)["trial_index"] == 0][seq]
-    lines[at] = json.dumps({**json.loads(lines[at]), "step_name": name}, ensure_ascii=False) + "\n"
+    lines[at] = json.dumps({**json.loads(lines[at]), "step_name": name}) + "\n"  # escaped: a lone surrogate as \ud800
     trials.write_text("".join(lines))
 
 
@@ -1108,6 +1117,23 @@ def test_render_refuses_a_step_name_that_is_not_one_path_component(tmp_path, cap
     assert capsys.readouterr().err == (f"error [artifact_error]: {trials}: trial 0 snapshot 1: "
                                        f"step name {name!r} is not a single path component\n")
     assert [p for p in tmp_path.rglob("*.svg") if svg not in p.parents] == []
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("x" * 300, "step name of 300 characters makes a file name longer than the {name_max} bytes {svg} allows"),
+    ("a\ud800b", "step name 'a\\ud800b' is not a file name: surrogates not allowed"),
+], ids=["too_long", "lone_surrogate"])
+def test_render_refuses_a_step_name_that_cannot_be_a_file_name(tmp_path, capsys, name, reason):
+    """A step name too long for a file name, or one the file system cannot
+    encode, is a fault of the trials file, not of --out."""
+    assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
+    trials = tmp_path / "run" / "trials.jsonl"
+    _rename_step(trials, 1, name)
+    svg = tmp_path / "svg"
+    capsys.readouterr()
+    assert main(["render", str(trials), _task(), "--out", str(svg)]) == 2
+    reason = reason.format(name_max=os.pathconf(svg, "PC_NAME_MAX"), svg=svg)
+    assert capsys.readouterr().err == f"error [artifact_error]: {trials}: trial 0 snapshot 1: {reason}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "instrument"])
