@@ -28,7 +28,7 @@ _JSON_NAMES = {
     NoneType: "null",
 }
 # A record field's declared type, as its annotation reads, -> the JSON values it holds (None: its reader checks it).
-_DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list,
+_DECLARED = {"bool": bool, "int": int, "float": float, "str": str, "list": list, "dict": dict,
              "str | None": (str, NoneType), "tuple": None, "AgentConfig": None}
 _RECORD_FIELDS: dict = {}  # record class -> [(field name, JSON values, bounds)], filled on first use
 _REQUIRED = object()
@@ -152,7 +152,8 @@ class FieldError(ArmloopError):
                                                        if (kind := _DECLARED[f.type]) is not None]
         for name, kind, bounds in declared:
             value = getattr(record, name)
-            setattr(record, name, cls.check(value, kind, name, **bounds) if bounds else cls.check(value, kind, name))
+            if type(value) is not kind or bounds or kind is float:  # else check() returns it as it is
+                setattr(record, name, cls.check(value, kind, name, **bounds) if bounds else cls.check(value, kind, name))
 
     @classmethod
     def build(cls, record_type, raw, where: str, **fixed):

@@ -299,14 +299,19 @@ def _persisted_tree(text: str, path) -> FlatTree:
         raise ArtifactError(str(path), str(exc)) from None
 
 
-def _batch(path: Path, n_trials: int) -> tuple:
+def _batch(path: Path, n_trials: int, first_seed: int) -> tuple:
     """(goal-met count, trials) of an iteration's trials.jsonl, which must
-    hold the batch's trials 0..n_trials-1, else ArtifactError names it."""
+    hold the batch's trials 0..n_trials-1, trial i run with seed
+    first_seed + i, else ArtifactError names it."""
     logs = load_trials(path)
     indices, batch = {log.trial_index for log in logs}, set(range(n_trials))
     if indices != batch:
         what = f"no trial {min(batch - indices)}" if batch - indices else f"a trial {min(indices - batch)}"
         raise ArtifactError(str(path), f"{what}, where the batch is trials 0-{n_trials - 1}")
+    for log in logs:
+        if log.seed != first_seed + log.trial_index:
+            raise ArtifactError(str(path), f"trial {log.trial_index} has seed {log.seed}, where the batch's "
+                                           f"seeds are {first_seed}-{first_seed + n_trials - 1}")
     return sum(1 for log in logs if log.goal_met), n_trials
 
 
@@ -317,9 +322,9 @@ def metrics_from_artifacts(run_dir) -> dict:
     1..final_iteration (not of iterations an earlier, longer run may have
     left) and must equal the recorded row. A campaign.json or trials.jsonl
     that does not match its schema, a trials.jsonl that is not its batch's
-    trials 0..n_trials-1, a row that its trials do not bear out, or a final
-    or expert program file that does not parse (an empty one among them),
-    raises ArtifactError."""
+    trials 0..n_trials-1 run with the iteration's block of seeds, a row that
+    its trials do not bear out, or a final or expert program file that does
+    not parse (an empty one among them), raises ArtifactError."""
     run_dir = Path(run_dir)
     campaign_path = run_dir / "campaign.json"
     if not campaign_path.exists():
@@ -334,7 +339,8 @@ def metrics_from_artifacts(run_dir) -> dict:
     programs = []
     for i, row in enumerate(campaign.candidates):
         cand_dir = run_dir / f"cand_{row.candidate_id}"
-        batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl", campaign.n_trials)
+        batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl", campaign.n_trials,
+                          row.base_seed + (k - 1) * campaign.n_trials)  # the seed block run_iteration runs
                    for k in range(1, row.final_iteration + 1)]
         counted = CandidateRecord.of(row.candidate_id, row.base_seed, batches, campaign.success_threshold,
                                      campaign.max_iterations, row.error)

@@ -19,12 +19,22 @@ scalar, nan or inf, a list) falls back to the JSON encoder. A trial whose
 before it (the executor's trials with equal perturbations share them)
 reuses that trial's record texts, with its own index put in each line
 and its own summary; only the previous trial's texts are kept.
+
+The reader decodes each distinct event or snapshot line once per file. A
+line that starts with the writer's head and a plain trial index, and whose
+rest names no second trial index, is memoized by its head and rest: a line
+equal to it but for the index is the same record, put in that index's
+trial, so trials with equal lines share record objects as the executor's
+do. Every record is checked against its class's declared field types, once
+per distinct line; a line that does not decode is never memoized, so a
+repeat of it is refused at its own line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -314,30 +324,59 @@ def dump_trials(logs, path) -> None:
 
 
 def _record(line: str):
-    """(trial index, record) of one JSONL line; ArtifactError names the fault
-    within the line."""
+    """(trial index, record) of one JSONL line, each field of the record of
+    its declared type; ArtifactError names the fault within the line."""
     rec = ArtifactError.check(ArtifactError.loads(line, ""), dict, "")
     kind = ArtifactError.check(rec.pop("type", None), str, "type")
     cls = RECORD_TYPES.get(kind)
     if cls is None:
         raise ArtifactError("type", f"unknown record type {kind!r}")
     index = ArtifactError.check(rec.pop("trial_index", None), int, "trial_index")
-    return index, ArtifactError.build(cls, rec, kind)
+    record = ArtifactError.build(cls, rec, kind)
+    if cls is not TrialSummary:  # a summary checks its own fields as it is made
+        try:
+            ArtifactError.check_fields(record)
+        except ArtifactError as exc:
+            raise ArtifactError(f"{kind}.{exc.field}", exc.reason) from None
+    return index, record
+
+
+# The start of an event or snapshot line as the writer makes it: its type's
+# head, the trial index as JSON writes an int, and the comma after it, so
+# that the index is every digit there is. An index of more than 18 digits is
+# left to the decoder.
+_KEYED = re.compile(f"({re.escape(_EVENT)}|{re.escape(_SNAPSHOT)})(0|[1-9][0-9]{{0,17}}), ")
 
 
 def load_trials(path) -> list[TrialLog]:
     """Reconstruct trial logs from a JSONL file. The file stores every field
     of a trial log, so a loaded log writes back byte for byte (its snapshot
     poses are lists where the executor's are tuples). A malformed line, a
-    record of a trial whose summary was already read, a file that cannot be
-    read as text, or a trial without its summary raises ArtifactError
-    naming path:line or path."""
+    record with a field not of its declared type, a record of a trial whose
+    summary was already read, a file that cannot be read as text, or a
+    trial without its summary raises ArtifactError naming path:line or path.
+
+    An event or snapshot line that _KEYED matches, and whose rest holds
+    neither "trial_index" nor a \\u escape (either could spell a second
+    trial index key, which the decoder would take over the first), is
+    decoded once per call: a later line of the same head and rest is the
+    record decoded first, in the trial its own index names. Loaded trials
+    whose lines are equal thus share record objects."""
     logs: dict[int, TrialLog] = {}
+    memo = {}  # (head, rest) of a decoded line -> its record
     for lineno, line in enumerate(ArtifactError.read_text(path, str(path)).split("\n"), 1):
         if not line or line.isspace():
             continue
         try:
-            index, rec = _record(line)
+            keyed = _KEYED.match(line)
+            rest = line[keyed.end():] if keyed else ""
+            if not keyed or '"trial_index"' in rest or "\\u" in rest:
+                index, rec = _record(line)
+            elif (rec := memo.get(key := (keyed[1], rest))) is not None:
+                index = int(keyed[2])
+            else:
+                index, rec = _record(line)
+                memo[key] = rec
             log = logs.get(index)
             if log is None:
                 log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet

@@ -918,6 +918,13 @@ TRIALS_CASES = {
     "seed_not_int": _edit_record("summary", lambda r: r.update(seed=7.5)),
     "n_events_wrong": _edit_record("summary", lambda r: r.update(n_events=r["n_events"] + 1)),
     "no_summary": lambda lines: lines.pop(),
+    "snapshot_t_not_int": _edit_record("snapshot", lambda r: r.update(t=[1])),
+    "event_args_not_object": _edit_record("event", lambda r: r.update(args=["left"])),
+}
+# Faults only a campaign shows: metrics knows the block of seeds each
+# iteration runs, render reads a trials file on its own.
+BATCH_CASES = {
+    "seed_out_of_block": _edit_record("summary", lambda r: r.update(seed=r["seed"] + 777)),
 }
 SCENE_CASES = {
     "unknown_actor": _edit_record("snapshot", lambda r: r["scene"]["actors"].update(
@@ -1002,14 +1009,14 @@ def _mutate_lines(path, mutate):
     path.write_text("".join(lines))
 
 
-@pytest.mark.parametrize("case", [*TRIALS_CASES, *CAMPAIGN_CASES, *PROGRAM_CASES])
+@pytest.mark.parametrize("case", [*TRIALS_CASES, *BATCH_CASES, *CAMPAIGN_CASES, *PROGRAM_CASES])
 def test_metrics_malformed_artifact_exits_two(tmp_path, capsys, demo_run, case):
     run_dir = tmp_path / "run"
     shutil.copytree(demo_run, run_dir)
     where = run_dir / "campaign.json"
-    if case in TRIALS_CASES:
+    if case in TRIALS_CASES or case in BATCH_CASES:
         where = run_dir / "cand_0" / "iter_1" / "trials.jsonl"
-        _mutate_lines(where, TRIALS_CASES[case])
+        _mutate_lines(where, {**TRIALS_CASES, **BATCH_CASES}[case])
     elif case in CAMPAIGN_CASES:
         CAMPAIGN_CASES[case](where)
     else:
@@ -1072,6 +1079,29 @@ def test_metrics_check_refuses_an_iteration_without_its_whole_batch(tmp_path, ca
     assert not captured.out
 
 
+def test_metrics_check_refuses_trial_seeds_swapped_within_their_block(tmp_path, capsys, demo_run):
+    """cand_1's second iteration runs the seeds from base_seed + n_trials
+    on, one per trial in index order: with trial 0's and trial 1's seeds
+    swapped, every seed is still of the block and every count stands, and
+    metrics --check names trial 0."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(demo_run, run_dir)
+    meta = json.loads((run_dir / "campaign.json").read_text())
+    first = meta["candidates"][1]["base_seed"] + meta["n_trials"]
+    where = run_dir / "cand_1" / "iter_2" / "trials.jsonl"
+
+    def swap(lines):
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["type"] == "summary" and record["trial_index"] in (0, 1):
+                lines[i] = json.dumps({**record, "seed": first + 1 - record["trial_index"]}) + "\n"
+
+    _mutate_lines(where, swap)
+    assert main(["metrics", str(run_dir), "--check"]) == 2
+    assert capsys.readouterr().err == (f"error [artifact_error]: {where}: trial 0 has seed {first + 1}, where the "
+                                       f"batch's seeds are {first}-{first + meta['n_trials'] - 1}\n")
+
+
 @pytest.mark.parametrize("case", [*TRIALS_CASES, *SCENE_CASES])
 def test_render_malformed_artifact_exits_two(tmp_path, capsys, case):
     main(["run", _task(), _prog("correct"), "--trials", "2", "--out", str(tmp_path)])
@@ -1091,13 +1121,15 @@ def test_render_counts_files(tmp_path, capsys):
     assert len(svgs) == 70  # 10 trials x 7 snapshots
 
 
-def _rename_step(trials, seq, name):
-    """Snapshot `seq` of trial 0 in a trials.jsonl file renamed `name`."""
+def _edit_snapshot(trials, seq, **values):
+    """Snapshot `seq` of trial 0 in a trials.jsonl file given the field
+    values; returns its line number."""
     lines = trials.read_text().splitlines(keepends=True)
     at = [i for i, line in enumerate(lines)
           if json.loads(line)["type"] == "snapshot" and json.loads(line)["trial_index"] == 0][seq]
-    lines[at] = json.dumps({**json.loads(lines[at]), "step_name": name}) + "\n"  # escaped: a lone surrogate as \ud800
+    lines[at] = json.dumps({**json.loads(lines[at]), **values}) + "\n"  # escaped: a lone surrogate as \ud800
     trials.write_text("".join(lines))
+    return at + 1
 
 
 @pytest.mark.parametrize("name", ["x/../../escaped", "a/b", "a\\b", "a\0b"],
@@ -1109,7 +1141,7 @@ def test_render_refuses_a_step_name_that_is_not_one_path_component(tmp_path, cap
     is a directory there."""
     assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
     trials = tmp_path / "run" / "trials.jsonl"
-    _rename_step(trials, 1, name)
+    _edit_snapshot(trials, 1, step_name=name)
     svg = tmp_path / "render" / "svg"
     (svg / "trial00_01_x").mkdir(parents=True)
     capsys.readouterr()
@@ -1128,12 +1160,27 @@ def test_render_refuses_a_step_name_that_cannot_be_a_file_name(tmp_path, capsys,
     encode, is a fault of the trials file, not of --out."""
     assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
     trials = tmp_path / "run" / "trials.jsonl"
-    _rename_step(trials, 1, name)
+    _edit_snapshot(trials, 1, step_name=name)
     svg = tmp_path / "svg"
     capsys.readouterr()
     assert main(["render", str(trials), _task(), "--out", str(svg)]) == 2
     reason = reason.format(name_max=os.pathconf(svg, "PC_NAME_MAX"), svg=svg)
     assert capsys.readouterr().err == f"error [artifact_error]: {trials}: trial 0 snapshot 1: {reason}\n"
+
+
+def test_render_refuses_a_step_counter_that_is_not_an_integer(tmp_path, capsys):
+    """A snapshot's step counter is written into its SVG's caption: one that
+    holds markup is a fault of the trials file, refused before any SVG is
+    written."""
+    assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
+    trials = tmp_path / "run" / "trials.jsonl"
+    line = _edit_snapshot(trials, 0, t="<script>alert(1)</script>")
+    svg = tmp_path / "svg"
+    capsys.readouterr()
+    assert main(["render", str(trials), _task(), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == (f"error [artifact_error]: {trials}:{line}: snapshot.t: "
+                                       "expected an integer, got '<script>alert(1)</script>'\n")
+    assert list(tmp_path.rglob("*.svg")) == []
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "instrument"])

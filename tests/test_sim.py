@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from armloop.sim import (
     Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, load_trials, run_trials,
     scene_from_state,
 )
+from armloop.sim import model
 from armloop.sim.model import trial_records
 
 from conftest import TASK_NAMES, one_trial, program_path, task_path
@@ -628,7 +631,7 @@ def test_trial_writer_matches_json_dumps(tmp_path, noise):
             logs = run_trials(program, spec, 4, base_seed=0, noise_scale=float(noise), max_steps=200)
             dump_trials(logs, path)
             assert path.read_bytes() == _reference_text(logs).encode("utf-8"), (task, kind)
-            loaded = load_trials(path)  # lists, no object shared between snapshots
+            loaded = load_trials(path)  # poses as lists, records shared across trials of equal lines
             assert "".join(map(dumps_trial, loaded)) == _reference_text(loaded), (task, kind)
 
 
@@ -810,6 +813,165 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     logs.append(TrialLog(10, 5, list(events), list(snapshots)))
     logs += [TrialLog(100, 6, events, snapshots), TrialLog(1, 7, events, snapshots, True)]
     _assert_writes_json_dumps(logs, path)
+
+
+# --- trials.jsonl reader memo ---------------------------------------------------
+
+
+def _loaded(path) -> str:
+    """What load_trials makes of a file: its trials' records as json.dumps
+    writes them, or its error."""
+    try:
+        return _reference_text(load_trials(path))
+    except ArtifactError as exc:
+        return f"ArtifactError: {exc}"
+
+
+def _assert_loads_as_every_line(path, monkeypatch) -> str:
+    """load_trials reads the file as its reference does: load_trials with no
+    line memoized, each line decoded by _record."""
+    got = _loaded(path)
+    with monkeypatch.context() as unmemoized:
+        unmemoized.setattr(model, "_KEYED", re.compile("(?!)"))  # matches no line
+        assert got == _loaded(path)
+    return got
+
+
+def _dumped(path, spec, n) -> list:
+    """The lines of n noiseless trials of the correct place_shoe program,
+    written to path: equal but for the index."""
+    dump_trials(run_trials(_correct(), spec, n, base_seed=0, noise_scale=0.0, max_steps=200), path)
+    return path.read_text().splitlines(keepends=True)
+
+
+def _split(line: str) -> list:
+    """[head, index text, rest] of a line the writer made."""
+    return list(re.fullmatch(r'(\{"type": "\w+", "trial_index": )(\d+)(.*)', line, re.S).groups())
+
+
+_SECOND_INDEX_KEYS = ['"trial_index"', '"trial\\u005findex"']  # the decoder reads both as trial_index
+_ODD_INDICES = ["01", "1.0", "-0", "true", "1" * 18 + "9", "2" * 18 + "9", "1" + "0" * 18, "0" * 19]
+
+
+def _mutate(rng: random.Random, lines: list) -> None:
+    """One line of lines ([head, index text, rest] each) changed: a byte of
+    its rest, a second trial index key, its index spelled otherwise, an
+    escape that spells a key as it reads, or its rest cut short. Then a
+    copy of it goes after it under the index of some line, so that its rest
+    repeats: half the time, and always when the line was left unchanged."""
+    at = rng.randrange(len(lines))
+    head, index, rest = line = lines[at]
+    shape = rng.randrange(6)
+    if shape == 0:
+        i = rng.randrange(len(rest) - 1)
+        line[2] = rest[:i] + rng.choice('07x", }') + rest[i + 1:]
+    elif shape == 1:
+        line[2] = f"{rest[:-2]}, {rng.choice(_SECOND_INDEX_KEYS)}: {rng.choice(['0', index, index])}}}\n"
+    elif shape == 2:
+        line[1] = rng.choice(_ODD_INDICES + ["0"])
+    elif shape == 3:
+        line[2] = rest.replace('"t": ', '"\\u0074": ', 1)
+    elif shape == 4:
+        line[2] = rest[:len(rest) // 2] + "\n"
+    if shape == 5 or rng.random() < 0.5:
+        lines.insert(rng.randrange(at + 1, len(lines) + 1), [line[0], rng.choice(lines)[1], line[2]])
+
+
+@pytest.mark.parametrize("noise", [0, 1])
+def test_load_trials_equals_every_line_reference_on_random_files(tmp_path, monkeypatch, noise):
+    """Files of trials drawn from a few batches, so that lines repeat across
+    trials at either noise (within a batch at noise 0, where a trial is
+    drawn twice at noise 1), a few lines changed in most."""
+    trials = []
+    for task in ("place_shoe", "handover_block"):
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud"):
+            program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
+            logs = run_trials(program, spec, 3, base_seed=0, noise_scale=float(noise), max_steps=200)
+            trials += [[_split(line) for line in dumps_trial(log).splitlines(keepends=True)] for log in logs]
+    rng = random.Random(27 + noise)
+    path = tmp_path / "trials.jsonl"
+    errors = 0
+    for _ in range(200):
+        lines = []
+        for index in range(rng.randrange(1, 7)):
+            lines += [[head, str(index), rest] for head, _, rest in rng.choice(trials)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            _mutate(rng, lines)
+        path.write_text("".join(map("".join, lines)))
+        errors += _assert_loads_as_every_line(path, monkeypatch).startswith("ArtifactError")
+    assert 40 < errors < 160  # both outcomes, often
+
+
+def test_load_trials_shares_the_records_of_equal_lines(tmp_path, place_shoe_spec):
+    """Trials of equal perturbations write equal lines but for the index:
+    loaded, they share their record objects, as the executor's trials do."""
+    path = tmp_path / "trials.jsonl"
+    _dumped(path, place_shoe_spec, 3)
+    first, *others = load_trials(path)
+    for log in others:
+        assert len(log.events) == len(first.events) and len(log.snapshots) == len(first.snapshots)
+        assert all(map(operator.is_, log.events + log.snapshots, first.events + first.snapshots))
+
+
+def test_load_trials_decodes_a_line_one_byte_off_a_memoized_one(tmp_path, place_shoe_spec, monkeypatch):
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 2)
+    at = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')][-1]  # trial 1's last
+    start = lines[at].index('"step_name": "') + len('"step_name": "')
+    lines[at] = lines[at][:start] + "X" + lines[at][start + 1:]
+    path.write_text("".join(lines))
+    _assert_loads_as_every_line(path, monkeypatch)
+    first, second = load_trials(path)
+    assert second.snapshots[-1].step_name == "X" + first.snapshots[-1].step_name[1:] != first.snapshots[-1].step_name
+    assert second.snapshots[:-1] == first.snapshots[:-1]
+
+
+@pytest.mark.parametrize("key", _SECOND_INDEX_KEYS, ids=["plain", "escaped"])
+def test_load_trials_takes_a_second_trial_index_key_as_the_decoder_does(tmp_path, place_shoe_spec, monkeypatch,
+                                                                         key):
+    """Every event line of a 2-trial file given a second trial index key of
+    0, which the decoder takes over the first: trial 1's first event, whose
+    rest equals trial 0's, is a record of trial 0 after its summary."""
+    path = tmp_path / "trials.jsonl"
+    lines = [line[:-2] + f", {key}: 0}}\n" if line.startswith('{"type": "event", ') else line
+             for line in _dumped(path, place_shoe_spec, 2)]
+    path.write_text("".join(lines))
+    at = next(i for i, line in enumerate(lines) if line.startswith('{"type": "event", "trial_index": 1, ')) + 1
+    assert _assert_loads_as_every_line(path, monkeypatch) == (
+        f"ArtifactError: {path}:{at}: trial_index: a record of trial 0 after its summary")
+
+
+@pytest.mark.parametrize("indices", [("01", "2"), ("1.0", "2"), ("-0", "2"), ("1" * 18 + "9", "2" * 18 + "9"),
+                                     ("1" + "0" * 18, "2" + "0" * 18)],
+                         ids=["leading_zero", "float", "minus_zero", "19_digits", "10_to_the_18"])
+def test_load_trials_reads_an_index_spelled_otherwise_as_the_decoder_does(tmp_path, place_shoe_spec, monkeypatch,
+                                                                          indices):
+    """Trials 1 and 2 of a 3-trial file, whose lines equal trial 0's but for
+    the index, with their indices written as given in every line."""
+    path = tmp_path / "trials.jsonl"
+    lines = [_split(line) for line in _dumped(path, place_shoe_spec, 3)]
+    for line in lines:
+        line[1] = {"0": "0", "1": indices[0], "2": indices[1]}[line[1]]
+    path.write_text("".join(map("".join, lines)))
+    got = _assert_loads_as_every_line(path, monkeypatch)
+    if indices[0].isdigit() and not indices[0].startswith("0"):
+        assert [log.trial_index for log in load_trials(path)] == [0, *map(int, indices)]
+    else:
+        assert got.startswith(f"ArtifactError: {path}:{len(lines) // 3 + 1}: ")
+
+
+@pytest.mark.parametrize("fault", ["not_json", "t_not_int"])
+def test_load_trials_refuses_a_repeated_malformed_line_at_its_first(tmp_path, place_shoe_spec, monkeypatch, fault):
+    """Trial 0's first event line and trial 1's, equal but for the index,
+    broken alike: the file is refused at trial 0's."""
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 2)
+    events = [i for i, line in enumerate(lines) if line.startswith('{"type": "event", ')]
+    for at in events[0], events[len(events) // 2]:
+        lines[at] = lines[at][:-2] + "\n" if fault == "not_json" else re.sub(r'"t": \d+', '"t": "x"', lines[at])
+    path.write_text("".join(lines))
+    assert _assert_loads_as_every_line(path, monkeypatch).startswith(f"ArtifactError: {path}:{events[0] + 1}: ")
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
