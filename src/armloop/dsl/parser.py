@@ -12,10 +12,17 @@ Grammar (normative, also in the README):
 
 ``#`` starts a line comment. Parallel branches may not nest further
 parallel blocks, and every call must come from the closed API set.
+
+Each argument is bound to its parameter (by position, or by keyword) and
+checked against its kind in ``_KINDS`` as it is read, so a call with several
+faults reports the first in source order. A number literal must be finite as
+a float and short enough for ``int()``, else it is a ``bad_arg`` at its token;
+so every accepted program prints back to itself, ``parse(to_text(p)) == p``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -206,45 +213,57 @@ class _Parser:
     def parse_call(self) -> CallStmt:
         name_tok = self.expect("IDENT", "call name")
         name = name_tok.text
-        if name not in API_SIGNATURES:
+        signature = API_SIGNATURES.get(name)
+        if signature is None:
             raise UnknownApiError(name, name_tok.line, name_tok.column)
         self.expect("LPAREN")
-        positional, keyword = self.parse_args(name_tok)
+        bound: dict[str, object] = {}
+        keywords: set[str] = set()
+        more = self.peek().kind != "RPAREN"
+        while more:
+            tok = self.peek()
+            if tok.kind == "IDENT" and self.tokens[self.pos + 1].kind == "EQUALS":
+                self.pos += 2  # the keyword and '='
+                value_tok = self.peek()
+                value = self.parse_value()
+                key = tok.text
+                param = next((p for p in signature if p.name == key), None)
+                if key in keywords:
+                    raise BadArgError(f"duplicate argument {key!r}", value_tok.line, value_tok.column)
+                if param is None:
+                    raise BadArgError(f"{name} has no argument {key!r}", value_tok.line, value_tok.column)
+                if key in bound:
+                    raise BadArgError(f"argument {key!r} given twice", value_tok.line, value_tok.column)
+                keywords.add(key)
+            else:
+                if keywords:
+                    raise BadArgError("positional argument after keyword argument", tok.line, tok.column)
+                value_tok = tok
+                value = self.parse_value()
+                if len(bound) == len(signature):
+                    raise BadArgError(f"{name} takes at most {len(signature)} arguments", name_tok.line)
+                param = signature[len(bound)]
+            expects, take = _KINDS[param.kind]
+            value = take(value)
+            if value is None:
+                raise BadArgError(f"argument {param.name!r} expects {expects}", value_tok.line)
+            bound[param.name] = value
+            more = self.peek().kind == "COMMA"
+            if more:
+                self.advance()
         self.expect("RPAREN")
         if self.peek().kind == "NEWLINE":
             self.advance()
-        args = _bind_args(name, positional, keyword, name_tok.line)
-        return CallStmt(name, args, line=name_tok.line)
-
-    def parse_args(self, name_tok: Token):
-        positional: list[tuple[object, Token]] = []
-        keyword: dict[str, tuple[object, Token]] = {}
-        if self.peek().kind == "RPAREN":
-            return positional, keyword
-        while True:
-            tok = self.peek()
-            if tok.kind == "IDENT" and self.tokens[self.pos + 1].kind == "EQUALS":
-                key = self.advance().text
-                self.advance()  # '='
-                value_tok = self.peek()
-                value = self.parse_value()
-                if key in keyword:
-                    raise BadArgError(f"duplicate argument {key!r}", value_tok.line, value_tok.column)
-                keyword[key] = (value, value_tok)
-            else:
-                if keyword:
-                    raise BadArgError("positional argument after keyword argument", tok.line, tok.column)
-                positional.append((self.parse_value(), tok))
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            return positional, keyword
+        missing = [p.name for p in signature if p.required and p.name not in bound]
+        if missing:
+            raise BadArgError(f"{name} missing required argument {missing[0]!r}", name_tok.line)
+        return CallStmt(name, {p.name: bound.get(p.name, p.default) for p in signature}, line=name_tok.line)
 
     def parse_value(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return _parse_number(tok.text)
+            return _number(tok)
         if tok.kind == "STRING":
             self.advance()
             return _QuotedStr(unescape_string(tok.text))
@@ -265,8 +284,8 @@ class _Parser:
         actor = self.expect("IDENT", "actor name").text
         self.expect("COMMA")
         num_tok = self.expect("NUMBER", "functional point id")
-        value = _parse_number(num_tok.text)
-        if not isinstance(value, int):
+        value = _number(num_tok)
+        if type(value) is not int:
             raise BadArgError("functional point id must be an integer", num_tok.line, num_tok.column)
         self.expect("RPAREN")
         return FpRef(actor, value)
@@ -274,10 +293,10 @@ class _Parser:
     def parse_pose(self) -> PoseLit:
         self.advance()  # 'pose'
         self.expect("LPAREN")
-        values = [float(_parse_number(self.expect("NUMBER", "pose component").text))]
+        values = [float(_number(self.expect("NUMBER", "pose component")))]
         for _ in range(6):
             self.expect("COMMA")
-            values.append(float(_parse_number(self.expect("NUMBER", "pose component").text)))
+            values.append(float(_number(self.expect("NUMBER", "pose component"))))
         self.expect("RPAREN")
         return PoseLit(tuple(values))
 
@@ -286,80 +305,36 @@ class _QuotedStr(str):
     """Marks a value that appeared as a quoted string in source."""
 
 
-def _parse_number(text: str):
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    return float(text)
-
-
-def _coerce(kind, value, name: str, line: int):
-    if kind == NUM:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise BadArgError(f"argument {name!r} expects a number", line)
-        return float(value)
-    if kind == "ident":
-        if not isinstance(value, str) or isinstance(value, _QuotedStr):
-            raise BadArgError(f"argument {name!r} expects an identifier", line)
-        return str(value)
-    if kind == ARM:
-        if not isinstance(value, str) or value not in ARM_TAGS:
-            raise BadArgError(f"argument {name!r} expects left or right", line)
-        return str(value)
-    if kind == STRING:
-        if not isinstance(value, _QuotedStr):
-            raise BadArgError(f"argument {name!r} expects a quoted string", line)
-        return str(value)
-    if kind == BOOL:
-        if value in ("true", "false"):
-            return value == "true"
-        raise BadArgError(f"argument {name!r} expects true or false", line)
-    if kind == INT_OR_AUTO:
-        if value == "auto":
-            return "auto"
-        if isinstance(value, int) and not isinstance(value, bool):
+def _number(tok: Token):
+    """A NUMBER token's value, an int where it has neither point nor exponent;
+    one past the float range or too long for int() is a BadArgError."""
+    try:
+        value = int(tok.text) if tok.text.lstrip("-").isdigit() else float(tok.text)
+        if math.isfinite(value):
             return value
-        raise BadArgError(f"argument {name!r} expects an integer or auto", line)
-    if kind == INT_OR_NONE:
-        if value == "none":
-            return "none"
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise BadArgError(f"argument {name!r} expects an integer or none", line)
-    if kind == TARGET:
-        if isinstance(value, (FpRef, PoseLit)):
-            return value
-        raise BadArgError(f"argument {name!r} expects fp(actor, id) or pose(...)", line)
-    if isinstance(kind, tuple) and kind[0] == "enum":
-        if isinstance(value, str) and value in kind[1]:
-            return str(value)
-        raise BadArgError(f"argument {name!r} expects one of {', '.join(kind[1])}", line)
-    raise AssertionError(f"unhandled kind {kind!r}")
+    except (ValueError, OverflowError):  # over int()'s digit limit; an int beyond the float range
+        pass
+    raise BadArgError("number literal out of range", tok.line, tok.column)
 
 
-def _bind_args(name: str, positional, keyword, line: int) -> dict:
-    signature = API_SIGNATURES[name]
-    if len(positional) > len(signature):
-        raise BadArgError(f"{name} takes at most {len(signature)} arguments", line)
-    bound: dict[str, object] = {}
-    for param, (value, tok) in zip(signature, positional):
-        bound[param.name] = _coerce(param.kind, value, param.name, tok.line)
-    valid_names = {p.name for p in signature}
-    for key, (value, tok) in keyword.items():
-        if key not in valid_names:
-            raise BadArgError(f"{name} has no argument {key!r}", tok.line, tok.column)
-        if key in bound:
-            raise BadArgError(f"argument {key!r} given twice", tok.line, tok.column)
-        param = next(p for p in signature if p.name == key)
-        bound[key] = _coerce(param.kind, value, key, tok.line)
-    args: dict[str, object] = {}
-    for param in signature:
-        if param.name in bound:
-            args[param.name] = bound[param.name]
-        elif param.required:
-            raise BadArgError(f"{name} missing required argument {param.name!r}", line)
-        else:
-            args[param.name] = param.default
-    return args
+# Argument kind -> (what its error says it expects, the value an argument
+# read as v binds to, or None where the kind does not take v). A quoted
+# string counts as its text wherever a kind takes words.
+_KINDS = {
+    NUM: ("a number", lambda v: float(v) if type(v) in (int, float) else None),
+    "ident": ("an identifier", lambda v: v if type(v) is str else None),
+    ARM: ("left or right", lambda v: str(v) if v in ARM_TAGS else None),
+    STRING: ("a quoted string", lambda v: str(v) if type(v) is _QuotedStr else None),
+    BOOL: ("true or false", lambda v: v == "true" if v in ("true", "false") else None),
+    INT_OR_AUTO: ("an integer or auto", lambda v: v if type(v) is int else "auto" if v == "auto" else None),
+    INT_OR_NONE: ("an integer or none", lambda v: v if type(v) is int else "none" if v == "none" else None),
+    TARGET: ("fp(actor, id) or pose(...)", lambda v: v if type(v) in (FpRef, PoseLit) else None),
+}
+# Each enum(...) kind is its own entry: one of its words.
+_KINDS.update(
+    (p.kind, (f"one of {', '.join(p.kind[1])}", lambda v, words=p.kind[1]: str(v) if v in words else None))
+    for signature in API_SIGNATURES.values() for p in signature if type(p.kind) is tuple
+)
 
 
 def parse(text: str) -> Program:

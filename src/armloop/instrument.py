@@ -70,47 +70,23 @@ def insert_observations(program: Program, cap: int) -> Program:
         raise CapTooSmallError(f"observation cap {cap} below minimum of {MIN_OBSERVATION_CAP}")
 
     out = strip_observes(program)
-
-    # Candidate interior hooks: (subgoal idx, position in subgoal, priority).
-    candidates = []
-    for si, sg in enumerate(out.subgoals):
-        for pi, stmt in enumerate(sg.statements):
-            if phi(stmt):
-                candidates.append({
-                    "subgoal": si,
-                    "position": pi,
-                    "priority": _priority(stmt),
-                    "opname": _hook_name(stmt),
-                })
-
-    budget = cap - 2  # initial + final are always present
-    if len(candidates) > budget:
-        # Drop lowest-priority hooks, latest position first, until we fit.
-        drop_order = sorted(
-            range(len(candidates)),
-            key=lambda i: (-candidates[i]["priority"], -i),
-        )
-        dropped = set(drop_order[: len(candidates) - budget])
-        candidates = [c for i, c in enumerate(candidates) if i not in dropped]
-
-    # Number kept hooks densely from 2 in final (program) order; the initial
-    # boundary hook is implicitly step 1.
-    for k, cand in enumerate(candidates, start=2):
-        cand["step_name"] = f"step{k}_{cand['opname']}"
-
-    by_slot = {(c["subgoal"], c["position"]): c["step_name"] for c in candidates}
+    visible = [stmt for sg in out.subgoals for stmt in sg.statements if phi(stmt)]
+    # The cap leaves room for cap - 2 hooks between initial and final: keep
+    # the highest-priority ones, earliest first, so thinning drops the
+    # lowest-priority, latest ones.
+    kept = sorted(sorted(range(len(visible)), key=lambda i: (_priority(visible[i]), i))[: cap - 2])
+    # Kept hooks are numbered densely from 2 in program order (the initial
+    # hook is step 1), keyed by their statement (no statement object appears twice).
+    step_names = {id(visible[i]): f"step{k}_{_hook_name(visible[i])}" for k, i in enumerate(kept, start=2)}
 
     for si, sg in enumerate(out.subgoals):
-        new_stmts = []
-        if si == 0:
-            new_stmts.append(_make_observe(INITIAL_STEP))
-        for pi, stmt in enumerate(sg.statements):
-            new_stmts.append(stmt)
-            step_name = by_slot.get((si, pi))
-            if step_name is not None:
-                new_stmts.append(_make_observe(step_name))
+        statements = [_make_observe(INITIAL_STEP)] if si == 0 else []
+        for stmt in sg.statements:
+            statements.append(stmt)
+            if id(stmt) in step_names:
+                statements.append(_make_observe(step_names[id(stmt)]))
         if si == len(out.subgoals) - 1:
-            new_stmts.append(_make_observe(FINAL_STEP))
-        sg.statements = new_stmts
+            statements.append(_make_observe(FINAL_STEP))
+        sg.statements = statements
 
     return renumber(out)

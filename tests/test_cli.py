@@ -1276,3 +1276,24 @@ def test_help_available_for_every_command(capsys):
             main([command, "--help"])
         assert err.value.code == 0
         assert "--help" in capsys.readouterr().out or True
+
+
+@pytest.mark.parametrize("call, column", [
+    ("move_by_displacement(left, z=0.07, x=1e-400, y=1e400)", 50),
+    (f"grasp_actor(shoe, left, contact_point_id={'7' * 5000})", 44),
+], ids=["infinite", "too_long_for_int"])
+def test_number_literal_out_of_range(tmp_path, capsys, call, column):
+    """A number literal that no float or int holds is a bad_arg of the program
+    file (exit 2), never a traceback; from a playbook it fails its own
+    candidate, a synthesis failure (exit 3)."""
+    bad = tmp_path / "bad.prog"
+    bad.write_text(f'program place_shoe\nsubgoal "s"\n  {call}\n')
+    message = f"line 3, col {column}: number literal out of range"
+    for argv in (["validate", _task(), str(bad)], ["run", _task(), str(bad), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error [bad_arg]: {bad}: {message}\n"
+    config = tmp_path / "playbook.json"
+    config.write_text(json.dumps({"candidates": [{"playbook": [str(bad)]}, {"playbook": [_prog("correct")]}]}))
+    assert main(["loop", _task(), "--config", str(config), "--out", str(tmp_path / "runs")]) == 3
+    failed, converged = json.loads((tmp_path / "runs" / "place_shoe" / "campaign.json").read_text())["candidates"]
+    assert message in failed["error"] and converged["error"] is None

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -146,6 +147,120 @@ def test_string_escapes_roundtrip():
     program = parse('program t\nsubgoal "with \\"quotes\\" and \\\\slash"\n  observe("a \\"b\\\\c")\n')
     assert program.subgoals[0].description == 'with "quotes" and \\slash'
     assert parse(to_text(program)) == program
+
+
+def _one_call(stmt: str) -> str:
+    return f'program t\nsubgoal "s"\n  {stmt}\n'
+
+
+# Each argument fault on its own: (call, message, column). Every one is a
+# BadArgError (code bad_arg) on the call's line, 3. A fault of an argument's
+# binding (its kind, a count) has column 0; one of how it is written is at
+# its value's token.
+_ARGUMENT_FAULTS = {
+    "unknown_keyword": ("back_to_origin(left, speed=2)", "back_to_origin has no argument 'speed'", 30),
+    "keyword_repeated": ("move_by_displacement(left, x=0.1, x=0.2)", "duplicate argument 'x'", 39),
+    "keyword_repeats_positional": ("back_to_origin(left, arm=right)", "argument 'arm' given twice", 28),
+    "positional_after_keyword": ("grasp_actor(shoe, arm=left, 0.1)", "positional argument after keyword argument", 31),
+    "too_many_positionals": ("back_to_origin(left, right)", "back_to_origin takes at most 1 arguments", 0),
+    "missing_required": ("grasp_actor(shoe)", "grasp_actor missing required argument 'arm'", 0),
+    "num": ("open_gripper(left, pos=wide)", "argument 'pos' expects a number", 0),
+    "ident": ('grasp_actor("shoe", left)', "argument 'actor' expects an identifier", 0),
+    "arm": ("back_to_origin(middle)", "argument 'arm' expects left or right", 0),
+    "string": ("observe(step)", "argument 'step_name' expects a quoted string", 0),
+    "bool": ("place_actor(shoe, left, fp(target_block, 0), is_open=1)", "argument 'is_open' expects true or false", 0),
+    "int_or_auto": ("grasp_actor(shoe, left, contact_point_id=0.5)",
+                    "argument 'contact_point_id' expects an integer or auto", 0),
+    "int_or_none": ("place_actor(shoe, left, fp(target_block, 0), functional_point_id=auto)",
+                    "argument 'functional_point_id' expects an integer or none", 0),
+    "target": ("place_actor(shoe, left, 0.3)", "argument 'target' expects fp(actor, id) or pose(...)", 0),
+    "enum": ("move_by_displacement(left, move_axis=up)", "argument 'move_axis' expects one of world, arm", 0),
+    "fp_point_id": ("place_actor(shoe, left, fp(target_block, 0.5))", "functional point id must be an integer", 44),
+}
+
+# Two faults in one call: the first in source order is the one reported.
+_FIRST_FAULTS = {
+    "unknown_keyword_then_positional": ('place_actor(shoe, left, fp(target_block, 0), functal_point_id=1, "s")',
+                                        "place_actor has no argument 'functal_point_id'", 65),
+    "wrong_kind_then_keyword_repeated": ("move_by_displacement(left, y=up, x=0.1, x=0.2)",
+                                         "argument 'y' expects a number", 0),
+    "unknown_keyword_then_syntax": ("back_to_origin(left, speed=1 2)", "back_to_origin has no argument 'speed'", 30),
+    "too_many_then_syntax": ("back_to_origin(left, right, ,)", "back_to_origin takes at most 1 arguments", 0),
+    "given_twice_then_repeated": ("back_to_origin(left, arm=left, arm=right)", "argument 'arm' given twice", 28),
+}
+
+
+@pytest.mark.parametrize("stmt, message, column", [*_ARGUMENT_FAULTS.values(), *_FIRST_FAULTS.values()],
+                         ids=[*_ARGUMENT_FAULTS, *_FIRST_FAULTS])
+def test_argument_fault(stmt, message, column):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(_one_call(stmt))
+    assert type(err.value) is BadArgError and err.value.code == "bad_arg"
+    assert (str(err.value), err.value.line, err.value.column) == (f"line 3, col {column}: {message}", 3, column)
+
+
+# A number literal that no float holds (1e400, an integer past the float
+# range) became inf, which no program parses, or did not convert at all.
+@pytest.mark.parametrize("stmt, column", [
+    ("move_by_displacement(left, z=0.07, x=1e-400, y=1e400)", 50),
+    ("move_by_displacement(left, x=-1e400)", 32),
+    ("place_actor(shoe, left, pose(1e400, 0, 0, 1, 0, 0, 0))", 32),
+    ("move_by_displacement(left, x=" + "1" * 5000 + ".0)", 32),
+    ("move_by_displacement(left, x=" + "9" * 400 + ")", 32),
+    ("grasp_actor(shoe, left, contact_point_id=" + "9" * 400 + ")", 44),
+], ids=["exponent", "negative", "pose", "long_float", "long_int_as_num", "long_int"])
+def test_number_out_of_range_is_bad_arg_at_its_token(stmt, column):
+    with pytest.raises(BadArgError) as err:
+        parse(_one_call(stmt))
+    assert (str(err.value), err.value.column) == (f"line 3, col {column}: number literal out of range", column)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() has no digit limit here")
+@pytest.mark.parametrize("digits", ["1" + "0" * sys.get_int_max_str_digits(), "0" * sys.get_int_max_str_digits() + "1"],
+                         ids=["large", "leading_zeros"])
+def test_integer_too_long_for_int_is_bad_arg(digits):
+    with pytest.raises(BadArgError) as err:
+        parse(_one_call(f"grasp_actor(shoe, left, contact_point_id={digits})"))
+    assert (str(err.value), err.value.column) == ("line 3, col 44: number literal out of range", 44)
+
+
+def test_small_numbers_still_parse():
+    call = next(parse(_one_call("move_by_displacement(left, x=1e-400, y=-0, z=-0.0)")).walk())
+    assert (call.args["x"], call.args["y"], call.args["z"]) == (0.0, 0.0, 0.0)
+
+
+# Text mutations: numbers out of range or at their edges, long digit runs, and
+# the punctuation of an argument list.
+_MUTATIONS = ("1e400", "-1e400", "1e-400", "-0", "-0.0", "0.5", "7", "9" * 400, "1" * 5000, "0" * 5000 + "3",
+              "=", ",", "(", ")", "{", "}", '"', "#", "\n", " ", "", "fp", "pose", "left", "right",
+              "auto", "none", "true", "x", "x=", "arm=", "pos=")
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_MUTATIONS) + text[at + rng.choice((0, 0, 1, 2, 5)):]
+    return text
+
+
+def test_fuzzed_texts_print_back_or_are_refused(tasks_dir):
+    """Every mutated bundled program either parses to one that prints back to
+    itself, with the printed text a fixpoint, or is refused with a
+    DslSyntaxError; no other exception escapes."""
+    texts = [path.read_text() for path in sorted(tasks_dir.glob("*/*.prog"))]
+    rng = random.Random(28)
+    accepted = 0
+    for _ in range(2000):
+        text = _mutate(rng, rng.choice(texts))
+        try:
+            program = parse(text)
+        except DslSyntaxError:
+            continue
+        accepted += 1
+        printed = to_text(program)
+        assert parse(printed) == program, text
+        assert to_text(parse(printed)) == printed, text
+    assert accepted >= 100  # enough of the mutants parse for the printer to be tested
 
 
 # --- validator -----------------------------------------------------------------

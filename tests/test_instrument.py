@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -136,3 +137,18 @@ def test_roundtrip_of_instrumented_text():
     program = parse(program_path("place_shoe", "correct").read_text())
     instrumented = insert_observations(program, cap=10)
     assert parse(to_text(instrumented)) == instrumented
+
+
+def test_hooks_of_generated_programs_at_every_cap():
+    """The thinning order and the step names over seeded random programs at
+    caps 3 to 14, pinned by a digest of the instrumented text and of each
+    statement's (id, line)."""
+    rng = random.Random(2028)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        program = random_program(rng, max_subgoals=3, max_stmts=6)
+        for cap in range(3, 15):
+            out = insert_observations(program, cap)
+            digest.update(to_text(out).encode())
+            digest.update(repr([(s.id, s.line) for s in out.walk()]).encode())
+    assert digest.hexdigest() == "e3d1a5e5e49aa948f5f29fe55a729b17b98e6059edea353b9208e1c923115414"
