@@ -8,8 +8,6 @@ from .ast import (
     PoseLit,
     Program,
     SubgoalBlock,
-    renumber,
-    strip_observes,
 )
 from .parser import count_tokens, lex, parse
 from .printer import render_args, render_call, stmt_to_text, to_text
@@ -29,9 +27,7 @@ __all__ = [
     "parse",
     "render_args",
     "render_call",
-    "renumber",
     "stmt_to_text",
-    "strip_observes",
     "to_text",
     "validate",
 ]

@@ -4,6 +4,11 @@ Statements store fully resolved argument maps: omitted optionals are filled
 with their defaults at parse time, and the canonical printer omits any
 argument still equal to its default. Structural equality ignores statement
 ids and source lines (bookkeeping, not meaning).
+
+Program nodes are frozen. Whoever builds a program gives each statement its
+id as it makes it: densely from 1 in source order, a parallel block before
+its branches. A subgoal's index is its place, from 1. Programs may share
+argument maps (an instrumented one shares its input's), so none is changed.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ API_SIGNATURES: dict[str, tuple[Param, ...]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallStmt:
     name: str
     args: dict
@@ -102,7 +107,7 @@ class CallStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParallelStmt:
     left: list
     right: list
@@ -110,14 +115,13 @@ class ParallelStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubgoalBlock:
-    index: int
     description: str
     statements: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     task_name: str
     subgoals: list
@@ -130,35 +134,3 @@ class Program:
                 if isinstance(stmt, ParallelStmt):
                     yield from stmt.left
                     yield from stmt.right
-
-
-def renumber(program: Program) -> Program:
-    """Assign dense 1-based statement ids in source order (left branch
-    before right inside parallel blocks). Mutates and returns the program."""
-    next_id = 1
-    for stmt in program.walk():
-        stmt.id = next_id
-        next_id += 1
-    for i, sg in enumerate(program.subgoals, start=1):
-        sg.index = i
-    return program
-
-
-def strip_observes(program: Program) -> Program:
-    """Copy of the program with every observe statement removed (also inside
-    parallel branches). Ids are not renumbered; callers that need dense ids
-    should call renumber()."""
-    import copy as _copy
-
-    out = _copy.deepcopy(program)
-    for sg in out.subgoals:
-        sg.statements = [s for s in sg.statements if not _is_observe(s)]
-        for stmt in sg.statements:
-            if isinstance(stmt, ParallelStmt):
-                stmt.left = [s for s in stmt.left if not _is_observe(s)]
-                stmt.right = [s for s in stmt.right if not _is_observe(s)]
-    return out
-
-
-def _is_observe(stmt) -> bool:
-    return isinstance(stmt, CallStmt) and stmt.name == "observe"

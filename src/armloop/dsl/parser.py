@@ -3,25 +3,29 @@
 Grammar (normative, also in the README):
 
     program   := "program" IDENT NEWLINE subgoal+
-    subgoal   := "subgoal" STRING NEWLINE stmt+
-    stmt      := call NEWLINE | "parallel" "{" stmt+ "}" "{" stmt+ "}" NEWLINE
+    subgoal   := "subgoal" STRING NEWLINE stmt*
+    stmt      := call NEWLINE | "parallel" "{" stmt* "}" "{" stmt* "}" NEWLINE
     call      := IDENT "(" [arg ("," arg)*] ")"
     arg       := IDENT "=" value | value
     value     := NUMBER | IDENT | STRING | "fp" "(" IDENT "," INT ")"
                | "pose" "(" NUMBER{7, comma-sep} ")"
 
 ``#`` starts a line comment. Parallel branches may not nest further
-parallel blocks, and every call must come from the closed API set.
+parallel blocks, and every call must come from the closed API set. A
+subgoal or a branch may be empty. Each statement gets its id as it is made:
+densely from 1 in source order, a parallel block's before its branches'.
 
 Each argument is bound to its parameter (by position, or by keyword) and
 checked against its kind in ``_KINDS`` as it is read, so a call with several
-faults reports the first in source order. A number literal must be finite as
-a float and short enough for ``int()``, else it is a ``bad_arg`` at its token;
-so every accepted program prints back to itself, ``parse(to_text(p)) == p``.
+faults reports the first in source order. Only a ``string`` argument takes a
+quoted string. A number literal must be finite as a float and short enough for
+``int()``, else it is a ``bad_arg`` at its token; so every accepted program
+prints back to itself, ``parse(to_text(p)) == p``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import NamedTuple
@@ -43,7 +47,6 @@ from .ast import (
     PoseLit,
     Program,
     SubgoalBlock,
-    renumber,
 )
 
 _TOKEN_RE = re.compile(
@@ -108,6 +111,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.ids = itertools.count(1)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -153,7 +157,7 @@ class _Parser:
         subgoals = []
         self.skip_newlines()
         while self.at_keyword("subgoal"):
-            subgoals.append(self.parse_subgoal(len(subgoals) + 1))
+            subgoals.append(self.parse_subgoal())
             self.skip_newlines()
         if not subgoals:
             tok = self.peek()
@@ -161,9 +165,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, expected=("subgoal", "end of file"))
-        return renumber(Program(name, subgoals))
+        return Program(name, subgoals)
 
-    def parse_subgoal(self, index: int) -> SubgoalBlock:
+    def parse_subgoal(self) -> SubgoalBlock:
         self.expect_keyword("subgoal")
         description = unescape_string(self.expect("STRING", "subgoal description").text)
         self.expect("NEWLINE")
@@ -172,10 +176,7 @@ class _Parser:
         while self.peek().kind == "IDENT" and not self.at_keyword("subgoal"):
             statements.append(self.parse_stmt(allow_parallel=True))
             self.skip_newlines()
-        if not statements:
-            tok = self.peek()
-            raise DslSyntaxError("subgoal needs at least one statement", tok.line, tok.column, expected=("call",))
-        return SubgoalBlock(index, description, statements)
+        return SubgoalBlock(description, statements)
 
     def parse_stmt(self, allow_parallel: bool):
         tok = self.peek()
@@ -187,11 +188,12 @@ class _Parser:
 
     def parse_parallel(self) -> ParallelStmt:
         start = self.expect_keyword("parallel")
+        stmt_id = next(self.ids)
         left = self.parse_branch()
         right = self.parse_branch()
         if self.peek().kind == "NEWLINE":
             self.advance()
-        return ParallelStmt(left, right, line=start.line)
+        return ParallelStmt(left, right, stmt_id, start.line)
 
     def parse_branch(self) -> list:
         self.skip_newlines()
@@ -205,9 +207,6 @@ class _Parser:
             stmts.append(self.parse_stmt(allow_parallel=False))
             self.skip_newlines()
         self.expect("RBRACE")
-        if not stmts:
-            tok = self.peek()
-            raise DslSyntaxError("parallel branch needs at least one statement", tok.line, tok.column)
         return stmts
 
     def parse_call(self) -> CallStmt:
@@ -257,7 +256,7 @@ class _Parser:
         missing = [p.name for p in signature if p.required and p.name not in bound]
         if missing:
             raise BadArgError(f"{name} missing required argument {missing[0]!r}", name_tok.line)
-        return CallStmt(name, {p.name: bound.get(p.name, p.default) for p in signature}, line=name_tok.line)
+        return CallStmt(name, {p.name: bound.get(p.name, p.default) for p in signature}, next(self.ids), name_tok.line)
 
     def parse_value(self):
         tok = self.peek()
@@ -265,8 +264,7 @@ class _Parser:
             self.advance()
             return _number(tok)
         if tok.kind == "STRING":
-            self.advance()
-            return _QuotedStr(unescape_string(tok.text))
+            return self.advance()  # only a string argument takes it (see _KINDS)
         if tok.kind == "IDENT":
             # fp/pose act as constructors only when a '(' follows; bare they
             # are ordinary symbols (pre_dis_axis=fp).
@@ -301,10 +299,6 @@ class _Parser:
         return PoseLit(tuple(values))
 
 
-class _QuotedStr(str):
-    """Marks a value that appeared as a quoted string in source."""
-
-
 def _number(tok: Token):
     """A NUMBER token's value, an int where it has neither point nor exponent;
     one past the float range or too long for int() is a BadArgError."""
@@ -319,12 +313,12 @@ def _number(tok: Token):
 
 # Argument kind -> (what its error says it expects, the value an argument
 # read as v binds to, or None where the kind does not take v). A quoted
-# string counts as its text wherever a kind takes words.
+# string is read as its STRING token, which no kind but STRING takes.
 _KINDS = {
     NUM: ("a number", lambda v: float(v) if type(v) in (int, float) else None),
     "ident": ("an identifier", lambda v: v if type(v) is str else None),
-    ARM: ("left or right", lambda v: str(v) if v in ARM_TAGS else None),
-    STRING: ("a quoted string", lambda v: str(v) if type(v) is _QuotedStr else None),
+    ARM: ("left or right", lambda v: v if v in ARM_TAGS else None),
+    STRING: ("a quoted string", lambda v: unescape_string(v.text) if type(v) is Token else None),
     BOOL: ("true or false", lambda v: v == "true" if v in ("true", "false") else None),
     INT_OR_AUTO: ("an integer or auto", lambda v: v if type(v) is int else "auto" if v == "auto" else None),
     INT_OR_NONE: ("an integer or none", lambda v: v if type(v) is int else "none" if v == "none" else None),
@@ -332,7 +326,7 @@ _KINDS = {
 }
 # Each enum(...) kind is its own entry: one of its words.
 _KINDS.update(
-    (p.kind, (f"one of {', '.join(p.kind[1])}", lambda v, words=p.kind[1]: str(v) if v in words else None))
+    (p.kind, (f"one of {', '.join(p.kind[1])}", lambda v, words=p.kind[1]: v if v in words else None))
     for signature in API_SIGNATURES.values() for p in signature if type(p.kind) is tuple
 )
 

@@ -3,15 +3,22 @@
 Classifies statements by whether they cause a visible scene change and
 inserts ``observe`` hooks: one before everything runs, one after each
 visible operation, one at the very end. The pass never touches existing
-robot operations; pre-existing observes are stripped and re-inserted, which
+robot operations; pre-existing observes are dropped and re-inserted, which
 makes it idempotent. A hard cap bounds the total hook count; when it binds,
 interior hooks are thinned by priority (grasp/place > gripper > motion),
 dropping lowest-priority, latest-position hooks first.
+
+The output is built in one pass: each kept statement is a copy with its new
+id that shares its argument map, so the input is left alone and the output's
+ids are dense from 1 in source order.
 """
 
 from __future__ import annotations
 
-from .dsl.ast import CallStmt, ParallelStmt, Program, renumber, strip_observes
+import itertools
+from dataclasses import replace
+
+from .dsl.ast import CallStmt, ParallelStmt, Program, SubgoalBlock
 from .errors import CapTooSmallError
 
 INITIAL_STEP = "initial_scene_state"
@@ -55,10 +62,6 @@ def _hook_name(stmt) -> str:
     return stmt.name
 
 
-def _make_observe(step_name: str) -> CallStmt:
-    return CallStmt("observe", {"step_name": step_name})
-
-
 def insert_observations(program: Program, cap: int) -> Program:
     """New program with boundary and per-visible-operation observe hooks.
 
@@ -69,8 +72,7 @@ def insert_observations(program: Program, cap: int) -> Program:
     if cap < MIN_OBSERVATION_CAP:
         raise CapTooSmallError(f"observation cap {cap} below minimum of {MIN_OBSERVATION_CAP}")
 
-    out = strip_observes(program)
-    visible = [stmt for sg in out.subgoals for stmt in sg.statements if phi(stmt)]
+    visible = [stmt for sg in program.subgoals for stmt in sg.statements if phi(stmt)]
     # The cap leaves room for cap - 2 hooks between initial and final: keep
     # the highest-priority ones, earliest first, so thinning drops the
     # lowest-priority, latest ones.
@@ -79,14 +81,25 @@ def insert_observations(program: Program, cap: int) -> Program:
     # hook is step 1), keyed by their statement (no statement object appears twice).
     step_names = {id(visible[i]): f"step{k}_{_hook_name(visible[i])}" for k, i in enumerate(kept, start=2)}
 
-    for si, sg in enumerate(out.subgoals):
-        statements = [_make_observe(INITIAL_STEP)] if si == 0 else []
-        for stmt in sg.statements:
-            statements.append(stmt)
-            if id(stmt) in step_names:
-                statements.append(_make_observe(step_names[id(stmt)]))
-        if si == len(out.subgoals) - 1:
-            statements.append(_make_observe(FINAL_STEP))
-        sg.statements = statements
+    ids = itertools.count(1)
 
-    return renumber(out)
+    def observe(step_name: str) -> CallStmt:
+        return CallStmt("observe", {"step_name": step_name}, next(ids))
+
+    def calls(stmts: list) -> list:  # the calls but the observes (the calls phi rejects)
+        return [replace(s, id=next(ids)) for s in stmts if phi(s)]
+
+    subgoals = []
+    for si, sg in enumerate(program.subgoals):
+        statements = [observe(INITIAL_STEP)] if si == 0 else []
+        for stmt in sg.statements:
+            if isinstance(stmt, ParallelStmt):  # its id is drawn before its branches'
+                statements.append(replace(stmt, id=next(ids), left=calls(stmt.left), right=calls(stmt.right)))
+            elif phi(stmt):
+                statements.append(replace(stmt, id=next(ids)))
+            if id(stmt) in step_names:
+                statements.append(observe(step_names[id(stmt)]))
+        if si == len(program.subgoals) - 1:
+            statements.append(observe(FINAL_STEP))
+        subgoals.append(SubgoalBlock(sg.description, statements))
+    return Program(program.task_name, subgoals)

@@ -200,6 +200,12 @@ def converges(success_count: int, n_trials: int, threshold: float) -> bool:
     return n_trials > 0 and success_count / n_trials > threshold
 
 
+def iteration_base_seed(base_seed: int, k: int, n_trials: int) -> int:
+    """The first seed of iteration k of a loop from base_seed: its
+    iterations run consecutive blocks of n_trials seeds."""
+    return base_seed + (k - 1) * n_trials
+
+
 def _record_text(record) -> str:
     """A record's file (diagnosis.json, repair_signal.json, campaign.json):
     its fields in declaration order, as json.dumps(indent=2) writes them."""
@@ -230,7 +236,7 @@ def _run_iteration(k: int, program: Program, spec: TaskSpec, cfg: LoopConfig, ve
     batch converges, diagnose its selected trial into a repair signal. The
     batch's trials are written under out_dir and dropped on return."""
     instrumented = insert_observations(program, cfg.observation_cap)
-    logs = run_trials(instrumented, spec, cfg.n_trials, cfg.base_seed + (k - 1) * cfg.n_trials,
+    logs = run_trials(instrumented, spec, cfg.n_trials, iteration_base_seed(cfg.base_seed, k, cfg.n_trials),
                       cfg.noise_scale, cfg.max_steps)
     success_count = sum(1 for log in logs if log.goal_met)
     selection = select_trial(logs, instrumented, cfg.weights)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
 from .errors import ArtifactError, DslSyntaxError, EmptyCampaignError
-from .loop import CampaignRecord, CampaignResult, CandidateRecord
+from .loop import CampaignRecord, CampaignResult, CandidateRecord, iteration_base_seed
 from .sim.model import load_trials
 
 _SIMILARITY_NOTE = (
@@ -340,7 +340,7 @@ def metrics_from_artifacts(run_dir) -> dict:
     for i, row in enumerate(campaign.candidates):
         cand_dir = run_dir / f"cand_{row.candidate_id}"
         batches = [_batch(cand_dir / f"iter_{k}" / "trials.jsonl", campaign.n_trials,
-                          row.base_seed + (k - 1) * campaign.n_trials)  # the seed block run_iteration runs
+                          iteration_base_seed(row.base_seed, k, campaign.n_trials))
                    for k in range(1, row.final_iteration + 1)]
         counted = CandidateRecord.of(row.candidate_id, row.base_seed, batches, campaign.success_threshold,
                                      campaign.max_iterations, row.error)

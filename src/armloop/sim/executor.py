@@ -91,15 +91,16 @@ class _Statement(NamedTuple):
 
 
 def _flatten(program: Program) -> list[_Statement]:
-    """Execution order: parallel branches interleaved, left arm first."""
+    """Execution order: parallel branches interleaved, left arm first. Each
+    call carries its subgoal's index, the subgoal's place from 1."""
     flat = []
-    for sg in program.subgoals:
+    for index, sg in enumerate(program.subgoals, start=1):
         for stmt in sg.statements:
             if isinstance(stmt, ParallelStmt):
                 for i in range(max(len(stmt.left), len(stmt.right))):
-                    flat += [(sg.index, branch[i]) for branch in (stmt.left, stmt.right) if i < len(branch)]
+                    flat += [(index, branch[i]) for branch in (stmt.left, stmt.right) if i < len(branch)]
             else:
-                flat.append((sg.index, stmt))
+                flat.append((index, stmt))
     return [_Statement(index, stmt, render_args(stmt), render_call(stmt)) for index, stmt in flat]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -15,7 +17,6 @@ from armloop.dsl.ast import (
     PoseLit,
     Program,
     SubgoalBlock,
-    renumber,
 )
 from armloop.scene import load_task_spec
 from armloop.sim import run_trials
@@ -98,7 +99,7 @@ def _random_value(rng: random.Random, kind, name: str):
     raise AssertionError(kind)
 
 
-def random_call(rng: random.Random, name: str | None = None, arm: str | None = None) -> CallStmt:
+def random_call(rng: random.Random, name: str | None = None, arm: str | None = None, stmt_id: int = 0) -> CallStmt:
     name = name or rng.choice(list(API_SIGNATURES))
     args = {}
     for param in API_SIGNATURES[name]:
@@ -109,22 +110,40 @@ def random_call(rng: random.Random, name: str | None = None, arm: str | None = N
         if arm is not None and param.name == "arm":
             value = arm
         args[param.name] = value
-    return CallStmt(name, args)
+    return CallStmt(name, args, stmt_id)
 
 
 def random_program(rng: random.Random, max_subgoals: int = 3, max_stmts: int = 5) -> Program:
+    """A program whose statements get dense ids in source order as they are
+    drawn, a parallel block's before its branches', as parse gives them."""
+    ids = itertools.count(1)
     subgoals = []
-    for si in range(rng.randint(1, max_subgoals)):
+    for _ in range(rng.randint(1, max_subgoals)):
         stmts = []
         for _ in range(rng.randint(1, max_stmts)):
             if rng.random() < 0.15:
-                left = [random_call(rng, arm="left") for _ in range(rng.randint(1, 2))]
-                right = [random_call(rng, arm="right") for _ in range(rng.randint(1, 2))]
-                stmts.append(ParallelStmt(left, right))
+                stmt_id = next(ids)
+                left = [random_call(rng, arm="left", stmt_id=next(ids)) for _ in range(rng.randint(1, 2))]
+                right = [random_call(rng, arm="right", stmt_id=next(ids)) for _ in range(rng.randint(1, 2))]
+                stmts.append(ParallelStmt(left, right, stmt_id))
             else:
-                stmts.append(random_call(rng))
+                stmts.append(random_call(rng, stmt_id=next(ids)))
         description = " ".join(rng.sample(_WORDS, rng.randint(1, 3)))
         if rng.random() < 0.1:
             description += ' "tight" \\ case #2'
-        subgoals.append(SubgoalBlock(si + 1, description, stmts))
-    return renumber(Program(rng.choice(_ACTORS) + "_task", subgoals))
+        subgoals.append(SubgoalBlock(description, stmts))
+    return Program(rng.choice(_ACTORS) + "_task", subgoals)
+
+
+def strip_observes(program: Program) -> Program:
+    """The reference for the instrumentation contract: the program without
+    its observe statements (parallel branches included), ids and lines kept."""
+    def kept(stmts):
+        return [s for s in stmts if not (isinstance(s, CallStmt) and s.name == "observe")]
+
+    subgoals = []
+    for sg in program.subgoals:
+        stmts = [dataclasses.replace(s, left=kept(s.left), right=kept(s.right)) if isinstance(s, ParallelStmt) else s
+                 for s in kept(sg.statements)]
+        subgoals.append(SubgoalBlock(sg.description, stmts))
+    return Program(program.task_name, subgoals)

@@ -15,7 +15,7 @@ import numpy as np
 
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.agents.diagnosis import CAUSE_FROM_ERROR
-from armloop.dsl import CallStmt, parse, strip_observes, to_text
+from armloop.dsl import CallStmt, parse, to_text
 from armloop.harness import failure_severity, select_trial, trace_divergence
 from armloop.instrument import insert_observations
 from armloop.loop import (
@@ -31,7 +31,7 @@ from armloop.scene import load_task_spec
 from armloop.sim import dumps_trial, run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
-from conftest import TASK_NAMES, one_trial, program_path, random_program, task_path
+from conftest import TASK_NAMES, one_trial, program_path, random_program, strip_observes, task_path
 from test_metrics import asr, cr_iter, make_campaign, top5_asr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,7 +150,7 @@ def test_acceptance_4_selection_matches_bruteforce():
         "place_actor:failure:placement_miss",
         "move_by_displacement:failure:unreachable",
     ]
-    program = Program("t", [SubgoalBlock(1, "a", []), SubgoalBlock(2, "b", [])])
+    program = Program("t", [SubgoalBlock("a", []), SubgoalBlock("b", [])])
     rng = random.Random(31337)
     agreements = 0
     for _ in range(500):

@@ -1209,6 +1209,21 @@ def test_instrument_command(tmp_path, capsys):
     assert main(["instrument", _prog("correct"), "--cap", "2"]) == 2
 
 
+# A hook-only parallel branch or subgoal is left empty when its observe is
+# dropped: the instrumented program still validates.
+@pytest.mark.parametrize("text", [
+    'program place_shoe\nsubgoal "s"\n  parallel {\n    observe("look")\n  } {\n    open_gripper(right)\n  }\n',
+    'program place_shoe\nsubgoal "a"\n  grasp_actor(shoe, left)\nsubgoal "b"\n  observe("look")\n'
+    'subgoal "c"\n  back_to_origin(left)\n',
+], ids=["hook_only_branch", "hook_only_subgoal"])
+def test_instrumented_hook_only_block_validates(tmp_path, text):
+    program, out = tmp_path / "hooks.prog", tmp_path / "inst.prog"
+    program.write_text(text)
+    assert main(["validate", _task(), str(program)]) == 0
+    assert main(["instrument", str(program), "--out", str(out)]) == 0
+    assert main(["validate", _task(), str(out)]) == 0
+
+
 def _file_names(root):
     return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
 

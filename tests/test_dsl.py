@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -99,6 +100,37 @@ def test_monotone_ids_including_parallel():
     assert [s.id for s in par.right] == [5]
 
 
+def test_parse_gives_dense_ids_in_walk_order(tasks_dir):
+    """Ids run 1, 2, ... in walk order (a parallel block before its branches),
+    as the generator draws them too."""
+    rng = random.Random(29)
+    generated = [random_program(rng, max_subgoals=4, max_stmts=8) for _ in range(100)]
+    texts = [path.read_text() for path in sorted(tasks_dir.glob("*/*.prog"))] + [to_text(p) for p in generated]
+    for text in texts:
+        ids = [s.id for s in parse(text).walk()]
+        assert ids == list(range(1, len(ids) + 1)), text
+    for program in generated:
+        assert [s.id for s in program.walk()] == [s.id for s in parse(to_text(program)).walk()]
+
+
+def test_program_nodes_are_frozen():
+    program = parse('program t\nsubgoal "s"\n  back_to_origin(left)\n'
+                    "  parallel {\n    open_gripper(left)\n  } {\n    open_gripper(right)\n  }\n")
+    call, block = program.subgoals[0].statements
+    for node, name in [(program, "subgoals"), (program.subgoals[0], "statements"), (call, "id"), (call, "args"),
+                       (block, "left"), (block, "id")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+
+
+def test_empty_subgoal_and_branch_print_back():
+    text = 'program t\nsubgoal "a"\nsubgoal "b"\n  parallel {\n  } {\n    back_to_origin(right)\n  }\n'
+    program = parse(text)
+    assert program.subgoals[0].statements == [] and program.subgoals[1].statements[0].left == []
+    assert [s.id for s in program.walk()] == [1, 2]
+    assert to_text(program) == text
+
+
 def test_token_count_examples():
     assert count_tokens("back_to_origin(left)") == 4
     assert count_tokens("back_to_origin(left)  # with comment") == 4
@@ -109,7 +141,7 @@ def test_token_count_examples():
 
 
 def test_node_count_empty_program():
-    program = Program("t", [SubgoalBlock(1, "nothing", [])])
+    program = Program("t", [SubgoalBlock("nothing", [])])
     assert len(flatten(program_tree(program))) == 3
 
 
@@ -176,6 +208,16 @@ _ARGUMENT_FAULTS = {
     "target": ("place_actor(shoe, left, 0.3)", "argument 'target' expects fp(actor, id) or pose(...)", 0),
     "enum": ("move_by_displacement(left, move_axis=up)", "argument 'move_axis' expects one of world, arm", 0),
     "fp_point_id": ("place_actor(shoe, left, fp(target_block, 0.5))", "functional point id must be an integer", 44),
+    # Only a string argument takes a quoted string; a quoted word is refused as its kind's fault.
+    "quoted_arm": ('back_to_origin("left")', "argument 'arm' expects left or right", 0),
+    "quoted_bool": ('place_actor(shoe, left, fp(target_block, 0), is_open="false")',
+                    "argument 'is_open' expects true or false", 0),
+    "quoted_enum": ('place_actor(shoe, left, fp(target_block, 0), constrain="free")',
+                    "argument 'constrain' expects one of auto, free, align", 0),
+    "quoted_int_or_auto": ('grasp_actor(shoe, left, contact_point_id="auto")',
+                           "argument 'contact_point_id' expects an integer or auto", 0),
+    "quoted_int_or_none": ('place_actor(shoe, left, fp(target_block, 0), functional_point_id="none")',
+                           "argument 'functional_point_id' expects an integer or none", 0),
 }
 
 # Two faults in one call: the first in source order is the one reported.

@@ -25,7 +25,7 @@ from conftest import one_trial, program_path
 
 
 def _program(n_subgoals: int) -> Program:
-    return Program("t", [SubgoalBlock(i + 1, f"s{i}", []) for i in range(n_subgoals)])
+    return Program("t", [SubgoalBlock(f"s{i}", []) for i in range(n_subgoals)])
 
 
 def _event(subgoal, op="grasp_actor", outcome="success", category="none", stmt=1, t=0):

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from armloop.dsl import CallStmt, ParallelStmt, parse, strip_observes, to_text
-from armloop.dsl.ast import Program, SubgoalBlock, renumber
+from armloop.dsl import CallStmt, ParallelStmt, parse, to_text
+from armloop.dsl.ast import Program, SubgoalBlock
 from armloop.errors import CapTooSmallError
 from armloop.instrument import insert_observations, phi
+from armloop.scene import load_task_spec
 
-from conftest import program_path, random_call, random_program
+from conftest import TASK_NAMES, TASKS_DIR, one_trial, program_path, random_call, random_program, strip_observes, task_path
 
 
 def _observe_names(program):
@@ -65,10 +66,9 @@ def test_boundary_hooks_first_and_last():
 def test_cap_thinning_keeps_grasp_and_place():
     rng = random.Random(2)
     # 20 visible statements: 6 grasp/place, 14 motions.
-    stmts = [random_call(rng, "grasp_actor") for _ in range(3)]
-    stmts += [random_call(rng, "move_by_displacement") for _ in range(14)]
-    stmts += [random_call(rng, "place_actor") for _ in range(3)]
-    program = renumber(Program("t", [SubgoalBlock(1, "s", stmts)]))
+    ops = ["grasp_actor"] * 3 + ["move_by_displacement"] * 14 + ["place_actor"] * 3
+    stmts = [random_call(rng, op, stmt_id=i) for i, op in enumerate(ops, start=1)]
+    program = Program("t", [SubgoalBlock("s", stmts)])
     instrumented = insert_observations(program, cap=10)
     names = _observe_names(instrumented)
     assert len(names) == 10
@@ -137,6 +137,52 @@ def test_roundtrip_of_instrumented_text():
     program = parse(program_path("place_shoe", "correct").read_text())
     instrumented = insert_observations(program, cap=10)
     assert parse(to_text(instrumented)) == instrumented
+
+
+def _robot_calls(program) -> list:
+    return [s for s in program.walk() if isinstance(s, CallStmt) and s.name != "observe"]
+
+
+def test_instrumented_programs_parse_back_and_leave_their_input_alone():
+    """Over seeded random programs and the bundled ones at caps 3 to 14: the
+    output's ids run 1, 2, ... in walk order, it parses back to itself with
+    the same ids, its calls share the input's argument maps, and the input's
+    text, ids and lines are as before."""
+    rng = random.Random(5)
+    programs = [random_program(rng, max_subgoals=4, max_stmts=8) for _ in range(200)]
+    programs += [parse(path.read_text()) for path in sorted(TASKS_DIR.glob("*/*.prog"))]
+    for program in programs:
+        before = (to_text(program), [(s.id, s.line) for s in program.walk()])
+        calls = _robot_calls(program)
+        for cap in range(3, 15):
+            out = insert_observations(program, cap)
+            ids = [s.id for s in out.walk()]
+            assert ids == list(range(1, len(ids) + 1))
+            back = parse(to_text(out))
+            assert back == out and [s.id for s in back.walk()] == ids, to_text(out)
+            kept = _robot_calls(out)
+            assert len(kept) == len(calls) and all(a.args is b.args for a, b in zip(kept, calls))
+        assert (to_text(program), [(s.id, s.line) for s in program.walk()]) == before
+
+
+def _subgoal_places(program) -> dict:
+    return {s.id: k for k, sg in enumerate(program.subgoals, start=1) for s in Program("", [sg]).walk()}
+
+
+def test_each_event_carries_its_subgoals_place():
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
+            places = _subgoal_places(program)
+            events = one_trial(program, spec, 0).events
+            assert events and all(ev.subgoal_index == places[ev.stmt_id] for ev in events), (task, kind)
+    # An empty subgoal still counts: the third subgoal's call is in subgoal 3.
+    program = insert_observations(parse('program place_shoe\nsubgoal "a"\n  grasp_actor(shoe, left)\n'
+                                        'subgoal "b"\n  observe("look")\nsubgoal "c"\n  back_to_origin(left)\n'), cap=10)
+    assert program.subgoals[1].statements == []
+    events = one_trial(program, load_task_spec(task_path("place_shoe")), 0).events
+    assert [(ev.op_name, ev.subgoal_index) for ev in events] == [("grasp_actor", 1), ("back_to_origin", 3)]
 
 
 def test_hooks_of_generated_programs_at_every_cap():

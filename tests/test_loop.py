@@ -3,7 +3,7 @@ import json
 import random
 import re
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -73,7 +73,8 @@ def test_fuse_silent_failure_perceptual_only():
     log = TrialLog(0, 0, events=[_event(i, (i > 2) + 1) for i in range(1, 5)], goal_met=False)
     diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 5, "perception_mismatch")])
     program = _program()
-    program.subgoals[1].statements[0].id = 5  # align ids with the diagnosis
+    statements = program.subgoals[1].statements
+    statements[0] = replace(statements[0], id=5)  # align ids with the diagnosis
     signal = fuse(log, diagnosis, program)
     assert [f.source for f in signal.faults] == ["perceptual"]
     assert signal.faults[0].stmt_id == 5
