@@ -55,9 +55,9 @@ def norm(v) -> float:
 class Pose:
     """Immutable rigid transform: position p (x, y, z) and unit quaternion q
     (qw, qx, qy, qz), both tuples of floats, so poses can be shared freely.
-    `values` is the serialized form p + q, made once per pose: a snapshot
-    payload holds it, so a pose that did not move is the same object in
-    consecutive snapshots."""
+    `values` is the serialized form p + q, made once per pose. A snapshot
+    payload holds its row's tuple instead (`sim.model.scene_payloads`), the
+    same object in consecutive snapshots while the pose does not move."""
 
     p: Vec3 = (0.0, 0.0, 0.0)
     q: Quat = IDENTITY_QUAT

@@ -137,8 +137,7 @@ def select_trial(
         TrialScore(log.trial_index, log.seed, severity[i], divergence[i], w_s * severity[i] + w_d * divergence[i])
         for i, log in enumerate(batch)
     ]
-    order = sorted(range(len(batch)), key=lambda i: (-scores[i].psi, batch[i].trial_index))
-    best = order[0]
+    best = min(range(len(batch)), key=lambda i: (-scores[i].psi, batch[i].trial_index))
     scores[best].selected = True
     all_success = all(log.goal_met and log.failure_event is None for log in batch)
     return SelectionResult(index=best, scores=scores, all_success=all_success)
@@ -173,17 +172,7 @@ _row_fields = attrgetter(*_NAMES)
 
 def _json(value, indent: str = " " * 6) -> str:
     """json.dumps(value, indent=2) as it reads nested under `indent` (a
-    row value's, unless given): an exact int or finite float, or a bool,
-    written out; any other value by json.dumps, its later lines shifted by
-    the indent."""
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    row value's, unless given): its later lines shifted by the indent."""
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 

@@ -3,11 +3,14 @@
 A task file (JSON, schema documented in the README) fully describes the
 initial tabletop: actors with box extents, grasp/placement point sets and
 approach axes, a noise model, ordered subgoal templates, and a goal
-predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors;
-poses, extents and axes as tuples) shared by every trial. `SceneRows` holds
-only what trials change, one row per trial: a pose per actor and per arm's
-TCP, and for each arm the actor it holds, which is the one place the hold
-relation lives. `eval_predicate` evaluates a goal or checkpoint over those
+predicate tree. The loaded `TaskSpec` is immutable geometry (frozen actors,
+subgoal templates and noise; poses, extents and axes as tuples) shared by
+every trial. `SceneRows` holds only what trials change, one row per trial:
+a pose per actor and per arm's TCP, and for each arm the actor it holds,
+which is the one place the hold relation lives, and its gripper value. It
+is the one type of per-trial state: the simulator steps a batch's
+`SceneRows`, updating its dicts in place, and a snapshot payload reads back
+as one of a row. `eval_predicate` evaluates a goal or checkpoint over those
 rows.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import NoneType
 
@@ -160,14 +163,14 @@ class Above:
 Predicate = All | Any_ | Near | Aligned | Held | Free | Above
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NoiseSpec:
     pos_sigma: float = 0.0
     rot_sigma: float = 0.0
     slip_base: float = 0.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SubgoalTemplate:
     """Template text plus an optional per-subgoal checkpoint predicate.
 
@@ -186,7 +189,7 @@ class TaskSpec:
     name: str
     instruction: str
     actors: dict[str, Actor]  # task-file order
-    subgoals: list[SubgoalTemplate]
+    subgoals: tuple[SubgoalTemplate, ...]
     goal: Predicate
     noise: NoiseSpec
     workspaces: dict[str, dict[str, tuple[float, float]]]
@@ -220,7 +223,9 @@ class SceneRows:
     """Per-trial state of n trials over a task's shared geometry, one row per
     trial: the pose of each actor (task-file order) and each arm's TCP as
     (n, 7) arrays; per arm, the actor it holds and its gripper value, which
-    do not differ between the rows."""
+    do not differ between the rows. The instance is frozen but its dicts are
+    not: the simulator updates them in place as its batch runs, assigning a
+    new array for a pose that moves and never writing into one."""
 
     poses: dict[str, np.ndarray]
     tcps: dict[str, np.ndarray]
@@ -450,7 +455,7 @@ def load_task_spec(path) -> TaskSpec:
     subgoals = [_load_subgoal(s, i, actors) for i, s in enumerate(raw_subgoals)]
     goal = parse_predicate(_get(raw, "goal", dict), actors, "goal")
     if subgoals[-1].checkpoint is None:  # the final subgoal's defaults to the goal
-        subgoals[-1].checkpoint = goal
+        subgoals[-1] = replace(subgoals[-1], checkpoint=goal)
 
     raw_noise = _get(raw, "noise", dict, default={})
     noise = NoiseSpec(**{
@@ -475,5 +480,5 @@ def load_task_spec(path) -> TaskSpec:
         if tag not in ARM_TAGS:
             raise TaskSchemaError(f"arm_home.{tag}", "arm must be left or right")
         homes[tag] = _load_pose(raw_homes, tag, "arm_home")
-    return TaskSpec(name, instruction, actors, subgoals, goal, noise, workspaces, homes,
+    return TaskSpec(name, instruction, actors, tuple(subgoals), goal, noise, workspaces, homes,
                     place_tolerance)

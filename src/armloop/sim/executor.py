@@ -11,17 +11,20 @@ Gym and Brax. Programs are straight-line, so every trial still running has
 succeeded at the same statements: what each arm holds, the gripper values
 and the step counter are one value per batch. Continuous state (actor
 poses, TCPs, grasp offsets and approach axes) is an array with one row per
-trial, computed by the row forms of `geometry`. A branch on a
-continuous value (the nearest contact point, constrain=auto, the cases of
-quat_between_rows, the support under a dropped actor) is a selection per
-row. A statement runs its checks in order as masks over the rows; a row
-that fails one keeps the effects applied before it (the TCP has moved
-before a grasp_slip, the actor is released before a placement_miss), gets
-its failure event, its final snapshot and its goal at once, and leaves the
-`alive` mask. The goal is evaluated over all the rows that finish together
-in one call. A failed row keeps its place to the end of the batch, so row r
-is one trial throughout; what it goes on computing reaches no record, and
-the batch ends once no row is alive.
+trial, computed by the row forms of `geometry`. The batch's scene state is
+one `SceneRows`, whose dicts the handlers update in place, a moved pose
+always as a new array; each snapshot's payloads are made from it by
+`model.scene_payloads`, so this module knows nothing of their layout. A
+branch on a continuous value (the nearest contact point, constrain=auto,
+the cases of quat_between_rows, the support under a dropped actor) is a
+selection per row. A statement runs its checks in order as masks over the
+rows; a row that fails one keeps the effects applied before it (the TCP has
+moved before a grasp_slip, the actor is released before a placement_miss),
+gets its failure event, its final snapshot and its goal at once, and leaves
+the `alive` mask. The goal is evaluated over all the rows that finish
+together in one call. A failed row keeps its place to the end of the batch,
+so row r is one trial throughout; what it goes on computing reaches no
+record, and the batch ends once no row is alive.
 
 All randomness comes from one generator per trial with a frozen draw order,
 which is what makes independent replay oracles possible:
@@ -61,7 +64,7 @@ from ..geometry import (Pose, apply_rows, compose_rows, inverse_rows, norms, pos
                         quat_rotate_rows)
 from ..instrument import FINAL_STEP
 from ..scene import ARM_TAGS, SceneRows, TaskSpec, eval_predicate
-from .model import SCENE_KEYS, Snapshot, SymbolicEvent, TrialLog
+from .model import Snapshot, SymbolicEvent, TrialLog, scene_payloads
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
@@ -136,39 +139,6 @@ def _perturbations(statements: list[_Statement], spec: TaskSpec, seeds: list[int
     return normals, out["uniform"] < spec.noise.slip_base * noise_scale, columns
 
 
-class _Poses:
-    """One pose per row: the (n, 7) array the geometry reads and writes, and
-    each row's snapshot entry, `{key: Pose.values tuple, other key: holder
-    or gripper}`. The tuples are rebuilt only after an assignment, and an
-    entry only when its tuple or its other value is a new object, so an
-    entry that did not change is the same dict from snapshot to snapshot."""
-
-    __slots__ = ("rows", "_keys", "_tuples", "_moved", "_entries", "_other")
-
-    def __init__(self, initial: Pose, n: int, keys: tuple[str, str]):
-        self.rows = np.tile(initial.values, (n, 1))
-        self._keys = keys
-        self._tuples = [initial.values] * n
-        self._moved = False
-        self._entries = None  # for self._other, while no pose moved
-        self._other = None
-
-    def set(self, rows):
-        self.rows = rows
-        self._moved = True
-
-    def entries(self, other) -> list[dict]:
-        if self._moved:
-            self._tuples = list(zip(*self.rows.T.tolist()))
-            self._moved = False
-        elif self._entries is not None and self._other is other:
-            return self._entries
-        key, other_key = self._keys
-        self._entries = [{key: pose, other_key: other} for pose in self._tuples]
-        self._other = other
-        return self._entries
-
-
 def _rows(mask):
     """The indices of a bool mask's true rows, one at a time. Not a list:
     such a list keeps an int per row alive while the rows' records are
@@ -187,10 +157,10 @@ class _Batch:
         self.alive = np.ones(n, bool)  # rows that have not failed
         self.slip_p = spec.noise.slip_base * noise_scale
         self.normals, self.slips, self.columns = perturbations  # of the rows, as _perturbations gives them
-        self.poses = {name: _Poses(actor.pose, n, SCENE_KEYS["actors"]) for name, actor in spec.actors.items()}
-        self.tcps = {tag: _Poses(spec.homes[tag], n, SCENE_KEYS["arms"]) for tag in ARM_TAGS}
-        self.gripper = {tag: 1.0 for tag in ARM_TAGS}
-        self.holding: dict[str, str | None] = {tag: None for tag in ARM_TAGS}
+        self.scene = SceneRows({name: np.tile(actor.pose.values, (n, 1)) for name, actor in spec.actors.items()},
+                               {tag: np.tile(spec.homes[tag].values, (n, 1)) for tag in ARM_TAGS},
+                               dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
+        self.payload_memo = {}  # scene_payloads' memo, for the batch
         # Rows of each arm's latest grasp; read only while it holds.
         self.offsets: dict[str, np.ndarray] = {}  # held actor's pose in the TCP frame
         self.approaches: dict[str, np.ndarray] = {}  # world grasp approach axis at grasp time
@@ -210,7 +180,7 @@ class _Batch:
             noise = self.normals[:, column:column + 4]
             column += 4
             yaw = quat_from_axis_angle_rows(_WORLD_UP, noise[:, 3])
-            self.poses[name].set(pose_rows(actor.pose.p + noise[:, :3], quat_mul_rows(yaw, actor.pose.q)))
+            self.scene.poses[name] = pose_rows(actor.pose.p + noise[:, :3], quat_mul_rows(yaw, actor.pose.q))
 
     def _endpoint_noise(self):
         column = self.columns[self.k][0]
@@ -236,31 +206,21 @@ class _Batch:
             self.logs[r].events.append(SymbolicEvent(
                 stmt.id, op.subgoal, stmt.name, op.args, outcome, category, text, t))
 
-    def _held_by(self, name: str) -> str | None:
-        return next((tag for tag in ARM_TAGS if self.holding[tag] == name), None)
-
-    def _snapshot(self, rows, step_name: str, t: int, last_op: _Statement | None):
-        actors = [(name, poses.entries(self._held_by(name))) for name, poses in self.poses.items()]
-        arms = [(tag, tcps.entries(self.gripper[tag])) for tag, tcps in self.tcps.items()]
+    def _snapshot(self, mask, step_name: str, t: int, last_op: _Statement | None):
         stmt_id, context = (last_op.stmt.id, last_op.text) if last_op is not None else (0, "")
-        for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
-            actor_states, arm_states = {}, {}
-            for name, entries in actors:
-                actor_states[name] = entries[r]
-            for tag, entries in arms:
-                arm_states[tag] = entries[r]
-            scene = {"actors": actor_states, "arms": arm_states}
-            self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, scene, context))
+        payloads = scene_payloads(self.scene, _rows(mask), self.payload_memo)
+        for r, payload in zip(_rows(mask), payloads):  # a loop, not a comprehension: this runs per trial and snapshot
+            self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, payload, context))
 
     def _finish(self, mask, t: int, last_op: _Statement | None):
         """The final snapshot (unless the last one was it) and the goal of
         the rows of the bool mask."""
         if self.last_step is not None and self.last_step != FINAL_STEP:
-            self._snapshot(_rows(mask), FINAL_STEP, t, last_op)
-        scene = SceneRows({name: poses.rows[mask] for name, poses in self.poses.items()},
-                          {tag: tcps.rows[mask] for tag, tcps in self.tcps.items()},
-                          self.holding, self.gripper)
-        for r, met in zip(_rows(mask), eval_predicate(self.spec.goal, self.spec, scene).tolist()):
+            self._snapshot(mask, FINAL_STEP, t, last_op)
+        scene = self.scene
+        finished = SceneRows({name: pose[mask] for name, pose in scene.poses.items()},
+                             {tag: tcp[mask] for tag, tcp in scene.tcps.items()}, scene.holding, scene.grippers)
+        for r, met in zip(_rows(mask), eval_predicate(self.spec.goal, self.spec, finished).tolist()):
             self.logs[r].goal_met = met
 
     # -- state helpers -------------------------------------------------------
@@ -281,14 +241,14 @@ class _Batch:
         """The only writer of a TCP and of a held actor's pose, so a held
         actor is at tcp o grasp offset by construction."""
         self._require_reach(tag, p[None])
-        tcp = self.tcps[tag]
-        tcp.set(pose_rows(p, tcp.rows[:, 3:] if q is None else q))
-        held = self.holding[tag]
+        scene = self.scene
+        tcp = scene.tcps[tag] = pose_rows(p, scene.tcps[tag][:, 3:] if q is None else q)
+        held = scene.holding[tag]
         if held is not None:
-            self.poses[held].set(compose_rows(tcp.rows, self.offsets[tag]))
+            scene.poses[held] = compose_rows(tcp, self.offsets[tag])
 
     def _release(self, tag: str):
-        name, self.holding[tag] = self.holding[tag], None
+        name, self.scene.holding[tag] = self.scene.holding[tag], None
         if name is not None:
             self._drop(name)
 
@@ -296,16 +256,16 @@ class _Batch:
         """Fall straight down onto the highest supporting surface beneath the
         actor's center, else onto the table. Boxes are axis-aligned at each
         actor's position: orientation is deliberately ignored."""
-        pose, extent = self.poses[name].rows, self.spec.actors[name].extent
+        pose, extent = self.scene.poses[name], self.spec.actors[name].extent
         p = pose[:, :3]
         lo, hi = p - extent, p + extent
-        held = set(self.holding.values())
+        held = set(self.scene.holding.values())
         support_z = np.zeros(len(pose))
-        for other, poses in self.poses.items():
+        for other, other_pose in self.scene.poses.items():
             if other == name or other in held:
                 continue
             other_extent = self.spec.actors[other].extent
-            other_p = poses.rows[:, :3]
+            other_p = other_pose[:, :3]
             other_lo, other_hi = other_p - other_extent, other_p + other_extent
             top = other_p[:, 2] + other_extent[2]
             under = ((lo[:, 0] < other_hi[:, 0]) & (other_lo[:, 0] < hi[:, 0])
@@ -313,17 +273,17 @@ class _Batch:
             support_z = np.where(under & (top > support_z), top, support_z)  # max() keeps the first of equals
         landed = p.copy()
         landed[:, 2] = support_z + extent[2]
-        self.poses[name].set(pose_rows(landed, pose[:, 3:]))
+        self.scene.poses[name] = pose_rows(landed, pose[:, 3:])
 
     def _collision_check(self, tag: str, points, exclude: str):
         """points: (k, n, 3), checked in order, each against every actor."""
-        held_name = self.holding[tag]
+        held_name = self.scene.holding[tag]
         depths = {}
-        for other, poses in self.poses.items():
+        for other, pose in self.scene.poses.items():
             if other == exclude or other == held_name:
                 continue
             extent = self.spec.actors[other].extent
-            p = poses.rows[:, :3]
+            p = pose[:, :3]
             below, above = points - (p - extent), (p + extent) - points
             # min() of Python per axis, then over the axes: a later value
             # only if it is smaller, also past a nan.
@@ -347,16 +307,16 @@ class _Batch:
         self._require_pos_range(args["pos"], "pos")
         tag = args["arm"]
         self._release(tag)
-        self.gripper[tag] = float(args["pos"])
+        self.scene.grippers[tag] = float(args["pos"])
 
     def _op_close_gripper(self, args):
         # Closing with nothing nearby is a deliberate no-op on the world.
         self._require_pos_range(args["pos"], "pos")
-        self.gripper[args["arm"]] = float(args["pos"])
+        self.scene.grippers[args["arm"]] = float(args["pos"])
 
     def _op_move_by_displacement(self, args):
         tag = args["arm"]
-        tcp = self.tcps[tag].rows
+        tcp = self.scene.tcps[tag]
         d = (args["x"], args["y"], args["z"])
         if args["move_axis"] == "arm":
             d = quat_rotate_rows(tcp[:, 3:], d)
@@ -372,15 +332,16 @@ class _Batch:
         actor = self.spec.actor(args["actor"])
         if actor.static:
             raise _Failure("invalid_call", f"actor {actor.name!r} is static and cannot be grasped")
-        if self.holding[tag] is not None:
-            raise _Failure("invalid_call", f"{tag} arm is already holding {self.holding[tag]!r}")
+        scene = self.scene
+        if scene.holding[tag] is not None:
+            raise _Failure("invalid_call", f"{tag} arm is already holding {scene.holding[tag]!r}")
         self._require_pos_range(args["gripper_pos"], "gripper_pos")
-        pose = self.poses[actor.name].rows
+        pose = scene.poses[actor.name]
         cid = args["contact_point_id"]
         if cid == "auto":
             # min() by (distance to the TCP, id): the first point unless a
             # later one is nearer, or as near with a lower id.
-            tcp_p = self.tcps[tag].rows[:, :3]
+            tcp_p = scene.tcps[tag][:, :3]
             contact_p = best = best_id = None
             for pt in actor.contact_points:
                 at = apply_rows(pose, pt.pose.p)
@@ -405,28 +366,28 @@ class _Batch:
         slipped = self.slips[:, self.columns[self.k][1]]
 
         self._move_tcp(tag, points[1])
-        self.gripper[tag] = float(args["gripper_pos"])
+        scene.grippers[tag] = float(args["gripper_pos"])
         self._fail(slipped, "grasp_slip", f"grasp of {actor.name!r} slipped (p={self.slip_p:.2f})")
 
-        holder = self._held_by(actor.name)
+        holder = scene.held_by(actor.name)
         if holder is not None:
             # Handover: the other gripper keeps its state but loses the object.
-            self.holding[holder] = None
-        self.holding[tag] = actor.name
-        self.offsets[tag] = compose_rows(inverse_rows(self.tcps[tag].rows), pose)
+            scene.holding[holder] = None
+        scene.holding[tag] = actor.name
+        self.offsets[tag] = compose_rows(inverse_rows(scene.tcps[tag]), pose)
         self.approaches[tag] = approach
 
     def _op_place_actor(self, args):
         tag = args["arm"]
         actor = self.spec.actor(args["actor"])
-        if self.holding[tag] != actor.name:
+        if self.scene.holding[tag] != actor.name:
             raise _Failure("not_held", f"actor {actor.name!r} is not held by the {tag} arm")
         offset, approach = self.offsets[tag], self.approaches[tag]
 
         target = args["target"]
         if isinstance(target, FpRef):
             local = self.spec.actor(target.actor).point("functional", target.point_id).pose
-            target_pose = compose_rows(self.poses[target.actor].rows, local.values)
+            target_pose = compose_rows(self.scene.poses[target.actor], local.values)
         elif isinstance(target, PoseLit):
             try:  # the parser and validator leave the quaternion's norm unchecked
                 target_pose = np.tile(Pose.from_list(list(target.values)).values, (len(self.logs), 1))
@@ -450,7 +411,7 @@ class _Batch:
             free = np.full(len(approach), constrain != "align")
         desired_q = target_pose[:, 3:].copy()  # align
         if free.any():  # match z-axes only, keep the rest of the current orientation
-            fp_q = compose_rows(self.poses[actor.name].rows[free], fp_local)[:, 3:]
+            fp_q = compose_rows(self.scene.poses[actor.name][free], fp_local)[:, 3:]
             current_z = quat_rotate_rows(fp_q, _WORLD_UP)
             target_z = quat_rotate_rows(target_pose[free, 3:], _WORLD_UP)
             desired_q[free] = quat_mul_rows(quat_between_rows(current_z, target_z), fp_q)
@@ -469,7 +430,7 @@ class _Batch:
         miss = norms(fp_p[1] - intended_p)
         if args["is_open"]:
             self._release(tag)
-            self.gripper[tag] = 1.0
+            self.scene.grippers[tag] = 1.0
         tolerance = self.spec.place_tolerance
         self._fail(miss > tolerance, "placement_miss",
                    lambda r: f"functional point of {actor.name!r} ended {miss[r] * 1000:.1f} mm from target "
@@ -499,7 +460,7 @@ class _Batch:
                     break
                 if stmt.name == "observe":
                     self.last_step = stmt.args["step_name"]
-                    self._snapshot(_rows(self.alive), self.last_step, self.t, self.last_op)
+                    self._snapshot(self.alive, self.last_step, self.t, self.last_op)
                 else:
                     try:
                         self._HANDLERS[stmt.name](self, stmt.args)

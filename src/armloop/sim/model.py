@@ -1,4 +1,6 @@
-"""Execution records: symbolic events, scene snapshots, trial logs.
+"""Execution records: symbolic events, scene snapshots, trial logs, and the
+snapshot payload, which `scene_payloads` makes from a `SceneRows` and
+`scene_from_state` reads back.
 
 Trial logs serialize to JSON Lines, one event or snapshot record per line
 and a final summary record, with field names matching the dataclasses.
@@ -76,7 +78,7 @@ class Snapshot:
     stmt_id: int  # id of the operation the snapshot documents (0 = none yet)
     subgoal_index: int
     t: int
-    scene: dict  # the payload SCENE_KEYS lays out
+    scene: dict  # the payload _SCENE_KEYS lays out
     program_context: str
 
 
@@ -101,13 +103,51 @@ class TrialLog:
 # A snapshot payload, the virtual-camera view of one trial: {"actors": {name:
 # {"pose": 7 numbers, "held_by": arm tag or None}} in task-file order, "arms":
 # {tag: {"tcp": 7 numbers, "gripper": number}} in arm order}; per section, the
-# keys of an entry. In the executor's payloads a pose is the `Pose.values`
-# tuple kept while it does not move, and an entry whose pose and other value
-# are the same objects as in the previous snapshot is the same dict. The trial
-# writer relies on this identity: it makes an entry's text once per trial,
-# memoized by the identity of the entry dict, and encodes a pose of anything
-# but seven exact finite floats through the JSON encoder.
-SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
+# keys of an entry. `scene_payloads` makes payloads from a `SceneRows` and
+# `scene_from_state` reads one back, so no other module knows this layout. In
+# a payload scene_payloads makes, a pose is the tuple of its row, kept while
+# the row does not move, and an entry whose pose and other value are the same
+# objects as in the previous snapshot is the same dict. The trial writer
+# relies on this identity: it makes an entry's text once per trial, memoized
+# by the identity of the entry dict, and encodes a pose of anything but seven
+# exact finite floats through the JSON encoder.
+_SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
+
+
+def _entries(memo: dict, section: str, name: str, array: np.ndarray, other) -> list[dict]:
+    """The entry of each row of a name's (n, 7) pose array with its holder
+    or gripper value, for scene_payloads."""
+    hit = memo.get((section, name))
+    if hit is not None and hit[0] is array:
+        if hit[2] is other:
+            return hit[3]
+        poses = hit[1]
+    else:
+        poses = list(zip(*array.T.tolist()))
+    key, other_key = _SCENE_KEYS[section]
+    entries = [{key: pose, other_key: other} for pose in poses]
+    memo[section, name] = (array, poses, other, entries)
+    return entries
+
+
+def scene_payloads(scene: SceneRows, rows, memo: dict) -> list[dict]:
+    """The snapshot payload of each row of the scene that `rows` yields, in
+    order. `memo` is one dict per batch, keyed by (section, name): a name's
+    pose tuples are rebuilt only when its array is a new object, and its
+    entries only when the tuples or its holder or gripper value are, so an
+    entry that did not change is the same dict from snapshot to snapshot."""
+    actors = [(name, _entries(memo, "actors", name, array, scene.held_by(name)))
+              for name, array in scene.poses.items()]
+    arms = [(tag, _entries(memo, "arms", tag, array, scene.grippers[tag])) for tag, array in scene.tcps.items()]
+    payloads = []
+    for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
+        actor_states, arm_states = {}, {}
+        for name, entries in actors:
+            actor_states[name] = entries[r]
+        for tag, entries in arms:
+            arm_states[tag] = entries[r]
+        payloads.append({"actors": actor_states, "arms": arm_states})
+    return payloads
 
 
 def _pose(values, where: str) -> np.ndarray:
@@ -125,7 +165,7 @@ def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
     """The state a snapshot payload records, as the one row of a scene over
     the task's geometry; what the payload leaves out is as the task starts.
     An actor the task lacks raises UnknownActorError, any other payload that
-    does not fit SCENE_KEYS's layout ArtifactError."""
+    does not fit _SCENE_KEYS's layout ArtifactError."""
     scene = SceneRows({name: np.array([actor.pose.values]) for name, actor in spec.actors.items()},
                       {tag: np.array([spec.homes[tag].values]) for tag in ARM_TAGS},
                       dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
@@ -199,9 +239,9 @@ _str = json.encoder.encode_basestring  # what _encode does with a str, in C
         for kind, names in _FIELDS.values()]
 # A payload's text, a %s per section; per section, the keys of an entry and
 # the template of its text (name, pose, other value).
-_SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in SCENE_KEYS) + "}"
-_ENTRIES = tuple((keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}") for keys in SCENE_KEYS.values())
-_SECTION_NAMES = tuple(SCENE_KEYS)
+_SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in _SCENE_KEYS) + "}"
+_ENTRIES = tuple((keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}") for keys in _SCENE_KEYS.values())
+_SECTION_NAMES = tuple(_SCENE_KEYS)
 _POSE = "[" + ", ".join(["%r"] * 7) + "]"
 _SEVEN_FLOATS = (float,) * 7
 

@@ -17,6 +17,7 @@ from armloop.loop import (
     CandidateRecord,
     LoopConfig,
     RepairSignal,
+    _expand_env,
     fuse,
     load_campaign_config,
     run_campaign,
@@ -428,6 +429,21 @@ def test_campaign_config_loading(tmp_path, place_shoe_spec):
         TASKS_DIR / "configs" / "symbolic.json", task_path("place_shoe"), place_shoe_spec
     )
     assert not symbolic.loop.perception
+
+
+def test_agent_fields_expand_environment_variables(tmp_path, monkeypatch, place_shoe_spec):
+    monkeypatch.setenv("ARMLOOP_TEST_HOST", "models.example")
+    monkeypatch.delenv("ARMLOOP_TEST_UNSET", raising=False)
+    assert _expand_env("https://${ARMLOOP_TEST_HOST}/v1${ARMLOOP_TEST_UNSET}") == "https://models.example/v1"
+    nested = {"urls": ["${ARMLOOP_TEST_HOST}", {"key": "$ARMLOOP_TEST_HOST [${ARMLOOP_TEST_UNSET}]"}], "n": 3}
+    assert _expand_env(nested) == {"urls": ["models.example", {"key": "$ARMLOOP_TEST_HOST []"}], "n": 3}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"candidates": [{"playbook": ["correct.prog"]}],
+                                  "synthesis": {"model": "${ARMLOOP_TEST_HOST}", "endpoint": "${ARMLOOP_TEST_UNSET}"},
+                                  "verifier": {"model": "m-${ARMLOOP_TEST_HOST}"}}))
+    cfg = load_campaign_config(config, task_path("place_shoe"), place_shoe_spec)
+    assert (cfg.loop.synthesis.model, cfg.loop.synthesis.endpoint) == ("models.example", "")
+    assert cfg.loop.verifier.model == "m-models.example"
 
 
 def test_readme_config_example_loads(tmp_path, place_shoe_spec):

@@ -21,7 +21,7 @@ from armloop.sim import (
     Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, load_trials, run_trials,
     scene_from_state,
 )
-from armloop.sim import model
+from armloop.sim import executor, model
 from armloop.sim.model import trial_records
 
 from conftest import TASK_NAMES, one_trial, program_path, task_path
@@ -540,10 +540,13 @@ def test_shared_entry_is_one_dict_while_its_values_are_the_same_objects(place_sh
 
 
 def test_task_geometry_is_frozen():
-    shoe = load_task_spec(task_path("place_shoe")).actors["shoe"]
-    for fld in dataclasses.fields(shoe):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(shoe, fld.name, getattr(shoe, fld.name))
+    spec = load_task_spec(task_path("place_shoe"))
+    shoe = spec.actors["shoe"]
+    assert type(spec.subgoals) is tuple
+    for frozen in (shoe, *spec.subgoals, spec.noise):
+        for fld in dataclasses.fields(frozen):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, fld.name, getattr(frozen, fld.name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         shoe.functional_points[0].pose = Pose()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -552,6 +555,40 @@ def test_task_geometry_is_frozen():
                    shoe.contact_points[0].pose.p):
         with pytest.raises(TypeError):
             vector[0] = 0.5
+
+
+def test_scene_from_state_inverts_scene_payloads(monkeypatch):
+    # Each payload the executor makes reads back as the row of the scene it
+    # was made from: its positions, holder and grippers exactly, its
+    # quaternions up to the renormalization of a loaded pose.
+    made = []
+
+    def recording(scene, rows, memo):
+        rows = list(rows)
+        payloads = model.scene_payloads(scene, rows, memo)
+        made.append((dict(scene.poses), dict(scene.tcps), dict(scene.holding), dict(scene.grippers), rows, payloads))
+        return payloads
+
+    monkeypatch.setattr(executor, "scene_payloads", recording)
+    held = gripped = 0
+    for task in TASK_NAMES:
+        spec = load_task_spec(task_path(task))
+        made.clear()
+        for kind in ("correct", "loud", "silent"):
+            program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
+            run_trials(program, spec, 3, base_seed=5, noise_scale=1.0, max_steps=200)
+        for poses, tcps, holding, grippers, rows, payloads in made:
+            for r, payload in zip(rows, payloads):
+                back = scene_from_state(spec, payload)
+                assert back.holding == holding and back.grippers == grippers
+                for arrays, read in ((poses, back.poses), (tcps, back.tcps)):
+                    assert list(read) == list(arrays)
+                    for name, array in arrays.items():
+                        assert read[name][0, :3].tolist() == array[r, :3].tolist()
+                        assert np.abs(read[name][0, 3:] - array[r, 3:]).max() <= 1e-15
+            held += any(holding.values())
+            gripped += any(value != 1.0 for value in grippers.values())
+    assert held and gripped
 
 
 def _geometry(spec) -> dict:
