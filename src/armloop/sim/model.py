@@ -164,8 +164,9 @@ def _arm(tag) -> str:
 def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
     """The state a snapshot payload records, as the one row of a scene over
     the task's geometry; what the payload leaves out is as the task starts.
-    An actor the task lacks raises UnknownActorError, any other payload that
-    does not fit _SCENE_KEYS's layout ArtifactError."""
+    An actor the task lacks raises UnknownActorError, two actors held by one
+    arm or any other payload that does not fit _SCENE_KEYS's layout
+    ArtifactError."""
     scene = SceneRows({name: np.array([actor.pose.values]) for name, actor in spec.actors.items()},
                       {tag: np.array([spec.homes[tag].values]) for tag in ARM_TAGS},
                       dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
@@ -174,7 +175,11 @@ def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
             spec.actor(name)
             scene.poses[name] = _pose(entry["pose"], f"scene.actors.{name}.pose")
             if entry["held_by"] is not None:
-                scene.holding[_arm(entry["held_by"])] = name
+                arm = _arm(entry["held_by"])
+                if scene.holding[arm] is not None:
+                    raise ArtifactError(f"scene.actors.{name}.held_by",
+                                        f"arm {arm!r} already holds {scene.holding[arm]!r}")
+                scene.holding[arm] = name
         for tag, entry in state["arms"].items():
             scene.tcps[_arm(tag)] = _pose(entry["tcp"], f"scene.arms.{tag}.tcp")
             scene.grippers[tag] = ArtifactError.check(entry["gripper"], float, f"scene.arms.{tag}.gripper")
@@ -213,16 +218,6 @@ def _ordered(log: TrialLog) -> list:
 
 def _summary(log: TrialLog) -> TrialSummary:
     return TrialSummary(log.goal_met, log.seed, len(log.events))
-
-
-def trial_records(log: TrialLog):
-    """All records of one trial in log order, as dicts."""
-    for rec in (*_ordered(log), _summary(log)):
-        kind, names = _FIELDS[type(rec)]
-        record = {"type": kind, "trial_index": log.trial_index}
-        for name in names:  # not vars(rec): that would attach a dict to every record
-            record[name] = getattr(rec, name)
-        yield record
 
 
 # json.dumps(value, ensure_ascii=False), without building an encoder per value.

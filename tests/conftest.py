@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from armloop.dsl.ast import (
     Program,
     SubgoalBlock,
 )
+from armloop.metrics import LabeledTree, _ted, flatten
 from armloop.scene import load_task_spec
 from armloop.sim import run_trials
+from armloop.sim.model import RECORD_TYPES, TrialLog, TrialSummary
 
 TASKS_DIR = Path(__file__).resolve().parents[1] / "src" / "armloop" / "tasks"
 
@@ -48,6 +51,26 @@ def program_path(task: str, kind: str) -> Path:
 def one_trial(program, spec, seed: int, noise_scale: float = 0.0, max_steps: int = 200):
     """The trial of a batch of one; without noise and with a 200-step budget unless given."""
     return run_trials(program, spec, 1, seed, noise_scale, max_steps)[0]
+
+
+def tree_edit_distance(a: LabeledTree, b: LabeledTree) -> int:
+    """Unit-cost ordered TED (insert = delete = 1, relabel = 1 where the
+    labels differ) of two labeled trees, by the kernel ast_similarity runs."""
+    return _ted(flatten(a), flatten(b))
+
+
+def trial_records(log: TrialLog):
+    """The records of one trial as dicts, which the trial writer's lines
+    must encode: {"type", "trial_index", <the record class's fields in
+    declaration order>} for each event and snapshot by step counter (events
+    first on ties), then the summary."""
+    kinds = {cls: kind for kind, cls in RECORD_TYPES.items()}
+    summary = TrialSummary(log.goal_met, log.seed, len(log.events))
+    for rec in (*sorted(log.events + log.snapshots, key=attrgetter("t")), summary):
+        record = {"type": kinds[type(rec)], "trial_index": log.trial_index}
+        for field in dataclasses.fields(rec):
+            record[field.name] = getattr(rec, field.name)
+        yield record
 
 
 @pytest.fixture(scope="session")

@@ -26,12 +26,14 @@ from armloop.loop import (
     fuse,
     run_campaign,
 )
-from armloop.metrics import LabeledTree, tree_edit_distance
+from armloop.metrics import LabeledTree
 from armloop.scene import load_task_spec
 from armloop.sim import dumps_trial, run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
-from conftest import TASK_NAMES, one_trial, program_path, random_program, strip_observes, task_path
+from conftest import (
+    TASK_NAMES, one_trial, program_path, random_program, strip_observes, task_path, tree_edit_distance,
+)
 from test_metrics import asr, cr_iter, make_campaign, top5_asr
 
 GOLDEN = Path(__file__).parent / "golden"

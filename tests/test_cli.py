@@ -932,6 +932,8 @@ SCENE_CASES = {
     "short_pose": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(pose=[0, 0])),
     "scene_not_object": _edit_record("snapshot", lambda r: r.update(scene={"actors": [1]})),
     "unknown_arm": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(held_by="mid")),
+    "two_actors_one_arm": _edit_record("snapshot", lambda r: [r["scene"]["actors"][name].update(held_by="left")
+                                                             for name in ("shoe", "target_block")]),
     "pose_not_numbers": _edit_record("snapshot", lambda r: r["scene"]["actors"]["shoe"].update(
         pose=["-0.2", True, "0.02", 1, 0, 0, 0])),
     "gripper_not_number": _edit_record("snapshot", lambda r: r["scene"]["arms"]["left"].update(

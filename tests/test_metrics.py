@@ -16,10 +16,9 @@ from armloop.metrics import (
     flatten,
     metrics_from_campaign,
     program_tree,
-    tree_edit_distance,
 )
 
-from conftest import program_path, random_program
+from conftest import program_path, random_program, tree_edit_distance
 
 
 # --- campaign fixtures -----------------------------------------------------------

@@ -22,9 +22,8 @@ from armloop.sim import (
     scene_from_state,
 )
 from armloop.sim import executor, model
-from armloop.sim.model import trial_records
 
-from conftest import TASK_NAMES, one_trial, program_path, task_path
+from conftest import TASK_NAMES, one_trial, program_path, task_path, trial_records
 
 
 def _correct(task="place_shoe"):
@@ -589,6 +588,16 @@ def test_scene_from_state_inverts_scene_payloads(monkeypatch):
             held += any(holding.values())
             gripped += any(value != 1.0 for value in grippers.values())
     assert held and gripped
+
+
+def test_scene_from_state_refuses_two_actors_held_by_one_arm(place_shoe_spec):
+    payload = {"actors": {name: {"pose": list(actor.pose.values), "held_by": "left"}
+                          for name, actor in place_shoe_spec.actors.items()}, "arms": {}}
+    assert list(payload["actors"]) == ["shoe", "target_block"]
+    with pytest.raises(ArtifactError) as err:
+        scene_from_state(place_shoe_spec, payload)
+    assert err.value.field == "scene.actors.target_block.held_by"
+    assert str(err.value) == "scene.actors.target_block.held_by: arm 'left' already holds 'shoe'"
 
 
 def _geometry(spec) -> dict:

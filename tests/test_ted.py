@@ -1,5 +1,6 @@
 """The TED kernel against the textbook Zhang-Shasha algorithm at the sizes
-and shapes real programs have."""
+and shapes real programs have, on the pairs its two bounds settle and on
+those they leave to the DP."""
 
 import copy
 import itertools
@@ -7,16 +8,16 @@ import random
 
 import pytest
 
+from armloop import metrics
 from armloop.dsl import parse
 from armloop.metrics import (
     LabeledTree,
     ast_similarity,
     flatten,
     program_tree,
-    tree_edit_distance,
 )
 
-from conftest import TASK_NAMES, program_path
+from conftest import TASK_NAMES, program_path, tree_edit_distance
 
 PROGRAM_KINDS = ("correct", "loud", "silent")
 
@@ -156,12 +157,118 @@ def test_random_program_shaped_trees_up_to_80_nodes():
     assert n_leaf_keyroots > 0.5 * n_nodes  # as in the bundled programs (59 %)
 
 
-def test_bundled_programs_every_ordered_pair_within_a_task():
+def _bundled_tree(task: str, kind: str) -> LabeledTree:
+    return program_tree(parse(program_path(task, kind).read_text()))
+
+
+def test_bundled_programs_every_ordered_pair():
+    trees = [_bundled_tree(task, kind) for task in TASK_NAMES for kind in PROGRAM_KINDS]
+    for a, b in itertools.combinations(trees, 2):  # _assert_exact takes both orders
+        _assert_exact(a, b)
+    for tree in trees:
+        assert tree_edit_distance(tree, copy.deepcopy(tree)) == 0
+
+
+def _call(name: str, *args: tuple) -> LabeledTree:
+    return LabeledTree(("call", name), [LabeledTree(("arg", *arg)) for arg in args])
+
+
+def _small_program() -> LabeledTree:
+    """program > subgoal > description and calls > arguments, as
+    program_tree gives it, with few arguments per call."""
+    left, right = ("arm", "sym", "left"), ("arm", "sym", "right")
+    return LabeledTree(("program",), [
+        LabeledTree(("subgoal",), [
+            LabeledTree(("description", "grasp the shoe")),
+            _call("grasp_actor", ("actor", "sym", "shoe"), left),
+            _call("move_by_displacement", left, ("z", "num")),
+            _call("open_gripper", left),
+        ]),
+        LabeledTree(("subgoal",), [
+            LabeledTree(("description", "park")),
+            _call("close_gripper", right),
+            _call("back_to_origin", right),
+        ]),
+    ])
+
+
+def _single_edits(tree: LabeledTree) -> list:
+    """Every tree one edit away: an argument relabeled, a statement inserted
+    or deleted, two neighbouring statements wrapped in parallel, a subgoal
+    deleted. A subgoal's first child is its description."""
+    edited = []
+
+    def edit(change):
+        new = copy.deepcopy(tree)
+        change(new)
+        edited.append(new)
+
+    for g, subgoal in enumerate(tree.children):
+        n = len(subgoal.children)
+        for k in range(1, n):
+            stmt = subgoal.children[k]
+            for c, call in enumerate(stmt.children if stmt.label == ("parallel",) else [stmt]):
+                for a in range(len(call.children)):
+                    def relabel(new, g=g, k=k, c=c, a=a):
+                        stmt = new.children[g].children[k]
+                        call = stmt.children[c] if stmt.label == ("parallel",) else stmt
+                        call.children[a].label = ("arg", "arm", "sym", "both")
+                    edit(relabel)
+            edit(lambda new, g=g, k=k: new.children[g].children.pop(k))
+        for k in range(1, n + 1):
+            edit(lambda new, g=g, k=k: new.children[g].children.insert(k, _call("open_gripper", ("arm", "sym", "right"))))
+        for k in range(1, n - 1):
+            def wrap(new, g=g, k=k):
+                stmts = new.children[g].children
+                stmts[k:k + 2] = [LabeledTree(("parallel",), stmts[k:k + 2])]
+            edit(wrap)
+        edit(lambda new, g=g: new.children.pop(g))
+    return edited
+
+
+def _frozen(tree: LabeledTree) -> tuple:
+    return tree.label, tuple(_frozen(child) for child in tree.children)
+
+
+@pytest.fixture()
+def dp_calls(monkeypatch) -> list:
+    """Grows by one each time the TED reaches the Zhang-Shasha DP."""
+    calls = []
+    zhang_shasha = metrics._zhang_shasha
+    monkeypatch.setattr(metrics, "_zhang_shasha", lambda *args: calls.append(args) or zhang_shasha(*args))
+    return calls
+
+
+def test_single_and_double_edits_of_a_small_program(dp_calls):
+    base = _small_program()
+    singles = _single_edits(base)
+    edits = {_frozen(tree): tree for tree in singles}
+    for tree in singles:
+        edits.update((_frozen(double), double) for double in _single_edits(tree))
+    edits.pop(_frozen(base), None)
+    assert len(singles) == 24 and len(edits) > 250
+    for tree in edits.values():
+        _assert_exact(base, tree)
+    # Both the pairs the bounds settle and those they leave to the DP occur.
+    assert 0 < len(dp_calls) < 2 * len(edits)
+
+
+def test_bounds_settle_most_faulty_vs_correct_pairs(dp_calls):
+    """Selkow's top-down distance meets the postorder label sequences' edit
+    distance on 17 of the 20 bundled faulty-vs-correct pairs, so only the
+    other three reach the Zhang-Shasha DP; those still give the exact TED."""
+    through_dp = set()
     for task in TASK_NAMES:
-        trees = [program_tree(parse(program_path(task, kind).read_text()))
-                 for kind in PROGRAM_KINDS]
-        for a, b in itertools.product(trees, trees):
-            _assert_exact(a, b)
+        correct = _bundled_tree(task, "correct")
+        for kind in ("loud", "silent"):
+            faulty = _bundled_tree(task, kind)
+            before = len(dp_calls)
+            distance = tree_edit_distance(faulty, correct)
+            if len(dp_calls) > before:
+                through_dp.add((task, kind))
+                assert distance == reference_ted(faulty, correct)
+    assert through_dp == {("handover_block", "loud"), ("pick_diverse_bottles", "loud"),
+                          ("pick_dual_bottles_easy", "loud")}
 
 
 @pytest.mark.parametrize("task", TASK_NAMES)
