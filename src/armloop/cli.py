@@ -75,7 +75,9 @@ def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
     """The trials of the chunks at `starts` in order, simulated CHUNK at a
     time. Each is yielded to be written, then appended to `kept` without its
     snapshots, which only trials.jsonl holds: memory holds one chunk plus
-    every trial's events."""
+    every trial's events, which the rows of a chunk that succeed or fail
+    alike at a statement share (one event object per statement outcome,
+    kept so through a worker's pickle)."""
     for start in starts:
         n = min(CHUNK, cfg.n_trials - start)
         for log in run_trials(program, spec, n, cfg.base_seed + start, cfg.noise_scale, cfg.max_steps):

@@ -42,7 +42,9 @@ sigma, plus 0.0 so that a zero is +0.0 whatever the draw's sign, and each
 slip as the bool uniform < slip_p. A trial's log depends on nothing else,
 so trials whose rows are equal byte for byte run as one row of the batch
 and share its log's lists: at zero noise a batch is one row, while at
-noise above zero (and sigmas above zero) every trial is its own.
+noise above zero (and sigmas above zero) every trial is its own. Rows
+that emit an equal event share it too: one event object per statement
+outcome, unless the failure's message is a function of the row.
 
 Python floats overflow to inf and turn an invalid operation into nan without
 a word, so the rows run with numpy's overflow and invalid warnings off.
@@ -199,12 +201,19 @@ class _Batch:
             self._finish(bad, self.t + 1, self.statements[self.k])
 
     def _emit(self, rows, outcome: str, category: str, message):
+        """The current statement's event for each of `rows`: one event that
+        every row shares when `message` is a text, one per row when it is a
+        function of the row."""
         op = self.statements[self.k]
         stmt, t = op.stmt, self.t
+        if callable(message):
+            for r in rows:
+                self.logs[r].events.append(SymbolicEvent(
+                    stmt.id, op.subgoal, stmt.name, op.args, outcome, category, message(r), t))
+            return
+        event = SymbolicEvent(stmt.id, op.subgoal, stmt.name, op.args, outcome, category, message, t)
         for r in rows:
-            text = message(r) if callable(message) else message
-            self.logs[r].events.append(SymbolicEvent(
-                stmt.id, op.subgoal, stmt.name, op.args, outcome, category, text, t))
+            self.logs[r].events.append(event)
 
     def _snapshot(self, mask, step_name: str, t: int, last_op: _Statement | None):
         stmt_id, context = (last_op.stmt.id, last_op.text) if last_op is not None else (0, "")
@@ -495,7 +504,11 @@ def run_trials(
     them is simulated, and each other gets its `events` and `snapshots`
     lists (the same list objects) and its goal_met. At zero noise every
     perturbation is +0.0 and no grasp slips, so a batch is one row; every
-    trial still makes its draws."""
+    trial still makes its draws. The rows that succeed at a statement, or
+    fail at it with a message that does not depend on the row, hold one
+    shared (frozen) SymbolicEvent; a failure whose message is the row's own
+    (a point out of reach, a penetration depth, a placement miss) is an
+    event per row."""
     statements = _flatten(program)
     logs = [TrialLog(trial_index=i, seed=base_seed + i) for i in range(n)]
     normals, slips, columns = _perturbations(statements, spec, [log.seed for log in logs], noise_scale)

@@ -13,14 +13,16 @@ import from its dataclass's fields, with the fields fetched at once. An
 exact str, int or finite float goes straight to the C function the encoder
 would call, and an exact bool or None is written out. Each entry of a
 snapshot scene is one memo lookup, keyed by the identity of the entry dict,
-so its text is made once per trial; the text of each event's `args` is made
-once per `dump_trials` call, memoized by the identity of the dict its
-statement's events share. A value of any other kind (a subclass, a numpy
-scalar, nan or inf, a list) falls back to the JSON encoder. A trial whose
-`events` and `snapshots` are the very lists of the trial written just
+so its text is made once per trial. Over a `trial_texts` call, an event's
+text is made once per event object, memoized by its identity (the
+executor's rows that emit an event alike share one), and the text of a
+snapshot's fields but its scene once per distinct value of them, when each
+is exactly of its declared type. A value of any other kind (a subclass, a
+numpy scalar, nan or inf, a list) falls back to the JSON encoder. A trial
+whose `events` and `snapshots` are the very lists of the trial written just
 before it (the executor's trials with equal perturbations share them)
-reuses that trial's record texts, with its own index put in each line
-and its own summary; only the previous trial's texts are kept.
+reuses that trial's record texts, with its own index put in each line and
+its own summary; only the previous trial's texts are kept.
 
 The reader decodes each distinct event or snapshot line once per file. A
 line that starts with the writer's head and a plain trial index, and whose
@@ -57,8 +59,11 @@ ERROR_CATEGORIES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicEvent:
+    """One statement's outcome in a trial. Frozen: the executor gives the
+    rows that emit an equal event one shared object."""
+
     stmt_id: int
     subgoal_index: int
     op_name: str
@@ -237,6 +242,14 @@ _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 _SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in _SCENE_KEYS) + "}"
 _ENTRIES = tuple((keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}") for keys in _SCENE_KEYS.values())
 _SECTION_NAMES = tuple(_SCENE_KEYS)
+# A snapshot's rest cut at its scene's text: the template before it (the
+# fields before the scene, up to the scene's key) and after it (its
+# program_context and the line's end). A snapshot's head, the fields of
+# the two, is keyed by value when each is exactly of its declared type.
+_SCENE_KEY = f"{_str('scene')}: "
+_BEFORE_SCENE, _AFTER_SCENE = _SNAPSHOT_REST.split(_SCENE_KEY + "%s")
+_BEFORE_SCENE += _SCENE_KEY
+_HEAD_TYPES = (str, int, int, int, str)  # step_name, stmt_id, subgoal_index, t, program_context
 _POSE = "[" + ", ".join(["%r"] * 7) + "]"
 _SEVEN_FLOATS = (float,) * 7
 
@@ -299,27 +312,36 @@ def _summary_text(log: TrialLog) -> str:
     return _SUMMARY_REST % tuple(map(_atom, _summary_fields(_summary(log))))
 
 
-def _parts(log: TrialLog, args_memo: dict) -> list:
+def _parts(log: TrialLog, events: dict, heads: dict) -> list:
     """The trial's text as three parts per record in log order, its summary
     last: its type's head, the trial index's text and the fill of the rest
-    of its type's template. `args_memo` maps id(args) to (args, text) for
-    the events that share it; it holds the args object, so that its id
-    names no other object while it lives."""
+    of its type's template. `events` maps id(event) to (event, the fill of
+    its rest); it holds the event, so that its id names no other object
+    while it lives. `heads` maps a snapshot's head, its fields but its
+    scene, to the texts before and after its scene; a head is a key only
+    when each field is exactly of its declared type, whose equal values
+    have one text (True is equal to 1 and hashes alike, but is written
+    otherwise)."""
     memo = {}
     index = _atom(log.trial_index)
     parts = []
     for rec in _ordered(log):
         if type(rec) is Snapshot:
             step_name, stmt_id, subgoal_index, t, scene, context = _snapshot_fields(rec)
-            parts += (_SNAPSHOT, index, _SNAPSHOT_REST % (_atom(step_name), _atom(stmt_id), _atom(subgoal_index),
-                                                          _atom(t), _scene_text(scene, memo), _atom(context)))
+            key = (step_name, stmt_id, subgoal_index, t, context)
+            keyed = tuple(map(type, key)) == _HEAD_TYPES
+            around = heads.get(key) if keyed else None
+            if around is None:
+                around = (_BEFORE_SCENE % (_atom(step_name), _atom(stmt_id), _atom(subgoal_index), _atom(t)),
+                          _AFTER_SCENE % _atom(context))
+                if keyed:
+                    heads[key] = around
+            parts += (_SNAPSHOT, index, around[0] + _scene_text(scene, memo) + around[1])
         else:
-            stmt_id, subgoal_index, op_name, args, outcome, category, message, t = _event_fields(rec)
-            hit = args_memo.get(id(args))
+            hit = events.get(id(rec))
             if hit is None:
-                hit = args_memo[id(args)] = (args, _atom(args))
-            parts += (_EVENT, index, _EVENT_REST % (_atom(stmt_id), _atom(subgoal_index), _atom(op_name), hit[1],
-                                                    _atom(outcome), _atom(category), _atom(message), _atom(t)))
+                hit = events[id(rec)] = (rec, _EVENT_REST % tuple(map(_atom, _event_fields(rec))))
+            parts += (_EVENT, index, hit[1])
     parts += (_SUMMARY, index, _summary_text(log))
     return parts
 
@@ -327,20 +349,23 @@ def _parts(log: TrialLog, args_memo: dict) -> list:
 def dumps_trial(log: TrialLog) -> str:
     """The trial's JSONL text: each record as json.dumps(record,
     ensure_ascii=False) writes it, its fields' texts filled into its type's
-    template. The entry memo lives for this one call, so what it holds is
+    template. The memos live for this one call, so what they hold is
     bounded by one trial."""
-    return "".join(_parts(log, {}))
+    return "".join(_parts(log, {}, {}))
 
 
 def trial_texts(logs):
-    """Each trial's JSONL text, as `logs` yields them. The args memo lives
-    for the iteration: the executor's events share their statement's args
-    dict, so it holds one entry per statement of each batch the trials come
-    from. A trial whose `events` and `snapshots` are the very lists of the
-    trial before it (trials with equal perturbations share them) reuses
-    that trial's parts with its own index and summary; only the latest
-    trial's parts are kept."""
-    args_memo = {}
+    """Each trial's JSONL text, as `logs` yields them. The event and
+    snapshot head memos live for the iteration. The event memo holds one
+    text per distinct event object written: the executor's rows that emit
+    an event alike share one, so that is one per statement outcome of each
+    batch plus one per failure whose message is the row's own, events that
+    `run` keeps in its trials anyway. The head memo holds one pair of texts
+    per distinct snapshot head. A trial whose `events` and `snapshots` are
+    the very lists of the trial before it (trials with equal perturbations
+    share them) reuses that trial's parts with its own index and summary;
+    only the latest trial's parts are kept."""
+    events, heads = {}, {}
     last = None  # (events, snapshots, parts) of the trial before
     for log in logs:
         if last is not None and last[0] is log.events and last[1] is log.snapshots:
@@ -348,7 +373,7 @@ def trial_texts(logs):
             parts[1::3] = [_atom(log.trial_index)] * (len(parts) // 3)
             parts[-1] = _summary_text(log)
         else:
-            last = (log.events, log.snapshots, _parts(log, args_memo))
+            last = (log.events, log.snapshots, _parts(log, events, heads))
         yield "".join(last[2])
 
 

@@ -486,6 +486,38 @@ def test_run_chunks_of_shared_trials_write_what_one_trial_runs_write(tmp_path, c
 
 
 @closes_its_pipes
+def test_forked_run_chunks_keep_one_shared_event_per_statement_after_the_pipe(tmp_path, capsys, monkeypatch,
+                                                                                bounded):
+    """A noisy run of 4 chunks over 2 processes. The rows of a chunk that
+    succeed at a statement share one event, and still do in the trials a
+    worker sends back: the distinct events number at most the statements
+    times the chunks plus the failures."""
+    chunk, n = 20, 80
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    kept = []
+    monkeypatch.setattr(cli, "select_trial", lambda logs, *rest: kept.append(logs) or select_trial(logs, *rest))
+    argv = ["run", _task("stack_blocks_three"), _prog("correct", "stack_blocks_three"), "--trials", str(n),
+            "--noise-scale", "1", "--out", str(tmp_path / "run")]
+    main(argv)
+    capsys.readouterr()
+    _assert_no_worker_left(tmp_path / "run")
+    [logs] = kept
+    assert [log.trial_index for log in logs] == list(range(n))
+    successes = {}
+    for log in logs:
+        for ev in log.events:
+            if ev.outcome == "success":
+                successes.setdefault((log.trial_index // chunk, ev.stmt_id), set()).add(id(ev))
+    assert {chunk for chunk, _ in successes} == {0, 1, 2, 3}
+    assert all(len(ids) == 1 for ids in successes.values()), successes
+    program = parse(program_path("stack_blocks_three", "correct").read_text())
+    statements = sum(len(sg.statements) for sg in program.subgoals)
+    failures = sum(log.failure_event is not None for log in logs)
+    assert 0 < failures and len({id(ev) for log in logs for ev in log.events}) <= statements * n // chunk + failures
+
+
+@closes_its_pipes
 @pytest.mark.parametrize("workers", [2, 3])
 def test_run_chunk_error_in_a_worker_is_reported_as_inline(tmp_path, capsys, monkeypatch, bounded, workers):
     """A ConfigError raised while a worker simulates its chunk ends the run

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -170,8 +171,7 @@ def test_select_trial_matches_bruteforce_argmax_oracle():
                 sigs = sigs[: cut + 1]
             goal = cut is None and rng.random() < 0.7
             log = _trace_log(i, sigs, goal_met=goal)
-            for ev in log.events:
-                ev.subgoal_index = rng.randint(1, 2)
+            log.events = [dataclasses.replace(ev, subgoal_index=rng.randint(1, 2)) for ev in log.events]
             batch.append(log)
         weights = (rng.choice([0.5, 1.0, 2.0]), rng.choice([0.5, 1.0, 2.0]))
         result = select_trial(batch, program, weights)
@@ -306,8 +306,7 @@ def test_select_trial_large_batch_matches_per_trial_oracle():
                 if cut is not None:
                     sigs = sigs[: cut + 1]
             log = _trace_log(i, sigs, goal_met=":failure:" not in "".join(sigs) and rng.random() < 0.8)
-            for ev in log.events:
-                ev.subgoal_index = rng.randint(1, 3)
+            log.events = [dataclasses.replace(ev, subgoal_index=rng.randint(1, 3)) for ev in log.events]
             batch.append(log)
         # Trial indices in shuffled order, so the tie break (lowest trial
         # index) differs from the lowest position in the batch.

@@ -165,6 +165,8 @@ def test_equal_perturbations_share_one_row_at_noise_0():
 
 
 def test_distinct_perturbations_share_nothing_at_noise_1():
+    # No lists: each trial is its own row. Rows still share the events they
+    # emit alike (test_shared_event_of_the_rows_that_emit_it_alike).
     spec = load_task_spec(task_path("stack_blocks_three"))
     logs = run_trials(_correct("stack_blocks_three"), spec, 10, base_seed=0, noise_scale=1.0, max_steps=200)
     assert len({id(log.events) for log in logs}) == len({id(log.snapshots) for log in logs}) == 10
@@ -189,6 +191,35 @@ def test_perturbations_equal_but_for_the_sign_of_zero_share_one_row(tmp_path):
         assert log.events is first.events and log.snapshots is first.snapshots, log.trial_index
         alone = one_trial(_correct(), spec, log.trial_index, noise_scale=1.0)
         assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=log.trial_index))
+
+
+# Failures whose message is a function of the row: one event per row.
+_ROW_MESSAGES = {"unreachable", "collision", "placement_miss"}
+
+
+@pytest.mark.parametrize("task, kind, noise, max_steps", [
+    ("place_shoe", "correct", 3.0, 200), ("place_container_plate", "loud", 1.0, 200),
+    ("place_empty_cup", "loud", 1.0, 200), ("pick_diverse_bottles", "loud", 1.0, 200),
+    ("stack_blocks_three", "correct", 1.0, 12)])
+def test_shared_event_of_the_rows_that_emit_it_alike(task, kind, noise, max_steps):
+    """At noise above zero every trial is its own row. The rows that succeed
+    at a statement hold the very same SymbolicEvent, as do the rows that
+    fail at it with a message of text (a slip, a call refused, the step
+    budget); a failure whose message is the row's own is one event per
+    row. The writer's text is json.dumps of each record either way."""
+    spec = load_task_spec(task_path(task))
+    program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
+    logs = run_trials(program, spec, 40, base_seed=0, noise_scale=noise, max_steps=max_steps)
+    assert len({id(log.events) for log in logs}) == len(logs)
+    alike = collections.defaultdict(list)
+    for log in logs:
+        for ev in log.events:
+            alike[ev.stmt_id, ev.outcome, ev.error_category].append(ev)
+    categories = {category for _, _, category in alike}
+    assert "none" in categories and len(categories) > 1
+    for (_, _, category), events in alike.items():
+        assert len(set(map(id, events))) == (len(events) if category in _ROW_MESSAGES else 1), category
+    assert "".join(map(dumps_trial, logs)) == _reference_text(logs)
 
 
 def test_run_trials_single(place_shoe_spec):
@@ -794,17 +825,24 @@ def _random_trial_logs(rng: random.Random, n: int) -> list:
     texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ", _Name("named"),
              '"trial_index": 1, "t": 0', "100% of %s at %d", '{"type": "summary", "trial_index": 10}']
     scenes = [scene() for _ in range(24)]  # each payload may recur, in one trial or in several
+
+    def event(t):
+        return SymbolicEvent(rng.choice(ints), rng.choice(ints), rng.choice(texts), rng.choice(args_pool),
+                             rng.choice(["success", "failure"]), rng.choice(["none", "collision"]),
+                             rng.choice(texts + [None, 1.5]), rng.choice([t, t, True, _Index(t)]))
+
+    # Events shared as the executor's rows share them: each may recur, in
+    # one trial or in several, beside events equal to it but in exact type.
+    shared = [event(t) for t in range(6) for _ in range(3)]
     logs = []
     for index in range(n):
         log = TrialLog(trial_index=rng.choice([index, _Index(index), True]), seed=rng.choice([index, -1, 2**40]),
                        goal_met=rng.random() < 0.5)
         for t in range(rng.randrange(6)):
-            log.events.append(SymbolicEvent(rng.choice(ints), rng.choice(ints), rng.choice(texts),
-                                            rng.choice(args_pool), rng.choice(["success", "failure"]),
-                                            rng.choice(["none", "collision"]), rng.choice(texts + [None, 1.5]),
-                                            rng.choice([t, t, True, _Index(t)])))
+            log.events.append(rng.choice(shared) if rng.random() < 0.5 else event(t))
         for t in range(rng.randrange(8)):
-            log.snapshots.append(Snapshot(rng.choice(texts), rng.choice(ints), rng.choice(ints), t,
+            log.snapshots.append(Snapshot(rng.choice(texts), rng.choice(ints), rng.choice(ints),
+                                          rng.choice([t, t, True, _Index(t)]) if t == 1 else t,
                                           rng.choice(scenes), rng.choice(texts)))
         logs.append(log)
     return logs
@@ -858,6 +896,20 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     logs = [TrialLog(index, seed, events, snapshots, index == 10) for index, seed in [(1, 2), (10, 3), (100, 4)]]
     logs.append(TrialLog(10, 5, list(events), list(snapshots)))
     logs += [TrialLog(100, 6, events, snapshots), TrialLog(1, 7, events, snapshots, True)]
+    _assert_writes_json_dumps(logs, path)
+    # One event object in consecutive trials, in trials apart and twice in
+    # one trial, beside events equal to it but for the exact type of a
+    # field (True or an int subclass for 1); and snapshot heads equal but
+    # for t as True against 1, which hash alike.
+    event = SymbolicEvent(1, 1, "grasp_actor", {"arm": "left"}, "success", "none", "", 1)
+    alike = [dataclasses.replace(event, stmt_id=True), dataclasses.replace(event, t=True),
+             dataclasses.replace(event, subgoal_index=_Index(1))]
+    assert all(ev == event for ev in alike)
+    scene = {"actors": {}, "arms": {}}
+    heads = [Snapshot("step", 1, 1, t, scene, "ctx") for t in (1, True, 1)]
+    logs = [TrialLog(0, 0, [event, alike[0]], heads[:2]), TrialLog(1, 1, [event, event], heads[1:]),
+            TrialLog(2, 2, [alike[1], alike[2]], heads[::-1]), TrialLog(3, 3, [alike[0], event], [heads[1]]),
+            TrialLog(4, 4, [event], heads)]
     _assert_writes_json_dumps(logs, path)
 
 
@@ -1018,6 +1070,20 @@ def test_load_trials_refuses_a_repeated_malformed_line_at_its_first(tmp_path, pl
         lines[at] = lines[at][:-2] + "\n" if fault == "not_json" else re.sub(r'"t": \d+', '"t": "x"', lines[at])
     path.write_text("".join(lines))
     assert _assert_loads_as_every_line(path, monkeypatch).startswith(f"ArtifactError: {path}:{events[0] + 1}: ")
+
+
+def test_load_trials_refuses_an_event_field_of_another_type_at_its_line(tmp_path, place_shoe_spec):
+    """An event is frozen: a field of another type is refused as an
+    artifact error naming path:line, never by assigning to the event."""
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 2)
+    at = [i for i, line in enumerate(lines) if line.startswith('{"type": "event", ')][-1]  # trial 1's last
+    lines[at] = json.dumps({**json.loads(lines[at]), "stmt_id": "x"}) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert (exc.value.code, str(exc.value)) == (
+        "artifact_error", f"{path}:{at + 1}: event.stmt_id: expected an integer, got 'x'")
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
