@@ -18,7 +18,7 @@ from .dsl import parse, to_text, validate
 from .errors import AgentFailureError, ArmloopError, ArtifactError, ConfigError, DslSyntaxError
 from .harness import scores_report, select_trial
 from .instrument import insert_observations
-from .loop import LoopConfig, converges, load_campaign_config, run_campaign
+from .loop import LoopConfig, converges, json_text, load_campaign_config, run_campaign
 from .render import render_trials
 from .scene import load_task_spec
 from .sim import dump_trials, run_trials, trial_texts
@@ -163,7 +163,7 @@ def cmd_loop(args) -> int:
         for row in rows:
             print(f"candidate {row.candidate_id}: {row.error}", file=sys.stderr)
         return _fail("error [agent_failure]: no candidate completed any trials", 3)
-    ConfigError.write_text(out / "metrics.json", metrics_mod.dumps_metrics(payload), "--out")
+    ConfigError.write_text(out / "metrics.json", json_text(payload), "--out")
 
     print(f"task {spec.name}: ASR {payload['asr']:.2f}  Top5-ASR {payload['top5_asr']:.2f}  CR-Iter {payload['cr_iter']:.2f}")
     print(f"{'cand':>4} {'iter':>4} {'success':>8} {'converged':>9}")
@@ -177,7 +177,7 @@ def cmd_loop(args) -> int:
 
 def cmd_metrics(args) -> int:
     stored = Path(args.run_dir) / "metrics.json"
-    text = metrics_mod.dumps_metrics(metrics_mod.metrics_from_artifacts(args.run_dir))
+    text = json_text(metrics_mod.metrics_from_artifacts(args.run_dir))
     # Compared before --out is written: it may name the stored file itself.
     matches = args.check and stored.exists() and ArtifactError.read_text(stored, str(stored)) == text
     _write_out(args.out, text)

@@ -5,6 +5,10 @@ batch, combined with configurable weights, and the argmax trial (ties to the
 lowest index) is handed to perceptual verification. Snapshot grouping turns
 the selected trial's snapshots into ordered groups keyed by subgoal, with
 boundary snapshots on pseudo-subgoals 0 and N+1.
+
+`edit_distance` is the package's one sequence edit-distance DP: trace
+divergence calls it with unit costs, and `metrics` with the costs of its
+two tree edit distance bounds.
 """
 
 from __future__ import annotations
@@ -55,14 +59,10 @@ def _signature(log: TrialLog) -> tuple[str, ...]:
     return tuple(ev.signature() for ev in log.events)
 
 
-def majority_signature(batch: list[TrialLog]) -> list[str]:
+def _majority(signatures: list[tuple[str, ...]]) -> list[str]:
     """Per-position mode over the batch's event signatures. Shorter traces
     are padded with a sentinel; a real signature beats the sentinel on count
     ties, remaining ties go to the lexicographically smallest."""
-    return _majority([_signature(log) for log in batch])
-
-
-def _majority(signatures: list[tuple[str, ...]]) -> list[str]:
     longest = max((len(s) for s in signatures), default=0)
     majority = []
     for pos in range(longest):
@@ -79,31 +79,38 @@ def _majority(signatures: list[tuple[str, ...]]) -> list[str]:
     return majority
 
 
-def levenshtein(a: list[str], b: list[str]) -> int:
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, xa in enumerate(a, start=1):
-        cur = [i]
-        for j, xb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (xa != xb)))
-        prev = cur
-    return prev[-1]
+def edit_distance(a, b, weight, substitute) -> int:
+    """The least cost of editing sequence a into b, where deleting or
+    inserting x costs weight(x) and putting y in x's place costs
+    substitute(x, y), which is 0 for x == y. The common prefix and suffix
+    are matched as they stand and the DP runs over what lies between."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < n - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    a, b = a[i:len(a) - j], b[i:len(b) - j]
+    wb = [weight(y) for y in b]
+    row = [0]
+    for w in wb:
+        row.append(row[-1] + w)
+    for x in a:
+        wx = weight(x)
+        prev, row = row, [row[0] + wx]
+        for k, y in enumerate(b):
+            row.append(min(prev[k] + substitute(x, y), prev[k + 1] + wx, row[k] + wb[k]))
+    return row[-1]
 
 
 def _divergence(mine: tuple[str, ...], majority: list[str]) -> float:
+    """The trace's unit-cost edit distance to the majority trace over the
+    longer one's length, in [0, 1]."""
     denom = max(len(mine), len(majority))
     if denom == 0:
         return 0.0
-    return levenshtein(mine, majority) / denom
-
-
-def trace_divergence(log: TrialLog, batch: list[TrialLog]) -> float:
-    """Normalized edit distance between this trial's event signature
-    sequence and the batch majority sequence, in [0, 1]."""
-    return _divergence(_signature(log), majority_signature(batch))
+    return edit_distance(mine, majority, lambda _: 1, str.__ne__) / denom
 
 
 def _minmax(values: list[float]) -> list[float]:
@@ -125,8 +132,8 @@ def select_trial(
         raise ValueError("empty batch")
     w_s, w_d = weights
     raw_severity = [failure_severity(log, program) for log in batch]
-    # trace_divergence per trial, with the majority computed once and the
-    # distance once per distinct trace.
+    # The majority trace is computed once, and the divergence once per
+    # distinct trace.
     signatures = [_signature(log) for log in batch]
     majority = _majority(signatures)
     by_trace = {sig: _divergence(sig, majority) for sig in set(signatures)}

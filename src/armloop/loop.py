@@ -67,8 +67,11 @@ class FaultEntry:
     cause: str
     suggested_edit_class: str
     source: str  # symbolic | perceptual | both
-    symbolic_error_category: str | None = None
-    perceptual_rationale: str | None = None
+    symbolic_error_category: str | None
+    perceptual_rationale: str | None
+
+    def __post_init__(self):
+        ArtifactError.check_fields(self)
 
     @classmethod
     def of(cls, stmt_id, subgoal_index, cause, source, category, rationale) -> "FaultEntry":
@@ -78,9 +81,14 @@ class FaultEntry:
 
 @dataclass
 class RepairSignal:
-    faults: list = field(default_factory=list)
-    last_error: str = ""
-    observation_feedback: str = ""
+    """repair_signal.json: these fields in order, the faults as their entries."""
+
+    faults: list  # of FaultEntry
+    last_error: str
+    observation_feedback: str
+
+    def __post_init__(self):
+        ArtifactError.check_fields(self)
 
     def render_feedback(self) -> str:
         """Observation-feedback text for the repair prompt: the diagnosis,
@@ -98,8 +106,12 @@ class RepairSignal:
         return "\n".join(lines)
 
     @classmethod
-    def from_json(cls, raw: dict) -> "RepairSignal":
-        return cls(**{**raw, "faults": [FaultEntry(**e) for e in raw["faults"]]})
+    def from_json(cls, raw, where: str) -> "RepairSignal":
+        """A repair_signal.json's content; ArtifactError names where the fault is."""
+        signal = ArtifactError.build(cls, raw, where)
+        signal.faults = [ArtifactError.build(FaultEntry, entry, f"{where}: faults[{i}]")
+                         for i, entry in enumerate(signal.faults)]
+        return signal
 
 
 def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
@@ -206,10 +218,11 @@ def iteration_base_seed(base_seed: int, k: int, n_trials: int) -> int:
     return base_seed + (k - 1) * n_trials
 
 
-def _record_text(record) -> str:
-    """A record's file (diagnosis.json, repair_signal.json, campaign.json):
-    its fields in declaration order, as json.dumps(indent=2) writes them."""
-    return json.dumps(asdict(record), indent=2) + "\n"
+def json_text(payload) -> str:
+    """A JSON file's text, as json.dumps(indent=2) writes it: a record's
+    (diagnosis.json, repair_signal.json, campaign.json) is its asdict(), its
+    fields in declaration order; metrics.json's is the metrics payload."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list, selection: SelectionResult):
@@ -223,9 +236,9 @@ def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list
     texts = {"program.prog": to_text(record.program), "instrumented.prog": to_text(record.instrumented),
              "scores.json": scores_report(selection)}
     if record.diagnosis is not None:
-        texts["diagnosis.json"] = _record_text(record.diagnosis)
+        texts["diagnosis.json"] = json_text(asdict(record.diagnosis))
     if record.signal is not None:
-        texts["repair_signal.json"] = _record_text(record.signal)
+        texts["repair_signal.json"] = json_text(asdict(record.signal))
     for name, text in texts.items():
         ConfigError.write_text(it_dir / name, text, "--out")
 
@@ -444,7 +457,7 @@ def run_campaign(
     rows, batches, finals = map(list, zip(*outcomes))
     record.candidates = rows
     if out_dir is not None:
-        ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json", _record_text(record), "--out")
+        ConfigError.write_text(ConfigError.make_dir(out_dir, "--out") / "campaign.json", json_text(asdict(record)), "--out")
     return CampaignResult(record, batches, finals)
 
 

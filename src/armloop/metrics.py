@@ -5,13 +5,14 @@ unit-cost ordered tree edit distance over labeled trees. Labels keep node
 kind, call names, argument names, and symbolic values, but collapse numeric
 literals to a class so parameter retunes score as structural near-identity.
 The TED lies between two cheap bounds: the edit distance of the two
-postorder label sequences below and Selkow's top-down distance above. Where
-they meet, that is the TED; only where they part does the Zhang-Shasha DP
-run (3 of the 20 bundled faulty-vs-expert pairs). In CPython 3.11 on a
-2-core x86 host a bundled pair costs about 0.01 ms when equal, 0.01-2.1 ms
-when the bounds meet and 1.4-3.8 ms through the DP. Everything here is a
-pure function of campaign artifacts and can be recomputed offline from a
-run directory.
+postorder label sequences below and Selkow's top-down distance above, both
+computed by `harness.edit_distance`, the sequence DP that trace divergence
+runs too. Where they meet, that is the TED; only where they part does the
+Zhang-Shasha DP run (3 of the 20 bundled faulty-vs-expert pairs). In
+CPython 3.11 on a 2-core x86 host a bundled pair costs about 0.01 ms when
+equal, 0.01-2.1 ms when the bounds meet and 1.4-3.8 ms through the DP.
+Everything here is a pure function of campaign artifacts and can be
+recomputed offline from a run directory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 from .dsl.ast import CallStmt, FpRef, ParallelStmt, PoseLit, Program
 from .dsl.parser import count_tokens, parse
 from .errors import ArtifactError, DslSyntaxError, EmptyCampaignError
+from .harness import edit_distance
 from .loop import CampaignRecord, CampaignResult, CandidateRecord, iteration_base_seed
 from .sim.model import load_trials
 
@@ -127,31 +129,6 @@ def _label_sets(ids: list[int], parent: list[int]) -> list[int]:
     return masks
 
 
-def _align(a, b, weight, substitute) -> int:
-    """The least cost of editing sequence a into b, where deleting or
-    inserting x costs weight(x) and putting y in x's place costs
-    substitute(x, y), which is 0 for x == y. The common prefix and suffix
-    are matched as they stand and the DP runs over what lies between."""
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    j = 0
-    while j < n - i and a[-1 - j] == b[-1 - j]:
-        j += 1
-    a, b = a[i:len(a) - j], b[i:len(b) - j]
-    wb = [weight(y) for y in b]
-    row = [0]
-    for w in wb:
-        row.append(row[-1] + w)
-    for x in a:
-        wx = weight(x)
-        prev, row = row, [row[0] + wx]
-        for k, y in enumerate(b):
-            row.append(min(prev[k] + substitute(x, y), prev[k + 1] + wx, row[k] + wb[k]))
-    return row[-1]
-
-
 def _subtree_ids(labels: list, parent: list, shapes: dict, sizes: list) -> int:
     """The subtree id of the root of a postorder tree with the given label
     ids. A node's id is that of its key (label id, *child ids) in shapes,
@@ -180,7 +157,7 @@ def _top_down(s: int, t: int, shapes: dict, sizes: list) -> int:
         d = memo.get((s, t))
         if d is None:
             key_s, key_t = keys[s], keys[t]
-            d = memo[s, t] = (key_s[0] != key_t[0]) + _align(key_s[1:], key_t[1:], sizes.__getitem__, top)
+            d = memo[s, t] = (key_s[0] != key_t[0]) + edit_distance(key_s[1:], key_t[1:], sizes.__getitem__, top)
         return d
 
     return top(s, t)
@@ -203,7 +180,7 @@ def _ted(a: FlatTree, b: FlatTree) -> int:
     root_a = _subtree_ids(la, a.parent, shapes, sizes)
     root_b = _subtree_ids(lb, b.parent, shapes, sizes)
     high = _top_down(root_a, root_b, shapes, sizes)
-    if high == _align(la, lb, lambda _: 1, int.__ne__):
+    if high == edit_distance(la, lb, lambda _: 1, int.__ne__):
         return high
     return _zhang_shasha(a, b, la, lb)
 
@@ -429,7 +406,3 @@ def metrics_from_artifacts(run_dir) -> dict:
         text = ArtifactError.read_text(program_path, str(program_path)) if batches else None
         programs.append((text, _persisted_tree(text, program_path)) if batches else None)
     return metrics_payload(campaign, programs, expert)
-
-
-def dumps_metrics(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"

@@ -6,7 +6,6 @@ from .model import (
     SymbolicEvent,
     TrialLog,
     dump_trials,
-    dumps_trial,
     load_trials,
     scene_from_state,
     trial_texts,
@@ -17,7 +16,6 @@ __all__ = [
     "SymbolicEvent",
     "TrialLog",
     "dump_trials",
-    "dumps_trial",
     "load_trials",
     "run_trials",
     "scene_from_state",

@@ -346,14 +346,6 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
     return parts
 
 
-def dumps_trial(log: TrialLog) -> str:
-    """The trial's JSONL text: each record as json.dumps(record,
-    ensure_ascii=False) writes it, its fields' texts filled into its type's
-    template. The memos live for this one call, so what they hold is
-    bounded by one trial."""
-    return "".join(_parts(log, {}, {}))
-
-
 def trial_texts(logs):
     """Each trial's JSONL text, as `logs` yields them. The event and
     snapshot head memos live for the iteration. The event memo holds one

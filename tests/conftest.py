@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
-from operator import attrgetter
+from functools import lru_cache
+from operator import attrgetter, ne
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from armloop.dsl.ast import (
 )
 from armloop.metrics import LabeledTree, _ted, flatten
 from armloop.scene import load_task_spec
-from armloop.sim import run_trials
+from armloop.sim import run_trials, trial_texts
 from armloop.sim.model import RECORD_TYPES, TrialLog, TrialSummary
 
 TASKS_DIR = Path(__file__).resolve().parents[1] / "src" / "armloop" / "tasks"
@@ -57,6 +59,52 @@ def tree_edit_distance(a: LabeledTree, b: LabeledTree) -> int:
     """Unit-cost ordered TED (insert = delete = 1, relabel = 1 where the
     labels differ) of two labeled trees, by the kernel ast_similarity runs."""
     return _ted(flatten(a), flatten(b))
+
+
+def sequence_edit_distance(a, b, weight=lambda _: 1, substitute=ne) -> int:
+    """The least cost of editing sequence a into b (deleting or inserting x
+    costs weight(x), putting y in x's place substitute(x, y)) by the plain
+    recursion over prefixes: no trimming, no rolling rows."""
+    @lru_cache(maxsize=None)
+    def d(i: int, j: int) -> int:
+        if i == 0:
+            return sum(weight(y) for y in b[:j])
+        if j == 0:
+            return sum(weight(x) for x in a[:i])
+        return min(d(i - 1, j) + weight(a[i - 1]), d(i, j - 1) + weight(b[j - 1]),
+                   d(i - 1, j - 1) + substitute(a[i - 1], b[j - 1]))
+
+    return d(len(a), len(b))
+
+
+def majority_signature(batch: list[TrialLog]) -> list[str]:
+    """Per position, the event signature most of the batch's trials have
+    there, a trial that has already ended voting for none; where none has
+    the most votes alone, the position is left out. A tie among signatures
+    goes to the least."""
+    traces = [[ev.signature() for ev in log.events] for log in batch]
+    majority = []
+    for pos in range(max(map(len, traces), default=0)):
+        votes = collections.Counter(trace[pos] if pos < len(trace) else None for trace in traces)
+        most = max(votes.values())
+        tied = sorted(sig for sig, count in votes.items() if count == most and sig is not None)
+        majority += tied[:1]
+    return majority
+
+
+def trace_divergence(log: TrialLog, batch: list[TrialLog]) -> float:
+    """A trial's raw divergence by its definition: the unit-cost edit
+    distance from its event signatures to the batch majority, over the
+    longer one's length (0 for two empty traces)."""
+    mine = [ev.signature() for ev in log.events]
+    majority = majority_signature(batch)
+    longest = max(len(mine), len(majority))
+    return sequence_edit_distance(mine, majority) / longest if longest else 0.0
+
+
+def trial_text(log: TrialLog) -> str:
+    """One trial's JSONL text, written alone through the trial writer."""
+    return "".join(trial_texts([log]))
 
 
 def trial_records(log: TrialLog):

@@ -16,7 +16,7 @@ import numpy as np
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.agents.diagnosis import CAUSE_FROM_ERROR
 from armloop.dsl import CallStmt, parse, to_text
-from armloop.harness import failure_severity, select_trial, trace_divergence
+from armloop.harness import failure_severity, select_trial
 from armloop.instrument import insert_observations
 from armloop.loop import (
     CampaignConfig,
@@ -28,11 +28,12 @@ from armloop.loop import (
 )
 from armloop.metrics import LabeledTree
 from armloop.scene import load_task_spec
-from armloop.sim import dumps_trial, run_trials
+from armloop.sim import run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
 from conftest import (
-    TASK_NAMES, one_trial, program_path, random_program, strip_observes, task_path, tree_edit_distance,
+    TASK_NAMES, one_trial, program_path, random_program, strip_observes, task_path, trace_divergence, trial_text,
+    tree_edit_distance,
 )
 from test_metrics import asr, cr_iter, make_campaign, top5_asr
 
@@ -88,14 +89,14 @@ def test_acceptance_3_simulator_determinism():
         for kind in ("correct", "loud", "silent"):
             program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             for seed in (0, 7, 42):
-                first = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
-                second = dumps_trial(one_trial(program, spec, seed, noise_scale=1.0))
+                first = trial_text(one_trial(program, spec, seed, noise_scale=1.0))
+                second = trial_text(one_trial(program, spec, seed, noise_scale=1.0))
                 assert first == second, (task, kind, seed)
 
     # Golden file guards serialization stability across versions.
     spec = load_task_spec(task_path("place_shoe"))
     program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
-    produced = dumps_trial(one_trial(program, spec, 7))
+    produced = trial_text(one_trial(program, spec, 7))
     assert produced == (GOLDEN / "place_shoe_seed7.jsonl").read_text(encoding="utf-8")
 
     # Slip-count replay oracle: same generator, same draw order, no simulator.

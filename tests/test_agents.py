@@ -112,8 +112,9 @@ def test_extract_code_block():
 
 def _signal(n_faults: int) -> RepairSignal:
     fault = FaultEntry(stmt_id=2, subgoal_index=1, cause="geometric_infeasibility",
-                       suggested_edit_class="parameter_retune", source="symbolic")
-    return RepairSignal(faults=[fault] * n_faults, last_error="missed")
+                       suggested_edit_class="parameter_retune", source="symbolic",
+                       symbolic_error_category=None, perceptual_rationale=None)
+    return RepairSignal(faults=[fault] * n_faults, last_error="missed", observation_feedback="")
 
 
 def _loud_then_correct():

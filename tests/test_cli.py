@@ -22,9 +22,9 @@ from armloop.harness import scores_report, select_trial
 from armloop.instrument import insert_observations
 from armloop.loop import LoopConfig, load_campaign_config, run_campaign
 from armloop.scene import load_task_spec
-from armloop.sim import dump_trials, dumps_trial, load_trials, run_trials
+from armloop.sim import dump_trials, load_trials, run_trials
 
-from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
+from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path, trial_text
 
 
 def _task(name="place_shoe"):
@@ -479,10 +479,10 @@ def test_run_chunks_of_shared_trials_write_what_one_trial_runs_write(tmp_path, c
     program = insert_observations(parse(program_path("stack_blocks_three", "correct").read_text()),
                                   cfg.observation_cap)
     alone = [run_trials(program, spec, 1, seed + i, noise_scale, cfg.max_steps)[0] for i in range(n)]
-    expected = "".join(dumps_trial(dataclasses.replace(log, trial_index=i)) for i, log in enumerate(alone))
+    expected = "".join(trial_text(dataclasses.replace(log, trial_index=i)) for i, log in enumerate(alone))
     assert (tmp_path / "run" / "trials.jsonl").read_text(encoding="utf-8") == expected
     if noise == "slips only":
-        assert 1 < len({dumps_trial(dataclasses.replace(log, trial_index=0, seed=0)) for log in alone}) < n
+        assert 1 < len({trial_text(dataclasses.replace(log, trial_index=0, seed=0)) for log in alone}) < n
 
 
 @closes_its_pipes

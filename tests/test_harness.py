@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -12,17 +13,15 @@ from armloop.errors import NoSnapshotsError
 from armloop.harness import (
     SelectionResult,
     collect_observations,
+    edit_distance,
     failure_severity,
-    levenshtein,
-    majority_signature,
     scores_report,
     select_trial,
-    trace_divergence,
 )
 from armloop.instrument import insert_observations
 from armloop.sim.model import SymbolicEvent, TrialLog
 
-from conftest import one_trial, program_path
+from conftest import one_trial, program_path, sequence_edit_distance, trace_divergence
 
 
 def _program(n_subgoals: int) -> Program:
@@ -68,10 +67,27 @@ def _trace_log(index, signatures, goal_met=True):
     return _log(index, events, goal_met)
 
 
+def _divergences(batch) -> list:
+    return [score.divergence for score in select_trial(batch, _program(1), (1.0, 1.0)).scores]
+
+
+def _norm(values):
+    lo, hi = min(values), max(values)
+    return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
+
+
+# Two anchors that leave the majority trace be: an empty trace diverges by
+# 1 and one of twice the majority's length by 1/2, so the min-max
+# normalized divergences select_trial reports are the raw ones.
+def _anchored(batch, majority):
+    return batch + [_trace_log(len(batch), [], goal_met=False), _trace_log(len(batch) + 1, majority * 2)]
+
+
 def test_divergence_identical_batch_is_zero():
-    batch = [_trace_log(i, ["grasp_actor:success:none"] * 5) for i in range(10)]
-    for log in batch:
-        assert trace_divergence(log, batch) == 0.0
+    common = ["grasp_actor:success:none"] * 5
+    batch = [_trace_log(i, common) for i in range(10)]
+    assert _divergences(batch) == [0.0] * 10
+    assert _divergences(_anchored(batch, common)) == [0.0] * 10 + [1.0, 0.5]
 
 
 def test_divergence_single_position_difference():
@@ -80,52 +96,86 @@ def test_divergence_single_position_difference():
     odd[3] = "move_by_displacement:failure:unreachable"
     batch = [_trace_log(i, common) for i in range(9)] + [_trace_log(9, odd, goal_met=False)]
     assert trace_divergence(batch[9], batch) == pytest.approx(1 / 8)
-    assert trace_divergence(batch[0], batch) == 0.0
+    assert _divergences(_anchored(batch, common)) == pytest.approx([0.0] * 9 + [1 / 8, 1.0, 0.5])
 
 
 def test_divergence_matches_brute_force_levenshtein_oracle():
+    """select_trial's divergences are the min-max normalized divergences of
+    the reference: its own majority vote and a plain recursive edit
+    distance, per trial."""
     ops = ["grasp_actor:success:none", "place_actor:failure:placement_miss",
            "open_gripper:success:none"]
     rng = random.Random(17)
-
-    def oracle_distance(a, b):
-        # Plain recursive Levenshtein, memoized: independent of the
-        # iterative implementation under test.
-        from functools import lru_cache
-
-        @lru_cache(maxsize=None)
-        def d(i, j):
-            if i == 0:
-                return j
-            if j == 0:
-                return i
-            return min(
-                d(i - 1, j) + 1,
-                d(i, j - 1) + 1,
-                d(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
-            )
-
-        return d(len(a), len(b))
-
     for _ in range(100):
         batch = [
             _trace_log(i, [rng.choice(ops) for _ in range(rng.randint(1, 6))])
             for i in range(rng.randint(1, 6))
         ]
-        majority = majority_signature(batch)
-        for log in batch:
-            mine = [ev.signature() for ev in log.events]
-            expected = oracle_distance(tuple(mine), tuple(majority)) / max(
-                len(mine), len(majority)
-            )
-            assert trace_divergence(log, batch) == pytest.approx(expected)
+        expected = _norm([trace_divergence(log, batch) for log in batch])
+        assert _divergences(batch) == pytest.approx(expected)
 
 
 def test_levenshtein_basics():
-    assert levenshtein([], []) == 0
-    assert levenshtein(["a"], []) == 1
-    assert levenshtein(["a", "b"], ["a", "c"]) == 1
-    assert levenshtein(["a", "b"], ["b"]) == 1
+    def unit(a, b):
+        return edit_distance(a, b, lambda _: 1, str.__ne__)
+
+    assert unit([], []) == 0
+    assert unit(["a"], []) == 1
+    assert unit(["a", "b"], ["a", "c"]) == 1
+    assert unit(["a", "b"], ["b"]) == 1
+
+
+def _size(tree: tuple) -> int:
+    return 1 + sum(map(_size, tree[1:]))
+
+
+def _top_down(x: tuple, y: tuple) -> int:
+    """Selkow's top-down distance of two (label, *children) trees, as
+    metrics._top_down runs it through edit_distance."""
+    return (x[0] != y[0]) + edit_distance(x[1:], y[1:], _size, _top_down)
+
+
+def _top_down_reference(x: tuple, y: tuple) -> int:
+    return (x[0] != y[0]) + sequence_edit_distance(x[1:], y[1:], _size, _top_down_reference)
+
+
+def _tree(rng: random.Random, depth: int) -> tuple:
+    return (rng.choice("xy"), *(_tree(rng, depth - 1) for _ in range(rng.randint(0, 2) if depth else 0)))
+
+
+def test_edit_distance_matches_recursive_reference():
+    """edit_distance against the plain recursion over prefixes, with unit
+    costs and with subtree sizes as weights and the top-down distance as the
+    substitute, over pairs that differ only at their ends or only in their
+    middle: empty sides and equal sequences among them, on small alphabets,
+    so that the common prefix and suffix run into the edits."""
+    rng = random.Random(41)
+    trees = [_tree(rng, 2) for _ in range(5)]
+    seen = collections.Counter()
+    for _ in range(600):
+        sized = rng.random() < 0.5
+        atoms = trees if sized else "abc"
+
+        def seq(n_max):
+            return [rng.choice(atoms) for _ in range(rng.randint(0, n_max))]
+
+        ends = rng.random() < 0.5
+        if ends:  # the same core, each side with its own head and tail
+            core = seq(5)
+            a, b = seq(2) + core + seq(2), seq(2) + core + seq(2)
+        else:  # the same head and tail, each side with its own middle
+            head, tail = seq(3), seq(3)
+            a, b = head + seq(3) + tail, head + seq(3) + tail
+        seen["ends" if ends else "middle", "sized" if sized else "unit"] += 1
+        seen["equal"] += a == b
+        seen["an empty side"] += not a or not b
+        if sized:
+            got = edit_distance(a, b, _size, _top_down)
+            expected = sequence_edit_distance(a, b, _size, _top_down_reference)
+        else:
+            got, expected = edit_distance(a, b, lambda _: 1, str.__ne__), sequence_edit_distance(a, b)
+        assert got == expected, (a, b)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_select_trial_dominant_severity():
@@ -180,12 +230,7 @@ def test_select_trial_matches_bruteforce_argmax_oracle():
         # min-max normalization and scan every trial.
         raw_s = [failure_severity(log, program) for log in batch]
         raw_d = [trace_divergence(log, batch) for log in batch]
-
-        def norm(values):
-            lo, hi = min(values), max(values)
-            return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
-
-        psis = [weights[0] * s + weights[1] * d for s, d in zip(norm(raw_s), norm(raw_d))]
+        psis = [weights[0] * s + weights[1] * d for s, d in zip(_norm(raw_s), _norm(raw_d))]
         best = 0
         for i in range(1, len(psis)):
             if psis[i] > psis[best]:
@@ -318,12 +363,7 @@ def test_select_trial_large_batch_matches_per_trial_oracle():
 
         raw_s = [failure_severity(log, program) for log in batch]
         raw_d = [trace_divergence(log, batch) for log in batch]
-
-        def norm(values):
-            lo, hi = min(values), max(values)
-            return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
-
-        sev, div = norm(raw_s), norm(raw_d)
+        sev, div = _norm(raw_s), _norm(raw_d)
         psis = [weights[0] * s + weights[1] * d for s, d in zip(sev, div)]
         best = max(range(n), key=lambda i: (psis[i], -batch[i].trial_index))
         assert sum(1 for p in psis if p == psis[best]) > 1  # a real tie

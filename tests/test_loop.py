@@ -10,6 +10,7 @@ import pytest
 
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.dsl import parse
+from armloop.errors import ArtifactError
 from armloop.harness import TrialScore
 from armloop.loop import (
     CampaignConfig,
@@ -139,7 +140,35 @@ def test_repair_signal_json_roundtrip():
     ], goal_met=False)
     diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 3, "execution_failure")])
     signal = fuse(log, diagnosis, _program())
-    assert RepairSignal.from_json(asdict(signal)) == signal
+    assert RepairSignal.from_json(asdict(signal), "repair_signal.json") == signal
+
+
+def test_repair_signal_from_json_names_the_malformed_field():
+    """repair_signal.json is read through the checked reader: a field of the
+    wrong JSON type, in the signal or in a fault entry, is an
+    artifact_error that names it, as are a missing and an unexpected one."""
+    log = TrialLog(0, 0, events=[_event(1, 1), _event(2, 2, "failure", "grasp_slip", "slipped")], goal_met=False)
+    raw = asdict(fuse(log, Diagnosis(), _program()))
+    assert raw["faults"]
+    bad_entry = {**raw, "faults": [{**raw["faults"][0], "stmt_id": "x"}]}
+    cases = [
+        (bad_entry, "repair_signal.json: faults[0].stmt_id"),
+        ({**raw, "faults": 5}, "repair_signal.json.faults"),
+        ({**raw, "faults": [{**raw["faults"][0], "stmt_id": True}]}, "repair_signal.json: faults[0].stmt_id"),
+        ({**raw, "faults": [{**raw["faults"][0], "cause": None}]}, "repair_signal.json: faults[0].cause"),
+        ({**raw, "faults": [{**raw["faults"][0], "why": "x"}]}, "repair_signal.json: faults[0].why"),
+        ({**raw, "faults": ["x"]}, "repair_signal.json: faults[0]"),
+        ({**raw, "faults": [{k: v for k, v in raw["faults"][0].items() if k != "perceptual_rationale"}]},
+         "repair_signal.json: faults[0]"),
+        ({**raw, "last_error": 3}, "repair_signal.json.last_error"),
+        ({"faults": []}, "repair_signal.json"),
+        ([], "repair_signal.json"),
+    ]
+    for bad, field in cases:
+        with pytest.raises(ArtifactError) as info:
+            RepairSignal.from_json(bad, "repair_signal.json")
+        assert info.value.code == "artifact_error"
+        assert info.value.field == field, bad
 
 
 # --- loop ---------------------------------------------------------------------
@@ -252,7 +281,7 @@ def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):
 def test_fuse_replayable_from_artifacts(tmp_path, place_shoe_spec):
     run_loop(place_shoe_spec, _loop_cfg(), out_dir=tmp_path, playbook=_playbook("silent", "correct"))
     iter1 = tmp_path / "iter_1"
-    stored = RepairSignal.from_json(json.loads((iter1 / "repair_signal.json").read_text()))
+    stored = RepairSignal.from_json(json.loads((iter1 / "repair_signal.json").read_text()), "repair_signal.json")
     diagnosis = Diagnosis.from_json(json.loads((iter1 / "diagnosis.json").read_text()))
     logs = load_trials(iter1 / "trials.jsonl")
     scores = json.loads((iter1 / "scores.json").read_text())

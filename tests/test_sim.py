@@ -18,12 +18,11 @@ from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_an
 from armloop.instrument import insert_observations
 from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
 from armloop.sim import (
-    Snapshot, SymbolicEvent, TrialLog, dump_trials, dumps_trial, load_trials, run_trials,
-    scene_from_state,
+    Snapshot, SymbolicEvent, TrialLog, dump_trials, load_trials, run_trials, scene_from_state, trial_texts,
 )
 from armloop.sim import executor, model
 
-from conftest import TASK_NAMES, one_trial, program_path, task_path, trial_records
+from conftest import TASK_NAMES, one_trial, program_path, task_path, trial_records, trial_text
 
 
 def _correct(task="place_shoe"):
@@ -69,8 +68,8 @@ def test_shrunk_workspace_unreachable(tmp_path, place_shoe_spec):
 
 
 def test_execute_deterministic_bytes(place_shoe_spec):
-    a = dumps_trial(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
-    b = dumps_trial(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
+    a = trial_text(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
+    b = trial_text(one_trial(_correct(), place_shoe_spec, 7, noise_scale=1.0))
     assert a == b
 
 
@@ -101,7 +100,7 @@ def test_batch_trial_is_the_trial_run_alone():
                 logs = run_trials(program, spec, 20, base_seed=0, noise_scale=noise, max_steps=200)
                 for i, log in enumerate(logs):
                     alone = one_trial(program, spec, i, noise_scale=noise)
-                    assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=i)), (
+                    assert trial_text(log) == trial_text(dataclasses.replace(alone, trial_index=i)), (
                         task, kind, noise, i)
                 failed_at = {log.failure_event.stmt_id for log in logs if log.failure_event is not None}
                 if len(failed_at) > 1 and any(log.failure_event is None for log in logs):
@@ -145,7 +144,7 @@ def test_batch_trial_is_the_trial_run_alone_on_mutated_programs():
         logs = run_trials(program, spec, 12, base_seed=k, noise_scale=noise, max_steps=200)
         for i, log in enumerate(logs):
             alone = one_trial(program, spec, k + i, noise_scale=noise)
-            assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=i)), (task, kind, k, i)
+            assert trial_text(log) == trial_text(dataclasses.replace(alone, trial_index=i)), (task, kind, k, i)
         ends = {(log.failure_event.error_category, log.failure_event.stmt_id) if log.failure_event else None
                 for log in logs}
         if len(ends) > 1:
@@ -190,7 +189,7 @@ def test_perturbations_equal_but_for_the_sign_of_zero_share_one_row(tmp_path):
         first = logs[slipped.index(slipped[log.trial_index])]
         assert log.events is first.events and log.snapshots is first.snapshots, log.trial_index
         alone = one_trial(_correct(), spec, log.trial_index, noise_scale=1.0)
-        assert dumps_trial(log) == dumps_trial(dataclasses.replace(alone, trial_index=log.trial_index))
+        assert trial_text(log) == trial_text(dataclasses.replace(alone, trial_index=log.trial_index))
 
 
 # Failures whose message is a function of the row: one event per row.
@@ -219,7 +218,7 @@ def test_shared_event_of_the_rows_that_emit_it_alike(task, kind, noise, max_step
     assert "none" in categories and len(categories) > 1
     for (_, _, category), events in alike.items():
         assert len(set(map(id, events))) == (len(events) if category in _ROW_MESSAGES else 1), category
-    assert "".join(map(dumps_trial, logs)) == _reference_text(logs)
+    assert "".join(trial_texts(logs)) == _reference_text(logs)
 
 
 def test_run_trials_single(place_shoe_spec):
@@ -288,7 +287,7 @@ def test_largest_noise_the_loader_accepts_stays_finite(tmp_path):
     path = tmp_path / "widest.task.json"
     path.write_text(json.dumps(raw))
     logs = run_trials(_correct(), load_task_spec(path), 40, base_seed=0, noise_scale=100.0, max_steps=200)
-    text = "".join(map(dumps_trial, logs))
+    text = "".join(trial_texts(logs))
     assert "NaN" not in text and "Infinity" not in text
 
 
@@ -709,7 +708,7 @@ def test_trial_writer_matches_json_dumps(tmp_path, noise):
             dump_trials(logs, path)
             assert path.read_bytes() == _reference_text(logs).encode("utf-8"), (task, kind)
             loaded = load_trials(path)  # poses as lists, records shared across trials of equal lines
-            assert "".join(map(dumps_trial, loaded)) == _reference_text(loaded), (task, kind)
+            assert "".join(trial_texts(loaded)) == _reference_text(loaded), (task, kind)
 
 
 class _Index(int):
@@ -778,7 +777,7 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
     log.events.append(SymbolicEvent(True, _Index(2), _Name("observe"), {}, "success", "none", "", 0))
     log.snapshots += [Snapshot(step, 1, 1, t, payload, f'observe("{step}")')
                       for t, (step, payload) in enumerate(zip(steps, scenes), 1)]
-    assert dumps_trial(log) == _reference_text([log])
+    assert trial_text(log) == _reference_text([log])
 
 
 def _random_trial_logs(rng: random.Random, n: int) -> list:
@@ -877,7 +876,7 @@ def _assert_writes_json_dumps(logs, path):
     assert lines.pop() == "" and len(lines) == len(records)
     for line, rec in zip(lines, records):
         assert line == json.dumps(rec, ensure_ascii=False)
-    assert "".join(map(dumps_trial, logs)) == _reference_text(logs)
+    assert "".join(trial_texts(logs)) == _reference_text(logs)
 
 
 def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
@@ -986,7 +985,7 @@ def test_load_trials_equals_every_line_reference_on_random_files(tmp_path, monke
         for kind in ("correct", "loud"):
             program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             logs = run_trials(program, spec, 3, base_seed=0, noise_scale=float(noise), max_steps=200)
-            trials += [[_split(line) for line in dumps_trial(log).splitlines(keepends=True)] for log in logs]
+            trials += [[_split(line) for line in trial_text(log).splitlines(keepends=True)] for log in logs]
     rng = random.Random(27 + noise)
     path = tmp_path / "trials.jsonl"
     errors = 0
@@ -1112,7 +1111,7 @@ def sim_digests() -> dict[str, str]:
             program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             for noise in (0, 1):
                 logs = run_trials(program, spec, 20, base_seed=0, noise_scale=float(noise), max_steps=200)
-                text = "".join(dumps_trial(log) for log in logs)
+                text = "".join(trial_texts(logs))
                 digests[f"{task}/{kind}/noise{noise}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests
 
