@@ -55,8 +55,10 @@ def failure_severity(log: TrialLog, program: Program) -> float:
     return 1.0 - (failure.subgoal_index - 1) / n
 
 
-def _signature(log: TrialLog) -> tuple[str, ...]:
-    return tuple(ev.signature() for ev in log.events)
+def _signature(log: TrialLog, memo: dict) -> tuple[str, ...]:
+    """The log's trace; memo maps id(event) to its signature (never
+    empty), for events that live at least as long as the memo."""
+    return tuple([memo.get(id(ev)) or memo.setdefault(id(ev), ev.signature()) for ev in log.events])
 
 
 def _majority(signatures: list[tuple[str, ...]]) -> list[str]:
@@ -132,9 +134,11 @@ def select_trial(
         raise ValueError("empty batch")
     w_s, w_d = weights
     raw_severity = [failure_severity(log, program) for log in batch]
-    # The majority trace is computed once, and the divergence once per
-    # distinct trace.
-    signatures = [_signature(log) for log in batch]
+    # An event's signature is computed once per event object (rows and
+    # trials that emit an event alike share it), the majority trace once,
+    # and the divergence once per distinct trace.
+    memo = {}
+    signatures = [_signature(log, memo) for log in batch]
     majority = _majority(signatures)
     by_trace = {sig: _divergence(sig, majority) for sig in set(signatures)}
     raw_divergence = [by_trace[sig] for sig in signatures]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import parallel
 from .agents.config import AgentConfig
-from .agents.diagnosis import CAUSE_FROM_ERROR, Diagnosis, render_diagnosis
+from .agents.diagnosis import CAUSE_FROM_ERROR, CAUSES, Diagnosis, render_diagnosis
 from .agents.prompts import build_synthesis_prompt
 from .agents.synthesizer import Synthesizer
 from .agents.verifier import Verifier
@@ -40,7 +40,7 @@ from .harness import SelectionResult, collect_observations, scores_report, selec
 from .instrument import MIN_OBSERVATION_CAP, insert_observations
 from .scene import MAX_NOISE_SCALE, TaskSpec
 from .sim.executor import run_trials
-from .sim.model import TrialLog, dump_trials
+from .sim.model import ERROR_CATEGORIES, TrialLog, dump_trials
 
 # Anything that stops an iteration from producing a runnable program.
 _SYNTHESIS_ERRORS = (
@@ -62,16 +62,22 @@ EDIT_CLASS_FROM_CAUSE = {
 
 @dataclass
 class FaultEntry:
-    stmt_id: int
-    subgoal_index: int
-    cause: str
+    """A fault of a repair signal. The bounds are those fuse keeps: ids and
+    subgoal indices from 1, and the edit class that the cause maps to."""
+
+    stmt_id: int = field(metadata={"minimum": 1})
+    subgoal_index: int = field(metadata={"minimum": 1})
+    cause: str = field(metadata={"choices": CAUSES})
     suggested_edit_class: str
-    source: str  # symbolic | perceptual | both
-    symbolic_error_category: str | None
+    source: str = field(metadata={"choices": ("symbolic", "perceptual", "both")})
+    symbolic_error_category: str | None = field(metadata={"choices": ERROR_CATEGORIES[1:]})  # no "none"
     perceptual_rationale: str | None
 
     def __post_init__(self):
         ArtifactError.check_fields(self)
+        if self.suggested_edit_class != EDIT_CLASS_FROM_CAUSE[self.cause]:
+            raise ArtifactError("suggested_edit_class", f"expected {EDIT_CLASS_FROM_CAUSE[self.cause]!r} for cause "
+                                                        f"{self.cause!r}, got {self.suggested_edit_class!r}")
 
     @classmethod
     def of(cls, stmt_id, subgoal_index, cause, source, category, rationale) -> "FaultEntry":
@@ -123,11 +129,15 @@ def fuse(log: TrialLog, diagnosis: Diagnosis, program: Program) -> RepairSignal:
     category's; rationale perc's), else "symbolic". A perc with a deviation
     point that does not agree gives one "perceptual" entry after it. Entries
     rank earlier-subgoal first. A verdict that points at a statement the
-    program lacks raises MalformedReplyError naming it. A diagnosis that
-    reports success is run_loop's to handle, not fuse's.
+    program lacks, or whose index is below 1, raises MalformedReplyError
+    naming it; so every entry has a statement id (the executor's and the
+    program's are dense from 1) and a subgoal index of at least 1. A
+    diagnosis that reports success is run_loop's to handle, not fuse's.
     """
     known_ids = {stmt.id for stmt in program.walk()}
     for i, verdict in enumerate(diagnosis.subgoals):
+        if verdict.index < 1:
+            raise MalformedReplyError(f"reply.subgoals[{i}].index", f"subgoals count from 1, got {verdict.index}")
         if verdict.deviation_stmt is not None and verdict.deviation_stmt not in known_ids:
             raise MalformedReplyError(f"reply.subgoals[{i}].deviation_stmt",
                                       f"no statement {verdict.deviation_stmt} in the program")
@@ -243,14 +253,30 @@ def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list
         ConfigError.write_text(it_dir / name, text, "--out")
 
 
+def _same_program(a: Program, b: Program) -> bool:
+    """Whether two instrumented programs run alike. `==` on the nodes
+    leaves out ids, which instrumenting numbers from the structure, but
+    holds -0.0 equal to 0.0, which a pose literal carries into the
+    snapshots; repr tells them apart."""
+    return a == b and repr(a) == repr(b)
+
+
 def _run_iteration(k: int, program: Program, spec: TaskSpec, cfg: LoopConfig, verifier: Verifier, subgoals,
-                   out_dir: Path | None) -> IterationRecord:
+                   out_dir: Path | None, last: tuple | None) -> tuple:
     """Iteration k of program: instrument, run its batch, and unless the
     batch converges, diagnose its selected trial into a repair signal. The
-    batch's trials are written under out_dir and dropped on return."""
+    batch's trials are written under out_dir and dropped on return, all
+    but the first, which is returned with the record. `last`, given where
+    no draw can be read, is the previous iteration's instrumented program
+    and first trial: a batch of the same program is that trial's log under
+    each of the batch's seeds."""
     instrumented = insert_observations(program, cfg.observation_cap)
-    logs = run_trials(instrumented, spec, cfg.n_trials, iteration_base_seed(cfg.base_seed, k, cfg.n_trials),
-                      cfg.noise_scale, cfg.max_steps)
+    base = iteration_base_seed(cfg.base_seed, k, cfg.n_trials)
+    if last is not None and _same_program(instrumented, last[0]):
+        first = last[1]
+        logs = [TrialLog(i, base + i, first.events, first.snapshots, first.goal_met) for i in range(cfg.n_trials)]
+    else:
+        logs = run_trials(instrumented, spec, cfg.n_trials, base, cfg.noise_scale, cfg.max_steps)
     success_count = sum(1 for log in logs if log.goal_met)
     selection = select_trial(logs, instrumented, cfg.weights)
     diagnosis = signal = None
@@ -269,7 +295,7 @@ def _run_iteration(k: int, program: Program, spec: TaskSpec, cfg: LoopConfig, ve
             raise AgentFailureError(f"verification failed: {exc}") from exc
     record = IterationRecord(k, program, instrumented, success_count, cfg.n_trials, diagnosis, signal)
     _persist_iteration(out_dir, record, logs, selection)
-    return record
+    return record, logs[0]
 
 
 def run_loop(
@@ -282,7 +308,10 @@ def run_loop(
     """Iterate synthesize/instrument/execute/diagnose until the batch
     success rate exceeds the threshold or the iteration cap is hit. The
     mock synthesizer replays `playbook`, the candidate's program texts. An
-    iteration's record holds no trials: they are in its trials.jsonl."""
+    iteration's record holds no trials: they are in its trials.jsonl.
+    Where no draw can be read, an iteration whose instrumented program is
+    the previous one's runs no simulation: its batch is the previous first
+    trial's log under its own seeds, as run_trials would give it."""
     out_dir = Path(out_dir) if out_dir is not None else None
     synthesizer = Synthesizer(cfg.synthesis, transport, playbook)
     verifier = Verifier(cfg.verifier, spec, transport=transport)
@@ -296,6 +325,8 @@ def run_loop(
     signal = None
     current: Program | None = None
     converged = False
+    reuse = spec.noise.draws_unread(cfg.noise_scale)  # a batch is then a function of its program
+    last = None  # with reuse, the previous iteration's instrumented program and first trial
 
     for k in range(1, cfg.max_iterations + 1):
         feedback = (signal.last_error, signal.render_feedback()) if signal is not None else None
@@ -304,8 +335,10 @@ def run_loop(
             program = synthesizer.synthesize(prompt, spec, signal)
         except _SYNTHESIS_ERRORS as exc:
             raise AgentFailureError(f"synthesis failed: {exc}") from exc
-        record = _run_iteration(k, program, spec, cfg, verifier, subgoals, out_dir)
+        record, first = _run_iteration(k, program, spec, cfg, verifier, subgoals, out_dir, last)
         iterations.append(record)
+        if reuse:
+            last = record.instrumented, first
         converged = converges(record.success_count, record.n_trials, cfg.success_threshold)
         if converged:
             break

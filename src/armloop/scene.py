@@ -169,6 +169,14 @@ class NoiseSpec:
     rot_sigma: float = 0.0
     slip_base: float = 0.0
 
+    def draws_unread(self, noise_scale: float) -> bool:
+        """True when no draw of a trial can be read at this noise scale:
+        every normal is multiplied by a zero sigma, and no uniform, which is
+        at least 0, is below a slip probability that is not above 0. Then a
+        trial's log is a function of its program."""
+        still = self.pos_sigma * noise_scale == self.rot_sigma * noise_scale == 0
+        return still and not self.slip_base * noise_scale > 0
+
 
 @dataclass(frozen=True, eq=False)
 class SubgoalTemplate:

@@ -34,17 +34,20 @@ which is what makes independent replay oracles possible:
     grasp_actor:  3 normals (approach endpoint), then 1 uniform (slip)
     place_actor:  3 normals (placement endpoint)
 
-Draws happen even at zero noise scale so the sequence never depends on the
-noise configuration. Each trial makes all its draws up front, one call per
-run of normals or uniforms; those past the trial's failure are never read.
-They become the trial's perturbation row: each normal times its column's
-sigma, plus 0.0 so that a zero is +0.0 whatever the draw's sign, and each
-slip as the bool uniform < slip_p. A trial's log depends on nothing else,
-so trials whose rows are equal byte for byte run as one row of the batch
-and share its log's lists: at zero noise a batch is one row, while at
-noise above zero (and sigmas above zero) every trial is its own. Rows
-that emit an equal event share it too: one event object per statement
-outcome, unless the failure's message is a function of the row.
+A batch draws only when some draw can be read (`NoiseSpec.draws_unread`):
+at a zero noise scale, or with zero sigmas and no slip probability, every
+perturbation is +0.0 and no grasp slips, so no generator is built. The
+draws that are made keep this order at every noise scale. Each trial makes
+all its draws up front, one call per run of normals or uniforms; those past
+the trial's failure are never read. They become the trial's perturbation
+row: each normal times its column's sigma, plus 0.0 so that a zero is +0.0
+whatever the draw's sign, and each slip as the bool uniform < slip_p. A
+trial's log depends on nothing else, so trials whose rows are equal byte
+for byte run as one row of the batch and share its log's lists: at zero
+noise a batch is one row, while at noise above zero (and sigmas above
+zero) every trial is its own. Rows that emit an equal event share it too:
+one event object per statement outcome, unless the failure's message is a
+function of the row.
 
 Python floats overflow to inf and turn an invalid operation into nan without
 a word, so the rows run with numpy's overflow and invalid warnings off.
@@ -118,7 +121,8 @@ def _perturbations(statements: list[_Statement], spec: TaskSpec, seeds: list[int
     (n, k) array of normals, each times its column's sigma plus 0.0 (so a
     zero perturbation is +0.0 whatever the draw's sign), an (n, m) bool
     array of slips (uniform < slip_p), and per statement index the first
-    column of its normals and its column of slips."""
+    column of its normals and its column of slips. When no draw can be
+    read, those arrays are all +0.0 and all False, and no draw is made."""
     moving = sum(not actor.static for actor in spec.actors.values())
     kinds = ["normal"] * (4 * moving)
     columns = {}
@@ -126,8 +130,11 @@ def _perturbations(statements: list[_Statement], spec: TaskSpec, seeds: list[int
         if op.stmt.name in _DRAWS:
             columns[k] = (kinds.count("normal"), kinds.count("uniform"))
             kinds += _DRAWS[op.stmt.name]
+    n = len(seeds)
+    if spec.noise.draws_unread(noise_scale):
+        return np.zeros((n, kinds.count("normal"))), np.zeros((n, kinds.count("uniform")), bool), columns
     calls = [(kind, len(list(run))) for kind, run in itertools.groupby(kinds)]
-    out = {kind: np.empty((len(seeds), kinds.count(kind))) for kind in ("normal", "uniform")}
+    out = {kind: np.empty((n, kinds.count(kind))) for kind in ("normal", "uniform")}
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         at = dict.fromkeys(out, 0)
@@ -503,12 +510,12 @@ def run_trials(
     perturbation rows are equal byte for byte run as one row: the first of
     them is simulated, and each other gets its `events` and `snapshots`
     lists (the same list objects) and its goal_met. At zero noise every
-    perturbation is +0.0 and no grasp slips, so a batch is one row; every
-    trial still makes its draws. The rows that succeed at a statement, or
-    fail at it with a message that does not depend on the row, hold one
-    shared (frozen) SymbolicEvent; a failure whose message is the row's own
-    (a point out of reach, a penetration depth, a placement miss) is an
-    event per row."""
+    perturbation is +0.0 and no grasp slips, so a batch is one row and no
+    draw is made: a trial's log is then a function of the program alone.
+    The rows that succeed at a statement, or fail at it with a message that
+    does not depend on the row, hold one shared (frozen) SymbolicEvent; a
+    failure whose message is the row's own (a point out of reach, a
+    penetration depth, a placement miss) is an event per row."""
     statements = _flatten(program)
     logs = [TrialLog(trial_index=i, seed=base_seed + i) for i in range(n)]
     normals, slips, columns = _perturbations(statements, spec, [log.seed for log in logs], noise_scale)

@@ -764,6 +764,19 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     assert out == "[]\n"
 
 
+def test_loop_at_noise_0_leaves_numpy_random_unloaded(tmp_path):
+    """At noise 0 no draw can be read, so no generator is built: a bundled
+    campaign ends without numpy.random imported."""
+    config = TASKS_DIR / "configs" / "symbolic.json"
+    assert json.loads(config.read_text())["noise_scale"] == 0.0
+    code = ("import sys; from armloop.cli import main; "
+            f"status = main(['loop', {_task()!r}, '--config', {str(config)!r}, '--out', 'out']); "
+            "print(status, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_run_malformed_task_exits_two(tmp_path, capsys):
     raw = json.loads(task_path("place_shoe").read_text())
     raw["arm_home"] = {"left": [-0.25, 0.0, 0.3]}

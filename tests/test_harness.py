@@ -19,6 +19,7 @@ from armloop.harness import (
     select_trial,
 )
 from armloop.instrument import insert_observations
+from armloop.sim import run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
 from conftest import one_trial, program_path, sequence_edit_distance, trace_divergence
@@ -329,6 +330,27 @@ def test_collect_observations_requires_snapshots(place_shoe_spec):
     log = one_trial(program, place_shoe_spec, 0)
     with pytest.raises(NoSnapshotsError):
         collect_observations(log, program)
+
+
+def test_select_trial_signs_each_distinct_event_once_per_call(monkeypatch, place_shoe_spec):
+    """Rows that emit an event alike share it, and trials of equal
+    perturbations share their events: select_trial makes one signature per
+    event object in each call, and the same scores as a signature per
+    event would give."""
+    program = insert_observations(parse(program_path("place_shoe", "correct").read_text()), cap=10)
+    batch = run_trials(program, place_shoe_spec, 60, 0, 3.0, 200)
+    batch += run_trials(program, place_shoe_spec, 20, 60, 0.0, 200)
+    events = [ev for log in batch for ev in log.events]
+    distinct = len(set(map(id, events)))
+    assert distinct < len(events) / 4
+    expected = select_trial(batch, program, (1.0, 1.0))
+    signed = []
+    signature = SymbolicEvent.signature
+    monkeypatch.setattr(SymbolicEvent, "signature", lambda ev: signed.append(id(ev)) or signature(ev))
+    for _ in range(2):
+        assert select_trial(batch, program, (1.0, 1.0)) == expected
+        assert sorted(signed) == sorted(set(map(id, events)))
+        signed.clear()
 
 
 def test_select_trial_large_batch_matches_per_trial_oracle():

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from armloop import loop
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.dsl import parse
-from armloop.errors import ArtifactError
+from armloop.errors import ArtifactError, MalformedReplyError
 from armloop.harness import TrialScore
 from armloop.loop import (
     CampaignConfig,
@@ -20,12 +21,14 @@ from armloop.loop import (
     RepairSignal,
     _expand_env,
     fuse,
+    iteration_base_seed,
     load_campaign_config,
     run_campaign,
     run_loop,
 )
 from armloop.scene import load_task_spec
-from armloop.sim.model import SymbolicEvent, TrialLog, load_trials
+from armloop.sim import run_trials, trial_texts
+from armloop.sim.model import ERROR_CATEGORIES, SymbolicEvent, TrialLog, load_trials
 
 from conftest import TASK_NAMES, TASKS_DIR, program_path, task_path
 from test_metrics import asr, cr_iter, top5_asr
@@ -171,6 +174,73 @@ def test_repair_signal_from_json_names_the_malformed_field():
         assert info.value.field == field, bad
 
 
+def _fault_json(**changes) -> dict:
+    """A repair_signal.json whose one fault, as fuse makes it, has these
+    fields changed."""
+    log = TrialLog(0, 0, events=[_event(1, 1), _event(2, 2, "failure", "grasp_slip", "slipped")], goal_met=False)
+    raw = asdict(fuse(log, Diagnosis(), _program()))
+    RepairSignal.from_json(raw, "repair_signal.json")  # fuse's own entry passes
+    return {**raw, "faults": [{**raw["faults"][0], **changes}]}
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("stmt_id", 0, "must be at least 1, got 0"),
+    ("subgoal_index", 0, "must be at least 1, got 0"),
+    ("subgoal_index", -7, "must be at least 1, got -7"),
+])
+def test_repair_signal_from_json_refuses_an_index_below_1(name, value, reason):
+    """Statement ids and subgoal indices count from 1, as fuse makes them."""
+    with pytest.raises(ArtifactError) as info:
+        RepairSignal.from_json(_fault_json(**{name: value}), "repair_signal.json")
+    assert (info.value.field, info.value.reason) == (f"repair_signal.json: faults[0].{name}", reason)
+
+
+def test_repair_signal_from_json_refuses_an_unknown_cause():
+    with pytest.raises(ArtifactError) as info:
+        RepairSignal.from_json(_fault_json(cause="banana"), "repair_signal.json")
+    assert info.value.field == "repair_signal.json: faults[0].cause"
+    assert info.value.reason.startswith("expected one of ['logic_error', ") and "got 'banana'" in info.value.reason
+
+
+def test_repair_signal_from_json_refuses_an_unknown_source():
+    with pytest.raises(ArtifactError) as info:
+        RepairSignal.from_json(_fault_json(source="nobody"), "repair_signal.json")
+    assert info.value.field == "repair_signal.json: faults[0].source"
+    assert info.value.reason == "expected one of ['symbolic', 'perceptual', 'both'], got 'nobody'"
+
+
+@pytest.mark.parametrize("category", ["zzz", "none"])
+def test_repair_signal_from_json_refuses_a_category_that_no_failure_has(category):
+    """A fault's error category is a failure's, or null for a perceptual
+    fault; "none" is a success's."""
+    assert RepairSignal.from_json(_fault_json(symbolic_error_category=None), "repair_signal.json")
+    with pytest.raises(ArtifactError) as info:
+        RepairSignal.from_json(_fault_json(symbolic_error_category=category), "repair_signal.json")
+    assert info.value.field == "repair_signal.json: faults[0].symbolic_error_category"
+    assert info.value.reason == f"expected one of {list(ERROR_CATEGORIES[1:])}, got {category!r}"
+
+
+def test_repair_signal_from_json_refuses_an_edit_class_its_cause_does_not_map_to():
+    raw = _fault_json()
+    assert raw["faults"][0]["suggested_edit_class"] == "parameter_retune"  # grasp_slip: execution_failure
+    for edit_class in ("logic_rewrite", "rewrite_everything"):
+        with pytest.raises(ArtifactError) as info:
+            RepairSignal.from_json(_fault_json(suggested_edit_class=edit_class), "repair_signal.json")
+        assert info.value.field == "repair_signal.json: faults[0].suggested_edit_class"
+        assert info.value.reason == (f"expected 'parameter_retune' for cause 'execution_failure', "
+                                     f"got {edit_class!r}")
+
+
+def test_fuse_refuses_a_verdict_index_below_1():
+    """A remote verdict's index is the reply's own: one below 1 names no
+    subgoal, and fuse refuses it as it refuses an unknown statement."""
+    log = TrialLog(0, 0, events=[_event(1, 1), _event(2, 2)], goal_met=False)
+    diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(0, 3, "logic_error")])
+    with pytest.raises(MalformedReplyError) as info:
+        fuse(log, diagnosis, _program())
+    assert info.value.field == "reply.subgoals[1].index"
+
+
 # --- loop ---------------------------------------------------------------------
 
 
@@ -263,6 +333,58 @@ def test_loop_silent_failure_needs_perception(place_shoe_spec):
     symbolic = run_loop(place_shoe_spec, symbolic_cfg, playbook=playbook)
     assert not symbolic.converged
     assert _cr_iter(symbolic, symbolic_cfg) == 5
+
+
+def _counted_loop(monkeypatch, spec, cfg, playbook, out) -> tuple:
+    """The iterations and run_trials calls of one loop, after checking that
+    each iteration's trials.jsonl is what run_trials makes afresh of its
+    instrumented program and seeds."""
+    calls = []
+    monkeypatch.setattr(loop, "run_trials", lambda *args: calls.append(args) or run_trials(*args))
+    result = run_loop(spec, cfg, out_dir=out, playbook=playbook)
+    for record in result.iterations:
+        fresh = run_trials(record.instrumented, spec, cfg.n_trials,
+                           iteration_base_seed(cfg.base_seed, record.index, cfg.n_trials), cfg.noise_scale,
+                           cfg.max_steps)
+        assert (out / f"iter_{record.index}" / "trials.jsonl").read_text() == "".join(trial_texts(fresh))
+    return len(result.iterations), len(calls)
+
+
+def test_loop_reuses_the_batch_of_an_unchanged_program_at_noise_0(monkeypatch, tmp_path, place_shoe_spec):
+    """Symbolic mode is stuck on a silent failure: the repair hands back the
+    same program, whose batch at noise 0 is a function of the program, so
+    one simulation serves all five iterations, each under its own seeds."""
+    cfg = _loop_cfg(mode="symbolic")
+    assert cfg.noise_scale == 0.0
+    iterations, calls = _counted_loop(monkeypatch, place_shoe_spec, cfg, _playbook("silent", "correct"), tmp_path)
+    assert (iterations, calls) == (5, 1)
+
+
+def test_loop_simulates_every_batch_where_a_draw_is_read(monkeypatch, tmp_path, place_shoe_spec):
+    """At noise 1 each batch of the same program is simulated, also on a
+    task whose sigmas are 0 but whose grasps slip with p = 0.5."""
+    cfg = _loop_cfg(mode="symbolic")
+    cfg.noise_scale = 1.0
+    assert _counted_loop(monkeypatch, place_shoe_spec, cfg, _playbook("silent"), tmp_path / "noisy") == (5, 5)
+    raw = json.loads(task_path("place_shoe").read_text())
+    raw["noise"] = {"pos_sigma": 0.0, "rot_sigma": 0.0, "slip_base": 0.5}
+    path = tmp_path / "zero_sigma.task.json"
+    path.write_text(json.dumps(raw))
+    slippery = load_task_spec(path)
+    assert not slippery.noise.draws_unread(cfg.noise_scale) and slippery.noise.draws_unread(0.0)
+    assert _counted_loop(monkeypatch, slippery, cfg, _playbook("silent"), tmp_path / "slip") == (5, 5)
+
+
+def test_loop_simulates_a_program_equal_but_for_a_signed_zero(monkeypatch, tmp_path, place_shoe_spec):
+    """A pose literal's -0.0 compares equal to 0.0 but reaches the
+    snapshots, so a repair that only flips such a sign is simulated."""
+    silent = program_path("place_shoe", "silent").read_text()
+    flipped = silent.replace("1.0, 0.0, 0.0, 0.0)", "1.0, -0.0, 0.0, 0.0)")
+    assert flipped != silent and parse(flipped) == parse(silent)
+    cfg = _loop_cfg(mode="hybrid", max_iterations=3)
+    iterations, calls = _counted_loop(monkeypatch, place_shoe_spec, cfg, [silent, flipped, flipped], tmp_path)
+    assert (iterations, calls) == (3, 2)
+    assert (tmp_path / "iter_1" / "trials.jsonl").read_text() != (tmp_path / "iter_2" / "trials.jsonl").read_text()
 
 
 def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):

@@ -192,6 +192,67 @@ def test_perturbations_equal_but_for_the_sign_of_zero_share_one_row(tmp_path):
         assert trial_text(log) == trial_text(dataclasses.replace(alone, trial_index=log.trial_index))
 
 
+def _drawn_perturbations(statements, spec, seeds, noise_scale):
+    """Each trial's draws in the frozen order, from its own generator, then
+    scaled: the normals times their sigmas plus 0.0, the slips uniform <
+    slip_p."""
+    moving = sum(not actor.static for actor in spec.actors.values())
+    draws = {"grasp_actor": (3, 1), "place_actor": (3, 0)}
+    pos, yaw, slip_p = (spec.noise.pos_sigma * noise_scale, spec.noise.rot_sigma * noise_scale,
+                        spec.noise.slip_base * noise_scale)
+    normals, slips = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        row, slip = [], []
+        for _ in range(moving):
+            row += [*rng.normal(size=3) * pos, rng.normal() * yaw]
+        for op in statements:
+            k, u = draws.get(op.stmt.name, (0, 0))
+            row += list(rng.normal(size=k) * pos)
+            slip += list(rng.uniform(size=u) < slip_p)
+        normals.append(row)
+        slips.append(slip)
+    return np.array(normals, ndmin=2) + 0.0, np.array(slips, bool, ndmin=2)
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_unread_perturbations_are_the_drawn_rows_without_a_draw(monkeypatch, tmp_path, task):
+    """Where no draw can be read (noise 0, or zero sigmas and no slip
+    probability), the perturbation rows are those that drawing and scaling
+    give, byte for byte, and no generator is built."""
+    spec = load_task_spec(task_path(task))
+    raw = json.loads(task_path(task).read_text())
+    raw["noise"] = {"pos_sigma": 0.0, "rot_sigma": 0.0, "slip_base": 0.0}
+    path = tmp_path / f"{task}.task.json"
+    path.write_text(json.dumps(raw))
+    quiet = load_task_spec(path)
+    statements = executor._flatten(insert_observations(parse(program_path(task, "loud").read_text()), cap=10))
+    seeds = [0, 1, 7, 123]
+    expected = {(spec, 0.0): _drawn_perturbations(statements, spec, seeds, 0.0),
+                (quiet, 5.0): _drawn_perturbations(statements, quiet, seeds, 5.0)}
+
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for (s, noise_scale), (normals, slips) in expected.items():
+        assert s.noise.draws_unread(noise_scale)
+        got_normals, got_slips, columns = executor._perturbations(statements, s, seeds, noise_scale)
+        assert (got_normals.shape, got_slips.shape) == (normals.shape, slips.shape)
+        assert got_normals.tobytes() == normals.tobytes() and got_slips.tobytes() == slips.tobytes()
+        assert got_normals.dtype == np.float64 and got_slips.dtype == bool
+
+
+@pytest.mark.parametrize("noise, noise_scale, unread", [
+    ((0.01, 0.1, 0.2), 0.0, True), ((0.0, 0.0, 0.0), 100.0, True), ((0.01, 0.0, 0.0), 1.0, False),
+    ((0.0, 0.1, 0.0), 1.0, False), ((0.0, 0.0, 0.2), 1.0, False), ((1e-320, 0.0, 0.0), 1e-10, True),
+])
+def test_draws_unread_exactly_where_every_perturbation_is_zero(noise, noise_scale, unread):
+    """The predicate holds where each sigma times the scale is 0 (also by
+    underflow) and slip_base times the scale is not above 0."""
+    assert NoiseSpec(*noise).draws_unread(noise_scale) is unread
+
+
 # Failures whose message is a function of the row: one event per row.
 _ROW_MESSAGES = {"unreachable", "collision", "placement_miss"}
 
