@@ -5,10 +5,11 @@ with their defaults at parse time, and the canonical printer omits any
 argument still equal to its default. Structural equality ignores statement
 ids and source lines (bookkeeping, not meaning).
 
-Program nodes are frozen. Whoever builds a program gives each statement its
-id as it makes it: densely from 1 in source order, a parallel block before
-its branches. A subgoal's index is its place, from 1. Programs may share
-argument maps (an instrumented one shares its input's), so none is changed.
+A program is a value: its nodes are frozen, its sequences are tuples and
+each argument map is an ``Args``, which refuses every write. So programs may
+share nodes and argument maps, hash, and pickle. Whoever builds a program
+gives each statement its id as it makes it: densely from 1 in source order,
+a parallel block before its branches. A subgoal's index is its place, from 1.
 """
 
 from __future__ import annotations
@@ -99,18 +100,37 @@ API_SIGNATURES: dict[str, tuple[Param, ...]] = {
 }
 
 
+class Args(dict):
+    """A call's argument map: a dict that refuses every write. It hashes
+    like the frozenset of its items, so equal maps hash equal whatever their
+    key order, and it pickles as a plain dict wrapped again."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a call's argument map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return Args, (dict(self),)
+
+
 @dataclass(frozen=True)
 class CallStmt:
     name: str
-    args: dict
+    args: Args
     id: int = field(default=0, compare=False)
     line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class ParallelStmt:
-    left: list
-    right: list
+    left: tuple
+    right: tuple
     id: int = field(default=0, compare=False)
     line: int = field(default=0, compare=False)
 
@@ -118,13 +138,13 @@ class ParallelStmt:
 @dataclass(frozen=True)
 class SubgoalBlock:
     description: str
-    statements: list
+    statements: tuple
 
 
 @dataclass(frozen=True)
 class Program:
     task_name: str
-    subgoals: list
+    subgoals: tuple
 
     def walk(self):
         """Yield every statement in source order, descending into parallel."""

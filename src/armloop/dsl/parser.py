@@ -41,6 +41,7 @@ from .ast import (
     NUM,
     STRING,
     TARGET,
+    Args,
     CallStmt,
     FpRef,
     ParallelStmt,
@@ -165,7 +166,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, expected=("subgoal", "end of file"))
-        return Program(name, subgoals)
+        return Program(name, tuple(subgoals))
 
     def parse_subgoal(self) -> SubgoalBlock:
         self.expect_keyword("subgoal")
@@ -176,7 +177,7 @@ class _Parser:
         while self.peek().kind == "IDENT" and not self.at_keyword("subgoal"):
             statements.append(self.parse_stmt(allow_parallel=True))
             self.skip_newlines()
-        return SubgoalBlock(description, statements)
+        return SubgoalBlock(description, tuple(statements))
 
     def parse_stmt(self, allow_parallel: bool):
         tok = self.peek()
@@ -195,7 +196,7 @@ class _Parser:
             self.advance()
         return ParallelStmt(left, right, stmt_id, start.line)
 
-    def parse_branch(self) -> list:
+    def parse_branch(self) -> tuple:
         self.skip_newlines()
         self.expect("LBRACE")
         self.skip_newlines()
@@ -207,7 +208,7 @@ class _Parser:
             stmts.append(self.parse_stmt(allow_parallel=False))
             self.skip_newlines()
         self.expect("RBRACE")
-        return stmts
+        return tuple(stmts)
 
     def parse_call(self) -> CallStmt:
         name_tok = self.expect("IDENT", "call name")
@@ -256,7 +257,8 @@ class _Parser:
         missing = [p.name for p in signature if p.required and p.name not in bound]
         if missing:
             raise BadArgError(f"{name} missing required argument {missing[0]!r}", name_tok.line)
-        return CallStmt(name, {p.name: bound.get(p.name, p.default) for p in signature}, next(self.ids), name_tok.line)
+        args = Args({p.name: bound.get(p.name, p.default) for p in signature})
+        return CallStmt(name, args, next(self.ids), name_tok.line)
 
     def parse_value(self):
         tok = self.peek()

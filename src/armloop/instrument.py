@@ -9,8 +9,8 @@ interior hooks are thinned by priority (grasp/place > gripper > motion),
 dropping lowest-priority, latest-position hooks first.
 
 The output is built in one pass: each kept statement is a copy with its new
-id that shares its argument map, so the input is left alone and the output's
-ids are dense from 1 in source order.
+id that shares its read-only argument map, so the output copies no argument
+and its ids are dense from 1 in source order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from .dsl.ast import CallStmt, ParallelStmt, Program, SubgoalBlock
+from .dsl.ast import Args, CallStmt, ParallelStmt, Program, SubgoalBlock
 from .errors import CapTooSmallError
 
 INITIAL_STEP = "initial_scene_state"
@@ -84,10 +84,10 @@ def insert_observations(program: Program, cap: int) -> Program:
     ids = itertools.count(1)
 
     def observe(step_name: str) -> CallStmt:
-        return CallStmt("observe", {"step_name": step_name}, next(ids))
+        return CallStmt("observe", Args(step_name=step_name), next(ids))
 
-    def calls(stmts: list) -> list:  # the calls but the observes (the calls phi rejects)
-        return [replace(s, id=next(ids)) for s in stmts if phi(s)]
+    def calls(stmts: tuple) -> tuple:  # the calls but the observes (the calls phi rejects)
+        return tuple(replace(s, id=next(ids)) for s in stmts if phi(s))
 
     subgoals = []
     for si, sg in enumerate(program.subgoals):
@@ -101,5 +101,5 @@ def insert_observations(program: Program, cap: int) -> Program:
                 statements.append(observe(step_names[id(stmt)]))
         if si == len(program.subgoals) - 1:
             statements.append(observe(FINAL_STEP))
-        subgoals.append(SubgoalBlock(sg.description, statements))
-    return Program(program.task_name, subgoals)
+        subgoals.append(SubgoalBlock(sg.description, tuple(statements)))
+    return Program(program.task_name, tuple(subgoals))

@@ -14,6 +14,7 @@ import pytest
 
 from armloop.dsl.ast import (
     API_SIGNATURES,
+    Args,
     CallStmt,
     FpRef,
     ParallelStmt,
@@ -181,7 +182,7 @@ def random_call(rng: random.Random, name: str | None = None, arm: str | None = N
         if arm is not None and param.name == "arm":
             value = arm
         args[param.name] = value
-    return CallStmt(name, args, stmt_id)
+    return CallStmt(name, Args(args), stmt_id)
 
 
 def random_program(rng: random.Random, max_subgoals: int = 3, max_stmts: int = 5) -> Program:
@@ -194,27 +195,27 @@ def random_program(rng: random.Random, max_subgoals: int = 3, max_stmts: int = 5
         for _ in range(rng.randint(1, max_stmts)):
             if rng.random() < 0.15:
                 stmt_id = next(ids)
-                left = [random_call(rng, arm="left", stmt_id=next(ids)) for _ in range(rng.randint(1, 2))]
-                right = [random_call(rng, arm="right", stmt_id=next(ids)) for _ in range(rng.randint(1, 2))]
+                left = tuple(random_call(rng, arm="left", stmt_id=next(ids)) for _ in range(rng.randint(1, 2)))
+                right = tuple(random_call(rng, arm="right", stmt_id=next(ids)) for _ in range(rng.randint(1, 2)))
                 stmts.append(ParallelStmt(left, right, stmt_id))
             else:
                 stmts.append(random_call(rng, stmt_id=next(ids)))
         description = " ".join(rng.sample(_WORDS, rng.randint(1, 3)))
         if rng.random() < 0.1:
             description += ' "tight" \\ case #2'
-        subgoals.append(SubgoalBlock(description, stmts))
-    return Program(rng.choice(_ACTORS) + "_task", subgoals)
+        subgoals.append(SubgoalBlock(description, tuple(stmts)))
+    return Program(rng.choice(_ACTORS) + "_task", tuple(subgoals))
 
 
 def strip_observes(program: Program) -> Program:
     """The reference for the instrumentation contract: the program without
     its observe statements (parallel branches included), ids and lines kept."""
     def kept(stmts):
-        return [s for s in stmts if not (isinstance(s, CallStmt) and s.name == "observe")]
+        return tuple(s for s in stmts if not (isinstance(s, CallStmt) and s.name == "observe"))
 
     subgoals = []
     for sg in program.subgoals:
-        stmts = [dataclasses.replace(s, left=kept(s.left), right=kept(s.right)) if isinstance(s, ParallelStmt) else s
-                 for s in kept(sg.statements)]
+        stmts = tuple(dataclasses.replace(s, left=kept(s.left), right=kept(s.right)) if isinstance(s, ParallelStmt)
+                      else s for s in kept(sg.statements))
         subgoals.append(SubgoalBlock(sg.description, stmts))
-    return Program(program.task_name, subgoals)
+    return Program(program.task_name, tuple(subgoals))

@@ -54,7 +54,8 @@ def test_acceptance_1_dsl_roundtrip_1000():
     rng = random.Random(20240)
     for i in range(1000):
         program = random_program(rng, max_subgoals=4, max_stmts=6)
-        assert parse(to_text(program)) == program, f"round-trip broke at case {i}"
+        back = parse(to_text(program))
+        assert back == program and hash(back) == hash(program), f"round-trip broke at case {i}"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"1000 round-trips took {elapsed:.1f}s"
     _ok(1, f"dsl round-trip, {elapsed:.1f}s")

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 import sys
 
@@ -12,11 +13,11 @@ from armloop.dsl import (
     to_text,
     validate,
 )
-from armloop.dsl.ast import FpRef, Program, SubgoalBlock
+from armloop.dsl.ast import Args, FpRef, Program, SubgoalBlock
 from armloop.errors import BadArgError, DslSyntaxError, UnknownApiError
 from armloop.metrics import flatten, program_tree
 
-from conftest import program_path, random_program
+from conftest import TASKS_DIR, program_path, random_program
 
 
 def test_place_shoe_fixture_shape(place_shoe_spec):
@@ -121,12 +122,39 @@ def test_program_nodes_are_frozen():
                        (block, "left"), (block, "id")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, getattr(node, name))
+    # Nor through a nested container: the sequences are tuples and the
+    # argument map refuses each of dict's mutators.
+    for sequence in (program.subgoals, program.subgoals[0].statements, block.left, block.right):
+        with pytest.raises(TypeError):
+            sequence[0] = sequence[0]
+    args = call.args
+    for write in (lambda: operator.setitem(args, "arm", "right"), lambda: operator.delitem(args, "arm"), args.clear,
+                  lambda: args.pop("arm"), args.popitem, lambda: args.setdefault("pos", 1.0),
+                  lambda: args.update(arm="right"), lambda: args.update({"arm": "right"})):
+        with pytest.raises(TypeError):
+            write()
+    with pytest.raises(TypeError):
+        args |= {"arm": "right"}
+    assert call.args == {"arm": "left"} and to_text(program).count("left") == 2
+
+
+def test_equal_texts_parse_to_equal_hashes_that_key_a_dict():
+    """Ids and source lines are left out of the hash as they are out of `==`:
+    a program whose every line moved keys the same dict entry."""
+    texts = [path.read_text() for path in sorted(TASKS_DIR.glob("*/*.prog"))]
+    keyed = {parse(text): text for text in texts}
+    assert len(keyed) == len(texts)
+    for text in texts:
+        moved = parse("# each statement one line lower\n" + text)
+        assert hash(moved) == hash(parse(text)) and keyed[moved] == text
+    # Argument maps hash by their items, not by the order of their keys.
+    assert hash(Args(x=0.1, z=0.2)) == hash(Args(z=0.2, x=0.1))
 
 
 def test_empty_subgoal_and_branch_print_back():
     text = 'program t\nsubgoal "a"\nsubgoal "b"\n  parallel {\n  } {\n    back_to_origin(right)\n  }\n'
     program = parse(text)
-    assert program.subgoals[0].statements == [] and program.subgoals[1].statements[0].left == []
+    assert program.subgoals[0].statements == () and program.subgoals[1].statements[0].left == ()
     assert [s.id for s in program.walk()] == [1, 2]
     assert to_text(program) == text
 
@@ -172,7 +200,8 @@ def test_roundtrip_generated_sample():
     rng = random.Random(99)
     for _ in range(50):
         program = random_program(rng)
-        assert parse(to_text(program)) == program
+        back = parse(to_text(program))
+        assert back == program and hash(back) == hash(program)
 
 
 def test_string_escapes_roundtrip():

@@ -1,10 +1,11 @@
 import hashlib
+import pickle
 import random
 
 import pytest
 
 from armloop.dsl import CallStmt, ParallelStmt, parse, to_text
-from armloop.dsl.ast import Program, SubgoalBlock
+from armloop.dsl.ast import Args, Program, SubgoalBlock
 from armloop.errors import CapTooSmallError
 from armloop.instrument import insert_observations, phi
 from armloop.scene import load_task_spec
@@ -165,6 +166,44 @@ def test_instrumented_programs_parse_back_and_leave_their_input_alone():
         assert (to_text(program), [(s.id, s.line) for s in program.walk()]) == before
 
 
+def test_instrumented_program_shares_its_inputs_argument_maps_and_neither_can_be_written():
+    """Instrumenting copies no argument map: the output's calls hold their
+    input's maps, which is safe because no write goes through either."""
+    for path in sorted(TASKS_DIR.glob("*/*.prog")):
+        program = parse(path.read_text())
+        out = insert_observations(program, cap=10)
+        before = to_text(program), to_text(out)
+        pairs = list(zip(_robot_calls(program), _robot_calls(out), strict=True))
+        assert pairs and all(a.args is b.args for a, b in pairs), path
+        for a, _ in pairs:
+            with pytest.raises(TypeError):
+                a.args["arm"] = "right"
+            with pytest.raises(TypeError):
+                a.args.update(arm="right")
+        for p in (program, out):
+            with pytest.raises(TypeError):
+                p.subgoals[0].statements[0] = p.subgoals[0].statements[-1]
+        assert (to_text(program), to_text(out)) == before, path
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_instrumented_program_pickles_to_an_equal_read_only_value(protocol):
+    """A candidate's final program crosses a worker's pipe pickled: the copy
+    is equal, hashes equal, keeps ids and lines, and its maps stay read-only."""
+    rng = random.Random(41)
+    programs = [parse(path.read_text()) for path in sorted(TASKS_DIR.glob("*/*.prog"))]
+    programs += [random_program(rng, max_subgoals=4, max_stmts=8) for _ in range(20)]
+    for program in programs:
+        out = insert_observations(program, cap=10)
+        back = pickle.loads(pickle.dumps(out, protocol))
+        assert back == out and hash(back) == hash(out) and repr(back) == repr(out)
+        assert [(s.id, s.line) for s in back.walk()] == [(s.id, s.line) for s in out.walk()]
+        for call in _robot_calls(back):
+            assert type(call.args) is Args
+            with pytest.raises(TypeError):
+                call.args["arm"] = "right"
+
+
 def _subgoal_places(program) -> dict:
     return {s.id: k for k, sg in enumerate(program.subgoals, start=1) for s in Program("", [sg]).walk()}
 
@@ -180,7 +219,7 @@ def test_each_event_carries_its_subgoals_place():
     # An empty subgoal still counts: the third subgoal's call is in subgoal 3.
     program = insert_observations(parse('program place_shoe\nsubgoal "a"\n  grasp_actor(shoe, left)\n'
                                         'subgoal "b"\n  observe("look")\nsubgoal "c"\n  back_to_origin(left)\n'), cap=10)
-    assert program.subgoals[1].statements == []
+    assert program.subgoals[1].statements == ()
     events = one_trial(program, load_task_spec(task_path("place_shoe")), 0).events
     assert [(ev.op_name, ev.subgoal_index) for ev in events] == [("grasp_actor", 1), ("back_to_origin", 3)]
 

@@ -78,9 +78,9 @@ def test_fuse_silent_failure_perceptual_only():
     log = TrialLog(0, 0, events=[_event(i, (i > 2) + 1) for i in range(1, 5)], goal_met=False)
     diagnosis = Diagnosis(False, [SubgoalVerdict(1, True), _verdict(2, 5, "perception_mismatch")])
     program = _program()
-    statements = program.subgoals[1].statements
-    statements[0] = replace(statements[0], id=5)  # align ids with the diagnosis
-    signal = fuse(log, diagnosis, program)
+    put = program.subgoals[1]
+    put = replace(put, statements=(replace(put.statements[0], id=5), *put.statements[1:]))  # align ids with the diagnosis
+    signal = fuse(log, diagnosis, replace(program, subgoals=(program.subgoals[0], put)))
     assert [f.source for f in signal.faults] == ["perceptual"]
     assert signal.faults[0].stmt_id == 5
     assert "goal predicate not satisfied" in signal.last_error

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from armloop.dsl import parse
-from armloop.dsl.ast import API_SIGNATURES, CallStmt, PoseLit
+from armloop.dsl.ast import API_SIGNATURES, Args, CallStmt, ParallelStmt, PoseLit
 from armloop.errors import ArtifactError
 from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_angle_rows, quat_rotate_rows
 from armloop.instrument import insert_observations
@@ -109,25 +109,35 @@ def test_batch_trial_is_the_trial_run_alone():
 
 
 def _mutated(program, rng: random.Random):
-    """The program with random values for some of its calls' distances,
-    displacements, targets and modes; actors and arms are kept."""
+    """A copy of the program with random values for some of its calls'
+    distances, displacements, targets and modes; actors and arms are kept.
+    Calls are drawn for in source order, a parallel block's left branch
+    before its right."""
     choices = {"move_axis": ("world", "arm"), "constrain": ("auto", "free", "align"),
                "pre_dis_axis": ("grasp", "fp"), "is_open": (True, False),
                "contact_point_id": ("auto", 0, 1), "functional_point_id": ("none", 0, 1)}
-    for stmt in program.walk():
-        if not isinstance(stmt, CallStmt):
-            continue
+
+    def call(stmt: CallStmt) -> CallStmt:
+        args = dict(stmt.args)
         for param in API_SIGNATURES[stmt.name]:
             if rng.random() < 0.6:
                 continue
             if param.kind == "num":
-                stmt.args[param.name] = round(rng.uniform(-0.12, 0.12), 3)
+                args[param.name] = round(rng.uniform(-0.12, 0.12), 3)
             elif param.name == "target":
                 xyz = (rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.2))
-                stmt.args[param.name] = PoseLit(tuple(round(c, 3) for c in xyz) + (0.0, 0.0, 0.0, 1.0))
+                args[param.name] = PoseLit(tuple(round(c, 3) for c in xyz) + (0.0, 0.0, 0.0, 1.0))
             elif param.name in choices:
-                stmt.args[param.name] = rng.choice(choices[param.name])
-    return program
+                args[param.name] = rng.choice(choices[param.name])
+        return dataclasses.replace(stmt, args=Args(args))
+
+    def stmt(s):
+        if isinstance(s, ParallelStmt):
+            return dataclasses.replace(s, left=tuple(map(call, s.left)), right=tuple(map(call, s.right)))
+        return call(s)
+
+    return dataclasses.replace(program, subgoals=tuple(
+        dataclasses.replace(sg, statements=tuple(map(stmt, sg.statements))) for sg in program.subgoals))
 
 
 def test_batch_trial_is_the_trial_run_alone_on_mutated_programs():
