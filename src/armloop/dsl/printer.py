@@ -44,7 +44,7 @@ def render_call(stmt: CallStmt) -> str:
             if param.kind == "string":
                 text = escape_string(str(value))
             parts.append(text)
-        elif value != param.default or type(value) is not type(param.default):
+        elif render_value(value) != render_value(param.default):
             parts.append(f"{param.name}={render_value(value)}")
     return f"{stmt.name}({', '.join(parts)})"
 

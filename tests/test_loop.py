@@ -10,7 +10,7 @@ import pytest
 
 from armloop import loop
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
-from armloop.dsl import parse
+from armloop.dsl import parse, to_text
 from armloop.errors import ArtifactError, MalformedReplyError
 from armloop.harness import TrialScore
 from armloop.loop import (
@@ -385,6 +385,24 @@ def test_loop_simulates_a_program_equal_but_for_a_signed_zero(monkeypatch, tmp_p
     iterations, calls = _counted_loop(monkeypatch, place_shoe_spec, cfg, [silent, flipped, flipped], tmp_path)
     assert (iterations, calls) == (3, 2)
     assert (tmp_path / "iter_1" / "trials.jsonl").read_text() != (tmp_path / "iter_2" / "trials.jsonl").read_text()
+
+
+def test_instrumented_prog_keeps_a_signed_zero_default_and_replays_its_trials(tmp_path, place_shoe_spec):
+    """An argument of -0.0 whose default is 0.0 reaches the events as "-0.0",
+    so the printer keeps it: the iteration's instrumented.prog parses back
+    with the sign and replays to its own trials.jsonl byte for byte."""
+    text = program_path("place_shoe", "correct").read_text().replace(
+        "move_by_displacement(left, z=0.07)", "move_by_displacement(left, x=-0.0, z=0.07)", 1)
+    back = parse(to_text(parse(text)))
+    assert str(back.subgoals[0].statements[1].args["x"]) == "-0.0"
+    cfg = _loop_cfg(mode="one_shot", n_trials=3)
+    run_loop(place_shoe_spec, cfg, out_dir=tmp_path, playbook=[text])
+    stored = (tmp_path / "iter_1" / "trials.jsonl").read_text()
+    assert '"x": "-0.0"' in stored
+    instrumented = parse((tmp_path / "iter_1" / "instrumented.prog").read_text())
+    replayed = run_trials(instrumented, place_shoe_spec, cfg.n_trials,
+                          iteration_base_seed(cfg.base_seed, 1, cfg.n_trials), cfg.noise_scale, cfg.max_steps)
+    assert "".join(trial_texts(replayed)) == stored
 
 
 def test_loop_persists_all_artifacts(tmp_path, place_shoe_spec):
