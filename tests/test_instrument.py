@@ -236,4 +236,4 @@ def test_hooks_of_generated_programs_at_every_cap():
             out = insert_observations(program, cap)
             digest.update(to_text(out).encode())
             digest.update(repr([(s.id, s.line) for s in out.walk()]).encode())
-    assert digest.hexdigest() == "e3d1a5e5e49aa948f5f29fe55a729b17b98e6059edea353b9208e1c923115414"
+    assert digest.hexdigest() == "58de8a3ee31f1ed17d84c96026b51afb1c923bce6c736efa1f12dcdf4387d189"
