@@ -174,4 +174,10 @@ def parse_remote_diagnosis(reply: str, n_subgoals: int) -> Diagnosis:
         raise MalformedReplyError(
             "reply.subgoals", f"expected {n_subgoals} per-subgoal verdicts, got {len(diagnosis.subgoals)}"
         )
+    seen = set()
+    for i, verdict in enumerate(diagnosis.subgoals):  # in any order, but each subgoal once
+        if not 1 <= verdict.index <= n_subgoals or verdict.index in seen:
+            raise MalformedReplyError(f"reply.subgoals[{i}].index",
+                                      f"expected each of subgoals 1 to {n_subgoals} once, got {verdict.index}")
+        seen.add(verdict.index)
     return diagnosis

@@ -483,6 +483,27 @@ def test_parse_remote_diagnosis_missing_verdicts():
         parse_remote_diagnosis('{"subgoals": []}', 0)
 
 
+@pytest.mark.parametrize("indices, field", [
+    ([1, 1], "reply.subgoals[1].index"),
+    ([1, 9], "reply.subgoals[1].index"),
+    ([0, 1], "reply.subgoals[0].index"),
+], ids=["repeated", "beyond", "zero"])
+def test_parse_remote_diagnosis_refuses_indices_not_each_subgoal_once(indices, field):
+    """Without this check [1, 1] rendered subgoal 1 as completed and FAILED
+    and left subgoal 2 without a verdict; [1, 9] faulted a subgoal 9."""
+    reply = json.dumps({"overall_success": False, "subgoals": [
+        {"index": indices[0], "passed": True}, {"index": indices[1], "passed": False, "cause": "logic_error"}]})
+    with pytest.raises(MalformedReplyError) as err:
+        parse_remote_diagnosis(reply, 2)
+    assert err.value.field == field
+
+
+def test_parse_remote_diagnosis_takes_the_verdicts_in_any_order():
+    reply = json.dumps({"overall_success": False, "subgoals": [
+        {"index": 2, "passed": False, "cause": "logic_error"}, {"index": 1, "passed": True}]})
+    assert [v.index for v in parse_remote_diagnosis(reply, 2).subgoals] == [2, 1]
+
+
 def _verdicts(**edits):
     """A well-formed two-subgoal reply with top-level fields replaced."""
     reply = {

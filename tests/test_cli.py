@@ -823,7 +823,13 @@ def _chat_transport(first_reply):
         {"index": 1, "passed": False, "deviation_stmt": 999, "cause": "logic_error"},
         {"index": 2, "passed": False}]}),
      "verification failed: reply.subgoals[0].deviation_stmt: "),
-], ids=["not_json", "unknown_stmt"])
+    (json.dumps({"overall_success": False, "subgoals": [
+        {"index": 1, "passed": True}, {"index": 1, "passed": False, "cause": "logic_error"}]}),
+     "verification failed: reply.subgoals[1].index: "),
+    (json.dumps({"overall_success": False, "subgoals": [
+        {"index": 1, "passed": True}, {"index": 9, "passed": False, "cause": "logic_error"}]}),
+     "verification failed: reply.subgoals[1].index: "),
+], ids=["not_json", "unknown_stmt", "repeated_index", "index_beyond"])
 def test_verifier_reply_fault_stays_in_its_candidate(tmp_path, capsys, monkeypatch, reply, error):
     """Candidate 0 makes the first verifier call and gets the faulty reply."""
     monkeypatch.setenv("ARMLOOP_TEST_KEY", "k")
