@@ -2,8 +2,8 @@
 
 Statements store fully resolved argument maps: omitted optionals are filled
 with their defaults at parse time, and the canonical printer omits any
-argument still equal to its default. Structural equality ignores statement
-ids and source lines (bookkeeping, not meaning).
+argument that prints as its default (so it keeps a -0.0). Structural
+equality ignores statement ids and source lines (bookkeeping, not meaning).
 
 A program is a value: its nodes are frozen, its sequences are tuples and
 each argument map is an ``Args``, which refuses every write. So programs may

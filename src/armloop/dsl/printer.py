@@ -44,8 +44,10 @@ def render_call(stmt: CallStmt) -> str:
             if param.kind == "string":
                 text = escape_string(str(value))
             parts.append(text)
-        elif render_value(value) != render_value(param.default):
-            parts.append(f"{param.name}={render_value(value)}")
+        elif value is not param.default:  # the parser fills in the default itself
+            text = render_value(value)
+            if text != render_value(param.default):  # so a -0.0 whose default is 0.0 is kept
+                parts.append(f"{param.name}={text}")
     return f"{stmt.name}({', '.join(parts)})"
 
 
