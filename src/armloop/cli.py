@@ -8,8 +8,11 @@ success_threshold), 2 input, validation or artifact problems, 3 agent failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -87,40 +90,41 @@ def _chunked_trials(program, spec, cfg: LoopConfig, starts: range, kept: list):
             kept.append(log)
 
 
-def _share_text(program, spec, cfg: LoopConfig, starts: range) -> tuple:
-    """A worker's share of the run: (its trials without snapshots, their
-    trials.jsonl text as bytes)."""
+def _write_share(program, spec, cfg: LoopConfig, starts: range, file, path: Path) -> list:
+    """A worker's share of the run: its trials.jsonl text is written to
+    `file` as it is made, a failure as one of `path`; returns its trials."""
     kept = []
-    text = [piece.encode() for piece in trial_texts(_chunked_trials(program, spec, cfg, starts, kept))]
-    return kept, text
-
-
-def _received(workers: parallel.Workers, kept: list):
-    """The workers' trials.jsonl text in trial order; each worker's trials
-    are appended to `kept`."""
-    for logs, text in workers.results():
-        yield from text
-        kept += logs
+    with ConfigError.writing(path, "--out"):
+        file.writelines(piece.encode() for piece in trial_texts(_chunked_trials(program, spec, cfg, starts, kept)))
+        file.flush()
+    return kept
 
 
 def _run_chunks(program, spec, cfg: LoopConfig, path: Path) -> list:
     """Simulate and write the run's trials; return them without snapshots.
     The chunks are cut into contiguous shares, one per CPU the process may
     use. This process simulates and writes the first share, as a run of one
-    share does; a forked worker simulates each later one, and its text and
-    trials are then appended in trial order."""
+    share does; a forked worker simulates each later one into an unnamed
+    temporary file in path's directory and sends back its trials, and the
+    files are then appended to path in trial order."""
     starts = range(0, cfg.n_trials, CHUNK)
     shares = min(parallel.cpus(), len(starts))
     cuts = [len(starts) * k // shares for k in range(shares + 1)]
-    kept = []
-    with parallel.Workers() as workers:
+    kept, files = [], []
+    with contextlib.ExitStack() as stack, parallel.Workers() as workers:
         for k in range(1, shares):
             share = starts[cuts[k]:cuts[k + 1]]
             last = min(share[-1] + CHUNK, cfg.n_trials) - 1
-            workers.fork(f"trials {share[0]}-{last}", lambda share=share: _share_text(program, spec, cfg, share))
+            with ConfigError.writing(path, "--out"):
+                files.append(stack.enter_context(tempfile.TemporaryFile(dir=path.parent)))
+            workers.fork(f"trials {share[0]}-{last}",
+                         lambda share=share, file=files[-1]: _write_share(program, spec, cfg, share, file, path))
         dump_trials(_chunked_trials(program, spec, cfg, starts[:cuts[1]], kept), path)
-        if shares > 1:
-            ConfigError.write_text(path, _received(workers, kept), "--out", mode="ab")
+        with ConfigError.writing(path, "--out"), open(path, "ab") as out:
+            for file, logs in zip(files, workers.results()):
+                file.seek(0)  # the worker's writes moved the offset this process shares with it
+                shutil.copyfileobj(file, out, 1 << 20)
+                kept += logs
     return kept
 
 

@@ -6,6 +6,7 @@ tests can match on the condition rather than on message wording.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -59,14 +60,19 @@ class FieldError(ArmloopError):
             raise cls(where, f"cannot read {path}: {reason}") from None
 
     @classmethod
-    def write_text(cls, path, text, where: str, mode: str = "w") -> None:
-        """text (a str, or an iterable of str pieces written as they come) to
-        path; in mode "ab", an iterable of bytes pieces appended to it."""
+    @contextlib.contextmanager
+    def writing(cls, path, where: str):
+        """An OSError raised within the block is this error: cannot write path."""
         try:
-            with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
-                fh.writelines([text] if type(text) is str else text)
+            yield
         except OSError as exc:
             raise cls(where, f"cannot write {path}: {exc.strerror}") from None
+
+    @classmethod
+    def write_text(cls, path, text, where: str) -> None:
+        """text (a str, or an iterable of str pieces written as they come) to path."""
+        with cls.writing(path, where), open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if type(text) is str else text)
 
     @classmethod
     def make_dir(cls, path, where: str) -> Path:

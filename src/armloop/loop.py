@@ -483,9 +483,9 @@ def run_campaign(
     outcomes = [None] * n
     with parallel.Workers() as workers:
         for k in range(1, shares):
-            workers.fork(f"candidates {', '.join(map(str, range(k, n, shares)))}", lambda k=k: (share(k), []))
+            workers.fork(f"candidates {', '.join(map(str, range(k, n, shares)))}", lambda k=k: share(k))
         outcomes[::shares] = share(0)
-        for k, (received, _) in enumerate(workers.results(), 1):
+        for k, received in enumerate(workers.results(), 1):
             outcomes[k::shares] = received
     rows, batches, finals = map(list, zip(*outcomes))
     record.candidates = rows

@@ -1,6 +1,6 @@
 """Forked workers: a job cut into shares runs its first share in this
 process and each later one in a forked worker, which pickles its result up
-a pipe, followed by any text it made.
+a pipe; results are all that the pipe carries.
 
 `armloop run` sends its chunks of trials this way, and `armloop loop` its
 candidates. A worker's ArmloopError reaches the caller with its code; a
@@ -17,41 +17,11 @@ import sys
 
 from .errors import ArmloopError, WorkerError
 
-PIECE = 1 << 16  # bytes of a worker's text read at a time
-
 
 def cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
-
-
-def _send(work, pipe) -> None:
-    """A worker's half of the exchange: work() gives (result, text pieces
-    as bytes); (error, the text's length, result) is pickled up `pipe`,
-    followed by the text. An ArmloopError is sent as its (code, message),
-    with no result and no text."""
-    try:
-        result, text = work()
-        error = None
-    except ArmloopError as exc:
-        result, text, error = None, [], (exc.code, str(exc))
-    pickle.dump((error, sum(map(len, text)), result), pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.writelines(text)
-
-
-def _lost(pid: int, holds: str) -> WorkerError:
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return WorkerError(f"{holds}: their worker process exited with status {status} before sending them")
-
-
-def _text(pipe, size: int, pid: int, holds: str):
-    while size:
-        piece = pipe.read(min(size, PIECE))
-        if not piece:
-            raise _lost(pid, holds)
-        yield piece
-        size -= len(piece)
 
 
 class Workers:
@@ -73,9 +43,10 @@ class Workers:
                 pass  # reaped by results()
 
     def fork(self, holds: str, work) -> None:
-        """Start a worker that sends what work() gives; `holds` names its
-        part of the job. The worker closes the read ends of the earlier
-        workers, so that none of them waits on a reader that is gone."""
+        """Start a worker that pickles (error, what work() gives) up its
+        pipe; `holds` names its part of the job. The worker closes the read
+        ends of the earlier workers, so that none of them waits on a reader
+        that is gone."""
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -89,8 +60,12 @@ class Workers:
                 os.close(read_fd)
                 for _, pipe, _ in self._forked:
                     pipe.close()
+                try:
+                    sent = None, work()
+                except ArmloopError as exc:  # sent as its (code, message), with no result
+                    sent = (exc.code, str(exc)), None
                 with open(write_fd, "wb") as pipe:
-                    _send(work, pipe)
+                    pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
                 status = 0
             except BrokenPipeError:
                 pass  # the parent stopped reading: it has an error of its own to report
@@ -102,15 +77,16 @@ class Workers:
         self._forked.append((pid, open(read_fd, "rb"), holds))
 
     def results(self):
-        """Per worker in fork order, (its result, its text in pieces of at
-        most PIECE bytes); read each text before the next result. A
-        worker's ArmloopError is re-raised with its code, and its exit
-        without a result is a WorkerError naming what it held."""
+        """Each worker's result in fork order. A worker's ArmloopError is
+        re-raised with its code, and its exit without a result is a
+        WorkerError naming what it held."""
         for pid, pipe, holds in self._forked:
             try:
-                error, size, result = pickle.load(pipe)
+                error, result = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                raise _lost(pid, holds) from None
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise WorkerError(f"{holds}: their worker process exited with status {status} "
+                                  "before sending them") from None
             if error is not None:
                 raise WorkerError(error[1], code=error[0])
-            yield result, _text(pipe, size, pid, holds)
+            yield result

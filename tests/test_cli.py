@@ -1,12 +1,15 @@
 import dataclasses
+import errno
 import fcntl
 import json
 import math
 import os
+import resource
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -563,6 +566,66 @@ def test_run_chunk_worker_that_exits_without_a_result_is_a_coded_error(tmp_path,
     _assert_no_worker_left(tmp_path)
 
 
+def _held_files(directory: Path):
+    """How many files in directory this process has open, deleted or not
+    (Linux's /proc/self/fd); None where the platform cannot say."""
+    if not Path("/proc/self/fd").is_dir():
+        return None
+    held = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            held += os.readlink(f"/proc/self/fd/{fd}").startswith(f"{directory}/")
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return held
+
+
+@closes_its_pipes
+def test_run_share_file_that_cannot_be_made_is_a_coded_error(tmp_path, capfd, monkeypatch, bounded):
+    """The unnamed file of a worker's share cannot be created in --out: the
+    run ends in exit 2 and the config_error of a failed trials.jsonl write,
+    with no traceback and no worker left behind."""
+    def full(**_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    assert main(_run_argv(tmp_path)) == 2
+    assert capfd.readouterr() == ("", f"error [config_error]: --out: cannot write {tmp_path / 'trials.jsonl'}: "
+                                      "No space left on device\n")
+    _assert_no_worker_left(tmp_path)
+
+
+@closes_its_pipes
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_worker_whose_write_fails_is_a_coded_error(tmp_path, capfd, monkeypatch, bounded, workers):
+    """The worker of the last share may write no more than 64 KiB to a file
+    (RLIMIT_FSIZE, SIGXFSZ ignored), so writing its share fails: the run
+    ends as a failed trials.jsonl write does, with no traceback and no
+    worker left behind. The share files this process holds meanwhile, one
+    per worker, are unnamed: the run directory never lists them."""
+    parent, real_run_trials, listed, held = os.getpid(), cli.run_trials, [], []
+    out = tmp_path / "run"
+
+    def capped(program, spec, n, seed, *rest):
+        if os.getpid() != parent and seed >= 5 + (workers - 1) * CHUNK:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+        elif os.getpid() == parent:
+            listed.append(sorted(os.listdir(out)))
+            held.append(_held_files(out))
+        return real_run_trials(program, spec, n, seed, *rest)
+
+    monkeypatch.setattr(cli, "run_trials", capped)
+    monkeypatch.setattr(parallel, "cpus", lambda: workers)
+    assert main(_run_argv(out, n=workers * CHUNK)) == 2
+    assert capfd.readouterr() == ("", f"error [config_error]: --out: cannot write {out / 'trials.jsonl'}: "
+                                      "File too large\n")
+    _assert_no_worker_left(out)
+    assert listed == [["trials.jsonl"]]
+    assert held in ([workers], [None])  # the share files, and trials.jsonl open for this process's share
+
+
 def _campaign_config(tmp_path, mode="hybrid", noise=0.0, playbooks=None) -> str:
     """A bundled mode's config at the given noise, with its candidates or these playbooks."""
     raw = json.loads((TASKS_DIR / "configs" / f"{mode}.json").read_text())
@@ -775,6 +838,40 @@ def test_loop_at_noise_0_leaves_numpy_random_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads Linux's /proc/self/status")
+def test_cli_import_leaves_one_thread_to_fork_from():
+    """armloop sets OPENBLAS_NUM_THREADS to 1 where it is unset, before numpy
+    loads: a fresh interpreter without it that imports armloop.cli runs one
+    thread, so `run` and `loop` fork from a single-threaded process."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = "import armloop.cli; print(open('/proc/self/status').read())"
+    status = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env=dict(env, PYTHONPATH=str(SRC))).stdout
+    assert "\nThreads:\t1\n" in status
+
+
+def _worker_peak_mib(out, n: int) -> float:
+    """The peak resident memory, in MiB, of the worker of a noisy `run` of n
+    trials over 2 CPUs on stack_blocks_three, in a fresh interpreter."""
+    code = ("import contextlib, io, resource, sys; from armloop import cli, parallel; parallel.cpus = lambda: 2\n"
+            "with contextlib.redirect_stdout(io.StringIO()): status = cli.main(sys.argv[1:])\n"
+            "print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = ["run", _task("stack_blocks_three"), _prog("correct", "stack_blocks_three"), "--trials", str(n),
+            "--noise-scale", "1", "--out", str(out)]
+    report = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC))).stdout.split()
+    assert report[0] in ("0", "1"), report
+    return int(report[1]) / (1024 if sys.platform.startswith("linux") else 1024 * 1024)  # KiB on Linux, else B
+
+
+def test_run_worker_memory_does_not_grow_with_its_share(tmp_path):
+    """A worker writes its share to a file as it simulates it and sends back
+    its trials without snapshots: its peak at 4000 trials is within 4 MiB
+    of its peak at 1000, where it held its share's text it grew by 16."""
+    small, large = _worker_peak_mib(tmp_path / "small", 1000), _worker_peak_mib(tmp_path / "large", 4000)
+    assert large - small < 4, (small, large)
 
 
 def test_run_malformed_task_exits_two(tmp_path, capsys):
