@@ -151,7 +151,8 @@ class FieldError(ArmloopError):
         """Each field of a dataclass record checked as check() does against
         its declared type and the bounds its metadata names (an int in a
         float field becomes a float), so that a record holds exactly its
-        declared types."""
+        declared types. Only a value check() changed is assigned, so a
+        frozen record whose fields pass is left as it is."""
         declared = _RECORD_FIELDS.get(type(record))
         if declared is None:  # fields() is slow, and a trial record is made per trial
             declared = _RECORD_FIELDS[type(record)] = [(f.name, kind, dict(f.metadata)) for f in fields(record)
@@ -159,7 +160,9 @@ class FieldError(ArmloopError):
         for name, kind, bounds in declared:
             value = getattr(record, name)
             if type(value) is not kind or bounds or kind is float:  # else check() returns it as it is
-                setattr(record, name, cls.check(value, kind, name, **bounds) if bounds else cls.check(value, kind, name))
+                checked = cls.check(value, kind, name, **bounds) if bounds else cls.check(value, kind, name)
+                if checked is not value:
+                    setattr(record, name, checked)
 
     @classmethod
     def build(cls, record_type, raw, where: str, **fixed):

@@ -44,6 +44,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ..dsl.ast import API_SIGNATURES
 from ..errors import ArtifactError, ConfigError
 from ..scene import ARM_TAGS, Pose, SceneRows, TaskSpec
 
@@ -57,19 +58,23 @@ ERROR_CATEGORIES = (
     "not_held",
     "runtime_limit",
 )
+# Per op, its parameters in signature order: the keys of its events' args.
+_PARAMETERS = {name: tuple(p.name for p in params) for name, params in API_SIGNATURES.items()}
 
 
 @dataclass(frozen=True)
 class SymbolicEvent:
     """One statement's outcome in a trial. Frozen: the executor gives the
-    rows that emit an equal event one shared object."""
+    rows that emit an equal event one shared object. Its op, outcome and
+    error category are closed vocabularies, and the keys of its args are
+    its op's parameters in signature order; the reader refuses any other."""
 
     stmt_id: int
     subgoal_index: int
-    op_name: str
+    op_name: str = field(metadata={"choices": _PARAMETERS})
     args: dict
-    outcome: str  # success | failure
-    error_category: str
+    outcome: str = field(metadata={"choices": ("success", "failure")})
+    error_category: str = field(metadata={"choices": ERROR_CATEGORIES})
     message: str
     t: int
 
@@ -390,6 +395,9 @@ def _record(line: str):
             ArtifactError.check_fields(record)
         except ArtifactError as exc:
             raise ArtifactError(f"{kind}.{exc.field}", exc.reason) from None
+    if cls is SymbolicEvent and tuple(record.args) != _PARAMETERS[record.op_name]:
+        raise ArtifactError("event.args", f"expected the keys {list(_PARAMETERS[record.op_name])} of "
+                                          f"{record.op_name}, got {list(record.args)}")
     return index, record
 
 

@@ -1156,6 +1156,28 @@ def test_load_trials_refuses_an_event_field_of_another_type_at_its_line(tmp_path
         "artifact_error", f"{path}:{at + 1}: event.stmt_id: expected an integer, got 'x'")
 
 
+@pytest.mark.parametrize("written, mutated, field", [
+    ('"outcome": "success"', '"outcome": "succes"', "outcome"),
+    ('"error_category": "none"', '"error_category": "no[e"', "error_category"),
+    ('"op_name": "place_actor"', '"op_name": "/place_actor"', "op_name"),
+    ('"arm": "left"', '"arn": "left"', "args"),
+])
+def test_load_trials_refuses_an_event_the_executor_could_not_make(tmp_path, place_shoe_spec, written, mutated,
+                                                                  field):
+    """An event's op, outcome and error category are closed vocabularies,
+    and its args' keys are its op's parameters: any other is refused as an
+    artifact error naming path:line, never by assigning to the event."""
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 2)
+    at = [i for i, line in enumerate(lines) if line.startswith('{"type": "event", ') and written in line][-1]
+    lines[at] = lines[at].replace(written, mutated, 1)
+    path.write_text("".join(lines))
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert exc.value.code == "artifact_error"
+    assert str(exc.value).startswith(f"{path}:{at + 1}: event.{field}: ")
+
+
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
     log = one_trial(_correct(), place_shoe_spec, 0, max_steps=3)
     limit, final = log.events[-1], log.snapshots[-1]
