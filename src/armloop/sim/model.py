@@ -7,37 +7,38 @@ and a final summary record, with field names matching the dataclasses.
 Serialization is byte-stable: two `run_trials` calls with the same arguments
 produce identical files.
 
-The writer produces exactly what json.dumps(record, ensure_ascii=False)
-would, faster. Each record is one fill of its type's template, built at
-import from its dataclass's fields, with the fields fetched at once. An
-exact str, int or finite float goes straight to the C function the encoder
-would call, and an exact bool or None is written out. Each entry of a
-snapshot scene is one memo lookup, keyed by the identity of the entry dict,
-so its text is made once per trial. Over a `trial_texts` call, an event's
-text is made once per event object, memoized by its identity (the
-executor's rows that emit an event alike share one), and the text of a
-snapshot's fields but its scene once per distinct value of them, when each
-is exactly of its declared type. A value of any other kind (a subclass, a
-numpy scalar, nan or inf, a list) falls back to the JSON encoder. A trial
+The writer takes the executor's records, and those `load_trials` reads back
+from the writer's own files, and writes them as json.dumps(record,
+ensure_ascii=False) would, faster. It relies on what such records hold: a
+pose is a tuple (a list, once loaded) of seven finite floats, a payload has
+_SCENE_KEYS's layout in its order, and every other field is exactly of its
+declared type. Each record is one fill of its type's template, built at
+import from its dataclass's fields, with the fields fetched at once. Each
+entry of a snapshot scene is one memo lookup, keyed by the identity of the
+entry dict, so its text is made once per trial. Over a `trial_texts` call,
+an event's text is made once per event object, memoized by its identity
+(the executor's rows that emit an event alike share one), and the text of a
+snapshot's fields but its scene once per distinct value of them. A trial
 whose `events` and `snapshots` are the very lists of the trial written just
 before it (the executor's trials with equal perturbations share them)
 reuses that trial's record texts, with its own index put in each line and
-its own summary; only the previous trial's texts are kept.
+its own summary, formatted from the log's fields; only the previous trial's
+texts are kept.
 
 The reader decodes each distinct event or snapshot line once per file. A
 line that starts with the writer's head and a plain trial index, and whose
 rest names no second trial index, is memoized by its head and rest: a line
 equal to it but for the index is the same record, put in that index's
 trial, so trials with equal lines share record objects as the executor's
-do. Every record is checked against its class's declared field types, once
-per distinct line; a line that does not decode is never memoized, so a
-repeat of it is refused at its own line.
+do. Every record is checked against its class's declared field types and
+an event against its closed vocabularies, once per distinct line; a line
+that does not decode is never memoized, so a repeat of it is refused at its
+own line.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -119,8 +120,7 @@ class TrialLog:
 # the row does not move, and an entry whose pose and other value are the same
 # objects as in the previous snapshot is the same dict. The trial writer
 # relies on this identity: it makes an entry's text once per trial, memoized
-# by the identity of the entry dict, and encodes a pose of anything but seven
-# exact finite floats through the JSON encoder.
+# by the identity of the entry dict.
 _SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
 
 
@@ -226,95 +226,68 @@ def _ordered(log: TrialLog) -> list:
     return sorted(log.events + log.snapshots, key=attrgetter("t"))
 
 
-def _summary(log: TrialLog) -> TrialSummary:
-    return TrialSummary(log.goal_met, log.seed, len(log.events))
-
-
 # json.dumps(value, ensure_ascii=False), without building an encoder per value.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 
 # Per record type: the head of its line (its "type" written out, up to its
-# trial index), the template of the rest of it (a %s for each of the
-# class's fields, then the line's end) and the getter of those fields.
-(_EVENT, _EVENT_REST, _event_fields), (_SNAPSHOT, _SNAPSHOT_REST, _snapshot_fields), \
-    (_SUMMARY, _SUMMARY_REST, _summary_fields) = [
-        (f'{{"type": {_str(kind)}, "trial_index": ', "".join(f", {_str(name)}: %s" for name in names) + "}\n",
-         attrgetter(*names))
-        for kind, names in _FIELDS.values()]
-# A payload's text, a %s per section; per section, the keys of an entry and
-# the template of its text (name, pose, other value).
+# trial index) and the template of the rest of it (a %s for each of the
+# class's fields, then the line's end); per event and snapshot, the getter
+# of those fields.
+(_EVENT, _EVENT_REST), (_SNAPSHOT, _SNAPSHOT_REST), (_SUMMARY, _SUMMARY_REST) = [
+    (f'{{"type": {_str(kind)}, "trial_index": ', "".join(f", {_str(name)}: %s" for name in names) + "}\n")
+    for kind, names in _FIELDS.values()]
+_event_fields, _snapshot_fields = (attrgetter(*_FIELDS[cls][1]) for cls in (SymbolicEvent, Snapshot))
+# A payload's text, a %s per section; per section, the template of an
+# entry's text (name, pose, other value).
 _SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in _SCENE_KEYS) + "}"
-_ENTRIES = tuple((keys, f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}") for keys in _SCENE_KEYS.values())
-_SECTION_NAMES = tuple(_SCENE_KEYS)
+_ENTRIES = tuple(f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}" for keys in _SCENE_KEYS.values())
 # A snapshot's rest cut at its scene's text: the template before it (the
 # fields before the scene, up to the scene's key) and after it (its
-# program_context and the line's end). A snapshot's head, the fields of
-# the two, is keyed by value when each is exactly of its declared type.
+# program_context and the line's end).
 _SCENE_KEY = f"{_str('scene')}: "
 _BEFORE_SCENE, _AFTER_SCENE = _SNAPSHOT_REST.split(_SCENE_KEY + "%s")
 _BEFORE_SCENE += _SCENE_KEY
-_HEAD_TYPES = (str, int, int, int, str)  # step_name, stmt_id, subgoal_index, t, program_context
 _POSE = "[" + ", ".join(["%r"] * 7) + "]"
-_SEVEN_FLOATS = (float,) * 7
 
 
 def _atom(value) -> str:
-    """_encode(value). An exact str, int or finite float, a bool or None,
-    goes straight to what _encode would reach it by."""
+    """_encode(value). An exact str, int or float, or None, goes straight to
+    what _encode would reach it by (repr, for the finite floats that
+    records hold); anything else, such as an event's args, to _encode."""
     if type(value) is str:
         return _str(value)
-    if type(value) is int:
-        return int.__repr__(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
+    if type(value) in (int, float):
+        return repr(value)
     return _encode(value)
 
 
-def _pose_text(pose) -> str:
-    """_encode(pose), in one formatting call when it is a tuple of seven
-    exact finite floats: repr is then what _encode writes, which it is not
-    for nan, inf or a numpy scalar. A sum of floats is finite only if each
-    of them is."""
-    if type(pose) is tuple and tuple(map(type, pose)) == _SEVEN_FLOATS and math.isfinite(sum(pose)):
-        return _POSE % pose
-    return _encode(pose)
-
-
-def _scene_text(scene, memo: dict) -> str:
+def _scene_text(scene: dict, memo: dict) -> str:
     """_encode(scene), with one memo lookup per entry: `memo` maps
     id(entry) to (entry, name, text) for one trial. It holds the entry, so
     that its id names no other dict while the memo lives, and a hit needs
     the very same name; nothing that runs while a trial is written changes
     an entry. An entry's text is _encode's in either section, so one memo
-    serves both. A payload of another layout is encoded whole."""
-    if type(scene) is not dict or tuple(scene) != _SECTION_NAMES:
-        return _encode(scene)
+    serves both. A pose is a tuple (or, loaded, a list) of seven finite
+    floats."""
     texts = []
-    for entries, (keys, template) in zip(scene.values(), _ENTRIES):
-        if type(entries) is not dict:
-            return _encode(scene)
+    for entries, template in zip(scene.values(), _ENTRIES):
         section = []
         for name, entry in entries.items():
             hit = memo.get(id(entry))
             if hit is None or hit[1] is not name:
-                if type(name) is not str or type(entry) is not dict or tuple(entry) != keys:
-                    return _encode(scene)
                 pose, other = entry.values()
-                hit = memo[id(entry)] = (entry, name, template % (_str(name), _pose_text(pose), _atom(other)))
+                hit = memo[id(entry)] = (entry, name, template % (_str(name), _POSE % tuple(pose), _atom(other)))
             section.append(hit[2])
         texts.append(", ".join(section))
     return _SCENE % tuple(texts)
 
 
 def _summary_text(log: TrialLog) -> str:
-    return _SUMMARY_REST % tuple(map(_atom, _summary_fields(_summary(log))))
+    """The fill of a summary's rest: goal_met, seed and n_events, from the log."""
+    return _SUMMARY_REST % ("true" if log.goal_met else "false", log.seed, len(log.events))
 
 
 def _parts(log: TrialLog, events: dict, heads: dict) -> list:
@@ -323,24 +296,17 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
     of its type's template. `events` maps id(event) to (event, the fill of
     its rest); it holds the event, so that its id names no other object
     while it lives. `heads` maps a snapshot's head, its fields but its
-    scene, to the texts before and after its scene; a head is a key only
-    when each field is exactly of its declared type, whose equal values
-    have one text (True is equal to 1 and hashes alike, but is written
-    otherwise)."""
+    scene, to the texts before and after its scene."""
     memo = {}
-    index = _atom(log.trial_index)
+    index = str(log.trial_index)
     parts = []
     for rec in _ordered(log):
         if type(rec) is Snapshot:
             step_name, stmt_id, subgoal_index, t, scene, context = _snapshot_fields(rec)
-            key = (step_name, stmt_id, subgoal_index, t, context)
-            keyed = tuple(map(type, key)) == _HEAD_TYPES
-            around = heads.get(key) if keyed else None
+            around = heads.get(key := (step_name, stmt_id, subgoal_index, t, context))
             if around is None:
-                around = (_BEFORE_SCENE % (_atom(step_name), _atom(stmt_id), _atom(subgoal_index), _atom(t)),
-                          _AFTER_SCENE % _atom(context))
-                if keyed:
-                    heads[key] = around
+                around = heads[key] = (_BEFORE_SCENE % (_str(step_name), stmt_id, subgoal_index, t),
+                                       _AFTER_SCENE % _str(context))
             parts += (_SNAPSHOT, index, around[0] + _scene_text(scene, memo) + around[1])
         else:
             hit = events.get(id(rec))
@@ -367,7 +333,7 @@ def trial_texts(logs):
     for log in logs:
         if last is not None and last[0] is log.events and last[1] is log.snapshots:
             parts = last[2]
-            parts[1::3] = [_atom(log.trial_index)] * (len(parts) // 3)
+            parts[1::3] = [str(log.trial_index)] * (len(parts) // 3)
             parts[-1] = _summary_text(log)
         else:
             last = (log.events, log.snapshots, _parts(log, events, heads))

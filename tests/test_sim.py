@@ -16,7 +16,7 @@ from armloop.dsl.ast import API_SIGNATURES, Args, CallStmt, ParallelStmt, PoseLi
 from armloop.errors import ArtifactError
 from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_angle_rows, quat_rotate_rows
 from armloop.instrument import insert_observations
-from armloop.scene import AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
+from armloop.scene import ARM_TAGS, AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
 from armloop.sim import (
     Snapshot, SymbolicEvent, TrialLog, dump_trials, load_trials, run_trials, scene_from_state, trial_texts,
 )
@@ -108,14 +108,25 @@ def test_batch_trial_is_the_trial_run_alone():
     assert mixed  # some batch lost rows at different statements and kept others to the end
 
 
-def _mutated(program, rng: random.Random):
+# Literals at the edges of what a float holds, and unit quaternions 1e-7
+# off unit (within the parser's tolerance), for _mutated.
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e300, 1e308)
+_NEAR_UNIT = ((0.0, 0.0, 0.0, 1.0 + 1e-7), (1e-7, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0 - 1e-7, 0.0))
+
+
+def _mutated(program, rng: random.Random, extremes: bool = False):
     """A copy of the program with random values for some of its calls'
     distances, displacements, targets and modes; actors and arms are kept.
     Calls are drawn for in source order, a parallel block's left branch
-    before its right."""
+    before its right. With extremes, a number or a target coordinate is
+    one of _EXTREMES a third of the time, and a target's quaternion one of
+    _NEAR_UNIT."""
     choices = {"move_axis": ("world", "arm"), "constrain": ("auto", "free", "align"),
                "pre_dis_axis": ("grasp", "fp"), "is_open": (True, False),
                "contact_point_id": ("auto", 0, 1), "functional_point_id": ("none", 0, 1)}
+
+    def number(value: float) -> float:
+        return rng.choice(_EXTREMES) if extremes and rng.random() < 1 / 3 else value
 
     def call(stmt: CallStmt) -> CallStmt:
         args = dict(stmt.args)
@@ -123,10 +134,11 @@ def _mutated(program, rng: random.Random):
             if rng.random() < 0.6:
                 continue
             if param.kind == "num":
-                args[param.name] = round(rng.uniform(-0.12, 0.12), 3)
+                args[param.name] = number(round(rng.uniform(-0.12, 0.12), 3))
             elif param.name == "target":
                 xyz = (rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.2))
-                args[param.name] = PoseLit(tuple(round(c, 3) for c in xyz) + (0.0, 0.0, 0.0, 1.0))
+                quaternion = rng.choice(_NEAR_UNIT) if extremes else (0.0, 0.0, 0.0, 1.0)
+                args[param.name] = PoseLit(tuple(number(round(c, 3)) for c in xyz) + quaternion)
             elif param.name in choices:
                 args[param.name] = rng.choice(choices[param.name])
         return dataclasses.replace(stmt, args=Args(args))
@@ -725,6 +737,64 @@ def test_trials_leave_task_geometry_unchanged(task):
     assert _geometry(spec) == _geometry(load_task_spec(task_path(task)))
 
 
+def _finite_floats(values, n: int) -> bool:
+    return type(values) is tuple and len(values) == n and all(type(v) is float and math.isfinite(v) for v in values)
+
+
+def test_executor_records_are_what_the_trial_writer_takes():
+    """The trial writer formats only what the executor makes: every field
+    of a record exactly of its declared type, a payload of _SCENE_KEYS's
+    layout with the task's actors then the arms in ARM_TAGS order, each
+    pose seven finite floats, each holder None or an arm tag, each gripper
+    a finite float, and each event's args keyed by its op's parameters in
+    signature order. Over mutated bundled programs with extreme literals,
+    at noise 0, 1 and 3."""
+    head_types = {"step_name": str, "stmt_id": int, "subgoal_index": int, "t": int, "program_context": str}
+    event_types = {"stmt_id": int, "subgoal_index": int, "op_name": str, "args": dict, "outcome": str,
+                   "error_category": str, "message": str, "t": int}
+    parameters = {name: [p.name for p in params] for name, params in API_SIGNATURES.items()}
+    rng = random.Random(38)
+    entries, extreme, ends = 0, 0, collections.Counter()
+    for k in range(300):
+        task = TASK_NAMES[k % len(TASK_NAMES)]
+        spec = load_task_spec(task_path(task))
+        kind = rng.choice(("correct", "loud", "silent"))
+        program = insert_observations(_mutated(parse(program_path(task, kind).read_text()), rng, True), cap=1000)
+        for noise in (0.0, 1.0, 3.0):
+            logs = run_trials(program, spec, 3, base_seed=k, noise_scale=noise, max_steps=200)
+            seen = set()  # ids of the shared objects checked; the batch keeps each alive
+            for log in logs:
+                assert (type(log.trial_index), type(log.seed), type(log.goal_met)) == (int, int, bool)
+                for event in log.events:
+                    if id(event) in seen:
+                        continue
+                    seen.add(id(event))
+                    assert {f: type(getattr(event, f)) for f in event_types} == event_types
+                    assert list(event.args) == parameters[event.op_name]
+                    assert all(type(value) is str for value in event.args.values())
+                    extreme += any("e+" in value or "e-324" in value for value in event.args.values())
+                    ends[event.error_category] += 1
+                for snap in log.snapshots:
+                    assert {f: type(getattr(snap, f)) for f in head_types} == head_types
+                    assert list(snap.scene) == ["actors", "arms"]
+                    assert list(snap.scene["actors"]) == list(spec.actors)
+                    assert list(snap.scene["arms"]) == list(ARM_TAGS)
+                    for entry in snap.scene["actors"].values():
+                        if id(entry) not in seen:
+                            seen.add(id(entry))
+                            assert list(entry) == ["pose", "held_by"]
+                            assert _finite_floats(entry["pose"], 7) and entry["held_by"] in (None, *ARM_TAGS)
+                            entries += 1
+                    for entry in snap.scene["arms"].values():
+                        if id(entry) not in seen:
+                            seen.add(id(entry))
+                            assert list(entry) == ["tcp", "gripper"]
+                            assert _finite_floats(entry["tcp"], 7) and _finite_floats((entry["gripper"],), 1)
+                            entries += 1
+    assert entries > 10000 and extreme > 500
+    assert set(model.ERROR_CATEGORIES) - set(ends) == {"runtime_limit"}
+
+
 # --- trials.jsonl codec -----------------------------------------------------------
 
 
@@ -782,17 +852,20 @@ def test_trial_writer_matches_json_dumps(tmp_path, noise):
             assert "".join(trial_texts(loaded)) == _reference_text(loaded), (task, kind)
 
 
-class _Index(int):
-    def __repr__(self):  # json writes an int subclass through int.__repr__, never its own
-        return "wrong"
+# An event's args as the executor renders them, for grasp_actor.
+_GRASP_ARGS = {"actor": "shoe", "arm": "left", "pre_grasp_dis": "0.1", "grasp_dis": "0.0", "gripper_pos": "0.0",
+               "contact_point_id": "auto"}
 
 
-class _Name(str):
-    def __str__(self):
-        return "wrong"
+def _assert_round_trips(logs, path):
+    """The trials load back from the writer's file, and write back the
+    same bytes, which are json.dumps of the loaded records."""
+    text = path.read_text(encoding="utf-8")
+    loaded = load_trials(path)  # poses as lists, records shared across trials of equal lines
+    assert "".join(trial_texts(loaded)) == _reference_text(loaded) == text
 
 
-def test_trial_writer_matches_json_dumps_on_edge_values():
+def test_trial_writer_matches_json_dumps_on_edge_values(tmp_path):
     zero = 0.0
     neg_zero = -zero  # == zero, but written "-0.0": an entry holding it must be encoded anew
     still = (0.5, -0.25, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -807,18 +880,13 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
                      "right": {"tcp": still, "gripper": grippers[1]}},
         }
 
+    entry = {"pose": shared, "held_by": "right"}  # one entry dict in several snapshots
     scenes = [
         scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
         scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
-        scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), (math.nan, math.inf, -math.inf, 1.0, 0.0, 0.0, 0.0)),
+        scene((5e-324, 1.5e300, 0.1 + 0.2, 1.0, 0.0, 0.0, 0.0), (-5e-324, -1.5e300, 1e16, 1.0, 0.0, 0.0, 0.0)),
         scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), held_by="left"),
         scene(still),
-        # Not plain floats, or not seven of them: encoded by the JSON encoder.
-        scene((np.float64(0.1), 0.2, 0.3, 1.0, 0.0, 0.0, 0.0)),
-        scene((0.1, 0.2, 0.3, 1.0, 0.0, 0.0), (0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0, 0.5)),
-        scene([0.1, 0.2, 0.3, 1.0, 0.0, 0.0, 0.0]),
-        # A name that is a str subclass: the scene is encoded whole.
-        scene(still, odd_name=_Name("Becher")),
         # One pose object under two names, then under two holders in turn.
         scene(shared, shared),
         scene(shared, held_by="left"),
@@ -827,92 +895,69 @@ def test_trial_writer_matches_json_dumps_on_edge_values():
         # One TCP object with grippers that are == but not the same.
         scene(still, grippers=(zero, zero)),
         scene(still, grippers=(neg_zero, zero)),
-        scene(still, grippers=(np.float64(0.5), zero)),
-        scene(still, grippers=(math.nan, math.inf)),
+        scene(still, grippers=(5e-324, 0.1 + 0.2)),
         # An actor and an arm of one name, pose object and other value.
-        scene(still, odd_name="left", grippers=(None, None)),
-        # Not scene_state's layout, so encoded whole; the first two hold the
-        # same value objects as the entry before them.
-        {"actors": {"Schuh_ß": {"pose": still, "holder": None}}, "arms": {}},
-        {"actors": {"Schuh_ß": {"held_by": None, "pose": still}}, "arms": {}},
-        {"arms": {"left": {"tcp": still, "gripper": gripper}}, "actors": {}},
-        {"actors": {1: {"pose": still, "held_by": None}}, "arms": {}},
-        {"actors": [still], "arms": {}},
-        [still, None],
+        scene(still, odd_name="left", grippers=(zero, neg_zero)),
+        # One entry dict under two names, then again under one of them.
+        {"actors": {"Schuh_ß": entry, "杯": entry}, "arms": scene(still)["arms"]},
+        {"actors": {"杯": entry}, "arms": scene(still)["arms"]},
         scene(still),
     ]
-    steps = ['say "hi"', "back\\slash", "tab\tand \u00e9", "", _Name("named")]
+    steps = ['say "hi"', "back\\slash", "tab\tand é", "", "100% of %s at %d", '"trial_index": 10']
     steps += [f"step{i}" for i in range(len(scenes) - len(steps))]
-    log = TrialLog(trial_index=_Index(3), seed=-1, goal_met=True)
+    log = TrialLog(trial_index=3, seed=-1, goal_met=True)
     log.events.append(SymbolicEvent(1, 1, "observe", {"step_name": '"q\\"'}, "success", "none", "", 0))
-    log.events.append(SymbolicEvent(True, _Index(2), _Name("observe"), {}, "success", "none", "", 0))
+    log.events.append(SymbolicEvent(2, 1, "grasp_actor", _GRASP_ARGS, "failure", "collision", "100% at %s é", 0))
     log.snapshots += [Snapshot(step, 1, 1, t, payload, f'observe("{step}")')
                       for t, (step, payload) in enumerate(zip(steps, scenes), 1)]
     assert trial_text(log) == _reference_text([log])
+    path = tmp_path / "trials.jsonl"
+    dump_trials([log], path)
+    _assert_round_trips([log], path)
 
 
 def _random_trial_logs(rng: random.Random, n: int) -> list:
-    """n trial logs whose snapshots share entry dicts, pose tuples and args
-    dicts across snapshots and trials, as the executor's do, mixed with the
-    values the writer must leave to the JSON encoder."""
+    """n trial logs, indexed 0..n-1, whose snapshots share entry dicts, pose
+    tuples and args dicts across snapshots and trials, as the executor's
+    do, with the values the executor makes at their edges."""
     zero = 0.0
-    floats = [zero, -zero, 0.5, -0.25, 1.0, 1e-300, 1.5e300, 0.1 + 0.2]
-    odd = [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-zero)]
+    floats = [zero, -zero, 0.5, -0.25, 1.0, 1e-300, 5e-324, 1.5e300, 0.1 + 0.2]
 
     def pose():
-        values = [rng.choice(floats) for _ in range(7)]
-        if rng.random() < 0.15:
-            values[rng.randrange(7)] = rng.choice(odd)
-        shape = rng.random()
-        if shape < 0.05:
-            return values  # a list, as load_trials reads one
-        if shape < 0.08:
-            return tuple(values[:6])
-        return tuple(values)
+        return tuple(rng.choice(floats) for _ in range(7))
 
-    names = ["shoe", "target_block", "杯", "left", "right", "Schuh_ß", 'q"uote', _Name("shoe"), 1]
-    others = [None, "left", "right", 1.0, zero, -zero, math.nan, np.float64(0.5), True, 1, _Index(1)]
+    names = ["shoe", "target_block", "杯", "left", "right", "Schuh_ß", 'q"uote']
     poses = [pose() for _ in range(12)]
-    keys = [("pose", "held_by"), ("tcp", "gripper")]
-    entries = [{k: v for k, v in zip(rng.choice(keys), (rng.choice(poses), rng.choice(others)))} for _ in range(16)]
-    entries += [{"held_by": None, "pose": poses[0]}, {"pose": poses[1]}, dict(entries[0], extra=1)]
-    args_pool = [{}, {"actor": "shoe", "arm": "left"}, {"step_name": '"q\\"'}, {"z": -zero, "pos": math.nan}]
-
-    def section():
-        return {rng.choice(names): rng.choice(entries) for _ in range(rng.randrange(4))}
+    actor_entries = [{"pose": rng.choice(poses), "held_by": rng.choice([None, "left", "right"])} for _ in range(10)]
+    arm_entries = [{"tcp": rng.choice(poses), "gripper": rng.choice(floats)} for _ in range(6)]
+    args_pool = [("observe", {"step_name": '"q\\"'}), ("observe", {"step_name": "100% of %s"}),
+                 ("back_to_origin", {"arm": "left"}), ("open_gripper", {"arm": "right", "pos": "-0.0"}),
+                 ("grasp_actor", _GRASP_ARGS)]
 
     def scene():
-        shape = rng.random()
-        if shape < 0.03:
-            return [section()]
-        if shape < 0.06:
-            return {"arms": section(), "actors": section()}
-        if shape < 0.08:
-            return {"actors": section(), "arms": [1]}
-        return {"actors": section(), "arms": section()}
+        return {"actors": {rng.choice(names): rng.choice(actor_entries) for _ in range(rng.randrange(4))},
+                "arms": {tag: rng.choice(arm_entries) for tag in ARM_TAGS}}
 
-    ints = [0, 1, 2, 7, -3, 10**20, True, False, _Index(4)]
-    texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ", _Name("named"),
+    ints = [0, 1, 2, 7, 10**20]
+    texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ",
              '"trial_index": 1, "t": 0', "100% of %s at %d", '{"type": "summary", "trial_index": 10}']
     scenes = [scene() for _ in range(24)]  # each payload may recur, in one trial or in several
 
     def event(t):
-        return SymbolicEvent(rng.choice(ints), rng.choice(ints), rng.choice(texts), rng.choice(args_pool),
-                             rng.choice(["success", "failure"]), rng.choice(["none", "collision"]),
-                             rng.choice(texts + [None, 1.5]), rng.choice([t, t, True, _Index(t)]))
+        op_name, args = rng.choice(args_pool)
+        return SymbolicEvent(rng.choice(ints), rng.choice(ints), op_name, args, rng.choice(["success", "failure"]),
+                             rng.choice(["none", "collision"]), rng.choice(texts), t)
 
     # Events shared as the executor's rows share them: each may recur, in
-    # one trial or in several, beside events equal to it but in exact type.
+    # one trial or in several, beside events equal to it.
     shared = [event(t) for t in range(6) for _ in range(3)]
     logs = []
     for index in range(n):
-        log = TrialLog(trial_index=rng.choice([index, _Index(index), True]), seed=rng.choice([index, -1, 2**40]),
-                       goal_met=rng.random() < 0.5)
+        log = TrialLog(trial_index=index, seed=rng.choice([index, -1, 2**40]), goal_met=rng.random() < 0.5)
         for t in range(rng.randrange(6)):
             log.events.append(rng.choice(shared) if rng.random() < 0.5 else event(t))
         for t in range(rng.randrange(8)):
-            log.snapshots.append(Snapshot(rng.choice(texts), rng.choice(ints), rng.choice(ints),
-                                          rng.choice([t, t, True, _Index(t)]) if t == 1 else t,
+            log.snapshots.append(Snapshot(rng.choice(texts), rng.choice(ints), rng.choice(ints), t,
                                           rng.choice(scenes), rng.choice(texts)))
         logs.append(log)
     return logs
@@ -957,10 +1002,11 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
         logs = _random_trial_logs(rng, 120)
         _share_runs(rng, logs)
         _assert_writes_json_dumps(logs, path)
+        _assert_round_trips(logs, path)
     # One run under indices that are prefixes of one another, broken by a
     # trial with lists of its own equal to the run's, with texts that hold a
     # trial index and % signs.
-    events = [SymbolicEvent(1, 1, "grasp_actor", {"arm": "left"}, "failure", "collision",
+    events = [SymbolicEvent(1, 1, "grasp_actor", _GRASP_ARGS, "failure", "collision",
                             'ends "trial_index": 1, at 100%', 0)]
     snapshots = [Snapshot('"trial_index": 10', 1, 1, 0, {"actors": {}, "arms": {}}, "%s %d %%")]
     logs = [TrialLog(index, seed, events, snapshots, index == 10) for index, seed in [(1, 2), (10, 3), (100, 4)]]
@@ -968,15 +1014,13 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     logs += [TrialLog(100, 6, events, snapshots), TrialLog(1, 7, events, snapshots, True)]
     _assert_writes_json_dumps(logs, path)
     # One event object in consecutive trials, in trials apart and twice in
-    # one trial, beside events equal to it but for the exact type of a
-    # field (True or an int subclass for 1); and snapshot heads equal but
-    # for t as True against 1, which hash alike.
-    event = SymbolicEvent(1, 1, "grasp_actor", {"arm": "left"}, "success", "none", "", 1)
-    alike = [dataclasses.replace(event, stmt_id=True), dataclasses.replace(event, t=True),
-             dataclasses.replace(event, subgoal_index=_Index(1))]
-    assert all(ev == event for ev in alike)
+    # one trial, beside events equal to it that are other objects; and
+    # snapshot heads equal but for the object.
+    event = SymbolicEvent(1, 1, "grasp_actor", _GRASP_ARGS, "success", "none", "", 1)
+    alike = [dataclasses.replace(event), dataclasses.replace(event, args=dict(_GRASP_ARGS)),
+             dataclasses.replace(event, message="other")]
     scene = {"actors": {}, "arms": {}}
-    heads = [Snapshot("step", 1, 1, t, scene, "ctx") for t in (1, True, 1)]
+    heads = [Snapshot("step", 1, 1, t, scene, "ctx") for t in (1, 1, 2)]
     logs = [TrialLog(0, 0, [event, alike[0]], heads[:2]), TrialLog(1, 1, [event, event], heads[1:]),
             TrialLog(2, 2, [alike[1], alike[2]], heads[::-1]), TrialLog(3, 3, [alike[0], event], [heads[1]]),
             TrialLog(4, 4, [event], heads)]
