@@ -285,7 +285,7 @@ def _scene_text(scene: dict, memo: dict) -> str:
     return _SCENE % tuple(texts)
 
 
-def _summary_text(log: TrialLog) -> str:
+def _closing(log: TrialLog) -> str:
     """The fill of a summary's rest: goal_met, seed and n_events, from the log."""
     return _SUMMARY_REST % ("true" if log.goal_met else "false", log.seed, len(log.events))
 
@@ -313,7 +313,7 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
             if hit is None:
                 hit = events[id(rec)] = (rec, _EVENT_REST % tuple(map(_atom, _event_fields(rec))))
             parts += (_EVENT, index, hit[1])
-    parts += (_SUMMARY, index, _summary_text(log))
+    parts += (_SUMMARY, index, _closing(log))
     return parts
 
 
@@ -334,7 +334,7 @@ def trial_texts(logs):
         if last is not None and last[0] is log.events and last[1] is log.snapshots:
             parts = last[2]
             parts[1::3] = [str(log.trial_index)] * (len(parts) // 3)
-            parts[-1] = _summary_text(log)
+            parts[-1] = _closing(log)
         else:
             last = (log.events, log.snapshots, _parts(log, events, heads))
         yield "".join(last[2])
