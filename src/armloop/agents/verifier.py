@@ -153,7 +153,7 @@ class Verifier:
                     "content": (
                         f"Step {snap.step_name} (after stmt {snap.stmt_id}, "
                         f"op: {snap.program_context or 'start'}):\n"
-                        f"{json.dumps(snap.scene, ensure_ascii=False)}\n"
+                        f"{snap.scene}\n"
                         f"{snapshot_svg(snap, self.spec)}"
                     ),
                 }

@@ -123,7 +123,7 @@ def _run_chunks(program, spec, cfg: LoopConfig, path: Path) -> list:
         with ConfigError.writing(path, "--out"), open(path, "ab") as out:
             for file, logs in zip(files, workers.results()):
                 file.seek(0)  # the worker's writes moved the offset this process shares with it
-                shutil.copyfileobj(file, out, 1 << 20)
+                shutil.copyfileobj(file, out, 1 << 16)
                 kept += logs
     return kept
 
@@ -298,7 +298,8 @@ def _options_config(args) -> LoopConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()  # held to the end: its reference cycles are not garbage while the command runs
+    args = parser.parse_args(argv)
     try:
         args.cfg = _options_config(args)
         status = args.func(args)

@@ -55,9 +55,9 @@ def norm(v) -> float:
 class Pose:
     """Immutable rigid transform: position p (x, y, z) and unit quaternion q
     (qw, qx, qy, qz), both tuples of floats, so poses can be shared freely.
-    `values` is the serialized form p + q, made once per pose. A snapshot
-    payload holds its row's tuple instead (`sim.model.scene_payloads`), the
-    same object in consecutive snapshots while the pose does not move."""
+    `values` is the serialized form p + q, made once per pose. A snapshot's
+    scene text is made from its row of the scene's pose array instead
+    (`sim.model.scene_texts`)."""
 
     p: Vec3 = (0.0, 0.0, 0.0)
     q: Quat = IDENTITY_QUAT

@@ -13,8 +13,8 @@ and the step counter are one value per batch. Continuous state (actor
 poses, TCPs, grasp offsets and approach axes) is an array with one row per
 trial, computed by the row forms of `geometry`. The batch's scene state is
 one `SceneRows`, whose dicts the handlers update in place, a moved pose
-always as a new array; each snapshot's payloads are made from it by
-`model.scene_payloads`, so this module knows nothing of their layout. A
+always as a new array; each snapshot's payload text is made from it by
+`model.scene_texts`, so this module knows nothing of its layout. A
 branch on a continuous value (the nearest contact point, constrain=auto,
 the cases of quat_between_rows, the support under a dropped actor) is a
 selection per row. A statement runs its checks in order as masks over the
@@ -69,7 +69,7 @@ from ..geometry import (Pose, apply_rows, compose_rows, inverse_rows, norms, pos
                         quat_rotate_rows)
 from ..instrument import FINAL_STEP
 from ..scene import ARM_TAGS, SceneRows, TaskSpec, eval_predicate
-from .model import Snapshot, SymbolicEvent, TrialLog, scene_payloads
+from .model import Snapshot, SymbolicEvent, TrialLog, scene_texts
 
 # A grasp approach counts as vertical (for constrain=auto) when the world
 # approach axis is within 45 degrees of vertical.
@@ -169,7 +169,7 @@ class _Batch:
         self.scene = SceneRows({name: np.tile(actor.pose.values, (n, 1)) for name, actor in spec.actors.items()},
                                {tag: np.tile(spec.homes[tag].values, (n, 1)) for tag in ARM_TAGS},
                                dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
-        self.payload_memo = {}  # scene_payloads' memo, for the batch
+        self.scene_memo = {}  # scene_texts' memo, for the batch
         # Rows of each arm's latest grasp; read only while it holds.
         self.offsets: dict[str, np.ndarray] = {}  # held actor's pose in the TCP frame
         self.approaches: dict[str, np.ndarray] = {}  # world grasp approach axis at grasp time
@@ -224,9 +224,9 @@ class _Batch:
 
     def _snapshot(self, mask, step_name: str, t: int, last_op: _Statement | None):
         stmt_id, context = (last_op.stmt.id, last_op.text) if last_op is not None else (0, "")
-        payloads = scene_payloads(self.scene, _rows(mask), self.payload_memo)
-        for r, payload in zip(_rows(mask), payloads):  # a loop, not a comprehension: this runs per trial and snapshot
-            self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, payload, context))
+        scenes = scene_texts(self.scene, _rows(mask), self.scene_memo)
+        for r, scene in zip(_rows(mask), scenes):  # a loop, not a comprehension: this runs per trial and snapshot
+            self.logs[r].snapshots.append(Snapshot(step_name, stmt_id, self.subgoal, t, scene, context))
 
     def _finish(self, mask, t: int, last_op: _Statement | None):
         """The final snapshot (unless the last one was it) and the goal of

@@ -1,5 +1,5 @@
 """Execution records: symbolic events, scene snapshots, trial logs, and the
-snapshot payload, which `scene_payloads` makes from a `SceneRows` and
+snapshot payload, whose JSON text `scene_texts` makes from a `SceneRows` and
 `scene_from_state` reads back.
 
 Trial logs serialize to JSON Lines, one event or snapshot record per line
@@ -7,33 +7,41 @@ and a final summary record, with field names matching the dataclasses.
 Serialization is byte-stable: two `run_trials` calls with the same arguments
 produce identical files.
 
+A snapshot holds its scene as the payload's JSON text, the very bytes its
+line holds. The executor's texts are json.dumps(payload,
+ensure_ascii=False), made once per batch row and snapshot by `scene_texts`
+from entry texts it keeps per batch: an entry's text is made the first time
+a snapshot needs its row, and kept while the name's pose array and its
+holder or gripper value are the same objects; where the array's rows are
+equal byte for byte, one text serves every row.
+
 The writer takes the executor's records, and those `load_trials` reads back
 from the writer's own files, and writes them as json.dumps(record,
-ensure_ascii=False) would, faster. It relies on what such records hold: a
-pose is a tuple (a list, once loaded) of seven finite floats, a payload has
-_SCENE_KEYS's layout in its order, and every other field is exactly of its
+ensure_ascii=False) would with each scene's text in place of its payload,
+faster. It relies on what such records hold: every field is exactly of its
 declared type. Each record is one fill of its type's template, built at
-import from its dataclass's fields, with the fields fetched at once. Each
-entry of a snapshot scene is one memo lookup, keyed by the identity of the
-entry dict, so its text is made once per trial. Over a `trial_texts` call,
-an event's text is made once per event object, memoized by its identity
-(the executor's rows that emit an event alike share one), and the text of a
-snapshot's fields but its scene once per distinct value of them. A trial
-whose `events` and `snapshots` are the very lists of the trial written just
-before it (the executor's trials with equal perturbations share them)
-reuses that trial's record texts, with its own index put in each line and
-its own summary, formatted from the log's fields; only the previous trial's
-texts are kept.
+import from its dataclass's fields, with the fields fetched at once; a
+snapshot's scene text is copied between the texts before and after it.
+Over a `trial_texts` call, an event's text is made once per event object,
+memoized by its identity (the executor's rows that emit an event alike
+share one), and the text of a snapshot's fields but its scene once per
+distinct value of them. A trial whose `events` and `snapshots` are the very
+lists of the trial written just before it (the executor's trials with equal
+perturbations share them) reuses that trial's record texts, with its own
+index put in each line and its own summary, formatted from the log's
+fields; only the previous trial's texts are kept.
 
 The reader decodes each distinct event or snapshot line once per file. A
-line that starts with the writer's head and a plain trial index, and whose
-rest names no second trial index, is memoized by its head and rest: a line
-equal to it but for the index is the same record, put in that index's
-trial, so trials with equal lines share record objects as the executor's
-do. Every record is checked against its class's declared field types and
-an event against its closed vocabularies, once per distinct line; a line
-that does not decode is never memoized, so a repeat of it is refused at its
-own line.
+snapshot line laid out as the writer lays it out is read piecewise, and
+its scene's text is the span of the line that holds it, which the scanner
+decodes once to check that it is an object. A line that starts with the
+writer's head and a plain trial index, and whose rest names no second
+trial index, is memoized by its head and rest: a line equal to it but for
+the index is the same record, put in that index's trial, so trials with
+equal lines share record objects as the executor's do. Every record is
+checked against its class's declared field types and an event against its
+closed vocabularies, once per distinct line; a line that does not decode is
+never memoized, so a repeat of it is refused at its own line.
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ class Snapshot:
     stmt_id: int  # id of the operation the snapshot documents (0 = none yet)
     subgoal_index: int
     t: int
-    scene: dict  # the payload _SCENE_KEYS lays out
+    scene: str  # the JSON text of the payload _SCENE_KEYS lays out
     program_context: str
 
 
@@ -111,53 +119,80 @@ class TrialLog:
         return None
 
 
+# json.dumps(value, ensure_ascii=False), without building an encoder per value.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_str = json.encoder.encode_basestring  # what _encode does with a str, in C
+
+
+def _atom(value) -> str:
+    """_encode(value). An exact str, int or float, or None, goes straight to
+    what _encode would reach it by (repr, for the finite floats that
+    records hold); anything else, such as an event's args, to _encode."""
+    if type(value) is str:
+        return _str(value)
+    if value is None:
+        return "null"
+    if type(value) in (int, float):
+        return repr(value)
+    return _encode(value)
+
+
 # A snapshot payload, the virtual-camera view of one trial: {"actors": {name:
 # {"pose": 7 numbers, "held_by": arm tag or None}} in task-file order, "arms":
 # {tag: {"tcp": 7 numbers, "gripper": number}} in arm order}; per section, the
-# keys of an entry. `scene_payloads` makes payloads from a `SceneRows` and
-# `scene_from_state` reads one back, so no other module knows this layout. In
-# a payload scene_payloads makes, a pose is the tuple of its row, kept while
-# the row does not move, and an entry whose pose and other value are the same
-# objects as in the previous snapshot is the same dict. The trial writer
-# relies on this identity: it makes an entry's text once per trial, memoized
-# by the identity of the entry dict.
+# keys of an entry. A snapshot holds its payload as JSON text, the bytes
+# trials.jsonl holds for it: `scene_texts` makes that text from a `SceneRows`
+# and `scene_from_state` reads it back, so no other module knows this layout.
 _SCENE_KEYS = {"actors": ("pose", "held_by"), "arms": ("tcp", "gripper")}
+# A payload's text, a %s per section; a pose's text.
+_SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in _SCENE_KEYS) + "}"
+_POSE = "[" + ", ".join(["%r"] * 7) + "]"
 
 
-def _entries(memo: dict, section: str, name: str, array: np.ndarray, other) -> list[dict]:
-    """The entry of each row of a name's (n, 7) pose array with its holder
-    or gripper value, for scene_payloads."""
+class _Entries(dict):
+    """Row -> the text of one name's entry in that row's payload: its head,
+    the row's pose and its tail, made the first time a snapshot looks the
+    row up."""
+
+    __slots__ = ("array", "head", "tail")
+
+    def __init__(self, array: np.ndarray, head: str, tail: str):
+        super().__init__()
+        self.array, self.head, self.tail = array, head, tail
+
+    def __missing__(self, r):
+        text = self[r] = self.head + _POSE % tuple(self.array[r].tolist()) + self.tail
+        return text
+
+
+def _entries(memo: dict, section: str, name: str, array: np.ndarray, other):
+    """The texts of a name's entries, indexed by row, from its (n, 7) pose
+    array and its holder or gripper value. They are made anew only when the
+    array or the value is a new object, and an array whose rows are equal
+    byte for byte (so -0.0 is not 0.0) has one text for every row."""
     hit = memo.get((section, name))
-    if hit is not None and hit[0] is array:
-        if hit[2] is other:
-            return hit[3]
-        poses = hit[1]
-    else:
-        poses = list(zip(*array.T.tolist()))
+    if hit is not None and hit[0] is array and hit[1] is other:
+        return hit[2]
     key, other_key = _SCENE_KEYS[section]
-    entries = [{key: pose, other_key: other} for pose in poses]
-    memo[section, name] = (array, poses, other, entries)
+    entries = _Entries(array, f"{_str(name)}: {{{_str(key)}: ", f", {_str(other_key)}: {_atom(other)}}}")
+    bits = array.view(np.uint64)
+    if (bits == bits[0]).all():
+        entries = [entries[0]] * len(array)
+    memo[section, name] = (array, other, entries)
     return entries
 
 
-def scene_payloads(scene: SceneRows, rows, memo: dict) -> list[dict]:
-    """The snapshot payload of each row of the scene that `rows` yields, in
-    order. `memo` is one dict per batch, keyed by (section, name): a name's
-    pose tuples are rebuilt only when its array is a new object, and its
-    entries only when the tuples or its holder or gripper value are, so an
-    entry that did not change is the same dict from snapshot to snapshot."""
-    actors = [(name, _entries(memo, "actors", name, array, scene.held_by(name)))
-              for name, array in scene.poses.items()]
-    arms = [(tag, _entries(memo, "arms", tag, array, scene.grippers[tag])) for tag, array in scene.tcps.items()]
-    payloads = []
-    for r in rows:  # loops, not comprehensions: this runs per trial and snapshot
-        actor_states, arm_states = {}, {}
-        for name, entries in actors:
-            actor_states[name] = entries[r]
-        for tag, entries in arms:
-            arm_states[tag] = entries[r]
-        payloads.append({"actors": actor_states, "arms": arm_states})
-    return payloads
+def scene_texts(scene: SceneRows, rows, memo: dict) -> list[str]:
+    """The snapshot payload's text of each row of the scene that `rows`
+    yields, in order: what json.dumps(payload, ensure_ascii=False) writes.
+    `memo` is one dict per batch, keyed by (section, name), which keeps each
+    name's entry texts while its array and its holder or gripper value are
+    the same objects, so an entry's text is made once while it is unchanged."""
+    columns = [_entries(memo, "actors", name, array, scene.held_by(name)) for name, array in scene.poses.items()]
+    columns += [_entries(memo, "arms", tag, array, scene.grippers[tag]) for tag, array in scene.tcps.items()]
+    template = _SCENE % (", ".join(["%s"] * len(scene.poses)), ", ".join(["%s"] * len(scene.tcps)))
+    rows = list(rows)
+    return list(map(template.__mod__, zip(*[list(map(column.__getitem__, rows)) for column in columns])))
 
 
 def _pose(values, where: str) -> np.ndarray:
@@ -171,12 +206,13 @@ def _arm(tag) -> str:
     return tag
 
 
-def scene_from_state(spec: TaskSpec, state: dict) -> SceneRows:
-    """The state a snapshot payload records, as the one row of a scene over
-    the task's geometry; what the payload leaves out is as the task starts.
-    An actor the task lacks raises UnknownActorError, two actors held by one
-    arm or any other payload that does not fit _SCENE_KEYS's layout
-    ArtifactError."""
+def scene_from_state(spec: TaskSpec, text: str) -> SceneRows:
+    """The state a snapshot's scene text records, as the one row of a scene
+    over the task's geometry; what the payload leaves out is as the task
+    starts. An actor the task lacks raises UnknownActorError, two actors
+    held by one arm or any other text that is not a payload of _SCENE_KEYS's
+    layout ArtifactError."""
+    state = ArtifactError.loads(text, "scene")
     scene = SceneRows({name: np.array([actor.pose.values]) for name, actor in spec.actors.items()},
                       {tag: np.array([spec.homes[tag].values]) for tag in ARM_TAGS},
                       dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
@@ -226,10 +262,6 @@ def _ordered(log: TrialLog) -> list:
     return sorted(log.events + log.snapshots, key=attrgetter("t"))
 
 
-# json.dumps(value, ensure_ascii=False), without building an encoder per value.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-_str = json.encoder.encode_basestring  # what _encode does with a str, in C
-
 # Per record type: the head of its line (its "type" written out, up to its
 # trial index) and the template of the rest of it (a %s for each of the
 # class's fields, then the line's end); per event and snapshot, the getter
@@ -238,51 +270,12 @@ _str = json.encoder.encode_basestring  # what _encode does with a str, in C
     (f'{{"type": {_str(kind)}, "trial_index": ', "".join(f", {_str(name)}: %s" for name in names) + "}\n")
     for kind, names in _FIELDS.values()]
 _event_fields, _snapshot_fields = (attrgetter(*_FIELDS[cls][1]) for cls in (SymbolicEvent, Snapshot))
-# A payload's text, a %s per section; per section, the template of an
-# entry's text (name, pose, other value).
-_SCENE = "{" + ", ".join(f"{_str(section)}: {{%s}}" for section in _SCENE_KEYS) + "}"
-_ENTRIES = tuple(f"%s: {{{_str(keys[0])}: %s, {_str(keys[1])}: %s}}" for keys in _SCENE_KEYS.values())
 # A snapshot's rest cut at its scene's text: the template before it (the
 # fields before the scene, up to the scene's key) and after it (its
 # program_context and the line's end).
 _SCENE_KEY = f"{_str('scene')}: "
 _BEFORE_SCENE, _AFTER_SCENE = _SNAPSHOT_REST.split(_SCENE_KEY + "%s")
 _BEFORE_SCENE += _SCENE_KEY
-_POSE = "[" + ", ".join(["%r"] * 7) + "]"
-
-
-def _atom(value) -> str:
-    """_encode(value). An exact str, int or float, or None, goes straight to
-    what _encode would reach it by (repr, for the finite floats that
-    records hold); anything else, such as an event's args, to _encode."""
-    if type(value) is str:
-        return _str(value)
-    if value is None:
-        return "null"
-    if type(value) in (int, float):
-        return repr(value)
-    return _encode(value)
-
-
-def _scene_text(scene: dict, memo: dict) -> str:
-    """_encode(scene), with one memo lookup per entry: `memo` maps
-    id(entry) to (entry, name, text) for one trial. It holds the entry, so
-    that its id names no other dict while the memo lives, and a hit needs
-    the very same name; nothing that runs while a trial is written changes
-    an entry. An entry's text is _encode's in either section, so one memo
-    serves both. A pose is a tuple (or, loaded, a list) of seven finite
-    floats."""
-    texts = []
-    for entries, template in zip(scene.values(), _ENTRIES):
-        section = []
-        for name, entry in entries.items():
-            hit = memo.get(id(entry))
-            if hit is None or hit[1] is not name:
-                pose, other = entry.values()
-                hit = memo[id(entry)] = (entry, name, template % (_str(name), _POSE % tuple(pose), _atom(other)))
-            section.append(hit[2])
-        texts.append(", ".join(section))
-    return _SCENE % tuple(texts)
 
 
 def _closing(log: TrialLog) -> str:
@@ -297,7 +290,6 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
     its rest); it holds the event, so that its id names no other object
     while it lives. `heads` maps a snapshot's head, its fields but its
     scene, to the texts before and after its scene."""
-    memo = {}
     index = str(log.trial_index)
     parts = []
     for rec in _ordered(log):
@@ -307,7 +299,7 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
             if around is None:
                 around = heads[key] = (_BEFORE_SCENE % (_str(step_name), stmt_id, subgoal_index, t),
                                        _AFTER_SCENE % _str(context))
-            parts += (_SNAPSHOT, index, around[0] + _scene_text(scene, memo) + around[1])
+            parts += (_SNAPSHOT, index, around[0] + scene + around[1])
         else:
             hit = events.get(id(rec))
             if hit is None:
@@ -358,6 +350,8 @@ def _record(line: str):
     record = ArtifactError.build(cls, rec, kind)
     if cls is not TrialSummary:  # a summary checks its own fields as it is made
         try:
+            if cls is Snapshot:  # its scene, an object, is kept as its text
+                record.scene = _encode(ArtifactError.check(record.scene, dict, "scene"))
             ArtifactError.check_fields(record)
         except ArtifactError as exc:
             raise ArtifactError(f"{kind}.{exc.field}", exc.reason) from None
@@ -372,22 +366,58 @@ def _record(line: str):
 # that the index is every digit there is. An index of more than 18 digits is
 # left to the decoder.
 _KEYED = re.compile(f"({re.escape(_EVENT)}|{re.escape(_SNAPSHOT)})(0|[1-9][0-9]{{0,17}}), ")
+# A snapshot's rest as the writer lays it out, cut at its scene: its fields
+# before the scene, each string a token and each int as JSON writes one, and
+# its program_context up to the line's end.
+_TOKEN, _INT = r'("(?:[^"\\]|\\.)*")', "(0|-?[1-9][0-9]*)"
+_HEAD = re.compile(re.escape(_BEFORE_SCENE[2:]) % (_TOKEN, _INT, _INT, _INT))
+_TAIL = re.compile(re.escape(_AFTER_SCENE[:-1]) % _TOKEN)
+_scan = json.JSONDecoder().scan_once  # the value at an index of a text, and where it ends
+
+
+def _snapshot(rest: str) -> Snapshot | None:
+    """The snapshot of a line whose rest (past _KEYED's match) is laid out
+    as the writer lays it out, each string token written as _str writes
+    its value; its scene is the span of the rest that holds it, which the
+    scanner decodes once, to check that it is an object. None for a rest
+    laid out otherwise."""
+    head = _HEAD.match(rest)
+    if head is None:
+        return None
+    try:
+        scene, end = _scan(rest, head.end())
+        tail = _TAIL.fullmatch(rest, end)
+        if tail is None:
+            return None
+        step_name, context = json.decoder.scanstring(head[1], 1)[0], json.decoder.scanstring(tail[1], 1)[0]
+        numbers = int(head[2]), int(head[3]), int(head[4])
+    except (StopIteration, ValueError, RecursionError):  # left to the decoder of the whole line
+        return None
+    if _str(step_name) != head[1] or _str(context) != tail[1]:
+        return None
+    ArtifactError.check(scene, dict, "snapshot.scene")
+    return Snapshot(step_name, *numbers, rest[head.end():end], context)
 
 
 def load_trials(path) -> list[TrialLog]:
     """Reconstruct trial logs from a JSONL file. The file stores every field
-    of a trial log, so a loaded log writes back byte for byte (its snapshot
-    poses are lists where the executor's are tuples). A malformed line, a
-    record with a field not of its declared type, a record of a trial whose
-    summary was already read, a file that cannot be read as text, or a
-    trial without its summary raises ArtifactError naming path:line or path.
+    of a trial log, so the logs loaded from a file the writer wrote write
+    it back byte for byte. A malformed line, a record with a field not of
+    its declared type, a record of a trial whose summary was already read, a
+    file that cannot be read as text, or a trial without its summary raises
+    ArtifactError naming path:line or path.
 
-    An event or snapshot line that _KEYED matches, and whose rest holds
-    neither "trial_index" nor a \\u escape (either could spell a second
-    trial index key, which the decoder would take over the first), is
-    decoded once per call: a later line of the same head and rest is the
-    record decoded first, in the trial its own index names. Loaded trials
-    whose lines are equal thus share record objects."""
+    A snapshot's scene is its text as the line holds it when _KEYED matches
+    the line and `_snapshot` reads its rest, as for every snapshot line the
+    writer writes (bar an index of over 18 digits). Any other line is
+    decoded whole, and its scene's text is _encode(scene).
+
+    An event or snapshot line that _KEYED matches is read once per call
+    when `_snapshot` reads it or when its rest holds neither "trial_index"
+    nor a \\u escape (either could spell a second trial index key, which the
+    decoder would take over the first): a later line of the same head and
+    rest is the record read first, in the trial its own index names. Loaded
+    trials whose lines are equal thus share record objects."""
     logs: dict[int, TrialLog] = {}
     memo = {}  # (head, rest) of a decoded line -> its record
     for lineno, line in enumerate(ArtifactError.read_text(path, str(path)).split("\n"), 1):
@@ -396,13 +426,17 @@ def load_trials(path) -> list[TrialLog]:
         try:
             keyed = _KEYED.match(line)
             rest = line[keyed.end():] if keyed else ""
-            if not keyed or '"trial_index"' in rest or "\\u" in rest:
+            if not keyed:
                 index, rec = _record(line)
             elif (rec := memo.get(key := (keyed[1], rest))) is not None:
                 index = int(keyed[2])
+            elif keyed[1] == _SNAPSHOT and (rec := _snapshot(rest)) is not None:
+                index = int(keyed[2])
+                memo[key] = rec
             else:
                 index, rec = _record(line)
-                memo[key] = rec
+                if '"trial_index"' not in rest and "\\u" not in rest:
+                    memo[key] = rec
             log = logs.get(index)
             if log is None:
                 log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet

@@ -112,7 +112,8 @@ def trial_records(log: TrialLog):
     """The records of one trial as dicts, which the trial writer's lines
     must encode: {"type", "trial_index", <the record class's fields in
     declaration order>} for each event and snapshot by step counter (events
-    first on ties), then the summary."""
+    first on ties), then the summary. A snapshot's scene is the JSON text
+    its line holds."""
     kinds = {cls: kind for kind, cls in RECORD_TYPES.items()}
     summary = TrialSummary(log.goal_met, log.seed, len(log.events))
     for rec in (*sorted(log.events + log.snapshots, key=attrgetter("t")), summary):

@@ -35,7 +35,7 @@ def test_svg_places_actor_at_serialized_xy(place_shoe_spec):
     svg = snapshot_svg(snap, place_shoe_spec)
     root = ET.fromstring(svg)
     rect = next(el for el in root.iter(f"{SVG_NS}rect") if el.get("id") == "actor-shoe")
-    x, y, _ = snap.scene["actors"]["shoe"]["pose"][:3]
+    x, y, _ = json.loads(snap.scene)["actors"]["shoe"]["pose"][:3]
     cx, cy = world_to_svg(x, y)
     shoe = place_shoe_spec.actors["shoe"]
     assert float(rect.get("x")) + float(rect.get("width")) / 2 == round(cx, 1)

@@ -297,7 +297,7 @@ def _replace_geometry(spec, name, **changes):
 
 def _initial_scene(spec) -> SceneRows:
     """One row: every actor at its initial pose, both arms at home."""
-    return scene_from_state(spec, {"actors": {}, "arms": {}})
+    return scene_from_state(spec, json.dumps({"actors": {}, "arms": {}}))
 
 
 def _holds(pred, spec, scene) -> bool:

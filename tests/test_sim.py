@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,9 @@ from armloop.dsl.ast import API_SIGNATURES, Args, CallStmt, ParallelStmt, PoseLi
 from armloop.errors import ArtifactError
 from armloop.geometry import Pose, compose_rows, inverse_rows, quat_from_axis_angle_rows, quat_rotate_rows
 from armloop.instrument import insert_observations
-from armloop.scene import ARM_TAGS, AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, eval_predicate, load_task_spec
+from armloop.scene import (
+    ARM_TAGS, AXIS_CATEGORIES, POINT_CATEGORIES, NoiseSpec, SceneRows, eval_predicate, load_task_spec,
+)
 from armloop.sim import (
     Snapshot, SymbolicEvent, TrialLog, dump_trials, load_trials, run_trials, scene_from_state, trial_texts,
 )
@@ -45,6 +48,11 @@ def _approx_equal(a, b, tol: float) -> bool:
 def _row(values):
     """A snapshot's pose as a (1, 7) row."""
     return np.array([Pose.from_list(values).values])
+
+
+def _state(snap) -> dict:
+    """The payload a snapshot's scene text holds."""
+    return json.loads(snap.scene)
 
 
 def test_zero_noise_success(place_shoe_spec):
@@ -353,11 +361,13 @@ def test_nan_target_is_unreachable(place_shoe_spec):
     noise = place_shoe_spec.noise
     spec = dataclasses.replace(place_shoe_spec, noise=NoiseSpec(noise.pos_sigma, 1e308, noise.slip_base))
     logs = run_trials(_correct(), spec, 40, base_seed=0, noise_scale=1.0, max_steps=200)
-    nan_trials = [log for log in logs if any(map(math.isnan, log.snapshots[0].scene["actors"]["shoe"]["pose"]))]
+    # A scene text writes a nan as repr does, which JSON spells NaN.
+    states = {id(snap): json.loads(snap.scene.replace("nan", "NaN")) for log in logs for snap in log.snapshots}
+    nan_trials = [log for log in logs if any(map(math.isnan, states[id(log.snapshots[0])]["actors"]["shoe"]["pose"]))]
     assert nan_trials
     for log in logs:
         for snap in log.snapshots:
-            for arm in snap.scene["arms"].values():
+            for arm in states[id(snap)]["arms"].values():
                 assert not any(map(math.isnan, arm["tcp"])), (log.trial_index, snap.step_name)
     for log in nan_trials:
         assert log.failure_event.error_category == "unreachable", log.trial_index
@@ -493,16 +503,17 @@ def test_no_teleportation_between_snapshots(place_shoe_spec):
     log = one_trial(program, place_shoe_spec, 7, noise_scale=1.0)
     prev = None
     for snap in log.snapshots:
+        state = _state(snap)
         if prev is not None:
             for name in prev["actors"]:
                 p0 = np.array(prev["actors"][name]["pose"][:3])
-                p1 = np.array(snap.scene["actors"][name]["pose"][:3])
+                p1 = np.array(state["actors"][name]["pose"][:3])
                 if not np.allclose(p0, p1, atol=1e-12):
                     held_before = prev["actors"][name]["held_by"]
-                    held_after = snap.scene["actors"][name]["held_by"]
+                    held_after = state["actors"][name]["held_by"]
                     assert held_before is not None or held_after is not None, name
-        prev = snap.scene
-    assert set(log.snapshots[0].scene["actors"]) == set(log.snapshots[-1].scene["actors"])
+        prev = state
+    assert set(_state(log.snapshots[0])["actors"]) == set(_state(log.snapshots[-1])["actors"])
 
 
 def test_snapshot_boundaries_present_even_on_failure(place_shoe_spec):
@@ -527,7 +538,7 @@ def test_held_object_moves_rigidly_with_tcp(place_shoe_spec):
     prev_arm = prev_offset = None
     checked = 0
     for snap in log.snapshots:
-        arm, offset = grip_offset(snap.scene)
+        arm, offset = grip_offset(_state(snap))
         if arm is not None and arm == prev_arm:
             assert _approx_equal(offset, prev_offset, tol=1e-9)
             checked += 1
@@ -540,10 +551,11 @@ def test_quaternion_closure_under_noise(place_shoe_spec):
     for seed in range(5):
         log = one_trial(program, place_shoe_spec, seed, noise_scale=1.0)
         for snap in log.snapshots:
-            for entry in snap.scene["actors"].values():
+            state = _state(snap)
+            for entry in state["actors"].values():
                 q = np.array(entry["pose"][3:])
                 assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
-            for arm in snap.scene["arms"].values():
+            for arm in state["arms"].values():
                 q = np.array(arm["tcp"][3:])
                 assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
 
@@ -588,11 +600,12 @@ def test_held_actor_pose_is_tcp_times_grasp_offset(task):
             offsets = {}  # (actor, arm) -> grasp offset, while that hold lasts
             for snap in log.snapshots:
                 holds = {}
-                for name, entry in snap.scene["actors"].items():
+                state = _state(snap)
+                for name, entry in state["actors"].items():
                     arm = entry["held_by"]
                     if arm is None:
                         continue
-                    tcp = _row(snap.scene["arms"][arm]["tcp"])
+                    tcp = _row(state["arms"][arm]["tcp"])
                     pose = _row(entry["pose"])
                     if (name, arm) in offsets:
                         holds[name, arm] = offsets[name, arm]
@@ -605,50 +618,135 @@ def test_held_actor_pose_is_tcp_times_grasp_offset(task):
     assert carried > 0
 
 
-def test_unmoved_pose_is_one_tuple_in_every_snapshot():
-    # The trial writer reuses an entry's text only while its values are the
-    # same objects, so a snapshot must hold the pose's own tuple, not a copy.
-    spec = load_task_spec(task_path("stack_blocks_three"))
-    log = one_trial(_correct("stack_blocks_three"), spec, 0, noise_scale=1.0)
-    tcps = [snap.scene["arms"]["left"]["tcp"] for snap in log.snapshots]  # the left arm stays idle
-    assert len(tcps) > 2 and type(tcps[0]) is tuple
-    assert all(tcp is tcps[0] for tcp in tcps)
+class _CountingPose(str):
+    """model._POSE, which appends each pose it formats to `made`."""
+
+    def __new__(cls, made: list):
+        pose = super().__new__(cls, model._POSE)
+        pose.made = made
+        return pose
+
+    def __mod__(self, values):
+        self.made.append(values)
+        return str.__mod__(self, values)
 
 
-def test_shared_entry_is_one_dict_while_its_values_are_the_same_objects(place_shoe_spec):
-    # A snapshot entry is handed on to the next snapshot while its pose and
-    # its holder or gripper are the same objects, and made anew otherwise.
+def _payload(scene: SceneRows, r: int) -> dict:
+    """The payload of row r of the scene, as _SCENE_KEYS lays it out."""
+    return {"actors": {name: {"pose": array[r].tolist(), "held_by": scene.held_by(name)}
+                       for name, array in scene.poses.items()},
+            "arms": {tag: {"tcp": array[r].tolist(), "gripper": scene.grippers[tag]}
+                     for tag, array in scene.tcps.items()}}
+
+
+def test_entry_text_is_made_once_while_its_array_and_value_are_the_same_objects(place_shoe_spec, monkeypatch):
+    """A name's entry text is made anew only when its pose array or its
+    holder or gripper value is a new object, for a row the first time a
+    snapshot needs it, and once for every row where the array's rows are
+    equal byte for byte."""
+    made = []
+    monkeypatch.setattr(model, "_POSE", _CountingPose(made))
+    calls = []  # per scene_texts call: each name's (array, value), the rows, the poses made
+
+    def recording(scene, rows, memo):
+        rows, before = list(rows), len(made)
+        texts = model.scene_texts(scene, rows, memo)
+        names = [(("actors", name), (array, scene.held_by(name))) for name, array in scene.poses.items()]
+        names += [(("arms", tag), (array, scene.grippers[tag])) for tag, array in scene.tcps.items()]
+        calls.append((names, rows, len(made) - before))
+        assert texts == [json.dumps(_payload(scene, r), ensure_ascii=False) for r in rows]
+        return texts
+
+    monkeypatch.setattr(executor, "scene_texts", recording)
+    # One row: close_gripper remakes only the right arm's entry, grasp_actor
+    # the shoe's (its holder) and the left arm's, a move of the left arm its
+    # own and the held shoe's; the final snapshot follows no statement.
     text = ('program t\nsubgoal "s"\n  observe("a")\n  close_gripper(right, pos=0.5)\n  observe("b")\n'
             '  grasp_actor(shoe, left)\n  observe("c")\n  move_by_displacement(left, z=0.07)\n  observe("d")\n')
     log = one_trial(parse(text), place_shoe_spec, 0)
     assert [snap.step_name for snap in log.snapshots] == ["a", "b", "c", "d", "final_scene_state"]
-    a, b, c, d = (snap.scene for snap in log.snapshots[:4])
-    # close_gripper: only the right arm's entry changes, its TCP unmoved.
-    assert b["arms"]["right"] is not a["arms"]["right"]
-    assert b["arms"]["right"]["tcp"] is a["arms"]["right"]["tcp"]
-    assert b["arms"]["left"] is a["arms"]["left"]
-    assert all(b["actors"][name] is a["actors"][name] for name in a["actors"])
-    # grasp_actor: the shoe's holder changes, its pose does not.
-    assert c["actors"]["shoe"] is not b["actors"]["shoe"]
-    assert c["actors"]["shoe"]["pose"] is b["actors"]["shoe"]["pose"]
-    assert c["actors"]["shoe"]["held_by"] == "left"
-    assert c["arms"]["left"] is not b["arms"]["left"] and c["arms"]["right"] is b["arms"]["right"]
-    # move_by_displacement: the held shoe moves with the TCP.
-    assert d["actors"]["shoe"] is not c["actors"]["shoe"]
-    assert d["actors"]["shoe"]["pose"] is not c["actors"]["shoe"]["pose"]
-    assert d["actors"]["target_block"] is a["actors"]["target_block"]
-    # The same rule over noisy batches of every kind of bundled program.
-    shared = 0
+    assert [count for _, _, count in calls] == [4, 1, 2, 2, 0]
+    # The same rule over noisy batches of every kind of bundled program,
+    # against a count kept here: per name, the objects its texts were made
+    # from and the rows made since (None: one text for every row).
+    calls.clear()
     for kind in ("correct", "loud", "silent"):
         program = insert_observations(parse(program_path("place_shoe", kind).read_text()), cap=10)
-        for log in run_trials(program, place_shoe_spec, 4, base_seed=0, noise_scale=1.0, max_steps=200):
-            for before, after in zip(log.snapshots, log.snapshots[1:]):
-                for section, entries in after.scene.items():
-                    for name, entry in entries.items():
-                        previous = before.scene[section][name]
-                        assert (entry is previous) == all(entry[k] is previous[k] for k in entry)
-                        shared += entry is previous
-    assert shared > 0
+        kept = {}
+        before = len(calls)
+        run_trials(program, place_shoe_spec, 6, base_seed=0, noise_scale=1.0, max_steps=200)
+        for names, rows, count in calls[before:]:
+            expected = 0
+            for key, (array, value) in names:
+                hit = kept.get(key)
+                if hit is None or hit[0] is not array or hit[1] is not value:
+                    uniform = len({row.tobytes() for row in array}) == 1
+                    hit = kept[key] = (array, value, None if uniform else set())
+                    expected += uniform
+                if hit[2] is not None:
+                    expected += len(set(rows) - hit[2])
+                    hit[2].update(rows)
+            assert count == expected
+    assert sum(count for _, _, count in calls) < sum(len(rows) * len(names) for names, rows, _ in calls) / 2
+
+
+def test_scene_texts_make_each_row_when_needed_and_equal_rows_once(monkeypatch):
+    """Rows are made as snapshots ask for them; an array of rows equal byte
+    for byte is made once, and one whose rows differ only in a zero's sign
+    is not such an array."""
+    spec = load_task_spec(task_path("place_shoe"))
+    n = 4
+    shoe, block = (np.tile(spec.actors[name].pose.values, (n, 1)) for name in ("shoe", "target_block"))
+    shoe[2, 0] = 0.5
+    left, right = (np.tile(spec.homes[tag].values, (n, 1)) for tag in ARM_TAGS)
+    right[:, 3], right[1, 3] = 0.0, -0.0
+    scene = SceneRows({"shoe": shoe, "target_block": block}, {"left": left, "right": right},
+                      dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
+    made, memo = [], {}
+    monkeypatch.setattr(model, "_POSE", _CountingPose(made))
+    for rows, count in (([0, 3], 2 + 1 + 1 + 2), ([1, 2, 3], 2 + 2), ([3, 0], 0)):
+        before = len(made)
+        assert model.scene_texts(scene, iter(rows), memo) == [
+            json.dumps(_payload(scene, r), ensure_ascii=False) for r in rows]
+        assert len(made) - before == count, rows
+    assert '"right": {"tcp": [0.25, 0.0, 0.3, -0.0, ' in model.scene_texts(scene, [1], memo)[0]
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5e300, 0.1 + 0.2, 1e16, 1e-7, 0.5)
+
+
+def test_scene_texts_match_json_dumps_on_edge_values():
+    """Over SceneRows whose rows hold floats at their edges, names that are
+    not ASCII or need escapes (an actor named as an arm too), holders and
+    gripper values that change, some to values == but not the same."""
+    rng = random.Random(39)
+    names = ["Schuh_ß", "杯", 'q"uote', "back\\slash", "tab\tand\n", "left"]
+    n = 5
+
+    def rows():
+        array = np.array([[rng.choice(_EDGE_FLOATS) for _ in range(7)] for _ in range(n)])
+        if rng.random() < 0.3:
+            array[:] = array[0]  # every row alike
+        return array
+
+    scene = SceneRows({name: rows() for name in names}, {tag: rows() for tag in ARM_TAGS},
+                      dict.fromkeys(ARM_TAGS), dict.fromkeys(ARM_TAGS, 1.0))
+    memo = {}
+    for _ in range(60):
+        change = rng.randrange(4)
+        if change == 0:
+            scene.poses[rng.choice(names)] = rows()
+        elif change == 1:
+            scene.tcps[rng.choice(ARM_TAGS)] = rows()
+        elif change == 2:
+            scene.grippers[rng.choice(ARM_TAGS)] = rng.choice(_EDGE_FLOATS) + rng.choice((0.0, -0.0))
+        else:
+            tag, name = rng.choice(ARM_TAGS), rng.choice(names + [None])
+            if name is None or scene.held_by(name) is None:
+                scene.holding[tag] = name
+        asked = rng.sample(range(n), rng.randrange(1, n + 1))
+        texts = model.scene_texts(scene, asked, memo)
+        assert texts == [json.dumps(_payload(scene, r), ensure_ascii=False) for r in asked]
 
 
 def test_task_geometry_is_frozen():
@@ -669,19 +767,19 @@ def test_task_geometry_is_frozen():
             vector[0] = 0.5
 
 
-def test_scene_from_state_inverts_scene_payloads(monkeypatch):
-    # Each payload the executor makes reads back as the row of the scene it
-    # was made from: its positions, holder and grippers exactly, its
+def test_scene_from_state_inverts_scene_texts(monkeypatch):
+    # Each scene text the executor makes reads back as the row of the scene
+    # it was made from: its positions, holder and grippers exactly, its
     # quaternions up to the renormalization of a loaded pose.
     made = []
 
     def recording(scene, rows, memo):
         rows = list(rows)
-        payloads = model.scene_payloads(scene, rows, memo)
-        made.append((dict(scene.poses), dict(scene.tcps), dict(scene.holding), dict(scene.grippers), rows, payloads))
-        return payloads
+        texts = model.scene_texts(scene, rows, memo)
+        made.append((dict(scene.poses), dict(scene.tcps), dict(scene.holding), dict(scene.grippers), rows, texts))
+        return texts
 
-    monkeypatch.setattr(executor, "scene_payloads", recording)
+    monkeypatch.setattr(executor, "scene_texts", recording)
     held = gripped = 0
     for task in TASK_NAMES:
         spec = load_task_spec(task_path(task))
@@ -689,9 +787,9 @@ def test_scene_from_state_inverts_scene_payloads(monkeypatch):
         for kind in ("correct", "loud", "silent"):
             program = insert_observations(parse(program_path(task, kind).read_text()), cap=10)
             run_trials(program, spec, 3, base_seed=5, noise_scale=1.0, max_steps=200)
-        for poses, tcps, holding, grippers, rows, payloads in made:
-            for r, payload in zip(rows, payloads):
-                back = scene_from_state(spec, payload)
+        for poses, tcps, holding, grippers, rows, texts in made:
+            for r, text in zip(rows, texts):
+                back = scene_from_state(spec, text)
                 assert back.holding == holding and back.grippers == grippers
                 for arrays, read in ((poses, back.poses), (tcps, back.tcps)):
                     assert list(read) == list(arrays)
@@ -708,7 +806,7 @@ def test_scene_from_state_refuses_two_actors_held_by_one_arm(place_shoe_spec):
                           for name, actor in place_shoe_spec.actors.items()}, "arms": {}}
     assert list(payload["actors"]) == ["shoe", "target_block"]
     with pytest.raises(ArtifactError) as err:
-        scene_from_state(place_shoe_spec, payload)
+        scene_from_state(place_shoe_spec, json.dumps(payload))
     assert err.value.field == "scene.actors.target_block.held_by"
     assert str(err.value) == "scene.actors.target_block.held_by: arm 'left' already holds 'shoe'"
 
@@ -738,23 +836,25 @@ def test_trials_leave_task_geometry_unchanged(task):
 
 
 def _finite_floats(values, n: int) -> bool:
-    return type(values) is tuple and len(values) == n and all(type(v) is float and math.isfinite(v) for v in values)
+    return type(values) is list and len(values) == n and all(type(v) is float and math.isfinite(v) for v in values)
 
 
 def test_executor_records_are_what_the_trial_writer_takes():
     """The trial writer formats only what the executor makes: every field
-    of a record exactly of its declared type, a payload of _SCENE_KEYS's
-    layout with the task's actors then the arms in ARM_TAGS order, each
-    pose seven finite floats, each holder None or an arm tag, each gripper
-    a finite float, and each event's args keyed by its op's parameters in
-    signature order. Over mutated bundled programs with extreme literals,
-    at noise 0, 1 and 3."""
-    head_types = {"step_name": str, "stmt_id": int, "subgoal_index": int, "t": int, "program_context": str}
+    of a record exactly of its declared type, a scene text that is
+    json.dumps of the payload it holds, a payload of _SCENE_KEYS's layout
+    with the task's actors then the arms in ARM_TAGS order, each pose seven
+    finite floats, each holder None or an arm tag, each gripper a finite
+    float, and each event's args keyed by its op's parameters in signature
+    order. Over mutated bundled programs with extreme literals, at noise 0,
+    1 and 3."""
+    head_types = {"step_name": str, "stmt_id": int, "subgoal_index": int, "t": int, "scene": str,
+                  "program_context": str}
     event_types = {"stmt_id": int, "subgoal_index": int, "op_name": str, "args": dict, "outcome": str,
                    "error_category": str, "message": str, "t": int}
     parameters = {name: [p.name for p in params] for name, params in API_SIGNATURES.items()}
     rng = random.Random(38)
-    entries, extreme, ends = 0, 0, collections.Counter()
+    texts, extreme, ends = set(), 0, collections.Counter()
     for k in range(300):
         task = TASK_NAMES[k % len(TASK_NAMES)]
         spec = load_task_spec(task_path(task))
@@ -762,7 +862,7 @@ def test_executor_records_are_what_the_trial_writer_takes():
         program = insert_observations(_mutated(parse(program_path(task, kind).read_text()), rng, True), cap=1000)
         for noise in (0.0, 1.0, 3.0):
             logs = run_trials(program, spec, 3, base_seed=k, noise_scale=noise, max_steps=200)
-            seen = set()  # ids of the shared objects checked; the batch keeps each alive
+            seen = set()  # ids of the shared events checked; the batch keeps each alive
             for log in logs:
                 assert (type(log.trial_index), type(log.seed), type(log.goal_met)) == (int, int, bool)
                 for event in log.events:
@@ -776,22 +876,21 @@ def test_executor_records_are_what_the_trial_writer_takes():
                     ends[event.error_category] += 1
                 for snap in log.snapshots:
                     assert {f: type(getattr(snap, f)) for f in head_types} == head_types
-                    assert list(snap.scene) == ["actors", "arms"]
-                    assert list(snap.scene["actors"]) == list(spec.actors)
-                    assert list(snap.scene["arms"]) == list(ARM_TAGS)
-                    for entry in snap.scene["actors"].values():
-                        if id(entry) not in seen:
-                            seen.add(id(entry))
-                            assert list(entry) == ["pose", "held_by"]
-                            assert _finite_floats(entry["pose"], 7) and entry["held_by"] in (None, *ARM_TAGS)
-                            entries += 1
-                    for entry in snap.scene["arms"].values():
-                        if id(entry) not in seen:
-                            seen.add(id(entry))
-                            assert list(entry) == ["tcp", "gripper"]
-                            assert _finite_floats(entry["tcp"], 7) and _finite_floats((entry["gripper"],), 1)
-                            entries += 1
-    assert entries > 10000 and extreme > 500
+                    if snap.scene in texts:
+                        continue
+                    texts.add(snap.scene)
+                    state = json.loads(snap.scene)
+                    assert snap.scene == json.dumps(state, ensure_ascii=False)
+                    assert list(state) == ["actors", "arms"]
+                    assert list(state["actors"]) == list(spec.actors)
+                    assert list(state["arms"]) == list(ARM_TAGS)
+                    for entry in state["actors"].values():
+                        assert list(entry) == ["pose", "held_by"]
+                        assert _finite_floats(entry["pose"], 7) and entry["held_by"] in (None, *ARM_TAGS)
+                    for entry in state["arms"].values():
+                        assert list(entry) == ["tcp", "gripper"]
+                        assert _finite_floats(entry["tcp"], 7) and _finite_floats([entry["gripper"]], 1)
+    assert len(texts) > 3000 and extreme > 500
     assert set(model.ERROR_CATEGORIES) - set(ends) == {"runtime_limit"}
 
 
@@ -832,10 +931,26 @@ def test_load_trials_refuses_a_record_after_its_trials_summary(tmp_path, place_s
     assert err.value.field == f"{path}:{len(lines) + 1}"
 
 
+def _around_scene(rec: dict) -> tuple:
+    """The texts json.dumps(rec, ensure_ascii=False) writes before and after
+    a snapshot record's scene."""
+    before, after = json.dumps({**rec, "scene": 0}, ensure_ascii=False).split('"scene": 0, "program_context": ')
+    return before + '"scene": ', ', "program_context": ' + after
+
+
+def _reference_line(rec: dict) -> str:
+    """json.dumps(rec, ensure_ascii=False), a snapshot's scene written as the
+    JSON text it holds."""
+    if rec["type"] != "snapshot":
+        return json.dumps(rec, ensure_ascii=False)
+    before, after = _around_scene(rec)
+    return before + rec["scene"] + after
+
+
 def _reference_text(logs) -> str:
     """What the trial writer must produce, byte for byte: json.dumps of every
-    record."""
-    return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for log in logs for rec in trial_records(log))
+    record, each scene as its text."""
+    return "".join(_reference_line(rec) + "\n" for log in logs for rec in trial_records(log))
 
 
 @pytest.mark.parametrize("noise", [0, 1])
@@ -848,7 +963,7 @@ def test_trial_writer_matches_json_dumps(tmp_path, noise):
             logs = run_trials(program, spec, 4, base_seed=0, noise_scale=float(noise), max_steps=200)
             dump_trials(logs, path)
             assert path.read_bytes() == _reference_text(logs).encode("utf-8"), (task, kind)
-            loaded = load_trials(path)  # poses as lists, records shared across trials of equal lines
+            loaded = load_trials(path)  # records shared across trials of equal lines
             assert "".join(trial_texts(loaded)) == _reference_text(loaded), (task, kind)
 
 
@@ -861,55 +976,32 @@ def _assert_round_trips(logs, path):
     """The trials load back from the writer's file, and write back the
     same bytes, which are json.dumps of the loaded records."""
     text = path.read_text(encoding="utf-8")
-    loaded = load_trials(path)  # poses as lists, records shared across trials of equal lines
+    loaded = load_trials(path)  # records shared across trials of equal lines
     assert "".join(trial_texts(loaded)) == _reference_text(loaded) == text
 
 
 def test_trial_writer_matches_json_dumps_on_edge_values(tmp_path):
-    zero = 0.0
-    neg_zero = -zero  # == zero, but written "-0.0": an entry holding it must be encoded anew
+    """Heads and contexts that need escapes or hold % signs, and scene texts
+    that are not ASCII (scene_texts' own edge values are checked in
+    test_scene_texts_match_json_dumps_on_edge_values)."""
     still = (0.5, -0.25, 0.0, 1.0, 0.0, 0.0, 0.0)
-    shared = (0.25, 0.5, 0.75, 1.0, 0.0, 0.0, 0.0)  # one object in several entries and snapshots
-    gripper = 1.0
 
-    def scene(moved_pose, odd_pose=still, held_by=None, grippers=(gripper, gripper), odd_name="杯"):
-        return {
-            "actors": {"Schuh_ß": {"pose": moved_pose, "held_by": held_by},
-                       odd_name: {"pose": odd_pose, "held_by": None}},
-            "arms": {"left": {"tcp": still, "gripper": grippers[0]},
-                     "right": {"tcp": still, "gripper": grippers[1]}},
-        }
+    def scene(pose, held_by=None, gripper=1.0, odd_name="杯"):
+        return json.dumps({
+            "actors": {"Schuh_ß": {"pose": pose, "held_by": held_by}, odd_name: {"pose": still, "held_by": None}},
+            "arms": {"left": {"tcp": still, "gripper": gripper}, "right": {"tcp": still, "gripper": gripper}},
+        }, ensure_ascii=False)
 
-    entry = {"pose": shared, "held_by": "right"}  # one entry dict in several snapshots
-    scenes = [
-        scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
-        scene((neg_zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)),
-        scene((5e-324, 1.5e300, 0.1 + 0.2, 1.0, 0.0, 0.0, 0.0), (-5e-324, -1.5e300, 1e16, 1.0, 0.0, 0.0, 0.0)),
-        scene((zero, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0), held_by="left"),
-        scene(still),
-        # One pose object under two names, then under two holders in turn.
-        scene(shared, shared),
-        scene(shared, held_by="left"),
-        scene(shared, held_by="right"),
-        scene(shared),
-        # One TCP object with grippers that are == but not the same.
-        scene(still, grippers=(zero, zero)),
-        scene(still, grippers=(neg_zero, zero)),
-        scene(still, grippers=(5e-324, 0.1 + 0.2)),
-        # An actor and an arm of one name, pose object and other value.
-        scene(still, odd_name="left", grippers=(zero, neg_zero)),
-        # One entry dict under two names, then again under one of them.
-        {"actors": {"Schuh_ß": entry, "杯": entry}, "arms": scene(still)["arms"]},
-        {"actors": {"杯": entry}, "arms": scene(still)["arms"]},
-        scene(still),
-    ]
+    scenes = [scene((-0.0, 0.1, 0.2, 1.0, 0.0, 0.0, 0.0)), scene((5e-324, 1.5e300, 0.1 + 0.2, 1.0, 0.0, 0.0, 0.0)),
+              scene(still, "left", -0.0), scene(still, odd_name='q"uote \\ %s'), scene(still), scene(still),
+              json.dumps({"actors": {}, "arms": {}})]
     steps = ['say "hi"', "back\\slash", "tab\tand é", "", "100% of %s at %d", '"trial_index": 10']
     steps += [f"step{i}" for i in range(len(scenes) - len(steps))]
     log = TrialLog(trial_index=3, seed=-1, goal_met=True)
     log.events.append(SymbolicEvent(1, 1, "observe", {"step_name": '"q\\"'}, "success", "none", "", 0))
     log.events.append(SymbolicEvent(2, 1, "grasp_actor", _GRASP_ARGS, "failure", "collision", "100% at %s é", 0))
-    log.snapshots += [Snapshot(step, 1, 1, t, payload, f'observe("{step}")')
-                      for t, (step, payload) in enumerate(zip(steps, scenes), 1)]
+    log.snapshots += [Snapshot(step, 1, 1, t, text, f'observe("{step}")')
+                      for t, (step, text) in enumerate(zip(steps, scenes), 1)]
     assert trial_text(log) == _reference_text([log])
     path = tmp_path / "trials.jsonl"
     dump_trials([log], path)
@@ -917,9 +1009,9 @@ def test_trial_writer_matches_json_dumps_on_edge_values(tmp_path):
 
 
 def _random_trial_logs(rng: random.Random, n: int) -> list:
-    """n trial logs, indexed 0..n-1, whose snapshots share entry dicts, pose
-    tuples and args dicts across snapshots and trials, as the executor's
-    do, with the values the executor makes at their edges."""
+    """n trial logs, indexed 0..n-1, whose events share args dicts and
+    whose snapshots share scene texts across snapshots and trials, with the
+    values the executor makes at their edges."""
     zero = 0.0
     floats = [zero, -zero, 0.5, -0.25, 1.0, 1e-300, 5e-324, 1.5e300, 0.1 + 0.2]
 
@@ -935,8 +1027,8 @@ def _random_trial_logs(rng: random.Random, n: int) -> list:
                  ("grasp_actor", _GRASP_ARGS)]
 
     def scene():
-        return {"actors": {rng.choice(names): rng.choice(actor_entries) for _ in range(rng.randrange(4))},
-                "arms": {tag: rng.choice(arm_entries) for tag in ARM_TAGS}}
+        return json.dumps({"actors": {rng.choice(names): rng.choice(actor_entries) for _ in range(rng.randrange(4))},
+                           "arms": {tag: rng.choice(arm_entries) for tag in ARM_TAGS}}, ensure_ascii=False)
 
     ints = [0, 1, 2, 7, 10**20]
     texts = ["", "observe", "grasp_actor", "tab\tand é", "back\\slash", " ",
@@ -985,13 +1077,14 @@ def _share_runs(rng: random.Random, logs: list) -> None:
 
 
 def _assert_writes_json_dumps(logs, path):
-    """The writer's text is json.dumps of each record, line by line."""
+    """The writer's text is json.dumps of each record, each scene as its
+    text, line by line."""
     dump_trials(logs, path)  # one args memo over every trial
     lines = path.read_text(encoding="utf-8").split("\n")
     records = [rec for log in logs for rec in trial_records(log)]
     assert lines.pop() == "" and len(lines) == len(records)
     for line, rec in zip(lines, records):
-        assert line == json.dumps(rec, ensure_ascii=False)
+        assert line == _reference_line(rec)
     assert "".join(trial_texts(logs)) == _reference_text(logs)
 
 
@@ -1008,7 +1101,7 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     # trial index and % signs.
     events = [SymbolicEvent(1, 1, "grasp_actor", _GRASP_ARGS, "failure", "collision",
                             'ends "trial_index": 1, at 100%', 0)]
-    snapshots = [Snapshot('"trial_index": 10', 1, 1, 0, {"actors": {}, "arms": {}}, "%s %d %%")]
+    snapshots = [Snapshot('"trial_index": 10', 1, 1, 0, '{"actors": {}, "arms": {}}', "%s %d %%")]
     logs = [TrialLog(index, seed, events, snapshots, index == 10) for index, seed in [(1, 2), (10, 3), (100, 4)]]
     logs.append(TrialLog(10, 5, list(events), list(snapshots)))
     logs += [TrialLog(100, 6, events, snapshots), TrialLog(1, 7, events, snapshots, True)]
@@ -1019,7 +1112,7 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     event = SymbolicEvent(1, 1, "grasp_actor", _GRASP_ARGS, "success", "none", "", 1)
     alike = [dataclasses.replace(event), dataclasses.replace(event, args=dict(_GRASP_ARGS)),
              dataclasses.replace(event, message="other")]
-    scene = {"actors": {}, "arms": {}}
+    scene = '{"actors": {}, "arms": {}}'
     heads = [Snapshot("step", 1, 1, t, scene, "ctx") for t in (1, 1, 2)]
     logs = [TrialLog(0, 0, [event, alike[0]], heads[:2]), TrialLog(1, 1, [event, event], heads[1:]),
             TrialLog(2, 2, [alike[1], alike[2]], heads[::-1]), TrialLog(3, 3, [alike[0], event], [heads[1]]),
@@ -1032,19 +1125,41 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
 
 def _loaded(path) -> str:
     """What load_trials makes of a file: its trials' records as json.dumps
-    writes them, or its error."""
+    writes them, each scene as its text, or its error."""
     try:
         return _reference_text(load_trials(path))
     except ArtifactError as exc:
         return f"ArtifactError: {exc}"
 
 
+def _keeping_scene_spans(record):
+    """model._record, whose scene text is _encode(scene), but for a snapshot
+    line laid out as json.dumps lays out its record, with a trial index of
+    at most 18 digits (as _KEYED takes one): that keeps its scene's text as
+    the line holds it."""
+    def read(line: str):
+        index, rec = record(line)
+        if type(rec) is Snapshot and len(str(index)) <= 18:
+            before, after = _around_scene({"type": "snapshot", "trial_index": index, **dataclasses.asdict(rec)})
+            span = line[len(before):len(line) - len(after)]
+            if (len(line) > len(before) + len(after) and line.startswith(before) and line.endswith(after)
+                    and span == span.strip(" \t\r\n")):
+                with contextlib.suppress(ValueError):
+                    json.loads(span)
+                    rec.scene = span
+        return index, rec
+
+    return read
+
+
 def _assert_loads_as_every_line(path, monkeypatch) -> str:
     """load_trials reads the file as its reference does: load_trials with no
-    line memoized, each line decoded by _record."""
+    line memoized, each line decoded whole by _record, and a snapshot line
+    laid out as the writer lays it out keeping its scene's text."""
     got = _loaded(path)
     with monkeypatch.context() as unmemoized:
         unmemoized.setattr(model, "_KEYED", re.compile("(?!)"))  # matches no line
+        unmemoized.setattr(model, "_record", _keeping_scene_spans(model._record))
         assert got == _loaded(path)
     return got
 
@@ -1220,6 +1335,51 @@ def test_load_trials_refuses_an_event_the_executor_could_not_make(tmp_path, plac
         load_trials(path)
     assert exc.value.code == "artifact_error"
     assert str(exc.value).startswith(f"{path}:{at + 1}: event.{field}: ")
+
+
+@pytest.mark.parametrize("respell", ["reordered", "respaced"])
+def test_load_trials_reads_a_snapshot_laid_out_otherwise_with_its_scene_as_json_dumps(tmp_path, place_shoe_spec,
+                                                                                    respell):
+    """A snapshot line that decodes to the record the writer wrote, with its
+    keys in another order or without the writer's spaces, loads as that
+    record: its scene text is json.dumps of its scene, the text the writer
+    wrote, so the file written back is the writer's."""
+    path = tmp_path / "trials.jsonl"
+    written = _dumped(path, place_shoe_spec, 1)
+    lines = list(written)
+    snapshots = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')]
+    for at in snapshots:
+        record = json.loads(lines[at])
+        if respell == "reordered":
+            lines[at] = json.dumps(dict(reversed(record.items())), ensure_ascii=False) + "\n"
+        else:
+            lines[at] = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    [log] = load_trials(path)
+    for snap, at in zip(log.snapshots, snapshots):
+        assert snap.scene == json.dumps(json.loads(lines[at])["scene"], ensure_ascii=False)
+        assert snap.scene not in lines[at] or respell == "reordered"
+    assert "".join(trial_texts([log])) == "".join(written)
+
+
+@pytest.mark.parametrize("scene", ["[]", "1", '"x"', "null", "NaN", '[{"actors": {}, "arms": {}}]'])
+@pytest.mark.parametrize("layout", ["writer", "compact"])
+def test_load_trials_refuses_a_snapshot_whose_scene_is_not_an_object(tmp_path, place_shoe_spec, scene, layout):
+    """Read piecewise or decoded whole, a scene that is not a JSON object is
+    an artifact error naming path:line and the field."""
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 2)
+    at = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')][-1]  # trial 1's last
+    record = json.loads(lines[at])
+    if layout == "writer":
+        before, after = _around_scene(record)
+        lines[at] = before + scene + after + "\n"
+    else:
+        lines[at] = json.dumps({**record, "scene": json.loads(scene)}, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert str(exc.value) == f"{path}:{at + 1}: snapshot.scene: expected an object, got {json.loads(scene)!r}"
 
 
 def test_runtime_limit_event_precedes_final_snapshot_at_same_t(tmp_path, place_shoe_spec):
