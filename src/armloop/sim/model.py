@@ -53,7 +53,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..dsl.ast import API_SIGNATURES
+from ..dsl.ast import API_SIGNATURES, ARM, BOOL
 from ..errors import ArtifactError, ConfigError
 from ..scene import ARM_TAGS, Pose, SceneRows, TaskSpec
 
@@ -69,14 +69,21 @@ ERROR_CATEGORIES = (
 )
 # Per op, its parameters in signature order: the keys of its events' args.
 _PARAMETERS = {name: tuple(p.name for p in params) for name, params in API_SIGNATURES.items()}
+# Per op, each parameter whose kind is a closed vocabulary (an arm, a bool,
+# an enum) with the values the executor renders it as.
+_VOCABULARIES = {ARM: ARM_TAGS, BOOL: ("true", "false")}
+_CHOICES = {name: [(p.name, p.kind[1] if type(p.kind) is tuple else _VOCABULARIES[p.kind])
+                   for p in params if type(p.kind) is tuple or p.kind in _VOCABULARIES]
+            for name, params in API_SIGNATURES.items()}
 
 
 @dataclass(frozen=True)
 class SymbolicEvent:
     """One statement's outcome in a trial. Frozen: the executor gives the
     rows that emit an equal event one shared object. Its op, outcome and
-    error category are closed vocabularies, and the keys of its args are
-    its op's parameters in signature order; the reader refuses any other."""
+    error category are closed vocabularies, the keys of its args are its
+    op's parameters in signature order, and an arg of an arm, bool or enum
+    parameter is one of its kind's values; the reader refuses any other."""
 
     stmt_id: int
     subgoal_index: int
@@ -355,9 +362,12 @@ def _record(line: str):
             ArtifactError.check_fields(record)
         except ArtifactError as exc:
             raise ArtifactError(f"{kind}.{exc.field}", exc.reason) from None
-    if cls is SymbolicEvent and tuple(record.args) != _PARAMETERS[record.op_name]:
-        raise ArtifactError("event.args", f"expected the keys {list(_PARAMETERS[record.op_name])} of "
-                                          f"{record.op_name}, got {list(record.args)}")
+    if cls is SymbolicEvent:
+        if tuple(record.args) != _PARAMETERS[record.op_name]:
+            raise ArtifactError("event.args", f"expected the keys {list(_PARAMETERS[record.op_name])} of "
+                                              f"{record.op_name}, got {list(record.args)}")
+        for name, choices in _CHOICES[record.op_name]:
+            ArtifactError.check(record.args[name], str, f"event.args.{name}", choices=choices)
     return index, record
 
 

@@ -1320,12 +1320,17 @@ def test_load_trials_refuses_an_event_field_of_another_type_at_its_line(tmp_path
     ('"error_category": "none"', '"error_category": "no[e"', "error_category"),
     ('"op_name": "place_actor"', '"op_name": "/place_actor"', "op_name"),
     ('"arm": "left"', '"arn": "left"', "args"),
+    ('"arm": "left"', '"arm": "eft"', "args.arm"),
+    ('"is_open": "true"', '"is_open": "True"', "args.is_open"),
+    ('"constrain": "align"', '"constrain": "align "', "args.constrain"),
+    ('"move_axis": "world"', '"move_axis": 0', "args.move_axis"),
 ])
 def test_load_trials_refuses_an_event_the_executor_could_not_make(tmp_path, place_shoe_spec, written, mutated,
                                                                   field):
     """An event's op, outcome and error category are closed vocabularies,
-    and its args' keys are its op's parameters: any other is refused as an
-    artifact error naming path:line, never by assigning to the event."""
+    its args' keys are its op's parameters, and an arm, bool or enum arg is
+    one of its kind's values: any other is refused as an artifact error
+    naming path:line, never by assigning to the event."""
     path = tmp_path / "trials.jsonl"
     lines = _dumped(path, place_shoe_spec, 2)
     at = [i for i, line in enumerate(lines) if line.startswith('{"type": "event", ') and written in line][-1]
