@@ -10,8 +10,8 @@ a pose per actor and per arm's TCP, and for each arm the actor it holds,
 which is the one place the hold relation lives, and its gripper value. It
 is the one type of per-trial state: the simulator steps a batch's
 `SceneRows`, updating its dicts in place, and a snapshot's scene text reads
-back as one of a row. `eval_predicate` evaluates a goal or checkpoint over those
-rows.
+back as one of a row. `eval_predicate` evaluates a goal or checkpoint over
+those rows.
 """
 
 from __future__ import annotations
