@@ -52,9 +52,10 @@ class FieldError(ArmloopError):
         self.reason = message
 
     @classmethod
-    def read_text(cls, path, where: str) -> str:
+    def read_text(cls, path, where: str, newline=None) -> str:  # newline as open() takes it
         try:
-            return Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8", newline=newline) as fh:
+                return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise cls(where, f"cannot read {path}: {reason}") from None

@@ -1,51 +1,36 @@
-"""Execution records: symbolic events, scene snapshots, trial logs, and the
-snapshot payload, whose JSON text `scene_texts` makes from a `SceneRows` and
-`scene_from_state` reads back.
+"""Execution records: symbolic events, scene snapshots, trial logs, their
+JSON Lines codec, and the snapshot payload, whose JSON text `scene_texts`
+makes from a `SceneRows` and `scene_from_state` reads back.
 
-Trial logs serialize to JSON Lines, one event or snapshot record per line
-and a final summary record, with field names matching the dataclasses.
-Serialization is byte-stable: two `run_trials` calls with the same arguments
-produce identical files.
+A trial's log is a line per event or snapshot in step order, then a
+summary line: {"type", "trial_index", <its class's fields in declaration
+order>} as json.dumps(record, ensure_ascii=False) writes it, a snapshot's
+scene as its payload's text. Two `run_trials` calls with the same
+arguments write identical files.
 
-A snapshot holds its scene as the payload's JSON text, the very bytes its
-line holds. The executor's texts are json.dumps(payload,
-ensure_ascii=False), made once per batch row and snapshot by `scene_texts`
-from entry texts it keeps per batch: an entry's text is made the first time
-a snapshot needs its row, and kept while the name's pose array and its
-holder or gripper value are the same objects; where the array's rows are
-equal byte for byte, one text serves every row.
+The executor's scene texts are made once per batch row and snapshot by
+`scene_texts`. The writer formats what the executor makes and what
+`load_trials` reads back: every field exactly of its declared type. Each
+record is one fill of its type's template, its fields fetched at once, a
+snapshot's scene text copied between the texts before and after it;
+`trial_texts` says what it memoizes.
 
-The writer takes the executor's records, and those `load_trials` reads back
-from the writer's own files, and writes them as json.dumps(record,
-ensure_ascii=False) would with each scene's text in place of its payload,
-faster. It relies on what such records hold: every field is exactly of its
-declared type. Each record is one fill of its type's template, built at
-import from its dataclass's fields, with the fields fetched at once; a
-snapshot's scene text is copied between the texts before and after it.
-Over a `trial_texts` call, an event's text is made once per event object,
-memoized by its identity (the executor's rows that emit an event alike
-share one), and the text of a snapshot's fields but its scene once per
-distinct value of them. A trial whose `events` and `snapshots` are the very
-lists of the trial written just before it (the executor's trials with equal
-perturbations share them) reuses that trial's record texts, with its own
-index put in each line and its own summary, formatted from the log's
-fields; only the previous trial's texts are kept.
-
-The reader decodes each distinct event or snapshot line once per file. A
-snapshot line laid out as the writer lays it out is read piecewise, and
-its scene's text is the span of the line that holds it, which the scanner
-decodes once to check that it is an object. A line that starts with the
-writer's head and a plain trial index, and whose rest names no second
-trial index, is memoized by its head and rest: a line equal to it but for
-the index is the same record, put in that index's trial, so trials with
-equal lines share record objects as the executor's do. Every record is
-checked against its class's declared field types and an event against its
-closed vocabularies, once per distinct line; a line that does not decode is
-never memoized, so a repeat of it is refused at its own line.
+The reader accepts a line only where it is the writer's text of the
+record it decodes to, so the logs loaded from a file write it back byte for
+byte. An event line is decoded whole, checked against its class's field
+types and closed vocabularies, and compared with the writer's text of the
+event; a snapshot line is read piecewise, its scene's text the span of the
+line that holds it, which the scanner decodes once to check that it is an
+object (the layout within it is not checked); a summary line is matched by
+its template's pattern. Each distinct event or snapshot line is read once
+per file, memoized by its head and rest, so trials whose lines are equal
+but for the index share record objects as the executor's do. Any other
+line is decoded whole only to name its fault.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -345,9 +330,9 @@ def dump_trials(logs, path) -> None:
     ConfigError.write_text(path, trial_texts(logs), "--out")
 
 
-def _record(line: str):
-    """(trial index, record) of one JSONL line, each field of the record of
-    its declared type; ArtifactError names the fault within the line."""
+def _decoded(line: str):
+    """(trial index, record) of a line decoded whole, each field checked as
+    declared; ArtifactError names the fault within the line."""
     rec = ArtifactError.check(ArtifactError.loads(line, ""), dict, "")
     kind = ArtifactError.check(rec.pop("type", None), str, "type")
     cls = RECORD_TYPES.get(kind)
@@ -357,7 +342,7 @@ def _record(line: str):
     record = ArtifactError.build(cls, rec, kind)
     if cls is not TrialSummary:  # a summary checks its own fields as it is made
         try:
-            if cls is Snapshot:  # its scene, an object, is kept as its text
+            if cls is Snapshot:  # its scene, an object, as its text
                 record.scene = _encode(ArtifactError.check(record.scene, dict, "scene"))
             ArtifactError.check_fields(record)
         except ArtifactError as exc:
@@ -371,26 +356,31 @@ def _record(line: str):
     return index, record
 
 
-# The start of an event or snapshot line as the writer makes it: its type's
-# head, the trial index as JSON writes an int, and the comma after it, so
-# that the index is every digit there is. An index of more than 18 digits is
-# left to the decoder.
-_KEYED = re.compile(f"({re.escape(_EVENT)}|{re.escape(_SNAPSHOT)})(0|[1-9][0-9]{{0,17}}), ")
-# A snapshot's rest as the writer lays it out, cut at its scene: its fields
-# before the scene, each string a token and each int as JSON writes one, and
-# its program_context up to the line's end.
+def _refusal(line: str) -> ArtifactError:
+    """Why a line is not the writer's text of its record: its fault decoded whole, else that."""
+    try:
+        _decoded(line)
+    except ArtifactError as exc:
+        return exc
+    return ArtifactError("", "not the trial writer's text of its record")
+
+
+# A line as the writer makes it: its type's head, its trial index as JSON
+# writes an int, and its rest. A snapshot's rest cut at its scene: its
+# fields before the scene, each string a token and each int as JSON writes
+# one, and its program_context up to the line's end. A summary's rest whole.
 _TOKEN, _INT = r'("(?:[^"\\]|\\.)*")', "(0|-?[1-9][0-9]*)"
-_HEAD = re.compile(re.escape(_BEFORE_SCENE[2:]) % (_TOKEN, _INT, _INT, _INT))
+_LINE = re.compile(f"({re.escape(_EVENT)}|{re.escape(_SNAPSHOT)}|{re.escape(_SUMMARY)}){_INT}")
+_HEAD = re.compile(re.escape(_BEFORE_SCENE) % (_TOKEN, _INT, _INT, _INT))
 _TAIL = re.compile(re.escape(_AFTER_SCENE[:-1]) % _TOKEN)
+_CLOSING = re.compile(re.escape(_SUMMARY_REST[:-1]) % ("(true|false)", _INT, _INT))
 _scan = json.JSONDecoder().scan_once  # the value at an index of a text, and where it ends
 
 
 def _snapshot(rest: str) -> Snapshot | None:
-    """The snapshot of a line whose rest (past _KEYED's match) is laid out
-    as the writer lays it out, each string token written as _str writes
-    its value; its scene is the span of the rest that holds it, which the
-    scanner decodes once, to check that it is an object. None for a rest
-    laid out otherwise."""
+    """The snapshot of a line whose rest is rest, read piecewise: each string
+    token as _str writes its value, its scene the span of the rest that holds
+    it, decoded once to check that it is an object. None for any other rest."""
     head = _HEAD.match(rest)
     if head is None:
         return None
@@ -401,52 +391,58 @@ def _snapshot(rest: str) -> Snapshot | None:
             return None
         step_name, context = json.decoder.scanstring(head[1], 1)[0], json.decoder.scanstring(tail[1], 1)[0]
         numbers = int(head[2]), int(head[3]), int(head[4])
-    except (StopIteration, ValueError, RecursionError):  # left to the decoder of the whole line
+    except (StopIteration, ValueError, RecursionError):
         return None
-    if _str(step_name) != head[1] or _str(context) != tail[1]:
+    if type(scene) is not dict or _str(step_name) != head[1] or _str(context) != tail[1]:
         return None
-    ArtifactError.check(scene, dict, "snapshot.scene")
     return Snapshot(step_name, *numbers, rest[head.end():end], context)
 
 
+def _read(line: str, memo: dict):
+    """(trial index, record) of a line that is the writer's text of its
+    record, else None; a summary's record is (goal_met, seed, n_events)."""
+    match = _LINE.match(line)
+    if match is None:
+        return None
+    head, rest = match[1], line[match.end():]
+    try:
+        index = int(match[2])
+        if head == _SUMMARY:
+            closing = _CLOSING.fullmatch(rest)
+            return closing and (index, (closing[1] == "true", int(closing[2]), int(closing[3])))
+    except ValueError:  # an int of more digits than int() reads
+        return None
+    rec = memo.get((head, rest))
+    if rec is None:
+        if head == _SNAPSHOT:
+            rec = _snapshot(rest)
+        else:  # an event, decoded whole and held to the writer's text of it
+            with contextlib.suppress(ArtifactError):
+                rec = _decoded(line)[1]
+            if type(rec) is not SymbolicEvent or _EVENT_REST % tuple(map(_atom, _event_fields(rec))) != rest + "\n":
+                return None
+        if rec is None:
+            return None
+        memo[head, rest] = rec
+    return index, rec
+
+
 def load_trials(path) -> list[TrialLog]:
-    """Reconstruct trial logs from a JSONL file. The file stores every field
-    of a trial log, so the logs loaded from a file the writer wrote write
-    it back byte for byte. A malformed line, a record with a field not of
-    its declared type, a record of a trial whose summary was already read, a
+    """Reconstruct trial logs from a JSONL file the trial writer wrote. A
+    line that is not the writer's text of the record it decodes to (a
+    field not of its declared type names that field), a record of a trial
+    whose summary was already read, a last line without its newline, a
     file that cannot be read as text, or a trial without its summary raises
-    ArtifactError naming path:line or path.
-
-    A snapshot's scene is its text as the line holds it when _KEYED matches
-    the line and `_snapshot` reads its rest, as for every snapshot line the
-    writer writes (bar an index of over 18 digits). Any other line is
-    decoded whole, and its scene's text is _encode(scene).
-
-    An event or snapshot line that _KEYED matches is read once per call
-    when `_snapshot` reads it or when its rest holds neither "trial_index"
-    nor a \\u escape (either could spell a second trial index key, which the
-    decoder would take over the first): a later line of the same head and
-    rest is the record read first, in the trial its own index names. Loaded
-    trials whose lines are equal thus share record objects."""
+    ArtifactError naming path:line or path."""
     logs: dict[int, TrialLog] = {}
-    memo = {}  # (head, rest) of a decoded line -> its record
-    for lineno, line in enumerate(ArtifactError.read_text(path, str(path)).split("\n"), 1):
-        if not line or line.isspace():
-            continue
+    memo = {}  # (head, rest) of an event or snapshot line read -> its record
+    *lines, last = ArtifactError.read_text(path, str(path), newline="").split("\n")
+    for lineno, line in enumerate(lines, 1):
         try:
-            keyed = _KEYED.match(line)
-            rest = line[keyed.end():] if keyed else ""
-            if not keyed:
-                index, rec = _record(line)
-            elif (rec := memo.get(key := (keyed[1], rest))) is not None:
-                index = int(keyed[2])
-            elif keyed[1] == _SNAPSHOT and (rec := _snapshot(rest)) is not None:
-                index = int(keyed[2])
-                memo[key] = rec
-            else:
-                index, rec = _record(line)
-                if '"trial_index"' not in rest and "\\u" not in rest:
-                    memo[key] = rec
+            read = _read(line, memo)
+            if read is None:
+                raise _refusal(line)
+            index, rec = read
             log = logs.get(index)
             if log is None:
                 log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
@@ -456,13 +452,14 @@ def load_trials(path) -> list[TrialLog]:
                 log.events.append(rec)
             elif type(rec) is Snapshot:
                 log.snapshots.append(rec)
-            elif rec.n_events != len(log.events):
-                raise ArtifactError("n_events", f"{rec.n_events} given, {len(log.events)} events read")
+            elif rec[2] != len(log.events):
+                raise ArtifactError("n_events", f"{rec[2]} given, {len(log.events)} events read")
             else:
-                log.goal_met = rec.goal_met
-                log.seed = rec.seed
+                log.goal_met, log.seed = rec[:2]
         except ArtifactError as exc:
             raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
+    if last:  # a last line without the newline the writer ends each line with
+        raise ArtifactError(f"{path}:{len(lines) + 1}", str(_refusal(last)))
     for log in logs.values():
         if log.seed is None:
             raise ArtifactError(str(path), f"trial {log.trial_index} has no summary record")

@@ -1302,20 +1302,23 @@ def test_render_refuses_a_step_name_that_is_not_one_path_component(tmp_path, cap
 
 
 @pytest.mark.parametrize("name, reason", [
-    ("x" * 300, "step name of 300 characters makes a file name longer than the {name_max} bytes {svg} allows"),
-    ("a\ud800b", "step name 'a\\ud800b' is not a file name: surrogates not allowed"),
+    ("x" * 300, ": trial 0 snapshot 1: step name of 300 characters makes a file name longer than the {name_max} "
+                "bytes {svg} allows"),
+    ("a\ud800b", ":{line}: not the trial writer's text of its record"),
 ], ids=["too_long", "lone_surrogate"])
 def test_render_refuses_a_step_name_that_cannot_be_a_file_name(tmp_path, capsys, name, reason):
-    """A step name too long for a file name, or one the file system cannot
-    encode, is a fault of the trials file, not of --out."""
+    """A step name too long for a file name is a fault of the trials file,
+    not of --out. A lone surrogate, which no UTF-8 file holds, can only be
+    written escaped, as the trial writer never writes it: the line is
+    refused as it is loaded."""
     assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
     trials = tmp_path / "run" / "trials.jsonl"
-    _edit_snapshot(trials, 1, step_name=name)
+    line = _edit_snapshot(trials, 1, step_name=name)
     svg = tmp_path / "svg"
     capsys.readouterr()
     assert main(["render", str(trials), _task(), "--out", str(svg)]) == 2
-    reason = reason.format(name_max=os.pathconf(svg, "PC_NAME_MAX"), svg=svg)
-    assert capsys.readouterr().err == f"error [artifact_error]: {trials}: trial 0 snapshot 1: {reason}\n"
+    reason = reason.format(name_max=os.pathconf(svg, "PC_NAME_MAX"), svg=svg, line=line)
+    assert capsys.readouterr().err == f"error [artifact_error]: {trials}{reason}\n"
 
 
 def test_render_refuses_a_step_counter_that_is_not_an_integer(tmp_path, capsys):

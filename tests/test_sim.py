@@ -1120,48 +1120,7 @@ def test_trial_writer_matches_json_dumps_on_random_logs(tmp_path):
     _assert_writes_json_dumps(logs, path)
 
 
-# --- trials.jsonl reader memo ---------------------------------------------------
-
-
-def _loaded(path) -> str:
-    """What load_trials makes of a file: its trials' records as json.dumps
-    writes them, each scene as its text, or its error."""
-    try:
-        return _reference_text(load_trials(path))
-    except ArtifactError as exc:
-        return f"ArtifactError: {exc}"
-
-
-def _keeping_scene_spans(record):
-    """model._record, whose scene text is _encode(scene), but for a snapshot
-    line laid out as json.dumps lays out its record, with a trial index of
-    at most 18 digits (as _KEYED takes one): that keeps its scene's text as
-    the line holds it."""
-    def read(line: str):
-        index, rec = record(line)
-        if type(rec) is Snapshot and len(str(index)) <= 18:
-            before, after = _around_scene({"type": "snapshot", "trial_index": index, **dataclasses.asdict(rec)})
-            span = line[len(before):len(line) - len(after)]
-            if (len(line) > len(before) + len(after) and line.startswith(before) and line.endswith(after)
-                    and span == span.strip(" \t\r\n")):
-                with contextlib.suppress(ValueError):
-                    json.loads(span)
-                    rec.scene = span
-        return index, rec
-
-    return read
-
-
-def _assert_loads_as_every_line(path, monkeypatch) -> str:
-    """load_trials reads the file as its reference does: load_trials with no
-    line memoized, each line decoded whole by _record, and a snapshot line
-    laid out as the writer lays it out keeping its scene's text."""
-    got = _loaded(path)
-    with monkeypatch.context() as unmemoized:
-        unmemoized.setattr(model, "_KEYED", re.compile("(?!)"))  # matches no line
-        unmemoized.setattr(model, "_record", _keeping_scene_spans(model._record))
-        assert got == _loaded(path)
-    return got
+# --- trials.jsonl reader -------------------------------------------------------
 
 
 def _dumped(path, spec, n) -> list:
@@ -1205,10 +1164,13 @@ def _mutate(rng: random.Random, lines: list) -> None:
 
 
 @pytest.mark.parametrize("noise", [0, 1])
-def test_load_trials_equals_every_line_reference_on_random_files(tmp_path, monkeypatch, noise):
+def test_load_trials_accepts_a_random_file_only_as_it_writes_it_back(tmp_path, noise):
     """Files of trials drawn from a few batches, so that lines repeat across
     trials at either noise (within a batch at noise 0, where a trial is
-    drawn twice at noise 1), a few lines changed in most."""
+    drawn twice at noise 1), a few lines changed in most. A file that loads
+    writes back the lines it holds (as a multiset: a line moved into
+    another trial is written back in that trial's order); any other is an
+    ArtifactError naming the file or one of its lines."""
     trials = []
     for task in ("place_shoe", "handover_block"):
         spec = load_task_spec(task_path(task))
@@ -1218,16 +1180,25 @@ def test_load_trials_equals_every_line_reference_on_random_files(tmp_path, monke
             trials += [[_split(line) for line in trial_text(log).splitlines(keepends=True)] for log in logs]
     rng = random.Random(27 + noise)
     path = tmp_path / "trials.jsonl"
-    errors = 0
+    outcomes = collections.Counter()
     for _ in range(200):
         lines = []
         for index in range(rng.randrange(1, 7)):
             lines += [[head, str(index), rest] for head, _, rest in rng.choice(trials)]
-        for _ in range(rng.choice([0, 0, 1, 2])):
+        mutations = rng.choice([0, 0, 1, 2])
+        for _ in range(mutations):
             _mutate(rng, lines)
-        path.write_text("".join(map("".join, lines)))
-        errors += _assert_loads_as_every_line(path, monkeypatch).startswith("ArtifactError")
-    assert 40 < errors < 160  # both outcomes, often
+        text = "".join(map("".join, lines))
+        path.write_text(text)
+        try:
+            written = "".join(trial_texts(load_trials(path)))
+        except ArtifactError as exc:
+            assert mutations and re.fullmatch(f"{re.escape(str(path))}(:[0-9]+)?", exc.field), exc
+            outcomes["refused"] += 1
+            continue
+        assert collections.Counter(written.split("\n")) == collections.Counter(text.split("\n"))
+        outcomes["accepted after a change" if mutations else "accepted"] += 1
+    assert outcomes["accepted"] > 40 and outcomes["refused"] > 40 and outcomes["accepted after a change"], outcomes
 
 
 def test_load_trials_shares_the_records_of_equal_lines(tmp_path, place_shoe_spec):
@@ -1241,55 +1212,101 @@ def test_load_trials_shares_the_records_of_equal_lines(tmp_path, place_shoe_spec
         assert all(map(operator.is_, log.events + log.snapshots, first.events + first.snapshots))
 
 
-def test_load_trials_decodes_a_line_one_byte_off_a_memoized_one(tmp_path, place_shoe_spec, monkeypatch):
+def test_load_trials_decodes_a_line_one_byte_off_a_memoized_one(tmp_path, place_shoe_spec):
     path = tmp_path / "trials.jsonl"
     lines = _dumped(path, place_shoe_spec, 2)
     at = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')][-1]  # trial 1's last
     start = lines[at].index('"step_name": "') + len('"step_name": "')
     lines[at] = lines[at][:start] + "X" + lines[at][start + 1:]
     path.write_text("".join(lines))
-    _assert_loads_as_every_line(path, monkeypatch)
-    first, second = load_trials(path)
+    first, second = loaded = load_trials(path)
     assert second.snapshots[-1].step_name == "X" + first.snapshots[-1].step_name[1:] != first.snapshots[-1].step_name
     assert second.snapshots[:-1] == first.snapshots[:-1]
+    assert "".join(trial_texts(loaded)) == "".join(lines)
 
 
-@pytest.mark.parametrize("key", _SECOND_INDEX_KEYS, ids=["plain", "escaped"])
-def test_load_trials_takes_a_second_trial_index_key_as_the_decoder_does(tmp_path, place_shoe_spec, monkeypatch,
-                                                                         key):
-    """Every event line of a 2-trial file given a second trial index key of
-    0, which the decoder takes over the first: trial 1's first event, whose
-    rest equals trial 0's, is a record of trial 0 after its summary."""
+def _respelled(line: str, respell: str) -> str:
+    """The line, ending in its newline, spelled otherwise than the writer
+    spells it but decoding to the same record."""
+    record = json.loads(line)
+    if respell == "reordered":
+        return json.dumps(dict(reversed(record.items())), ensure_ascii=False) + "\n"
+    if respell == "compact":
+        return json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+    if respell == "ascii_escape":  # a key's first letter as a \u escape
+        return re.sub(r'"(\w)(\w*)": (?!.*"type": )', lambda m: f'"\\u{ord(m[1]):04x}{m[2]}": ', line, count=1)
+    if respell in ("second_index_key", "second_index_key_escaped"):
+        key = _SECOND_INDEX_KEYS[respell.endswith("escaped")]
+        return f"{line[:-2]}, {key}: {record['trial_index']}}}\n"
+    if respell == "index_minus_zero":
+        return line.replace('"trial_index": 0, ', '"trial_index": -0, ', 1)
+    return {"trailing_space": line[:-1] + " \n", "crlf": line[:-1] + "\r\n",
+            "space_before_value": line.replace(": ", ":  ", 1)}[respell]
+
+
+_RESPELLINGS = ["reordered", "compact", "ascii_escape", "second_index_key", "second_index_key_escaped",
+                "index_minus_zero", "trailing_space", "crlf", "space_before_value"]
+
+
+@pytest.mark.parametrize("kind", ["event", "snapshot", "summary"])
+@pytest.mark.parametrize("respell", _RESPELLINGS)
+def test_load_trials_refuses_a_line_that_is_not_the_writers_text_of_its_record(tmp_path, place_shoe_spec, kind,
+                                                                               respell):
+    """A line that decodes to a well-formed record, but is not the text the
+    writer writes for it, is refused at its line: the writer never writes
+    it, and the file written back would not be the file read."""
     path = tmp_path / "trials.jsonl"
-    lines = [line[:-2] + f", {key}: 0}}\n" if line.startswith('{"type": "event", ') else line
-             for line in _dumped(path, place_shoe_spec, 2)]
+    lines = _dumped(path, place_shoe_spec, 2)
+    at = [i for i, line in enumerate(lines) if line.startswith(f'{{"type": "{kind}", "trial_index": 0, ')][-1]
+    lines[at] = _respelled(lines[at], respell)
+    assert lines[at] != _dumped(tmp_path / "again.jsonl", place_shoe_spec, 2)[at]
     path.write_text("".join(lines))
-    at = next(i for i, line in enumerate(lines) if line.startswith('{"type": "event", "trial_index": 1, ')) + 1
-    assert _assert_loads_as_every_line(path, monkeypatch) == (
-        f"ArtifactError: {path}:{at}: trial_index: a record of trial 0 after its summary")
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert str(exc.value) == f"{path}:{at + 1}: not the trial writer's text of its record"
 
 
-@pytest.mark.parametrize("indices", [("01", "2"), ("1.0", "2"), ("-0", "2"), ("1" * 18 + "9", "2" * 18 + "9"),
-                                     ("1" + "0" * 18, "2" + "0" * 18)],
-                         ids=["leading_zero", "float", "minus_zero", "19_digits", "10_to_the_18"])
-def test_load_trials_reads_an_index_spelled_otherwise_as_the_decoder_does(tmp_path, place_shoe_spec, monkeypatch,
-                                                                          indices):
-    """Trials 1 and 2 of a 3-trial file, whose lines equal trial 0's but for
-    the index, with their indices written as given in every line."""
+@pytest.mark.parametrize("edit, reason", [
+    (lambda lines: lines.insert(1, "\n"), "not JSON: line 1, col 1: Expecting value"),
+    (lambda lines: lines.insert(1, " \n"), "not JSON: line 1, col 2: Expecting value"),
+    (lambda lines: lines.__setitem__(-1, lines[-1][:-1]), "not the trial writer's text of its record"),
+    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 00', 1)),
+     "not JSON: line 1, col 35: Expecting ',' delimiter"),
+    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 0.0', 1)),
+     "trial_index: expected an integer, got 0.0"),
+], ids=["blank_line", "space_line", "no_last_newline", "index_leading_zero", "index_float"])
+def test_load_trials_refuses_a_line_no_record_of_the_writer_spells(tmp_path, place_shoe_spec, edit, reason):
+    """A blank line, a last line without its newline, or an index as JSON
+    does not write an integer, is refused at its line, with what decoding
+    the line whole finds at fault."""
     path = tmp_path / "trials.jsonl"
-    lines = [_split(line) for line in _dumped(path, place_shoe_spec, 3)]
-    for line in lines:
-        line[1] = {"0": "0", "1": indices[0], "2": indices[1]}[line[1]]
-    path.write_text("".join(map("".join, lines)))
-    got = _assert_loads_as_every_line(path, monkeypatch)
-    if indices[0].isdigit() and not indices[0].startswith("0"):
-        assert [log.trial_index for log in load_trials(path)] == [0, *map(int, indices)]
-    else:
-        assert got.startswith(f"ArtifactError: {path}:{len(lines) // 3 + 1}: ")
+    lines = _dumped(path, place_shoe_spec, 1)
+    edit(lines)
+    path.write_text("".join(lines))
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    at = len(lines) if reason.startswith("not the") else 2
+    assert str(exc.value) == f"{path}:{at}: {reason}"
+
+
+@pytest.mark.skipif(not hasattr(__import__("sys"), "get_int_max_str_digits"), reason="int() reads any length")
+@pytest.mark.parametrize("kind, field", [("event", "trial_index"), ("snapshot", "trial_index"),
+                                         ("snapshot", "stmt_id"), ("summary", "trial_index"), ("summary", "seed")])
+def test_load_trials_refuses_an_int_that_int_cannot_read(tmp_path, place_shoe_spec, kind, field):
+    """An integer of more digits than int() reads, as the writer would
+    write it, is refused at its line, never a traceback."""
+    path = tmp_path / "trials.jsonl"
+    lines = _dumped(path, place_shoe_spec, 1)
+    at = [i for i, line in enumerate(lines) if line.startswith(f'{{"type": "{kind}", ')][-1]
+    lines[at] = re.sub(f'"{field}": [0-9]+', f'"{field}": {"7" * 5000}', lines[at], count=1)
+    path.write_text("".join(lines))
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert exc.value.field == f"{path}:{at + 1}" and exc.value.reason.startswith("not JSON: ")
 
 
 @pytest.mark.parametrize("fault", ["not_json", "t_not_int"])
-def test_load_trials_refuses_a_repeated_malformed_line_at_its_first(tmp_path, place_shoe_spec, monkeypatch, fault):
+def test_load_trials_refuses_a_repeated_malformed_line_at_its_first(tmp_path, place_shoe_spec, fault):
     """Trial 0's first event line and trial 1's, equal but for the index,
     broken alike: the file is refused at trial 0's."""
     path = tmp_path / "trials.jsonl"
@@ -1298,7 +1315,10 @@ def test_load_trials_refuses_a_repeated_malformed_line_at_its_first(tmp_path, pl
     for at in events[0], events[len(events) // 2]:
         lines[at] = lines[at][:-2] + "\n" if fault == "not_json" else re.sub(r'"t": \d+', '"t": "x"', lines[at])
     path.write_text("".join(lines))
-    assert _assert_loads_as_every_line(path, monkeypatch).startswith(f"ArtifactError: {path}:{events[0] + 1}: ")
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert exc.value.field == f"{path}:{events[0] + 1}"
+    assert exc.value.reason == "event.t: expected an integer, got 'x'" or fault == "not_json"
 
 
 def test_load_trials_refuses_an_event_field_of_another_type_at_its_line(tmp_path, place_shoe_spec):
@@ -1340,31 +1360,6 @@ def test_load_trials_refuses_an_event_the_executor_could_not_make(tmp_path, plac
         load_trials(path)
     assert exc.value.code == "artifact_error"
     assert str(exc.value).startswith(f"{path}:{at + 1}: event.{field}: ")
-
-
-@pytest.mark.parametrize("respell", ["reordered", "respaced"])
-def test_load_trials_reads_a_snapshot_laid_out_otherwise_with_its_scene_as_json_dumps(tmp_path, place_shoe_spec,
-                                                                                    respell):
-    """A snapshot line that decodes to the record the writer wrote, with its
-    keys in another order or without the writer's spaces, loads as that
-    record: its scene text is json.dumps of its scene, the text the writer
-    wrote, so the file written back is the writer's."""
-    path = tmp_path / "trials.jsonl"
-    written = _dumped(path, place_shoe_spec, 1)
-    lines = list(written)
-    snapshots = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')]
-    for at in snapshots:
-        record = json.loads(lines[at])
-        if respell == "reordered":
-            lines[at] = json.dumps(dict(reversed(record.items())), ensure_ascii=False) + "\n"
-        else:
-            lines[at] = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-    path.write_text("".join(lines))
-    [log] = load_trials(path)
-    for snap, at in zip(log.snapshots, snapshots):
-        assert snap.scene == json.dumps(json.loads(lines[at])["scene"], ensure_ascii=False)
-        assert snap.scene not in lines[at] or respell == "reordered"
-    assert "".join(trial_texts([log])) == "".join(written)
 
 
 @pytest.mark.parametrize("scene", ["[]", "1", '"x"', "null", "NaN", '[{"actors": {}, "arms": {}}]'])
