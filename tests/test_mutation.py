@@ -56,4 +56,4 @@ def test_check_refuses_a_pinned_count_of_trials_jsonl_mutations(tmp_path, capsys
     assert main(["metrics", str(run), "--check"]) == 0
     trials = sorted(run.glob("cand_*/iter_*/trials.jsonl"))
     assert len(trials) == 5
-    assert _refused(run, trials, 150, 40, capsys) == 107
+    assert _refused(run, trials, 150, 40, capsys) == 111
