@@ -13,8 +13,6 @@ two tree edit distance bounds.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -178,28 +176,13 @@ def collect_observations(log: TrialLog, program: Program) -> dict[int, list]:
 _SCORES = '{\n  "selected_index": %s,\n  "all_success": %s,\n  "trials": [%s]\n}\n'
 _NAMES = [f.name for f in fields(TrialScore)]
 _ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in _NAMES) + "\n    }"
-_row_fields = attrgetter(*_NAMES)
-
-
-def _json(value, indent: str = " " * 6) -> str:
-    """json.dumps(value, indent=2) as it reads nested under `indent` (a
-    row value's, unless given): its later lines shifted by the indent."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
-def _row(score: TrialScore) -> str:
-    """The score's row. Fields of exactly their declared types, the floats
-    finite, fill the template as they are; any other value goes through
-    _json."""
-    index, seed, severity, divergence, psi, selected = values = _row_fields(score)
-    if (type(index) is type(seed) is int and type(severity) is type(divergence) is type(psi) is float
-            and type(selected) is bool and math.isfinite(severity + divergence + psi)):
-        return _ROW % (index, seed, severity, divergence, psi, "true" if selected else "false")
-    return _ROW % tuple(map(_json, values))
+_numbers = attrgetter(*_NAMES[:-1])  # a row's fields but `selected`, its last
 
 
 def scores_report(selection: SelectionResult) -> str:
     """scores.json: the selected index, the all-success flag and a row per
-    trial score; the bytes of json.dumps(payload, indent=2) + "\\n"."""
-    rows = ",\n".join([_row(score) for score in selection.scores])
-    return _SCORES % (_json(selection.index, "  "), _json(selection.all_success, "  "), rows and f"\n{rows}\n  ")
+    trial score; the bytes of json.dumps(payload, indent=2) + "\\n" for what
+    select_trial makes: each field exactly of its declared type, finite."""
+    rows = ",\n".join([_ROW % (*_numbers(score), "true" if score.selected else "false")
+                       for score in selection.scores])
+    return _SCORES % (selection.index, "true" if selection.all_success else "false", rows and f"\n{rows}\n  ")

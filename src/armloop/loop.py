@@ -195,8 +195,14 @@ class LoopConfig:
     observation_cap: int = field(default=10, metadata={"minimum": MIN_OBSERVATION_CAP})
     perception: bool = True  # False: symbolic-only feedback (empty diagnosis)
 
-    def __post_init__(self):
+    def __post_init__(self):  # the weights too: two non-negative numbers of a finite sum, which psi is at most
         ConfigError.check_fields(self)
+        weights = self.weights
+        if type(weights) not in (list, tuple) or len(weights) != 2:
+            raise ConfigError("weights", f"expected two numbers, got {weights!r}")
+        self.weights = tuple(ConfigError.check(w, float, "weights", minimum=0.0) for w in weights)
+        if not math.isfinite(sum(self.weights)):
+            raise ConfigError("weights", f"their sum must be finite, got {weights!r}")
 
 
 @dataclass
@@ -231,8 +237,21 @@ def iteration_base_seed(base_seed: int, k: int, n_trials: int) -> int:
 def json_text(payload) -> str:
     """A JSON file's text, as json.dumps(indent=2) writes it: a record's
     (diagnosis.json, repair_signal.json, campaign.json) is its asdict(), its
-    fields in declaration order; metrics.json's is the metrics payload."""
-    return json.dumps(payload, indent=2) + "\n"
+    fields in declaration order; metrics.json's is the metrics payload. It
+    lays out containers itself: json's indenting encoder leaves cycles."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """json.dumps(value, indent=2) for a value nested where `newline` starts its lines."""
+    if type(value) not in (dict, list, tuple) or not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    if type(value) is dict:
+        items, ends = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items()], "{}"
+    else:
+        items, ends = [_indented(v, inner) for v in value], "[]"
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def _persist_iteration(out_dir: Path | None, record: IterationRecord, logs: list, selection: SelectionResult):
@@ -545,13 +564,6 @@ def load_campaign_config(config_path, task_file, spec: TaskSpec, max_iterations=
         expert = _resolve_program(expert, programs_dir, config_dir, "expert_program")
     for key in ("synthesis", "verifier"):
         raw[key] = ConfigError.build(AgentConfig, _expand_env(raw.get(key, {})), key)
-    if "weights" in raw:
-        weights = ConfigError.check(raw["weights"], list, "weights")
-        if len(weights) != 2:
-            raise ConfigError("weights", f"expected two numbers, got {weights!r}")
-        raw["weights"] = tuple(ConfigError.check(w, float, "weights", minimum=0.0) for w in weights)
-        if not math.isfinite(sum(raw["weights"])):  # psi is at most their sum
-            raise ConfigError("weights", f"their sum must be finite, got {weights!r}")
     if max_iterations is not None:
         raw["max_iterations"] = max_iterations
     loop_cfg = ConfigError.build(LoopConfig, raw, "", perception=(mode == "hybrid"))

@@ -4,7 +4,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from armloop.dsl import parse
@@ -12,6 +11,7 @@ from armloop.dsl.ast import Program, SubgoalBlock
 from armloop.errors import NoSnapshotsError
 from armloop.harness import (
     SelectionResult,
+    TrialScore,
     collect_observations,
     edit_distance,
     failure_severity,
@@ -19,6 +19,7 @@ from armloop.harness import (
     select_trial,
 )
 from armloop.instrument import insert_observations
+from armloop.loop import LoopConfig
 from armloop.sim import run_trials
 from armloop.sim.model import SymbolicEvent, TrialLog
 
@@ -252,10 +253,13 @@ def _scores_payload(selection) -> dict:
 
 def test_scores_report_matches_json_dumps_on_random_selections():
     """scores.json is json.dumps(payload, indent=2) plus a newline, for
-    real selections over batches of one trial and more, and for scores
-    holding values the template leaves to json.dumps."""
+    real selections over batches of one trial and more, under weights as
+    LoopConfig holds them, up to a sum near the largest float. The report
+    formats each field as it is, so every field select_trial makes must be
+    exactly its declared type, and each float finite."""
     ops = ["grasp_actor:success:none", "grasp_actor:failure:grasp_slip", "place_actor:failure:placement_miss"]
-    odd = [math.nan, math.inf, -math.inf, -0.0, np.float64(0.25), 1, True, None, [0.5, [1, {"a": -0.0}]], {}]
+    declared = {field.name: {"int": int, "float": float, "bool": bool}[field.type]
+                for field in dataclasses.fields(TrialScore)}
     rng = random.Random(5)
     program = _program(2)
     sizes = []
@@ -264,16 +268,15 @@ def test_scores_report_matches_json_dumps_on_random_selections():
                  for i in range(rng.choice([1, 1, 2, 5, 9]))]
         for log in batch:
             log.seed = rng.choice([log.trial_index, 2**40, -7])
-        selection = select_trial(batch, program, (rng.choice([0.5, 1.0]), rng.choice([0.5, 2.0])))
+        weights = LoopConfig(weights=[rng.choice([0, 0.5, 1, 2.0, 8e307]) for _ in range(2)]).weights
+        selection = select_trial(batch, program, weights)
         sizes.append(len(batch))
         assert scores_report(selection) == json.dumps(_scores_payload(selection), indent=2) + "\n"
+        assert type(selection.index) is int and type(selection.all_success) is bool
         for score in selection.scores:
-            for name in ("index", "seed", "severity", "divergence", "psi"):
-                if rng.random() < 0.2:
-                    setattr(score, name, rng.choice(odd))
-        if rng.random() < 0.1:
-            selection.index, selection.all_success = rng.choice(odd), rng.choice(odd)
-        assert scores_report(selection) == json.dumps(_scores_payload(selection), indent=2) + "\n"
+            for name, kind in declared.items():
+                value = getattr(score, name)
+                assert type(value) is kind and (kind is not float or math.isfinite(value)), (name, value)
     assert 1 in sizes and max(sizes) > 1
     empty = SelectionResult(index=0, scores=[])  # select_trial refuses an empty batch; the writer does not
     assert scores_report(empty) == json.dumps(_scores_payload(empty), indent=2) + "\n"

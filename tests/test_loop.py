@@ -11,7 +11,7 @@ import pytest
 from armloop import loop
 from armloop.agents import AgentConfig, Diagnosis, SubgoalVerdict
 from armloop.dsl import parse, to_text
-from armloop.errors import ArtifactError, MalformedReplyError
+from armloop.errors import ArtifactError, ConfigError, MalformedReplyError
 from armloop.harness import TrialScore
 from armloop.loop import (
     CampaignConfig,
@@ -22,10 +22,12 @@ from armloop.loop import (
     _expand_env,
     fuse,
     iteration_base_seed,
+    json_text,
     load_campaign_config,
     run_campaign,
     run_loop,
 )
+from armloop.metrics import metrics_from_campaign
 from armloop.scene import load_task_spec
 from armloop.sim import run_trials, trial_texts
 from armloop.sim.model import ERROR_CATEGORIES, SymbolicEvent, TrialLog, load_trials
@@ -252,6 +254,57 @@ def _loop_cfg(mode="hybrid", max_iterations=5, n_trials=10):
         max_iterations=1 if mode == "one_shot" else max_iterations,
         perception=(mode == "hybrid"),
     )
+
+
+@pytest.mark.parametrize("weights", [(1.0,), [1, 2, 3], "11", (-1.0, 1.0), (1e308, 1e308), (float("inf"), 0.0),
+                                     (True, 1.0), (1.0, None)])
+def test_loop_config_refuses_weights_of_no_finite_psi(weights):
+    """A LoopConfig holds two non-negative weights of a finite sum, however
+    it is made, so psi, at most their sum, is finite for every caller of
+    select_trial."""
+    with pytest.raises(ConfigError) as err:
+        LoopConfig(weights=weights)
+    assert err.value.field == "weights"
+    with pytest.raises(ConfigError):
+        replace(LoopConfig(), weights=weights)
+    assert LoopConfig(weights=[0, 8e307]).weights == (0.0, 8e307)
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    """A JSON payload of nested objects, arrays and tuples, empty ones too,
+    with leaves at their edges."""
+    leaves = [None, True, False, 0, -7, 2**70, 0.1 + 0.2, -0.0, 1e300, 5e-324, "", "é \u2028 \\ \" \n", "x"]
+    shape = rng.randrange(4) if depth < 4 else 3
+    if shape == 0:
+        return {rng.choice(["a", "é", "q\"k", "trials", ""]): _random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    if shape in (1, 2):
+        values = [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return values if shape == 1 else tuple(values)
+    return rng.choice(leaves)
+
+
+def test_json_text_is_json_dumps_with_indent_and_leaves_no_garbage(place_shoe_spec):
+    """json_text writes json.dumps(payload, indent=2) plus a newline, for
+    random nested payloads and every record the loop writes, and leaves no
+    reference cycles for the collector."""
+    rng = random.Random(3)
+    payloads = [_random_payload(rng) for _ in range(300)]
+    campaign = run_campaign(place_shoe_spec, load_campaign_config(TASKS_DIR / "configs" / "hybrid.json",
+                                                                  task_path("place_shoe"), place_shoe_spec))
+    first = run_loop(place_shoe_spec, _loop_cfg(), playbook=_playbook("loud", "correct")).iterations[0]
+    payloads += [asdict(campaign.record), metrics_from_campaign(campaign), asdict(first.diagnosis),
+                 asdict(first.signal)]
+    for payload in payloads:
+        assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    gc.collect()
+    gc.disable()
+    try:
+        for payload in payloads:
+            json_text(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _playbook(*kinds, task="place_shoe"):
