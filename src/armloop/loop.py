@@ -427,6 +427,10 @@ class CampaignRecord:
 
     def __post_init__(self):
         ArtifactError.check_fields(self)
+        try:
+            datetime.datetime.fromisoformat(self.created_at)
+        except ValueError:
+            raise ArtifactError("created_at", f"expected an ISO 8601 timestamp, got {self.created_at!r}") from None
 
     @classmethod
     def from_json(cls, raw, where: str) -> "CampaignRecord":

@@ -1112,6 +1112,7 @@ CAMPAIGN_CASES = {
     "success_count_not_counted": _edit_campaign(lambda m: m["candidates"][0].update(success_count=3)),
     "cr_iter_not_counted": _edit_campaign(lambda m: m["candidates"][1].update(cr_iter=1)),
     "created_at_missing": _edit_campaign(lambda m: m.pop("created_at")),
+    "created_at_not_a_timestamp": _edit_campaign(lambda m: m.update(created_at="2026-1m-20T22:43:29.5+00:00")),
     "campaign_extra_key": _edit_campaign(lambda m: m.update(seed=0)),
     "expert_program_not_str": _edit_campaign(lambda m: m.update(expert_program=5)),
 }

@@ -30,7 +30,7 @@ _FIXTURE_PROGRAM = parse('program t\nsubgoal "s"\n  open_gripper(left)\n')
 def make_campaign(rows, n_trials=10, cap=5):
     """rows: (success_count, cr_iter, converged) per candidate, each taken
     as given: the metrics aggregate the rows and do not re-derive them."""
-    record = CampaignRecord("fixture", "", n_trials, 0.5, cap, None, [])
+    record = CampaignRecord("fixture", "2026-01-01T00:00:00+00:00", n_trials, 0.5, cap, None, [])
     for cid, (success, cr, converged) in enumerate(rows):
         record.candidates.append(CandidateRecord(cid, cid * 100, converged, cr, cr, success, n_trials, None))
     return CampaignResult(record, [[(success, n_trials)] for success, _, _ in rows], [_FIXTURE_PROGRAM] * len(rows))
