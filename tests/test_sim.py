@@ -1,5 +1,4 @@
 import collections
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -7,6 +6,7 @@ import math
 import operator
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1258,38 +1258,61 @@ def test_load_trials_refuses_a_line_that_is_not_the_writers_text_of_its_record(t
     path = tmp_path / "trials.jsonl"
     lines = _dumped(path, place_shoe_spec, 2)
     at = [i for i, line in enumerate(lines) if line.startswith(f'{{"type": "{kind}", "trial_index": 0, ')][-1]
-    lines[at] = _respelled(lines[at], respell)
-    assert lines[at] != _dumped(tmp_path / "again.jsonl", place_shoe_spec, 2)[at]
+    written = lines[at]
+    lines[at] = _respelled(written, respell)
+    assert lines[at] != written and json.loads(lines[at]) == json.loads(written)
     path.write_text("".join(lines))
     with pytest.raises(ArtifactError) as exc:
         load_trials(path)
     assert str(exc.value) == f"{path}:{at + 1}: not the trial writer's text of its record"
 
 
-@pytest.mark.parametrize("edit, reason", [
-    (lambda lines: lines.insert(1, "\n"), "not JSON: line 1, col 1: Expecting value"),
-    (lambda lines: lines.insert(1, " \n"), "not JSON: line 1, col 2: Expecting value"),
-    (lambda lines: lines.__setitem__(-1, lines[-1][:-1]), "not the trial writer's text of its record"),
-    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 00', 1)),
+@pytest.mark.parametrize("edit, at, reason", [
+    (lambda lines: lines.insert(1, "\n"), 2, "not JSON: line 1, col 1: Expecting value"),
+    (lambda lines: lines.insert(1, " \n"), 2, "not JSON: line 1, col 2: Expecting value"),
+    (lambda lines: lines.__setitem__(-1, lines[-1][:-1]), -1, "not the trial writer's text of its record"),
+    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 00', 1)), 2,
      "not JSON: line 1, col 35: Expecting ',' delimiter"),
-    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 0.0', 1)),
+    (lambda lines: lines.__setitem__(1, lines[1].replace('"trial_index": 0', '"trial_index": 0.0', 1)), 2,
      "trial_index: expected an integer, got 0.0"),
-], ids=["blank_line", "space_line", "no_last_newline", "index_leading_zero", "index_float"])
-def test_load_trials_refuses_a_line_no_record_of_the_writer_spells(tmp_path, place_shoe_spec, edit, reason):
-    """A blank line, a last line without its newline, or an index as JSON
-    does not write an integer, is refused at its line, with what decoding
-    the line whole finds at fault."""
+    (lambda lines: lines.__setitem__(-1, re.sub('"goal_met": (true|false)', '"goal_met": 1', lines[-1])), -1,
+     "summary.goal_met: expected true or false, got 1"),
+    (lambda lines: lines.insert(1, lines[0].replace('"type": "snapshot"', '"type": "event"', 1)), 2,
+     "event.step_name: unexpected field"),
+], ids=["blank_line", "space_line", "no_last_newline", "index_leading_zero", "index_float", "goal_met_number",
+        "snapshot_as_event"])
+def test_load_trials_refuses_a_line_no_record_of_the_writer_spells(tmp_path, place_shoe_spec, edit, at, reason):
+    """A blank line, a last line without its newline, an index as JSON does
+    not write an integer, a summary's goal as a number, or a snapshot read
+    just before under an event's head, is refused at its line, with what
+    decoding the line whole finds at fault."""
     path = tmp_path / "trials.jsonl"
     lines = _dumped(path, place_shoe_spec, 1)
     edit(lines)
     path.write_text("".join(lines))
     with pytest.raises(ArtifactError) as exc:
         load_trials(path)
-    at = len(lines) if reason.startswith("not the") else 2
-    assert str(exc.value) == f"{path}:{at}: {reason}"
+    assert str(exc.value) == f"{path}:{at % (len(lines) + 1)}: {reason}"
 
 
-@pytest.mark.skipif(not hasattr(__import__("sys"), "get_int_max_str_digits"), reason="int() reads any length")
+@pytest.mark.parametrize("indices", [("1" * 18 + "9", "2" * 18 + "9"), ("1" + "0" * 18, "2" + "0" * 18)],
+                         ids=["19_digits", "10_to_the_18"])
+def test_load_trials_reads_a_long_index_as_the_writer_writes_it(tmp_path, place_shoe_spec, indices):
+    """Trials 1 and 2 of a 3-trial file, whose lines equal trial 0's but
+    for an index of 19 digits: each line is the writer's text of its record,
+    so the trials load under those indices and write the file back."""
+    path = tmp_path / "trials.jsonl"
+    lines = [_split(line) for line in _dumped(path, place_shoe_spec, 3)]
+    for line in lines:
+        line[1] = {"0": "0", "1": indices[0], "2": indices[1]}[line[1]]
+    text = "".join(map("".join, lines))
+    path.write_text(text)
+    loaded = load_trials(path)
+    assert [log.trial_index for log in loaded] == [0, *map(int, indices)]
+    assert "".join(trial_texts(loaded)) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length")
 @pytest.mark.parametrize("kind, field", [("event", "trial_index"), ("snapshot", "trial_index"),
                                          ("snapshot", "stmt_id"), ("summary", "trial_index"), ("summary", "seed")])
 def test_load_trials_refuses_an_int_that_int_cannot_read(tmp_path, place_shoe_spec, kind, field):
