@@ -22,10 +22,10 @@ types and closed vocabularies, and compared with the writer's text of the
 event; a snapshot line is read piecewise, its scene's text the span of the
 line that holds it, which the scanner decodes once to check that it is an
 object (the layout within it is not checked); a summary line is matched by
-its template's pattern. Each distinct event or snapshot line is read once
-per file, memoized by its head and rest, so trials whose lines are equal
-but for the index share record objects as the executor's do. Any other
-line is decoded whole only to name its fault.
+its template's pattern. Each distinct line is read once per file, memoized
+by its head and rest, so trials whose lines are equal but for the index
+share record objects as the executor's do. A line that is none of these is
+decoded whole only to name its fault.
 """
 
 from __future__ import annotations
@@ -398,33 +398,19 @@ def _snapshot(rest: str) -> Snapshot | None:
     return Snapshot(step_name, *numbers, rest[head.end():end], context)
 
 
-def _read(line: str, memo: dict):
-    """(trial index, record) of a line that is the writer's text of its
-    record, else None; a summary's record is (goal_met, seed, n_events)."""
-    match = _LINE.match(line)
-    if match is None:
-        return None
-    head, rest = match[1], line[match.end():]
-    try:
-        index = int(match[2])
-        if head == _SUMMARY:
-            closing = _CLOSING.fullmatch(rest)
-            return closing and (index, (closing[1] == "true", int(closing[2]), int(closing[3])))
-    except ValueError:  # an int of more digits than int() reads
-        return None
-    rec = memo.get((head, rest))
-    if rec is None:
-        if head == _SNAPSHOT:
-            rec = _snapshot(rest)
-        else:  # an event, decoded whole and held to the writer's text of it
-            with contextlib.suppress(ArtifactError):
-                rec = _decoded(line)[1]
-            if type(rec) is not SymbolicEvent or _EVENT_REST % tuple(map(_atom, _event_fields(rec))) != rest + "\n":
-                return None
-        if rec is None:
-            return None
-        memo[head, rest] = rec
-    return index, rec
+def _record(line: str, head: str, rest: str):
+    """The record a line of this head and rest is the writer's text of, else
+    None; a summary's is (goal_met, seed, n_events)."""
+    if head == _SNAPSHOT:
+        return _snapshot(rest)
+    if head == _SUMMARY:
+        closing = _CLOSING.fullmatch(rest)
+        return closing and (closing[1] == "true", int(closing[2]), int(closing[3]))
+    with contextlib.suppress(ArtifactError):  # an event, decoded whole and held to the writer's text of it
+        event = _decoded(line)[1]
+        if type(event) is SymbolicEvent and _EVENT_REST % tuple(map(_atom, _event_fields(event))) == rest + "\n":
+            return event
+    return None
 
 
 def load_trials(path) -> list[TrialLog]:
@@ -435,14 +421,21 @@ def load_trials(path) -> list[TrialLog]:
     file that cannot be read as text, or a trial without its summary raises
     ArtifactError naming path:line or path."""
     logs: dict[int, TrialLog] = {}
-    memo = {}  # (head, rest) of an event or snapshot line read -> its record
+    memo = {}  # (head, rest) of a line read -> its record
     *lines, last = ArtifactError.read_text(path, str(path), newline="").split("\n")
     for lineno, line in enumerate(lines, 1):
         try:
-            read = _read(line, memo)
-            if read is None:
+            match = _LINE.match(line)
+            if match is None:
                 raise _refusal(line)
-            index, rec = read
+            key = match[1], line[match.end():]
+            rec = memo.get(key)
+            if rec is None:
+                rec = _record(line, *key)
+                if rec is None:
+                    raise _refusal(line)
+                memo[key] = rec
+            index = int(match[2])
             log = logs.get(index)
             if log is None:
                 log = logs[index] = TrialLog(trial_index=index, seed=None)  # None: no summary yet
@@ -458,6 +451,8 @@ def load_trials(path) -> list[TrialLog]:
                 log.goal_met, log.seed = rec[:2]
         except ArtifactError as exc:
             raise ArtifactError(f"{path}:{lineno}", str(exc)) from None
+        except ValueError:  # an int of more digits than int() reads
+            raise ArtifactError(f"{path}:{lineno}", str(_refusal(line))) from None
     if last:  # a last line without the newline the writer ends each line with
         raise ArtifactError(f"{path}:{len(lines) + 1}", str(_refusal(last)))
     for log in logs.values():
