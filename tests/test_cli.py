@@ -1322,6 +1322,22 @@ def test_render_refuses_a_step_name_that_cannot_be_a_file_name(tmp_path, capsys,
     assert capsys.readouterr().err == f"error [artifact_error]: {trials}{reason}\n"
 
 
+def test_render_refuses_a_step_name_the_file_system_cannot_encode(tmp_path, capsys, monkeypatch):
+    """A step name the file system's encoding cannot hold (here an é on a
+    file system taken as ASCII) is a fault of the trials file, not of --out."""
+    assert main(["run", _task(), _prog("correct"), "--trials", "1", "--out", str(tmp_path / "run")]) == 0
+    trials = tmp_path / "run" / "trials.jsonl"
+    lines = trials.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith('{"type": "snapshot", ')][1]
+    lines[at] = json.dumps({**json.loads(lines[at]), "step_name": "café"}, ensure_ascii=False) + "\n"
+    trials.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(os, "fsencode", lambda name: name.encode("ascii"))
+    capsys.readouterr()
+    assert main(["render", str(trials), _task(), "--out", str(tmp_path / "svg")]) == 2
+    assert capsys.readouterr().err == (f"error [artifact_error]: {trials}: trial 0 snapshot 1: step name 'café' is "
+                                       "not a file name: ordinal not in range(128)\n")
+
+
 def test_render_refuses_a_step_counter_that_is_not_an_integer(tmp_path, capsys):
     """A snapshot's step counter is written into its SVG's caption: one that
     holds markup is a fault of the trials file, refused before any SVG is
