@@ -16,6 +16,7 @@ import os
 import re
 import shutil
 from dataclasses import asdict, dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import parallel
@@ -242,13 +243,23 @@ def json_text(payload) -> str:
     return _indented(payload, "\n") + "\n"
 
 
+# What json.dumps writes for a scalar of each type a payload holds; any other
+# value (an empty container, a non-finite float) is left to json.dumps.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__,
+            type(None): lambda _: "null", float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f)}
+
+
 def _indented(value, newline: str) -> str:
-    """json.dumps(value, indent=2) for a value nested where `newline` starts its lines."""
+    """json.dumps(value, indent=2) for a value nested where `newline` starts
+    its lines, its objects' keys strings."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if type(value) not in (dict, list, tuple) or not value:
         return json.dumps(value)
     inner = newline + "  "
     if type(value) is dict:
-        items, ends = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items()], "{}"
+        items, ends = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()], "{}"
     else:
         items, ends = [_indented(v, inner) for v in value], "[]"
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
