@@ -198,12 +198,11 @@ class LoopConfig:
 
     def __post_init__(self):  # the weights too: two non-negative numbers of a finite sum, which psi is at most
         ConfigError.check_fields(self)
-        weights = self.weights
-        if type(weights) not in (list, tuple) or len(weights) != 2:
-            raise ConfigError("weights", f"expected two numbers, got {weights!r}")
-        self.weights = tuple(ConfigError.check(w, float, "weights", minimum=0.0) for w in weights)
+        if type(self.weights) not in (list, tuple) or len(self.weights) != 2:
+            raise ConfigError("weights", f"expected two numbers, got {self.weights!r}")
+        self.weights = tuple(ConfigError.check(w, float, "weights", minimum=0.0) for w in self.weights)
         if not math.isfinite(sum(self.weights)):
-            raise ConfigError("weights", f"their sum must be finite, got {weights!r}")
+            raise ConfigError("weights", f"their sum must be finite, got {list(self.weights)!r}")
 
 
 @dataclass
@@ -243,20 +242,16 @@ def json_text(payload) -> str:
     return _indented(payload, "\n") + "\n"
 
 
-# What json.dumps writes for a scalar of each type a payload holds; any other
-# value (an empty container, a non-finite float) is left to json.dumps.
+# json.dumps of a scalar of each type a payload holds; json.dumps itself takes the rest.
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__,
             type(None): lambda _: "null", float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f)}
 
 
 def _indented(value, newline: str) -> str:
-    """json.dumps(value, indent=2) for a value nested where `newline` starts
-    its lines, its objects' keys strings."""
+    """json.dumps(value, indent=2) nested where `newline` starts its lines; keys are strings."""
     scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    if type(value) not in (dict, list, tuple) or not value:
-        return json.dumps(value)
+    if scalar is not None or type(value) not in (dict, list, tuple) or not value:
+        return (scalar or json.dumps)(value)
     inner = newline + "  "
     if type(value) is dict:
         items, ends = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()], "{}"
