@@ -116,19 +116,6 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 _str = json.encoder.encode_basestring  # what _encode does with a str, in C
 
 
-def _atom(value) -> str:
-    """_encode(value). An exact str, int or float, or None, goes straight to
-    what _encode would reach it by (repr, for the finite floats that
-    records hold); anything else, such as an event's args, to _encode."""
-    if type(value) is str:
-        return _str(value)
-    if value is None:
-        return "null"
-    if type(value) in (int, float):
-        return repr(value)
-    return _encode(value)
-
-
 # A snapshot payload, the virtual-camera view of one trial: {"actors": {name:
 # {"pose": 7 numbers, "held_by": arm tag or None}} in task-file order, "arms":
 # {tag: {"tcp": 7 numbers, "gripper": number}} in arm order}; per section, the
@@ -166,7 +153,7 @@ def _entries(memo: dict, section: str, name: str, array: np.ndarray, other):
     if hit is not None and hit[0] is array and hit[1] is other:
         return hit[2]
     key, other_key = _SCENE_KEYS[section]
-    entries = _Entries(array, f"{_str(name)}: {{{_str(key)}: ", f", {_str(other_key)}: {_atom(other)}}}")
+    entries = _Entries(array, f"{_str(name)}: {{{_str(key)}: ", f", {_str(other_key)}: {_encode(other)}}}")
     bits = array.view(np.uint64)
     if (bits == bits[0]).all():
         entries = [entries[0]] * len(array)
@@ -270,6 +257,17 @@ _BEFORE_SCENE, _AFTER_SCENE = _SNAPSHOT_REST.split(_SCENE_KEY + "%s")
 _BEFORE_SCENE += _SCENE_KEY
 
 
+def _event_text(event: SymbolicEvent) -> str:
+    """The fill of an event's rest, as _encode writes its fields: the ints as
+    they are, the strings and a str -> str args dict through _str."""
+    stmt_id, subgoal_index, op_name, args, outcome, category, message, t = _event_fields(event)
+    try:
+        args = "{" + ", ".join([f"{_str(key)}: {_str(value)}" for key, value in args.items()]) + "}"
+    except TypeError:  # an args value that is not a string, which only a file can hold
+        args = _encode(args)
+    return _EVENT_REST % (stmt_id, subgoal_index, _str(op_name), args, _str(outcome), _str(category), _str(message), t)
+
+
 def _closing(log: TrialLog) -> str:
     """The fill of a summary's rest: goal_met, seed and n_events, from the log."""
     return _SUMMARY_REST % ("true" if log.goal_met else "false", log.seed, len(log.events))
@@ -295,7 +293,7 @@ def _parts(log: TrialLog, events: dict, heads: dict) -> list:
         else:
             hit = events.get(id(rec))
             if hit is None:
-                hit = events[id(rec)] = (rec, _EVENT_REST % tuple(map(_atom, _event_fields(rec))))
+                hit = events[id(rec)] = (rec, _event_text(rec))
             parts += (_EVENT, index, hit[1])
     parts += (_SUMMARY, index, _closing(log))
     return parts
@@ -408,7 +406,7 @@ def _record(line: str, head: str, rest: str):
         return closing and (closing[1] == "true", int(closing[2]), int(closing[3]))
     with contextlib.suppress(ArtifactError):  # an event, decoded whole and held to the writer's text of it
         event = _decoded(line)[1]
-        if type(event) is SymbolicEvent and _EVENT_REST % tuple(map(_atom, _event_fields(event))) == rest + "\n":
+        if type(event) is SymbolicEvent and _event_text(event) == rest + "\n":
             return event
     return None
 
