@@ -1248,6 +1248,25 @@ _RESPELLINGS = ["reordered", "compact", "ascii_escape", "second_index_key", "sec
                 "index_minus_zero", "trailing_space", "crlf", "space_before_value"]
 
 
+@pytest.mark.parametrize("key", _SECOND_INDEX_KEYS, ids=["plain", "escaped"])
+def test_load_trials_takes_a_second_trial_index_key_as_the_decoder_does(tmp_path, place_shoe_spec, key):
+    """Every event line of a 2-trial file given a second trial index key of
+    0, which the decoder takes over the first: trial 1's first event decodes
+    to a record of trial 0, and no line with the second key is the writer's
+    text of the record it decodes to, so the file is refused at its first
+    event line."""
+    path = tmp_path / "trials.jsonl"
+    lines = [line[:-2] + f", {key}: 0}}\n" if line.startswith('{"type": "event", ') else line
+             for line in _dumped(path, place_shoe_spec, 2)]
+    path.write_text("".join(lines))
+    second = next(line for line in lines if line.startswith('{"type": "event", "trial_index": 1, '))
+    assert json.loads(second)["trial_index"] == 0
+    at = next(i for i, line in enumerate(lines) if line.startswith('{"type": "event", ')) + 1
+    with pytest.raises(ArtifactError) as exc:
+        load_trials(path)
+    assert str(exc.value) == f"{path}:{at}: not the trial writer's text of its record"
+
+
 @pytest.mark.parametrize("kind", ["event", "snapshot", "summary"])
 @pytest.mark.parametrize("respell", _RESPELLINGS)
 def test_load_trials_refuses_a_line_that_is_not_the_writers_text_of_its_record(tmp_path, place_shoe_spec, kind,
